@@ -13,13 +13,13 @@ from .grids import (SampledEnvelope, SpectralDensity, TimeGrid,
 from .signals import (MessageSpec, ModulationScheme, carson_bandwidth,
                       message_psd, modulate, phase_response, sample_message)
 from .qnoise import (NoiseModel, PhysicalConstants, QuadratureRecord,
-                     lambda_parameter, photon_budget, sample_squeezed,
+                     operating_point, photon_budget, sample_squeezed,
                      sample_vacuum, squeezed_covariance_psds)
 from .wiener import (FilterKernel, LoopDesign, closed_loop_filter, design_loop,
                      linearized_map_estimate, loop_and_postloop,
                      nonlinear_map_fixed_point, optimum_filter, spectral_factorize)
 from .pll import (CellResult, PllConfig, TrialResult, cycle_slip_count,
-                  homodyne_output, monte_carlo_sweep, run_cell, run_trial)
+                  run_cell, run_trial)
 from . import limits
 from . import fock
 from . import sensing
@@ -31,12 +31,12 @@ __all__ = [
     "MessageSpec", "ModulationScheme", "message_psd", "sample_message",
     "phase_response", "modulate", "carson_bandwidth",
     "PhysicalConstants", "NoiseModel", "QuadratureRecord", "sample_vacuum",
-    "sample_squeezed", "squeezed_covariance_psds", "lambda_parameter",
-    "photon_budget",
+    "sample_squeezed", "squeezed_covariance_psds", "photon_budget",
+    "operating_point",
     "FilterKernel", "LoopDesign", "optimum_filter", "spectral_factorize",
     "closed_loop_filter", "loop_and_postloop", "design_loop",
     "linearized_map_estimate", "nonlinear_map_fixed_point",
-    "PllConfig", "TrialResult", "CellResult", "homodyne_output", "run_trial",
-    "run_cell", "monte_carlo_sweep", "cycle_slip_count",
+    "PllConfig", "TrialResult", "CellResult", "run_trial", "run_cell",
+    "cycle_slip_count",
     "limits", "fock", "sensing", "cli_main",
 ]

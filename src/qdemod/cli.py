@@ -27,12 +27,13 @@ from . import fock as fock_mod
 from . import limits as limits_mod
 from .config import ConfigError, parse_config, serialize_config
 from .grids import TimeGrid
-from .pll import (LoopDivergenceError, PllConfig, run_cell)
-from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel)
+from .pll import LoopDivergenceError, PllConfig, run_cell
+from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
+                     operating_point)
 from .results import RunManifest, emit_results
 from .sensing import (SensorConfig, interrogation_constraint, position_pm_params,
                       velocity_fm_params)
-from .signals import FLAT, LORENTZIAN, MessageSpec, ModulationScheme, message_psd
+from .signals import FLAT, LORENTZIAN, MessageSpec, ModulationScheme
 from .wiener import (FactorizationError, LoopInstabilityError,
                      NonConvergenceError, design_loop, dump_design)
 
@@ -44,13 +45,7 @@ _NUMERICAL_ERRORS = (FactorizationError, LoopInstabilityError,
 
 def _build_setup(cfg: dict, beta: float, r: float, variant: str,
                  lam: float | None = None, n_photon: float | None = None):
-    """(message, mod, alpha, noise, design, lam) from a resolved config.
-
-    Flat messages: Lambda = 4 |a|^2 (B/b) / S2(0), so a photon budget maps
-    through the budgeted Lambda formula.  Lorentzian messages: the photon
-    number fixes |a|^2 = N b / B directly and the reported Lambda uses the
-    grid's S_m(0).
-    """
+    """(noise, design, lam) of one operating point of a resolved config."""
     grid = TimeGrid(cfg["bandwidth"], cfg["n_samples"])
     if cfg["message_kind"] == FLAT:
         message = MessageSpec.flat(grid, cfg["band_bins"])
@@ -58,22 +53,8 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
         message = MessageSpec(grid, LORENTZIAN, grid.bandwidth / cfg["lorentz_ratio"])
     else:
         raise ConfigError(f"unknown message_kind {cfg['message_kind']!r}")
-    s_m_at_0 = float(message_psd(message).values[0])
-    s2_at_0 = float(np.exp(-2.0 * r)) if r > 0 else 1.0
     mod = ModulationScheme(cfg["mod_kind"], beta, message.bandwidth)
-    if lam is None:
-        if n_photon is None:
-            raise ConfigError("need lambda or n_photon")
-        if cfg["message_kind"] == LORENTZIAN:
-            alpha = float(np.sqrt(n_photon * message.bandwidth / grid.bandwidth))
-            lam = 4.0 * alpha**2 * s_m_at_0 / s2_at_0
-        else:
-            lam = limits_mod.LimitQuery(kind=cfg["mod_kind"], beta=beta,
-                                        n_photon=n_photon, r=r).resolved_lambda()
-            alpha = float(np.sqrt(lam * s2_at_0 * message.bandwidth
-                                  / (4.0 * grid.bandwidth)))
-    else:
-        alpha = float(np.sqrt(lam * s2_at_0 / (4.0 * s_m_at_0)))
+    alpha, lam = operating_point(message, r, lam, n_photon)
     if variant == COHERENT:
         noise = NoiseModel(COHERENT, alpha)
     else:
@@ -82,21 +63,27 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
     delay = cfg.get("delay", -1)
     design = design_loop(message, mod, alpha, noise,
                          delay=None if delay < 0 else delay)
-    return message, mod, alpha, noise, design, lam
+    return noise, design, lam
 
 
-def _cell_row(run_id: str, cfg: dict, beta: float, lam: float, r: float,
-              cell, design) -> dict:
+def _simulate_cell(cfg: dict, run_id: str, beta: float, r: float,
+                   lam: float | None, n_photon: float | None):
+    """(CSV row, CellResult) of one Monte Carlo operating point."""
+    noise, design, lam = _build_setup(cfg, beta, r, cfg["variant"], lam, n_photon)
+    spectra = (design.s_m, design.h, design.four_alpha_sq, design.s2.values)
+    pll_cfg = PllConfig(design, noise, cfg["variant"], cfg["trials"], cfg["seed"],
+                        feedback_delay=cfg["feedback_delay"],
+                        relinearize=cfg["relinearize"])
+    cell = run_cell(pll_cfg, snr_analytic=1.0 / limits_mod.irreducible_error(*spectra))
     kind = cfg["mod_kind"]
     if cfg["message_kind"] == FLAT:
         sigma0_analytic = limits_mod.sigma0(kind, beta, lam)
     else:
-        sigma0_analytic = limits_mod.sigma0_grid(
-            design.s_m, design.h, design.four_alpha_sq, design.s2.values)
+        sigma0_analytic = limits_mod.sigma0_grid(*spectra)
     lhs = sigma0_analytic * float(np.exp(4.0 * r)) if cfg["variant"] == PHASE_SQUEEZED \
         else sigma0_analytic
     n_photon = cfg.get("n_photon")
-    return {
+    row = {
         "run_id": run_id,
         "seed": cfg["seed"],
         "variant": cfg["variant"],
@@ -113,18 +100,20 @@ def _cell_row(run_id: str, cfg: dict, beta: float, lam: float, r: float,
         "cycle_slips": cell.total_slips,
         "pass_threshold": lhs <= 0.25,
     }
+    return row, cell
 
 
-def _analytic_snr(design) -> float:
-    return 1.0 / limits_mod.irreducible_error(
-        design.s_m, design.h, design.four_alpha_sq, design.s2.values)
+def _write_results(rows, outdir: str, manifest: RunManifest) -> None:
+    path = os.path.join(outdir, "results.csv")
+    emit_results(rows, path)
+    manifest.outputs.append(path)
 
 
 def _cmd_design(cfg: dict, outdir: str, manifest: RunManifest) -> None:
     r = cfg.get("r", 0.0)
     variant = COHERENT if r == 0 else SQUEEZED_Z
-    *_, design, lam = _build_setup(cfg, cfg["beta"], r, variant,
-                                   lam=cfg.get("lambda"), n_photon=cfg.get("n_photon"))
+    _, design, _ = _build_setup(cfg, cfg["beta"], r, variant,
+                                lam=cfg.get("lambda"), n_photon=cfg.get("n_photon"))
     path = os.path.join(outdir, "design.txt")
     dump_design(design, path)
     manifest.outputs.append(path)
@@ -132,53 +121,31 @@ def _cmd_design(cfg: dict, outdir: str, manifest: RunManifest) -> None:
 
 
 def _cmd_simulate(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    r = cfg.get("r", 0.0)
-    message, mod, alpha, noise, design, lam = _build_setup(
-        cfg, cfg["beta"], r, cfg["variant"],
-        lam=cfg.get("lambda"), n_photon=cfg.get("n_photon"))
-    pll_cfg = PllConfig(design, noise, cfg["variant"], cfg["trials"], cfg["seed"],
-                        feedback_delay=cfg["feedback_delay"],
-                        relinearize=cfg["relinearize"])
-    cell = run_cell(pll_cfg, snr_analytic=_analytic_snr(design))
-    rows = [_cell_row("simulate-0", cfg, cfg["beta"], lam, r, cell, design)]
-    for t in cell.trials:  # per-trial diagnostics under the same schema
-        row = _cell_row(f"trial-{t.trial}", cfg, cfg["beta"], lam, r, cell, design)
-        row.update(snr_empirical=t.snr_empirical, snr_stderr=float("nan"),
-                   sigma0_sq_empirical=t.sigma0_sq_empirical,
-                   cycle_slips=t.cycle_slips)
-        rows.append(row)
-    path = os.path.join(outdir, "results.csv")
-    emit_results(rows, path)
-    manifest.outputs.append(path)
+    row, cell = _simulate_cell(cfg, "simulate-0", cfg["beta"], cfg["r"],
+                               cfg.get("lambda"), cfg.get("n_photon"))
+    trial_rows = [dict(row, run_id=f"trial-{t.trial}", snr_empirical=t.snr_empirical,
+                       snr_stderr=float("nan"), sigma0_sq_empirical=t.sigma0_sq_empirical,
+                       cycle_slips=t.cycle_slips)
+                  for t in cell.trials]  # per-trial diagnostics under the same schema
+    _write_results([row] + trial_rows, outdir, manifest)
     print(f"simulate: snr = {cell.snr_empirical:.4g} "
           f"(analytic {cell.snr_analytic:.4g}), slips = {cell.total_slips}")
 
 
 def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    rows = []
-    run_index = 0
     lambdas = cfg.get("lambdas")
     if lambdas is None and cfg.get("n_photon") is None:
         raise ConfigError("sweep needs lambdas or n_photon")
+    points = []
     for beta in cfg["betas"]:
         for r in cfg["rs"]:
             if lambdas is not None and r == 0.0:
-                cell_params = [(lam, None) for lam in lambdas]
+                points += [(beta, r, lam, None) for lam in lambdas]
             else:
-                cell_params = [(None, cfg["n_photon"])]
-            for lam_in, n_in in cell_params:
-                message, mod, alpha, noise, design, lam = _build_setup(
-                    cfg, beta, r, cfg["variant"], lam=lam_in, n_photon=n_in)
-                pll_cfg = PllConfig(design, noise, cfg["variant"], cfg["trials"],
-                                    cfg["seed"], feedback_delay=cfg["feedback_delay"],
-                                    relinearize=cfg["relinearize"])
-                cell = run_cell(pll_cfg, snr_analytic=_analytic_snr(design))
-                rows.append(_cell_row(f"sweep-{run_index}", cfg, beta, lam, r,
-                                      cell, design))
-                run_index += 1
-    path = os.path.join(outdir, "results.csv")
-    emit_results(rows, path)
-    manifest.outputs.append(path)
+                points.append((beta, r, None, cfg["n_photon"]))
+    rows = [_simulate_cell(cfg, f"sweep-{i}", *point)[0]
+            for i, point in enumerate(points)]
+    _write_results(rows, outdir, manifest)
     print(f"sweep: {len(rows)} cells written")
 
 
@@ -204,9 +171,7 @@ def _cmd_limits(cfg: dict, outdir: str, manifest: RunManifest) -> None:
         "cycle_slips": 0,
         "pass_threshold": table["pass_threshold"],
     }
-    path = os.path.join(outdir, "results.csv")
-    emit_results([row], path)
-    manifest.outputs.append(path)
+    _write_results([row], outdir, manifest)
     print(f"limits: sigma_sq = {table['sigma_sq']:.5g}, snr = {table['snr']:.6g}, "
           f"sigma0_sq = {table['sigma0_sq']:.5g}")
 

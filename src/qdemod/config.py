@@ -2,10 +2,10 @@
 
 Grammar: one `key = value` pair per line; `#` starts a comment; an optional
 `[subcommand]` header may name the schema and must then match the command
-being run.  Values are strings, integers, reals, booleans (true/false) or
-comma-separated real lists.  Unknown keys, duplicate keys, type errors and
-missing required keys are reported with line numbers.  Every default is
-resolved at parse time so the manifest can echo the complete configuration.
+being run.  Values are strings, integers, reals or comma-separated real
+lists.  Unknown keys, duplicate keys, type errors and missing required keys
+are reported with line numbers.  Every default is resolved at parse time so
+the manifest can echo the complete configuration.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ REQUIRED = object()
 @dataclass(frozen=True)
 class Key:
     name: str
-    typ: str                 # str | int | float | bool | floatlist
+    typ: str                 # str | int | float | floatlist
     default: object = REQUIRED
-    help: str = ""
 
 
 SCHEMAS: dict[str, tuple] = {
@@ -116,13 +115,6 @@ def _convert(raw: str, typ: str, line_no: int, name: str):
             return int(raw)
         if typ == "float":
             return float(raw)
-        if typ == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
         if typ == "floatlist":
             parts = [p for chunk in raw.split(",") for p in chunk.split()]
             return tuple(float(p) for p in parts)
@@ -173,8 +165,6 @@ def parse_config(path, command: str) -> dict:
 def _format_value(value, typ: str) -> str:
     if typ == "floatlist":
         return ", ".join(repr(float(v)) for v in value)
-    if typ == "bool":
-        return "true" if value else "false"
     if typ == "float":
         return repr(float(value))
     return str(value)

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PM = "pm"
-FM = "fm"
+from .qnoise import resolve_lambda
+from .signals import FM, PM
+
 SQL = "sql"
 HEISENBERG = "heisenberg"
 LOG_BOUND = "log_bound"
@@ -161,16 +162,7 @@ class LimitQuery:
     r: float = 0.0
 
     def resolved_lambda(self) -> float:
-        if self.lam is not None:
-            return self.lam
-        if self.n_photon is None:
-            raise ValueError("need lambda or a photon number")
-        if self.r > 0:
-            sh2 = float(np.sinh(self.r) ** 2)
-            if sh2 >= self.n_photon:
-                raise ValueError("photon budget too small for the requested squeezing")
-            return 4.0 * (self.n_photon - sh2) * float(np.exp(2.0 * self.r))
-        return 4.0 * self.n_photon
+        return resolve_lambda(self.r, self.lam, self.n_photon)
 
     def evaluate(self) -> dict:
         lam = self.resolved_lambda()

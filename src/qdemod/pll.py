@@ -16,8 +16,10 @@ finite for strongly squeezed noise no matter how large B/b is, which pushes
 the simulator outside the linear theory the analytic predictions describe.
 
 Trials are vectorised in lockstep; every trial draws from its own
-counter-based stream, so results are bit-identical for a given
-(config, master seed, trial index) regardless of batching.
+counter-based stream, so its draws do not depend on the batch.  Results are
+bit-identical for a given (config, master seed, trial index, batching);
+across batch sizes they agree to rounding level (rel 1e-12), because the
+tracker's BLAS reductions may order their sums differently.
 
 Each trial starts in lock (tracker history seeded with the steady-state
 record): acquisition transients are out of scope, and a cold start at
@@ -45,6 +47,7 @@ VARIANTS = (COHERENT, SQUEEZED_Z, PHASE_SQUEEZED)
 
 _NEWTON_STEPS = 8
 _DIVERGENCE_LIMIT = 1e3
+_BATCH = 64  # trials per lockstep batch in run_cell
 
 
 class LoopDivergenceError(RuntimeError):
@@ -113,12 +116,6 @@ class CellResult:
     meta: dict = field(default_factory=dict)
 
 
-def homodyne_output(two_alpha: float, phibar, phi_prime, x0, y0):
-    """Exact homodyne record p' = 2|a| sin(e) + x0 sin(e) + y0 cos(e)."""
-    e = np.asarray(phibar) - np.asarray(phi_prime)
-    return two_alpha * np.sin(e) + np.asarray(x0) * np.sin(e) + np.asarray(y0) * np.cos(e)
-
-
 def cycle_slip_count(phibar: np.ndarray, phi_prime: np.ndarray) -> int:
     """Completed crossings of odd multiples of pi by the tracking error.
 
@@ -155,35 +152,13 @@ def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
     return taps
 
 
-def _draw_noise(cfg: PllConfig, trial: int):
-    """(x0, y0, z_record) for one trial; exactly one of the pair/record is used."""
-    g = cfg.design.grid
-    rng = stream(cfg.seed, trial, 1)
-    if cfg.variant == COHERENT:
-        return rng.standard_normal(g.n_samples), rng.standard_normal(g.n_samples), None
-    if cfg.variant == SQUEEZED_Z:
-        _, s2 = squeezed_covariance_psds(cfg.noise, g)
-        return None, None, color_noise(rng, s2)
-    s1, s2 = squeezed_covariance_psds(cfg.noise, g)
-    return color_noise(rng, s1), color_noise(rng, s2), None
-
-
-def _draw_message(cfg: PllConfig, trial: int) -> np.ndarray:
-    rng = stream(cfg.seed, trial, 0)
-    drop_dc = cfg.design.mod.kind == FM
-    return color_noise(rng, message_psd(cfg.design.message, drop_dc=drop_dc))
-
-
 def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
-                   noise_scale: float = 1.0, phase_offset: float = 0.0):
+                   noise_scale: float = 1.0):
     """Run a batch of trials in lockstep; returns a list of TrialResult.
 
     force_lock pins phi' = phibar (open loop) for cross-checks against the
     batch linearised MAP estimate; noise_scale rescales the quadrature noise
-    (0 gives the noiseless limit); phase_offset adds a constant to the mean
-    phase and the loop's initial reference together -- the receiver works
-    relative to its own initial LO setting, so every statistic is
-    offset-invariant.
+    (0 gives the noiseless limit).
     """
     design = cfg.design
     g = design.grid
@@ -202,39 +177,37 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
     h = design.h
     gd = design.g.response * np.exp(-2j * np.pi * g.freqs * design.delay * g.dt)
 
+    # Per trial: the message on stream (seed, trial, 0), the quadrature
+    # noise on (seed, trial, 1) -- white (x0, y0) for coherent light, the
+    # S2-coloured record z' for squeezed_z, coloured (x0, y0) otherwise.
+    s_msg = message_psd(design.message, drop_dc=design.mod.kind == FM)
+    if cfg.variant != COHERENT:
+        s1, s2 = squeezed_covariance_psds(cfg.noise, g)
     msg = np.empty((n_t, m))
     x0 = np.zeros((n_t, m))
     y0 = np.zeros((n_t, m))
-    zrec = None
-    if cfg.variant == SQUEEZED_Z:
-        zrec = np.empty((n_t, m))
+    zrec = np.empty((n_t, m)) if cfg.variant == SQUEEZED_Z else None
     for row, trial in enumerate(trial_indices):
-        msg[row] = _draw_message(cfg, trial)
-        xa, ya, zr = _draw_noise(cfg, trial)
-        if zr is not None:
-            zrec[row] = zr * noise_scale
+        msg[row] = color_noise(stream(cfg.seed, trial, 0), s_msg)
+        rng = stream(cfg.seed, trial, 1)
+        if cfg.variant == COHERENT:
+            x0[row] = rng.standard_normal(m) * noise_scale
+            y0[row] = rng.standard_normal(m) * noise_scale
+        elif cfg.variant == SQUEEZED_Z:
+            zrec[row] = color_noise(rng, s2) * noise_scale
         else:
-            x0[row] = xa * noise_scale
-            y0[row] = ya * noise_scale
+            x0[row] = color_noise(rng, s1) * noise_scale
+            y0[row] = color_noise(rng, s2) * noise_scale
 
     if design.mod.kind == FM:
         phibar = np.fft.ifft(np.fft.fft(msg, axis=1) * h, axis=1).real
     else:
         phibar = design.mod.beta * msg
-    # The receiver references everything to its own initial LO setting, so a
-    # common offset on the incoming phase and LO cancels before the tracker
-    # (which has sub-unity DC gain and would otherwise leak a residual).
-    phibar = (phibar + phase_offset) - phase_offset
 
     phip = np.empty((n_t, m))
     if force_lock:
-        phip[:] = phibar
-        if cfg.variant == SQUEEZED_Z:
-            z_all = zrec
-        else:
-            z_all = y0  # sin(e) = 0, cos(e) = 1 exactly
-        pprime = twoa * np.sin(phibar - phip) + z_all
-        phirec = phip + pprime / twoa
+        phip[:] = phibar  # e = 0: the record is the phase-insensitive quadrature
+        phirec = phibar + (y0 if zrec is None else zrec) / twoa
     else:
         hist = y0 if zrec is None else zrec
         fr = np.zeros((n_t, nt + m))
@@ -342,19 +315,11 @@ def aggregate(trials, snr_analytic: float = float("nan"), meta: dict | None = No
 
 
 def run_cell(cfg: PllConfig, snr_analytic: float = float("nan"),
-             meta: dict | None = None, batch: int = 64) -> CellResult:
-    """Run cfg.trials trials (batched) and aggregate."""
+             meta: dict | None = None) -> CellResult:
+    """Run cfg.trials trials in batches of _BATCH rows and aggregate."""
     out = []
-    for start in range(0, cfg.trials, batch):
-        idx = range(start, min(start + batch, cfg.trials))
+    for start in range(0, cfg.trials, _BATCH):
+        idx = range(start, min(start + _BATCH, cfg.trials))
         out.extend(simulate_batch(cfg, idx))
     return aggregate(out, snr_analytic=snr_analytic, meta=meta)
 
-
-def monte_carlo_sweep(cells) -> list:
-    """Run a list of (PllConfig, snr_analytic, meta) cells sequentially."""
-    results = []
-    for entry in cells:
-        cfg, snr_analytic, meta = entry
-        results.append(run_cell(cfg, snr_analytic=snr_analytic, meta=meta))
-    return results

@@ -18,6 +18,7 @@ import numpy as np
 
 from .grids import SpectralDensity, TimeGrid, color_noise
 from .rng import stream
+from .signals import LORENTZIAN, MessageSpec, message_psd
 
 COHERENT = "coherent"
 SQUEEZED_Z = "squeezed_z"
@@ -116,24 +117,6 @@ def sample_squeezed(model: NoiseModel, grid: TimeGrid, seed: int, trial: int = 0
     return QuadratureRecord(grid, x0, y0)
 
 
-def lambda_parameter(model: NoiseModel, s_m_at_0: float,
-                     n_photon: float | None = None) -> float:
-    """Loop SNR parameter Lambda = 4 |alpha|^2 S_m(0) / S2(0).
-
-    For a squeezed model with B_s equal to the message bandwidth and a fixed
-    photon budget n_photon (photons per 1/b), pass n_photon to evaluate the
-    budgeted form 4 (N - sinh^2 r) exp(2r) instead of using alpha_mag.
-    """
-    if not model.squeezed:
-        return 4.0 * model.alpha_mag**2 * s_m_at_0
-    if n_photon is not None:
-        sh2 = np.sinh(model.r) ** 2
-        if sh2 >= n_photon:
-            raise ValueError("photon budget too small for the requested squeezing")
-        return 4.0 * (n_photon - sh2) * np.exp(2.0 * model.r)
-    return 4.0 * model.alpha_mag**2 * s_m_at_0 / np.exp(-2.0 * model.r)
-
-
 def photon_budget(alpha_mag: float, r: float, bandwidth: float,
                   squeeze_bandwidth: float, message_bandwidth: float,
                   constants: PhysicalConstants = PhysicalConstants()):
@@ -147,6 +130,36 @@ def photon_budget(alpha_mag: float, r: float, bandwidth: float,
     return power, n_photon
 
 
-def alpha_for_lambda(lam: float, s_m_at_0: float, s2_at_0: float = 1.0) -> float:
-    """|alpha| that realises a requested Lambda given S_m(0) and S2(0)."""
-    return float(np.sqrt(lam * s2_at_0 / (4.0 * s_m_at_0)))
+def resolve_lambda(r: float = 0.0, lam: float | None = None,
+                   n_photon: float | None = None) -> float:
+    """Lambda as given, else the flat-message budget 4 (N - sinh^2 r) exp(2r).
+
+    The budgeted form inverts photon_budget for a flat message with the
+    squeeze bandwidth equal to the message bandwidth (B_s = b).
+    """
+    if lam is not None:
+        return lam
+    if n_photon is None:
+        raise ValueError("need lambda or n_photon")
+    if r <= 0:  # no squeezing photons in the budget
+        return 4.0 * n_photon
+    sh2 = float(np.sinh(r) ** 2)
+    if sh2 >= n_photon:
+        raise ValueError("photon budget too small for the requested squeezing")
+    return 4.0 * (n_photon - sh2) * float(np.exp(2.0 * r))
+
+
+def operating_point(message: MessageSpec, r: float = 0.0, lam: float | None = None,
+                    n_photon: float | None = None):
+    """(|alpha|, Lambda) with Lambda = 4 |alpha|^2 S_m(0) / S2(0), S2(0) = exp(-2r).
+
+    Given Lambda, or a photon budget N per 1/b: a flat message maps N through
+    resolve_lambda; a Lorentzian message takes |alpha|^2 = N b / B directly.
+    """
+    s_m_at_0 = float(message_psd(message).values[0])
+    s2_at_0 = float(np.exp(-2.0 * r)) if r > 0 else 1.0
+    if lam is None and n_photon is not None and message.kind == LORENTZIAN:
+        alpha = float(np.sqrt(n_photon * message.bandwidth / message.grid.bandwidth))
+        return alpha, 4.0 * alpha**2 * s_m_at_0 / s2_at_0
+    lam = resolve_lambda(r, lam, n_photon)
+    return float(np.sqrt(lam * s2_at_0 / (4.0 * s_m_at_0))), lam

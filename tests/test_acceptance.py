@@ -17,7 +17,7 @@ from qdemod.grids import TimeGrid
 from qdemod.limits import (FM, PM, closed_form_snr, lorentzian_pm_snr,
                            optimal_squeeze, sigma0)
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
-                           sample_squeezed)
+                           operating_point, sample_squeezed)
 from qdemod.sensing import (SensorConfig, fabry_perot_m, interrogation_constraint,
                             position_pm_params, velocity_fm_params)
 from qdemod.signals import LORENTZIAN, MessageSpec, ModulationScheme
@@ -38,8 +38,7 @@ def _flat_design(beta, lam, kind="pm", r=0.0):
     if key in ALL_DESIGNS:
         return ALL_DESIGNS[key]
     mod = ModulationScheme(kind, beta, MESSAGE.bandwidth)
-    s2_at_0 = np.exp(-2.0 * r) if r > 0 else 1.0
-    alpha = np.sqrt(lam * s2_at_0 * MESSAGE.bandwidth / (4.0 * GRID.bandwidth))
+    alpha, _ = operating_point(MESSAGE, r, lam)
     if r > 0:
         noise = NoiseModel(SQUEEZED_Z, alpha, r, MESSAGE.bandwidth)
     else:
@@ -226,7 +225,7 @@ def test_criterion_7_lorentzian_scaling():
     mod = ModulationScheme.pm(beta, msg.bandwidth)
     snrs, details = [], []
     for n_photon in (100.0, 1000.0, 10000.0):
-        alpha = np.sqrt(n_photon * msg.bandwidth / grid.bandwidth)
+        alpha, _ = operating_point(msg, n_photon=n_photon)
         noise = NoiseModel(COHERENT, alpha)
         design = q.design_loop(msg, mod, alpha, noise)
         ALL_DESIGNS[("lorentz", beta, n_photon)] = (design, noise)

@@ -1,8 +1,13 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdemod.cli import cli_main
-from qdemod.config import (ConfigError, parse_config_text, serialize_config)
+from qdemod.config import (SCHEMAS, ConfigError, parse_config_text,
+                           serialize_config)
 from qdemod.results import CSV_COLUMNS, emit_results
 
 
@@ -53,6 +58,34 @@ def test_config_round_trip():
     assert again == cfg
     cfg2 = parse_config_text("betas = 1, 2\nn_photon = 10\ntrials = 8\n", "sweep")
     assert parse_config_text(serialize_config(cfg2, "sweep"), "sweep") == cfg2
+
+
+_FINITE = st.floats(allow_nan=False)
+_VALUES = {
+    "str": st.text(string.ascii_letters + string.digits + "_-.+/", min_size=1),
+    "int": st.integers(-10**12, 10**12),
+    "float": _FINITE,
+    "floatlist": st.lists(_FINITE, min_size=1, max_size=5).map(tuple),
+}
+
+
+@st.composite
+def _resolved_config(draw):
+    command = draw(st.sampled_from(sorted(SCHEMAS)))
+    cfg = {}
+    for key in SCHEMAS[command]:
+        value = _VALUES[key.typ]
+        if key.default is None:  # optional: absent resolves back to None
+            value = st.none() | value
+        cfg[key.name] = draw(value)
+    return command, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(_resolved_config())
+def test_config_round_trip_every_schema(case):
+    command, cfg = case
+    assert parse_config_text(serialize_config(cfg, command), command) == cfg
 
 
 def test_emit_results_header_only(tmp_path):

@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdemod.grids import TimeGrid, estimate_psd
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
-                           PhysicalConstants, lambda_parameter, photon_budget,
-                           sample_squeezed, sample_vacuum, squeezed_covariance_psds)
+                           PhysicalConstants, operating_point, photon_budget,
+                           resolve_lambda, sample_squeezed, sample_vacuum,
+                           squeezed_covariance_psds)
+from qdemod.signals import LORENTZIAN, MessageSpec, message_psd
 
 
 @pytest.fixture(scope="module")
 def grid():
     return TimeGrid(1.0, 4096)
+
+
+MESSAGES = st.sampled_from([
+    MessageSpec.flat(TimeGrid(1.0, 4096), 127),
+    MessageSpec.flat(TimeGrid(2.5, 1024), 31),
+    MessageSpec(TimeGrid(1.0, 8192), LORENTZIAN, 1.0 / 256.0),
+])
+SQUEEZE = st.floats(0.0, 2.0)
 
 
 def test_vacuum_deterministic(grid):
@@ -114,32 +126,17 @@ def test_disjoint_trials_uncorrelated(grid):
     assert abs(corr) < 3.0 / np.sqrt(grid.n_samples)
 
 
-def test_lambda_parameter_coherent(grid):
-    # N = 10 photons per 1/b at B/b = (B/b): |alpha|^2 = N b / B
-    bob = 32.0
-    alpha = np.sqrt(10.0 / bob)
-    model = NoiseModel(COHERENT, alpha)
-    assert lambda_parameter(model, s_m_at_0=bob) == pytest.approx(40.0, rel=1e-12)
-
-
-def test_lambda_parameter_squeezed_budget():
-    e2r = 21.0
-    r = 0.5 * np.log(e2r)
-    model = NoiseModel(SQUEEZED_Z, 0.1, r, 1.0)
-    lam = lambda_parameter(model, s_m_at_0=32.0, n_photon=10.0)
-    assert lam == pytest.approx(4.0 * (10.0 - np.sinh(r) ** 2) * e2r, rel=1e-12)
-    assert lam == pytest.approx(440.0, rel=1e-6)
-
-
-def test_lambda_parameter_r0_reduces():
-    model = NoiseModel(SQUEEZED_Z, 0.1, 0.0, 1.0)
-    assert lambda_parameter(model, 32.0, n_photon=10.0) == pytest.approx(40.0)
-
-
-def test_lambda_parameter_infeasible_budget():
-    model = NoiseModel(SQUEEZED_Z, 0.1, 3.0, 1.0)  # sinh^2(3) ~ 100 > 10
-    with pytest.raises(ValueError):
-        lambda_parameter(model, 32.0, n_photon=10.0)
+@settings(max_examples=60, deadline=None)
+@given(MESSAGES, SQUEEZE, st.floats(0.05, 20.0))
+def test_photon_budget_consistency_with_lambda(msg, r, alpha):
+    """N from (|alpha|, r) with B_s = b gives |alpha| and its Lambda back."""
+    if msg.kind == LORENTZIAN:
+        r = 0.0  # a Lorentzian budget carries no squeezing photons
+    _, n = photon_budget(alpha, r, msg.grid.bandwidth, msg.bandwidth, msg.bandwidth)
+    got, lam = operating_point(msg, r, n_photon=n)
+    assert got == pytest.approx(alpha, rel=1e-9)
+    s_m_at_0 = message_psd(msg).values[0]
+    assert lam == pytest.approx(4.0 * alpha**2 * s_m_at_0 * np.exp(2.0 * r), rel=1e-9)
 
 
 def test_photon_budget():
@@ -153,15 +150,42 @@ def test_photon_budget():
     assert p2 == pytest.approx(hf0 * 1e3 * np.sinh(1.0) ** 2, rel=1e-12)
 
 
-def test_photon_budget_consistency_with_lambda():
-    """N from (alpha, r) with B_s = b reproduces the budgeted Lambda form."""
-    bw, b = 1.0, 1.0 / 32.0
-    alpha, r = 0.4, 0.6
-    _, n = photon_budget(alpha, r, bw, b, b)
-    model = NoiseModel(SQUEEZED_Z, alpha, r, b)
-    lam_budget = lambda_parameter(model, s_m_at_0=bw / b, n_photon=n)
-    lam_direct = 4.0 * alpha**2 * (bw / b) * np.exp(2.0 * r)
-    assert lam_budget == pytest.approx(lam_direct, rel=1e-12)
+def test_lambda_parameter_coherent(grid):
+    # N = 10 photons per 1/b: |alpha|^2 = N b / B and Lambda = 4 N
+    msg = MessageSpec.flat(grid, 127)
+    alpha, lam = operating_point(msg, n_photon=10.0)
+    assert lam == 40.0
+    assert alpha**2 == pytest.approx(10.0 * msg.bandwidth / grid.bandwidth, rel=1e-12)
+
+
+def test_lambda_parameter_squeezed_budget():
+    e2r = 21.0
+    r = 0.5 * np.log(e2r)
+    lam = resolve_lambda(r, n_photon=10.0)
+    assert lam == pytest.approx(4.0 * (10.0 - np.sinh(r) ** 2) * e2r, rel=1e-12)
+    assert lam == pytest.approx(440.0, rel=1e-6)
+
+
+def test_lambda_parameter_r0_reduces():
+    assert resolve_lambda(0.0, n_photon=10.0) == pytest.approx(40.0)
+    assert resolve_lambda(0.5, lam=7.0, n_photon=10.0) == 7.0  # Lambda wins
+
+
+def test_lambda_parameter_infeasible_budget(grid):
+    msg = MessageSpec.flat(grid, 127)
+    with pytest.raises(ValueError, match="photon budget too small"):
+        operating_point(msg, r=3.0, n_photon=10.0)  # sinh^2(3) ~ 100 > 10
+    with pytest.raises(ValueError, match="need lambda or n_photon"):
+        operating_point(msg, r=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MESSAGES, SQUEEZE, st.floats(1e-3, 1e6))
+def test_operating_point_realises_lambda(msg, r, lam):
+    alpha, got = operating_point(msg, r, lam=lam)
+    assert got == lam
+    s_m_at_0 = message_psd(msg).values[0]
+    assert 4.0 * alpha**2 * s_m_at_0 / np.exp(-2.0 * r) == pytest.approx(lam, rel=1e-12)
 
 
 def test_noise_model_validation():

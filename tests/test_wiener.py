@@ -3,7 +3,7 @@ import pytest
 
 from qdemod.grids import TimeGrid
 from qdemod.limits import irreducible_error
-from qdemod.qnoise import SQUEEZED_Z, NoiseModel
+from qdemod.qnoise import SQUEEZED_Z, NoiseModel, operating_point
 from qdemod.rng import stream
 from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme,
                             message_psd, modulate, sample_message)
@@ -25,7 +25,7 @@ def grid():
 def pm_design(grid):
     msg = MessageSpec.flat(grid, 127)
     mod = ModulationScheme.pm(2.0, msg.bandwidth)
-    alpha = np.sqrt(100.0 * msg.bandwidth / (4.0 * grid.bandwidth))  # Lambda = 100
+    alpha, _ = operating_point(msg, lam=100.0)
     return design_loop(msg, mod, alpha)
 
 
@@ -34,7 +34,7 @@ def lorentz_design():
     g = TimeGrid(1.0, 8192)
     msg = MessageSpec(g, LORENTZIAN, g.bandwidth / 256.0)
     mod = ModulationScheme.pm(0.5, msg.bandwidth)
-    alpha = np.sqrt(300.0 * msg.bandwidth / g.bandwidth)  # N = 300
+    alpha, _ = operating_point(msg, n_photon=300.0)
     return design_loop(msg, mod, alpha)
 
 
@@ -195,7 +195,7 @@ def test_error_monotone_in_lambda(grid):
     mod = ModulationScheme.pm(1.0, msg.bandwidth)
     prev = np.inf
     for lam in (3.0, 10.0, 30.0, 100.0, 300.0, 1000.0):
-        alpha = np.sqrt(lam * msg.bandwidth / (4.0 * grid.bandwidth))
+        alpha, _ = operating_point(msg, lam=lam)
         d = design_loop(msg, mod, alpha)
         err = irreducible_error(d.s_m, d.h, d.four_alpha_sq, d.s2.values)
         assert err < prev
@@ -218,7 +218,7 @@ def test_nonlinear_map_agrees_with_linear(grid):
     msg = MessageSpec.flat(grid, 127)
     mod = ModulationScheme.pm(1.0, msg.bandwidth)
     lam = 400.0
-    alpha = np.sqrt(lam * msg.bandwidth / (4.0 * grid.bandwidth))
+    alpha, _ = operating_point(msg, lam=lam)
     d = design_loop(msg, mod, alpha)
     m = sample_message(msg, seed=41)
     rng = stream(41, 0, 1)
@@ -237,7 +237,7 @@ def test_nonlinear_map_aliased_basin(grid):
     beta = 8.0
     mod = ModulationScheme.pm(beta, msg.bandwidth)
     lam = 400.0
-    alpha = np.sqrt(lam * msg.bandwidth / (4.0 * grid.bandwidth))
+    alpha, _ = operating_point(msg, lam=lam)
     m = sample_message(msg, seed=43)
     a = np.exp(1j * beta * m) * alpha  # noiseless record
     good, _ = nonlinear_map_fixed_point(msg, mod, 2 * alpha, a, init=m.copy())
