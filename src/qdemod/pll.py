@@ -15,11 +15,19 @@ one-sample variant adds a prediction penalty to the tracking error that stays
 finite for strongly squeezed noise no matter how large B/b is, which pushes
 the simulator outside the linear theory the analytic predictions describe.
 
+The delay-free closure writes the record's dependence on the tracking error e
+in amplitude-phase form, sin e + z(e)/2|a| = A sin(e + psi) + z_off (A, psi
+from the sample's (x0, y0); A = 1, psi = 0, z_off = z'/2|a| for squeezed_z),
+so each sample solves (1 - l0) u + l0 A sin u = c for u = e + psi.  Newton
+starts from the previous sample's error and stops once every row's step is
+below _NEWTON_TOL, after at most _NEWTON_STEPS (8) steps.
+
 Trials are vectorised in lockstep; every trial draws from its own
 counter-based stream, so its draws do not depend on the batch.  Results are
 bit-identical for a given (config, master seed, trial index, batching);
 across batch sizes they agree to rounding level (rel 1e-12), because the
-tracker's BLAS reductions may order their sums differently.
+tracker's BLAS reductions may order their sums differently and the Newton
+stop rule is batch-wide.
 
 Each trial starts in lock (tracker history seeded with the steady-state
 record): acquisition transients are out of scope, and a cold start at
@@ -45,7 +53,8 @@ from .wiener import LoopDesign
 
 VARIANTS = (COHERENT, SQUEEZED_Z, PHASE_SQUEEZED)
 
-_NEWTON_STEPS = 8
+_NEWTON_STEPS = 8  # hard cap on Newton steps per sample
+_NEWTON_TOL = 1e-13  # stop once every row's |step| is below this (rad)
 _DIVERGENCE_LIMIT = 1e3
 _BATCH = 64  # trials per lockstep batch in run_cell
 
@@ -212,6 +221,14 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
         hist = y0 if zrec is None else zrec
         fr = np.zeros((n_t, nt + m))
         fr[:, :nt] = phibar[:, m - nt:] + hist[:, m - nt:] / twoa
+        # Newton closure state, one entry per row, reused by every sample.
+        k = 1.0 - l0
+        e = np.zeros(n_t)  # warm start: the previous sample's tracking error
+        u, c, s, den, step = (np.empty(n_t) for _ in range(5))
+        if zrec is None:
+            amp, psi, lamp, zoff = np.empty(n_t), np.empty(n_t), np.empty(n_t), 0.0
+        else:
+            amp, psi, lamp = 1.0, 0.0, l0
         for j in range(m):
             a_past = fr[:, j + 1: j + nt] @ trev
             pb = phibar[:, j]
@@ -222,32 +239,54 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
                     zj = x0[:, j] * np.sin(e) + y0[:, j] * np.cos(e)
                 else:
                     zj = zrec[:, j]
+                phip[:, j] = x
+                fr[:, nt + j] = x + np.sin(pb - x) + zj / twoa
+                continue
+            # sin e + z(e)/2|a| = amp sin(e + psi) + zoff; for (x0, y0)
+            # noise, (amp, psi) is the polar form of (1 + x0/2|a|, y0/2|a|).
+            if zrec is None:
+                np.divide(x0[:, j], twoa, out=s)
+                s += 1.0
+                np.divide(y0[:, j], twoa, out=den)
+                np.hypot(s, den, out=amp)
+                np.arctan2(den, s, out=psi)
+                np.multiply(amp, l0, out=lamp)
             else:
-                e = pb - (fr[:, nt + j - 1] if j > 0 else pb)
-                for _ in range(_NEWTON_STEPS):
-                    se, ce = np.sin(e), np.cos(e)
-                    if zrec is None:
-                        zj = x0[:, j] * se + y0[:, j] * ce
-                        dz = x0[:, j] * ce - y0[:, j] * se
-                    else:
-                        zj = zrec[:, j]
-                        dz = 0.0
-                    fval = (1.0 - l0) * (pb - e) - a_past - l0 * se - l0 * zj / twoa
-                    fder = -(1.0 - l0) - l0 * ce - (l0 / twoa) * dz
-                    e = e - np.clip(fval / fder, -1.0, 1.0)
-                se = np.sin(e)
-                if zrec is None:
-                    zj = x0[:, j] * se + y0[:, j] * np.cos(e)
-                else:
-                    zj = zrec[:, j]
-                x = pb - e
-            phip[:, j] = x
-            fr[:, nt + j] = x + np.sin(pb - x) + zj / twoa
+                zoff = zrec[:, j] / twoa
+            # Solve c = k u + l0 amp sin u for u = e + psi, where the tracker
+            # output is pb - e = l0 * record + a_past.
+            np.add(pb, psi, out=c)
+            c *= k
+            c -= a_past
+            c -= l0 * zoff
+            np.add(e, psi, out=u)
+            for _ in range(_NEWTON_STEPS):
+                np.sin(u, out=s)
+                s *= lamp
+                np.cos(u, out=den)
+                den *= lamp
+                den += k
+                np.multiply(u, k, out=step)
+                step += s
+                step -= c
+                step /= den
+                np.minimum(step, 1.0, out=step)
+                np.maximum(step, -1.0, out=step)
+                u -= step
+                if np.max(np.abs(step, out=step)) < _NEWTON_TOL:
+                    break
+            np.subtract(u, psi, out=e)
+            x = phip[:, j]
+            np.subtract(pb, e, out=x)
+            np.sin(u, out=s)
+            s *= amp
+            s += zoff
+            np.add(x, s, out=fr[:, nt + j])
         phirec = fr[:, nt:]
 
     err = phibar - phip
     worst = float(np.max(np.abs(err)))
-    if worst > _DIVERGENCE_LIMIT:
+    if not worst <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
         bad = int(np.argmax(np.max(np.abs(err), axis=1)))
         raise LoopDivergenceError(
             f"loop diverged (max |phibar - phi'| = {worst:.3e})",
@@ -282,7 +321,7 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
         mse = float(mses[row])
         results.append(TrialResult(
             seed=cfg.seed, trial=trial, mse=mse,
-            snr_empirical=1.0 / mse if mse > 0 else float("inf"),
+            snr_empirical=1.0 / mse if mse != 0 else float("inf"),
             sigma0_sq_empirical=s0, cycle_slips=slips))
     return results
 

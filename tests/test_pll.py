@@ -5,22 +5,23 @@ from qdemod.grids import TimeGrid
 from qdemod.limits import FM as LFM
 from qdemod.limits import PM as LPM
 from qdemod.limits import closed_form_snr, sigma0
-from qdemod.qnoise import (COHERENT, SQUEEZED_Z, NoiseModel, operating_point,
-                           sample_vacuum)
-from qdemod.pll import (PllConfig, aggregate, cycle_slip_count, run_cell,
-                        run_trial, simulate_batch, tracking_taps)
+from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
+                           operating_point, resolve_lambda, sample_vacuum)
+from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate,
+                        cycle_slip_count, run_cell, run_trial, simulate_batch,
+                        tracking_taps)
 from qdemod.signals import MessageSpec, ModulationScheme, sample_message
 from qdemod.wiener import design_loop, linearized_map_estimate
 
 
 def make_design(beta=2.0, lam=100.0, kind="pm", n_samples=4096, band_bins=127,
-                r=0.0, delay=None):
+                r=0.0, delay=None, variant=SQUEEZED_Z):
     grid = TimeGrid(1.0, n_samples)
     msg = MessageSpec.flat(grid, band_bins)
     mod = ModulationScheme(kind, beta, msg.bandwidth)
     alpha, _ = operating_point(msg, r, lam)
     if r > 0:
-        noise = NoiseModel(SQUEEZED_Z, alpha, r, msg.bandwidth)
+        noise = NoiseModel(variant, alpha, r, msg.bandwidth)
     else:
         noise = NoiseModel(COHERENT, alpha)
     return design_loop(msg, mod, alpha, noise, delay=delay), noise
@@ -38,17 +39,76 @@ def test_cycle_slip_count_basics():
     assert cycle_slip_count(jitter, np.zeros(512)) == 0
 
 
-def test_trial_results_deterministic():
-    design, noise = make_design()
-    cfg = PllConfig(design, noise, COHERENT, trials=4, seed=11)
+@pytest.mark.parametrize("variant,r", [(COHERENT, 0.0), (SQUEEZED_Z, 0.5),
+                                       (PHASE_SQUEEZED, 0.25)])
+def test_trial_results_deterministic(variant, r):
+    lam = resolve_lambda(r, n_photon=10.0) if r > 0 else 100.0
+    design, noise = make_design(beta=1.0 if r > 0 else 2.0, lam=lam, r=r,
+                                variant=variant)
+    cfg = PllConfig(design, noise, variant, trials=4, seed=11)
     a = run_trial(cfg, trial=2)
     b = run_trial(cfg, trial=2)
     assert a == b  # bit-identical for identical (config, seed, batching)
-    # per-trial draws do not depend on the batch; only BLAS reduction order
-    # inside the tracker differs, at rounding level
+    # per-trial draws do not depend on the batch; the tracker's BLAS
+    # reduction order and the batch-wide Newton stop rule may differ, at
+    # rounding level
     batch = simulate_batch(cfg, [0, 1, 2, 3])
     assert batch[2].mse == pytest.approx(a.mse, rel=1e-12)
+    assert batch[2].sigma0_sq_empirical == pytest.approx(a.sigma0_sq_empirical, rel=1e-12)
     assert batch[2].cycle_slips == a.cycle_slips
+
+
+# Per-trial (mse, sigma0_sq_empirical, cycle_slips) of three in-lock trials
+# (seed 41) on a 2048-sample grid with a 63-bin band, recorded from the
+# fixed eight-step Newton closure; the converged closure must reproduce them
+# to rounding level.
+PINNED = {
+    "coherent_pm": (dict(), {}, [
+        (0.004455770049648185, 0.06147951428737873, 0),
+        (0.0022071670899805663, 0.0664433114066295, 0),
+        (0.003629056423744502, 0.05681317102050552, 0)]),
+    "coherent_fm": (dict(kind="fm"), {}, [
+        (0.002439440047304106, 0.1007039338314286, 0),
+        (0.000658358860590341, 0.08626688937459236, 0),
+        (0.0016396324549680626, 0.09425659493457388, 0)]),
+    "squeezed_z": (dict(variant=SQUEEZED_Z, beta=1.0, r=0.5), {}, [
+        (0.005106582456578329, 0.09143480449397151, 0),
+        (0.00615419151430931, 0.08575076782887713, 0),
+        (0.008939877658228955, 0.0869401466940097, 0)]),
+    "phase_squeezed": (dict(variant=PHASE_SQUEEZED, beta=1.0, r=0.25), {}, [
+        (0.027595735117134878, 0.08731479331951351, 0),
+        (0.01479699581575741, 0.09247362683670958, 0),
+        (0.025244580908726385, 0.10637637859619432, 0)]),
+    "feedback_delay_1": (dict(), dict(feedback_delay=1), [
+        (0.004220734670347795, 0.07128467787502041, 0),
+        (0.0021500928112687073, 0.08159725334281452, 0),
+        (0.0037419598107819208, 0.06929559368929498, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_trial_results(case):
+    setup, extra, expected = PINNED[case]
+    r = setup.get("r", 0.0)
+    lam = resolve_lambda(r, n_photon=10.0) if r > 0 else 100.0
+    design, noise = make_design(lam=lam, n_samples=2048, band_bins=63, **setup)
+    variant = setup.get("variant", COHERENT)
+    cfg = PllConfig(design, noise, variant, trials=3, seed=41, **extra)
+    got = [(t.mse, t.sigma0_sq_empirical, t.cycle_slips) for t in simulate_batch(cfg)]
+    for (mse, s0, slips), (mse_x, s0_x, slips_x) in zip(got, expected):
+        assert mse == pytest.approx(mse_x, rel=1e-12)
+        assert s0 == pytest.approx(s0_x, rel=1e-12)
+        assert slips == slips_x
+
+
+def test_non_finite_error_is_divergence():
+    design, noise = make_design(n_samples=2048, band_bins=63)
+    cfg = PllConfig(design, noise, COHERENT, trials=1, seed=3)
+    with pytest.raises(LoopDivergenceError):
+        simulate_batch(cfg, [0], noise_scale=float("nan"))
+    # open loop never diverges, but a NaN mse must not read as infinite SNR
+    res = simulate_batch(cfg, [0], force_lock=True, noise_scale=float("nan"))[0]
+    assert np.isnan(res.mse) and np.isnan(res.snr_empirical)
 
 
 def test_snr_matches_linear_theory():
