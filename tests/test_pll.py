@@ -39,13 +39,7 @@ def test_cycle_slip_count_basics():
     assert cycle_slip_count(jitter, np.zeros(512)) == 0
 
 
-@pytest.mark.parametrize("variant,r", [(COHERENT, 0.0), (SQUEEZED_Z, 0.5),
-                                       (PHASE_SQUEEZED, 0.25)])
-def test_trial_results_deterministic(variant, r):
-    lam = resolve_lambda(r, n_photon=10.0) if r > 0 else 100.0
-    design, noise = make_design(beta=1.0 if r > 0 else 2.0, lam=lam, r=r,
-                                variant=variant)
-    cfg = PllConfig(design, noise, variant, trials=4, seed=11)
+def assert_trial_deterministic(cfg):
     a = run_trial(cfg, trial=2)
     b = run_trial(cfg, trial=2)
     assert a == b  # bit-identical for identical (config, seed, batching)
@@ -56,6 +50,18 @@ def test_trial_results_deterministic(variant, r):
     assert batch[2].mse == pytest.approx(a.mse, rel=1e-12)
     assert batch[2].sigma0_sq_empirical == pytest.approx(a.sigma0_sq_empirical, rel=1e-12)
     assert batch[2].cycle_slips == a.cycle_slips
+
+
+def test_trial_results_deterministic():
+    design, noise = make_design()
+    assert_trial_deterministic(PllConfig(design, noise, COHERENT, trials=4, seed=11))
+
+
+@pytest.mark.parametrize("variant,r", [(SQUEEZED_Z, 0.5), (PHASE_SQUEEZED, 0.25)])
+def test_trial_results_deterministic_squeezed(variant, r):
+    lam = resolve_lambda(r, n_photon=10.0)
+    design, noise = make_design(beta=1.0, lam=lam, r=r, variant=variant)
+    assert_trial_deterministic(PllConfig(design, noise, variant, trials=4, seed=11))
 
 
 # Per-trial (mse, sigma0_sq_empirical, cycle_slips) of three in-lock trials
