@@ -18,9 +18,19 @@ the simulator outside the linear theory the analytic predictions describe.
 The delay-free closure writes the record's dependence on the tracking error e
 in amplitude-phase form, sin e + z(e)/2|a| = A sin(e + psi) + z_off (A, psi
 from the sample's (x0, y0); A = 1, psi = 0, z_off = z'/2|a| for squeezed_z),
-so each sample solves (1 - l0) u + l0 A sin u = c for u = e + psi.  Newton
-starts from the previous sample's error and stops once every row's step is
-below _NEWTON_TOL, after at most _NEWTON_STEPS (8) steps.
+so each sample solves (1 - l0) u + l0 A sin u = c for u = e + psi (explicitly
+when l0 = 0, as with feedback_delay=1).  Newton starts from the previous
+sample's error and stops once the 2-norm of the batch's step vector, and so
+every row's step, is below _NEWTON_TOL, after at most _NEWTON_STEPS (8) steps;
+the +-1 rad step clip runs only when that norm exceeds 1.
+
+The tracker history is a uniformly partitioned convolution (Gardner, JAES
+43(3), 1995) over blocks of _BLOCK samples: one Toeplitz GEMM per block gives
+every sample's contribution from the records before the block, and each
+sample adds only the lags inside its block.  The closure's per-sample
+constants (A, psi, the known part of c, the record offset) are formed once
+per block as well, so a sample costs the in-block lags, the Newton steps and
+the record write.
 
 Trials are vectorised in lockstep; every trial draws from its own
 counter-based stream, so its draws do not depend on the batch.  Results are
@@ -42,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
+from scipy.linalg import solve_toeplitz, toeplitz
 
 from .grids import color_noise
 from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
@@ -54,9 +64,10 @@ from .wiener import LoopDesign
 VARIANTS = (COHERENT, SQUEEZED_Z, PHASE_SQUEEZED)
 
 _NEWTON_STEPS = 8  # hard cap on Newton steps per sample
-_NEWTON_TOL = 1e-13  # stop once every row's |step| is below this (rad)
+_NEWTON_TOL = 1e-13  # stop once the batch's step 2-norm is below this (rad)
 _DIVERGENCE_LIMIT = 1e3
 _BATCH = 64  # trials per lockstep batch in run_cell
+_BLOCK = 64  # samples per tracker history block
 
 
 class LoopDivergenceError(RuntimeError):
@@ -221,67 +232,76 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
         hist = y0 if zrec is None else zrec
         fr = np.zeros((n_t, nt + m))
         fr[:, :nt] = phibar[:, m - nt:] + hist[:, m - nt:] / twoa
-        # Newton closure state, one entry per row, reused by every sample.
+        # Blocked history: column i of toep weights the nt-1 records before a
+        # block by their lags to the block's sample i; lags inside the block
+        # come from rec_blk, the block's records so far, one row per sample.
+        # kb <= nt keeps every in-block lag below nt.
+        kb = min(_BLOCK, nt)
+        toep = toeplitz(trev, np.zeros(kb))
+        rec_blk, phip_blk = np.empty((kb, n_t)), np.empty((kb, n_t))
+        # Newton closure state, one entry per row, reused by every sample;
+        # u = e + psi starts from the previous sample's error (0 at j = 0).
         k = 1.0 - l0
-        e = np.zeros(n_t)  # warm start: the previous sample's tracking error
-        u, c, s, den, step = (np.empty(n_t) for _ in range(5))
-        if zrec is None:
-            amp, psi, lamp, zoff = np.empty(n_t), np.empty(n_t), np.empty(n_t), 0.0
-        else:
-            amp, psi, lamp = 1.0, 0.0, l0
-        for j in range(m):
-            a_past = fr[:, j + 1: j + nt] @ trev
-            pb = phibar[:, j]
-            if l0 == 0.0:
-                x = a_past
-                e = pb - x
-                if zrec is None:
-                    zj = x0[:, j] * np.sin(e) + y0[:, j] * np.cos(e)
-                else:
-                    zj = zrec[:, j]
-                phip[:, j] = x
-                fr[:, nt + j] = x + np.sin(pb - x) + zj / twoa
-                continue
-            # sin e + z(e)/2|a| = amp sin(e + psi) + zoff; for (x0, y0)
-            # noise, (amp, psi) is the polar form of (1 + x0/2|a|, y0/2|a|).
+        tol2 = _NEWTON_TOL**2
+        u, c, s, den, step = (np.zeros(n_t) for _ in range(5))
+        psi_prev = np.zeros(n_t)
+        for j0 in range(0, m, kb):
+            n = min(kb, m - j0)
+            known = toep[:, :n].T @ fr[:, j0 + 1: j0 + nt].T
+            # Per-sample constants, (n, rows): sin e + z(e)/2|a| =
+            # amp sin(e + psi) + zoff; for (x0, y0) noise, (amp, psi) is the
+            # polar form of (1 + x0/2|a|, y0/2|a|).
+            pb = np.ascontiguousarray(phibar[:, j0: j0 + n].T)
             if zrec is None:
-                np.divide(x0[:, j], twoa, out=s)
-                s += 1.0
-                np.divide(y0[:, j], twoa, out=den)
-                np.hypot(s, den, out=amp)
-                np.arctan2(den, s, out=psi)
-                np.multiply(amp, l0, out=lamp)
+                xs = np.ascontiguousarray(x0[:, j0: j0 + n].T) / twoa
+                xs += 1.0
+                ys = np.ascontiguousarray(y0[:, j0: j0 + n].T) / twoa
+                amp, psi, zoff = np.hypot(xs, ys), np.arctan2(ys, xs), 0.0
+                # the warm start e_{j-1} + psi_j is u_{j-1} + (psi_j - psi_{j-1})
+                dpsi = np.diff(psi, axis=0, prepend=psi_prev[None])
+                psi_prev = psi[-1]
             else:
-                zoff = zrec[:, j] / twoa
-            # Solve c = k u + l0 amp sin u for u = e + psi, where the tracker
-            # output is pb - e = l0 * record + a_past.
-            np.add(pb, psi, out=c)
-            c *= k
-            c -= a_past
-            c -= l0 * zoff
-            np.add(e, psi, out=u)
-            for _ in range(_NEWTON_STEPS):
+                amp, psi = np.ones_like(pb), 0.0
+                zoff = np.ascontiguousarray(zrec[:, j0: j0 + n].T) / twoa
+            # The tracker output is pb - e = q - u with q = pb + psi and the
+            # record is q - u + amp sin u + zoff = r0 - u + amp sin u, so the
+            # closure is k u + l0 amp sin u = cbase - (in-block history).
+            q = pb + psi
+            r0 = q + zoff
+            cbase = k * q - l0 * zoff - known
+            lamp = l0 * amp
+            for i in range(n):
+                np.subtract(cbase[i], np.dot(trev[nt - 1 - i:], rec_blk[:i]), out=c)
+                if l0 == 0.0:
+                    u[:] = c  # l0 = 0: the closure is explicit
+                else:
+                    if zrec is None:
+                        u += dpsi[i]
+                    li = lamp[i]
+                    for _ in range(_NEWTON_STEPS):
+                        np.sin(u, out=s)
+                        s *= li
+                        np.cos(u, out=den)
+                        den *= li
+                        den += k
+                        np.multiply(u, k, out=step)
+                        step += s
+                        step -= c
+                        step /= den
+                        sq = step.dot(step)
+                        if sq > 1.0:  # some |step| may exceed 1 rad: clip
+                            np.minimum(step, 1.0, out=step)
+                            np.maximum(step, -1.0, out=step)
+                        u -= step
+                        if sq < tol2:
+                            break
+                np.subtract(q[i], u, out=phip_blk[i])
                 np.sin(u, out=s)
-                s *= lamp
-                np.cos(u, out=den)
-                den *= lamp
-                den += k
-                np.multiply(u, k, out=step)
-                step += s
-                step -= c
-                step /= den
-                np.minimum(step, 1.0, out=step)
-                np.maximum(step, -1.0, out=step)
-                u -= step
-                if np.max(np.abs(step, out=step)) < _NEWTON_TOL:
-                    break
-            np.subtract(u, psi, out=e)
-            x = phip[:, j]
-            np.subtract(pb, e, out=x)
-            np.sin(u, out=s)
-            s *= amp
-            s += zoff
-            np.add(x, s, out=fr[:, nt + j])
+                s *= amp[i]
+                s -= u
+                np.add(r0[i], s, out=rec_blk[i])
+            fr[:, nt + j0: nt + j0 + n] = rec_blk[:n].T
+            phip[:, j0: j0 + n] = phip_blk[:n].T
         phirec = fr[:, nt:]
 
     err = phibar - phip

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import datetime as _dt
+import os
+import platform
 from dataclasses import dataclass, field
+
+import numpy as np
+import scipy
 
 CSV_COLUMNS = (
     "run_id", "seed", "variant", "mod_kind", "beta", "lambda", "n_photon",
@@ -38,6 +43,27 @@ def emit_results(rows, path) -> None:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Interpreter, library, BLAS and platform versions plus BLAS thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 only prints its build configuration
+        blas = {}
+    env = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "platform": platform.platform(),
+    }
+    for var in _THREAD_VARS:
+        env[var] = os.environ.get(var, "unset")
+    return env
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run bit-exactly with the same code."""
@@ -65,6 +91,8 @@ class RunManifest:
                 fh.write(f"master_seed = {self.seed}\n")
             fh.write(f"started = {self.started}\n")
             fh.write(f"finished = {self.finished}\n")
+            for key, value in _environment().items():
+                fh.write(f"{key} = {value}\n")
             for out in self.outputs:
                 fh.write(f"output = {out}\n")
             fh.write("\n# resolved configuration\n")

@@ -1,4 +1,8 @@
+import os
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,19 @@ def test_cli_limits_end_to_end(tmp_path, capsys):
     assert (out / "manifest.txt").exists()
     manifest = (out / "manifest.txt").read_text()
     assert "results.csv" in manifest and "beta = 2.0" in manifest
+    assert f"numpy = {np.__version__}" in manifest
+
+
+def test_python_m_qdemod(tmp_path):
+    cfg = _write(tmp_path, "limits.cfg", "beta = 2.0\nlambda = 100\n")
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "QDEMOD_OUT"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-m", "qdemod", "limits", cfg, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "results.csv").exists()
 
 
 def test_cli_missing_key_exits_2(tmp_path, capsys):

@@ -67,7 +67,10 @@ def test_trial_results_deterministic_squeezed(variant, r):
 # Per-trial (mse, sigma0_sq_empirical, cycle_slips) of three in-lock trials
 # (seed 41) on a 2048-sample grid with a 63-bin band, recorded from the
 # fixed eight-step Newton closure; the converged closure must reproduce them
-# to rounding level.
+# to rounding level.  The short_grid cases run a 64-sample grid, whose 32
+# tracker taps are fewer than the samples in one tracker block; they were
+# recorded from the per-sample history convolution.
+_SHORT = dict(n_samples=64, band_bins=1, delay=2, beta=0.5)
 PINNED = {
     "coherent_pm": (dict(), {}, [
         (0.004455770049648185, 0.06147951428737873, 0),
@@ -89,6 +92,14 @@ PINNED = {
         (0.004220734670347795, 0.07128467787502041, 0),
         (0.0021500928112687073, 0.08159725334281452, 0),
         (0.0037419598107819208, 0.06929559368929498, 0)]),
+    "short_grid": (_SHORT, {}, [
+        (0.08849690788527552, 0.029651806404835775, 0),
+        (0.00042390379914341127, 0.02716045265574963, 0),
+        (0.0017894702995917104, 0.008277474352790075, 0)]),
+    "short_grid_feedback_delay_1": (_SHORT, dict(feedback_delay=1), [
+        (0.0841628538334901, 0.02894378758119797, 0),
+        (0.0005962304490182771, 0.02796146378390154, 0),
+        (0.001591623850146977, 0.008815115404685476, 0)]),
 }
 
 
@@ -97,10 +108,11 @@ def test_pinned_trial_results(case):
     setup, extra, expected = PINNED[case]
     r = setup.get("r", 0.0)
     lam = resolve_lambda(r, n_photon=10.0) if r > 0 else 100.0
-    design, noise = make_design(lam=lam, n_samples=2048, band_bins=63, **setup)
+    design, noise = make_design(**{"lam": lam, "n_samples": 2048, "band_bins": 63, **setup})
     variant = setup.get("variant", COHERENT)
     cfg = PllConfig(design, noise, variant, trials=3, seed=41, **extra)
     got = [(t.mse, t.sigma0_sq_empirical, t.cycle_slips) for t in simulate_batch(cfg)]
+    assert len(got) == len(expected)
     for (mse, s0, slips), (mse_x, s0_x, slips_x) in zip(got, expected):
         assert mse == pytest.approx(mse_x, rel=1e-12)
         assert s0 == pytest.approx(s0_x, rel=1e-12)
