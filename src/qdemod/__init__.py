@@ -18,8 +18,7 @@ from .qnoise import (NoiseModel, PhysicalConstants, QuadratureRecord,
 from .wiener import (FilterKernel, LoopDesign, closed_loop_filter, design_loop,
                      linearized_map_estimate, loop_and_postloop,
                      nonlinear_map_fixed_point, optimum_filter, spectral_factorize)
-from .pll import (CellResult, PllConfig, TrialResult, cycle_slip_count,
-                  run_cell, run_trial)
+from .pll import CellResult, PllConfig, TrialResult, cycle_slip_count, run_cell
 from . import limits
 from . import fock
 from . import sensing
@@ -36,7 +35,7 @@ __all__ = [
     "FilterKernel", "LoopDesign", "optimum_filter", "spectral_factorize",
     "closed_loop_filter", "loop_and_postloop", "design_loop",
     "linearized_map_estimate", "nonlinear_map_fixed_point",
-    "PllConfig", "TrialResult", "CellResult", "run_trial", "run_cell",
+    "PllConfig", "TrialResult", "CellResult", "run_cell",
     "cycle_slip_count",
     "limits", "fock", "sensing", "cli_main",
 ]

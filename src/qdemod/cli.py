@@ -45,7 +45,7 @@ _NUMERICAL_ERRORS = (FactorizationError, LoopInstabilityError,
 
 def _build_setup(cfg: dict, beta: float, r: float, variant: str,
                  lam: float | None = None, n_photon: float | None = None):
-    """(noise, design, lam) of one operating point of a resolved config."""
+    """(design, lam) of one operating point of a resolved config."""
     grid = TimeGrid(cfg["bandwidth"], cfg["n_samples"])
     if cfg["message_kind"] == FLAT:
         message = MessageSpec.flat(grid, cfg["band_bins"])
@@ -55,25 +55,21 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
         raise ConfigError(f"unknown message_kind {cfg['message_kind']!r}")
     mod = ModulationScheme(cfg["mod_kind"], beta, message.bandwidth)
     alpha, lam = operating_point(message, r, lam, n_photon)
-    if variant == COHERENT:
-        noise = NoiseModel(COHERENT, alpha)
-    else:
-        kind = SQUEEZED_Z if variant == SQUEEZED_Z else PHASE_SQUEEZED
-        noise = NoiseModel(kind, alpha, r, message.bandwidth)
+    noise = (NoiseModel(COHERENT, alpha) if variant == COHERENT  # r still sets alpha
+             else NoiseModel(variant, alpha, r, message.bandwidth))
     delay = cfg.get("delay", -1)
     design = design_loop(message, mod, alpha, noise,
                          delay=None if delay < 0 else delay)
-    return noise, design, lam
+    return design, lam
 
 
 def _simulate_cell(cfg: dict, run_id: str, beta: float, r: float,
                    lam: float | None, n_photon: float | None):
     """(CSV row, CellResult) of one Monte Carlo operating point."""
-    noise, design, lam = _build_setup(cfg, beta, r, cfg["variant"], lam, n_photon)
+    design, lam = _build_setup(cfg, beta, r, cfg["variant"], lam, n_photon)
     spectra = (design.s_m, design.h, design.four_alpha_sq, design.s2.values)
-    pll_cfg = PllConfig(design, noise, cfg["variant"], cfg["trials"], cfg["seed"],
-                        feedback_delay=cfg["feedback_delay"],
-                        relinearize=cfg["relinearize"])
+    pll_cfg = PllConfig(design, cfg["trials"], cfg["seed"],
+                        feedback_delay=cfg["feedback_delay"])
     cell = run_cell(pll_cfg, snr_analytic=1.0 / limits_mod.irreducible_error(*spectra))
     kind = cfg["mod_kind"]
     if cfg["message_kind"] == FLAT:
@@ -112,8 +108,8 @@ def _write_results(rows, outdir: str, manifest: RunManifest) -> None:
 def _cmd_design(cfg: dict, outdir: str, manifest: RunManifest) -> None:
     r = cfg.get("r", 0.0)
     variant = COHERENT if r == 0 else SQUEEZED_Z
-    _, design, _ = _build_setup(cfg, cfg["beta"], r, variant,
-                                lam=cfg.get("lambda"), n_photon=cfg.get("n_photon"))
+    design, _ = _build_setup(cfg, cfg["beta"], r, variant,
+                             lam=cfg.get("lambda"), n_photon=cfg.get("n_photon"))
     path = os.path.join(outdir, "design.txt")
     dump_design(design, path)
     manifest.outputs.append(path)
@@ -182,8 +178,8 @@ def _cmd_fock(cfg: dict, outdir: str, manifest: RunManifest) -> None:
     povm = fock_mod.povm_resolution_check(n_max, points)
     pb_u = fock_mod.unitary_defect(fock_mod.pegg_barnett_unitary(cfg["pb_s"]).matrix)
     pb_c = fock_mod.pegg_barnett_commutator_residual(cfg["pb_s"])
-    state = fock_mod.coherent_coeffs(cfg["alpha"], n_max) if cfg["alpha"] ** 2 + 10 * cfg["alpha"] + 20 <= n_max \
-        else fock_mod.coherent_coeffs(0.0, n_max)
+    alpha = cfg["alpha"] if fock_mod.tail_cutoff(cfg["alpha"]) <= n_max else 0.0
+    state = fock_mod.coherent_coeffs(alpha, n_max)
     density = fock_mod.canonical_phase_density(state, points)
     norm = float(np.sum(density) * fock_mod.density_weight(points, 1))
     fluid = fock_mod.fluid_velocity_commutator_check(cfg["sites"], cfg["bosons"])

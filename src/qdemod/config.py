@@ -27,63 +27,41 @@ class Key:
     default: object = REQUIRED
 
 
+# Key tuples shared between schemas; each schema keeps its key order.
+_MOD_KIND = Key("mod_kind", "str", "pm")
+_GRID = (
+    Key("n_samples", "int", 4096),
+    Key("bandwidth", "float", 1.0),
+    Key("message_kind", "str", "flat"),
+    Key("band_bins", "int", 127),
+    Key("lorentz_ratio", "float", 256.0),
+    _MOD_KIND,
+)
+_POINT = (
+    Key("beta", "float"),
+    Key("lambda", "float", None),
+    Key("n_photon", "float", None),
+    Key("r", "float", 0.0),
+)
+_DELAY = Key("delay", "int", -1)
+_MONTE_CARLO = (
+    Key("variant", "str", "coherent"),
+    Key("trials", "int", 64),
+    Key("seed", "int", 12345),
+    Key("feedback_delay", "int", 0),
+)
+
 SCHEMAS: dict[str, tuple] = {
-    "limits": (
-        Key("mod_kind", "str", "pm"),
-        Key("beta", "float"),
-        Key("lambda", "float", None),
-        Key("n_photon", "float", None),
-        Key("r", "float", 0.0),
-    ),
-    "design": (
-        Key("n_samples", "int", 4096),
-        Key("bandwidth", "float", 1.0),
-        Key("message_kind", "str", "flat"),
-        Key("band_bins", "int", 127),
-        Key("lorentz_ratio", "float", 256.0),
-        Key("mod_kind", "str", "pm"),
-        Key("beta", "float"),
-        Key("lambda", "float", None),
-        Key("n_photon", "float", None),
-        Key("r", "float", 0.0),
-        Key("delay", "int", -1),
-    ),
-    "simulate": (
-        Key("n_samples", "int", 4096),
-        Key("bandwidth", "float", 1.0),
-        Key("message_kind", "str", "flat"),
-        Key("band_bins", "int", 127),
-        Key("lorentz_ratio", "float", 256.0),
-        Key("mod_kind", "str", "pm"),
-        Key("beta", "float"),
-        Key("lambda", "float", None),
-        Key("n_photon", "float", None),
-        Key("r", "float", 0.0),
-        Key("delay", "int", -1),
-        Key("variant", "str", "coherent"),
-        Key("trials", "int", 64),
-        Key("seed", "int", 12345),
-        Key("feedback_delay", "int", 0),
-        Key("relinearize", "int", 1),
-    ),
-    "sweep": (
-        Key("n_samples", "int", 4096),
-        Key("bandwidth", "float", 1.0),
-        Key("message_kind", "str", "flat"),
-        Key("band_bins", "int", 127),
-        Key("lorentz_ratio", "float", 256.0),
-        Key("mod_kind", "str", "pm"),
+    "limits": (_MOD_KIND,) + _POINT,
+    "design": _GRID + _POINT + (_DELAY,),
+    "simulate": _GRID + _POINT + (_DELAY,) + _MONTE_CARLO,
+    "sweep": _GRID + (
         Key("betas", "floatlist"),
         Key("lambdas", "floatlist", None),
         Key("n_photon", "float", None),
         Key("rs", "floatlist", (0.0,)),
-        Key("delay", "int", -1),
-        Key("variant", "str", "coherent"),
-        Key("trials", "int", 64),
-        Key("seed", "int", 12345),
-        Key("feedback_delay", "int", 0),
-        Key("relinearize", "int", 1),
-    ),
+        _DELAY,
+    ) + _MONTE_CARLO,
     "fock": (
         Key("n_max", "int", 5),
         Key("points", "int", 0),

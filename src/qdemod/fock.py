@@ -82,25 +82,27 @@ def unitary_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - eye)))
 
 
+def tail_cutoff(alpha: complex) -> float:
+    """Smallest n_max that keeps a coherent state's truncated tail below 1e-12."""
+    return abs(alpha) ** 2 + 10.0 * abs(alpha) + 20.0
+
+
 def coherent_coeffs(alpha: complex, n_max: int) -> TruncatedState:
     """Single-mode coherent state C_n = e^{-|a|^2/2} a^n / sqrt(n!), renormalised.
 
-    Requires n_max >= |a|^2 + 10 |a| + 20 so the truncated tail is below
-    1e-12.
+    Requires n_max >= tail_cutoff(alpha).
     """
-    a2 = abs(alpha) ** 2
-    need = a2 + 10.0 * abs(alpha) + 20.0
-    if alpha != 0 and n_max < need:  # the vacuum has no tail at any cutoff
-        raise TruncationError(f"n_max = {n_max} below the tail rule {need:.1f}")
-    n = np.arange(n_max + 1)
-    log_fact = np.array([lgamma(k + 1.0) for k in n])
-    mag = np.exp(-a2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * log_fact) if alpha != 0 else None
-    if alpha == 0:
+    if alpha == 0:  # the vacuum has no tail at any cutoff
         c = np.zeros(n_max + 1, dtype=complex)
         c[0] = 1.0
         return TruncatedState(c)
-    phase = np.exp(1j * n * np.angle(alpha))
-    return TruncatedState(mag * phase)
+    need = tail_cutoff(alpha)
+    if n_max < need:
+        raise TruncationError(f"n_max = {n_max} below the tail rule {need:.1f}")
+    n = np.arange(n_max + 1)
+    log_fact = np.array([lgamma(k + 1.0) for k in n])
+    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * log_fact)
+    return TruncatedState(mag * np.exp(1j * n * np.angle(alpha)))
 
 
 def product_state(*modes: TruncatedState) -> TruncatedState:

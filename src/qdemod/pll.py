@@ -7,6 +7,10 @@ phi' = L p' with L = L'/(2|a|(1 - L')), but realised in its feedback-stable
 factorised form so brick-wall designs (whose L response rings) cannot
 destabilise the recursion.
 
+The light (coherent, squeezed_z or phase_squeezed) is design.noise, the
+NoiseModel the loop was designed for; a PllConfig adds only the trials, the
+master seed and the feedback delay.
+
 feedback_delay selects the information set: 0 gives the delay-free loop of
 the continuous theory (LO phase may use the simultaneous sample, closed per
 sample by a Newton solve); 1 restricts the tracker to p' up to the previous
@@ -32,6 +36,10 @@ constants (A, psi, the known part of c, the record offset) are formed once
 per block as well, so a sample costs the in-block lags, the Newton steps and
 the record write.
 
+After the loop, one relinearisation pass takes the sine nonlinearity out of
+the record at the undelayed MAP estimate's tracking error; the delayed MAP
+filter G exp(-i w d dt) then gives the message estimate.
+
 Trials are vectorised in lockstep; every trial draws from its own
 counter-based stream, so its draws do not depend on the batch.  Results are
 bit-identical for a given (config, master seed, trial index, batching);
@@ -55,13 +63,10 @@ import numpy as np
 from scipy.linalg import solve_toeplitz, toeplitz
 
 from .grids import color_noise
-from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
-                     squeezed_covariance_psds)
+from .qnoise import COHERENT, SQUEEZED_Z, squeezed_covariance_psds
 from .rng import stream
-from .signals import FM, message_psd
+from .signals import FM, message_psd, modulate
 from .wiener import LoopDesign
-
-VARIANTS = (COHERENT, SQUEEZED_Z, PHASE_SQUEEZED)
 
 _NEWTON_STEPS = 8  # hard cap on Newton steps per sample
 _NEWTON_TOL = 1e-13  # stop once the batch's step 2-norm is below this (rad)
@@ -79,29 +84,19 @@ class LoopDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PllConfig:
-    """One Monte Carlo operating point."""
+    """One Monte Carlo operating point; the light is design.noise."""
 
     design: LoopDesign
-    noise: NoiseModel
-    variant: str
     trials: int
     seed: int
     feedback_delay: int = 0
-    relinearize: int = 1
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == COHERENT and self.noise.squeezed:
-            raise ValueError("coherent variant requires a coherent noise model")
-        if self.variant != COHERENT and not self.noise.squeezed:
-            raise ValueError("squeezed variants require a squeezed noise model")
         if self.feedback_delay not in (0, 1):
             raise ValueError("feedback_delay must be 0 or 1 samples")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        g = self.design.grid
-        if g.bandwidth / self.design.message.bandwidth < 32:
+        if self.design.grid.bandwidth / self.design.message.bandwidth < 32:
             raise ValueError("oversampling guard: require B/b >= 32")
 
 
@@ -159,33 +154,24 @@ def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
     feedback_delay = 1: lag-0 tap zero, lags 1..M/2-1 solve the one-step
     prediction normal equations on the same (U, V).
     """
-    m = design.grid.n_samples
-    half = m // 2
     if feedback_delay == 0:
         return design.l_prime.causal_taps()
     ut = np.fft.ifft(design.u).real
     vt = np.fft.ifft(design.v).real
-    n = half - 1
-    pred = solve_toeplitz((ut[:n], ut[:n]), vt[1: n + 1])
-    taps = np.zeros(half)
-    taps[1:] = pred
-    return taps
+    n = design.grid.n_samples // 2 - 1
+    return np.concatenate(([0.0], solve_toeplitz((ut[:n], ut[:n]), vt[1: n + 1])))
 
 
-def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
-                   noise_scale: float = 1.0):
+def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
     """Run a batch of trials in lockstep; returns a list of TrialResult.
 
     force_lock pins phi' = phibar (open loop) for cross-checks against the
-    batch linearised MAP estimate; noise_scale rescales the quadrature noise
-    (0 gives the noiseless limit).
+    batch linearised MAP estimate.
     """
     design = cfg.design
     g = design.grid
     m = g.n_samples
-    if trial_indices is None:
-        trial_indices = range(cfg.trials)
-    trial_indices = list(trial_indices)
+    trial_indices = list(range(cfg.trials) if trial_indices is None else trial_indices)
     n_t = len(trial_indices)
     twoa = design.two_alpha
 
@@ -194,35 +180,32 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
     l0 = taps[0]
     trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
 
-    h = design.h
     gd = design.g.response * np.exp(-2j * np.pi * g.freqs * design.delay * g.dt)
 
     # Per trial: the message on stream (seed, trial, 0), the quadrature
     # noise on (seed, trial, 1) -- white (x0, y0) for coherent light, the
     # S2-coloured record z' for squeezed_z, coloured (x0, y0) otherwise.
+    variant = design.noise.kind
     s_msg = message_psd(design.message, drop_dc=design.mod.kind == FM)
-    if cfg.variant != COHERENT:
-        s1, s2 = squeezed_covariance_psds(cfg.noise, g)
+    if variant != COHERENT:
+        s1, s2 = squeezed_covariance_psds(design.noise, g)
     msg = np.empty((n_t, m))
     x0 = np.zeros((n_t, m))
     y0 = np.zeros((n_t, m))
-    zrec = np.empty((n_t, m)) if cfg.variant == SQUEEZED_Z else None
+    zrec = np.empty((n_t, m)) if variant == SQUEEZED_Z else None
     for row, trial in enumerate(trial_indices):
         msg[row] = color_noise(stream(cfg.seed, trial, 0), s_msg)
         rng = stream(cfg.seed, trial, 1)
-        if cfg.variant == COHERENT:
-            x0[row] = rng.standard_normal(m) * noise_scale
-            y0[row] = rng.standard_normal(m) * noise_scale
-        elif cfg.variant == SQUEEZED_Z:
-            zrec[row] = color_noise(rng, s2) * noise_scale
+        if variant == COHERENT:
+            x0[row] = rng.standard_normal(m)
+            y0[row] = rng.standard_normal(m)
+        elif variant == SQUEEZED_Z:
+            zrec[row] = color_noise(rng, s2)
         else:
-            x0[row] = color_noise(rng, s1) * noise_scale
-            y0[row] = color_noise(rng, s2) * noise_scale
+            x0[row] = color_noise(rng, s1)
+            y0[row] = color_noise(rng, s2)
 
-    if design.mod.kind == FM:
-        phibar = np.fft.ifft(np.fft.fft(msg, axis=1) * h, axis=1).real
-    else:
-        phibar = design.mod.beta * msg
+    phibar = modulate(design.mod, g, msg)
 
     phip = np.empty((n_t, m))
     if force_lock:
@@ -312,16 +295,9 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
             f"loop diverged (max |phibar - phi'| = {worst:.3e})",
             worst, trial_indices[bad])
 
-    rec = phirec
-    for _ in range(cfg.relinearize):
-        m_hat0 = np.fft.ifft(np.fft.fft(rec, axis=1) * design.g.response, axis=1).real
-        if design.mod.kind == FM:
-            ph_hat = np.fft.ifft(np.fft.fft(m_hat0, axis=1) * h, axis=1).real
-        else:
-            ph_hat = design.mod.beta * m_hat0
-        e_hat = ph_hat - phip
-        rec = phirec - (np.sin(e_hat) - e_hat)
-
+    m_hat0 = np.fft.ifft(np.fft.fft(phirec, axis=1) * design.g.response, axis=1).real
+    e_hat = modulate(design.mod, g, m_hat0) - phip
+    rec = phirec - (np.sin(e_hat) - e_hat)
     m_hat = np.fft.ifft(np.fft.fft(rec, axis=1) * gd, axis=1).real
 
     d = design.delay
@@ -344,11 +320,6 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
             snr_empirical=1.0 / mse if mse != 0 else float("inf"),
             sigma0_sq_empirical=s0, cycle_slips=slips))
     return results
-
-
-def run_trial(cfg: PllConfig, trial: int = 0, **kwargs) -> TrialResult:
-    """Single-trial convenience wrapper around simulate_batch."""
-    return simulate_batch(cfg, [trial], **kwargs)[0]
 
 
 def aggregate(trials, snr_analytic: float = float("nan"), meta: dict | None = None) -> CellResult:

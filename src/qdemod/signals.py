@@ -145,8 +145,10 @@ def phase_response(mod: ModulationScheme, grid: TimeGrid) -> np.ndarray:
 
 
 def modulate(mod: ModulationScheme, grid: TimeGrid, message: np.ndarray) -> np.ndarray:
-    """Mean phase phibar = H . m via frequency-domain multiplication."""
+    """Mean phase phibar = H . m along the last axis (PM: beta m; FM: via the FFT)."""
     message = np.asarray(message, dtype=float)
+    if mod.kind == PM:
+        return mod.beta * message
     h = phase_response(mod, grid)
     return np.fft.ifft(np.fft.fft(message) * h).real
 

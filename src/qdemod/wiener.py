@@ -25,7 +25,7 @@ from scipy.linalg import solve_toeplitz
 from .grids import SpectralDensity, TimeGrid
 from .signals import (FM, MessageSpec, ModulationScheme, carson_bandwidth,
                       message_psd, phase_response)
-from .qnoise import NoiseModel, squeezed_covariance_psds
+from .qnoise import COHERENT, NoiseModel, squeezed_covariance_psds
 
 CAUSAL_ENERGY_TOL = 1e-8
 
@@ -195,6 +195,7 @@ class LoopDesign:
     l_post: FilterKernel
     delay: int
     two_alpha: float
+    noise: NoiseModel
     s2: SpectralDensity
     s_m: np.ndarray
     h: np.ndarray
@@ -235,14 +236,16 @@ def loop_and_postloop(l_prime: FilterKernel, g: FilterKernel, two_alpha: float,
 
 def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
                 noise: NoiseModel | None = None, delay: int | None = None) -> LoopDesign:
-    """Synthesise the full {G, L', L, L''} quadruple for one operating point."""
+    """Synthesise the full {G, L', L, L''} quadruple for one operating point.
+
+    The design carries noise, the light (coherent at alpha_mag when None).
+    """
     grid = message.grid
     s_m = message_psd(message, drop_dc=(mod.kind == FM)).values
     h = phase_response(mod, grid)
-    if noise is not None and noise.squeezed:
-        _, s2_density = squeezed_covariance_psds(noise, grid)
-    else:
-        s2_density = SpectralDensity(grid, np.ones(grid.n_samples))
+    if noise is None:
+        noise = NoiseModel(COHERENT, alpha_mag)
+    _, s2_density = squeezed_covariance_psds(noise, grid)
     s2 = s2_density.values
     fa2 = 4.0 * alpha_mag**2
     v = fa2 * s_m * np.abs(h) ** 2
@@ -259,7 +262,7 @@ def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
     return LoopDesign(
         grid=grid, mod=mod, message=message, g=g, l_prime=l_prime,
         l_loop=l_loop, l_post=l_post, delay=delay, two_alpha=2.0 * alpha_mag,
-        s2=s2_density, s_m=s_m, h=h, u=u, v=v, wh_residual=residual,
+        noise=noise, s2=s2_density, s_m=s_m, h=h, u=u, v=v, wh_residual=residual,
     )
 
 

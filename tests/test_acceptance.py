@@ -44,13 +44,12 @@ def _flat_design(beta, lam, kind="pm", r=0.0):
     else:
         noise = NoiseModel(COHERENT, alpha)
     design = q.design_loop(MESSAGE, mod, alpha, noise)
-    ALL_DESIGNS[key] = (design, noise)
-    return design, noise
+    ALL_DESIGNS[key] = design
+    return design
 
 
-def _run(beta, lam, kind="pm", r=0.0, variant=COHERENT, trials=256, seed=2026):
-    design, noise = _flat_design(beta, lam, kind, r)
-    cfg = q.PllConfig(design, noise, variant, trials=trials, seed=seed)
+def _run(beta, lam, kind="pm", r=0.0, trials=256, seed=2026):
+    cfg = q.PllConfig(_flat_design(beta, lam, kind, r), trials=trials, seed=seed)
     return q.run_cell(cfg)
 
 
@@ -128,7 +127,7 @@ def test_criterion_3_squeezing_gain():
     details = []
     for r in (0.25, 0.5, 1.0, r_opt):
         lam = 4.0 * (n_photon - np.sinh(r) ** 2) * np.exp(2.0 * r)
-        cell = _run(beta, lam, r=r, variant=SQUEEZED_Z, trials=192, seed=408)
+        cell = _run(beta, lam, r=r, trials=192, seed=408)
         pred = 4.0 * beta**2 * (n_photon - np.sinh(r) ** 2) * np.exp(2.0 * r)
         dev = cell.snr_empirical / pred - 1.0
         rel = abs(dev)
@@ -169,7 +168,7 @@ def test_criterion_5_wiener_hopf_correctness():
     _flat_design(2.0, 100.0, kind="fm")
     _flat_design(1.0, 440.0, r=0.5 * np.log(21.0))
     worst_res, worst_rec = 0.0, 0.0
-    for (design, _noise) in ALL_DESIGNS.values():
+    for design in ALL_DESIGNS.values():
         worst_res = max(worst_res, design.wh_residual)
         x = spectral_factorize(design.u, design.grid)
         rec = np.max(np.abs(np.abs(x.response) ** 2 - design.u) / design.u)
@@ -228,8 +227,8 @@ def test_criterion_7_lorentzian_scaling():
         alpha, _ = operating_point(msg, n_photon=n_photon)
         noise = NoiseModel(COHERENT, alpha)
         design = q.design_loop(msg, mod, alpha, noise)
-        ALL_DESIGNS[("lorentz", beta, n_photon)] = (design, noise)
-        cell = q.run_cell(q.PllConfig(design, noise, COHERENT, trials=48, seed=1461))
+        ALL_DESIGNS[("lorentz", beta, n_photon)] = design
+        cell = q.run_cell(q.PllConfig(design, trials=48, seed=1461))
         pred = lorentzian_pm_snr(n_photon, beta)
         dev = cell.snr_empirical / pred - 1.0
         rel = abs(dev)

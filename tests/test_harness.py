@@ -64,6 +64,21 @@ def test_config_round_trip():
     assert parse_config_text(serialize_config(cfg2, "sweep"), "sweep") == cfg2
 
 
+_LOOP_DEFAULTS = ("n_samples = 4096\nbandwidth = 1.0\nmessage_kind = flat\n"
+                  "band_bins = 127\nlorentz_ratio = 256.0\nmod_kind = pm\n")
+_MONTE_CARLO_DEFAULTS = ("delay = -1\nvariant = coherent\ntrials = 64\n"
+                         "seed = 12345\nfeedback_delay = 0\n")
+
+
+def test_serialize_config_defaults_pinned():
+    sim = parse_config_text("beta = 1.0\n", "simulate")
+    assert serialize_config(sim, "simulate") == (
+        "[simulate]\n" + _LOOP_DEFAULTS + "beta = 1.0\nr = 0.0\n" + _MONTE_CARLO_DEFAULTS)
+    sweep = parse_config_text("betas = 1.0\n", "sweep")
+    assert serialize_config(sweep, "sweep") == (
+        "[sweep]\n" + _LOOP_DEFAULTS + "betas = 1.0\nrs = 0.0\n" + _MONTE_CARLO_DEFAULTS)
+
+
 _FINITE = st.floats(allow_nan=False)
 _VALUES = {
     "str": st.text(string.ascii_letters + string.digits + "_-.+/", min_size=1),
@@ -174,6 +189,18 @@ def test_cli_fock_checks(tmp_path, capsys):
     assert (out / "phase_density.csv").exists()
 
 
+def test_cli_fock_tail_rule_uses_alpha_magnitude(tmp_path):
+    """n_max = 5 is below the tail rule for |alpha| = 3 whatever its sign, so
+    both signs fall back to the vacuum density."""
+    densities = []
+    for alpha in ("3.0", "-3.0"):
+        cfg = _write(tmp_path, f"fock{alpha}.cfg", f"n_max = 5\nalpha = {alpha}\n")
+        out = tmp_path / f"fock_out{alpha}"
+        assert cli_main(["fock", cfg, "--out", str(out)]) == 0
+        densities.append((out / "phase_density.csv").read_bytes())
+    assert densities[0] == densities[1]
+
+
 def test_cli_numerical_failure_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, "fock.cfg", "sites = 4\n")  # over the dense budget
     rc = cli_main(["fock", cfg, "--out", str(tmp_path / "o")])
@@ -201,6 +228,13 @@ def test_cli_simulate_deterministic(tmp_path):
     assert cli_main(["simulate", cfg, "--out", str(out1)]) == 0
     assert cli_main(["simulate", cfg, "--out", str(out2)]) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_cli_unknown_variant_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "sim.cfg", "beta = 1.0\nlambda = 100\nvariant = squeezd_z\n")
+    rc = cli_main(["simulate", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_design_dump(tmp_path):

@@ -7,9 +7,9 @@ from qdemod.limits import PM as LPM
 from qdemod.limits import closed_form_snr, sigma0
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                            operating_point, resolve_lambda, sample_vacuum)
+from qdemod import pll
 from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate,
-                        cycle_slip_count, run_cell, run_trial, simulate_batch,
-                        tracking_taps)
+                        cycle_slip_count, run_cell, simulate_batch, tracking_taps)
 from qdemod.signals import MessageSpec, ModulationScheme, sample_message
 from qdemod.wiener import design_loop, linearized_map_estimate
 
@@ -24,7 +24,31 @@ def make_design(beta=2.0, lam=100.0, kind="pm", n_samples=4096, band_bins=127,
         noise = NoiseModel(variant, alpha, r, msg.bandwidth)
     else:
         noise = NoiseModel(COHERENT, alpha)
-    return design_loop(msg, mod, alpha, noise, delay=delay), noise
+    return design_loop(msg, mod, alpha, noise, delay=delay)
+
+
+class _ScaledStream:
+    """A stream whose white draws are multiplied by scale."""
+
+    def __init__(self, rng, scale):
+        self.rng, self.scale = rng, scale
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size) * self.scale
+
+
+def scale_quadrature_noise(monkeypatch, scale):
+    """Scale the draws of stream (seed, trial, 1), the quadrature noise.
+
+    For coherent light these are the white (x0, y0) themselves, so scale 0
+    is the noiseless limit and NaN poisons the record.
+    """
+    real = pll.stream
+
+    def fake(seed, trial, purpose):
+        rng = real(seed, trial, purpose)
+        return _ScaledStream(rng, scale) if purpose == 1 else rng
+    monkeypatch.setattr(pll, "stream", fake)
 
 
 def test_cycle_slip_count_basics():
@@ -40,8 +64,8 @@ def test_cycle_slip_count_basics():
 
 
 def assert_trial_deterministic(cfg):
-    a = run_trial(cfg, trial=2)
-    b = run_trial(cfg, trial=2)
+    a = simulate_batch(cfg, [2])[0]
+    b = simulate_batch(cfg, [2])[0]
     assert a == b  # bit-identical for identical (config, seed, batching)
     # per-trial draws do not depend on the batch; the tracker's BLAS
     # reduction order and the batch-wide Newton stop rule may differ, at
@@ -53,15 +77,14 @@ def assert_trial_deterministic(cfg):
 
 
 def test_trial_results_deterministic():
-    design, noise = make_design()
-    assert_trial_deterministic(PllConfig(design, noise, COHERENT, trials=4, seed=11))
+    assert_trial_deterministic(PllConfig(make_design(), trials=4, seed=11))
 
 
 @pytest.mark.parametrize("variant,r", [(SQUEEZED_Z, 0.5), (PHASE_SQUEEZED, 0.25)])
 def test_trial_results_deterministic_squeezed(variant, r):
     lam = resolve_lambda(r, n_photon=10.0)
-    design, noise = make_design(beta=1.0, lam=lam, r=r, variant=variant)
-    assert_trial_deterministic(PllConfig(design, noise, variant, trials=4, seed=11))
+    design = make_design(beta=1.0, lam=lam, r=r, variant=variant)
+    assert_trial_deterministic(PllConfig(design, trials=4, seed=11))
 
 
 # Per-trial (mse, sigma0_sq_empirical, cycle_slips) of three in-lock trials
@@ -108,9 +131,8 @@ def test_pinned_trial_results(case):
     setup, extra, expected = PINNED[case]
     r = setup.get("r", 0.0)
     lam = resolve_lambda(r, n_photon=10.0) if r > 0 else 100.0
-    design, noise = make_design(**{"lam": lam, "n_samples": 2048, "band_bins": 63, **setup})
-    variant = setup.get("variant", COHERENT)
-    cfg = PllConfig(design, noise, variant, trials=3, seed=41, **extra)
+    design = make_design(**{"lam": lam, "n_samples": 2048, "band_bins": 63, **setup})
+    cfg = PllConfig(design, trials=3, seed=41, **extra)
     got = [(t.mse, t.sigma0_sq_empirical, t.cycle_slips) for t in simulate_batch(cfg)]
     assert len(got) == len(expected)
     for (mse, s0, slips), (mse_x, s0_x, slips_x) in zip(got, expected):
@@ -119,19 +141,18 @@ def test_pinned_trial_results(case):
         assert slips == slips_x
 
 
-def test_non_finite_error_is_divergence():
-    design, noise = make_design(n_samples=2048, band_bins=63)
-    cfg = PllConfig(design, noise, COHERENT, trials=1, seed=3)
+def test_non_finite_error_is_divergence(monkeypatch):
+    cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=1, seed=3)
+    scale_quadrature_noise(monkeypatch, float("nan"))
     with pytest.raises(LoopDivergenceError):
-        simulate_batch(cfg, [0], noise_scale=float("nan"))
+        simulate_batch(cfg, [0])
     # open loop never diverges, but a NaN mse must not read as infinite SNR
-    res = simulate_batch(cfg, [0], force_lock=True, noise_scale=float("nan"))[0]
+    res = simulate_batch(cfg, [0], force_lock=True)[0]
     assert np.isnan(res.mse) and np.isnan(res.snr_empirical)
 
 
 def test_snr_matches_linear_theory():
-    design, noise = make_design(beta=2.0, lam=100.0)
-    cfg = PllConfig(design, noise, COHERENT, trials=48, seed=5)
+    cfg = PllConfig(make_design(beta=2.0, lam=100.0), trials=48, seed=5)
     cell = run_cell(cfg)
     assert cell.total_slips == 0
     assert abs(cell.snr_empirical / 401.0 - 1.0) < 0.10
@@ -140,25 +161,25 @@ def test_snr_matches_linear_theory():
 
 def test_sigma0_empirical_matches_analytic():
     for kind, pred in (("pm", sigma0(LPM, 2.0, 100.0)), ("fm", sigma0(LFM, 2.0, 100.0))):
-        design, noise = make_design(beta=2.0, lam=100.0, kind=kind)
-        cfg = PllConfig(design, noise, COHERENT, trials=32, seed=6)
+        cfg = PllConfig(make_design(beta=2.0, lam=100.0, kind=kind), trials=32, seed=6)
         cell = run_cell(cfg)
         assert abs(cell.sigma0_sq_empirical / pred - 1.0) < 0.15
 
 
-def test_noiseless_limit_tracks_perfectly():
-    design, noise = make_design(beta=1.0, lam=300.0)
-    cfg = PllConfig(design, noise, COHERENT, trials=2, seed=3)
-    out = simulate_batch(cfg, [0, 1], noise_scale=0.0)
+def test_noiseless_limit_tracks_perfectly(monkeypatch):
+    cfg = PllConfig(make_design(beta=1.0, lam=300.0), trials=2, seed=3)
+    scale_quadrature_noise(monkeypatch, 0.0)
+    out = simulate_batch(cfg, [0, 1])
     for res in out:
         assert res.snr_empirical > 1e3
         assert res.cycle_slips == 0
 
 
 def test_forced_lock_equals_linearized_map():
-    """Open loop with phi' pinned to phibar reproduces the MAP filter path."""
-    design, noise = make_design(beta=2.0, lam=100.0)
-    cfg = PllConfig(design, noise, COHERENT, trials=1, seed=9, relinearize=0)
+    """Open loop with phi' pinned to phibar reproduces the MAP filter path,
+    relinearisation pass included."""
+    design = make_design(beta=2.0, lam=100.0)
+    cfg = PllConfig(design, trials=1, seed=9)
     # the public samplers must reproduce the simulator's own draws exactly
     m = sample_message(design.message, seed=9, trial=0)
     y0 = sample_vacuum(design.grid, seed=9, trial=0).y0
@@ -166,22 +187,25 @@ def test_forced_lock_equals_linearized_map():
     phi = phibar + y0 / design.two_alpha   # z' = y0 exactly at lock
     m_hat_map = linearized_map_estimate(design, phi)
     res = simulate_batch(cfg, [0], force_lock=True)[0]
-    # reproduce the trial's estimate path by hand: delayed MAP vs message
+    # reproduce the trial's estimate path by hand: one relinearisation pass
+    # at the MAP estimate's tracking error, then the delayed MAP filter
+    e_hat = design.mod.beta * m_hat_map - phibar
+    rec = phi - (np.sin(e_hat) - e_hat)
     g = design.grid
     gd = design.g.response * np.exp(-2j * np.pi * g.freqs * design.delay * g.dt)
-    m_hat_delayed = np.fft.ifft(np.fft.fft(phi) * gd).real
     d = design.delay
     sel = np.arange(4 * d, g.n_samples - 2 * d)
-    mse_by_hand = float(np.mean((m_hat_delayed[sel] - m[sel - d]) ** 2))
+    m_hat_rec = np.fft.ifft(np.fft.fft(rec) * gd).real
+    mse_by_hand = float(np.mean((m_hat_rec[sel] - m[sel - d]) ** 2))
     assert res.mse == pytest.approx(mse_by_hand, rel=1e-12)
-    # the delayed estimate is the circular shift of the undelayed MAP output
+    # the delayed MAP estimate is the circular shift of the undelayed one
+    m_hat_delayed = np.fft.ifft(np.fft.fft(phi) * gd).real
     assert np.max(np.abs(m_hat_delayed - np.roll(m_hat_map, d))) < 1e-10
 
 
 def test_one_sample_delay_mode():
     """The delayed loop tracks with a small prediction penalty and no slips."""
-    design, noise = make_design(beta=2.0, lam=100.0)
-    cfg = PllConfig(design, noise, COHERENT, trials=24, seed=15, feedback_delay=1)
+    cfg = PllConfig(make_design(beta=2.0, lam=100.0), trials=24, seed=15, feedback_delay=1)
     cell = run_cell(cfg)
     assert cell.total_slips == 0
     assert abs(cell.snr_empirical / 401.0 - 1.0) < 0.15
@@ -191,7 +215,7 @@ def test_one_sample_delay_mode():
 
 
 def test_tracker_taps_shapes():
-    design, _ = make_design()
+    design = make_design()
     t0 = tracking_taps(design, 0)
     t1 = tracking_taps(design, 1)
     half = design.grid.n_samples // 2
@@ -201,8 +225,7 @@ def test_tracker_taps_shapes():
 
 
 def test_below_threshold_collapse_and_slips():
-    design, noise = make_design(beta=8.0, lam=4.0)  # sigma0^2 = 1.39
-    cfg = PllConfig(design, noise, COHERENT, trials=12, seed=17)
+    cfg = PllConfig(make_design(beta=8.0, lam=4.0), trials=12, seed=17)  # sigma0^2 = 1.39
     cell = run_cell(cfg)
     assert cell.seeds_with_slips == 12
     linear = closed_form_snr(LPM, 8.0, 4.0)[1]
@@ -213,8 +236,7 @@ def test_below_threshold_collapse_and_slips():
 def test_squeezed_feedback_variant():
     r = 0.5
     lam = 4.0 * (10.0 - np.sinh(r) ** 2) * np.exp(2.0 * r)
-    design, noise = make_design(beta=1.0, lam=lam, r=r)
-    cfg = PllConfig(design, noise, SQUEEZED_Z, trials=32, seed=19)
+    cfg = PllConfig(make_design(beta=1.0, lam=lam, r=r), trials=32, seed=19)
     cell = run_cell(cfg)
     assert abs(cell.snr_empirical / (lam + 1.0) - 1.0) < 0.15
 
@@ -239,7 +261,7 @@ def test_phase_squeezed_no_feedback_variant():
     design = design_loop(msg, mod, alpha, noise)
     lhs, ok = threshold_check(LPM2, beta, lam, r=r)
     assert ok  # squeezing constraint satisfied at this operating point
-    cell = run_cell(PllConfig(design, noise, PHASE_SQUEEZED, trials=48, seed=23))
+    cell = run_cell(PllConfig(design, trials=48, seed=23))
     leak = 1.0 + cell.sigma0_sq_empirical * np.exp(4.0 * r)
     predicted = beta**2 * lam / leak + 1.0
     assert abs(cell.snr_empirical / predicted - 1.0) < 0.10
@@ -248,29 +270,18 @@ def test_phase_squeezed_no_feedback_variant():
     assert cell.snr_empirical < lam + 1.0  # but below the leak-free ideal
 
 
-def test_variant_noise_consistency():
-    design, noise = make_design()
-    with pytest.raises(ValueError):
-        PllConfig(design, noise, SQUEEZED_Z, trials=1, seed=1)
-    design_sq, noise_sq = make_design(r=0.4)
-    with pytest.raises(ValueError):
-        PllConfig(design_sq, noise_sq, COHERENT, trials=1, seed=1)
-
-
 def test_oversampling_guard():
     grid = TimeGrid(1.0, 4096)
     msg = MessageSpec.flat(grid, 255)  # B/b = 16 < 32
     mod = ModulationScheme.pm(1.0, msg.bandwidth)
     alpha, _ = operating_point(msg, lam=100.0)
     design = design_loop(msg, mod, alpha)
-    noise = NoiseModel(COHERENT, alpha)
     with pytest.raises(ValueError):
-        PllConfig(design, noise, COHERENT, trials=1, seed=1)
+        PllConfig(design, trials=1, seed=1)
 
 
 def test_aggregate_in_lock_policy():
-    design, noise = make_design()
-    base = run_trial(PllConfig(design, noise, COHERENT, trials=1, seed=2))
+    base = simulate_batch(PllConfig(make_design(), trials=1, seed=2), [0])[0]
     slipped = type(base)(seed=2, trial=1, mse=100.0, snr_empirical=0.01,
                          sigma0_sq_empirical=10.0, cycle_slips=3)
     cell = aggregate([base, slipped])
