@@ -1,0 +1,70 @@
+/*
+ * Inner loop of one tracker history block for every row of a batch.
+ *
+ * qdemod.pll forms the block's per-sample constants, (n, rows) arrays in C
+ * order, and the contribution of the records before the block (folded into
+ * cbase).  This function adds the lags inside the block, closes the loop
+ * sample by sample and writes the block's records and tracker outputs; it is
+ * the compiled form of pll._track_block and follows its arithmetic operation
+ * for operation, so build it without floating-point contraction.
+ *
+ * Per sample i and row r, with k = 1 - l0 and c = cbase - (in-block lags):
+ *   l0 == 0: u = c (the closure is explicit);
+ *   else:    u += dpsi, then Newton on k u + lamp sin u = c, at most
+ *            NEWTON_STEPS steps, each clipped to +-1 rad, stopping once the
+ *            row's own step is below NEWTON_TOL.
+ * Then phip = q - u and rec = r0 + (amp sin u - u).  A NaN step is never
+ * clipped and never stops the iteration.
+ */
+#include <math.h>
+#include <stddef.h>
+
+#define NEWTON_STEPS 8
+#define NEWTON_TOL 1e-13
+
+/* trev holds the tracker taps for lags nt-1 .. 1; u carries each row's
+ * closure state from block to block; rec and phip have at least n rows of
+ * `rows` entries. */
+void track_block(int n, int rows, int nt, double l0,
+                 const double *cbase, const double *lamp, const double *amp,
+                 const double *dpsi, const double *q, const double *r0,
+                 const double *trev, double *u, double *rec, double *phip)
+{
+    const double k = 1.0 - l0;
+    const double tol2 = NEWTON_TOL * NEWTON_TOL;
+    for (int i = 0; i < n; i++) {
+        const size_t o = (size_t)i * rows;
+        const double *w = trev + (nt - 1 - i);  /* weights of lags i .. 1 */
+        double *lag = rec + o;  /* sample i's record slot holds its lag sum */
+        for (int r = 0; r < rows; r++)
+            lag[r] = 0.0;
+        for (int j = 0; j < i; j++) {
+            const double wj = w[j];
+            const double *rj = rec + (size_t)j * rows;
+            for (int r = 0; r < rows; r++)
+                lag[r] += wj * rj[r];
+        }
+        for (int r = 0; r < rows; r++) {
+            const double c = cbase[o + r] - lag[r];
+            double ur;
+            if (l0 == 0.0) {
+                ur = c;
+            } else {
+                const double li = lamp[o + r];
+                ur = u[r] + dpsi[o + r];
+                for (int it = 0; it < NEWTON_STEPS; it++) {
+                    double step = (ur * k + sin(ur) * li - c) / (cos(ur) * li + k);
+                    const double sq = step * step;
+                    if (sq > 1.0)
+                        step = step > 0.0 ? 1.0 : -1.0;
+                    ur -= step;
+                    if (sq < tol2)
+                        break;
+                }
+            }
+            u[r] = ur;
+            phip[o + r] = q[o + r] - ur;
+            rec[o + r] = r0[o + r] + (sin(ur) * amp[o + r] - ur);
+        }
+    }
+}

@@ -1,0 +1,105 @@
+"""Build and load the compiled tracker block (_tracker.c) through ctypes.
+
+The library is built on the first call to load(), with the interpreter's C
+compiler and flags that keep its rounding equal to the numpy block loop's, and
+cached in this package's __pycache__ under a hash of the source and the flags,
+so later processes only load it.  Where __pycache__ is not writable it is
+built into a private temporary directory for this process alone.  load()
+returns None when there is no compiler or the build fails; pll then runs its
+numpy block loop instead.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_tracker.c")
+# No -ffast-math or -march=native, and no fused multiply-adds: the kernel
+# must round like the numpy loop and rebuild to the same results anywhere.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_loaded = {}  # "kernel": the Kernel or None, once load() has run
+
+
+class Kernel:
+    """track_block of the loaded library behind the numpy loop's signature."""
+
+    def __init__(self, lib: ctypes.CDLL, digest: str):
+        self.digest = digest
+        self._fn = lib.track_block
+        arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+        self._fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
+                             arr, arr, arr, arr, arr, arr, arr, arr, arr, arr]
+        self._fn.restype = None
+
+    def __call__(self, l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
+        n, rows = cbase.shape
+        nt = trev.size + 1
+        if (any(a.shape != (n, rows) for a in (lamp, amp, dpsi, q, r0))
+                or u.shape != (rows,) or n > nt
+                or any(a.ndim != 2 or a.shape[0] < n or a.shape[1] != rows
+                       for a in (rec, phip))):
+            raise ValueError("tracker block arrays do not match")
+        self._fn(n, rows, nt, l0, cbase, lamp, amp, dpsi, q, r0, trev, u, rec, phip)
+
+
+def _compile(directory: Path, name: str) -> Path:
+    """Build the library into directory/name, replacing it atomically."""
+    directory.mkdir(exist_ok=True)
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    with tempfile.NamedTemporaryFile(dir=directory, suffix=".so", delete=False) as fh:
+        tmp = Path(fh.name)
+    try:
+        subprocess.run([*cc, *FLAGS, "-o", str(tmp), str(SOURCE), "-lm"],
+                       check=True, capture_output=True, timeout=120)
+        tmp.replace(directory / name)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return directory / name
+
+
+def _build() -> Kernel | None:
+    try:
+        source = SOURCE.read_bytes()
+    except OSError:  # an install without the source
+        return None
+    digest = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()[:16]
+    name = f"_tracker-{digest}.so"
+    cached = SOURCE.parent / "__pycache__" / name
+    try:
+        if not cached.exists():
+            _compile(cached.parent, name)
+        return Kernel(ctypes.CDLL(str(cached)), digest)
+    except (OSError, subprocess.SubprocessError):
+        pass  # no compiler, a failed build or an unwritable __pycache__
+    private = Path(tempfile.mkdtemp(prefix="qdemod-tracker-"))
+    try:
+        return Kernel(ctypes.CDLL(str(_compile(private, name))), digest)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        shutil.rmtree(private, ignore_errors=True)  # a loaded library stays mapped
+
+
+def load() -> Kernel | None:
+    """The compiled tracker block, built on first use; None if it cannot be."""
+    if "kernel" not in _loaded:
+        _loaded["kernel"] = _build()
+    return _loaded["kernel"]
+
+
+def describe() -> str:
+    """The tracker path this process has taken, for the run manifest."""
+    if "kernel" not in _loaded:
+        return "not run"
+    kernel = _loaded["kernel"]
+    return "numpy" if kernel is None else f"c kernel {kernel.digest}"

@@ -65,7 +65,12 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
 
 def _simulate_cell(cfg: dict, run_id: str, beta: float, r: float,
                    lam: float | None, n_photon: float | None):
-    """(CSV row, CellResult) of one Monte Carlo operating point."""
+    """(CSV row, CellResult) of one Monte Carlo operating point.
+
+    A given lam sizes the point; the n_photon column then reads NaN.
+    """
+    if lam is not None:
+        n_photon = None
     design, lam = _build_setup(cfg, beta, r, cfg["variant"], lam, n_photon)
     spectra = (design.s_m, design.h, design.four_alpha_sq, design.s2.values)
     pll_cfg = PllConfig(design, cfg["trials"], cfg["seed"],
@@ -78,7 +83,6 @@ def _simulate_cell(cfg: dict, run_id: str, beta: float, r: float,
         sigma0_analytic = limits_mod.sigma0_grid(*spectra)
     lhs = sigma0_analytic * float(np.exp(4.0 * r)) if cfg["variant"] == PHASE_SQUEEZED \
         else sigma0_analytic
-    n_photon = cfg.get("n_photon")
     row = {
         "run_id": run_id,
         "seed": cfg["seed"],

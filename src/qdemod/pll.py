@@ -24,9 +24,9 @@ in amplitude-phase form, sin e + z(e)/2|a| = A sin(e + psi) + z_off (A, psi
 from the sample's (x0, y0); A = 1, psi = 0, z_off = z'/2|a| for squeezed_z),
 so each sample solves (1 - l0) u + l0 A sin u = c for u = e + psi (explicitly
 when l0 = 0, as with feedback_delay=1).  Newton starts from the previous
-sample's error and stops once the 2-norm of the batch's step vector, and so
-every row's step, is below _NEWTON_TOL, after at most _NEWTON_STEPS (8) steps;
-the +-1 rad step clip runs only when that norm exceeds 1.
+sample's error and stops once each row's own step is below _NEWTON_TOL, after
+at most _NEWTON_STEPS (8) steps, clipping any step beyond +-1 rad; a NaN step
+is never clipped and runs to the cap.
 
 The tracker history is a uniformly partitioned convolution (Gardner, JAES
 43(3), 1995) over blocks of _BLOCK samples: one Toeplitz GEMM per block gives
@@ -34,7 +34,12 @@ every sample's contribution from the records before the block, and each
 sample adds only the lags inside its block.  The closure's per-sample
 constants (A, psi, the known part of c, the record offset) are formed once
 per block as well, so a sample costs the in-block lags, the Newton steps and
-the record write.
+the record write.  That per-sample loop is one call per block into a small C
+kernel (_tracker.c through ctypes), built with the interpreter's C compiler
+on the first closed-loop batch and cached under the package's __pycache__.
+Without a compiler, _track_block runs the same loop in numpy with rows in
+lockstep; it stops on the 2-norm of the batch's step vector and clips only
+when that norm exceeds 1, and agrees with the kernel to rounding level.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the undelayed MAP estimate's tracking error; the delayed MAP
@@ -43,9 +48,9 @@ filter G exp(-i w d dt) then gives the message estimate.
 Trials are vectorised in lockstep; every trial draws from its own
 counter-based stream, so its draws do not depend on the batch.  Results are
 bit-identical for a given (config, master seed, trial index, batching);
-across batch sizes they agree to rounding level (rel 1e-12), because the
-tracker's BLAS reductions may order their sums differently and the Newton
-stop rule is batch-wide.
+across batch sizes they agree to rounding level (rel 1e-12).  The kernel's
+per-row stop rule makes the closure row-local, but the BLAS history GEMM and
+the batched FFTs may still order their sums by batch.
 
 Each trial starts in lock (tracker history seeded with the steady-state
 record): acquisition transients are out of scope, and a cold start at
@@ -62,6 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_toeplitz, toeplitz
 
+from . import _tracker
 from .grids import color_noise
 from .qnoise import COHERENT, SQUEEZED_Z, squeezed_covariance_psds
 from .rng import stream
@@ -69,7 +75,7 @@ from .signals import FM, message_psd, modulate
 from .wiener import LoopDesign
 
 _NEWTON_STEPS = 8  # hard cap on Newton steps per sample
-_NEWTON_TOL = 1e-13  # stop once the batch's step 2-norm is below this (rad)
+_NEWTON_TOL = 1e-13  # Newton stop threshold on the step (rad)
 _DIVERGENCE_LIMIT = 1e3
 _BATCH = 64  # trials per lockstep batch in run_cell
 _BLOCK = 64  # samples per tracker history block
@@ -162,6 +168,52 @@ def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
     return np.concatenate(([0.0], solve_toeplitz((ut[:n], ut[:n]), vt[1: n + 1])))
 
 
+def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
+    """Inner loop of one history block, all rows in lockstep (numpy form).
+
+    The fallback of the compiled _tracker.c and its reference in the tests,
+    with the same arguments: (n, rows) per-sample constants, taps trev for
+    lags nt-1 .. 1, the closure state u (updated in place) and the block's
+    record and tracker-output rows rec and phip (written).  Newton stops
+    once the 2-norm of the batch's step vector is below _NEWTON_TOL, and
+    clips every step to +-1 rad when that norm exceeds 1.
+    """
+    n = cbase.shape[0]
+    nt = trev.size + 1
+    k = 1.0 - l0
+    tol2 = _NEWTON_TOL**2
+    c, s, den, step = (np.empty_like(u) for _ in range(4))
+    for i in range(n):
+        np.subtract(cbase[i], np.dot(trev[nt - 1 - i:], rec[:i]), out=c)
+        if l0 == 0.0:
+            u[:] = c  # l0 = 0: the closure is explicit
+        else:
+            u += dpsi[i]
+            li = lamp[i]
+            for _ in range(_NEWTON_STEPS):
+                np.sin(u, out=s)
+                s *= li
+                np.cos(u, out=den)
+                den *= li
+                den += k
+                np.multiply(u, k, out=step)
+                step += s
+                step -= c
+                step /= den
+                sq = step.dot(step)
+                if sq > 1.0:  # some |step| may exceed 1 rad: clip
+                    np.minimum(step, 1.0, out=step)
+                    np.maximum(step, -1.0, out=step)
+                u -= step
+                if sq < tol2:
+                    break
+        np.subtract(q[i], u, out=phip[i])
+        np.sin(u, out=s)
+        s *= amp[i]
+        s -= u
+        np.add(r0[i], s, out=rec[i])
+
+
 def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
     """Run a batch of trials in lockstep; returns a list of TrialResult.
 
@@ -180,7 +232,10 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
     l0 = taps[0]
     trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
 
-    gd = design.g.response * np.exp(-2j * np.pi * g.freqs * design.delay * g.dt)
+    # G and the delayed G exp(-i w d dt) are Hermitian: filter with real FFTs
+    half = m // 2 + 1
+    gr = design.g.response[:half]
+    gd = gr * np.exp(-2j * np.pi * g.freqs[:half] * design.delay * g.dt)
 
     # Per trial: the message on stream (seed, trial, 0), the quadrature
     # noise on (seed, trial, 1) -- white (x0, y0) for coherent light, the
@@ -222,12 +277,11 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
         kb = min(_BLOCK, nt)
         toep = toeplitz(trev, np.zeros(kb))
         rec_blk, phip_blk = np.empty((kb, n_t)), np.empty((kb, n_t))
-        # Newton closure state, one entry per row, reused by every sample;
-        # u = e + psi starts from the previous sample's error (0 at j = 0).
-        k = 1.0 - l0
-        tol2 = _NEWTON_TOL**2
-        u, c, s, den, step = (np.zeros(n_t) for _ in range(5))
+        # u = e + psi, one entry per row, carries the closure from sample to
+        # sample and block to block; it starts at 0.
+        u = np.zeros(n_t)
         psi_prev = np.zeros(n_t)
+        track = _tracker.load() or _track_block
         for j0 in range(0, m, kb):
             n = min(kb, m - j0)
             known = toep[:, :n].T @ fr[:, j0 + 1: j0 + nt].T
@@ -244,45 +298,15 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
                 dpsi = np.diff(psi, axis=0, prepend=psi_prev[None])
                 psi_prev = psi[-1]
             else:
-                amp, psi = np.ones_like(pb), 0.0
+                amp, psi, dpsi = np.ones_like(pb), 0.0, np.zeros_like(pb)
                 zoff = np.ascontiguousarray(zrec[:, j0: j0 + n].T) / twoa
             # The tracker output is pb - e = q - u with q = pb + psi and the
             # record is q - u + amp sin u + zoff = r0 - u + amp sin u, so the
             # closure is k u + l0 amp sin u = cbase - (in-block history).
             q = pb + psi
             r0 = q + zoff
-            cbase = k * q - l0 * zoff - known
-            lamp = l0 * amp
-            for i in range(n):
-                np.subtract(cbase[i], np.dot(trev[nt - 1 - i:], rec_blk[:i]), out=c)
-                if l0 == 0.0:
-                    u[:] = c  # l0 = 0: the closure is explicit
-                else:
-                    if zrec is None:
-                        u += dpsi[i]
-                    li = lamp[i]
-                    for _ in range(_NEWTON_STEPS):
-                        np.sin(u, out=s)
-                        s *= li
-                        np.cos(u, out=den)
-                        den *= li
-                        den += k
-                        np.multiply(u, k, out=step)
-                        step += s
-                        step -= c
-                        step /= den
-                        sq = step.dot(step)
-                        if sq > 1.0:  # some |step| may exceed 1 rad: clip
-                            np.minimum(step, 1.0, out=step)
-                            np.maximum(step, -1.0, out=step)
-                        u -= step
-                        if sq < tol2:
-                            break
-                np.subtract(q[i], u, out=phip_blk[i])
-                np.sin(u, out=s)
-                s *= amp[i]
-                s -= u
-                np.add(r0[i], s, out=rec_blk[i])
+            cbase = (1.0 - l0) * q - l0 * zoff - known
+            track(l0, trev, cbase, l0 * amp, amp, dpsi, q, r0, u, rec_blk, phip_blk)
             fr[:, nt + j0: nt + j0 + n] = rec_blk[:n].T
             phip[:, j0: j0 + n] = phip_blk[:n].T
         phirec = fr[:, nt:]
@@ -295,10 +319,10 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
             f"loop diverged (max |phibar - phi'| = {worst:.3e})",
             worst, trial_indices[bad])
 
-    m_hat0 = np.fft.ifft(np.fft.fft(phirec, axis=1) * design.g.response, axis=1).real
+    m_hat0 = np.fft.irfft(np.fft.rfft(phirec, axis=1) * gr, n=m, axis=1)
     e_hat = modulate(design.mod, g, m_hat0) - phip
     rec = phirec - (np.sin(e_hat) - e_hat)
-    m_hat = np.fft.ifft(np.fft.fft(rec, axis=1) * gd, axis=1).real
+    m_hat = np.fft.irfft(np.fft.rfft(rec, axis=1) * gd, n=m, axis=1)
 
     d = design.delay
     lo, hi = 4 * d, m - 2 * d

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
+from . import _tracker
+
 CSV_COLUMNS = (
     "run_id", "seed", "variant", "mod_kind", "beta", "lambda", "n_photon",
     "r", "snr_empirical", "snr_stderr", "snr_analytic", "sigma0_sq",
@@ -47,7 +49,9 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _environment() -> dict:
-    """Interpreter, library, BLAS and platform versions plus BLAS thread settings."""
+    """Interpreter, library, BLAS and platform versions, the CPU count, the
+    closed-loop tracker this process ran (c kernel <hash>, numpy or not run)
+    and the BLAS thread settings."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 only prints its build configuration
@@ -58,6 +62,8 @@ def _environment() -> dict:
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
         "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "tracker": _tracker.describe(),
     }
     for var in _THREAD_VARS:
         env[var] = os.environ.get(var, "unset")

@@ -149,8 +149,8 @@ def modulate(mod: ModulationScheme, grid: TimeGrid, message: np.ndarray) -> np.n
     message = np.asarray(message, dtype=float)
     if mod.kind == PM:
         return mod.beta * message
-    h = phase_response(mod, grid)
-    return np.fft.ifft(np.fft.fft(message) * h).real
+    h = phase_response(mod, grid)[: grid.n_samples // 2 + 1]  # Hermitian: real FFTs
+    return np.fft.irfft(np.fft.rfft(message) * h, n=grid.n_samples)
 
 
 def fm_phase_ramp(mod: ModulationScheme, grid: TimeGrid, message: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import os
+import re
+import shutil
 import string
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdemod import _tracker
 from qdemod.cli import cli_main
 from qdemod.config import (SCHEMAS, ConfigError, parse_config_text,
                            serialize_config)
@@ -157,6 +160,9 @@ def test_cli_limits_end_to_end(tmp_path, capsys):
     manifest = (out / "manifest.txt").read_text()
     assert "results.csv" in manifest and "beta = 2.0" in manifest
     assert f"numpy = {np.__version__}" in manifest
+    assert f"nproc = {os.cpu_count()}\n" in manifest
+    # limits runs no closed loop; an earlier simulation in this process may have
+    assert re.search(r"^tracker = (not run|numpy|c kernel [0-9a-f]{16})$", manifest, re.M)
 
 
 def test_python_m_qdemod(tmp_path):
@@ -169,6 +175,27 @@ def test_python_m_qdemod(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (out / "results.csv").exists()
+
+
+def test_python_m_qdemod_simulate_builds_tracker(tmp_path):
+    """A fresh copy of the package builds its tracker kernel on first use."""
+    pkg = tmp_path / "pkg"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "qdemod", pkg / "qdemod",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cfg = _write(tmp_path, "sim.cfg", "n_samples = 2048\nband_bins = 63\nbeta = 1.0\n"
+                 "lambda = 100\ntrials = 2\nseed = 5\n")
+    out = tmp_path / "out"
+    env = {k: v for k, v in os.environ.items() if k != "QDEMOD_OUT"}
+    env["PYTHONPATH"] = str(pkg)
+    proc = subprocess.run([sys.executable, "-m", "qdemod", "simulate", cfg, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len((out / "results.csv").read_text().splitlines()) == 4
+    kernel = _tracker.load()
+    tracker = "numpy" if kernel is None else f"c kernel {kernel.digest}"
+    assert f"tracker = {tracker}\n" in (out / "manifest.txt").read_text()
+    built = list((pkg / "qdemod" / "__pycache__").glob("_tracker-*.so"))
+    assert len(built) == (kernel is not None)
 
 
 def test_cli_missing_key_exits_2(tmp_path, capsys):
@@ -261,6 +288,20 @@ def test_cli_sweep_small(tmp_path):
     assert cli_main(["sweep", cfg, "--out", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 2  # one cell
+
+
+def test_cli_sweep_n_photon_column_only_for_budgeted_points(tmp_path):
+    """Lambda sizes the r = 0 point and N the squeezed one; only the latter
+    carries N in the n_photon column."""
+    text = ("n_samples = 2048\nband_bins = 63\nbetas = 1.0\nlambdas = 100\n"
+            "n_photon = 10\nrs = 0, 0.5\ntrials = 1\nseed = 5\n")
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", text), "--out", str(out)]) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(float(r["lambda"]), float(r["r"])) for r in rows][0] == (100.0, 0.0)
+    assert np.isnan(float(rows[0]["n_photon"]))
+    assert float(rows[1]["n_photon"]) == 10.0 and float(rows[1]["r"]) == 0.5
 
 
 def test_cli_sweep_matches_single_trial_aggregate(tmp_path):

@@ -7,7 +7,7 @@ from qdemod.limits import PM as LPM
 from qdemod.limits import closed_form_snr, sigma0
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                            operating_point, resolve_lambda, sample_vacuum)
-from qdemod import pll
+from qdemod import _tracker, pll
 from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate,
                         cycle_slip_count, run_cell, simulate_batch, tracking_taps)
 from qdemod.signals import MessageSpec, ModulationScheme, sample_message
@@ -68,8 +68,8 @@ def assert_trial_deterministic(cfg):
     b = simulate_batch(cfg, [2])[0]
     assert a == b  # bit-identical for identical (config, seed, batching)
     # per-trial draws do not depend on the batch; the tracker's BLAS
-    # reduction order and the batch-wide Newton stop rule may differ, at
-    # rounding level
+    # reduction order (and the numpy fallback's batch-wide Newton stop rule)
+    # may differ, at rounding level
     batch = simulate_batch(cfg, [0, 1, 2, 3])
     assert batch[2].mse == pytest.approx(a.mse, rel=1e-12)
     assert batch[2].sigma0_sq_empirical == pytest.approx(a.sigma0_sq_empirical, rel=1e-12)
@@ -126,14 +126,16 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PINNED))
-def test_pinned_trial_results(case):
-    setup, extra, expected = PINNED[case]
+def pinned_results(case):
+    setup, extra, _ = PINNED[case]
     r = setup.get("r", 0.0)
     lam = resolve_lambda(r, n_photon=10.0) if r > 0 else 100.0
     design = make_design(**{"lam": lam, "n_samples": 2048, "band_bins": 63, **setup})
     cfg = PllConfig(design, trials=3, seed=41, **extra)
-    got = [(t.mse, t.sigma0_sq_empirical, t.cycle_slips) for t in simulate_batch(cfg)]
+    return [(t.mse, t.sigma0_sq_empirical, t.cycle_slips) for t in simulate_batch(cfg)]
+
+
+def assert_same_trials(got, expected):
     assert len(got) == len(expected)
     for (mse, s0, slips), (mse_x, s0_x, slips_x) in zip(got, expected):
         assert mse == pytest.approx(mse_x, rel=1e-12)
@@ -141,9 +143,114 @@ def test_pinned_trial_results(case):
         assert slips == slips_x
 
 
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_trial_results(case):
+    assert_same_trials(pinned_results(case), PINNED[case][2])
+
+
+def no_kernel(monkeypatch):
+    """Make the closed loop run the numpy block loop."""
+    monkeypatch.setattr(_tracker, "load", lambda: None)
+
+
+needs_kernel = pytest.mark.skipif(_tracker.load() is None,
+                                  reason="no C compiler: only the numpy loop exists")
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_kernel_matches_numpy_loop(case, monkeypatch):
+    kernel = pinned_results(case)
+    no_kernel(monkeypatch)
+    assert_same_trials(kernel, pinned_results(case))
+
+
+def block_inputs(trev_scale):
+    """Per-sample constants of one 40-sample, 3-row tracker block: row 1
+    takes a first Newton step far beyond the +-1 rad clip, row 0 turns NaN."""
+    rng = np.random.default_rng(7)
+    n, rows, nt = 40, 3, 50
+    trev = trev_scale * rng.standard_normal(nt - 1)
+    cbase, q, r0 = rng.standard_normal((3, n, rows))
+    amp = 1.0 + 0.1 * rng.standard_normal((n, rows))
+    dpsi = 0.1 * rng.standard_normal((n, rows))
+    cbase[5, 1] = 3.0e3
+    cbase[20, 0] = np.nan
+    return trev, cbase, amp, dpsi, q, r0
+
+
+def run_block(track, l0, inputs, sel):
+    """(records, tracker outputs) of the rows sel of a block through track."""
+    trev, *per_sample = inputs
+    cbase, amp, dpsi, q, r0 = (np.ascontiguousarray(a[:, sel]) for a in per_sample)
+    u = np.zeros(len(sel))
+    rec, phip = np.empty_like(cbase), np.empty_like(cbase)
+    track(l0, trev, cbase, l0 * amp, amp, dpsi, q, r0, u, rec, phip)
+    return rec, phip
+
+
+@needs_kernel
+@pytest.mark.parametrize("l0", [0.0, 0.4])
+def test_kernel_rows_are_independent(l0):
+    """The per-row stop rule makes a row's closure independent of the others,
+    and a NaN row is never clipped back to finite values."""
+    inputs = block_inputs(0.02)
+    rec, phip = run_block(_tracker.load(), l0, inputs, [0, 1, 2])
+    assert np.isnan(phip[20:, 0]).all() and np.isnan(rec[20:, 0]).all()
+    assert np.isfinite(phip[:20]).all() and np.isfinite(phip[:, 1:]).all()
+    alone = run_block(_tracker.load(), l0, inputs, [1, 2])
+    assert np.array_equal(rec[:, 1:], alone[0]) and np.array_equal(phip[:, 1:], alone[1])
+
+
+@needs_kernel
+@pytest.mark.parametrize("l0", [0.0, 0.4])
+def test_kernel_row_matches_numpy_block(l0):
+    """Without in-block lags a lone row takes the same steps in both loops:
+    warm start, clip, stop rule and record write agree bit for bit."""
+    inputs = block_inputs(0.0)
+    for row in range(3):
+        got = run_block(_tracker.load(), l0, inputs, [row])
+        want = run_block(pll._track_block, l0, inputs, [row])
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+
+
+def test_kernel_newton_constants_match():
+    text = _tracker.SOURCE.read_text()
+    assert f"#define NEWTON_STEPS {pll._NEWTON_STEPS}\n" in text
+    assert f"#define NEWTON_TOL {pll._NEWTON_TOL!r}\n" in text
+
+
+def test_tracker_build_cache_and_failure(tmp_path, monkeypatch):
+    """A build is cached next to its source; a failed build yields None."""
+    source = tmp_path / "_tracker.c"
+    source.write_bytes(_tracker.SOURCE.read_bytes())
+    monkeypatch.setattr(_tracker, "SOURCE", source)
+    kernel = _tracker._build()
+    if kernel is None:
+        pytest.skip("no C compiler: only the numpy loop exists")
+    assert (tmp_path / "__pycache__" / f"_tracker-{kernel.digest}.so").is_file()
+    compile_ = _tracker._compile
+    monkeypatch.setattr(_tracker, "_compile", None)  # the next build must not compile
+    assert _tracker._build().digest == kernel.digest
+    monkeypatch.setattr(_tracker, "_compile", compile_)
+    source.write_text("this is not C\n")
+    assert _tracker._build() is None
+    assert len(list((tmp_path / "__pycache__").iterdir())) == 1  # no debris
+
+
 def test_non_finite_error_is_divergence(monkeypatch):
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=1, seed=3)
     scale_quadrature_noise(monkeypatch, float("nan"))
+    kernel, blocks = _tracker.load(), []
+    if kernel is not None:  # the closed loop runs through the compiled kernel
+
+        def counted(*args):
+            blocks.append(kernel(*args))
+        monkeypatch.setattr(_tracker, "load", lambda: counted)
+    with pytest.raises(LoopDivergenceError):
+        simulate_batch(cfg, [0])
+    assert bool(blocks) == (kernel is not None)
+    no_kernel(monkeypatch)
     with pytest.raises(LoopDivergenceError):
         simulate_batch(cfg, [0])
     # open loop never diverges, but a NaN mse must not read as infinite SNR
