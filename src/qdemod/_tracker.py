@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ SOURCE = Path(__file__).with_name("_tracker.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _loaded = {}  # "kernel": the Kernel or None, once load() has run
+_lock = threading.Lock()  # one build, however many threads call load() at once
 
 
 class Kernel:
@@ -36,20 +38,25 @@ class Kernel:
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
         self._fn = lib.track_block
-        arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+        # Raw pointers, checked in __call__: numpy's ndpointer spends tens of
+        # microseconds a call in Python, holding the interpreter lock that
+        # the other batch threads are waiting for.
         self._fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
-                             arr, arr, arr, arr, arr, arr, arr, arr, arr, arr]
+                             *[ctypes.c_void_p] * 10]
         self._fn.restype = None
 
     def __call__(self, l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
         n, rows = cbase.shape
         nt = trev.size + 1
+        arrays = (cbase, lamp, amp, dpsi, q, r0, trev, u, rec, phip)
         if (any(a.shape != (n, rows) for a in (lamp, amp, dpsi, q, r0))
                 or u.shape != (rows,) or n > nt
                 or any(a.ndim != 2 or a.shape[0] < n or a.shape[1] != rows
-                       for a in (rec, phip))):
+                       for a in (rec, phip))
+                or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays)
+                or not all(a.flags.writeable for a in (u, rec, phip))):
             raise ValueError("tracker block arrays do not match")
-        self._fn(n, rows, nt, l0, cbase, lamp, amp, dpsi, q, r0, trev, u, rec, phip)
+        self._fn(n, rows, nt, l0, *[a.ctypes.data for a in arrays])
 
 
 def _compile(directory: Path, name: str) -> Path:
@@ -92,8 +99,9 @@ def _build() -> Kernel | None:
 
 def load() -> Kernel | None:
     """The compiled tracker block, built on first use; None if it cannot be."""
-    if "kernel" not in _loaded:
-        _loaded["kernel"] = _build()
+    with _lock:
+        if "kernel" not in _loaded:
+            _loaded["kernel"] = _build()
     return _loaded["kernel"]
 
 

@@ -45,12 +45,21 @@ After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the undelayed MAP estimate's tracking error; the delayed MAP
 filter G exp(-i w d dt) then gives the message estimate.
 
-Trials are vectorised in lockstep; every trial draws from its own
-counter-based stream, so its draws do not depend on the batch.  Results are
-bit-identical for a given (config, master seed, trial index, batching);
-across batch sizes they agree to rounding level (rel 1e-12).  The kernel's
-per-row stop rule makes the closure row-local, but the BLAS history GEMM and
-the batched FFTs may still order their sums by batch.
+Trials are vectorised in lockstep, in row groups of _GROUP (32) trials; the
+last group also takes a remainder of fewer rows.  Each group draws, tracks
+and estimates its own rows, and the groups of a batch run on up to
+max_workers() threads (the CPUs the process may use, divided by the threads
+of each BLAS call).  The groups never depend on the thread count, so neither
+do the results.  Every trial draws from its own counter-based stream, so its
+draws do not depend on the batch.  Results are bit-identical for a given
+(config, master seed, trial index, batching); across batch sizes they agree
+to rounding level (rel 1e-12).  The kernel's per-row stop rule makes the
+closure row-local, and a batched FFT row equals the lone row's FFT bit for
+bit, but a lone trial's history product goes to GEMV, a narrow group's
+(under ~1e6 multiply-adds per block) to OpenBLAS's small-matrix kernel, and
+a lone trial's mse is a pairwise sum where a group's is sequential.  A
+32-row group of a grid of n >= 1024 samples is wide enough, so its rows
+round as they would in one lockstep batch.
 
 Each trial starts in lock (tracker history seeded with the steady-state
 record): acquisition transients are out of scope, and a cold start at
@@ -62,6 +71,9 @@ statistics.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +91,8 @@ _NEWTON_TOL = 1e-13  # Newton stop threshold on the step (rad)
 _DIVERGENCE_LIMIT = 1e3
 _BATCH = 64  # trials per lockstep batch in run_cell
 _BLOCK = 64  # samples per tracker history block
+_GROUP = 32  # trials per row group, the unit of work of a batch's threads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class LoopDivergenceError(RuntimeError):
@@ -214,11 +228,110 @@ def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
         np.add(r0[i], s, out=rec[i])
 
 
-def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
-    """Run a batch of trials in lockstep; returns a list of TrialResult.
+def max_workers() -> int:
+    """The most threads a batch runs on: the CPUs this process may use,
+    divided by the threads of each BLAS call.  OpenBLAS takes every CPU
+    unless its variables (read in its order) pin fewer, and batch threads
+    on top of a threaded GEMM slow the batch down."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cpus // blas)
 
-    force_lock pins phi' = phibar (open loop) for cross-checks against the
-    batch linearised MAP estimate.
+
+def _row_groups(n_t: int) -> list:
+    """Slices of _GROUP rows; the last one also takes a remainder of fewer
+    rows, so a batch of under 2 * _GROUP rows runs as a single group."""
+    edges = [i * _GROUP for i in range(max(1, n_t // _GROUP))] + [n_t]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _run_groups(run, groups: list) -> None:
+    """run(rows) for every row group, on up to max_workers() threads.
+
+    One group or one worker runs in the calling thread.  Each pool thread
+    runs a group in a copy of the caller's context, so the caller's
+    np.errstate holds there too, and the error raised is the first failing
+    group's, as when the groups run one after another.
+    """
+    workers = min(max_workers(), len(groups))
+    if workers == 1:
+        for rows in groups:
+            run(rows)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        done = [pool.submit(contextvars.copy_context().run, run, rows) for rows in groups]
+        for future in done:
+            future.result()
+
+
+def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
+    """Closed loop of one row group, given its rows of the batch arrays.
+
+    Writes fr, the tracker's input (nt steady-state records, then the loop's
+    record), and phip, the tracker output.
+    """
+    n_t, m = phibar.shape
+    nt = taps.size
+    l0 = taps[0]
+    trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
+    hist = y0 if zrec is None else zrec
+    fr[:, :nt] = phibar[:, m - nt:] + hist[:, m - nt:] / twoa
+    # Blocked history: column i of toep weights the nt-1 records before a
+    # block by their lags to the block's sample i; lags inside the block
+    # come from rec_blk, the block's records so far, one row per sample.
+    # kb <= nt keeps every in-block lag below nt.
+    kb = min(_BLOCK, nt)
+    toep = toeplitz(trev, np.zeros(kb))
+    rec_blk, phip_blk = np.empty((kb, n_t)), np.empty((kb, n_t))
+    # u = e + psi, one entry per row, carries the closure from sample to
+    # sample and block to block; it starts at 0.
+    u = np.zeros(n_t)
+    psi_prev = np.zeros(n_t)
+    for j0 in range(0, m, kb):
+        n = min(kb, m - j0)
+        known = toep[:, :n].T @ fr[:, j0 + 1: j0 + nt].T
+        # Per-sample constants, (n, rows): sin e + z(e)/2|a| =
+        # amp sin(e + psi) + zoff; for (x0, y0) noise, (amp, psi) is the
+        # polar form of (1 + x0/2|a|, y0/2|a|).
+        pb = np.ascontiguousarray(phibar[:, j0: j0 + n].T)
+        if zrec is None:
+            xs = np.ascontiguousarray(x0[:, j0: j0 + n].T) / twoa
+            xs += 1.0
+            ys = np.ascontiguousarray(y0[:, j0: j0 + n].T) / twoa
+            amp, psi, zoff = np.hypot(xs, ys), np.arctan2(ys, xs), 0.0
+            # the warm start e_{j-1} + psi_j is u_{j-1} + (psi_j - psi_{j-1})
+            dpsi = np.diff(psi, axis=0, prepend=psi_prev[None])
+            psi_prev = psi[-1]
+        else:
+            amp, psi, dpsi = np.ones_like(pb), 0.0, np.zeros_like(pb)
+            zoff = np.ascontiguousarray(zrec[:, j0: j0 + n].T) / twoa
+        # The tracker output is pb - e = q - u with q = pb + psi and the
+        # record is q - u + amp sin u + zoff = r0 - u + amp sin u, so the
+        # closure is k u + l0 amp sin u = cbase - (in-block history).
+        q = pb + psi
+        r0 = q + zoff
+        cbase = (1.0 - l0) * q - l0 * zoff - known
+        track(l0, trev, cbase, l0 * amp, amp, dpsi, q, r0, u, rec_blk, phip_blk)
+        fr[:, nt + j0: nt + j0 + n] = rec_blk[:n].T
+        phip[:, j0: j0 + n] = phip_blk[:n].T
+
+
+def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
+    """Run a batch of trials; returns a list of TrialResult.
+
+    The batch runs as row groups (_row_groups) on up to max_workers()
+    threads, each group drawing, tracking and estimating its own rows;
+    results do not depend on the number of threads.  force_lock pins
+    phi' = phibar (open loop) for cross-checks against the batch linearised
+    MAP estimate.
     """
     design = cfg.design
     g = design.grid
@@ -226,11 +339,15 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
     trial_indices = list(range(cfg.trials) if trial_indices is None else trial_indices)
     n_t = len(trial_indices)
     twoa = design.two_alpha
+    d = design.delay
+    lo, hi = 4 * d, m - 2 * d
+    if hi - lo < m // 8:
+        raise ValueError("grid too short for the warm-up and edge exclusions")
 
     taps = tracking_taps(design, cfg.feedback_delay)
     nt = taps.size
-    l0 = taps[0]
-    trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
+    # built here, before any worker thread needs it
+    track = None if force_lock else (_tracker.load() or _track_block)
 
     # G and the delayed G exp(-i w d dt) are Hermitian: filter with real FFTs
     half = m // 2 + 1
@@ -248,70 +365,46 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
     x0 = np.zeros((n_t, m))
     y0 = np.zeros((n_t, m))
     zrec = np.empty((n_t, m)) if variant == SQUEEZED_Z else None
-    for row, trial in enumerate(trial_indices):
-        msg[row] = color_noise(stream(cfg.seed, trial, 0), s_msg)
-        rng = stream(cfg.seed, trial, 1)
-        if variant == COHERENT:
-            x0[row] = rng.standard_normal(m)
-            y0[row] = rng.standard_normal(m)
-        elif variant == SQUEEZED_Z:
-            zrec[row] = color_noise(rng, s2)
-        else:
-            x0[row] = color_noise(rng, s1)
-            y0[row] = color_noise(rng, s2)
+    phibar, phip, err = (np.empty((n_t, m)) for _ in range(3))
+    fr = np.empty((n_t, nt + m))  # tracker input; the record is fr[:, nt:]
+    mses = np.empty(n_t)
 
-    phibar = modulate(design.mod, g, msg)
-
-    phip = np.empty((n_t, m))
-    if force_lock:
-        phip[:] = phibar  # e = 0: the record is the phase-insensitive quadrature
-        phirec = phibar + (y0 if zrec is None else zrec) / twoa
-    else:
-        hist = y0 if zrec is None else zrec
-        fr = np.zeros((n_t, nt + m))
-        fr[:, :nt] = phibar[:, m - nt:] + hist[:, m - nt:] / twoa
-        # Blocked history: column i of toep weights the nt-1 records before a
-        # block by their lags to the block's sample i; lags inside the block
-        # come from rec_blk, the block's records so far, one row per sample.
-        # kb <= nt keeps every in-block lag below nt.
-        kb = min(_BLOCK, nt)
-        toep = toeplitz(trev, np.zeros(kb))
-        rec_blk, phip_blk = np.empty((kb, n_t)), np.empty((kb, n_t))
-        # u = e + psi, one entry per row, carries the closure from sample to
-        # sample and block to block; it starts at 0.
-        u = np.zeros(n_t)
-        psi_prev = np.zeros(n_t)
-        track = _tracker.load() or _track_block
-        for j0 in range(0, m, kb):
-            n = min(kb, m - j0)
-            known = toep[:, :n].T @ fr[:, j0 + 1: j0 + nt].T
-            # Per-sample constants, (n, rows): sin e + z(e)/2|a| =
-            # amp sin(e + psi) + zoff; for (x0, y0) noise, (amp, psi) is the
-            # polar form of (1 + x0/2|a|, y0/2|a|).
-            pb = np.ascontiguousarray(phibar[:, j0: j0 + n].T)
-            if zrec is None:
-                xs = np.ascontiguousarray(x0[:, j0: j0 + n].T) / twoa
-                xs += 1.0
-                ys = np.ascontiguousarray(y0[:, j0: j0 + n].T) / twoa
-                amp, psi, zoff = np.hypot(xs, ys), np.arctan2(ys, xs), 0.0
-                # the warm start e_{j-1} + psi_j is u_{j-1} + (psi_j - psi_{j-1})
-                dpsi = np.diff(psi, axis=0, prepend=psi_prev[None])
-                psi_prev = psi[-1]
+    def run_group(rows: slice) -> None:
+        for row in range(rows.start, rows.stop):
+            trial = trial_indices[row]
+            msg[row] = color_noise(stream(cfg.seed, trial, 0), s_msg)
+            rng = stream(cfg.seed, trial, 1)
+            if variant == COHERENT:
+                x0[row] = rng.standard_normal(m)
+                y0[row] = rng.standard_normal(m)
+            elif variant == SQUEEZED_Z:
+                zrec[row] = color_noise(rng, s2)
             else:
-                amp, psi, dpsi = np.ones_like(pb), 0.0, np.zeros_like(pb)
-                zoff = np.ascontiguousarray(zrec[:, j0: j0 + n].T) / twoa
-            # The tracker output is pb - e = q - u with q = pb + psi and the
-            # record is q - u + amp sin u + zoff = r0 - u + amp sin u, so the
-            # closure is k u + l0 amp sin u = cbase - (in-block history).
-            q = pb + psi
-            r0 = q + zoff
-            cbase = (1.0 - l0) * q - l0 * zoff - known
-            track(l0, trev, cbase, l0 * amp, amp, dpsi, q, r0, u, rec_blk, phip_blk)
-            fr[:, nt + j0: nt + j0 + n] = rec_blk[:n].T
-            phip[:, j0: j0 + n] = phip_blk[:n].T
-        phirec = fr[:, nt:]
+                x0[row] = color_noise(rng, s1)
+                y0[row] = color_noise(rng, s2)
+        phibar[rows] = modulate(design.mod, g, msg[rows])
 
-    err = phibar - phip
+        zrows = None if zrec is None else zrec[rows]
+        if force_lock:
+            phip[rows] = phibar[rows]  # e = 0: the record is the phase-insensitive quadrature
+            fr[rows, nt:] = phibar[rows] + (y0[rows] if zrows is None else zrows) / twoa
+        else:
+            _close_loop(track, taps, twoa, phibar[rows], x0[rows], y0[rows], zrows,
+                        fr[rows], phip[rows])
+        np.subtract(phibar[rows], phip[rows], out=err[rows])
+
+        phirec = fr[rows, nt:]
+        m_hat0 = np.fft.irfft(np.fft.rfft(phirec, axis=1) * gr, n=m, axis=1)
+        e_hat = modulate(design.mod, g, m_hat0) - phip[rows]
+        rec = phirec - (np.sin(e_hat) - e_hat)
+        m_hat = np.fft.irfft(np.fft.rfft(rec, axis=1) * gd, n=m, axis=1)
+        # column-major, so each row's mean adds its samples in order (a lone
+        # trial's row is contiguous either way, and numpy sums it pairwise)
+        est_err = np.subtract(m_hat[:, lo:hi], msg[rows, lo - d: hi - d], order="F")
+        mses[rows] = np.mean(est_err**2, axis=1)
+
+    _run_groups(run_group, _row_groups(n_t))
+
     worst = float(np.max(np.abs(err)))
     if not worst <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
         bad = int(np.argmax(np.max(np.abs(err), axis=1)))
@@ -319,22 +412,9 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
             f"loop diverged (max |phibar - phi'| = {worst:.3e})",
             worst, trial_indices[bad])
 
-    m_hat0 = np.fft.irfft(np.fft.rfft(phirec, axis=1) * gr, n=m, axis=1)
-    e_hat = modulate(design.mod, g, m_hat0) - phip
-    rec = phirec - (np.sin(e_hat) - e_hat)
-    m_hat = np.fft.irfft(np.fft.rfft(rec, axis=1) * gd, n=m, axis=1)
-
-    d = design.delay
-    lo, hi = 4 * d, m - 2 * d
-    if hi - lo < m // 8:
-        raise ValueError("grid too short for the warm-up and edge exclusions")
-    sel = np.arange(lo, hi)
-    est_err = m_hat[:, sel] - msg[:, sel - d]
-    mses = np.mean(est_err**2, axis=1)
-
     results = []
     for row, trial in enumerate(trial_indices):
-        e_win = err[row, sel]
+        e_win = err[row, lo:hi]
         slips = cycle_slip_count(e_win, 0.0)
         offset = 2.0 * np.pi * np.round(np.mean(e_win) / (2.0 * np.pi))
         s0 = float(np.mean((e_win - offset) ** 2))

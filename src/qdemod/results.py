@@ -11,6 +11,7 @@ import numpy as np
 import scipy
 
 from . import _tracker
+from .pll import max_workers
 
 CSV_COLUMNS = (
     "run_id", "seed", "variant", "mod_kind", "beta", "lambda", "n_photon",
@@ -50,8 +51,9 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _environment() -> dict:
     """Interpreter, library, BLAS and platform versions, the CPU count, the
-    closed-loop tracker this process ran (c kernel <hash>, numpy or not run)
-    and the BLAS thread settings."""
+    most threads a Monte Carlo batch runs on, the closed-loop tracker this
+    process ran (c kernel <hash>, numpy or not run) and the BLAS thread
+    settings."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 only prints its build configuration
@@ -63,6 +65,7 @@ def _environment() -> dict:
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
         "platform": platform.platform(),
         "nproc": os.cpu_count(),
+        "workers": max_workers(),
         "tracker": _tracker.describe(),
     }
     for var in _THREAD_VARS:

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -67,9 +71,11 @@ def assert_trial_deterministic(cfg):
     a = simulate_batch(cfg, [2])[0]
     b = simulate_batch(cfg, [2])[0]
     assert a == b  # bit-identical for identical (config, seed, batching)
-    # per-trial draws do not depend on the batch; the tracker's BLAS
-    # reduction order (and the numpy fallback's batch-wide Newton stop rule)
-    # may differ, at rounding level
+    # per-trial draws and FFT rows do not depend on the batch; the history
+    # product does (GEMV for a lone trial, OpenBLAS's small-matrix kernel for
+    # a few rows), as do the mse sum (pairwise for a lone trial, sequential
+    # otherwise) and the numpy fallback's batch-wide Newton stop rule, at
+    # rounding level
     batch = simulate_batch(cfg, [0, 1, 2, 3])
     assert batch[2].mse == pytest.approx(a.mse, rel=1e-12)
     assert batch[2].sigma0_sq_empirical == pytest.approx(a.sigma0_sq_empirical, rel=1e-12)
@@ -214,6 +220,24 @@ def test_kernel_row_matches_numpy_block(l0):
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
 
 
+@needs_kernel
+def test_kernel_rejects_mismatched_arrays():
+    """The kernel gets raw pointers, so every array is checked first."""
+    trev, cbase, amp, dpsi, q, r0 = block_inputs(0.02)
+    u = np.zeros(3)
+    rec, phip = np.empty_like(cbase), np.empty_like(cbase)
+    good = dict(trev=trev, cbase=cbase, lamp=0.4 * amp, amp=amp, dpsi=dpsi, q=q,
+                r0=r0, u=u, rec=rec, phip=phip)
+    frozen = np.empty_like(cbase)
+    frozen.flags.writeable = False
+    for name, bad in (("q", q[:, :2]), ("u", np.zeros(2)), ("trev", trev[:10]),
+                      ("amp", np.asfortranarray(amp)), ("dpsi", dpsi.astype(np.float32)),
+                      ("rec", rec[:, :2]), ("phip", frozen)):
+        with pytest.raises(ValueError):
+            _tracker.load()(0.4, **{**good, name: bad})
+    _tracker.load()(0.4, **good)
+
+
 def test_kernel_newton_constants_match():
     text = _tracker.SOURCE.read_text()
     assert f"#define NEWTON_STEPS {pll._NEWTON_STEPS}\n" in text
@@ -236,6 +260,139 @@ def test_tracker_build_cache_and_failure(tmp_path, monkeypatch):
     source.write_text("this is not C\n")
     assert _tracker._build() is None
     assert len(list((tmp_path / "__pycache__").iterdir())) == 1  # no debris
+
+
+@needs_kernel
+def test_tracker_first_load_builds_once(tmp_path, monkeypatch):
+    """Two threads making the first load() at once compile the kernel once."""
+    source = tmp_path / "_tracker.c"
+    source.write_bytes(_tracker.SOURCE.read_bytes())
+    monkeypatch.setattr(_tracker, "SOURCE", source)
+    monkeypatch.setattr(_tracker, "_loaded", {})
+    compile_, calls = _tracker._compile, []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_(*args)
+    monkeypatch.setattr(_tracker, "_compile", counted)
+    start = threading.Barrier(2)
+
+    def first_load(_):
+        start.wait()
+        return _tracker.load()
+    with ThreadPoolExecutor(2) as pool:
+        kernels = list(pool.map(first_load, range(2)))
+    assert len(calls) == 1
+    assert kernels[0] is kernels[1] is not None
+
+
+def test_max_workers_shares_the_cpus_with_blas(monkeypatch):
+    monkeypatch.setattr(pll.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for var in pll._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert pll.max_workers() == 1  # unpinned BLAS threads take every CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert pll.max_workers() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP_NUM_THREADS
+    assert pll.max_workers() == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a count: the next variable
+    assert pll.max_workers() == 2
+    monkeypatch.setenv("OMP_NUM_THREADS", "8")
+    assert pll.max_workers() == 1
+
+
+def with_one_and_two_workers(monkeypatch, run):
+    """run() with a batch's threads capped at one, then at two."""
+    out = []
+    for n in (1, 2):
+        monkeypatch.setattr(pll, "max_workers", lambda n=n: n)
+        out.append(run())
+    return out
+
+
+WORKER_CASES = {
+    "coherent": (dict(), 64, {}),
+    "squeezed_z": (dict(variant=SQUEEZED_Z, beta=1.0, r=0.5,
+                        lam=resolve_lambda(0.5, n_photon=10.0)), 64, {}),
+    "trials_72": (dict(), 72, {}),  # row groups of 32 and 40
+    "force_lock": (dict(), 64, dict(force_lock=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_CASES))
+def test_worker_count_never_changes_results(case, monkeypatch):
+    setup, trials, extra = WORKER_CASES[case]
+    design = make_design(n_samples=2048, band_bins=63, **setup)
+    cfg = PllConfig(design, trials=trials, seed=29)
+    one, two = with_one_and_two_workers(monkeypatch, lambda: simulate_batch(cfg, **extra))
+    assert one == two
+    if not extra:
+        one, two = with_one_and_two_workers(monkeypatch, lambda: run_cell(cfg))
+        assert one == two
+
+
+def test_more_workers_than_cpus_under_fast_switching(monkeypatch):
+    """Five groups on four workers, switching threads every microsecond:
+    a group that wrote outside its rows would change the results."""
+    cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=160, seed=31)
+    monkeypatch.setattr(pll, "max_workers", lambda: 1)
+    want = simulate_batch(cfg)
+    monkeypatch.setattr(pll, "max_workers", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = simulate_batch(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_row_groups_do_not_follow_the_worker_count(monkeypatch):
+    sizes = [[g.stop - g.start for g in pll._row_groups(n)] for n in (1, 40, 63, 64, 95, 96)]
+    assert sizes == [[1], [40], [63], [32, 32], [32, 63], [32, 32, 32]]
+    seen, close_loop = [], pll._close_loop
+
+    def spy(track, taps, twoa, phibar, *rest):
+        seen.append(phibar.shape[0])
+        close_loop(track, taps, twoa, phibar, *rest)
+    monkeypatch.setattr(pll, "_close_loop", spy)
+    cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=72, seed=29)
+    with_one_and_two_workers(monkeypatch, lambda: simulate_batch(cfg))
+    assert sorted(seen) == [32, 32, 40, 40]
+
+
+def test_worker_threads_keep_the_callers_errstate(monkeypatch):
+    """Infinite quadrature draws for the second row group only: its history
+    product is invalid, and the caller's np.errstate, copied to the pool
+    threads, makes that the same error on any worker count."""
+    cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=64, seed=3)
+    real = pll.stream
+
+    def fake(seed, trial, purpose):
+        rng = real(seed, trial, purpose)
+        return _ScaledStream(rng, float("inf")) if purpose == 1 and trial >= 32 else rng
+    monkeypatch.setattr(pll, "stream", fake)
+
+    def run():
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError) as err:
+            simulate_batch(cfg)
+        return str(err.value)
+    one, two = with_one_and_two_workers(monkeypatch, run)
+    assert one == two
+
+
+def test_first_failing_group_raises(monkeypatch):
+    """The error raised is the first failing group's, whichever thread ran it."""
+    groups = pll._row_groups(160)
+
+    def run(rows):
+        if rows.start >= 64:
+            raise ValueError(rows.start)
+    for n in (1, 2, 4):
+        monkeypatch.setattr(pll, "max_workers", lambda n=n: n)
+        with pytest.raises(ValueError) as err:
+            pll._run_groups(run, groups)
+        assert err.value.args == (64,)
 
 
 def test_non_finite_error_is_divergence(monkeypatch):
