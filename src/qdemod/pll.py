@@ -29,17 +29,20 @@ at most _NEWTON_STEPS (8) steps, clipping any step beyond +-1 rad; a NaN step
 is never clipped and runs to the cap.
 
 The tracker history is a uniformly partitioned convolution (Gardner, JAES
-43(3), 1995) over blocks of _BLOCK samples: one Toeplitz GEMM per block gives
-every sample's contribution from the records before the block, and each
-sample adds only the lags inside its block.  The closure's per-sample
-constants (A, psi, the known part of c, the record offset) are formed once
-per block as well, so a sample costs the in-block lags, the Newton steps and
-the record write.  That per-sample loop is one call per block into a small C
-kernel (_tracker.c through ctypes), built with the interpreter's C compiler
-on the first closed-loop batch and cached under the package's __pycache__.
-Without a compiler, _track_block runs the same loop in numpy with rows in
-lockstep; it stops on the 2-norm of the batch's step vector and clips only
-when that norm exceeds 1, and agrees with the kernel to rounding level.
+43(3), 1995) over blocks of _BLOCK (128) samples.  The lags that reach
+before a block come from an overlap-save FFT delay line (_far_history): the
+spectrum of each written block is stored once, and a block's history is one
+inverse FFT of the stored spectra times the taps' partition spectra.  Each
+sample then adds only the lags inside its block.  The closure's
+per-sample constants (A, psi, the known part of c, the record offset) are
+formed once per block as well, so a sample costs the in-block lags, the
+Newton steps and the record write.  That per-sample loop is one call per
+block into a small C kernel (_tracker.c through ctypes), built with the
+interpreter's C compiler on the first closed-loop batch and cached under
+the package's __pycache__.  Without a compiler, _track_block runs the same
+loop in numpy with rows in lockstep; it stops on the 2-norm of the batch's
+step vector and clips only when that norm exceeds 1, and agrees with the
+kernel to rounding level.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the undelayed MAP estimate's tracking error; the delayed MAP
@@ -49,17 +52,14 @@ Trials are vectorised in lockstep, in row groups of _GROUP (32) trials; the
 last group also takes a remainder of fewer rows.  Each group draws, tracks
 and estimates its own rows, and the groups of a batch run on up to
 max_workers() threads (the CPUs the process may use, divided by the threads
-of each BLAS call).  The groups never depend on the thread count, so neither
-do the results.  Every trial draws from its own counter-based stream, so its
-draws do not depend on the batch.  Results are bit-identical for a given
-(config, master seed, trial index, batching); across batch sizes they agree
-to rounding level (rel 1e-12).  The kernel's per-row stop rule makes the
-closure row-local, and a batched FFT row equals the lone row's FFT bit for
-bit, but a lone trial's history product goes to GEMV, a narrow group's
-(under ~1e6 multiply-adds per block) to OpenBLAS's small-matrix kernel, and
-a lone trial's mse is a pairwise sum where a group's is sequential.  A
-32-row group of a grid of n >= 1024 samples is wide enough, so its rows
-round as they would in one lockstep batch.
+of each BLAS call).  Every trial draws from its own counter-based stream,
+and every later step is row-wise: the FFT rows, the history's products
+summed over partitions in a fixed order, the kernel's per-row Newton stop
+and the mse, a pairwise sum over the trial's contiguous row.  So with the
+kernel a trial's result is bit-identical whatever its batch, row group or
+thread count.  The numpy fallback's Newton stop rule is batch-wide: there,
+batches agree to rounding level (rel 1e-12), and the thread count still
+never changes the results, since the groups do not follow it.
 
 Each trial starts in lock (tracker history seeded with the steady-state
 record): acquisition transients are out of scope, and a cold start at
@@ -77,7 +77,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_toeplitz, toeplitz
+from scipy.linalg import solve_toeplitz
 
 from . import _tracker
 from .grids import color_noise
@@ -90,7 +90,7 @@ _NEWTON_STEPS = 8  # hard cap on Newton steps per sample
 _NEWTON_TOL = 1e-13  # Newton stop threshold on the step (rad)
 _DIVERGENCE_LIMIT = 1e3
 _BATCH = 64  # trials per lockstep batch in run_cell
-_BLOCK = 64  # samples per tracker history block
+_BLOCK = 128  # samples per tracker history block
 _GROUP = 32  # trials per row group, the unit of work of a batch's threads
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -248,7 +248,9 @@ def max_workers() -> int:
 
 def _row_groups(n_t: int) -> list:
     """Slices of _GROUP rows; the last one also takes a remainder of fewer
-    rows, so a batch of under 2 * _GROUP rows runs as a single group."""
+    rows, so a batch of under 2 * _GROUP rows runs as a single group.  On
+    the kernel path a group's width never changes its rows' bits; the
+    remainder rule only balances the load."""
     edges = [i * _GROUP for i in range(max(1, n_t // _GROUP))] + [n_t]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -272,6 +274,57 @@ def _run_groups(run, groups: list) -> None:
             future.result()
 
 
+def _far_history(taps, kb, fr):
+    """Each loop block's history from the records before it, (rows, kb).
+
+    fr holds nt = taps.size steady-state records, then the loop's record in
+    blocks of kb <= nt samples.  Entry i of a block's history sums
+    taps[lag] * record over the lags that reach before the block, i < lag <
+    nt.  The caller writes a block's records into fr before it asks for the
+    next block's history.
+
+    Uniformly partitioned overlap-save convolution (Gardner, JAES 43(3),
+    1995).  Let x be fr padded with zeros at the front to whole blocks, H_p
+    the spectrum of the taps for lags p kb .. p kb + kb - 1 (zero past nt)
+    and Z_k = rfft([x_{k-1}, 0]), stored once per block.  Block b's history
+    is the last kb samples of irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p) with
+    W_k = rfft([x_{k-1}, x_k]) = Z_k + (-1)^f Z_{k+1}; the zero half of Z_b
+    keeps the block itself out.  Collected by Z, the sum is sum_p Z_{b-p} G_p
+    with G_p = H_p + (-1)^f H_{p+1}, so a block costs one forward FFT, one
+    product and one inverse FFT.  Every step is row-wise, and the products
+    are summed oldest block first, so a row's history never depends on the
+    other rows.
+    """
+    rows, nt = fr.shape[0], taps.size
+    parts = -(-nt // kb)
+    front = parts * kb - nt
+    h = np.zeros((parts + 1, 2 * kb))
+    h[:parts, :kb] = np.concatenate((taps, np.zeros(front))).reshape(parts, kb)
+    hs = np.fft.rfft(h, axis=1)
+    g_old_first = (hs[:-1] + (-1.0) ** np.arange(kb + 1) * hs[1:])[::-1, None]
+
+    half = np.zeros((rows, 2 * kb))  # [x_{k-1}, 0]
+
+    def spectrum(k):  # Z_k; k = 1 comes first, while half's front is still 0
+        start = (k - 1) * kb - front
+        half[:, max(-start, 0): kb] = fr[:, max(start, 0): start + kb]
+        return np.fft.rfft(half, axis=1)
+
+    # zs[k % parts] holds Z_k for the parts blocks up to the current one
+    zs = np.empty((parts, rows, kb + 1), complex)
+    for k in range(1, parts):
+        zs[k] = spectrum(k)
+    prod = np.empty_like(zs)
+    acc = np.empty((rows, kb + 1), complex)
+    for b in range(parts, parts + -(-(fr.shape[1] - nt) // kb)):
+        s = b % parts
+        zs[s] = spectrum(b)
+        np.multiply(zs[s + 1:], g_old_first[: parts - 1 - s], out=prod[: parts - 1 - s])
+        np.multiply(zs[: s + 1], g_old_first[parts - 1 - s:], out=prod[parts - 1 - s:])
+        np.add.reduce(prod, axis=0, out=acc)
+        yield np.fft.irfft(acc, n=2 * kb, axis=1)[:, kb:]
+
+
 def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
     """Closed loop of one row group, given its rows of the batch arrays.
 
@@ -284,20 +337,17 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
     trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
     hist = y0 if zrec is None else zrec
     fr[:, :nt] = phibar[:, m - nt:] + hist[:, m - nt:] / twoa
-    # Blocked history: column i of toep weights the nt-1 records before a
-    # block by their lags to the block's sample i; lags inside the block
-    # come from rec_blk, the block's records so far, one row per sample.
-    # kb <= nt keeps every in-block lag below nt.
+    # Blocked history: _far_history gives the lags that reach before a
+    # block; lags inside the block come from rec_blk, the block's records so
+    # far, one row per sample.  kb <= nt keeps every in-block lag below nt.
     kb = min(_BLOCK, nt)
-    toep = toeplitz(trev, np.zeros(kb))
     rec_blk, phip_blk = np.empty((kb, n_t)), np.empty((kb, n_t))
     # u = e + psi, one entry per row, carries the closure from sample to
     # sample and block to block; it starts at 0.
     u = np.zeros(n_t)
     psi_prev = np.zeros(n_t)
-    for j0 in range(0, m, kb):
+    for j0, far in zip(range(0, m, kb), _far_history(taps, kb, fr)):
         n = min(kb, m - j0)
-        known = toep[:, :n].T @ fr[:, j0 + 1: j0 + nt].T
         # Per-sample constants, (n, rows): sin e + z(e)/2|a| =
         # amp sin(e + psi) + zoff; for (x0, y0) noise, (amp, psi) is the
         # polar form of (1 + x0/2|a|, y0/2|a|).
@@ -318,7 +368,7 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
         # closure is k u + l0 amp sin u = cbase - (in-block history).
         q = pb + psi
         r0 = q + zoff
-        cbase = (1.0 - l0) * q - l0 * zoff - known
+        cbase = (1.0 - l0) * q - l0 * zoff - far[:, :n].T
         track(l0, trev, cbase, l0 * amp, amp, dpsi, q, r0, u, rec_blk, phip_blk)
         fr[:, nt + j0: nt + j0 + n] = rec_blk[:n].T
         phip[:, j0: j0 + n] = phip_blk[:n].T
@@ -398,9 +448,8 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
         e_hat = modulate(design.mod, g, m_hat0) - phip[rows]
         rec = phirec - (np.sin(e_hat) - e_hat)
         m_hat = np.fft.irfft(np.fft.rfft(rec, axis=1) * gd, n=m, axis=1)
-        # column-major, so each row's mean adds its samples in order (a lone
-        # trial's row is contiguous either way, and numpy sums it pairwise)
-        est_err = np.subtract(m_hat[:, lo:hi], msg[rows, lo - d: hi - d], order="F")
+        # row-major, so each row's mean is a pairwise sum, as a lone row's is
+        est_err = m_hat[:, lo:hi] - msg[rows, lo - d: hi - d]
         mses[rows] = np.mean(est_err**2, axis=1)
 
     _run_groups(run_group, _row_groups(n_t))

@@ -55,6 +55,15 @@ def scale_quadrature_noise(monkeypatch, scale):
     monkeypatch.setattr(pll, "stream", fake)
 
 
+def no_kernel(monkeypatch):
+    """Make the closed loop run the numpy block loop."""
+    monkeypatch.setattr(_tracker, "load", lambda: None)
+
+
+needs_kernel = pytest.mark.skipif(_tracker.load() is None,
+                                  reason="no C compiler: only the numpy loop exists")
+
+
 def test_cycle_slip_count_basics():
     t = np.linspace(0.0, 1.0, 512)
     assert cycle_slip_count(np.zeros(512), np.zeros(512)) == 0
@@ -67,30 +76,57 @@ def test_cycle_slip_count_basics():
     assert cycle_slip_count(jitter, np.zeros(512)) == 0
 
 
-def assert_trial_deterministic(cfg):
+def assert_trial_deterministic(cfg, monkeypatch):
     a = simulate_batch(cfg, [2])[0]
     b = simulate_batch(cfg, [2])[0]
     assert a == b  # bit-identical for identical (config, seed, batching)
-    # per-trial draws and FFT rows do not depend on the batch; the history
-    # product does (GEMV for a lone trial, OpenBLAS's small-matrix kernel for
-    # a few rows), as do the mse sum (pairwise for a lone trial, sequential
-    # otherwise) and the numpy fallback's batch-wide Newton stop rule, at
-    # rounding level
+    # per-trial draws, FFT rows, tracker history, kernel closure and mse sum
+    # are all row-local: a trial's result does not depend on its batch
+    if _tracker.load() is not None:
+        assert simulate_batch(cfg, [0, 1, 2, 3])[2] == a
+    # the numpy fallback's Newton stop rule is batch-wide: rounding level
+    no_kernel(monkeypatch)
+    a = simulate_batch(cfg, [2])[0]
     batch = simulate_batch(cfg, [0, 1, 2, 3])
     assert batch[2].mse == pytest.approx(a.mse, rel=1e-12)
     assert batch[2].sigma0_sq_empirical == pytest.approx(a.sigma0_sq_empirical, rel=1e-12)
     assert batch[2].cycle_slips == a.cycle_slips
 
 
-def test_trial_results_deterministic():
-    assert_trial_deterministic(PllConfig(make_design(), trials=4, seed=11))
+def test_trial_results_deterministic(monkeypatch):
+    assert_trial_deterministic(PllConfig(make_design(), trials=4, seed=11), monkeypatch)
 
 
 @pytest.mark.parametrize("variant,r", [(SQUEEZED_Z, 0.5), (PHASE_SQUEEZED, 0.25)])
-def test_trial_results_deterministic_squeezed(variant, r):
+def test_trial_results_deterministic_squeezed(variant, r, monkeypatch):
     lam = resolve_lambda(r, n_photon=10.0)
     design = make_design(beta=1.0, lam=lam, r=r, variant=variant)
-    assert_trial_deterministic(PllConfig(design, trials=4, seed=11))
+    assert_trial_deterministic(PllConfig(design, trials=4, seed=11), monkeypatch)
+
+
+BATCH_CASES = {
+    "coherent_pm": dict(),
+    "coherent_fm": dict(kind="fm"),
+    "squeezed_z": dict(variant=SQUEEZED_Z, beta=1.0, r=0.5,
+                       lam=resolve_lambda(0.5, n_photon=10.0)),
+    "phase_squeezed": dict(variant=PHASE_SQUEEZED, beta=1.0, r=0.25,
+                           lam=resolve_lambda(0.25, n_photon=10.0)),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("feedback_delay", [0, 1])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batch_never_changes_a_trial(case, feedback_delay):
+    """On the kernel path a trial alone equals the same trial in batches of
+    4, 64 and 72 rows (72 rows run as row groups of 32 and 40), bit for bit."""
+    design = make_design(n_samples=2048, band_bins=63, **BATCH_CASES[case])
+    cfg = PllConfig(design, trials=72, seed=37, feedback_delay=feedback_delay)
+    lone = {t: simulate_batch(cfg, [t])[0] for t in (2, 40, 71)}
+    assert simulate_batch(cfg, range(4))[2] == lone[2]
+    assert simulate_batch(cfg, range(64))[40] == lone[40]
+    wide = simulate_batch(cfg, range(72))
+    assert [wide[t] for t in lone] == list(lone.values())
 
 
 # Per-trial (mse, sigma0_sq_empirical, cycle_slips) of three in-lock trials
@@ -154,21 +190,40 @@ def test_pinned_trial_results(case):
     assert_same_trials(pinned_results(case), PINNED[case][2])
 
 
-def no_kernel(monkeypatch):
-    """Make the closed loop run the numpy block loop."""
-    monkeypatch.setattr(_tracker, "load", lambda: None)
-
-
-needs_kernel = pytest.mark.skipif(_tracker.load() is None,
-                                  reason="no C compiler: only the numpy loop exists")
-
-
 @needs_kernel
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_kernel_matches_numpy_loop(case, monkeypatch):
     kernel = pinned_results(case)
     no_kernel(monkeypatch)
     assert_same_trials(kernel, pinned_results(case))
+
+
+# (nt, m, kb, lag-0 tap): nt a multiple of kb; nt not one (front padding);
+# m not one (short last block); nt < _BLOCK (kb = nt, a small grid); and the
+# one-sample-delay taps, whose lag-0 tap is zero
+HISTORY_SHAPES = [(256, 512, 128, 1.0), (200, 512, 128, 1.0), (256, 300, 128, 1.0),
+                  (40, 300, 40, 1.0), (300, 1000, 128, 0.0)]
+
+
+@pytest.mark.parametrize("nt,m,kb,lag0", HISTORY_SHAPES)
+def test_far_history_is_the_direct_convolution(nt, m, kb, lag0):
+    """Each block's history is the convolution of the taps with the records
+    before the block, to rounding level on the scale of the sum; a row's
+    history is the same bits alone and inside a batch."""
+    rng = np.random.default_rng(nt + m)
+    taps = rng.standard_normal(nt)
+    taps[0] *= lag0
+    fr = rng.standard_normal((3, nt + m))
+    got = np.concatenate(list(pll._far_history(taps, kb, fr)), axis=1)
+    assert got.shape == (3, -(-m // kb) * kb)
+    for row in range(3):
+        for j0 in range(0, m, kb):
+            before = np.where(np.arange(nt + m) < nt + j0, fr[row], 0.0)
+            want = np.convolve(taps, before)[nt + j0: nt + j0 + kb][: m - j0]
+            scale = np.convolve(np.abs(taps), np.abs(before))[nt + j0: nt + j0 + kb].max()
+            assert np.abs(got[row, j0: j0 + want.size] - want).max() <= 1e-14 * scale
+    alone = np.concatenate(list(pll._far_history(taps, kb, fr[1:2].copy())), axis=1)
+    assert np.array_equal(alone[0], got[1])
 
 
 def block_inputs(trev_scale):
