@@ -40,7 +40,7 @@ class Kernel:
         self._fn = lib.track_block
         # Raw pointers, checked in __call__: numpy's ndpointer spends tens of
         # microseconds a call in Python, holding the interpreter lock that
-        # the other batch threads are waiting for.
+        # the other row groups' threads are waiting for.
         self._fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
                              *[ctypes.c_void_p] * 10]
         self._fn.restype = None

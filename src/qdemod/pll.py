@@ -38,28 +38,29 @@ per-sample constants (A, psi, the known part of c, the record offset) are
 formed once per block as well, so a sample costs the in-block lags, the
 Newton steps and the record write.  That per-sample loop is one call per
 block into a small C kernel (_tracker.c through ctypes), built with the
-interpreter's C compiler on the first closed-loop batch and cached under
+interpreter's C compiler on the first closed-loop simulation and cached under
 the package's __pycache__.  Without a compiler, _track_block runs the same
-loop in numpy with rows in lockstep; it stops on the 2-norm of the batch's
-step vector and clips only when that norm exceeds 1, and agrees with the
-kernel to rounding level.
+loop in numpy with rows in lockstep; it stops on the 2-norm of the row
+group's step vector and clips only when that norm exceeds 1, and agrees
+with the kernel to rounding level.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the undelayed MAP estimate's tracking error; the delayed MAP
 filter G exp(-i w d dt) then gives the message estimate.
 
-Trials are vectorised in lockstep, in row groups of _GROUP (32) trials; the
-last group also takes a remainder of fewer rows.  Each group draws, tracks
-and estimates its own rows, and the groups of a batch run on up to
-max_workers() threads (the CPUs the process may use, divided by the threads
-of each BLAS call).  Every trial draws from its own counter-based stream,
-and every later step is row-wise: the FFT rows, the history's products
-summed over partitions in a fixed order, the kernel's per-row Newton stop
-and the mse, a pairwise sum over the trial's contiguous row.  So with the
-kernel a trial's result is bit-identical whatever its batch, row group or
-thread count.  The numpy fallback's Newton stop rule is batch-wide: there,
-batches agree to rounding level (rel 1e-12), and the thread count still
-never changes the results, since the groups do not follow it.
+A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
+trials, the only unit of work; the last group also takes a remainder of
+fewer rows.  Each group draws, tracks, estimates and checks its own trials
+in its own arrays, and the groups run on up to max_workers() threads (the
+CPUs the process may use).  Every trial draws from its own counter-based
+stream, and every later step is row-wise: the FFT rows, the history's
+products summed over partitions in a fixed order, the kernel's per-row
+Newton stop and the mse, a pairwise sum over the trial's contiguous row.
+So with the kernel a trial's result is bit-identical whatever the other
+trials, its row group or the thread count.  The numpy fallback's Newton
+stop rule is group-wide: there, groupings agree to rounding level (rel
+1e-12), and the thread count still never changes the results, since the
+groups do not follow it.
 
 Each trial starts in lock (tracker history seeded with the steady-state
 record): acquisition transients are out of scope, and a cold start at
@@ -74,7 +75,8 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
@@ -89,10 +91,8 @@ from .wiener import LoopDesign
 _NEWTON_STEPS = 8  # hard cap on Newton steps per sample
 _NEWTON_TOL = 1e-13  # Newton stop threshold on the step (rad)
 _DIVERGENCE_LIMIT = 1e3
-_BATCH = 64  # trials per lockstep batch in run_cell
 _BLOCK = 128  # samples per tracker history block
-_GROUP = 32  # trials per row group, the unit of work of a batch's threads
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_GROUP = 32  # trials per row group, the unit of work
 
 
 class LoopDivergenceError(RuntimeError):
@@ -148,7 +148,6 @@ class CellResult:
     total_slips: int
     seeds_with_slips: int
     snr_analytic: float = float("nan")
-    meta: dict = field(default_factory=dict)
 
 
 def cycle_slip_count(phibar: np.ndarray, phi_prime: np.ndarray) -> int:
@@ -189,7 +188,7 @@ def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
     with the same arguments: (n, rows) per-sample constants, taps trev for
     lags nt-1 .. 1, the closure state u (updated in place) and the block's
     record and tracker-output rows rec and phip (written).  Newton stops
-    once the 2-norm of the batch's step vector is below _NEWTON_TOL, and
+    once the 2-norm of the rows' step vector is below _NEWTON_TOL, and
     clips every step to +-1 rad when that norm exceeds 1.
     """
     n = cbase.shape[0]
@@ -229,34 +228,26 @@ def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
 
 
 def max_workers() -> int:
-    """The most threads a batch runs on: the CPUs this process may use,
-    divided by the threads of each BLAS call.  OpenBLAS takes every CPU
-    unless its variables (read in its order) pin fewer, and batch threads
-    on top of a threaded GEMM slow the batch down."""
+    """The most threads a cell's row groups run on: the CPUs this process
+    may use.  On the kernel path the pool threads make no BLAS calls, and
+    the fallback's in-block np.dot is too small for BLAS to thread."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity interface on this platform
-        cpus = os.cpu_count() or 1
-    blas = cpus
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            blas = int(value)
-            break
-    return max(1, cpus // blas)
+        return os.cpu_count() or 1
 
 
 def _row_groups(n_t: int) -> list:
     """Slices of _GROUP rows; the last one also takes a remainder of fewer
-    rows, so a batch of under 2 * _GROUP rows runs as a single group.  On
-    the kernel path a group's width never changes its rows' bits; the
-    remainder rule only balances the load."""
+    rows, so under 2 * _GROUP trials run as a single group.  On the kernel
+    path a group's width never changes its rows' bits; the remainder rule
+    only balances the load."""
     edges = [i * _GROUP for i in range(max(1, n_t // _GROUP))] + [n_t]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _run_groups(run, groups: list) -> None:
-    """run(rows) for every row group, on up to max_workers() threads.
+def _run_groups(run, groups: list) -> list:
+    """[run(group) for group in groups], on up to max_workers() threads.
 
     One group or one worker runs in the calling thread.  Each pool thread
     runs a group in a copy of the caller's context, so the caller's
@@ -265,13 +256,10 @@ def _run_groups(run, groups: list) -> None:
     """
     workers = min(max_workers(), len(groups))
     if workers == 1:
-        for rows in groups:
-            run(rows)
-        return
+        return [run(group) for group in groups]
     with ThreadPoolExecutor(workers) as pool:
-        done = [pool.submit(contextvars.copy_context().run, run, rows) for rows in groups]
-        for future in done:
-            future.result()
+        done = [pool.submit(contextvars.copy_context().run, run, group) for group in groups]
+        return [future.result() for future in done]
 
 
 def _far_history(taps, kb, fr):
@@ -326,7 +314,8 @@ def _far_history(taps, kb, fr):
 
 
 def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
-    """Closed loop of one row group, given its rows of the batch arrays.
+    """Closed loop of one row group, given its arrays (x0, y0 None for
+    squeezed_z, zrec None otherwise).
 
     Writes fr, the tracker's input (nt steady-state records, then the loop's
     record), and phip, the tracker output.
@@ -374,108 +363,107 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
         phip[:, j0: j0 + n] = phip_blk[:n].T
 
 
-def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
-    """Run a batch of trials; returns a list of TrialResult.
+def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
+    """The TrialResults of one row group, drawn, tracked, estimated and
+    checked in the group's own arrays.
 
-    The batch runs as row groups (_row_groups) on up to max_workers()
-    threads, each group drawing, tracking and estimating its own rows;
-    results do not depend on the number of threads.  force_lock pins
-    phi' = phibar (open loop) for cross-checks against the batch linearised
-    MAP estimate.
+    psds are the message spectrum, then S1 and S2 unless the light is
+    coherent; track is the kernel or _track_block, or None for the open loop.
     """
     design = cfg.design
     g = design.grid
-    m = g.n_samples
-    trial_indices = list(range(cfg.trials) if trial_indices is None else trial_indices)
-    n_t = len(trial_indices)
-    twoa = design.two_alpha
-    d = design.delay
-    lo, hi = 4 * d, m - 2 * d
-    if hi - lo < m // 8:
-        raise ValueError("grid too short for the warm-up and edge exclusions")
-
-    taps = tracking_taps(design, cfg.feedback_delay)
-    nt = taps.size
-    # built here, before any worker thread needs it
-    track = None if force_lock else (_tracker.load() or _track_block)
-
-    # G and the delayed G exp(-i w d dt) are Hermitian: filter with real FFTs
-    half = m // 2 + 1
-    gr = design.g.response[:half]
-    gd = gr * np.exp(-2j * np.pi * g.freqs[:half] * design.delay * g.dt)
+    m, d, twoa = g.n_samples, design.delay, design.two_alpha
+    n_t, nt = len(trials), taps.size
+    variant = design.noise.kind
 
     # Per trial: the message on stream (seed, trial, 0), the quadrature
     # noise on (seed, trial, 1) -- white (x0, y0) for coherent light, the
     # S2-coloured record z' for squeezed_z, coloured (x0, y0) otherwise.
-    variant = design.noise.kind
-    s_msg = message_psd(design.message, drop_dc=design.mod.kind == FM)
-    if variant != COHERENT:
-        s1, s2 = squeezed_covariance_psds(design.noise, g)
     msg = np.empty((n_t, m))
-    x0 = np.zeros((n_t, m))
-    y0 = np.zeros((n_t, m))
-    zrec = np.empty((n_t, m)) if variant == SQUEEZED_Z else None
-    phibar, phip, err = (np.empty((n_t, m)) for _ in range(3))
-    fr = np.empty((n_t, nt + m))  # tracker input; the record is fr[:, nt:]
-    mses = np.empty(n_t)
-
-    def run_group(rows: slice) -> None:
-        for row in range(rows.start, rows.stop):
-            trial = trial_indices[row]
-            msg[row] = color_noise(stream(cfg.seed, trial, 0), s_msg)
-            rng = stream(cfg.seed, trial, 1)
-            if variant == COHERENT:
-                x0[row] = rng.standard_normal(m)
-                y0[row] = rng.standard_normal(m)
-            elif variant == SQUEEZED_Z:
-                zrec[row] = color_noise(rng, s2)
-            else:
-                x0[row] = color_noise(rng, s1)
-                y0[row] = color_noise(rng, s2)
-        phibar[rows] = modulate(design.mod, g, msg[rows])
-
-        zrows = None if zrec is None else zrec[rows]
-        if force_lock:
-            phip[rows] = phibar[rows]  # e = 0: the record is the phase-insensitive quadrature
-            fr[rows, nt:] = phibar[rows] + (y0[rows] if zrows is None else zrows) / twoa
+    if variant == SQUEEZED_Z:
+        x0 = y0 = None
+        zrec = np.empty((n_t, m))
+    else:
+        x0, y0, zrec = np.empty((n_t, m)), np.empty((n_t, m)), None
+    for row, trial in enumerate(trials):
+        msg[row] = color_noise(stream(cfg.seed, trial, 0), psds[0])
+        rng = stream(cfg.seed, trial, 1)
+        if variant == COHERENT:
+            x0[row] = rng.standard_normal(m)
+            y0[row] = rng.standard_normal(m)
+        elif variant == SQUEEZED_Z:
+            zrec[row] = color_noise(rng, psds[2])
         else:
-            _close_loop(track, taps, twoa, phibar[rows], x0[rows], y0[rows], zrows,
-                        fr[rows], phip[rows])
-        np.subtract(phibar[rows], phip[rows], out=err[rows])
+            x0[row] = color_noise(rng, psds[1])
+            y0[row] = color_noise(rng, psds[2])
+    phibar = modulate(design.mod, g, msg)
 
-        phirec = fr[rows, nt:]
-        m_hat0 = np.fft.irfft(np.fft.rfft(phirec, axis=1) * gr, n=m, axis=1)
-        e_hat = modulate(design.mod, g, m_hat0) - phip[rows]
-        rec = phirec - (np.sin(e_hat) - e_hat)
-        m_hat = np.fft.irfft(np.fft.rfft(rec, axis=1) * gd, n=m, axis=1)
-        # row-major, so each row's mean is a pairwise sum, as a lone row's is
-        est_err = m_hat[:, lo:hi] - msg[rows, lo - d: hi - d]
-        mses[rows] = np.mean(est_err**2, axis=1)
-
-    _run_groups(run_group, _row_groups(n_t))
-
-    worst = float(np.max(np.abs(err)))
-    if not worst <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
-        bad = int(np.argmax(np.max(np.abs(err), axis=1)))
+    fr = np.empty((n_t, nt + m))  # tracker input; the record is fr[:, nt:]
+    if track is None:
+        phip = phibar  # e = 0: the record is the phase-insensitive quadrature
+        fr[:, nt:] = phibar + (y0 if zrec is None else zrec) / twoa
+    else:
+        phip = np.empty((n_t, m))
+        _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip)
+    err = phibar - phip
+    worst = np.max(np.abs(err), axis=1)
+    if not np.max(worst) <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
+        bad = int(np.argmax(worst))
         raise LoopDivergenceError(
-            f"loop diverged (max |phibar - phi'| = {worst:.3e})",
-            worst, trial_indices[bad])
+            f"loop diverged (max |phibar - phi'| = {worst[bad]:.3e})",
+            float(worst[bad]), trials[bad])
+
+    # G and the delayed G exp(-i w d dt) are Hermitian: filter with real FFTs
+    half = m // 2 + 1
+    gr = design.g.response[:half]
+    gd = gr * np.exp(-2j * np.pi * g.freqs[:half] * d * g.dt)
+    phirec = fr[:, nt:]
+    m_hat0 = np.fft.irfft(np.fft.rfft(phirec, axis=1) * gr, n=m, axis=1)
+    e_hat = modulate(design.mod, g, m_hat0) - phip
+    rec = phirec - (np.sin(e_hat) - e_hat)
+    m_hat = np.fft.irfft(np.fft.rfft(rec, axis=1) * gd, n=m, axis=1)
+    lo, hi = 4 * d, m - 2 * d
+    # row-major, so each row's mean is a pairwise sum, as a lone row's is
+    mses = np.mean((m_hat[:, lo:hi] - msg[:, lo - d: hi - d]) ** 2, axis=1)
 
     results = []
-    for row, trial in enumerate(trial_indices):
-        e_win = err[row, lo:hi]
-        slips = cycle_slip_count(e_win, 0.0)
+    for trial, e_win, mse in zip(trials, err[:, lo:hi], mses.tolist()):
         offset = 2.0 * np.pi * np.round(np.mean(e_win) / (2.0 * np.pi))
-        s0 = float(np.mean((e_win - offset) ** 2))
-        mse = float(mses[row])
         results.append(TrialResult(
             seed=cfg.seed, trial=trial, mse=mse,
             snr_empirical=1.0 / mse if mse != 0 else float("inf"),
-            sigma0_sq_empirical=s0, cycle_slips=slips))
+            sigma0_sq_empirical=float(np.mean((e_win - offset) ** 2)),
+            cycle_slips=cycle_slip_count(e_win, 0.0)))
     return results
 
 
-def aggregate(trials, snr_analytic: float = float("nan"), meta: dict | None = None) -> CellResult:
+def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
+    """Run the given trials (all cfg.trials by default); returns a list of
+    TrialResult in their order.
+
+    The trials run as row groups (_row_groups, _simulate_group) on up to
+    max_workers() threads; results do not depend on the number of threads.
+    A diverging group raises LoopDivergenceError for its worst trial, the
+    first such group's when several do.  force_lock pins phi' = phibar (open
+    loop) for cross-checks against the linearised MAP estimate.
+    """
+    design = cfg.design
+    m = design.grid.n_samples
+    if m - 6 * design.delay < m // 8:  # statistics use samples 4d .. m - 2d
+        raise ValueError("grid too short for the warm-up and edge exclusions")
+    trials = list(range(cfg.trials) if trial_indices is None else trial_indices)
+    taps = tracking_taps(design, cfg.feedback_delay)
+    # built here, before any worker thread needs it
+    track = None if force_lock else (_tracker.load() or _track_block)
+    psds = [message_psd(design.message, drop_dc=design.mod.kind == FM)]
+    if design.noise.kind != COHERENT:
+        psds += squeezed_covariance_psds(design.noise, design.grid)
+    run = partial(_simulate_group, cfg, track, taps, psds)
+    groups = _run_groups(run, [trials[rows] for rows in _row_groups(len(trials))])
+    return [result for group in groups for result in group]
+
+
+def aggregate(trials, snr_analytic: float = float("nan")) -> CellResult:
     mses = np.array([t.mse for t in trials])
     slips = np.array([t.cycle_slips for t in trials])
     locked = slips == 0
@@ -493,16 +481,9 @@ def aggregate(trials, snr_analytic: float = float("nan"), meta: dict | None = No
         total_slips=int(slips.sum()),
         seeds_with_slips=int((slips > 0).sum()),
         snr_analytic=snr_analytic,
-        meta=dict(meta or {}),
     )
 
 
-def run_cell(cfg: PllConfig, snr_analytic: float = float("nan"),
-             meta: dict | None = None) -> CellResult:
-    """Run cfg.trials trials in batches of _BATCH rows and aggregate."""
-    out = []
-    for start in range(0, cfg.trials, _BATCH):
-        idx = range(start, min(start + _BATCH, cfg.trials))
-        out.extend(simulate_batch(cfg, idx))
-    return aggregate(out, snr_analytic=snr_analytic, meta=meta)
-
+def run_cell(cfg: PllConfig, snr_analytic: float = float("nan")) -> CellResult:
+    """Run the cfg.trials trials and aggregate."""
+    return aggregate(simulate_batch(cfg), snr_analytic=snr_analytic)

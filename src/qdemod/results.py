@@ -51,9 +51,9 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _environment() -> dict:
     """Interpreter, library, BLAS and platform versions, the CPU count, the
-    most threads a Monte Carlo batch runs on, the closed-loop tracker this
-    process ran (c kernel <hash>, numpy or not run) and the BLAS thread
-    settings."""
+    most threads a cell's row groups run on (the process's CPUs), the
+    closed-loop tracker this process ran (c kernel <hash>, numpy or not run)
+    and the BLAS thread settings."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 only prints its build configuration

@@ -84,7 +84,7 @@ def assert_trial_deterministic(cfg, monkeypatch):
     # are all row-local: a trial's result does not depend on its batch
     if _tracker.load() is not None:
         assert simulate_batch(cfg, [0, 1, 2, 3])[2] == a
-    # the numpy fallback's Newton stop rule is batch-wide: rounding level
+    # the numpy fallback's Newton stop rule is group-wide: rounding level
     no_kernel(monkeypatch)
     a = simulate_batch(cfg, [2])[0]
     batch = simulate_batch(cfg, [0, 1, 2, 3])
@@ -341,19 +341,20 @@ def test_tracker_first_load_builds_once(tmp_path, monkeypatch):
     assert kernels[0] is kernels[1] is not None
 
 
-def test_max_workers_shares_the_cpus_with_blas(monkeypatch):
+def test_max_workers_ignores_the_blas_threads(monkeypatch):
+    """The row groups make no threaded BLAS calls, so the workers are the
+    CPUs the process may use, whatever the BLAS thread settings."""
     monkeypatch.setattr(pll.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    for var in pll._BLAS_THREAD_VARS:
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    for var in blas_vars:
         monkeypatch.delenv(var, raising=False)
-    assert pll.max_workers() == 1  # unpinned BLAS threads take every CPU
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    assert pll.max_workers() == 2
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP_NUM_THREADS
     assert pll.max_workers() == 4
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a count: the next variable
-    assert pll.max_workers() == 2
-    monkeypatch.setenv("OMP_NUM_THREADS", "8")
-    assert pll.max_workers() == 1
+    for var, value in zip(blas_vars, ("1", "2", "8")):
+        monkeypatch.setenv(var, value)
+        assert pll.max_workers() == 4
+    monkeypatch.delattr(pll.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pll.os, "cpu_count", lambda: 3)
+    assert pll.max_workers() == 3
 
 
 def with_one_and_two_workers(monkeypatch, run):
@@ -432,6 +433,27 @@ def test_worker_threads_keep_the_callers_errstate(monkeypatch):
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError) as err:
             simulate_batch(cfg)
         return str(err.value)
+    one, two = with_one_and_two_workers(monkeypatch, run)
+    assert one == two
+
+
+def test_divergence_names_a_trial_of_the_failing_group(monkeypatch):
+    """NaN quadrature draws for trials 32..63 of a 64-trial cell: only the
+    second row group diverges, and it reports one of its own trials, with
+    the same message on any worker count."""
+    cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=64, seed=3)
+    real = pll.stream
+
+    def fake(seed, trial, purpose):
+        rng = real(seed, trial, purpose)
+        return _ScaledStream(rng, float("nan")) if purpose == 1 and trial >= 32 else rng
+    monkeypatch.setattr(pll, "stream", fake)
+
+    def run():
+        with pytest.raises(LoopDivergenceError) as err:
+            run_cell(cfg)
+        assert 32 <= err.value.trial < 64
+        return str(err.value), err.value.trial
     one, two = with_one_and_two_workers(monkeypatch, run)
     assert one == two
 
