@@ -26,7 +26,9 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_tracker.c")
 # No -ffast-math or -march=native, and no fused multiply-adds: the kernel
 # must round like the numpy loop and rebuild to the same results anywhere.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# -O3 vectorises the in-block lag loop across rows, which never reorders a
+# row's sum.
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 _loaded = {}  # "kernel": the Kernel or None, once load() has run
 _lock = threading.Lock()  # one build, however many threads call load() at once

@@ -27,7 +27,7 @@ from . import fock as fock_mod
 from . import limits as limits_mod
 from .config import ConfigError, parse_config, serialize_config
 from .grids import TimeGrid
-from .pll import LoopDivergenceError, PllConfig, run_cell
+from .pll import LoopDivergenceError, PllConfig, run_cell, run_cells
 from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                      operating_point)
 from .results import RunManifest, emit_results
@@ -63,9 +63,10 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
     return design, lam
 
 
-def _simulate_cell(cfg: dict, run_id: str, beta: float, r: float,
-                   lam: float | None, n_photon: float | None):
-    """(CSV row, CellResult) of one Monte Carlo operating point.
+def _operating_point(cfg: dict, run_id: str, beta: float, r: float,
+                     lam: float | None, n_photon: float | None):
+    """(PllConfig, CSV row without the empirical columns) of one Monte Carlo
+    operating point.
 
     A given lam sizes the point; the n_photon column then reads NaN.
     """
@@ -73,9 +74,6 @@ def _simulate_cell(cfg: dict, run_id: str, beta: float, r: float,
         n_photon = None
     design, lam = _build_setup(cfg, beta, r, cfg["variant"], lam, n_photon)
     spectra = (design.s_m, design.h, design.four_alpha_sq, design.s2.values)
-    pll_cfg = PllConfig(design, cfg["trials"], cfg["seed"],
-                        feedback_delay=cfg["feedback_delay"])
-    cell = run_cell(pll_cfg, snr_analytic=1.0 / limits_mod.irreducible_error(*spectra))
     kind = cfg["mod_kind"]
     if cfg["message_kind"] == FLAT:
         sigma0_analytic = limits_mod.sigma0(kind, beta, lam)
@@ -92,15 +90,20 @@ def _simulate_cell(cfg: dict, run_id: str, beta: float, r: float,
         "lambda": lam,
         "n_photon": n_photon if n_photon is not None else float("nan"),
         "r": r,
-        "snr_empirical": cell.snr_empirical,
-        "snr_stderr": cell.snr_stderr,
-        "snr_analytic": cell.snr_analytic,
+        "snr_analytic": 1.0 / limits_mod.irreducible_error(*spectra),
         "sigma0_sq": sigma0_analytic,
-        "sigma0_sq_empirical": cell.sigma0_sq_empirical,
-        "cycle_slips": cell.total_slips,
         "pass_threshold": lhs <= 0.25,
     }
-    return row, cell
+    pll_cfg = PllConfig(design, cfg["trials"], cfg["seed"],
+                        feedback_delay=cfg["feedback_delay"])
+    return pll_cfg, row
+
+
+def _cell_row(row: dict, cell) -> dict:
+    """An operating point's row with the empirical columns of its cell."""
+    return dict(row, snr_empirical=cell.snr_empirical, snr_stderr=cell.snr_stderr,
+                sigma0_sq_empirical=cell.sigma0_sq_empirical,
+                cycle_slips=cell.total_slips)
 
 
 def _write_results(rows, outdir: str, manifest: RunManifest) -> None:
@@ -121,15 +124,17 @@ def _cmd_design(cfg: dict, outdir: str, manifest: RunManifest) -> None:
 
 
 def _cmd_simulate(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    row, cell = _simulate_cell(cfg, "simulate-0", cfg["beta"], cfg["r"],
-                               cfg.get("lambda"), cfg.get("n_photon"))
+    pll_cfg, row = _operating_point(cfg, "simulate-0", cfg["beta"], cfg["r"],
+                                    cfg.get("lambda"), cfg.get("n_photon"))
+    cell = run_cell(pll_cfg)
+    row = _cell_row(row, cell)
     trial_rows = [dict(row, run_id=f"trial-{t.trial}", snr_empirical=t.snr_empirical,
                        snr_stderr=float("nan"), sigma0_sq_empirical=t.sigma0_sq_empirical,
                        cycle_slips=t.cycle_slips)
                   for t in cell.trials]  # per-trial diagnostics under the same schema
     _write_results([row] + trial_rows, outdir, manifest)
     print(f"simulate: snr = {cell.snr_empirical:.4g} "
-          f"(analytic {cell.snr_analytic:.4g}), slips = {cell.total_slips}")
+          f"(analytic {row['snr_analytic']:.4g}), slips = {cell.total_slips}")
 
 
 def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> None:
@@ -143,8 +148,16 @@ def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> None:
                 points += [(beta, r, lam, None) for lam in lambdas]
             else:
                 points.append((beta, r, None, cfg["n_photon"]))
-    rows = [_simulate_cell(cfg, f"sweep-{i}", *point)[0]
-            for i, point in enumerate(points)]
+    # The cells run pipelined: a point's design is built, and its analytic
+    # columns worked out, as run_cells takes its cell, one cell ahead.
+    analytic = []
+
+    def cells():
+        for i, point in enumerate(points):
+            pll_cfg, row = _operating_point(cfg, f"sweep-{i}", *point)
+            analytic.append(row)
+            yield pll_cfg
+    rows = [_cell_row(analytic[i], cell) for i, cell in enumerate(run_cells(cells()))]
     _write_results(rows, outdir, manifest)
     print(f"sweep: {len(rows)} cells written")
 

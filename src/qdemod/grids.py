@@ -181,11 +181,16 @@ def differentiate(grid: TimeGrid, x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x) * w).real if np.isrealobj(x) else np.fft.ifft(np.fft.fft(x) * w)
 
 
-def color_noise(rng: np.random.Generator, density: SpectralDensity) -> np.ndarray:
-    """Stationary real Gaussian sequence with the given PSD (circulant exact)."""
-    m = density.grid.n_samples
-    white = rng.standard_normal(m)
-    return np.fft.ifft(np.fft.fft(white) * np.sqrt(density.values)).real
+def color_noise(white: np.ndarray, density: SpectralDensity) -> np.ndarray:
+    """Stationary real Gaussian sequences with the given PSD (circulant
+    exact), coloured from white ones along the last axis.
+
+    Each row is transformed on its own, so a row of a batch comes out bit
+    for bit as it does alone.
+    """
+    spectrum = np.fft.fft(white, axis=-1)
+    spectrum *= np.sqrt(density.values)
+    return np.fft.ifft(spectrum, axis=-1).real.copy()
 
 
 def estimate_psd(x, grid: TimeGrid | None = None, segments: int = 1) -> SpectralDensity:

@@ -38,11 +38,12 @@ per-sample constants (A, psi, the known part of c, the record offset) are
 formed once per block as well, so a sample costs the in-block lags, the
 Newton steps and the record write.  That per-sample loop is one call per
 block into a small C kernel (_tracker.c through ctypes), built with the
-interpreter's C compiler on the first closed-loop simulation and cached under
-the package's __pycache__.  Without a compiler, _track_block runs the same
-loop in numpy with rows in lockstep; it stops on the 2-norm of the row
-group's step vector and clips only when that norm exceeds 1, and agrees
-with the kernel to rounding level.
+interpreter's C compiler at -O3 without floating-point contraction on the
+first closed-loop simulation and cached under the package's __pycache__.
+Without a compiler, _track_block runs the same loop in numpy with rows in
+lockstep; it stops on the 2-norm of the row group's step vector and clips
+only when that norm exceeds 1, and agrees with the kernel to rounding
+level.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the undelayed MAP estimate's tracking error; the delayed MAP
@@ -51,8 +52,10 @@ filter G exp(-i w d dt) then gives the message estimate.
 A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
 trials, the only unit of work; the last group also takes a remainder of
 fewer rows.  Each group draws, tracks, estimates and checks its own trials
-in its own arrays, and the groups run on up to max_workers() threads (the
-CPUs the process may use).  Every trial draws from its own counter-based
+in its own arrays.  run_cells runs a command's cells on one pool of
+max_workers() threads (the CPUs the process may use), one cell ahead, with
+results and errors in cell order (_pipeline); run_cell and simulate_batch
+are its one-cell forms.  Every trial draws from its own counter-based
 stream, and every later step is row-wise: the FFT rows, the history's
 products summed over partitions in a fixed order, the kernel's per-row
 Newton stop and the mse, a pairwise sum over the trial's contiguous row.
@@ -74,6 +77,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -147,7 +151,6 @@ class CellResult:
     locked_fraction: float
     total_slips: int
     seeds_with_slips: int
-    snr_analytic: float = float("nan")
 
 
 def cycle_slip_count(phibar: np.ndarray, phi_prime: np.ndarray) -> int:
@@ -228,9 +231,10 @@ def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
 
 
 def max_workers() -> int:
-    """The most threads a cell's row groups run on: the CPUs this process
-    may use.  On the kernel path the pool threads make no BLAS calls, and
-    the fallback's in-block np.dot is too small for BLAS to thread."""
+    """The worker threads of a command's pool (_pipeline): the CPUs this
+    process may use.  On the kernel path the pool threads make no BLAS
+    calls, and the fallback's in-block np.dot is too small for BLAS to
+    thread."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity interface on this platform
@@ -244,22 +248,6 @@ def _row_groups(n_t: int) -> list:
     only balances the load."""
     edges = [i * _GROUP for i in range(max(1, n_t // _GROUP))] + [n_t]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def _run_groups(run, groups: list) -> list:
-    """[run(group) for group in groups], on up to max_workers() threads.
-
-    One group or one worker runs in the calling thread.  Each pool thread
-    runs a group in a copy of the caller's context, so the caller's
-    np.errstate holds there too, and the error raised is the first failing
-    group's, as when the groups run one after another.
-    """
-    workers = min(max_workers(), len(groups))
-    if workers == 1:
-        return [run(group) for group in groups]
-    with ThreadPoolExecutor(workers) as pool:
-        done = [pool.submit(contextvars.copy_context().run, run, group) for group in groups]
-        return [future.result() for future in done]
 
 
 def _far_history(taps, kb, fr):
@@ -379,23 +367,19 @@ def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
     # Per trial: the message on stream (seed, trial, 0), the quadrature
     # noise on (seed, trial, 1) -- white (x0, y0) for coherent light, the
     # S2-coloured record z' for squeezed_z, coloured (x0, y0) otherwise.
-    msg = np.empty((n_t, m))
-    if variant == SQUEEZED_Z:
-        x0 = y0 = None
-        zrec = np.empty((n_t, m))
-    else:
-        x0, y0, zrec = np.empty((n_t, m)), np.empty((n_t, m)), None
+    # One white draw per stream and row; the group's rows are coloured together.
+    quads = 1 if variant == SQUEEZED_Z else 2
+    msg, white = np.empty((n_t, m)), np.empty((n_t, quads, m))
     for row, trial in enumerate(trials):
-        msg[row] = color_noise(stream(cfg.seed, trial, 0), psds[0])
-        rng = stream(cfg.seed, trial, 1)
-        if variant == COHERENT:
-            x0[row] = rng.standard_normal(m)
-            y0[row] = rng.standard_normal(m)
-        elif variant == SQUEEZED_Z:
-            zrec[row] = color_noise(rng, psds[2])
-        else:
-            x0[row] = color_noise(rng, psds[1])
-            y0[row] = color_noise(rng, psds[2])
+        msg[row] = stream(cfg.seed, trial, 0).standard_normal(m)
+        white[row] = stream(cfg.seed, trial, 1).standard_normal((quads, m))
+    msg = color_noise(msg, psds[0])
+    if variant == COHERENT:
+        x0, y0, zrec = white[:, 0], white[:, 1], None
+    elif variant == SQUEEZED_Z:
+        x0, y0, zrec = None, None, color_noise(white[:, 0], psds[2])
+    else:
+        x0, y0, zrec = color_noise(white[:, 0], psds[1]), color_noise(white[:, 1], psds[2]), None
     phibar = modulate(design.mod, g, msg)
 
     fr = np.empty((n_t, nt + m))  # tracker input; the record is fr[:, nt:]
@@ -406,6 +390,7 @@ def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
         phip = np.empty((n_t, m))
         _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip)
     err = phibar - phip
+    del white, x0, y0, zrec, phibar  # now in fr and err: free them before the estimate
     worst = np.max(np.abs(err), axis=1)
     if not np.max(worst) <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
         bad = int(np.argmax(worst))
@@ -437,15 +422,12 @@ def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
     return results
 
 
-def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
-    """Run the given trials (all cfg.trials by default); returns a list of
-    TrialResult in their order.
+def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
+    """(run, groups) of one cell: its trials as row groups (_row_groups) and
+    run(group), the group's TrialResults (_simulate_group).
 
-    The trials run as row groups (_row_groups, _simulate_group) on up to
-    max_workers() threads; results do not depend on the number of threads.
-    A diverging group raises LoopDivergenceError for its worst trial, the
-    first such group's when several do.  force_lock pins phi' = phibar (open
-    loop) for cross-checks against the linearised MAP estimate.
+    Built on the calling thread, before any worker needs the kernel, the
+    taps or the spectra.
     """
     design = cfg.design
     m = design.grid.n_samples
@@ -453,17 +435,74 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
         raise ValueError("grid too short for the warm-up and edge exclusions")
     trials = list(range(cfg.trials) if trial_indices is None else trial_indices)
     taps = tracking_taps(design, cfg.feedback_delay)
-    # built here, before any worker thread needs it
     track = None if force_lock else (_tracker.load() or _track_block)
     psds = [message_psd(design.message, drop_dc=design.mod.kind == FM)]
     if design.noise.kind != COHERENT:
         psds += squeezed_covariance_psds(design.noise, design.grid)
     run = partial(_simulate_group, cfg, track, taps, psds)
-    groups = _run_groups(run, [trials[rows] for rows in _row_groups(len(trials))])
-    return [result for group in groups for result in group]
+    return run, [trials[rows] for rows in _row_groups(len(trials))]
 
 
-def aggregate(trials, snr_analytic: float = float("nan")) -> CellResult:
+def _pipeline(cells):
+    """Each cell's TrialResults, in cell order, for an iterable of (run,
+    groups) cells (_cell_work).
+
+    The row groups of all cells run on one pool of max_workers() threads.
+    The calling thread takes cell i + 1 from cells (building its design,
+    when cells does that) and queues its groups while the workers finish
+    cell i; it takes cell i + 2 only once cell i has been collected.  Each
+    group runs in a copy of the caller's context, so the caller's
+    np.errstate holds there too.  Errors come as if everything ran in
+    order: a failing group raises before any later group or cell, and
+    before an error from taking a later cell; then the queued groups are
+    cancelled.  With one worker everything runs on the calling thread.
+    """
+    workers = max_workers()
+    if workers == 1:
+        for run, groups in cells:
+            yield [result for group in groups for result in run(group)]
+        return
+
+    def collect(futures):
+        return [result for future in futures for result in future.result()]
+    cells = iter(cells)
+    pool = ThreadPoolExecutor(workers)
+    queued = deque()  # the futures of each taken cell not yet collected
+    try:
+        while True:
+            try:
+                run, groups = next(cells)
+            except StopIteration:
+                break
+            except Exception:  # the cells taken before this one come first
+                while queued:
+                    yield collect(queued.popleft())
+                raise
+            queued.append([pool.submit(contextvars.copy_context().run, run, group)
+                           for group in groups])
+            if len(queued) == 2:
+                yield collect(queued.popleft())
+        while queued:
+            yield collect(queued.popleft())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
+    """Run the given trials (all cfg.trials by default); returns a list of
+    TrialResult in their order.
+
+    The one-cell form of run_cells: the trials run as row groups on up to
+    max_workers() threads, and results do not depend on the number of
+    threads.  A diverging group raises LoopDivergenceError for its worst
+    trial, the first such group's when several do.  force_lock pins phi' =
+    phibar (open loop) for cross-checks against the linearised MAP estimate.
+    """
+    (results,) = _pipeline([_cell_work(cfg, trial_indices, force_lock)])
+    return results
+
+
+def aggregate(trials) -> CellResult:
     mses = np.array([t.mse for t in trials])
     slips = np.array([t.cycle_slips for t in trials])
     locked = slips == 0
@@ -480,10 +519,16 @@ def aggregate(trials, snr_analytic: float = float("nan")) -> CellResult:
         locked_fraction=float(np.mean(locked)),
         total_slips=int(slips.sum()),
         seeds_with_slips=int((slips > 0).sum()),
-        snr_analytic=snr_analytic,
     )
 
 
-def run_cell(cfg: PllConfig, snr_analytic: float = float("nan")) -> CellResult:
-    """Run the cfg.trials trials and aggregate."""
-    return aggregate(simulate_batch(cfg), snr_analytic=snr_analytic)
+def run_cells(configs):
+    """The CellResult of each PllConfig of configs, in order, the cells
+    pipelined on one worker pool (_pipeline); configs is read one ahead."""
+    for trials in _pipeline(map(_cell_work, configs)):
+        yield aggregate(trials)
+
+
+def run_cell(cfg: PllConfig) -> CellResult:
+    """Run the cfg.trials trials and aggregate: the one-cell run_cells."""
+    return aggregate(simulate_batch(cfg))

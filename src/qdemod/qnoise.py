@@ -112,8 +112,8 @@ def sample_squeezed(model: NoiseModel, grid: TimeGrid, seed: int, trial: int = 0
         return sample_vacuum(grid, seed, trial)
     s1, s2 = squeezed_covariance_psds(model, grid)
     rng = stream(seed, trial, 1)
-    x0 = color_noise(rng, s1)
-    y0 = color_noise(rng, s2)
+    x0 = color_noise(rng.standard_normal(grid.n_samples), s1)
+    y0 = color_noise(rng.standard_normal(grid.n_samples), s2)
     return QuadratureRecord(grid, x0, y0)
 
 

@@ -51,7 +51,7 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _environment() -> dict:
     """Interpreter, library, BLAS and platform versions, the CPU count, the
-    most threads a cell's row groups run on (the process's CPUs), the
+    worker threads of a command's pool (the process's CPUs), the
     closed-loop tracker this process ran (c kernel <hash>, numpy or not run)
     and the BLAS thread settings."""
     try:

@@ -123,8 +123,8 @@ def message_psd(spec: MessageSpec, drop_dc: bool = False) -> SpectralDensity:
 def sample_message(spec: MessageSpec, seed: int, trial: int = 0,
                    drop_dc: bool = False) -> np.ndarray:
     """Zero-mean unit-variance Gaussian sequence with the spec's PSD."""
-    rng = stream(seed, trial, 0)
-    return color_noise(rng, message_psd(spec, drop_dc=drop_dc))
+    white = stream(seed, trial, 0).standard_normal(spec.grid.n_samples)
+    return color_noise(white, message_psd(spec, drop_dc=drop_dc))
 
 
 def phase_response(mod: ModulationScheme, grid: TimeGrid) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdemod.grids import (SampledEnvelope, TimeGrid, differentiate,
+from qdemod.grids import (SampledEnvelope, TimeGrid, color_noise, differentiate,
                           differentiator_kernel, estimate_psd, periodized_differentiator,
                           periodized_sinc, reconstruct, sinc_kernel)
 from qdemod.rng import stream
@@ -134,6 +134,19 @@ def test_estimate_psd_brick_wall_coloring():
     outside = np.abs(seg_grid.freqs) > 1.3 * spec.bandwidth / 2
     assert abs(np.mean(dens.values[inside]) / level - 1.0) < 0.15
     assert np.mean(dens.values[outside]) < 0.05 * level
+
+
+def test_color_noise_rows_alone_or_batched():
+    """A batch of white rows comes out coloured bit for bit as each row alone."""
+    from qdemod.signals import MessageSpec, message_psd
+    g = TimeGrid(1.0, 1024)
+    density = message_psd(MessageSpec.flat(g, 63))
+    white = np.array([stream(3, t).standard_normal(1024) for t in range(5)])
+    batch = color_noise(white, density)
+    assert batch.shape == white.shape and batch.flags.c_contiguous
+    assert np.array_equal(batch, [color_noise(row, density) for row in white])
+    pairs = np.stack([white, white], axis=1)  # rows of a strided view, as pll colours them
+    assert np.array_equal(color_noise(pairs[:, 1], density), batch)
 
 
 def test_parseval_identity():

@@ -15,7 +15,8 @@ from qdemod import _tracker, pll
 from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate,
                         cycle_slip_count, run_cell, simulate_batch, tracking_taps)
 from qdemod.signals import MessageSpec, ModulationScheme, sample_message
-from qdemod.wiener import design_loop, linearized_map_estimate
+from qdemod.config import ConfigError
+from qdemod.wiener import FactorizationError, design_loop, linearized_map_estimate
 
 
 def make_design(beta=2.0, lam=100.0, kind="pm", n_samples=4096, band_bins=127,
@@ -299,6 +300,13 @@ def test_kernel_newton_constants_match():
     assert f"#define NEWTON_TOL {pll._NEWTON_TOL!r}\n" in text
 
 
+def test_kernel_flags_keep_the_rounding():
+    """The bit-identity the tests rest on needs an unfused, strict build."""
+    flags = _tracker.FLAGS
+    assert "-ffp-contract=off" in flags
+    assert not {"-ffast-math", "-Ofast", "-march=native", "-mfma"} & set(flags)
+
+
 def test_tracker_build_cache_and_failure(tmp_path, monkeypatch):
     """A build is cached next to its source; a failed build yields None."""
     source = tmp_path / "_tracker.c"
@@ -388,16 +396,18 @@ def test_worker_count_never_changes_results(case, monkeypatch):
 
 
 def test_more_workers_than_cpus_under_fast_switching(monkeypatch):
-    """Five groups on four workers, switching threads every microsecond:
-    a group that wrote outside its rows would change the results."""
+    """Five groups, then three pipelined cells, on four workers, switching
+    threads every microsecond: a group that wrote outside its rows, or a
+    cell's results collected out of order, would change the results."""
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=160, seed=31)
+    cells = pipeline_configs()
     monkeypatch.setattr(pll, "max_workers", lambda: 1)
-    want = simulate_batch(cfg)
+    want = simulate_batch(cfg), list(pll.run_cells(cells))
     monkeypatch.setattr(pll, "max_workers", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = simulate_batch(cfg)
+        got = simulate_batch(cfg), list(pll.run_cells(cells))
     finally:
         sys.setswitchinterval(interval)
     assert got == want
@@ -465,11 +475,184 @@ def test_first_failing_group_raises(monkeypatch):
     def run(rows):
         if rows.start >= 64:
             raise ValueError(rows.start)
+        return []
     for n in (1, 2, 4):
         monkeypatch.setattr(pll, "max_workers", lambda n=n: n)
         with pytest.raises(ValueError) as err:
-            pll._run_groups(run, groups)
+            list(pll._pipeline([(run, groups)]))
         assert err.value.args == (64,)
+
+
+def pipeline_configs():
+    """Three cells of mixed beta on a short grid, of one, one and two row groups."""
+    return [PllConfig(make_design(beta=beta, n_samples=2048, band_bins=63), trials=trials, seed=29)
+            for beta, trials in ((0.5, 40), (1.0, 32), (2.0, 72))]
+
+
+def test_pipelined_cells_equal_lone_cells(monkeypatch):
+    cfgs = pipeline_configs()
+    monkeypatch.setattr(pll, "max_workers", lambda: 1)
+    lone = [run_cell(cfg) for cfg in cfgs]
+    for n in (1, 2, 3):
+        monkeypatch.setattr(pll, "max_workers", lambda n=n: n)
+        assert list(pll.run_cells(cfgs)) == lone
+
+
+def test_one_worker_runs_cells_on_the_calling_thread(monkeypatch):
+    threads, simulate_group = set(), pll._simulate_group
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return simulate_group(*args)
+    monkeypatch.setattr(pll, "_simulate_group", spy)
+    monkeypatch.setattr(pll, "max_workers", lambda: 1)
+    list(pll.run_cells(pipeline_configs()))
+    assert threads == {threading.get_ident()}
+
+
+SWEEP_3 = ("n_samples = 2048\nband_bins = 63\nbetas = 0.5, 1, 2\nlambdas = 100\n"
+           "trials = 64\nseed = 5\n")
+
+
+class SweepSpy:
+    """A sweep's cells, numbered in the order their designs start.
+
+    events gets ("design", k) as cell k's design starts and ("collected", k)
+    as its trials are aggregated; groups counts the row groups run per cell.
+    nan_cells draw NaN quadrature noise (the _ScaledStream pattern), so they
+    diverge in the closed loop; failing_groups raise the given error from
+    their row groups and failing_designs from their designs, at once.
+    """
+
+    def __init__(self, monkeypatch, nan_cells=(), failing_groups=None, failing_designs=None):
+        import qdemod.cli as cli
+        self.events, self.designs, self.groups = [], [], {}
+        self.local = threading.local()
+        real_design, real_group, real_stream = cli.design_loop, pll._simulate_group, pll.stream
+        real_aggregate = pll.aggregate
+        failing_groups, failing_designs = failing_groups or {}, failing_designs or {}
+
+        def design_loop(*args, **kwargs):
+            k = sum(event[0] == "design" for event in self.events)
+            self.events.append(("design", k))
+            if k in failing_designs:
+                raise failing_designs[k]
+            design = real_design(*args, **kwargs)
+            self.designs.append(design)
+            return design
+
+        def simulate_group(cfg, *args):
+            k = next(i for i, d in enumerate(self.designs) if d is cfg.design)
+            self.groups[k] = self.groups.get(k, 0) + 1
+            if k in failing_groups:
+                raise failing_groups[k]
+            self.local.nan = k in nan_cells
+            return real_group(cfg, *args)
+
+        def stream(seed, trial, purpose):
+            rng = real_stream(seed, trial, purpose)
+            return _ScaledStream(rng, float("nan")) if purpose == 1 and self.local.nan else rng
+
+        def aggregate(trials):
+            cell = real_aggregate(trials)
+            self.events.append(("collected", sum(event[0] == "collected" for event in self.events)))
+            return cell
+        monkeypatch.setattr(cli, "design_loop", design_loop)
+        monkeypatch.setattr(pll, "_simulate_group", simulate_group)
+        monkeypatch.setattr(pll, "stream", stream)
+        monkeypatch.setattr(pll, "aggregate", aggregate)
+
+
+def run_sweep(tmp_path, name, text=SWEEP_3):
+    from qdemod.cli import cli_main
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / name
+    return cli_main(["sweep", str(cfg), "--out", str(out)]), out / "results.csv"
+
+
+def test_sweep_bytes_do_not_follow_the_worker_count(tmp_path, monkeypatch):
+    written = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(pll, "max_workers", lambda n=n: n)
+        code, csv = run_sweep(tmp_path, f"workers{n}")
+        assert code == 0
+        written.append(csv.read_bytes())
+    assert written[0].count(b"\n") == 4 and written[1] == written[0] == written[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_builds_at_most_one_design_ahead(workers, tmp_path, monkeypatch):
+    """Cell k's design starts only once cell k - 2 has been collected; with
+    more than one worker it starts before cell k - 1 is collected."""
+    monkeypatch.setattr(pll, "max_workers", lambda: workers)
+    spy = SweepSpy(monkeypatch)
+    assert run_sweep(tmp_path, "sweep")[0] == 0
+    at = {event: i for i, event in enumerate(spy.events)}
+    assert sorted(at) == sorted([("design", k) for k in range(3)]
+                                + [("collected", k) for k in range(3)])
+    assert at["design", 2] > at["collected", 0]
+    for k in (1, 2):
+        assert (at["design", k] < at["collected", k - 1]) == (workers > 1)
+
+
+LATER_FAILURES = {
+    "cell_1_diverges": dict(failing_groups={1: LoopDivergenceError("cell 1 diverged", 1e9, 0)}),
+    "cell_1_design_config_error": dict(failing_designs={1: ConfigError("cell 1 design")}),
+    "cell_1_design_factorization_error": dict(
+        failing_designs={1: FactorizationError("cell 1 design")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATER_FAILURES))
+def test_first_failing_cell_sets_the_exit(case, tmp_path, monkeypatch, capsys):
+    """Cell 0 diverges on NaN draws while cell 1 fails at once: the sweep
+    exits with cell 0's code and message, as one cell after another does,
+    cell 2 is never started and no results.csv is written."""
+    outcomes = []
+    for n in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            patch.setattr(pll, "max_workers", lambda n=n: n)
+            spy = SweepSpy(patch, nan_cells={0}, **LATER_FAILURES[case])
+            code, csv = run_sweep(tmp_path, f"workers{n}")
+        assert not csv.exists()
+        assert ("design", 2) not in spy.events and 2 not in spy.groups
+        assert not any(event[0] == "collected" for event in spy.events)
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0][0] == 3 and "loop diverged" in outcomes[0][1]
+    assert outcomes[1] == outcomes[0] == outcomes[2]
+
+
+def test_pipeline_cancels_queued_groups_on_error(monkeypatch):
+    """Cell 0's group fails while both workers hold groups of cell 1: the
+    rest of cell 1 is cancelled, cell 2 is never taken and cell 0's error is
+    raised.  The workers' groups block until the pool has cancelled."""
+    release = threading.Event()
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+    monkeypatch.setattr(pll, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(pll, "max_workers", lambda: 2)
+    started, taken = [], []
+
+    def fail(group):
+        raise ValueError("cell 0")
+
+    def hold(group):
+        started.append(group)
+        release.wait(timeout=60)
+        return []
+
+    def cells():
+        for k, cell in enumerate(((fail, [0]), (hold, [0, 1, 2, 3]), (hold, [0]))):
+            taken.append(k)
+            yield cell
+    with pytest.raises(ValueError, match="cell 0"):
+        list(pll._pipeline(cells()))
+    assert release.is_set() and taken == [0, 1] and len(started) <= 2
 
 
 def test_non_finite_error_is_divergence(monkeypatch):
