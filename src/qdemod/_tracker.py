@@ -51,10 +51,8 @@ class Kernel:
         n, rows = cbase.shape
         nt = trev.size + 1
         arrays = (cbase, lamp, amp, dpsi, q, r0, trev, u, rec, phip)
-        if (any(a.shape != (n, rows) for a in (lamp, amp, dpsi, q, r0))
+        if (any(a.shape != (n, rows) for a in (lamp, amp, dpsi, q, r0, rec, phip))
                 or u.shape != (rows,) or n > nt
-                or any(a.ndim != 2 or a.shape[0] < n or a.shape[1] != rows
-                       for a in (rec, phip))
                 or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays)
                 or not all(a.flags.writeable for a in (u, rec, phip))):
             raise ValueError("tracker block arrays do not match")

@@ -41,9 +41,7 @@ block into a small C kernel (_tracker.c through ctypes), built with the
 interpreter's C compiler at -O3 without floating-point contraction on the
 first closed-loop simulation and cached under the package's __pycache__.
 Without a compiler, _track_block runs the same loop in numpy with rows in
-lockstep; it stops on the 2-norm of the row group's step vector and clips
-only when that norm exceeds 1, and agrees with the kernel to rounding
-level.
+lockstep, operation for operation, so both paths give the same bits.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the undelayed MAP estimate's tracking error; the delayed MAP
@@ -57,13 +55,10 @@ max_workers() threads (the CPUs the process may use), one cell ahead, with
 results and errors in cell order (_pipeline); run_cell and simulate_batch
 are its one-cell forms.  Every trial draws from its own counter-based
 stream, and every later step is row-wise: the FFT rows, the history's
-products summed over partitions in a fixed order, the kernel's per-row
-Newton stop and the mse, a pairwise sum over the trial's contiguous row.
-So with the kernel a trial's result is bit-identical whatever the other
-trials, its row group or the thread count.  The numpy fallback's Newton
-stop rule is group-wide: there, groupings agree to rounding level (rel
-1e-12), and the thread count still never changes the results, since the
-groups do not follow it.
+products summed over partitions in a fixed order, the in-block lags summed
+oldest first, the per-row Newton stop and the mse, a pairwise sum over the
+trial's contiguous row.  So on either path a trial's result is
+bit-identical whatever the other trials, its row group or the thread count.
 
 Each trial starts in lock (tracker history seeded with the steady-state
 record): acquisition transients are out of scope, and a cold start at
@@ -83,14 +78,13 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from . import _tracker
 from .grids import color_noise
 from .qnoise import COHERENT, SQUEEZED_Z, squeezed_covariance_psds
 from .rng import stream
 from .signals import FM, message_psd, modulate
-from .wiener import LoopDesign
+from .wiener import LoopDesign, solve_normal_equations
 
 _NEWTON_STEPS = 8  # hard cap on Newton steps per sample
 _NEWTON_TOL = 1e-13  # Newton stop threshold on the step (rad)
@@ -181,7 +175,7 @@ def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
     ut = np.fft.ifft(design.u).real
     vt = np.fft.ifft(design.v).real
     n = design.grid.n_samples // 2 - 1
-    return np.concatenate(([0.0], solve_toeplitz((ut[:n], ut[:n]), vt[1: n + 1])))
+    return np.concatenate(([0.0], solve_normal_equations(ut, vt[1: n + 1])))
 
 
 def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
@@ -190,22 +184,28 @@ def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
     The fallback of the compiled _tracker.c and its reference in the tests,
     with the same arguments: (n, rows) per-sample constants, taps trev for
     lags nt-1 .. 1, the closure state u (updated in place) and the block's
-    record and tracker-output rows rec and phip (written).  Newton stops
-    once the 2-norm of the rows' step vector is below _NEWTON_TOL, and
-    clips every step to +-1 rad when that norm exceeds 1.
+    record and tracker-output rows rec and phip (written).  Its arithmetic
+    is the kernel's, operation for operation, so the bits are too: each row
+    sums its in-block lags from 0.0, oldest first, clips its own Newton step
+    to +-1 rad (a NaN passes) and stops once that step is below _NEWTON_TOL.
     """
     n = cbase.shape[0]
     nt = trev.size + 1
     k = 1.0 - l0
     tol2 = _NEWTON_TOL**2
-    c, s, den, step = (np.empty_like(u) for _ in range(4))
+    c, s, den, step, sq = (np.empty_like(u) for _ in range(5))
+    done = np.empty(u.shape, bool)
+    terms = np.zeros((n + 1, u.size))  # row 0 stays 0.0, where each sum starts
     for i in range(n):
-        np.subtract(cbase[i], np.dot(trev[nt - 1 - i:], rec[:i]), out=c)
+        # an accumulate adds in order, never pairwise or through BLAS
+        np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
+        np.subtract(cbase[i], np.add.accumulate(terms[: i + 1], axis=0)[-1], out=c)
         if l0 == 0.0:
             u[:] = c  # l0 = 0: the closure is explicit
         else:
             u += dpsi[i]
             li = lamp[i]
+            done[:] = False
             for _ in range(_NEWTON_STEPS):
                 np.sin(u, out=s)
                 s *= li
@@ -216,12 +216,13 @@ def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
                 step += s
                 step -= c
                 step /= den
-                sq = step.dot(step)
-                if sq > 1.0:  # some |step| may exceed 1 rad: clip
-                    np.minimum(step, 1.0, out=step)
-                    np.maximum(step, -1.0, out=step)
+                np.multiply(step, step, out=sq)
+                np.minimum(step, 1.0, out=step)  # both let a NaN through
+                np.maximum(step, -1.0, out=step)
+                step[done] = 0.0  # u - 0.0 is u: a stopped row keeps its bits
                 u -= step
-                if sq < tol2:
+                done |= sq < tol2
+                if np.count_nonzero(done) == done.size:
                     break
         np.subtract(q[i], u, out=phip[i])
         np.sin(u, out=s)
@@ -232,9 +233,7 @@ def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
 
 def max_workers() -> int:
     """The worker threads of a command's pool (_pipeline): the CPUs this
-    process may use.  On the kernel path the pool threads make no BLAS
-    calls, and the fallback's in-block np.dot is too small for BLAS to
-    thread."""
+    process may use.  The pool threads make no BLAS calls."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity interface on this platform
@@ -243,9 +242,9 @@ def max_workers() -> int:
 
 def _row_groups(n_t: int) -> list:
     """Slices of _GROUP rows; the last one also takes a remainder of fewer
-    rows, so under 2 * _GROUP trials run as a single group.  On the kernel
-    path a group's width never changes its rows' bits; the remainder rule
-    only balances the load."""
+    rows, so under 2 * _GROUP trials run as a single group.  A group's width
+    never changes its rows' bits; the remainder rule only balances the
+    load."""
     edges = [i * _GROUP for i in range(max(1, n_t // _GROUP))] + [n_t]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -253,37 +252,34 @@ def _row_groups(n_t: int) -> list:
 def _far_history(taps, kb, fr):
     """Each loop block's history from the records before it, (rows, kb).
 
-    fr holds nt = taps.size steady-state records, then the loop's record in
-    blocks of kb <= nt samples.  Entry i of a block's history sums
-    taps[lag] * record over the lags that reach before the block, i < lag <
-    nt.  The caller writes a block's records into fr before it asks for the
-    next block's history.
+    fr holds nt = taps.size steady-state records, then the loop's record,
+    in blocks of kb samples; kb divides nt and the record (_close_loop).
+    Entry i of a block's history sums taps[lag] * record over the lags that
+    reach before the block, i < lag < nt.  The caller writes a block's
+    records into fr before it asks for the next block's history.
 
     Uniformly partitioned overlap-save convolution (Gardner, JAES 43(3),
-    1995).  Let x be fr padded with zeros at the front to whole blocks, H_p
-    the spectrum of the taps for lags p kb .. p kb + kb - 1 (zero past nt)
-    and Z_k = rfft([x_{k-1}, 0]), stored once per block.  Block b's history
-    is the last kb samples of irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p) with
-    W_k = rfft([x_{k-1}, x_k]) = Z_k + (-1)^f Z_{k+1}; the zero half of Z_b
-    keeps the block itself out.  Collected by Z, the sum is sum_p Z_{b-p} G_p
-    with G_p = H_p + (-1)^f H_{p+1}, so a block costs one forward FFT, one
-    product and one inverse FFT.  Every step is row-wise, and the products
-    are summed oldest block first, so a row's history never depends on the
-    other rows.
+    1995).  Let x_k be block k of fr, H_p the spectrum of the taps for lags
+    p kb .. p kb + kb - 1 (zero past nt) and Z_k = rfft([x_{k-1}, 0]),
+    stored once per block.  Block b's history is the last kb samples of
+    irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p) with W_k = rfft([x_{k-1}, x_k])
+    = Z_k + (-1)^f Z_{k+1}; the zero half of Z_b keeps the block itself
+    out.  Collected by Z, the sum is sum_p Z_{b-p} G_p with G_p = H_p +
+    (-1)^f H_{p+1}, so a block costs one forward FFT, one product and one
+    inverse FFT.  Every step is row-wise, and the products are summed
+    oldest block first, so a row's history never depends on the other rows.
     """
     rows, nt = fr.shape[0], taps.size
-    parts = -(-nt // kb)
-    front = parts * kb - nt
+    parts = nt // kb
     h = np.zeros((parts + 1, 2 * kb))
-    h[:parts, :kb] = np.concatenate((taps, np.zeros(front))).reshape(parts, kb)
+    h[:parts, :kb] = taps.reshape(parts, kb)
     hs = np.fft.rfft(h, axis=1)
     g_old_first = (hs[:-1] + (-1.0) ** np.arange(kb + 1) * hs[1:])[::-1, None]
 
     half = np.zeros((rows, 2 * kb))  # [x_{k-1}, 0]
 
-    def spectrum(k):  # Z_k; k = 1 comes first, while half's front is still 0
-        start = (k - 1) * kb - front
-        half[:, max(-start, 0): kb] = fr[:, max(start, 0): start + kb]
+    def spectrum(k):  # Z_k
+        half[:, :kb] = fr[:, (k - 1) * kb: k * kb]
         return np.fft.rfft(half, axis=1)
 
     # zs[k % parts] holds Z_k for the parts blocks up to the current one
@@ -292,7 +288,7 @@ def _far_history(taps, kb, fr):
         zs[k] = spectrum(k)
     prod = np.empty_like(zs)
     acc = np.empty((rows, kb + 1), complex)
-    for b in range(parts, parts + -(-(fr.shape[1] - nt) // kb)):
+    for b in range(parts, fr.shape[1] // kb):
         s = b % parts
         zs[s] = spectrum(b)
         np.multiply(zs[s + 1:], g_old_first[: parts - 1 - s], out=prod[: parts - 1 - s])
@@ -301,9 +297,9 @@ def _far_history(taps, kb, fr):
         yield np.fft.irfft(acc, n=2 * kb, axis=1)[:, kb:]
 
 
-def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
-    """Closed loop of one row group, given its arrays (x0, y0 None for
-    squeezed_z, zrec None otherwise).
+def _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip):
+    """Closed loop of one row group, given its arrays (x0 None for
+    squeezed_z, whose y0 is the S2-coloured record z').
 
     Writes fr, the tracker's input (nt steady-state records, then the loop's
     record), and phip, the tracker output.
@@ -312,11 +308,11 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
     nt = taps.size
     l0 = taps[0]
     trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
-    hist = y0 if zrec is None else zrec
-    fr[:, :nt] = phibar[:, m - nt:] + hist[:, m - nt:] / twoa
+    fr[:, :nt] = phibar[:, m - nt:] + y0[:, m - nt:] / twoa
     # Blocked history: _far_history gives the lags that reach before a
     # block; lags inside the block come from rec_blk, the block's records so
-    # far, one row per sample.  kb <= nt keeps every in-block lag below nt.
+    # far, one row per sample.  TimeGrid makes m, nt = m/2 and kb powers of
+    # two, so kb divides nt and m: every block is whole, every lag below nt.
     kb = min(_BLOCK, nt)
     rec_blk, phip_blk = np.empty((kb, n_t)), np.empty((kb, n_t))
     # u = e + psi, one entry per row, carries the closure from sample to
@@ -324,31 +320,29 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip):
     u = np.zeros(n_t)
     psi_prev = np.zeros(n_t)
     for j0, far in zip(range(0, m, kb), _far_history(taps, kb, fr)):
-        n = min(kb, m - j0)
-        # Per-sample constants, (n, rows): sin e + z(e)/2|a| =
+        # Per-sample constants, (kb, rows): sin e + z(e)/2|a| =
         # amp sin(e + psi) + zoff; for (x0, y0) noise, (amp, psi) is the
         # polar form of (1 + x0/2|a|, y0/2|a|).
-        pb = np.ascontiguousarray(phibar[:, j0: j0 + n].T)
-        if zrec is None:
-            xs = np.ascontiguousarray(x0[:, j0: j0 + n].T) / twoa
+        pb = np.ascontiguousarray(phibar[:, j0: j0 + kb].T)
+        ys = np.ascontiguousarray(y0[:, j0: j0 + kb].T) / twoa
+        if x0 is None:
+            amp, psi, dpsi, zoff = np.ones_like(pb), 0.0, np.zeros_like(pb), ys
+        else:
+            xs = np.ascontiguousarray(x0[:, j0: j0 + kb].T) / twoa
             xs += 1.0
-            ys = np.ascontiguousarray(y0[:, j0: j0 + n].T) / twoa
             amp, psi, zoff = np.hypot(xs, ys), np.arctan2(ys, xs), 0.0
             # the warm start e_{j-1} + psi_j is u_{j-1} + (psi_j - psi_{j-1})
             dpsi = np.diff(psi, axis=0, prepend=psi_prev[None])
             psi_prev = psi[-1]
-        else:
-            amp, psi, dpsi = np.ones_like(pb), 0.0, np.zeros_like(pb)
-            zoff = np.ascontiguousarray(zrec[:, j0: j0 + n].T) / twoa
         # The tracker output is pb - e = q - u with q = pb + psi and the
         # record is q - u + amp sin u + zoff = r0 - u + amp sin u, so the
         # closure is k u + l0 amp sin u = cbase - (in-block history).
         q = pb + psi
         r0 = q + zoff
-        cbase = (1.0 - l0) * q - l0 * zoff - far[:, :n].T
+        cbase = (1.0 - l0) * q - l0 * zoff - far.T
         track(l0, trev, cbase, l0 * amp, amp, dpsi, q, r0, u, rec_blk, phip_blk)
-        fr[:, nt + j0: nt + j0 + n] = rec_blk[:n].T
-        phip[:, j0: j0 + n] = phip_blk[:n].T
+        fr[:, nt + j0: nt + j0 + kb] = rec_blk.T
+        phip[:, j0: j0 + kb] = phip_blk.T
 
 
 def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
@@ -366,8 +360,9 @@ def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
 
     # Per trial: the message on stream (seed, trial, 0), the quadrature
     # noise on (seed, trial, 1) -- white (x0, y0) for coherent light, the
-    # S2-coloured record z' for squeezed_z, coloured (x0, y0) otherwise.
-    # One white draw per stream and row; the group's rows are coloured together.
+    # S2-coloured record z' as y0 (x0 None) for squeezed_z, coloured (x0, y0)
+    # otherwise.  One white draw per stream and row; the group's rows are
+    # coloured together.
     quads = 1 if variant == SQUEEZED_Z else 2
     msg, white = np.empty((n_t, m)), np.empty((n_t, quads, m))
     for row, trial in enumerate(trials):
@@ -375,22 +370,22 @@ def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
         white[row] = stream(cfg.seed, trial, 1).standard_normal((quads, m))
     msg = color_noise(msg, psds[0])
     if variant == COHERENT:
-        x0, y0, zrec = white[:, 0], white[:, 1], None
+        x0, y0 = white[:, 0], white[:, 1]
     elif variant == SQUEEZED_Z:
-        x0, y0, zrec = None, None, color_noise(white[:, 0], psds[2])
+        x0, y0 = None, color_noise(white[:, 0], psds[2])
     else:
-        x0, y0, zrec = color_noise(white[:, 0], psds[1]), color_noise(white[:, 1], psds[2]), None
+        x0, y0 = color_noise(white[:, 0], psds[1]), color_noise(white[:, 1], psds[2])
     phibar = modulate(design.mod, g, msg)
 
     fr = np.empty((n_t, nt + m))  # tracker input; the record is fr[:, nt:]
     if track is None:
         phip = phibar  # e = 0: the record is the phase-insensitive quadrature
-        fr[:, nt:] = phibar + (y0 if zrec is None else zrec) / twoa
+        fr[:, nt:] = phibar + y0 / twoa
     else:
         phip = np.empty((n_t, m))
-        _close_loop(track, taps, twoa, phibar, x0, y0, zrec, fr, phip)
+        _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip)
     err = phibar - phip
-    del white, x0, y0, zrec, phibar  # now in fr and err: free them before the estimate
+    del white, x0, y0, phibar  # now in fr and err: free them before the estimate
     worst = np.max(np.abs(err), axis=1)
     if not np.max(worst) <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
         bad = int(np.argmax(worst))

@@ -144,6 +144,13 @@ def wiener_hopf_residual(l_response: np.ndarray, u: np.ndarray, v: np.ndarray) -
     return float(np.max(np.abs(r[: m // 2])) / scale)
 
 
+def solve_normal_equations(ut: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with sum_k ut[|j - k|] x_k = rhs_j, j, k in [0, rhs.size), by
+    Levinson recursion: the package's one causal Toeplitz solve."""
+    col = ut[: rhs.size]
+    return solve_toeplitz((col, col), rhs)
+
+
 def closed_loop_filter(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKernel:
     """Causal Wiener filter L' solving sum_{k>=0} L'_k U_{j-k} = V_j, j >= 0.
 
@@ -156,8 +163,7 @@ def closed_loop_filter(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKe
     ut = np.fft.ifft(u).real
     vt = np.fft.ifft(v).real
     half = m // 2
-    col = ut[:half]
-    taps = solve_toeplitz((col, col), vt[:half])
+    taps = solve_normal_equations(ut, vt[:half])
     full = np.zeros(m)
     full[:half] = taps
     response = np.fft.fft(full)

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import shutil
@@ -319,3 +320,22 @@ def test_cli_sweep_matches_single_trial_aggregate(tmp_path):
     row1 = (out1 / "results.csv").read_text().splitlines()[1].split(",")[1:]
     row2 = (out2 / "results.csv").read_text().splitlines()[1].split(",")[1:]
     assert row1 == row2  # identical apart from the run id
+
+
+def test_benchmark_tracer_finds_every_name():
+    """perfbench's traced pass wraps names where their callers look them
+    up: each must still exist, and restore() must put the originals back."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = [getattr(owner, attr) for owner, attr, _ in tracing.TARGETS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [getattr(owner, attr) for owner, attr, _ in tracing.TARGETS]
+    finally:
+        tracer.restore()
+    assert all(w is not o for w, o in zip(wrapped, originals))
+    assert all(getattr(owner, attr) is o
+               for (owner, attr, _), o in zip(tracing.TARGETS, originals))
