@@ -1,12 +1,12 @@
 /*
- * Inner loop of one tracker history block for every row of a batch.
+ * The two compiled loops of qdemod, built and loaded by qdemod._tracker.
  *
- * qdemod.pll forms the block's per-sample constants, (n, rows) arrays in C
- * order, and the contribution of the records before the block (folded into
- * cbase).  This function adds the lags inside the block, closes the loop
- * sample by sample and writes the block's records and tracker outputs; it is
- * the compiled form of pll._track_block and follows its arithmetic operation
- * for operation, so build it without floating-point contraction.
+ * track_block: the inner loop of one tracker history block for every row of
+ * a batch.  qdemod.pll forms the block's per-sample constants, (n, rows)
+ * arrays in C order, and the contribution of the records before the block
+ * (folded into cbase).  This function adds the lags inside the block, closes
+ * the loop sample by sample and writes the block's records and tracker
+ * outputs; it is the compiled form of pll._track_block.
  *
  * Per sample i and row r, with k = 1 - l0 and c = cbase - (in-block lags):
  *   l0 == 0: u = c (the closure is explicit);
@@ -15,6 +15,12 @@
  *            row's own step is below NEWTON_TOL.
  * Then phip = q - u and rec = r0 + (amp sin u - u).  A NaN step is never
  * clipped and never stops the iteration.
+ *
+ * levinson: the symmetric Toeplitz solve of the Wiener-Hopf normal
+ * equations, the compiled form of wiener._levinson.
+ *
+ * Both follow their numpy forms operation for operation, so build them
+ * without floating-point contraction.
  */
 #include <math.h>
 #include <stddef.h>
@@ -23,7 +29,7 @@
 #define NEWTON_TOL 1e-13
 
 /* trev holds the tracker taps for lags nt-1 .. 1; u carries each row's
- * closure state from block to block; rec and phip have at least n rows of
+ * closure state from block to block; rec and phip have exactly n rows of
  * `rows` entries. */
 void track_block(int n, int rows, int nt, double l0,
                  const double *cbase, const double *lamp, const double *amp,
@@ -67,4 +73,52 @@ void track_block(int n, int rows, int nt, double l0,
             rec[o + r] = r0[o + r] + (sin(ur) * amp[o + r] - ur);
         }
     }
+}
+
+/* Solve sum_k c[|j - k|] x[k] = b[j], j, k in [0, n), by Levinson recursion;
+ * g (n entries) is work space.  This is the general (two-vector) Levinson
+ * recursion with both Toeplitz vectors equal to c: its backward vector then
+ * equals the forward vector g and both its denominators equal the one den
+ * below, term for term, so one vector gives its bits.
+ * Each sum runs from its constant term, lag by lag; the three sums of a step
+ * share one pass, and so do its updates of x and g.  Returns 1 when a leading
+ * principal minor is singular (c[0] == 0 or a zero den), else 0. */
+int levinson(int n, const double *c, const double *b, double *x, double *g)
+{
+    if (c[0] == 0.0)
+        return 1;
+    x[0] = b[0] / c[0];
+    if (n > 1)
+        g[0] = c[1] / c[0];
+    for (int m = 1; m < n; m++) {
+        double xnum = -b[m], den = -c[0];
+        double gnum = m + 1 < n ? -c[m + 1] : 0.0;  /* unused at m == n - 1 */
+        for (int j = 0; j < m; j++) {
+            const double cj = c[m - j];
+            xnum += cj * x[j];
+            den += cj * g[m - 1 - j];
+            gnum += cj * g[j];
+        }
+        if (den == 0.0)
+            return 1;
+        const double xm = xnum / den, gm = gnum / den;
+        x[m] = xm;
+        g[m] = gm;
+        /* x[:m] -= xm g[m-1::-1] and g[:m] -= gm g[m-1::-1], pair by pair */
+        const int h = m / 2;
+        for (int j = 0; j < h; j++) {
+            const int k = m - 1 - j;
+            const double gj = g[j], gk = g[k];
+            x[j] -= xm * gk;
+            x[k] -= xm * gj;
+            g[j] = gj - gm * gk;
+            g[k] = gk - gm * gj;
+        }
+        if (m % 2 == 1) {
+            const double gh = g[h];
+            x[h] -= xm * gh;
+            g[h] = gh - gm * gh;
+        }
+    }
+    return 0;
 }

@@ -1,12 +1,15 @@
-"""Build and load the compiled tracker block (_tracker.c) through ctypes.
+"""Build and load the compiled library (_tracker.c) through ctypes.
 
-The library is built on the first call to load(), with the interpreter's C
-compiler and flags that keep its rounding equal to the numpy block loop's, and
-cached in this package's __pycache__ under a hash of the source and the flags,
-so later processes only load it.  Where __pycache__ is not writable it is
-built into a private temporary directory for this process alone.  load()
-returns None when there is no compiler or the build fails; pll then runs its
-numpy block loop instead.
+The library holds the two loops that numpy runs slowly: track_block, the
+inner loop of one tracker history block (pll._track_block in numpy), and
+levinson, the Toeplitz solve of the Wiener-Hopf normal equations
+(wiener._levinson in numpy).  It is built on the first call to load(), with
+the interpreter's C compiler and flags that keep its rounding equal to the
+numpy loops', and cached in this package's __pycache__ under a hash of the
+source and the flags, so later processes only load it.  Where __pycache__ is
+not writable it is built into a private temporary directory for this process
+alone.  load() returns None when there is no compiler or the build fails;
+pll and wiener then run their numpy loops instead.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_tracker.c")
 # No -ffast-math or -march=native, and no fused multiply-adds: the kernel
-# must round like the numpy loop and rebuild to the same results anywhere.
+# must round like the numpy loops and rebuild to the same results anywhere.
 # -O3 vectorises the in-block lag loop across rows, which never reorders a
 # row's sum.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
@@ -35,10 +38,14 @@ _lock = threading.Lock()  # one build, however many threads call load() at once
 
 
 class Kernel:
-    """track_block of the loaded library behind the numpy loop's signature."""
+    """The loaded library: a call runs track_block behind the numpy loop's
+    signature, and levinson(c, b) the normal-equation solve."""
 
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
+        self._levinson = lib.levinson
+        self._levinson.argtypes = [ctypes.c_int, *[ctypes.c_void_p] * 4]
+        self._levinson.restype = ctypes.c_int
         self._fn = lib.track_block
         # Raw pointers, checked in __call__: numpy's ndpointer spends tens of
         # microseconds a call in Python, holding the interpreter lock that
@@ -57,6 +64,16 @@ class Kernel:
                 or not all(a.flags.writeable for a in (u, rec, phip))):
             raise ValueError("tracker block arrays do not match")
         self._fn(n, rows, nt, l0, *[a.ctypes.data for a in arrays])
+
+    def levinson(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with sum_k c[|j - k|] x_k = b_j, for float64 c and b of one size."""
+        c, b = (np.ascontiguousarray(a, dtype=np.float64) for a in (c, b))
+        if c.shape != b.shape or c.ndim != 1 or c.size == 0:
+            raise ValueError("levinson needs c and b of one nonzero length")
+        x, g = np.empty(b.size), np.empty(b.size)
+        if self._levinson(b.size, c.ctypes.data, b.ctypes.data, x.ctypes.data, g.ctypes.data):
+            raise np.linalg.LinAlgError("Singular principal minor")
+        return x
 
 
 def _compile(directory: Path, name: str) -> Path:
@@ -98,7 +115,7 @@ def _build() -> Kernel | None:
 
 
 def load() -> Kernel | None:
-    """The compiled tracker block, built on first use; None if it cannot be."""
+    """The compiled library, built on first use; None if it cannot be."""
     with _lock:
         if "kernel" not in _loaded:
             _loaded["kernel"] = _build()
@@ -106,7 +123,8 @@ def load() -> Kernel | None:
 
 
 def describe() -> str:
-    """The tracker path this process has taken, for the run manifest."""
+    """The path this process's closed loop and solves have taken (the
+    library's hash, numpy, or not run), for the run manifest."""
     if "kernel" not in _loaded:
         return "not run"
     kernel = _loaded["kernel"]

@@ -38,8 +38,9 @@ per-sample constants (A, psi, the known part of c, the record offset) are
 formed once per block as well, so a sample costs the in-block lags, the
 Newton steps and the record write.  That per-sample loop is one call per
 block into a small C kernel (_tracker.c through ctypes), built with the
-interpreter's C compiler at -O3 without floating-point contraction on the
-first closed-loop simulation and cached under the package's __pycache__.
+interpreter's C compiler at -O3 without floating-point contraction on first
+use (a loop design solves its normal equations there too) and cached under
+the package's __pycache__.
 Without a compiler, _track_block runs the same loop in numpy with rows in
 lockstep, operation for operation, so both paths give the same bits.
 

@@ -8,7 +8,6 @@ import platform
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import _tracker
 from .pll import max_workers
@@ -52,7 +51,7 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _environment() -> dict:
     """Interpreter, library, BLAS and platform versions, the CPU count, the
     worker threads of a command's pool (the process's CPUs), the
-    closed-loop tracker this process ran (c kernel <hash>, numpy or not run)
+    path the compiled library's loops took (c kernel <hash>, numpy or not run)
     and the BLAS thread settings."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -61,7 +60,6 @@ def _environment() -> dict:
     env = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
         "platform": platform.platform(),
         "nproc": os.cpu_count(),

@@ -8,11 +8,13 @@ are all synthesised per design.  Causal means tap support on lags
 L' is computed exactly: the causal-constrained normal equations form a
 symmetric positive-definite Toeplitz system (column = autocovariance taps of
 U), solved by Levinson recursion, which drives the causal Wiener-Hopf
-residual to rounding level even for brick-wall spectra.  The classical
-construction L' = (1/X)[V/X*]_+ from the cepstral factor X is also provided;
-on discontinuous (brick-wall) spectra its circular Gibbs wrap-around leaves
-residuals around 1e-2 and it is kept as a cross-check for smooth spectra
-only.
+residual to rounding level even for brick-wall spectra.
+solve_normal_equations runs the recursion in the compiled library (levinson
+in _tracker.c) or, without a compiler, in its numpy form _levinson, which
+gives the same bits.  The classical construction L' = (1/X)[V/X*]_+ from the
+cepstral factor X is also provided; on discontinuous (brick-wall) spectra its
+circular Gibbs wrap-around leaves residuals around 1e-2 and it is kept as a
+cross-check for smooth spectra only.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
+from . import _tracker
 from .grids import SpectralDensity, TimeGrid
 from .signals import (FM, MessageSpec, ModulationScheme, carson_bandwidth,
                       message_psd, phase_response)
@@ -144,11 +146,63 @@ def wiener_hopf_residual(l_response: np.ndarray, u: np.ndarray, v: np.ndarray) -
     return float(np.max(np.abs(r[: m // 2])) / scale)
 
 
+def _sum_in_order(start: float, products: np.ndarray, terms: np.ndarray) -> float:
+    """start + products[0] + products[1] + ..., added in that order (terms
+    is scratch space of more than products.size entries)."""
+    k = products.size
+    terms[0] = start
+    terms[1: k + 1] = products
+    return np.add.accumulate(terms[: k + 1])[k]
+
+
+def _levinson(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with sum_k c[|j - k|] x_k = b_j: levinson of _tracker.c in numpy.
+
+    The library's fallback and its reference in the tests, with its
+    arithmetic operation for operation: each sum adds its products to its
+    constant term in order (an accumulate, never pairwise), and the updates
+    of x and g are whole-array, entry by entry as in the C loops.
+    """
+    n = b.size
+    x, g = np.zeros(n), np.zeros(n)
+    if c[0] == 0.0:
+        raise np.linalg.LinAlgError("Singular principal minor")
+    x[0] = b[0] / c[0]
+    if n > 1:
+        g[0] = c[1] / c[0]
+    terms = np.empty(n)
+    for m in range(1, n):
+        lags = c[m:0:-1]  # c[m - j] for j = 0 .. m-1
+        back = g[m - 1::-1]
+        den = _sum_in_order(-c[0], lags * back, terms)
+        if den == 0.0:
+            raise np.linalg.LinAlgError("Singular principal minor")
+        xm = _sum_in_order(-b[m], lags * x[:m], terms) / den
+        x[m] = xm
+        x[:m] -= xm * back
+        if m == n - 1:
+            break
+        gm = _sum_in_order(-c[m + 1], lags * g[:m], terms) / den
+        g[m] = gm
+        g[:m] = g[:m] - gm * g[:m][::-1]
+    return x
+
+
 def solve_normal_equations(ut: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x with sum_k ut[|j - k|] x_k = rhs_j, j, k in [0, rhs.size), by
-    Levinson recursion: the package's one causal Toeplitz solve."""
-    col = ut[: rhs.size]
-    return solve_toeplitz((col, col), rhs)
+    Levinson recursion: the package's one causal Toeplitz solve.
+
+    Raises ValueError on non-finite input and np.linalg.LinAlgError on a
+    singular leading minor.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    col = np.asarray(ut, dtype=float)[: rhs.size]
+    if rhs.ndim != 1 or rhs.size == 0 or col.size != rhs.size:
+        raise ValueError("need a nonempty rhs and at least rhs.size taps of ut")
+    if not (np.isfinite(col).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    kernel = _tracker.load()
+    return _levinson(col, rhs) if kernel is None else kernel.levinson(col, rhs)
 
 
 def closed_loop_filter(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKernel:

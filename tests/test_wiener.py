@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qdemod import _tracker, wiener
+from qdemod.cli import cli_main
 from qdemod.grids import TimeGrid
 from qdemod.limits import irreducible_error
-from qdemod.qnoise import SQUEEZED_Z, NoiseModel, operating_point
+from qdemod.pll import tracking_taps
+from qdemod.qnoise import (COHERENT, SQUEEZED_Z, NoiseModel, operating_point,
+                           resolve_lambda)
 from qdemod.rng import stream
 from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme,
                             message_psd, modulate, sample_message)
@@ -12,8 +21,8 @@ from qdemod.wiener import (FactorizationError, FilterKernel, LoopInstabilityErro
                            closed_loop_filter, design_loop, dump_design,
                            linearized_map_estimate, loop_and_postloop,
                            nonlinear_map_fixed_point, optimum_filter,
-                           predicted_error_spectrum, spectral_factorize,
-                           wiener_hopf_residual)
+                           predicted_error_spectrum, solve_normal_equations,
+                           spectral_factorize, wiener_hopf_residual)
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +278,126 @@ def test_dump_design_roundtrip(tmp_path, pm_design):
     k, f, gr, gi, *_ = rows[0].split()
     assert int(k) == 0
     assert abs(float(gr) - pm_design.g.response[0].real) < 1e-15
+
+
+def no_kernel(monkeypatch):
+    """Make the solve (and the closed loop) run the numpy loops."""
+    monkeypatch.setattr(_tracker, "load", lambda: None)
+
+
+def solvers():
+    """The solve's paths: the numpy twin and, where it builds, the compiled
+    levinson."""
+    kernel = _tracker.load()
+    return [wiener._levinson] + ([] if kernel is None else [kernel.levinson])
+
+
+def normal_systems(kind, r):
+    """A design at n = 4096 and the (column, rhs) of its two normal-equation
+    systems: L' and the one-step prediction of pll.tracking_taps(design, 1)."""
+    grid = TimeGrid(1.0, 4096)
+    msg = MessageSpec.flat(grid, 127)
+    mod = ModulationScheme(kind, 2.0, msg.bandwidth)
+    lam = 100.0 if r == 0 else resolve_lambda(r, n_photon=10.0)
+    alpha, _ = operating_point(msg, r, lam)
+    noise = (NoiseModel(COHERENT, alpha) if r == 0
+             else NoiseModel(SQUEEZED_Z, alpha, r, msg.bandwidth))
+    design = design_loop(msg, mod, alpha, noise)
+    ut = np.fft.ifft(design.u).real
+    vt = np.fft.ifft(design.v).real
+    half = grid.n_samples // 2
+    return design, [(ut[:half], vt[:half]), (ut[:half - 1], vt[1:half])]
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+@pytest.mark.parametrize("kind", ["pm", "fm"])
+def test_levinson_paths_equal_solve_toeplitz(kind, r):
+    """The compiled solve, its numpy twin and scipy's solve_toeplitz give the
+    same bits on both normal-equation systems of PM and FM, coherent and
+    squeezed designs, and the design and the tracker taps carry them."""
+    linalg = pytest.importorskip("scipy.linalg")
+    design, systems = normal_systems(kind, r)
+    want = [linalg.solve_toeplitz((c, c), b) for c, b in systems]
+    for solve in solvers():
+        for (c, b), x in zip(systems, want):
+            assert np.array_equal(solve(c, b), x)
+    taps = np.zeros(design.grid.n_samples)
+    taps[: want[0].size] = want[0]
+    assert np.array_equal(design.l_prime.response, np.fft.fft(taps))
+    assert np.array_equal(tracking_taps(design, 1), np.r_[0.0, want[1]])
+
+
+@pytest.mark.parametrize("c,b", [([2.0], [3.0]), ([2.0, -0.5], [1.0, 4.0]),
+                                 ([1e-3, 7.0], [0.0, 1.0])])
+def test_levinson_shortest_systems(c, b):
+    """n = 1 and n = 2 (the n = 2 system indefinite or not) on every path."""
+    linalg = pytest.importorskip("scipy.linalg")
+    c, b = np.array(c), np.array(b)
+    want = linalg.solve_toeplitz((c, c), b)
+    for solve in solvers():
+        assert np.array_equal(solve(c, b), want)
+
+
+@pytest.mark.parametrize("c", [[0.0, 1.0, 0.5], [1.0, 1.0, 0.5], [2.0, 0.0, 2.0, 1.0]])
+def test_singular_leading_minor_raises_linalg_error(c):
+    """A zero c[0], or a zero denominator later in the recursion (the 2x2
+    and, with c[1] = 0, the 3x3 leading minors singular), raises
+    LinAlgError on every path, as scipy's recursion does."""
+    c = np.array(c)
+    for solve in solvers():
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(c, np.ones(c.size))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["ut", "rhs"])
+def test_non_finite_normal_equations_raise_value_error(monkeypatch, which, bad):
+    """Non-finite input is refused before either path runs."""
+    ut, rhs = np.array([2.0, 0.5, 0.1, 9.0]), np.array([1.0, 2.0, 3.0])
+    {"ut": ut, "rhs": rhs}[which][1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_normal_equations(ut, rhs)
+    no_kernel(monkeypatch)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_normal_equations(ut, rhs)
+
+
+def test_solve_uses_only_the_taps_it_needs(monkeypatch):
+    """Taps of ut beyond rhs.size are not part of the system."""
+    ut, rhs = np.array([2.0, 0.5, 0.1, np.nan]), np.array([1.0, 2.0, 3.0])
+    got = solve_normal_equations(ut, rhs)
+    no_kernel(monkeypatch)
+    assert np.array_equal(solve_normal_equations(ut, rhs), got)
+    assert np.allclose(np.array([[2.0, 0.5, 0.1], [0.5, 2.0, 0.5], [0.1, 0.5, 2.0]]) @ got,
+                       rhs, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_cli_singular_design_exits_3(tmp_path, monkeypatch, capsys, compiled):
+    """A singular normal-equation system is a numerical failure (exit 3) on
+    both paths."""
+    if not compiled:
+        no_kernel(monkeypatch)
+    solve = wiener.solve_normal_equations
+    monkeypatch.setattr(wiener, "solve_normal_equations",
+                        lambda ut, rhs: solve(np.zeros_like(ut), rhs))
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text("n_samples = 2048\nband_bins = 63\nbeta = 1.0\nlambda = 100\n")
+    assert cli_main(["design", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "Singular principal minor" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy_and_builds_nothing():
+    """Importing the CLI imports no scipy module and neither builds nor
+    loads the compiled library."""
+    code = ("import sys, qdemod.cli\n"
+            "from qdemod import _tracker\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(_tracker.describe())\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "not run"]
