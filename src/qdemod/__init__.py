@@ -11,14 +11,14 @@ __version__ = "0.1.0"
 from .grids import (SampledEnvelope, SpectralDensity, TimeGrid,
                     differentiator_kernel, estimate_psd, reconstruct, sinc_kernel)
 from .signals import (MessageSpec, ModulationScheme, carson_bandwidth,
-                      message_psd, modulate, phase_response, sample_message)
-from .qnoise import (NoiseModel, PhysicalConstants, QuadratureRecord,
-                     operating_point, photon_budget, sample_squeezed,
-                     sample_vacuum, squeezed_covariance_psds)
+                      message_psd, modulate, phase_response)
+from .qnoise import (NoiseModel, PhysicalConstants, operating_point,
+                     photon_budget, squeezed_covariance_psds)
 from .wiener import (FilterKernel, LoopDesign, closed_loop_filter, design_loop,
                      linearized_map_estimate, loop_and_postloop,
                      nonlinear_map_fixed_point, optimum_filter, spectral_factorize)
-from .pll import CellResult, PllConfig, TrialResult, cycle_slip_count, run_cell
+from .pll import (CellResult, PllConfig, TrialResult, cycle_slip_count, run_cell,
+                  sample_message, sample_quadratures)
 from . import limits
 from . import fock
 from . import sensing
@@ -27,15 +27,14 @@ from .cli import cli_main
 __all__ = [
     "TimeGrid", "SampledEnvelope", "SpectralDensity", "sinc_kernel",
     "differentiator_kernel", "reconstruct", "estimate_psd",
-    "MessageSpec", "ModulationScheme", "message_psd", "sample_message",
+    "MessageSpec", "ModulationScheme", "message_psd",
     "phase_response", "modulate", "carson_bandwidth",
-    "PhysicalConstants", "NoiseModel", "QuadratureRecord", "sample_vacuum",
-    "sample_squeezed", "squeezed_covariance_psds", "photon_budget",
-    "operating_point",
+    "PhysicalConstants", "NoiseModel", "squeezed_covariance_psds",
+    "photon_budget", "operating_point",
     "FilterKernel", "LoopDesign", "optimum_filter", "spectral_factorize",
     "closed_loop_filter", "loop_and_postloop", "design_loop",
     "linearized_map_estimate", "nonlinear_map_fixed_point",
     "PllConfig", "TrialResult", "CellResult", "run_cell",
-    "cycle_slip_count",
+    "cycle_slip_count", "sample_message", "sample_quadratures",
     "limits", "fock", "sensing", "cli_main",
 ]

@@ -55,11 +55,14 @@ in its own arrays.  run_cells runs a command's cells on one pool of
 max_workers() threads (the CPUs the process may use), one cell ahead, with
 results and errors in cell order (_pipeline); run_cell and simulate_batch
 are its one-cell forms.  Every trial draws from its own counter-based
-stream, and every later step is row-wise: the FFT rows, the history's
-products summed over partitions in a fixed order, the in-block lags summed
-oldest first, the per-row Newton stop and the mse, a pairwise sum over the
-trial's contiguous row.  So on either path a trial's result is
-bit-identical whatever the other trials, its row group or the thread count.
+streams, each with one sampler that returns a row per trial: its message
+from (seed, trial, 0) (sample_message) and its quadrature noise from (seed,
+trial, 1) (sample_quadratures).  Every later step is row-wise: the FFT
+rows, the history's products summed over partitions in a fixed order, the
+in-block lags summed oldest first, the per-row Newton stop and the mse, a
+pairwise sum over the trial's contiguous row.  So on either path a trial's
+result is bit-identical whatever the other trials, its row group or the
+thread count.
 
 Each trial starts in lock (tracker history seeded with the steady-state
 record): acquisition transients are out of scope, and a cold start at
@@ -81,10 +84,10 @@ from functools import partial
 import numpy as np
 
 from . import _tracker
-from .grids import color_noise
-from .qnoise import COHERENT, SQUEEZED_Z, squeezed_covariance_psds
+from .grids import TimeGrid, color_noise
+from .qnoise import COHERENT, SQUEEZED_Z, NoiseModel, squeezed_covariance_psds
 from .rng import stream
-from .signals import FM, message_psd, modulate
+from .signals import FM, MessageSpec, message_psd, modulate
 from .wiener import LoopDesign, solve_normal_equations
 
 _NEWTON_STEPS = 8  # hard cap on Newton steps per sample
@@ -117,6 +120,9 @@ class PllConfig:
             raise ValueError("need at least one trial")
         if self.design.grid.bandwidth / self.design.message.bandwidth < 32:
             raise ValueError("oversampling guard: require B/b >= 32")
+        m = self.design.grid.n_samples
+        if m - 6 * self.design.delay < m // 8:  # statistics use samples 4d .. m - 2d
+            raise ValueError("grid too short for the warm-up and edge exclusions")
 
 
 @dataclass(frozen=True)
@@ -346,36 +352,51 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip):
         phip[:, j0: j0 + kb] = phip_blk.T
 
 
-def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
+def sample_message(spec: MessageSpec, seed: int, trials, drop_dc: bool = False) -> np.ndarray:
+    """The messages of the given trials, (len(trials), m): each row is its
+    trial's stream (seed, trial, 0) coloured to message_psd(spec, drop_dc),
+    a zero-mean unit-variance Gaussian sequence."""
+    m = spec.grid.n_samples
+    white = np.empty((len(trials), m))
+    for row, trial in enumerate(trials):
+        white[row] = stream(seed, trial, 0).standard_normal(m)
+    return color_noise(white, message_psd(spec, drop_dc=drop_dc))
+
+
+def sample_quadratures(noise: NoiseModel, grid: TimeGrid, seed: int, trials):
+    """The quadrature noise (x0, y0) of the given trials, (len(trials), m)
+    rows, from each trial's stream (seed, trial, 1).
+
+    Coherent light: white (x0, y0), one (2, m) draw.  phase_squeezed: the
+    same draw coloured to the antisqueezed S1 and the squeezed S2.
+    squeezed_z: x0 is None, since the loop never reads it, and y0 is the
+    first m draws coloured to S2, the record noise z'.
+    """
+    m = grid.n_samples
+    quads = 1 if noise.kind == SQUEEZED_Z else 2
+    white = np.empty((len(trials), quads, m))
+    for row, trial in enumerate(trials):
+        white[row] = stream(seed, trial, 1).standard_normal((quads, m))
+    if noise.kind == COHERENT:
+        return white[:, 0], white[:, 1]
+    s1, s2 = squeezed_covariance_psds(noise, grid)
+    if noise.kind == SQUEEZED_Z:
+        return None, color_noise(white[:, 0], s2)
+    return color_noise(white[:, 0], s1), color_noise(white[:, 1], s2)
+
+
+def _simulate_group(cfg: PllConfig, track, taps, trials: list) -> list:
     """The TrialResults of one row group, drawn, tracked, estimated and
     checked in the group's own arrays.
 
-    psds are the message spectrum, then S1 and S2 unless the light is
-    coherent; track is the kernel or _track_block, or None for the open loop.
+    track is the kernel or _track_block, or None for the open loop.
     """
     design = cfg.design
     g = design.grid
     m, d, twoa = g.n_samples, design.delay, design.two_alpha
     n_t, nt = len(trials), taps.size
-    variant = design.noise.kind
-
-    # Per trial: the message on stream (seed, trial, 0), the quadrature
-    # noise on (seed, trial, 1) -- white (x0, y0) for coherent light, the
-    # S2-coloured record z' as y0 (x0 None) for squeezed_z, coloured (x0, y0)
-    # otherwise.  One white draw per stream and row; the group's rows are
-    # coloured together.
-    quads = 1 if variant == SQUEEZED_Z else 2
-    msg, white = np.empty((n_t, m)), np.empty((n_t, quads, m))
-    for row, trial in enumerate(trials):
-        msg[row] = stream(cfg.seed, trial, 0).standard_normal(m)
-        white[row] = stream(cfg.seed, trial, 1).standard_normal((quads, m))
-    msg = color_noise(msg, psds[0])
-    if variant == COHERENT:
-        x0, y0 = white[:, 0], white[:, 1]
-    elif variant == SQUEEZED_Z:
-        x0, y0 = None, color_noise(white[:, 0], psds[2])
-    else:
-        x0, y0 = color_noise(white[:, 0], psds[1]), color_noise(white[:, 1], psds[2])
+    msg = sample_message(design.message, cfg.seed, trials, drop_dc=design.mod.kind == FM)
+    x0, y0 = sample_quadratures(design.noise, g, cfg.seed, trials)
     phibar = modulate(design.mod, g, msg)
 
     fr = np.empty((n_t, nt + m))  # tracker input; the record is fr[:, nt:]
@@ -386,7 +407,7 @@ def _simulate_group(cfg: PllConfig, track, taps, psds, trials: list) -> list:
         phip = np.empty((n_t, m))
         _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip)
     err = phibar - phip
-    del white, x0, y0, phibar  # now in fr and err: free them before the estimate
+    del x0, y0, phibar  # now in fr and err: free them before the estimate
     worst = np.max(np.abs(err), axis=1)
     if not np.max(worst) <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
         bad = int(np.argmax(worst))
@@ -422,20 +443,13 @@ def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
     """(run, groups) of one cell: its trials as row groups (_row_groups) and
     run(group), the group's TrialResults (_simulate_group).
 
-    Built on the calling thread, before any worker needs the kernel, the
-    taps or the spectra.
+    Built on the calling thread, before any worker needs the kernel or the
+    taps; each group draws with its own spectra.
     """
-    design = cfg.design
-    m = design.grid.n_samples
-    if m - 6 * design.delay < m // 8:  # statistics use samples 4d .. m - 2d
-        raise ValueError("grid too short for the warm-up and edge exclusions")
     trials = list(range(cfg.trials) if trial_indices is None else trial_indices)
-    taps = tracking_taps(design, cfg.feedback_delay)
+    taps = tracking_taps(cfg.design, cfg.feedback_delay)
     track = None if force_lock else (_tracker.load() or _track_block)
-    psds = [message_psd(design.message, drop_dc=design.mod.kind == FM)]
-    if design.noise.kind != COHERENT:
-        psds += squeezed_covariance_psds(design.noise, design.grid)
-    run = partial(_simulate_group, cfg, track, taps, psds)
+    run = partial(_simulate_group, cfg, track, taps)
     return run, [trials[rows] for rows in _row_groups(len(trials))]
 
 
@@ -451,18 +465,12 @@ def _pipeline(cells):
     np.errstate holds there too.  Errors come as if everything ran in
     order: a failing group raises before any later group or cell, and
     before an error from taking a later cell; then the queued groups are
-    cancelled.  With one worker everything runs on the calling thread.
+    cancelled.
     """
-    workers = max_workers()
-    if workers == 1:
-        for run, groups in cells:
-            yield [result for group in groups for result in run(group)]
-        return
-
     def collect(futures):
         return [result for future in futures for result in future.result()]
     cells = iter(cells)
-    pool = ThreadPoolExecutor(workers)
+    pool = ThreadPoolExecutor(max_workers())
     queued = deque()  # the futures of each taken cell not yet collected
     try:
         while True:

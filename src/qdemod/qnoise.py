@@ -7,7 +7,9 @@ parameter r and squeeze bandwidth B_s has quadrature densities
 S1 = exp(+2r) and S2 = exp(-2r) inside |f| < B_s/2 and 1 outside,
 equivalently covariances K1 = I - (1 - e^{2r}) Gamma and
 K2 = I - (1 - e^{-2r}) Gamma with Gamma the brick-wall low-pass.  The
-covariances are realised as circulant filters, never as dense matrices.
+covariances are realised as circulant filters (squeezed_covariance_psds),
+never as dense matrices; pll.sample_quadratures, the one sampler of a trial's
+quadrature stream, colours white draws with them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpectralDensity, TimeGrid, color_noise
-from .rng import stream
+from .grids import SpectralDensity, TimeGrid
 from .signals import LORENTZIAN, MessageSpec, message_psd
 
 COHERENT = "coherent"
@@ -66,30 +67,6 @@ class NoiseModel:
         return self.kind != COHERENT
 
 
-@dataclass(frozen=True)
-class QuadratureRecord:
-    """One sampled realisation of the quadrature pair (x0, y0)."""
-
-    grid: TimeGrid
-    x0: np.ndarray
-    y0: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("x0", "y0"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (self.grid.n_samples,):
-                raise ValueError(f"{name} length must equal grid.n_samples")
-            object.__setattr__(self, name, v)
-
-
-def sample_vacuum(grid: TimeGrid, seed: int, trial: int = 0) -> QuadratureRecord:
-    """Independent white unit-variance Gaussian quadratures."""
-    rng = stream(seed, trial, 1)
-    x0 = rng.standard_normal(grid.n_samples)
-    y0 = rng.standard_normal(grid.n_samples)
-    return QuadratureRecord(grid, x0, y0)
-
-
 def squeezed_covariance_psds(model: NoiseModel, grid: TimeGrid):
     """(S1, S2): antisqueezed / squeezed quadrature densities on the grid."""
     if not model.squeezed:
@@ -104,17 +81,6 @@ def squeezed_covariance_psds(model: NoiseModel, grid: TimeGrid):
     s1 = np.where(gamma, np.exp(2.0 * model.r), 1.0)
     s2 = np.where(gamma, np.exp(-2.0 * model.r), 1.0)
     return (SpectralDensity(grid, s1), SpectralDensity(grid, s2))
-
-
-def sample_squeezed(model: NoiseModel, grid: TimeGrid, seed: int, trial: int = 0) -> QuadratureRecord:
-    """Stationary Gaussian quadratures with PSDs (S1, S2); x0 antisqueezed."""
-    if not model.squeezed:
-        return sample_vacuum(grid, seed, trial)
-    s1, s2 = squeezed_covariance_psds(model, grid)
-    rng = stream(seed, trial, 1)
-    x0 = color_noise(rng.standard_normal(grid.n_samples), s1)
-    y0 = color_noise(rng.standard_normal(grid.n_samples), s2)
-    return QuadratureRecord(grid, x0, y0)
 
 
 def photon_budget(alpha_mag: float, r: float, bandwidth: float,

@@ -1,6 +1,7 @@
 """Stationary Gaussian messages and the PM/FM phase maps.
 
-Message processes are generated by circulant frequency-domain coloring, so
+Message processes are white draws coloured to message_psd in the frequency
+domain (pll.sample_message, the one sampler of a trial's message stream), so
 their covariance is exactly circulant and matches the Wiener solver's algebra.
 
 Flat-band messages require an odd number of in-band bins.  With the band
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpectralDensity, TimeGrid, color_noise
-from .rng import stream
+from .grids import SpectralDensity, TimeGrid
 
 FLAT = "flat"
 LORENTZIAN = "lorentzian"
@@ -118,13 +118,6 @@ def message_psd(spec: MessageSpec, drop_dc: bool = False) -> SpectralDensity:
         values[0] = 0.0
     values = values * (m / values.sum())
     return SpectralDensity(g, values)
-
-
-def sample_message(spec: MessageSpec, seed: int, trial: int = 0,
-                   drop_dc: bool = False) -> np.ndarray:
-    """Zero-mean unit-variance Gaussian sequence with the spec's PSD."""
-    white = stream(seed, trial, 0).standard_normal(spec.grid.n_samples)
-    return color_noise(white, message_psd(spec, drop_dc=drop_dc))
 
 
 def phase_response(mod: ModulationScheme, grid: TimeGrid) -> np.ndarray:

@@ -122,11 +122,12 @@ def test_estimate_psd_zero_sequence():
 
 
 def test_estimate_psd_brick_wall_coloring():
-    from qdemod.signals import MessageSpec, sample_message
+    from qdemod.pll import sample_message
+    from qdemod.signals import MessageSpec
     g = TimeGrid(1.0, 8192)
     spec = MessageSpec.flat(g, 1023)  # B/b = 8.008
     level = g.bandwidth / spec.bandwidth
-    x = np.concatenate([sample_message(spec, 11, trial=t) for t in range(4)])
+    x = sample_message(spec, 11, range(4)).ravel()
     big = TimeGrid(1.0, 4 * 8192)
     dens = estimate_psd(x, big, segments=64)
     seg_grid = dens.grid

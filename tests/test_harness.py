@@ -5,6 +5,7 @@ import shutil
 import string
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,15 @@ def test_cli_unknown_variant_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["band_bins = 53", "delay = 700"])
+def test_cli_grid_too_short_exits_2(line, tmp_path, capsys):
+    cfg = _write(tmp_path, "sim.cfg", f"n_samples = 4096\n{line}\nbeta = 1.0\nlambda = 100\n")
+    rc = cli_main(["simulate", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "grid too short for the warm-up and edge exclusions" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
 def test_cli_design_dump(tmp_path):
     cfg = _write(tmp_path, "design.cfg", "beta = 2.0\nlambda = 100\n")
     out = tmp_path / "d"
@@ -339,3 +349,18 @@ def test_benchmark_tracer_finds_every_name():
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert all(getattr(owner, attr) is o
                for (owner, attr, _), o in zip(tracing.TARGETS, originals))
+
+
+def test_package_exports_resolve():
+    """Every exported name resolves, every public name of the package is
+    exported, and the only samplers are pll's two row-batched ones."""
+    import qdemod
+    from qdemod import pll
+    assert all(hasattr(qdemod, name) for name in qdemod.__all__)
+    exposed = {name for name, value in vars(qdemod).items()
+               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exposed <= set(qdemod.__all__)
+    samplers = {name for name in exposed if name.startswith(("sample", "Quadrature"))}
+    assert samplers == {"sample_message", "sample_quadratures"}
+    assert qdemod.sample_message is pll.sample_message
+    assert qdemod.sample_quadratures is pll.sample_quadratures

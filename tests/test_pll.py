@@ -10,11 +10,12 @@ from qdemod.limits import FM as LFM
 from qdemod.limits import PM as LPM
 from qdemod.limits import closed_form_snr, sigma0
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
-                           operating_point, resolve_lambda, sample_vacuum)
+                           operating_point, resolve_lambda)
 from qdemod import _tracker, pll
-from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate,
-                        cycle_slip_count, run_cell, simulate_batch, tracking_taps)
-from qdemod.signals import MessageSpec, ModulationScheme, sample_message
+from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate, cycle_slip_count,
+                        run_cell, sample_message, sample_quadratures, simulate_batch,
+                        tracking_taps)
+from qdemod.signals import MessageSpec, ModulationScheme
 from qdemod.config import ConfigError
 from qdemod.wiener import FactorizationError, design_loop, linearized_map_estimate
 
@@ -494,18 +495,6 @@ def test_pipelined_cells_equal_lone_cells(monkeypatch):
         assert list(pll.run_cells(cfgs)) == lone
 
 
-def test_one_worker_runs_cells_on_the_calling_thread(monkeypatch):
-    threads, simulate_group = set(), pll._simulate_group
-
-    def spy(*args):
-        threads.add(threading.get_ident())
-        return simulate_group(*args)
-    monkeypatch.setattr(pll, "_simulate_group", spy)
-    monkeypatch.setattr(pll, "max_workers", lambda: 1)
-    list(pll.run_cells(pipeline_configs()))
-    assert threads == {threading.get_ident()}
-
-
 SWEEP_3 = ("n_samples = 2048\nband_bins = 63\nbetas = 0.5, 1, 2\nlambdas = 100\n"
            "trials = 64\nseed = 5\n")
 
@@ -579,8 +568,8 @@ def test_sweep_bytes_do_not_follow_the_worker_count(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweep_builds_at_most_one_design_ahead(workers, tmp_path, monkeypatch):
-    """Cell k's design starts only once cell k - 2 has been collected; with
-    more than one worker it starts before cell k - 1 is collected."""
+    """Cell k's design starts only once cell k - 2 has been collected, and
+    before cell k - 1 is collected, on any worker count."""
     monkeypatch.setattr(pll, "max_workers", lambda: workers)
     spy = SweepSpy(monkeypatch)
     assert run_sweep(tmp_path, "sweep")[0] == 0
@@ -589,7 +578,7 @@ def test_sweep_builds_at_most_one_design_ahead(workers, tmp_path, monkeypatch):
                                 + [("collected", k) for k in range(3)])
     assert at["design", 2] > at["collected", 0]
     for k in (1, 2):
-        assert (at["design", k] < at["collected", k - 1]) == (workers > 1)
+        assert at["design", k] < at["collected", k - 1]
 
 
 LATER_FAILURES = {
@@ -695,14 +684,17 @@ def test_noiseless_limit_tracks_perfectly(monkeypatch):
         assert res.cycle_slips == 0
 
 
-def test_forced_lock_equals_linearized_map():
+@pytest.mark.parametrize("light", [dict(), dict(r=0.5, variant=SQUEEZED_Z),
+                                   dict(r=0.5, variant=PHASE_SQUEEZED)],
+                         ids=[COHERENT, SQUEEZED_Z, PHASE_SQUEEZED])
+def test_forced_lock_equals_linearized_map(light):
     """Open loop with phi' pinned to phibar reproduces the MAP filter path,
     relinearisation pass included."""
-    design = make_design(beta=2.0, lam=100.0)
+    design = make_design(beta=2.0, lam=100.0, **light)
     cfg = PllConfig(design, trials=1, seed=9)
     # the public samplers must reproduce the simulator's own draws exactly
-    m = sample_message(design.message, seed=9, trial=0)
-    y0 = sample_vacuum(design.grid, seed=9, trial=0).y0
+    (m,) = sample_message(design.message, 9, [0])
+    _, (y0,) = sample_quadratures(design.noise, design.grid, 9, [0])
     phibar = design.mod.beta * m
     phi = phibar + y0 / design.two_alpha   # z' = y0 exactly at lock
     m_hat_map = linearized_map_estimate(design, phi)
@@ -805,6 +797,16 @@ def test_oversampling_guard():
     alpha, _ = operating_point(msg, lam=100.0)
     design = design_loop(msg, mod, alpha)
     with pytest.raises(ValueError):
+        PllConfig(design, trials=1, seed=1)
+
+
+@pytest.mark.parametrize("setup", [dict(band_bins=53), dict(delay=700)])
+def test_grid_too_short_for_the_exclusions(setup):
+    """m - 6d < m/8 leaves too few samples between the 4d warm-up and the
+    trailing 2d, whether d comes from a narrow band or is set."""
+    design = make_design(beta=1.0, **setup)
+    assert design.grid.n_samples - 6 * design.delay < design.grid.n_samples // 8
+    with pytest.raises(ValueError, match="grid too short"):
         PllConfig(design, trials=1, seed=1)
 
 

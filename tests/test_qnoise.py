@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdemod.grids import TimeGrid, estimate_psd
+from qdemod.pll import sample_quadratures
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                            PhysicalConstants, operating_point, photon_budget,
-                           resolve_lambda, sample_squeezed, sample_vacuum,
-                           squeezed_covariance_psds)
+                           resolve_lambda, squeezed_covariance_psds)
 from qdemod.signals import LORENTZIAN, MessageSpec, message_psd
 
 
@@ -22,21 +22,18 @@ MESSAGES = st.sampled_from([
     MessageSpec(TimeGrid(1.0, 8192), LORENTZIAN, 1.0 / 256.0),
 ])
 SQUEEZE = st.floats(0.0, 2.0)
+VACUUM = NoiseModel(COHERENT, 1.0)
 
 
 def test_vacuum_deterministic(grid):
-    a = sample_vacuum(grid, seed=1, trial=2)
-    b = sample_vacuum(grid, seed=1, trial=2)
-    assert np.array_equal(a.x0, b.x0) and np.array_equal(a.y0, b.y0)
+    ax, ay = sample_quadratures(VACUUM, grid, 1, [2])
+    bx, by = sample_quadratures(VACUUM, grid, 1, [2])
+    assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
 
 def test_vacuum_statistics(grid):
-    xs, ys, xy = [], [], []
-    for t in range(256):  # ~1e6 samples
-        rec = sample_vacuum(grid, seed=3, trial=t)
-        xs.append(np.mean(rec.x0**2))
-        ys.append(np.mean(rec.y0**2))
-        xy.append(np.mean(rec.x0 * rec.y0))
+    x0, y0 = sample_quadratures(VACUUM, grid, 3, range(256))  # ~1e6 samples
+    xs, ys, xy = np.mean(x0**2, axis=1), np.mean(y0**2, axis=1), np.mean(x0 * y0, axis=1)
     n = 256 * grid.n_samples
     assert 0.99 < np.mean(xs) < 1.01
     assert 0.99 < np.mean(ys) < 1.01
@@ -44,19 +41,17 @@ def test_vacuum_statistics(grid):
 
 
 def test_vacuum_psd_flat(grid):
-    rec = sample_vacuum(grid, seed=4)
-    dens = estimate_psd(rec.x0, grid, segments=32)
+    x0, _ = sample_quadratures(VACUUM, grid, 4, [0])
+    dens = estimate_psd(x0[0], grid, segments=32)
     assert abs(np.mean(dens.values[1:]) - 1.0) < 0.10
 
 
 def test_rotation_invariance(grid):
     """Any fixed quadrature rotation of the vacuum is again white unit noise."""
     theta = 0.77
-    second = []
-    for t in range(64):
-        rec = sample_vacuum(grid, seed=5, trial=t)
-        z = rec.x0 * np.sin(theta) + rec.y0 * np.cos(theta)
-        second.append(np.mean(z**2))
+    x0, y0 = sample_quadratures(VACUUM, grid, 5, range(64))
+    z = x0 * np.sin(theta) + y0 * np.cos(theta)
+    second = np.mean(z**2, axis=1)
     n = 64 * grid.n_samples
     assert abs(np.mean(second) - 1.0) < 3.0 * np.sqrt(2.0 / n)
 
@@ -83,21 +78,25 @@ def test_uncertainty_floor(grid):
     assert np.max(np.abs(s1.values * s2.values - 1.0)) < 1e-12
 
 
-def test_sample_squeezed_variances(grid):
+def test_sample_quadratures_squeezed_variances(grid):
     model = NoiseModel(SQUEEZED_Z, 1.0, 0.5, grid.bandwidth)
-    vals = []
-    for t in range(128):
-        rec = sample_squeezed(model, grid, seed=6, trial=t)
-        vals.append(np.mean(rec.y0**2))
+    _, y0 = sample_quadratures(model, grid, 6, range(128))
+    vals = np.mean(y0**2, axis=1)
     assert abs(np.mean(vals) / np.exp(-1.0) - 1.0) < 0.05
 
 
-def test_sample_squeezed_r0_equals_vacuum(grid):
+def test_sample_quadratures_r0_equals_vacuum(grid):
+    """At r = 0 phase-squeezed light is the vacuum; squeezed_z light keeps
+    only the record noise, the vacuum's first draw."""
+    vx, vy = sample_quadratures(VACUUM, grid, 7, [3])
+    model = NoiseModel(PHASE_SQUEEZED, 1.0, 0.0, grid.bandwidth)
+    x0, y0 = sample_quadratures(model, grid, 7, [3])
+    assert np.allclose(x0, vx, atol=1e-12)
+    assert np.allclose(y0, vy, atol=1e-12)
     model = NoiseModel(SQUEEZED_Z, 1.0, 0.0, grid.bandwidth)
-    a = sample_squeezed(model, grid, seed=7, trial=3)
-    b = sample_vacuum(grid, seed=7, trial=3)
-    assert np.allclose(a.x0, b.x0, atol=1e-12)
-    assert np.allclose(a.y0, b.y0, atol=1e-12)
+    x0, y0 = sample_quadratures(model, grid, 7, [3])
+    assert x0 is None
+    assert np.allclose(y0, vx, atol=1e-12)
 
 
 def test_filtered_variance_ratio(grid):
@@ -106,10 +105,9 @@ def test_filtered_variance_ratio(grid):
     model = NoiseModel(PHASE_SQUEEZED, 1.0, r, grid.bandwidth / 2.0)
     mask = np.abs(grid.freqs) < grid.bandwidth / 16.0
     num, den, xnorm = 0.0, 0.0, 0.0
-    for t in range(128):
-        rec = sample_squeezed(model, grid, seed=8, trial=t)
-        lx = np.fft.ifft(np.fft.fft(rec.x0) * mask).real
-        ly = np.fft.ifft(np.fft.fft(rec.y0) * mask).real
+    for x0, y0 in zip(*sample_quadratures(model, grid, 8, range(128))):
+        lx = np.fft.ifft(np.fft.fft(x0) * mask).real
+        ly = np.fft.ifft(np.fft.fft(y0) * mask).real
         num += np.mean(ly**2)
         den += np.mean(lx**2)
     ratio = num / den
@@ -120,9 +118,8 @@ def test_filtered_variance_ratio(grid):
 
 
 def test_disjoint_trials_uncorrelated(grid):
-    a = sample_vacuum(grid, seed=9, trial=0)
-    b = sample_vacuum(grid, seed=9, trial=1)
-    corr = np.mean(a.x0 * b.x0)
+    x0, _ = sample_quadratures(VACUUM, grid, 9, [0, 1])
+    corr = np.mean(x0[0] * x0[1])
     assert abs(corr) < 3.0 / np.sqrt(grid.n_samples)
 
 

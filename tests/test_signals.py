@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qdemod.grids import TimeGrid, differentiate, estimate_psd
+from qdemod.pll import sample_message
 from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme,
                             carson_bandwidth, fm_phase_ramp, message_psd,
-                            modulate, phase_response, sample_message)
+                            modulate, phase_response)
 
 
 @pytest.fixture(scope="module")
@@ -44,26 +45,23 @@ def test_lorentzian_psd_peak_and_variance(grid):
 
 def test_sample_message_deterministic(grid):
     spec = MessageSpec.flat(grid, 127)
-    a = sample_message(spec, seed=3, trial=5)
-    b = sample_message(spec, seed=3, trial=5)
+    a = sample_message(spec, 3, [5])
+    b = sample_message(spec, 3, [5])
     assert np.array_equal(a, b)
-    c = sample_message(spec, seed=3, trial=6)
+    c = sample_message(spec, 3, [6])
     assert not np.array_equal(a, c)
 
 
 def test_sample_message_variance(grid):
     spec = MessageSpec.flat(grid, 511)
-    total = 0.0
     n_trials = 256  # ~1e6 samples in total
-    for t in range(n_trials):
-        m = sample_message(spec, seed=21, trial=t)
-        total += np.mean(m**2)
+    total = np.sum(np.mean(sample_message(spec, 21, range(n_trials)) ** 2, axis=1))
     assert abs(total / n_trials - 1.0) < 0.02
 
 
 def test_sample_message_mean_is_small(grid):
     spec = MessageSpec.flat(grid, 511)
-    means = [np.mean(sample_message(spec, seed=4, trial=t)) for t in range(64)]
+    means = np.mean(sample_message(spec, 4, range(64)), axis=1)
     # standard error of the mean of a B/b-correlated unit process
     n_eff = 64 * grid.n_samples / (grid.bandwidth / spec.bandwidth)
     assert abs(np.mean(means)) < 3.0 / np.sqrt(n_eff)
@@ -71,7 +69,7 @@ def test_sample_message_mean_is_small(grid):
 
 def test_sampled_psd_matches_spec(grid):
     spec = MessageSpec.flat(grid, 511)
-    m = np.concatenate([sample_message(spec, 8, trial=t) for t in range(8)])
+    m = sample_message(spec, 8, range(8)).ravel()
     big = TimeGrid(1.0, 8 * grid.n_samples)
     dens = estimate_psd(m, big, segments=64)
     level = grid.bandwidth / spec.bandwidth
@@ -99,7 +97,7 @@ def test_phase_response_fm_magnitude(grid):
 
 def test_modulate_pm_identity(grid):
     spec = MessageSpec.flat(grid, 127)
-    m = sample_message(spec, 1)
+    (m,) = sample_message(spec, 1, [0])
     mod = ModulationScheme.pm(1.0, spec.bandwidth)
     assert np.max(np.abs(modulate(mod, grid, m) - m)) < 1e-12
 
@@ -113,8 +111,7 @@ def test_modulate_pm_constant(grid):
 def test_modulate_linearity(grid):
     spec = MessageSpec.flat(grid, 127)
     mod = ModulationScheme.fm(2.0, spec.bandwidth)
-    m1 = sample_message(spec, 2, trial=0, drop_dc=True)
-    m2 = sample_message(spec, 2, trial=1, drop_dc=True)
+    m1, m2 = sample_message(spec, 2, [0, 1], drop_dc=True)
     lhs = modulate(mod, grid, m1 + m2)
     rhs = modulate(mod, grid, m1) + modulate(mod, grid, m2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
@@ -123,7 +120,7 @@ def test_modulate_linearity(grid):
 def test_fm_round_trip_recovers_message(grid):
     spec = MessageSpec.flat(grid, 127)
     mod = ModulationScheme.fm(2.0, spec.bandwidth)
-    m = sample_message(spec, 5, drop_dc=True)
+    (m,) = sample_message(spec, 5, [0], drop_dc=True)
     phase = modulate(mod, grid, m)
     recovered = differentiate(grid, phase) / (-2.0 * np.pi * mod.deviation)
     assert np.max(np.abs(recovered - m)) < 1e-6 * np.max(np.abs(m))

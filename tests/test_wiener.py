@@ -10,12 +10,12 @@ from qdemod import _tracker, wiener
 from qdemod.cli import cli_main
 from qdemod.grids import TimeGrid
 from qdemod.limits import irreducible_error
-from qdemod.pll import tracking_taps
+from qdemod.pll import sample_message, sample_quadratures, tracking_taps
 from qdemod.qnoise import (COHERENT, SQUEEZED_Z, NoiseModel, operating_point,
                            resolve_lambda)
 from qdemod.rng import stream
 from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme,
-                            message_psd, modulate, sample_message)
+                            message_psd, modulate)
 from qdemod.wiener import (FactorizationError, FilterKernel, LoopInstabilityError,
                            causal_part_solution,
                            closed_loop_filter, design_loop, dump_design,
@@ -183,8 +183,7 @@ def test_linearized_map_full_noise_error(pm_design, grid):
     """Ideal-record MSE matches the irreducible error within Monte Carlo noise."""
     msg = pm_design.message
     total, n_trials = 0.0, 32
-    for t in range(n_trials):
-        m = sample_message(msg, seed=31, trial=t)
+    for t, m in enumerate(sample_message(msg, 31, range(n_trials))):
         z = stream(31, t, 1).standard_normal(grid.n_samples)
         phi = pm_design.mod.beta * m + z / pm_design.two_alpha
         m_hat = linearized_map_estimate(pm_design, phi)
@@ -229,9 +228,8 @@ def test_nonlinear_map_agrees_with_linear(grid):
     lam = 400.0
     alpha, _ = operating_point(msg, lam=lam)
     d = design_loop(msg, mod, alpha)
-    m = sample_message(msg, seed=41)
-    rng = stream(41, 0, 1)
-    x0, y0 = rng.standard_normal(grid.n_samples), rng.standard_normal(grid.n_samples)
+    (m,) = sample_message(msg, 41, [0])
+    (x0,), (y0,) = sample_quadratures(NoiseModel(COHERENT, alpha), grid, 41, [0])
     phibar = modulate(mod, grid, m)
     a = np.exp(1j * phibar) * (alpha + (x0 + 1j * y0) / 2.0)
     est, _ = nonlinear_map_fixed_point(msg, mod, 2.0 * alpha, a)
@@ -247,7 +245,7 @@ def test_nonlinear_map_aliased_basin(grid):
     mod = ModulationScheme.pm(beta, msg.bandwidth)
     lam = 400.0
     alpha, _ = operating_point(msg, lam=lam)
-    m = sample_message(msg, seed=43)
+    (m,) = sample_message(msg, 43, [0])
     a = np.exp(1j * beta * m) * alpha  # noiseless record
     good, _ = nonlinear_map_fixed_point(msg, mod, 2 * alpha, a, init=m.copy())
     bad_init = m - 2.0 * np.pi / beta
