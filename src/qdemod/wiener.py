@@ -389,18 +389,32 @@ def nonlinear_map_fixed_point(message: MessageSpec, mod: ModulationScheme,
     raise NonConvergenceError("MAP fixed point did not converge", m, max_iter)
 
 
+_DUMP_ROW = "%d %.9e" + " %.17e" * 8 + "\n"
+# Rows per formatted block. A block string is ~29 KB; blocks over glibc's
+# 128 KB mmap threshold raise the peak RSS.
+_DUMP_BLOCK = 128
+
+
 def dump_design(design: LoopDesign, path) -> None:
-    """Plain-text spectrum dump: bin, frequency, complex response per filter."""
+    """Plain-text spectrum dump: bin, frequency, complex response per filter.
+
+    Rows are written in blocks: each block's bin, frequency and eight
+    response columns go through one `%` with the repeated row format, which
+    gives the same bytes as formatting each value on its own.
+    """
     g = design.grid
+    freqs = g.freqs
+    responses = (design.g.response, design.l_prime.response,
+                 design.l_loop.response, design.l_post.response)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# loop design dump\n")
         fh.write(f"# n_samples = {g.n_samples}, bandwidth = {g.bandwidth!r}, "
                  f"delay = {design.delay}, two_alpha = {design.two_alpha!r}\n")
         fh.write("# bin freq G_re G_im Lp_re Lp_im L_re L_im Lpp_re Lpp_im\n")
-        f = g.freqs
-        rows = zip(design.g.response, design.l_prime.response,
-                   design.l_loop.response, design.l_post.response)
-        for k, (gr, lp, ll, lq) in enumerate(rows):
-            fh.write(f"{k} {f[k]:.9e} {gr.real:.17e} {gr.imag:.17e} "
-                     f"{lp.real:.17e} {lp.imag:.17e} {ll.real:.17e} {ll.imag:.17e} "
-                     f"{lq.real:.17e} {lq.imag:.17e}\n")
+        for lo in range(0, g.n_samples, _DUMP_BLOCK):
+            hi = min(lo + _DUMP_BLOCK, g.n_samples)
+            block = np.empty((hi - lo, 10))
+            block[:, 0] = np.arange(lo, hi)  # exact as float64; %d prints it whole
+            block[:, 1] = freqs[lo:hi]
+            block[:, 2:] = np.stack([r[lo:hi] for r in responses], axis=1).view(float)
+            fh.write(_DUMP_ROW * (hi - lo) % tuple(block.ravel().tolist()))

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdemod import _tracker
+from qdemod import _tracker, cli
 from qdemod.cli import cli_main
 from qdemod.config import (SCHEMAS, ConfigError, parse_config_text,
                            serialize_config)
 from qdemod.results import CSV_COLUMNS, emit_results
+from qdemod.wiener import dump_design
 
 
 def test_parse_minimal_limits():
@@ -279,11 +280,24 @@ def test_cli_grid_too_short_exits_2(line, tmp_path, capsys):
     assert not (tmp_path / "o" / "results.csv").exists()
 
 
-def test_cli_design_dump(tmp_path):
-    cfg = _write(tmp_path, "design.cfg", "beta = 2.0\nlambda = 100\n")
-    out = tmp_path / "d"
-    assert cli_main(["design", cfg, "--out", str(out)]) == 0
-    assert (out / "design.txt").exists()
+def test_cli_design_dump(tmp_path, monkeypatch, design_dump_oracle):
+    """design.txt holds the oracle writer's bytes for the CLI's own design,
+    for an inline config and for the configs/ fixture."""
+    designs = []
+
+    def keep_design(design, path):
+        designs.append(design)
+        dump_design(design, path)
+
+    monkeypatch.setattr(cli, "dump_design", keep_design)
+    fixture = Path(__file__).resolve().parents[1] / "configs" / "design_fm_squeezed.cfg"
+    for name, cfg in [("inline", _write(tmp_path, "design.cfg", "beta = 2.0\nlambda = 100\n")),
+                      ("fixture", str(fixture))]:
+        out = tmp_path / name
+        assert cli_main(["design", cfg, "--out", str(out)]) == 0
+        design_dump_oracle(designs[-1], tmp_path / f"{name}_oracle.txt")
+        assert (out / "design.txt").read_bytes() == (tmp_path / f"{name}_oracle.txt").read_bytes()
+    assert designs[-1].grid.n_samples == 16384 and designs[-1].mod.kind == "fm"
 
 
 def test_cli_env_output_override(tmp_path, monkeypatch):

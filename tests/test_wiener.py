@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -268,14 +269,50 @@ def test_squeezed_design_uses_s2(grid):
     assert d.wh_residual < 1e-6
 
 
+def assert_dump_matches_oracle(design, oracle, tmp_path):
+    dump_design(design, tmp_path / "design.txt")
+    oracle(design, tmp_path / "oracle.txt")
+    assert (tmp_path / "design.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+
 def test_dump_design_roundtrip(tmp_path, pm_design):
     path = tmp_path / "design.txt"
     dump_design(pm_design, path)
     rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-    assert len(rows) == pm_design.grid.n_samples
-    k, f, gr, gi, *_ = rows[0].split()
-    assert int(k) == 0
-    assert abs(float(gr) - pm_design.g.response[0].real) < 1e-15
+    n = pm_design.grid.n_samples
+    assert len(rows) == n
+    table = np.array([ln.split() for ln in rows], dtype=float)
+    assert np.array_equal(table[:, 0], np.arange(n))
+    assert np.allclose(table[:, 1], pm_design.grid.freqs, rtol=1e-9, atol=0.0)
+    responses = np.stack([pm_design.g.response, pm_design.l_prime.response,
+                          pm_design.l_loop.response, pm_design.l_post.response], axis=1)
+    assert np.array_equal(table[:, 2:], responses.view(float))
+
+
+@pytest.mark.parametrize("kind", ["pm", "fm"])
+@pytest.mark.parametrize("r", [0.0, 0.8])
+@pytest.mark.parametrize("n, band_bins", [(4096, 127), (64, 7)])  # 64 < one block
+def test_dump_design_bytes_match_row_writer(kind, r, n, band_bins, tmp_path,
+                                            design_dump_oracle):
+    msg = MessageSpec.flat(TimeGrid(1.0, n), band_bins)
+    mod = ModulationScheme(kind, 1.5, msg.bandwidth)
+    if r == 0.0:
+        alpha, _ = operating_point(msg, lam=100.0)
+        noise = None
+    else:
+        alpha, _ = operating_point(msg, r, n_photon=10.0)
+        noise = NoiseModel(SQUEEZED_Z, alpha, r, msg.bandwidth)
+    assert_dump_matches_oracle(design_loop(msg, mod, alpha, noise), design_dump_oracle,
+                               tmp_path)
+
+
+def test_dump_design_bytes_special_values(tmp_path, pm_design, design_dump_oracle):
+    grid = pm_design.grid
+    special = np.array([-0.0, 5e-324, 1e-300, 1e300, np.nan, -np.nan, -1e300, 0.0, -5e-324])
+    response = np.resize(special, 2 * grid.n_samples).view(complex)
+    design = dataclasses.replace(
+        pm_design, g=FilterKernel(grid, response), l_post=FilterKernel(grid, response[::-1]))
+    assert_dump_matches_oracle(design, design_dump_oracle, tmp_path)
 
 
 def no_kernel(monkeypatch):
