@@ -79,8 +79,8 @@ def _operating_point(cfg: dict, run_id: str, beta: float, r: float,
         sigma0_analytic = limits_mod.sigma0(kind, beta, lam)
     else:
         sigma0_analytic = limits_mod.sigma0_grid(*spectra)
-    lhs = sigma0_analytic * float(np.exp(4.0 * r)) if cfg["variant"] == PHASE_SQUEEZED \
-        else sigma0_analytic
+    _, below_threshold = limits_mod.threshold_check(
+        sigma0_analytic, r if cfg["variant"] == PHASE_SQUEEZED else 0.0)
     row = {
         "run_id": run_id,
         "seed": cfg["seed"],
@@ -92,7 +92,7 @@ def _operating_point(cfg: dict, run_id: str, beta: float, r: float,
         "r": r,
         "snr_analytic": 1.0 / limits_mod.irreducible_error(*spectra),
         "sigma0_sq": sigma0_analytic,
-        "pass_threshold": lhs <= 0.25,
+        "pass_threshold": below_threshold,
     }
     pll_cfg = PllConfig(design, cfg["trials"], cfg["seed"],
                         feedback_delay=cfg["feedback_delay"])
@@ -163,9 +163,9 @@ def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> None:
 
 
 def _cmd_limits(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    query = limits_mod.LimitQuery(kind=cfg["mod_kind"], beta=cfg["beta"],
-                                  lam=cfg.get("lambda"), n_photon=cfg.get("n_photon"),
-                                  r=cfg.get("r", 0.0))
+    lam = cfg.get("lambda")
+    n_photon = None if lam is not None else cfg.get("n_photon")  # lam sizes the point
+    query = limits_mod.LimitQuery(cfg["mod_kind"], cfg["beta"], lam, n_photon, cfg["r"])
     table = query.evaluate()
     row = {
         "run_id": "limits-0",
@@ -174,8 +174,8 @@ def _cmd_limits(cfg: dict, outdir: str, manifest: RunManifest) -> None:
         "mod_kind": table["kind"],
         "beta": table["beta"],
         "lambda": table["lambda"],
-        "n_photon": cfg.get("n_photon") if cfg.get("n_photon") is not None else float("nan"),
-        "r": cfg.get("r", 0.0),
+        "n_photon": n_photon if n_photon is not None else float("nan"),
+        "r": cfg["r"],
         "snr_empirical": float("nan"),
         "snr_stderr": float("nan"),
         "snr_analytic": table["snr"],

@@ -3,8 +3,9 @@
 Dense-matrix implementations of the canonical phase density, the phase POVM
 resolution, the Pegg-Barnett exponential-phase operator, the
 instantaneous-frequency operator, and the 1-D lattice fluid-velocity
-commutator check.  Everything here is an oracle for the rest of the toolkit,
-not a performance layer: dimensions are capped at DENSE_BUDGET.
+commutator check; the last two are the paper's one lattice phase-gradient
+operator (_phase_gradients).  Everything here is an oracle for the rest of
+the toolkit, not a performance layer: dimensions are capped at DENSE_BUDGET.
 """
 
 from __future__ import annotations
@@ -219,25 +220,34 @@ def _sin_phase_difference(e_j: np.ndarray, e_k: np.ndarray) -> np.ndarray:
     return (a - a.conj().T) / 2j
 
 
-def instantaneous_frequency_operator(modes: int, s: int, dt: float,
-                                     phi0: float = 0.0) -> list:
+def _phase_gradients(e_ops: list) -> list:
+    """Lattice phase gradients sum_{k != j} d_{j-k} sin(phi_k - phi_j), one
+    per site j, from the embedded Pegg-Barnett unitaries of the sites.
+
+    The one build of both lattice operators: the fluid velocity is the
+    gradient itself (hbar/m = 1, unit spacing) and the instantaneous
+    frequency is -1/(2 pi dt) times it.
+    """
+    grads = []
+    for j, e_j in enumerate(e_ops):
+        total = np.zeros(e_j.shape, dtype=complex)
+        for k, e_k in enumerate(e_ops):
+            if k != j:
+                total += differentiator_kernel(j - k) * _sin_phase_difference(e_k, e_j)
+        grads.append(total)
+    return grads
+
+
+def instantaneous_frequency_operator(modes: int, s: int, dt: float) -> list:
     """Hermitian operators F_j = (1/2 pi dt) sum_k d_{j-k} sin(phi_j - phi_k)."""
     if modes > 3 or s > 4:
         raise ResourceBudgetError("instantaneous-frequency oracle capped at J <= 3, s <= 4")
     dim = s + 1
     _check_dim(dim**modes)
-    single = pegg_barnett_unitary(s, phi0).matrix
+    single = pegg_barnett_unitary(s).matrix
     embedded = [_embed(single, j, modes, dim) for j in range(modes)]
-    out = []
-    for j in range(modes):
-        total = np.zeros((dim**modes, dim**modes), dtype=complex)
-        for k in range(modes):
-            if k == j:
-                continue
-            total += differentiator_kernel(j - k) * _sin_phase_difference(
-                embedded[j], embedded[k])
-        out.append(ModeOperator(total / (2.0 * np.pi * dt), hermitian=True))
-    return out
+    return [ModeOperator(-grad / (2.0 * np.pi * dt), hermitian=True)
+            for grad in _phase_gradients(embedded)]
 
 
 @dataclass(frozen=True)
@@ -250,11 +260,11 @@ class FluidCommutatorReport:
     diagonal_identity: float     # [v_j, sum_j' n_j'] residual (number conservation)
 
 
-def fluid_velocity_commutator_check(sites: int, bosons: int, dx: float = 1.0,
-                                    phi0: float = 0.0) -> FluidCommutatorReport:
+def fluid_velocity_commutator_check(sites: int, bosons: int) -> FluidCommutatorReport:
     """Verify [v_j, n_j'] ~ -i D_{j-j'} cos(phi_j' - phi_j) on a 1-D chain.
 
-    Per-site cutoff equals the boson number N; hbar/m = 1.  The relation is
+    Per-site cutoff equals the boson number N; hbar/m = 1 and the site
+    spacing is 1, so D_n = d_n, and v_j is _phase_gradients.  The relation is
     checked for distinct sites, where the exact commutator differs from the
     right-hand side only by the dropped (N+1)|N><N| projector terms; the
     difference is bounded by the propagated projector norm and vanishes
@@ -272,22 +282,11 @@ def fluid_velocity_commutator_check(sites: int, bosons: int, dx: float = 1.0,
     total_dim = dim**sites
     _check_dim(total_dim)
 
-    single_e = pegg_barnett_unitary(n_cut, phi0).matrix
+    single_e = pegg_barnett_unitary(n_cut).matrix
     single_n = number_operator(n_cut).matrix
     e_ops = [_embed(single_e, j, sites, dim) for j in range(sites)]
     n_ops = [_embed(single_n, j, sites, dim) for j in range(sites)]
-
-    def grad(j, jp):
-        return differentiator_kernel(j - jp) / dx
-
-    velocity = []
-    for j in range(sites):
-        v = np.zeros((total_dim, total_dim), dtype=complex)
-        for jp in range(sites):
-            if jp == j:
-                continue
-            v += grad(j, jp) * _sin_phase_difference(e_ops[jp], e_ops[j])
-        velocity.append(v)
+    velocity = _phase_gradients(e_ops)
 
     # projector onto states with every site occupation < N
     keep = np.ones(total_dim, dtype=bool)
@@ -306,10 +305,10 @@ def fluid_velocity_commutator_check(sites: int, bosons: int, dx: float = 1.0,
                 continue
             comm = velocity[j] @ n_ops[jp] - n_ops[jp] @ velocity[j]
             cos = (e_ops[jp] @ e_ops[j].conj().T + e_ops[j] @ e_ops[jp].conj().T) / 2.0
-            rhs = -1j * grad(j, jp) * cos
+            rhs = -1j * differentiator_kernel(j - jp) * cos
             resid = comm - rhs
             norm = float(np.linalg.norm(resid, 2))
-            bound = abs(grad(j, jp)) * (n_cut + 1.0)
+            bound = abs(differentiator_kernel(j - jp)) * (n_cut + 1.0)
             proj = float(np.linalg.norm(p_sub @ resid @ p_sub, 2))
             max_resid = max(max_resid, norm)
             max_bound = max(max_bound, bound)

@@ -20,11 +20,10 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: M_f points spaced 1/B starting at t0."""
+    """Uniform sampling grid: M_f points spaced 1/B starting at t = 0."""
 
     bandwidth: float
     n_samples: int = 4096
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
@@ -42,7 +41,7 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.n_samples) * self.dt
+        return np.arange(self.n_samples) * self.dt
 
     @property
     def freqs(self) -> np.ndarray:
@@ -132,7 +131,7 @@ def reconstruct(env: SampledEnvelope, t) -> complex:
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     tv = np.atleast_1d(t)
-    if np.any(tv < g.t0) or np.any(tv > g.t0 + g.span):
+    if np.any(tv < 0.0) or np.any(tv > g.span):
         raise ValueError("evaluation time outside the grid span")
     x = g.bandwidth * (tv[:, None] - g.times)  # in sample units
     k = periodized_sinc(x, g.n_samples)
@@ -193,20 +192,13 @@ def color_noise(white: np.ndarray, density: SpectralDensity) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=-1).real.copy()
 
 
-def estimate_psd(x, grid: TimeGrid | None = None, segments: int = 1) -> SpectralDensity:
-    """Averaged-periodogram PSD estimate.
+def estimate_psd(x, grid: TimeGrid, segments: int = 1) -> SpectralDensity:
+    """Averaged-periodogram PSD estimate of a sequence x on grid.
 
     Each segment is demeaned, so the bin-mean of the estimate equals the
-    per-segment sample variance exactly (Parseval).  Accepts a SampledEnvelope
-    or a plain sequence plus its grid.
+    per-segment sample variance exactly (Parseval).
     """
-    if isinstance(x, SampledEnvelope):
-        grid = x.grid
-        data = x.samples
-    else:
-        if grid is None:
-            raise ValueError("grid required for a plain sequence")
-        data = np.asarray(x)
+    data = np.asarray(x)
     m = grid.n_samples
     if data.shape[-1] != m:
         raise ValueError("sequence length must equal grid.n_samples")
@@ -219,5 +211,5 @@ def estimate_psd(x, grid: TimeGrid | None = None, segments: int = 1) -> Spectral
     segs = segs - segs.mean(axis=1, keepdims=True)
     p = np.abs(np.fft.fft(segs, axis=1)) ** 2 / seg_len
     values = p.mean(axis=0)
-    seg_grid = TimeGrid(grid.bandwidth, seg_len, grid.t0)
+    seg_grid = TimeGrid(grid.bandwidth, seg_len)
     return SpectralDensity(seg_grid, values, symmetric=False)

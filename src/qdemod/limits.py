@@ -138,17 +138,18 @@ def sigma0_grid(s_m: np.ndarray, h: np.ndarray, four_alpha_sq: float,
     return float(np.sum(s_n * np.log1p(ratio)) / s_m.size)
 
 
-def threshold_check(kind: str, beta: float, lam: float, r: float = 0.0,
-                    limit: float = 0.25):
-    """(constraint LHS, pass) for the loop linearisation to hold.
+def threshold_check(sigma0_sq: float, r: float = 0.0):
+    """(constraint LHS, pass) for the loop linearisation to hold: the
+    package's one statement of the paper's threshold rule.
 
-    LHS is sigma0^2 for coherent or z'-squeezed-with-feedback operation and
-    exp(4r) sigma0^2 for phase-squeezed light without feedback (the paper's
-    right-hand side is an order-of-magnitude estimate, so the squeezed check
-    is approximate).  pass = LHS <= 0.25 by the standard operational rule.
+    LHS = exp(4r) sigma0^2: pass r = 0 for coherent or z'-squeezed-with-
+    feedback operation (LHS = sigma0^2), and the squeeze parameter r for
+    phase-squeezed light without feedback (the paper's right-hand side is an
+    order-of-magnitude estimate, so the squeezed check is approximate).
+    pass = LHS <= 1/4 by the standard operational rule.
     """
-    lhs = sigma0(kind, beta, lam) * float(np.exp(4.0 * r))
-    return float(lhs), bool(lhs <= limit)
+    lhs = sigma0_sq * float(np.exp(4.0 * r))
+    return float(lhs), bool(lhs <= 0.25)
 
 
 @dataclass(frozen=True)
@@ -167,14 +168,15 @@ class LimitQuery:
     def evaluate(self) -> dict:
         lam = self.resolved_lambda()
         sigma2, snr = closed_form_snr(self.kind, self.beta, lam)
-        lhs, ok = threshold_check(self.kind, self.beta, lam, self.r)
+        s0 = sigma0(self.kind, self.beta, lam)
+        lhs, ok = threshold_check(s0, self.r)
         out = {
             "kind": self.kind,
             "beta": self.beta,
             "lambda": lam,
             "sigma_sq": sigma2,
             "snr": snr,
-            "sigma0_sq": sigma0(self.kind, self.beta, lam),
+            "sigma0_sq": s0,
             "threshold_lhs": lhs,
             "pass_threshold": ok,
         }

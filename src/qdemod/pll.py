@@ -154,14 +154,14 @@ class CellResult:
     seeds_with_slips: int
 
 
-def cycle_slip_count(phibar: np.ndarray, phi_prime: np.ndarray) -> int:
-    """Completed crossings of odd multiples of pi by the tracking error.
+def cycle_slip_count(e: np.ndarray) -> int:
+    """Completed crossings of odd multiples of pi by the tracking error e.
 
     Debounced: a crossing counts once the error settles well inside
     (within pi/2 of the centre of) a new 2pi lock basin, so jitter on a
     basin boundary is not multiply counted.
     """
-    e = np.atleast_1d(np.asarray(phibar, dtype=float) - np.asarray(phi_prime, dtype=float))
+    e = np.atleast_1d(np.asarray(e, dtype=float))
     basins = np.round(e / (2.0 * np.pi)).astype(int)
     inside = np.abs(e - 2.0 * np.pi * basins) < np.pi / 2.0
     seq = basins[inside]
@@ -435,7 +435,7 @@ def _simulate_group(cfg: PllConfig, track, taps, trials: list) -> list:
             seed=cfg.seed, trial=trial, mse=mse,
             snr_empirical=1.0 / mse if mse != 0 else float("inf"),
             sigma0_sq_empirical=float(np.mean((e_win - offset) ** 2)),
-            cycle_slips=cycle_slip_count(e_win, 0.0)))
+            cycle_slips=cycle_slip_count(e_win)))
     return results
 
 

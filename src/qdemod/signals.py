@@ -158,23 +158,13 @@ def fm_phase_ramp(mod: ModulationScheme, grid: TimeGrid, message: np.ndarray) ->
     return -2.0 * np.pi * mod.deviation * np.cumsum(message) * grid.dt
 
 
-def carson_bandwidth(mod, bandwidth: float | None = None,
+def carson_bandwidth(beta: float, bandwidth: float,
                      squeeze_bandwidth: float | None = None) -> float:
     """Occupied optical bandwidth (beta + 1) b, plus B_s when squeezed.
 
-    Accepts a ModulationScheme, or a bare index beta (>= 0, so the
-    unmodulated limit is representable) together with the bandwidth.
+    beta may be 0, so the unmodulated limit is representable.
     """
-    if isinstance(mod, ModulationScheme):
-        beta, b = mod.beta, mod.bandwidth
-    else:
-        beta = float(mod)
-        if bandwidth is None:
-            raise ValueError("bandwidth required when passing a bare index")
-        b = float(bandwidth)
     if beta < 0:
         raise ValueError("modulation index must be nonnegative")
-    base = (beta + 1.0) * b
-    if squeeze_bandwidth is None:
-        return base
-    return squeeze_bandwidth + base
+    base = (beta + 1.0) * bandwidth
+    return base if squeeze_bandwidth is None else squeeze_bandwidth + base

@@ -15,11 +15,12 @@ gives the same bits.  The classical construction L' = (1/X)[V/X*]_+ from the
 cepstral factor X is also provided; on discontinuous (brick-wall) spectra its
 circular Gibbs wrap-around leaves residuals around 1e-2 and it is kept as a
 cross-check for smooth spectra only.
+A design measures no causality; anticausal_energy_fraction does on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +28,7 @@ from . import _tracker
 from .grids import SpectralDensity, TimeGrid
 from .signals import (FM, MessageSpec, ModulationScheme, carson_bandwidth,
                       message_psd, phase_response)
-from .qnoise import COHERENT, NoiseModel, squeezed_covariance_psds
-
-CAUSAL_ENERGY_TOL = 1e-8
+from .qnoise import NoiseModel, squeezed_covariance_psds
 
 
 class FactorizationError(ValueError):
@@ -59,12 +58,10 @@ def anticausal_energy_fraction(response: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FilterKernel:
-    """Frequency response on the grid bins plus a measured causality flag."""
+    """Frequency response on the grid bins."""
 
     grid: TimeGrid
     response: np.ndarray
-    causal: bool = field(default=False)
-    anticausal_fraction: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         r = np.asarray(self.response, dtype=complex)
@@ -72,23 +69,13 @@ class FilterKernel:
             raise ValueError("response length must equal grid.n_samples")
         object.__setattr__(self, "response", r)
 
-    @classmethod
-    def from_response(cls, grid: TimeGrid, response: np.ndarray) -> "FilterKernel":
-        frac = anticausal_energy_fraction(response)
-        return cls(grid, response, causal=frac < CAUSAL_ENERGY_TOL, anticausal_fraction=frac)
-
-    def taps(self) -> np.ndarray:
-        return np.fft.ifft(self.response)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = np.fft.ifft(np.fft.fft(np.asarray(x), axis=-1) * self.response, axis=-1)
         return y.real if np.isrealobj(x) else y
 
     def causal_taps(self) -> np.ndarray:
         """Real taps restricted to lags [0, M/2)."""
-        t = self.taps().real.copy()
-        t[self.grid.n_samples // 2:] = 0.0
-        return t[: self.grid.n_samples // 2]
+        return np.fft.ifft(self.response)[: self.grid.n_samples // 2].real.copy()
 
 
 def optimum_filter(s_m: np.ndarray, h: np.ndarray, four_alpha_sq: float,
@@ -108,7 +95,7 @@ def optimum_filter(s_m: np.ndarray, h: np.ndarray, four_alpha_sq: float,
     g = np.zeros(grid.n_samples, dtype=complex)
     live = s_m * np.abs(h) ** 2 > 0
     g[live] = num[live] / den[live]
-    return FilterKernel.from_response(grid, g)
+    return FilterKernel(grid, g)
 
 
 def spectral_factorize(u: np.ndarray, grid: TimeGrid) -> FilterKernel:
@@ -133,7 +120,7 @@ def spectral_factorize(u: np.ndarray, grid: TimeGrid) -> FilterKernel:
     folded[1: m // 2] = 2.0 * ceps[1: m // 2]
     folded[m // 2] = ceps[m // 2]
     x = np.exp(np.fft.fft(folded))
-    return FilterKernel.from_response(grid, x)
+    return FilterKernel(grid, x)
 
 
 def wiener_hopf_residual(l_response: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -220,9 +207,7 @@ def closed_loop_filter(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKe
     taps = solve_normal_equations(ut, vt[:half])
     full = np.zeros(m)
     full[:half] = taps
-    response = np.fft.fft(full)
-    # support is exactly causal by construction
-    return FilterKernel(grid, response, causal=True, anticausal_fraction=0.0)
+    return FilterKernel(grid, np.fft.fft(full))
 
 
 def causal_part_solution(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKernel:
@@ -235,7 +220,7 @@ def causal_part_solution(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> Filter
     w = np.fft.ifft(np.asarray(v) / np.conj(x))
     w[grid.n_samples // 2:] = 0.0
     response = np.fft.fft(w) / x
-    return FilterKernel.from_response(grid, response)
+    return FilterKernel(grid, response)
 
 
 @dataclass(frozen=True)
@@ -274,37 +259,38 @@ def default_delay(grid: TimeGrid, message_bandwidth: float) -> int:
 
 
 def loop_and_postloop(l_prime: FilterKernel, g: FilterKernel, two_alpha: float,
-                      delay: int, min_loop_margin: float = 1e-6):
+                      delay: int):
     """Loop filter L = L'/(2|a|(1-L')) and delayed post-loop L'' = G e^{-iwd}/L'."""
     if delay < 0:
         raise ValueError("delay must be nonnegative")
     grid = l_prime.grid
     lp = l_prime.response
     margin = np.min(np.abs(1.0 - lp))
-    if margin < min_loop_margin:
+    if margin < 1e-6:
         raise LoopInstabilityError(
             f"|1 - L'| reaches {margin:.3e}; the closed loop would be unstable")
     l_resp = lp / (two_alpha * (1.0 - lp))
-    l_loop = FilterKernel.from_response(grid, l_resp)
+    l_loop = FilterKernel(grid, l_resp)
     shift = np.exp(-2j * np.pi * grid.freqs * delay * grid.dt)
     post = np.zeros(grid.n_samples, dtype=complex)
     live = np.abs(g.response) > 0
     post[live] = g.response[live] * shift[live] / lp[live]
-    l_post = FilterKernel.from_response(grid, post)
+    l_post = FilterKernel(grid, post)
     return l_loop, l_post
 
 
 def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
-                noise: NoiseModel | None = None, delay: int | None = None) -> LoopDesign:
+                noise: NoiseModel, delay: int | None = None) -> LoopDesign:
     """Synthesise the full {G, L', L, L''} quadruple for one operating point.
 
-    The design carries noise, the light (coherent at alpha_mag when None).
+    The design carries noise, the light; its |alpha| must be alpha_mag.
     """
+    if noise.alpha_mag != alpha_mag:
+        raise ValueError(f"noise |alpha| = {noise.alpha_mag!r} differs from "
+                         f"alpha_mag = {alpha_mag!r}")
     grid = message.grid
     s_m = message_psd(message, drop_dc=(mod.kind == FM)).values
     h = phase_response(mod, grid)
-    if noise is None:
-        noise = NoiseModel(COHERENT, alpha_mag)
     _, s2_density = squeezed_covariance_psds(noise, grid)
     s2 = s2_density.values
     fa2 = 4.0 * alpha_mag**2
@@ -340,21 +326,23 @@ def predicted_error_spectrum(design: LoopDesign) -> np.ndarray:
     return out
 
 
+_MAP_ITERATIONS = 10000  # cap of nonlinear_map_fixed_point
+
+
 def nonlinear_map_fixed_point(message: MessageSpec, mod: ModulationScheme,
                               two_alpha: float, a: np.ndarray,
-                              init: np.ndarray | None = None,
-                              damping: float = 0.5, tol: float = 1e-9,
-                              max_iter: int = 10000):
+                              init: np.ndarray | None = None):
     """Damped fixed-point solve of the exact MAP equation m = 2|a| K_m H^T p(m).
 
     p(m) = -i (a e^{-i phi} - a* e^{i phi}), phi = H m.  The iteration is run
-    in the preconditioned form m <- (1-g) m + g G (H m + p(m)/2|a|), which has
+    in the preconditioned form m <- m/2 + G (H m + p(m)/2|a|)/2, which has
     the same fixed points as the raw equation but contracts even when
     beta^2 Lambda >> 1 (the raw Picard map has spectral radius ~ beta^2 Lambda
     and diverges).  Needs the full complex field record a (oracle mode).
 
-    Returns (estimate, iterations).  Raises NonConvergenceError carrying the
-    last iterate if max_iter is exhausted.
+    Returns (estimate, iterations) once an iteration moves no sample by
+    1e-9 or more.  Raises NonConvergenceError carrying the last iterate
+    after _MAP_ITERATIONS iterations.
     """
     grid = message.grid
     a = np.asarray(a, dtype=complex)
@@ -377,16 +365,16 @@ def nonlinear_map_fixed_point(message: MessageSpec, mod: ModulationScheme,
         phi0 = np.unwrap(np.angle(a_lp))
         init = np.fft.ifft(np.fft.fft(phi0) * g).real
     m = np.asarray(init, dtype=float).copy()
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAP_ITERATIONS + 1):
         phi = phase_of(m)
         p = 2.0 * np.imag(a * np.exp(-1j * phi))
         target = np.fft.ifft(np.fft.fft(phi + p / two_alpha) * g).real
-        new = (1.0 - damping) * m + damping * target
+        new = 0.5 * m + 0.5 * target
         delta = float(np.max(np.abs(new - m)))
         m = new
-        if delta < tol:
+        if delta < 1e-9:
             return m, it
-    raise NonConvergenceError("MAP fixed point did not converge", m, max_iter)
+    raise NonConvergenceError("MAP fixed point did not converge", m, _MAP_ITERATIONS)
 
 
 _DUMP_ROW = "%d %.9e" + " %.17e" * 8 + "\n"

@@ -83,7 +83,7 @@ def test_reconstruct_band_limited_tone():
     a = np.exp(2j * np.pi * f * g.times)
     env = SampledEnvelope(g, a)
     rng = stream(6)
-    t = g.t0 + g.span * rng.uniform(0.25, 0.75, size=40)  # interior points
+    t = g.span * rng.uniform(0.25, 0.75, size=40)  # interior points
     got = reconstruct(env, t)
     want = np.sqrt(g.bandwidth) * np.exp(2j * np.pi * f * t)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
@@ -93,7 +93,7 @@ def test_reconstruct_out_of_range():
     g = TimeGrid(1.0, 64)
     env = SampledEnvelope(g, np.zeros(64))
     with pytest.raises(ValueError):
-        reconstruct(env, g.t0 - 1.0)
+        reconstruct(env, -1.0)
 
 
 def test_differentiate_tone():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdemod import _tracker, cli
+from qdemod import _tracker, cli, pll
 from qdemod.cli import cli_main
 from qdemod.config import (SCHEMAS, ConfigError, parse_config_text,
                            serialize_config)
@@ -146,6 +146,11 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _csv_rows(out):
+    lines = (out / "results.csv").read_text().splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
 
 
 def test_cli_limits_end_to_end(tmp_path, capsys):
@@ -326,11 +331,39 @@ def test_cli_sweep_n_photon_column_only_for_budgeted_points(tmp_path):
             "n_photon = 10\nrs = 0, 0.5\ntrials = 1\nseed = 5\n")
     out = tmp_path / "sw"
     assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", text), "--out", str(out)]) == 0
-    lines = (out / "results.csv").read_text().splitlines()
-    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    rows = _csv_rows(out)
     assert [(float(r["lambda"]), float(r["r"])) for r in rows][0] == (100.0, 0.0)
     assert np.isnan(float(rows[0]["n_photon"]))
     assert float(rows[1]["n_photon"]) == 10.0 and float(rows[1]["r"]) == 0.5
+
+
+def test_cli_given_lambda_sizes_the_point_in_limits_and_simulate(tmp_path):
+    """With both lambda and n_photon set, lambda sizes the point and the
+    n_photon column reads NaN, in limits as in simulate."""
+    point = "mod_kind = pm\nbeta = 1.0\nlambda = 100\nn_photon = 10\n"
+    runs = {"limits": "", "simulate": "n_samples = 2048\nband_bins = 63\ntrials = 1\n"}
+    for command, extra in runs.items():
+        out = tmp_path / command
+        cfg = _write(tmp_path, f"{command}.cfg", point + extra)
+        assert cli_main([command, cfg, "--out", str(out)]) == 0
+        row = _csv_rows(out)[0]
+        assert float(row["lambda"]) == 100.0
+        assert np.isnan(float(row["n_photon"]))
+
+
+@pytest.mark.parametrize("variant, passes", [("phase_squeezed", "false"),
+                                             ("squeezed_z", "true")])
+def test_cli_pass_threshold_follows_the_light(variant, passes, tmp_path):
+    """PM beta = 1, Lambda = 100, r = 0.5: sigma0^2 = ln(101)/100 = 0.046
+    meets the 1/4 rule with feedback, but phase-squeezed light without
+    feedback is held to exp(4r) sigma0^2 = 0.34."""
+    text = (f"beta = 1.0\nlambda = 100\nr = 0.5\nvariant = {variant}\n"
+            "trials = 1\nseed = 5\n")
+    out = tmp_path / "o"
+    assert cli_main(["simulate", _write(tmp_path, "sim.cfg", text), "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert float(rows[0]["sigma0_sq"]) == pytest.approx(np.log(101.0) / 100.0, rel=1e-12)
+    assert [row["pass_threshold"] for row in rows] == [passes, passes]
 
 
 def test_cli_sweep_matches_single_trial_aggregate(tmp_path):
@@ -365,11 +398,29 @@ def test_benchmark_tracer_finds_every_name():
                for (owner, attr, _), o in zip(tracing.TARGETS, originals))
 
 
+def test_benchmark_direct_calls_run(tmp_path, monkeypatch):
+    """perfbench calls the library directly as well as through cli_main: a
+    design op of its synthesis workload, read by _design_outputs, and the
+    open-loop replay of run.traced_pass must run with the signatures they
+    use."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    op = workloads._design_op("design_pm_sq_4096", 4096, "pm", True, 1.2, 100.0, 0.8)
+    design = op.run(str(tmp_path))
+    out = workloads._design_outputs(op.name, design)
+    assert out.failure is None
+    assert out.numbers["design_pm_sq_4096.wh_residual"][0] <= workloads.WH_RESIDUAL_TOL
+    (trial,) = pll.simulate_batch(pll.PllConfig(design, 1, 5), [0], force_lock=True)
+    assert trial.trial == 0 and np.isfinite(trial.mse)
+
+
 def test_package_exports_resolve():
     """Every exported name resolves, every public name of the package is
     exported, and the only samplers are pll's two row-batched ones."""
     import qdemod
-    from qdemod import pll
     assert all(hasattr(qdemod, name) for name in qdemod.__all__)
     exposed = {name for name, value in vars(qdemod).items()
                if not name.startswith("_") and not isinstance(value, types.ModuleType)}

@@ -95,18 +95,19 @@ def test_sigma0_monotonicity():
 
 
 def test_threshold_check_examples():
-    lhs, ok = threshold_check(PM, 2.0, 100.0)
+    lhs, ok = threshold_check(sigma0(PM, 2.0, 100.0))
     assert lhs == pytest.approx(0.0599, abs=1e-4)
     assert ok
     # phase-squeezed at N = 25, r = 0.5: Lambda from the photon budget
     r = 0.5
     lam = 4.0 * (25.0 - np.sinh(r) ** 2) * np.exp(2 * r)
-    lhs2, ok2 = threshold_check(PM, 2.0, lam, r=r)
+    lhs2, ok2 = threshold_check(sigma0(PM, 2.0, lam), r=r)
     want = np.exp(2.0) * np.log1p(4.0 * lam) / lam
     assert lhs2 == pytest.approx(want, rel=1e-12)
     assert ok2 == (want <= 0.25)
     # r = 0 reduces to the coherent constraint
-    assert threshold_check(PM, 2.0, 100.0, r=0.0) == threshold_check(PM, 2.0, 100.0)
+    s0 = sigma0(PM, 2.0, 100.0)
+    assert threshold_check(s0, r=0.0) == threshold_check(s0) == (s0, True)
 
 
 def test_irreducible_error_dark():

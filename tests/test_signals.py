@@ -138,5 +138,3 @@ def test_carson_rule():
     assert carson_bandwidth(4.0, 1e3) == pytest.approx(5e3)
     assert carson_bandwidth(0.0, 1e3) == pytest.approx(1e3)
     assert carson_bandwidth(4.0, 1e3, squeeze_bandwidth=2e3) == pytest.approx(7e3)
-    mod = ModulationScheme.pm(4.0, 1e3)
-    assert carson_bandwidth(mod) == pytest.approx(5e3)
