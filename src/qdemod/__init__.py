@@ -8,8 +8,7 @@ and exact small-Fock-space oracles for canonical phase.
 
 __version__ = "0.1.0"
 
-from .grids import (SampledEnvelope, SpectralDensity, TimeGrid,
-                    differentiator_kernel, estimate_psd, reconstruct, sinc_kernel)
+from .grids import SpectralDensity, TimeGrid, differentiator_kernel, estimate_psd
 from .signals import (MessageSpec, ModulationScheme, carson_bandwidth,
                       message_psd, modulate, phase_response)
 from .qnoise import (NoiseModel, PhysicalConstants, operating_point,
@@ -25,8 +24,7 @@ from . import sensing
 from .cli import cli_main
 
 __all__ = [
-    "TimeGrid", "SampledEnvelope", "SpectralDensity", "sinc_kernel",
-    "differentiator_kernel", "reconstruct", "estimate_psd",
+    "TimeGrid", "SpectralDensity", "differentiator_kernel", "estimate_psd",
     "MessageSpec", "ModulationScheme", "message_psd",
     "phase_response", "modulate", "carson_bandwidth",
     "PhysicalConstants", "NoiseModel", "squeezed_covariance_psds",

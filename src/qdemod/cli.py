@@ -209,11 +209,11 @@ def _cmd_fock(cfg: dict, outdir: str, manifest: RunManifest) -> None:
         ("fluid_residual_within_bound",
          max(0.0, fluid.max_residual - fluid.projector_bound), 0.0),
     ]
+    passed = [value <= thr if thr > 0 else value == 0.0 for _, value, thr in checks]
     path = os.path.join(outdir, "fock_checks.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("check,value,threshold,pass\n")
-        for name, value, thr in checks:
-            ok = value <= thr if thr > 0 else value == 0.0
+        for (name, value, thr), ok in zip(checks, passed):
             fh.write(f"{name},{value:.17e},{thr:.1e},{'true' if ok else 'false'}\n")
     manifest.outputs.append(path)
     dpath = os.path.join(outdir, "phase_density.csv")
@@ -224,16 +224,12 @@ def _cmd_fock(cfg: dict, outdir: str, manifest: RunManifest) -> None:
     manifest.outputs.append(dpath)
     worst = max(value for _, value, _ in checks[:5])
     print(f"fock: worst oracle residual = {worst:.3e}")
-    if any((value > thr if thr > 0 else value != 0.0) for _, value, thr in checks):
+    if not all(passed):
         raise FactorizationError("fock oracle check failed")
 
 
 def _cmd_sense(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    sensor = SensorConfig(
-        kind=cfg["kind"], passes=cfg["passes"], reflectivity=cfg.get("reflectivity"),
-        incidence=cfg["incidence"], wavelength=cfg["wavelength"],
-        rms_position=cfg.get("rms_position"), rms_velocity=cfg.get("rms_velocity"),
-        message_bandwidth=cfg["message_bandwidth"], cavity_length=cfg["cavity_length"])
+    sensor = SensorConfig(**cfg)  # the sense schema's keys are its fields
     rows = [("effective_passes", sensor.effective_passes)]
     if sensor.rms_position is not None:
         pos = position_pm_params(sensor)

@@ -3,8 +3,7 @@
 A uniform grid with bandwidth B and spacing 1/B carries every sequence in the
 toolkit.  All sequences are treated as periodic on the grid (circular
 convolution semantics), which makes stationarity exact and lets the Wiener
-algebra diagonalise in the DFT basis.  Off-grid evaluation therefore uses the
-periodised interpolation kernels, not the bare infinite-grid ones.
+algebra diagonalise in the DFT basis.
 """
 
 from __future__ import annotations
@@ -48,24 +47,6 @@ class TimeGrid:
         """Bin frequencies in Hz, numpy fft ordering (DC first)."""
         return np.fft.fftfreq(self.n_samples, self.dt)
 
-    @property
-    def span(self) -> float:
-        return self.n_samples * self.dt
-
-
-@dataclass(frozen=True)
-class SampledEnvelope:
-    """Complex baseband samples a_j = A(t_j) sqrt(dt) on a grid."""
-
-    grid: TimeGrid
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=complex)
-        if s.shape != (self.grid.n_samples,):
-            raise ValueError("samples length must equal grid.n_samples")
-        object.__setattr__(self, "samples", s)
-
 
 @dataclass(frozen=True)
 class SpectralDensity:
@@ -97,48 +78,6 @@ class SpectralDensity:
         return float(np.mean(self.values))
 
 
-def sinc_kernel(x):
-    """sin(pi x)/(pi x) with the removable singularity filled."""
-    return np.sinc(x)
-
-
-def periodized_sinc(x, n_samples: int):
-    """Sum of sinc(x + m*M) over all integers m, for even M.
-
-    Equals sin(pi x) / (M tan(pi x / M)); this is the interpolation kernel of
-    the sampling theorem on an M-point circular grid.
-    """
-    m = n_samples
-    if m % 2 != 0:
-        raise ValueError("n_samples must be even")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xr = np.atleast_1d(x - m * np.round(x / m))  # reduce to [-M/2, M/2]
-    out = np.ones_like(xr)
-    away = np.abs(xr) >= 1e-9
-    out[away] = np.sin(np.pi * xr[away]) / (m * np.tan(np.pi * xr[away] / m))
-    return float(out[0]) if scalar else out.reshape(x.shape)
-
-
-def reconstruct(env: SampledEnvelope, t) -> complex:
-    """Envelope value sqrt(B) * sum_j a_j K(B (t - t_j)) at off-grid times.
-
-    K is the periodised sinc, so in-band tones are reproduced exactly at any
-    interior point; accuracy is only asserted away from the window edges.
-    Raises ValueError outside the grid's time span.
-    """
-    g = env.grid
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tv = np.atleast_1d(t)
-    if np.any(tv < 0.0) or np.any(tv > g.span):
-        raise ValueError("evaluation time outside the grid span")
-    x = g.bandwidth * (tv[:, None] - g.times)  # in sample units
-    k = periodized_sinc(x, g.n_samples)
-    val = np.sqrt(g.bandwidth) * (k @ env.samples)
-    return complex(val[0]) if scalar else val.reshape(t.shape)
-
-
 def differentiator_kernel(n):
     """Ideal discrete differentiator taps: (-1)^n / n, and 0 at n = 0."""
     n = np.asarray(n)
@@ -150,32 +89,14 @@ def differentiator_kernel(n):
     return float(out[0]) if scalar else out.reshape(n.shape)
 
 
-def periodized_differentiator(n_samples: int) -> np.ndarray:
-    """Differentiator taps periodised onto an even M-point circle.
-
-    Sum over m of d_{n + mM} = (-1)^n (pi/M) cot(pi n / M); circular
-    convolution with these taps is the exact band-limited derivative
-    (times dt) for every in-band bin.
-    """
-    m = n_samples
-    if m % 2 != 0:
-        raise ValueError("n_samples must be even")
-    n = np.arange(m)
-    taps = np.zeros(m)
-    nz = n[1:]
-    taps[1:] = np.where(nz % 2 == 0, 1.0, -1.0) * (np.pi / m) / np.tan(np.pi * nz / m)
-    return taps
-
-
 def differentiate(grid: TimeGrid, x: np.ndarray) -> np.ndarray:
     """Exact band-limited time derivative of a grid sequence (per second).
 
-    Implemented as circular convolution with the periodised differentiator,
-    evaluated in the frequency domain.
+    Multiplies each DFT bin by i 2 pi f; the Nyquist bin, whose sign is
+    undefined, is multiplied by 0.
     """
     x = np.asarray(x)
     w = 2j * np.pi * grid.freqs
-    # Nyquist bin has no defined sign; the periodised kernel maps it to 0.
     w[grid.n_samples // 2] = 0.0
     return np.fft.ifft(np.fft.fft(x) * w).real if np.isrealobj(x) else np.fft.ifft(np.fft.fft(x) * w)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qnoise import resolve_lambda
-from .signals import FM, PM
+from .signals import FM, PM, check_positive
 
 SQL = "sql"
 HEISENBERG = "heisenberg"
@@ -75,8 +75,7 @@ def quantum_limit_snr(limit: str, n_photon: float, beta: float, kind: str) -> fl
     """
     if kind not in (PM, FM):
         raise ValueError(f"unknown modulation kind {kind!r}")
-    if n_photon <= 0:
-        raise ValueError("photon number must be positive")
+    check_positive("n_photon", n_photon)
     fm_factor = 3.0 if kind == FM else 1.0
     if limit == SQL:
         return 4.0 * beta**2 * n_photon * fm_factor
@@ -162,6 +161,9 @@ class LimitQuery:
     n_photon: float | None = None
     r: float = 0.0
 
+    def __post_init__(self) -> None:
+        check_positive("beta", self.beta)
+
     def resolved_lambda(self) -> float:
         return resolve_lambda(self.r, self.lam, self.n_photon)
 
@@ -169,22 +171,13 @@ class LimitQuery:
         lam = self.resolved_lambda()
         sigma2, snr = closed_form_snr(self.kind, self.beta, lam)
         s0 = sigma0(self.kind, self.beta, lam)
-        lhs, ok = threshold_check(s0, self.r)
-        out = {
+        _, ok = threshold_check(s0, self.r)
+        return {
             "kind": self.kind,
             "beta": self.beta,
             "lambda": lam,
             "sigma_sq": sigma2,
             "snr": snr,
             "sigma0_sq": s0,
-            "threshold_lhs": lhs,
             "pass_threshold": ok,
         }
-        if self.n_photon is not None and self.n_photon > 0:
-            out["snr_sql"] = quantum_limit_snr(SQL, self.n_photon, self.beta, self.kind)
-            out["snr_heisenberg"] = quantum_limit_snr(
-                HEISENBERG, self.n_photon, self.beta, self.kind)
-            if self.n_photon > 1:
-                out["snr_log_bound"] = quantum_limit_snr(
-                    LOG_BOUND, self.n_photon, self.beta, self.kind)
-        return out

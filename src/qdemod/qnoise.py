@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import SpectralDensity, TimeGrid
-from .signals import LORENTZIAN, MessageSpec, message_psd
+from .signals import LORENTZIAN, MessageSpec, check_positive, message_psd
 
 COHERENT = "coherent"
 SQUEEZED_Z = "squeezed_z"
@@ -101,12 +101,14 @@ def resolve_lambda(r: float = 0.0, lam: float | None = None,
     """Lambda as given, else the flat-message budget 4 (N - sinh^2 r) exp(2r).
 
     The budgeted form inverts photon_budget for a flat message with the
-    squeeze bandwidth equal to the message bandwidth (B_s = b).
+    squeeze bandwidth equal to the message bandwidth (B_s = b).  The given
+    Lambda, or else N, must be finite and positive (check_positive).
     """
     if lam is not None:
-        return lam
+        return check_positive("lambda", lam)
     if n_photon is None:
         raise ValueError("need lambda or n_photon")
+    check_positive("n_photon", n_photon)
     if r <= 0:  # no squeezing photons in the budget
         return 4.0 * n_photon
     sh2 = float(np.sinh(r) ** 2)
@@ -125,6 +127,7 @@ def operating_point(message: MessageSpec, r: float = 0.0, lam: float | None = No
     s_m_at_0 = float(message_psd(message).values[0])
     s2_at_0 = float(np.exp(-2.0 * r)) if r > 0 else 1.0
     if lam is None and n_photon is not None and message.kind == LORENTZIAN:
+        check_positive("n_photon", n_photon)
         alpha = float(np.sqrt(n_photon * message.bandwidth / message.grid.bandwidth))
         return alpha, 4.0 * alpha**2 * s_m_at_0 / s2_at_0
     lam = resolve_lambda(r, lam, n_photon)

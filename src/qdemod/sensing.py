@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpectralDensity
 from .qnoise import PhysicalConstants
 
 MULTIPASS = "multipass"
@@ -80,7 +79,6 @@ def fabry_perot_m(reflectivity: float) -> float:
 @dataclass(frozen=True)
 class PositionParams:
     beta: float
-    normalization: float        # divide x(t) by this to get the unit message
     narrowband_ok: bool         # beta < 0.1, required for Fabry-Perot use
 
 
@@ -89,15 +87,13 @@ def position_pm_params(cfg: SensorConfig) -> PositionParams:
     if cfg.rms_position is None:
         raise ValueError("rms_position required for position sensing")
     beta = cfg.geometry_factor * 2.0 * np.pi * cfg.rms_position / cfg.wavelength
-    return PositionParams(float(beta), cfg.rms_position, bool(beta < NARROWBAND_BETA))
+    return PositionParams(float(beta), bool(beta < NARROWBAND_BETA))
 
 
 @dataclass(frozen=True)
 class VelocityParams:
     deviation: float            # F, Hz
     beta: float                 # 2 F / b
-    normalization: float        # divide -v(t) by this to get the unit message
-    sign: float                 # message is sign * v / rms; sign = -1
     narrowband_ok: bool
 
 
@@ -112,8 +108,7 @@ def velocity_fm_params(cfg: SensorConfig) -> VelocityParams:
     f0 = cfg.carrier_frequency
     dev = cfg.geometry_factor * f0 * cfg.rms_velocity / cfg.constants.c
     beta = 2.0 * dev / cfg.message_bandwidth
-    return VelocityParams(float(dev), float(beta), cfg.rms_velocity, -1.0,
-                          bool(beta < NARROWBAND_BETA))
+    return VelocityParams(float(dev), float(beta), bool(beta < NARROWBAND_BETA))
 
 
 def interrogation_constraint(cfg: SensorConfig):
@@ -126,18 +121,3 @@ def interrogation_constraint(cfg: SensorConfig):
         cfg.constants.c * np.cos(cfg.incidence))
     budget = INTERROGATION_MARGIN / cfg.message_bandwidth
     return float(lhs), bool(lhs <= budget)
-
-
-def position_velocity_psd(s_v: SpectralDensity) -> SpectralDensity:
-    """Position density S_x = S_v / (2 pi f)^2, DC bin excluded.
-
-    The DC bin is set to zero and must be zero in the input (a velocity
-    process with nonzero mean has no stationary position).
-    """
-    f = s_v.grid.freqs
-    if s_v.values[0] != 0.0:
-        raise ValueError("velocity density must vanish at DC")
-    out = np.zeros_like(s_v.values)
-    nz = f != 0
-    out[nz] = s_v.values[nz] / (2.0 * np.pi * f[nz]) ** 2
-    return SpectralDensity(s_v.grid, out, symmetric=s_v.symmetric)

@@ -29,6 +29,14 @@ PM = "pm"
 FM = "fm"
 
 
+def check_positive(name: str, value: float) -> float:
+    """value if it is finite and > 0, else ValueError: the one rule for the
+    modulation index beta, the loop SNR Lambda and the photon number N."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class MessageSpec:
     """Unit-variance stationary Gaussian message on a grid."""
@@ -74,8 +82,7 @@ class ModulationScheme:
     def __post_init__(self) -> None:
         if self.kind not in (PM, FM):
             raise ValueError(f"unknown modulation kind {self.kind!r}")
-        if self.beta <= 0:
-            raise ValueError("modulation index must be positive")
+        check_positive("beta", self.beta)
 
     @property
     def deviation(self) -> float:
@@ -144,18 +151,6 @@ def modulate(mod: ModulationScheme, grid: TimeGrid, message: np.ndarray) -> np.n
         return mod.beta * message
     h = phase_response(mod, grid)[: grid.n_samples // 2 + 1]  # Hermitian: real FFTs
     return np.fft.irfft(np.fft.rfft(message) * h, n=grid.n_samples)
-
-
-def fm_phase_ramp(mod: ModulationScheme, grid: TimeGrid, message: np.ndarray) -> np.ndarray:
-    """Non-circular running-integral phase -2*pi*F * cumsum(m) dt.
-
-    Diagnostic counterpart of the circulant FM map; it keeps the mean (a
-    constant message gives a linear ramp of slope -2*pi*F*m per second).
-    """
-    if mod.kind != FM:
-        raise ValueError("phase ramp is defined for FM only")
-    message = np.asarray(message, dtype=float)
-    return -2.0 * np.pi * mod.deviation * np.cumsum(message) * grid.dt
 
 
 def carson_bandwidth(beta: float, bandwidth: float,

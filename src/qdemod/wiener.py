@@ -317,15 +317,6 @@ def linearized_map_estimate(design: LoopDesign, phi: np.ndarray) -> np.ndarray:
     return design.g.apply(np.asarray(phi, dtype=float))
 
 
-def predicted_error_spectrum(design: LoopDesign) -> np.ndarray:
-    """Per-bin error density S_m S2 / (4|a|^2 S_m |H|^2 + S2), limits at dead bins."""
-    num = design.s_m * design.s2.values
-    out = np.zeros(design.grid.n_samples)
-    live = num > 0
-    out[live] = num[live] / design.u[live]
-    return out
-
-
 _MAP_ITERATIONS = 10000  # cap of nonlinear_map_fixed_point
 
 

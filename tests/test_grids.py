@@ -1,23 +1,9 @@
 import numpy as np
 import pytest
 
-from qdemod.grids import (SampledEnvelope, TimeGrid, color_noise, differentiate,
-                          differentiator_kernel, estimate_psd, periodized_differentiator,
-                          periodized_sinc, reconstruct, sinc_kernel)
+from qdemod.grids import (TimeGrid, color_noise, differentiate, differentiator_kernel,
+                          estimate_psd)
 from qdemod.rng import stream
-
-
-def test_sinc_values():
-    assert sinc_kernel(0.0) == 1.0
-    assert abs(sinc_kernel(1.0)) < 1e-16
-    assert abs(sinc_kernel(0.5) - 2.0 / np.pi) < 1e-15
-
-
-def test_sinc_kronecker_on_integers():
-    n = np.array([-10**6, -37, -1, 0, 1, 2, 511, 10**6])
-    vals = sinc_kernel(n.astype(float))
-    expect = (n == 0).astype(float)
-    assert np.max(np.abs(vals - expect)) < 1e-9
 
 
 def test_differentiator_values():
@@ -29,71 +15,6 @@ def test_differentiator_values():
 def test_differentiator_antisymmetry():
     n = np.arange(1, 2000)
     assert np.all(differentiator_kernel(-n) == -differentiator_kernel(n))
-
-
-def test_periodized_differentiator_matches_partial_sums():
-    m = 64
-    taps = periodized_differentiator(m)
-    # direct aliased sums of the infinite kernel
-    for n in (1, 5, 31, 33):
-        shifts = n + m * np.arange(-4000, 4001)
-        approx = np.sum(differentiator_kernel(shifts))
-        assert abs(taps[n] - approx) < 1e-4
-
-
-def test_periodized_differentiator_is_exact_derivative():
-    m = 256
-    taps = np.fft.fft(periodized_differentiator(m))
-    k = np.fft.fftfreq(m, 1.0 / m)
-    want = 1j * 2 * np.pi * k / m
-    want[m // 2] = 0.0
-    assert np.max(np.abs(taps - want)) < 1e-10
-
-
-def test_periodized_sinc_interpolates_tones_exactly():
-    m = 128
-    x = np.linspace(-0.49 * m, 0.49 * m, 57)
-    # kernel sums over all aliases: check against slow partial sums
-    approx = sum(sinc_kernel(x + q * m) for q in range(-3000, 3001))
-    assert np.max(np.abs(periodized_sinc(x, m) - approx)) < 1e-3
-
-
-def test_reconstruct_single_sample():
-    g = TimeGrid(2.0, 64)
-    a = np.zeros(64, complex)
-    a[0] = 1.0
-    env = SampledEnvelope(g, a)
-    assert abs(reconstruct(env, g.times[0]) - np.sqrt(2.0)) < 1e-12
-    assert abs(reconstruct(env, g.times[1])) < 1e-12
-
-
-def test_reconstruct_grid_points_exact():
-    g = TimeGrid(1.0, 64)
-    rng = stream(5)
-    a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    env = SampledEnvelope(g, a)
-    vals = reconstruct(env, g.times)
-    assert np.max(np.abs(vals - np.sqrt(g.bandwidth) * a)) < 1e-10
-
-
-def test_reconstruct_band_limited_tone():
-    g = TimeGrid(1.0, 256)
-    k0 = 19
-    f = k0 * g.df
-    a = np.exp(2j * np.pi * f * g.times)
-    env = SampledEnvelope(g, a)
-    rng = stream(6)
-    t = g.span * rng.uniform(0.25, 0.75, size=40)  # interior points
-    got = reconstruct(env, t)
-    want = np.sqrt(g.bandwidth) * np.exp(2j * np.pi * f * t)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
-
-
-def test_reconstruct_out_of_range():
-    g = TimeGrid(1.0, 64)
-    env = SampledEnvelope(g, np.zeros(64))
-    with pytest.raises(ValueError):
-        reconstruct(env, -1.0)
 
 
 def test_differentiate_tone():

@@ -366,6 +366,46 @@ def test_cli_pass_threshold_follows_the_light(variant, passes, tmp_path):
     assert [row["pass_threshold"] for row in rows] == [passes, passes]
 
 
+# A point per quantity that a case sets to a bad value; a given lambda sizes
+# the point, so the n_photon case gives no lambda.
+_POINT = {"lambda": "beta = 1\nlambda = {}\n", "n_photon": "beta = 1\nn_photon = {}\n",
+          "beta": "beta = {}\nlambda = 100\n"}
+_SWEEP_POINT = {"lambda": "betas = 1\nlambdas = {}\n", "n_photon": "betas = 1\nn_photon = {}\n",
+                "beta": "betas = {}\nlambdas = 100\n"}
+_MONTE_CARLO = "n_samples = 2048\nband_bins = 63\ntrials = 1\n"
+_BAD_POINT_BASES = {"limits": ("", _POINT), "simulate": (_MONTE_CARLO, _POINT),
+                    "sweep": (_MONTE_CARLO, _SWEEP_POINT)}
+
+
+@pytest.mark.parametrize("command", sorted(_BAD_POINT_BASES))
+@pytest.mark.parametrize("key", ["lambda", "n_photon", "beta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_cli_rejects_a_point_that_is_not_finite_and_positive(command, key, value,
+                                                             tmp_path, capsys):
+    """Lambda, N and beta must be finite and positive: anything else is a
+    config error (exit 2) and no results.csv is written."""
+    common, points = _BAD_POINT_BASES[command]
+    cfg = _write(tmp_path, "bad.cfg", common + points[key].format(value))
+    out = tmp_path / "o"
+    assert cli_main([command, cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_config_fixtures_parse_and_the_analytic_ones_run(tmp_path):
+    """Every configs/ fixture parses under the schema its [section] names,
+    and the four without a Monte Carlo run to exit 0."""
+    ran = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
+        text = path.read_text()
+        command = re.search(r"^\[(\w+)\]", text, re.M).group(1)
+        parse_config_text(text, command)
+        if command not in ("simulate", "sweep"):
+            assert cli_main([command, str(path), "--out", str(tmp_path / path.stem)]) == 0
+            ran.add(path.stem)
+    assert ran == {"limits_pm", "fock_checks", "sense_fabry_perot", "design_fm_squeezed"}
+
+
 def test_cli_sweep_matches_single_trial_aggregate(tmp_path):
     """A 1-cell sweep equals the simulate aggregate for the same config."""
     base = ("n_samples = 2048\nband_bins = 63\ntrials = 4\nseed = 5\n")

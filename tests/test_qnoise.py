@@ -174,6 +174,10 @@ def test_lambda_parameter_infeasible_budget(grid):
         operating_point(msg, r=3.0, n_photon=10.0)  # sinh^2(3) ~ 100 > 10
     with pytest.raises(ValueError, match="need lambda or n_photon"):
         operating_point(msg, r=0.5)
+    lorentz = MessageSpec(grid, LORENTZIAN, grid.bandwidth / 256.0)  # N sizes |alpha| directly
+    for bad in (np.nan, 0.0):
+        with pytest.raises(ValueError, match="n_photon must be finite and positive"):
+            operating_point(lorentz, n_photon=bad)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from qdemod.grids import SpectralDensity, TimeGrid
 from qdemod.limits import PM, closed_form_snr
 from qdemod.qnoise import PhysicalConstants
 from qdemod.sensing import (FABRY_PEROT, MULTIPASS, SensorConfig, fabry_perot_m,
                             interrogation_constraint, position_pm_params,
-                            position_velocity_psd, velocity_fm_params)
+                            velocity_fm_params)
 
 
 def test_position_beta_unit_case():
@@ -40,8 +39,6 @@ def test_velocity_unit_case():
     assert vel.deviation == pytest.approx(b / 2.0, rel=1e-12)
     # beta / F = 2 / b always
     assert vel.beta / vel.deviation == pytest.approx(2.0 / b, rel=1e-12)
-    # positive velocity lowers the instantaneous frequency
-    assert vel.sign == -1.0
 
 
 def test_fabry_perot_m():
@@ -81,25 +78,6 @@ def test_interrogation_constraint():
     lhs3, ok3 = interrogation_constraint(cfg3)
     assert lhs3 == pytest.approx(1e-3, rel=1e-12)
     assert not ok3
-
-
-def test_position_velocity_psd():
-    grid = TimeGrid(1.0, 256)
-    f = grid.freqs
-    s_v = SpectralDensity(grid, (2 * np.pi * f) ** 2)
-    s_x = position_velocity_psd(s_v)
-    nz = f != 0
-    assert np.allclose(s_x.values[nz], 1.0)
-    assert s_x.values[0] == 0.0
-    # linearity in the input scale
-    s_x2 = position_velocity_psd(SpectralDensity(grid, 9.0 * (2 * np.pi * f) ** 2))
-    assert np.allclose(s_x2.values[nz], 9.0 * s_x.values[nz])
-    # white velocity -> 1/f^2 position, DC excluded
-    white = SpectralDensity(grid, np.where(f != 0, 1.0, 0.0), symmetric=False)
-    s_x3 = position_velocity_psd(white)
-    assert np.allclose(s_x3.values[nz] * (2 * np.pi * f[nz]) ** 2, 1.0)
-    with pytest.raises(ValueError):
-        position_velocity_psd(SpectralDensity(grid, np.ones(256)))
 
 
 def test_unit_rescaling_leaves_beta_invariant():

@@ -4,7 +4,7 @@ import pytest
 from qdemod.grids import TimeGrid, differentiate, estimate_psd
 from qdemod.pll import sample_message
 from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme,
-                            carson_bandwidth, fm_phase_ramp, message_psd,
+                            carson_bandwidth, message_psd,
                             modulate, phase_response)
 
 
@@ -124,14 +124,6 @@ def test_fm_round_trip_recovers_message(grid):
     phase = modulate(mod, grid, m)
     recovered = differentiate(grid, phase) / (-2.0 * np.pi * mod.deviation)
     assert np.max(np.abs(recovered - m)) < 1e-6 * np.max(np.abs(m))
-
-
-def test_fm_ramp_slope(grid):
-    mod = ModulationScheme.fm(2.0, 127 * grid.df)
-    level = 0.7
-    ramp = fm_phase_ramp(mod, grid, np.full(grid.n_samples, level))
-    slopes = np.diff(ramp) / grid.dt
-    assert np.max(np.abs(slopes + 2.0 * np.pi * mod.deviation * level)) < 1e-10
 
 
 def test_carson_rule():

@@ -22,8 +22,8 @@ from qdemod.wiener import (FactorizationError, FilterKernel, LoopInstabilityErro
                            closed_loop_filter, design_loop, dump_design,
                            linearized_map_estimate, loop_and_postloop,
                            nonlinear_map_fixed_point, optimum_filter,
-                           predicted_error_spectrum, solve_normal_equations,
-                           spectral_factorize, wiener_hopf_residual)
+                           solve_normal_equations, spectral_factorize,
+                           wiener_hopf_residual)
 
 
 @pytest.fixture(scope="module")
@@ -190,13 +190,6 @@ def test_linearized_map_full_noise_error(pm_design, grid):
         m_hat = linearized_map_estimate(pm_design, phi)
         total += np.mean((m_hat - m) ** 2)
     assert abs(total / n_trials * 401.0 - 1.0) < 0.10
-
-
-def test_error_spectrum_identity(pm_design, lorentz_design):
-    for d in (pm_design, lorentz_design):
-        via_spectrum = float(np.mean(predicted_error_spectrum(d)))
-        via_limits = irreducible_error(d.s_m, d.h, d.four_alpha_sq, d.s2.values)
-        assert abs(via_spectrum - via_limits) < 1e-10 * via_limits
 
 
 def test_error_monotone_in_lambda(grid):
