@@ -30,7 +30,7 @@ from .grids import TimeGrid
 from .pll import LoopDivergenceError, PllConfig, run_cell, run_cells
 from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                      operating_point)
-from .results import RunManifest, emit_results
+from .results import RunManifest, emit_results, write_table
 from .sensing import (SensorConfig, interrogation_constraint, position_pm_params,
                       velocity_fm_params)
 from .signals import FLAT, LORENTZIAN, MessageSpec, ModulationScheme
@@ -44,7 +44,7 @@ _NUMERICAL_ERRORS = (FactorizationError, LoopInstabilityError,
 
 
 def _build_setup(cfg: dict, beta: float, r: float, variant: str,
-                 lam: float | None = None, n_photon: float | None = None):
+                 lam: float | None, n_photon: float | None):
     """(design, lam) of one operating point of a resolved config."""
     grid = TimeGrid(cfg["bandwidth"], cfg["n_samples"])
     if cfg["message_kind"] == FLAT:
@@ -57,9 +57,8 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
     alpha, lam = operating_point(message, r, lam, n_photon)
     noise = (NoiseModel(COHERENT, alpha) if variant == COHERENT  # r still sets alpha
              else NoiseModel(variant, alpha, r, message.bandwidth))
-    delay = cfg.get("delay", -1)
     design = design_loop(message, mod, alpha, noise,
-                         delay=None if delay < 0 else delay)
+                         delay=None if cfg["delay"] < 0 else cfg["delay"])
     return design, lam
 
 
@@ -106,40 +105,38 @@ def _cell_row(row: dict, cell) -> dict:
                 cycle_slips=cell.total_slips)
 
 
-def _write_results(rows, outdir: str, manifest: RunManifest) -> None:
-    path = os.path.join(outdir, "results.csv")
-    emit_results(rows, path)
+def _output(outdir: str, name: str, manifest: RunManifest) -> str:
+    """outdir/name, listed in the manifest: the one place an output is named."""
+    path = os.path.join(outdir, name)
     manifest.outputs.append(path)
+    return path
 
 
 def _cmd_design(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    r = cfg.get("r", 0.0)
-    variant = COHERENT if r == 0 else SQUEEZED_Z
-    design, _ = _build_setup(cfg, cfg["beta"], r, variant,
-                             lam=cfg.get("lambda"), n_photon=cfg.get("n_photon"))
-    path = os.path.join(outdir, "design.txt")
-    dump_design(design, path)
-    manifest.outputs.append(path)
+    variant = COHERENT if cfg["r"] == 0 else SQUEEZED_Z
+    design, _ = _build_setup(cfg, cfg["beta"], cfg["r"], variant,
+                             cfg["lambda"], cfg["n_photon"])
+    dump_design(design, _output(outdir, "design.txt", manifest))
     print(f"design: wh_residual = {design.wh_residual:.3e}, delay = {design.delay}")
 
 
 def _cmd_simulate(cfg: dict, outdir: str, manifest: RunManifest) -> None:
     pll_cfg, row = _operating_point(cfg, "simulate-0", cfg["beta"], cfg["r"],
-                                    cfg.get("lambda"), cfg.get("n_photon"))
+                                    cfg["lambda"], cfg["n_photon"])
     cell = run_cell(pll_cfg)
     row = _cell_row(row, cell)
     trial_rows = [dict(row, run_id=f"trial-{t.trial}", snr_empirical=t.snr_empirical,
                        snr_stderr=float("nan"), sigma0_sq_empirical=t.sigma0_sq_empirical,
                        cycle_slips=t.cycle_slips)
                   for t in cell.trials]  # per-trial diagnostics under the same schema
-    _write_results([row] + trial_rows, outdir, manifest)
+    emit_results([row] + trial_rows, _output(outdir, "results.csv", manifest))
     print(f"simulate: snr = {cell.snr_empirical:.4g} "
           f"(analytic {row['snr_analytic']:.4g}), slips = {cell.total_slips}")
 
 
 def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    lambdas = cfg.get("lambdas")
-    if lambdas is None and cfg.get("n_photon") is None:
+    lambdas = cfg["lambdas"]
+    if lambdas is None and cfg["n_photon"] is None:
         raise ConfigError("sweep needs lambdas or n_photon")
     points = []
     for beta in cfg["betas"]:
@@ -158,21 +155,21 @@ def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> None:
             analytic.append(row)
             yield pll_cfg
     rows = [_cell_row(analytic[i], cell) for i, cell in enumerate(run_cells(cells()))]
-    _write_results(rows, outdir, manifest)
+    emit_results(rows, _output(outdir, "results.csv", manifest))
     print(f"sweep: {len(rows)} cells written")
 
 
 def _cmd_limits(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    lam = cfg.get("lambda")
-    n_photon = None if lam is not None else cfg.get("n_photon")  # lam sizes the point
+    lam = cfg["lambda"]
+    n_photon = None if lam is not None else cfg["n_photon"]  # lam sizes the point
     query = limits_mod.LimitQuery(cfg["mod_kind"], cfg["beta"], lam, n_photon, cfg["r"])
     table = query.evaluate()
     row = {
         "run_id": "limits-0",
         "seed": 0,
         "variant": "analytic",
-        "mod_kind": table["kind"],
-        "beta": table["beta"],
+        "mod_kind": cfg["mod_kind"],
+        "beta": cfg["beta"],
         "lambda": table["lambda"],
         "n_photon": n_photon if n_photon is not None else float("nan"),
         "r": cfg["r"],
@@ -184,7 +181,7 @@ def _cmd_limits(cfg: dict, outdir: str, manifest: RunManifest) -> None:
         "cycle_slips": 0,
         "pass_threshold": table["pass_threshold"],
     }
-    _write_results([row], outdir, manifest)
+    emit_results([row], _output(outdir, "results.csv", manifest))
     print(f"limits: sigma_sq = {table['sigma_sq']:.5g}, snr = {table['snr']:.6g}, "
           f"sigma0_sq = {table['sigma0_sq']:.5g}")
 
@@ -210,18 +207,12 @@ def _cmd_fock(cfg: dict, outdir: str, manifest: RunManifest) -> None:
          max(0.0, fluid.max_residual - fluid.projector_bound), 0.0),
     ]
     passed = [value <= thr if thr > 0 else value == 0.0 for _, value, thr in checks]
-    path = os.path.join(outdir, "fock_checks.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("check,value,threshold,pass\n")
-        for (name, value, thr), ok in zip(checks, passed):
-            fh.write(f"{name},{value:.17e},{thr:.1e},{'true' if ok else 'false'}\n")
-    manifest.outputs.append(path)
-    dpath = os.path.join(outdir, "phase_density.csv")
-    with open(dpath, "w", encoding="utf-8") as fh:
-        fh.write("phi,density\n")
-        for phi, val in zip(fock_mod.phase_grid(points), density):
-            fh.write(f"{phi:.17e},{val:.17e}\n")
-    manifest.outputs.append(dpath)
+    write_table(_output(outdir, "fock_checks.csv", manifest), "check,value,threshold,pass",
+                (f"{name},{value:.17e},{thr:.1e},{'true' if ok else 'false'}"
+                 for (name, value, thr), ok in zip(checks, passed)))
+    write_table(_output(outdir, "phase_density.csv", manifest), "phi,density",
+                (f"{phi:.17e},{val:.17e}"
+                 for phi, val in zip(fock_mod.phase_grid(points), density)))
     worst = max(value for _, value, _ in checks[:5])
     print(f"fock: worst oracle residual = {worst:.3e}")
     if not all(passed):
@@ -242,12 +233,8 @@ def _cmd_sense(cfg: dict, outdir: str, manifest: RunManifest) -> None:
                  ("velocity_narrowband_ok", float(vel.narrowband_ok))]
     lhs, ok = interrogation_constraint(sensor)
     rows += [("interrogation_lhs_s", lhs), ("interrogation_pass", float(ok))]
-    path = os.path.join(outdir, "sense_results.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("key,value\n")
-        for key, value in rows:
-            fh.write(f"{key},{value:.17e}\n")
-    manifest.outputs.append(path)
+    write_table(_output(outdir, "sense_results.csv", manifest), "key,value",
+                (f"{key},{value:.17e}" for key, value in rows))
     print("sense: " + ", ".join(f"{k} = {v:.6g}" for k, v in rows))
 
 
@@ -270,7 +257,7 @@ def cli_main(argv=None) -> int:
     outdir = os.environ.get("QDEMOD_OUT", args.out)
     try:
         cfg = parse_config(args.config, args.command)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(outdir, exist_ok=True)
@@ -280,9 +267,6 @@ def cli_main(argv=None) -> int:
     manifest.start()
     try:
         _COMMANDS[args.command](cfg, outdir, manifest)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -173,8 +173,6 @@ class LimitQuery:
         s0 = sigma0(self.kind, self.beta, lam)
         _, ok = threshold_check(s0, self.r)
         return {
-            "kind": self.kind,
-            "beta": self.beta,
             "lambda": lam,
             "sigma_sq": sigma2,
             "snr": snr,

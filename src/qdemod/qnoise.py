@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import SpectralDensity, TimeGrid
-from .signals import LORENTZIAN, MessageSpec, check_positive, message_psd
+from .signals import (LORENTZIAN, MessageSpec, check_nonnegative, check_positive,
+                      message_psd)
 
 COHERENT = "coherent"
 SQUEEZED_Z = "squeezed_z"
@@ -57,8 +58,7 @@ class NoiseModel:
             if self.r != 0.0:
                 raise ValueError("coherent model must have r = 0")
         else:
-            if self.r < 0:
-                raise ValueError("squeeze parameter must be nonnegative")
+            check_nonnegative("squeeze parameter r", self.r)
             if self.squeeze_bandwidth is None or self.squeeze_bandwidth <= 0:
                 raise ValueError("squeezed model needs a positive squeeze bandwidth")
 
@@ -96,25 +96,31 @@ def photon_budget(alpha_mag: float, r: float, bandwidth: float,
     return power, n_photon
 
 
+def _alpha_photons(r: float, n_photon: float) -> float:
+    """N - sinh^2 r, the photons of a budget N per 1/b left for |alpha| once
+    squeezing over B_s = b has taken its share: the one budget rule."""
+    check_positive("n_photon", n_photon)
+    sh2 = float(np.sinh(r) ** 2)
+    if sh2 >= n_photon:
+        raise ValueError("photon budget too small for the requested squeezing")
+    return n_photon - sh2
+
+
 def resolve_lambda(r: float = 0.0, lam: float | None = None,
                    n_photon: float | None = None) -> float:
     """Lambda as given, else the flat-message budget 4 (N - sinh^2 r) exp(2r).
 
     The budgeted form inverts photon_budget for a flat message with the
-    squeeze bandwidth equal to the message bandwidth (B_s = b).  The given
-    Lambda, or else N, must be finite and positive (check_positive).
+    squeeze bandwidth equal to the message bandwidth (B_s = b).  r must be
+    finite and nonnegative (check_nonnegative); the given Lambda, or else N,
+    finite and positive (check_positive).
     """
+    check_nonnegative("r", r)
     if lam is not None:
         return check_positive("lambda", lam)
     if n_photon is None:
         raise ValueError("need lambda or n_photon")
-    check_positive("n_photon", n_photon)
-    if r <= 0:  # no squeezing photons in the budget
-        return 4.0 * n_photon
-    sh2 = float(np.sinh(r) ** 2)
-    if sh2 >= n_photon:
-        raise ValueError("photon budget too small for the requested squeezing")
-    return 4.0 * (n_photon - sh2) * float(np.exp(2.0 * r))
+    return 4.0 * _alpha_photons(r, n_photon) * float(np.exp(2.0 * r))
 
 
 def operating_point(message: MessageSpec, r: float = 0.0, lam: float | None = None,
@@ -122,13 +128,15 @@ def operating_point(message: MessageSpec, r: float = 0.0, lam: float | None = No
     """(|alpha|, Lambda) with Lambda = 4 |alpha|^2 S_m(0) / S2(0), S2(0) = exp(-2r).
 
     Given Lambda, or a photon budget N per 1/b: a flat message maps N through
-    resolve_lambda; a Lorentzian message takes |alpha|^2 = N b / B directly.
+    resolve_lambda; a Lorentzian message takes |alpha|^2 = (N - sinh^2 r) b / B
+    directly.
     """
+    check_nonnegative("r", r)
     s_m_at_0 = float(message_psd(message).values[0])
-    s2_at_0 = float(np.exp(-2.0 * r)) if r > 0 else 1.0
+    s2_at_0 = float(np.exp(-2.0 * r))
     if lam is None and n_photon is not None and message.kind == LORENTZIAN:
-        check_positive("n_photon", n_photon)
-        alpha = float(np.sqrt(n_photon * message.bandwidth / message.grid.bandwidth))
+        alpha = float(np.sqrt(_alpha_photons(r, n_photon) * message.bandwidth
+                              / message.grid.bandwidth))
         return alpha, 4.0 * alpha**2 * s_m_at_0 / s2_at_0
     lam = resolve_lambda(r, lam, n_photon)
     return float(np.sqrt(lam * s2_at_0 / (4.0 * s_m_at_0))), lam

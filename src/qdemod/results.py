@@ -1,4 +1,4 @@
-"""Result persistence: the fixed-schema CSV and the run manifest."""
+"""Result persistence: the CSV tables and the run manifest."""
 
 from __future__ import annotations
 
@@ -34,13 +34,19 @@ def _render(column: str, value) -> str:
     return str(value)
 
 
+def write_table(path, header: str, lines) -> None:
+    """Write the header line, then each of lines: the one writer of the CSVs."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def emit_results(rows, path) -> None:
     """Write rows (mappings keyed by CSV_COLUMNS) with the fixed header."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(_render(c, row.get(c)) for c in CSV_COLUMNS) + "\n")
+        write_table(path, ",".join(CSV_COLUMNS),
+                    (",".join(_render(c, row.get(c)) for c in CSV_COLUMNS) for row in rows))
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 

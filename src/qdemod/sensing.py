@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qnoise import PhysicalConstants
+from .signals import check_nonnegative, check_positive
 
 MULTIPASS = "multipass"
 FABRY_PEROT = "fabry_perot"
@@ -42,15 +43,20 @@ class SensorConfig:
     def __post_init__(self) -> None:
         if self.kind not in (MULTIPASS, FABRY_PEROT):
             raise ValueError(f"unknown sensor kind {self.kind!r}")
-        if self.kind == MULTIPASS and self.passes < 1:
-            raise ValueError("multipass sensor needs M >= 1")
+        if self.kind == MULTIPASS and not (np.isfinite(self.passes) and self.passes >= 1):
+            raise ValueError(f"multipass sensor needs a finite M >= 1, got {self.passes}")
         if self.kind == FABRY_PEROT:
             if self.reflectivity is None or not 0.0 <= self.reflectivity < 1.0:
                 raise ValueError("Fabry-Perot needs reflectivity in [0, 1)")
             if self.incidence != 0.0:
                 raise ValueError("Fabry-Perot operates at normal incidence")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
+        if not abs(self.incidence) < np.pi / 2:  # false for NaN too
+            raise ValueError(f"incidence must be finite with |theta| < pi/2, "
+                             f"got {self.incidence}")
+        for name in ("wavelength", "message_bandwidth", "rms_position", "rms_velocity"):
+            if getattr(self, name) is not None:
+                check_positive(name, getattr(self, name))
+        check_nonnegative("cavity_length", self.cavity_length)
 
     @property
     def carrier_frequency(self) -> float:

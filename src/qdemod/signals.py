@@ -31,9 +31,18 @@ FM = "fm"
 
 def check_positive(name: str, value: float) -> float:
     """value if it is finite and > 0, else ValueError: the one rule for the
-    modulation index beta, the loop SNR Lambda and the photon number N."""
+    modulation index beta, the loop SNR Lambda, the photon number N and the
+    sensor's wavelength, bandwidth and rms motion."""
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def check_nonnegative(name: str, value: float) -> float:
+    """value if it is finite and >= 0, else ValueError: the one rule for the
+    squeeze parameter r and the sensor's cavity length."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return value
 
 

@@ -153,6 +153,14 @@ def _csv_rows(out):
     return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
 
 
+def _assert_manifest_lists_every_output_once(out):
+    """The manifest's output lines name each file the run wrote, once."""
+    listed = re.findall(r"^output = (.*)$", (out / "manifest.txt").read_text(), re.M)
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.txt")
+    assert sorted(Path(p).name for p in listed) == written
+    assert all(Path(p).parent == out for p in listed)
+
+
 def test_cli_limits_end_to_end(tmp_path, capsys):
     cfg = _write(tmp_path, "limits.cfg", "beta = 2.0\nlambda = 100\n")
     out = tmp_path / "out"
@@ -331,6 +339,7 @@ def test_cli_sweep_n_photon_column_only_for_budgeted_points(tmp_path):
             "n_photon = 10\nrs = 0, 0.5\ntrials = 1\nseed = 5\n")
     out = tmp_path / "sw"
     assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", text), "--out", str(out)]) == 0
+    _assert_manifest_lists_every_output_once(out)
     rows = _csv_rows(out)
     assert [(float(r["lambda"]), float(r["r"])) for r in rows][0] == (100.0, 0.0)
     assert np.isnan(float(rows[0]["n_photon"]))
@@ -346,6 +355,7 @@ def test_cli_given_lambda_sizes_the_point_in_limits_and_simulate(tmp_path):
         out = tmp_path / command
         cfg = _write(tmp_path, f"{command}.cfg", point + extra)
         assert cli_main([command, cfg, "--out", str(out)]) == 0
+        _assert_manifest_lists_every_output_once(out)
         row = _csv_rows(out)[0]
         assert float(row["lambda"]) == 100.0
         assert np.isnan(float(row["n_photon"]))
@@ -392,9 +402,61 @@ def test_cli_rejects_a_point_that_is_not_finite_and_positive(command, key, value
     assert not (out / "results.csv").exists()
 
 
+_R_BASES = {"limits": "beta = 1\nlambda = 100\nr = {}\n",
+            "design": "n_samples = 2048\nband_bins = 63\nbeta = 1\nlambda = 100\nr = {}\n",
+            "simulate": _MONTE_CARLO + "beta = 1\nlambda = 100\nr = {}\n",
+            "sweep": _MONTE_CARLO + "betas = 1\nn_photon = 10\nrs = {}\n"}
+
+
+@pytest.mark.parametrize("command", sorted(_R_BASES))
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cli_rejects_an_r_that_is_not_finite_and_nonnegative(command, value, tmp_path,
+                                                            capsys):
+    """The squeeze parameter r must be finite and >= 0 in every command that
+    takes it: anything else is a config error (exit 2) and no file is written."""
+    cfg = _write(tmp_path, "bad.cfg", _R_BASES[command].format(value))
+    out = tmp_path / "o"
+    assert cli_main([command, cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("passes", "nan"), ("passes", "inf"), ("passes", "0.5"),
+    ("wavelength", "nan"), ("wavelength", "0"), ("wavelength", "inf"),
+    ("message_bandwidth", "nan"), ("message_bandwidth", "-1e3"),
+    ("rms_position", "nan"), ("rms_position", "-1e-10"),
+    ("rms_velocity", "inf"), ("rms_velocity", "0"),
+    ("cavity_length", "nan"), ("cavity_length", "-0.3"),
+    ("incidence", "nan"), ("incidence", "1.6"), ("incidence", "-inf"),
+])
+def test_cli_sense_rejects_geometry_that_is_not_finite_or_in_range(key, value, tmp_path,
+                                                                  capsys):
+    """A non-finite or out-of-range sense value is a config error (exit 2),
+    and no sense_results.csv is written."""
+    point = {"kind": "multipass", "passes": "2", "rms_position": "1e-10",
+             "rms_velocity": "1e-3", key: value}
+    cfg = _write(tmp_path, "sense.cfg", "".join(f"{k} = {v}\n" for k, v in point.items()))
+    out = tmp_path / "o"
+    assert cli_main(["sense", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "sense_results.csv").exists()
+
+
+def test_cli_lorentzian_budget_counts_the_squeezing_photons(tmp_path, capsys):
+    """sinh^2 3 ~ 100 squeezing photons exceed N = 10, for a Lorentzian
+    message as for a flat one."""
+    text = "message_kind = lorentzian\nbeta = 0.2\nn_photon = 10\nr = 3\n"
+    out = tmp_path / "o"
+    assert cli_main(["design", _write(tmp_path, "d.cfg", text), "--out", str(out)]) == 2
+    assert "photon budget too small for the requested squeezing" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_config_fixtures_parse_and_the_analytic_ones_run(tmp_path):
     """Every configs/ fixture parses under the schema its [section] names,
-    and the four without a Monte Carlo run to exit 0."""
+    and the four without a Monte Carlo run to exit 0, their manifests listing
+    each output once."""
     ran = set()
     for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
         text = path.read_text()
@@ -402,6 +464,7 @@ def test_config_fixtures_parse_and_the_analytic_ones_run(tmp_path):
         parse_config_text(text, command)
         if command not in ("simulate", "sweep"):
             assert cli_main([command, str(path), "--out", str(tmp_path / path.stem)]) == 0
+            _assert_manifest_lists_every_output_once(tmp_path / path.stem)
             ran.add(path.stem)
     assert ran == {"limits_pm", "fock_checks", "sense_fabry_perot", "design_fm_squeezed"}
 

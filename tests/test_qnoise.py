@@ -126,12 +126,13 @@ def test_disjoint_trials_uncorrelated(grid):
 @settings(max_examples=60, deadline=None)
 @given(MESSAGES, SQUEEZE, st.floats(0.05, 20.0))
 def test_photon_budget_consistency_with_lambda(msg, r, alpha):
-    """N from (|alpha|, r) with B_s = b gives |alpha| and its Lambda back."""
-    if msg.kind == LORENTZIAN:
-        r = 0.0  # a Lorentzian budget carries no squeezing photons
-    _, n = photon_budget(alpha, r, msg.grid.bandwidth, msg.bandwidth, msg.bandwidth)
+    """N from (|alpha|, r) with B_s = b gives |alpha| and its Lambda back, and
+    that |alpha| gives N back, for flat and Lorentzian messages alike."""
+    budget = (msg.grid.bandwidth, msg.bandwidth, msg.bandwidth)
+    _, n = photon_budget(alpha, r, *budget)
     got, lam = operating_point(msg, r, n_photon=n)
     assert got == pytest.approx(alpha, rel=1e-9)
+    assert photon_budget(got, r, *budget)[1] == pytest.approx(n, rel=1e-12)
     s_m_at_0 = message_psd(msg).values[0]
     assert lam == pytest.approx(4.0 * alpha**2 * s_m_at_0 * np.exp(2.0 * r), rel=1e-9)
 
@@ -170,11 +171,12 @@ def test_lambda_parameter_r0_reduces():
 
 def test_lambda_parameter_infeasible_budget(grid):
     msg = MessageSpec.flat(grid, 127)
-    with pytest.raises(ValueError, match="photon budget too small"):
-        operating_point(msg, r=3.0, n_photon=10.0)  # sinh^2(3) ~ 100 > 10
+    lorentz = MessageSpec(grid, LORENTZIAN, grid.bandwidth / 256.0)  # N sizes |alpha| directly
+    for message in (msg, lorentz):
+        with pytest.raises(ValueError, match="photon budget too small"):
+            operating_point(message, r=3.0, n_photon=10.0)  # sinh^2(3) ~ 100 > 10
     with pytest.raises(ValueError, match="need lambda or n_photon"):
         operating_point(msg, r=0.5)
-    lorentz = MessageSpec(grid, LORENTZIAN, grid.bandwidth / 256.0)  # N sizes |alpha| directly
     for bad in (np.nan, 0.0):
         with pytest.raises(ValueError, match="n_photon must be finite and positive"):
             operating_point(lorentz, n_photon=bad)
@@ -196,3 +198,8 @@ def test_noise_model_validation():
         NoiseModel(SQUEEZED_Z, 1.0, 0.3)  # missing squeeze bandwidth
     with pytest.raises(ValueError):
         NoiseModel("thermal", 1.0)
+    for bad in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="r must be finite and nonnegative"):
+            NoiseModel(SQUEEZED_Z, 1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="r must be finite and nonnegative"):
+            operating_point(MessageSpec.flat(TimeGrid(1.0, 4096), 127), bad, lam=100.0)
