@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .grids import SpectralDensity, TimeGrid, differentiator_kernel, estimate_psd
 from .signals import (MessageSpec, ModulationScheme, carson_bandwidth,
                       message_psd, modulate, phase_response)
-from .qnoise import (NoiseModel, PhysicalConstants, operating_point,
-                     photon_budget, squeezed_covariance_psds)
+from .qnoise import (NoiseModel, operating_point, photon_budget,
+                     squeezed_covariance_psds)
 from .wiener import (FilterKernel, LoopDesign, closed_loop_filter, design_loop,
                      linearized_map_estimate, loop_and_postloop,
                      nonlinear_map_fixed_point, optimum_filter, spectral_factorize)
@@ -27,7 +27,7 @@ __all__ = [
     "TimeGrid", "SpectralDensity", "differentiator_kernel", "estimate_psd",
     "MessageSpec", "ModulationScheme", "message_psd",
     "phase_response", "modulate", "carson_bandwidth",
-    "PhysicalConstants", "NoiseModel", "squeezed_covariance_psds",
+    "NoiseModel", "squeezed_covariance_psds",
     "photon_budget", "operating_point",
     "FilterKernel", "LoopDesign", "optimum_filter", "spectral_factorize",
     "closed_loop_filter", "loop_and_postloop", "design_loop",

@@ -33,7 +33,7 @@ from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
 from .results import RunManifest, emit_results, write_table
 from .sensing import (SensorConfig, interrogation_constraint, position_pm_params,
                       velocity_fm_params)
-from .signals import FLAT, LORENTZIAN, MessageSpec, ModulationScheme
+from .signals import FLAT, LORENTZIAN, MessageSpec, ModulationScheme, check_nonnegative
 from .wiener import (FactorizationError, LoopInstabilityError,
                      NonConvergenceError, design_loop, dump_design)
 
@@ -54,9 +54,11 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
     else:
         raise ConfigError(f"unknown message_kind {cfg['message_kind']!r}")
     mod = ModulationScheme(cfg["mod_kind"], beta, message.bandwidth)
+    check_nonnegative("r", r)
+    if variant == COHERENT:
+        r = 0.0  # no squeezing: sized at r = 0, the given r only a sweep coordinate
     alpha, lam = operating_point(message, r, lam, n_photon)
-    noise = (NoiseModel(COHERENT, alpha) if variant == COHERENT  # r still sets alpha
-             else NoiseModel(variant, alpha, r, message.bandwidth))
+    noise = NoiseModel(variant, alpha, r, message.bandwidth)
     design = design_loop(message, mod, alpha, noise,
                          delay=None if cfg["delay"] < 0 else cfg["delay"])
     return design, lam
@@ -187,12 +189,12 @@ def _cmd_limits(cfg: dict, outdir: str, manifest: RunManifest) -> None:
 
 
 def _cmd_fock(cfg: dict, outdir: str, manifest: RunManifest) -> None:
-    n_max = cfg["n_max"]
-    points = cfg["points"] or 8 * (n_max + 1)
+    n_max = check_nonnegative("n_max", cfg["n_max"])
+    points = fock_mod.phase_points(n_max, check_nonnegative("points", cfg["points"]))
+    alpha = cfg["alpha"] if fock_mod.tail_cutoff(cfg["alpha"]) <= n_max else 0.0
     povm = fock_mod.povm_resolution_check(n_max, points)
     pb_u = fock_mod.unitary_defect(fock_mod.pegg_barnett_unitary(cfg["pb_s"]).matrix)
     pb_c = fock_mod.pegg_barnett_commutator_residual(cfg["pb_s"])
-    alpha = cfg["alpha"] if fock_mod.tail_cutoff(cfg["alpha"]) <= n_max else 0.0
     state = fock_mod.coherent_coeffs(alpha, n_max)
     density = fock_mod.canonical_phase_density(state, points)
     norm = float(np.sum(density) * fock_mod.density_weight(points, 1))
@@ -257,10 +259,10 @@ def cli_main(argv=None) -> int:
     outdir = os.environ.get("QDEMOD_OUT", args.out)
     try:
         cfg = parse_config(args.config, args.command)
+        os.makedirs(outdir, exist_ok=True)
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(outdir, exist_ok=True)
     manifest = RunManifest(
         command=args.command, version=__version__,
         seed=cfg.get("seed"), config_text=serialize_config(cfg, args.command))

@@ -84,7 +84,10 @@ def unitary_defect(m: np.ndarray) -> float:
 
 
 def tail_cutoff(alpha: complex) -> float:
-    """Smallest n_max that keeps a coherent state's truncated tail below 1e-12."""
+    """Smallest n_max that keeps a coherent state's truncated tail below 1e-12;
+    a non-finite alpha has none (ValueError)."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     return abs(alpha) ** 2 + 10.0 * abs(alpha) + 20.0
 
 
@@ -118,6 +121,14 @@ def phase_grid(points: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(points) / points
 
 
+def phase_points(n_max: int, points: int = 0) -> int:
+    """points (0: the fewest allowed) held to the rule points >= 8 (n_max + 1)."""
+    need = 8 * (n_max + 1)
+    if points and points < need:
+        raise ValueError(f"phase grid too coarse; need points >= 8 (n_max + 1) = {need}")
+    return points or need
+
+
 def canonical_phase_density(state: TruncatedState, points: int) -> np.ndarray:
     """Canonical phase density |sum_n C[n] e^{-i n.phi}|^2 / (2 pi)^J.
 
@@ -125,11 +136,10 @@ def canonical_phase_density(state: TruncatedState, points: int) -> np.ndarray:
     (shape (points,)*J); the trapezoid weight (2 pi / points)^J integrates it
     to one exactly (the density is a trigonometric polynomial of per-mode
     degree n_max, so the rule is spectrally exact for points > 2 n_max).
-    Requires points >= 8 (n_max + 1).
+    Requires points >= 8 (n_max + 1) (phase_points).
     """
     n_max = state.n_max
-    if points < 8 * (n_max + 1):
-        raise ValueError("phase grid too coarse; need points >= 8 (n_max + 1)")
+    points = phase_points(n_max, points)
     modes = state.modes
     padded = np.zeros((points,) * modes, dtype=complex)
     padded[tuple(slice(0, n_max + 1) for _ in range(modes))] = state.amplitudes
@@ -171,8 +181,7 @@ def povm_resolution_check(n_max: int, points: int) -> float:
     entries (1/points) sum_l e^{i (n - n') phi_l}, which equals the identity
     exactly whenever points > n_max.
     """
-    if points < 8 * (n_max + 1):
-        raise ValueError("phase grid too coarse; need points >= 8 (n_max + 1)")
+    points = phase_points(n_max, points)
     phi = phase_grid(points)
     n = np.arange(n_max + 1)
     kernel = np.exp(1j * np.outer(n, phi))  # <n|phi> up to normalisation
@@ -206,23 +215,24 @@ def pegg_barnett_commutator_residual(s: int, phi0: float = 0.0) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _embed(op: np.ndarray, mode: int, modes: int, dim: int) -> np.ndarray:
-    """Tensor op into slot `mode` of a J-mode space (identity elsewhere)."""
-    out = np.array([[1.0 + 0j]])
-    for j in range(modes):
-        out = np.kron(out, op if j == mode else np.eye(dim))
-    return out
-
-
-def _sin_phase_difference(e_j: np.ndarray, e_k: np.ndarray) -> np.ndarray:
-    """sin(phi_j - phi_k) = (E_j E_k^+ - H.c.)/(2i) for embedded unitaries."""
-    a = e_j @ e_k.conj().T
-    return (a - a.conj().T) / 2j
+def _lattice(sites: int, s: int) -> list:
+    """Pegg-Barnett unitaries E_j of `sites` modes cut off at s, each in slot j
+    of the tensor product (identity elsewhere), after the dense-budget check."""
+    dim = s + 1
+    _check_dim(dim**sites)
+    single = pegg_barnett_unitary(s).matrix
+    e_ops = []
+    for j in range(sites):
+        out = np.array([[1.0 + 0j]])
+        for k in range(sites):
+            out = np.kron(out, single if k == j else np.eye(dim))
+        e_ops.append(out)
+    return e_ops
 
 
 def _phase_gradients(e_ops: list) -> list:
     """Lattice phase gradients sum_{k != j} d_{j-k} sin(phi_k - phi_j), one
-    per site j, from the embedded Pegg-Barnett unitaries of the sites.
+    per site j, from the embedded Pegg-Barnett unitaries of _lattice.
 
     The one build of both lattice operators: the fluid velocity is the
     gradient itself (hbar/m = 1, unit spacing) and the instantaneous
@@ -233,7 +243,8 @@ def _phase_gradients(e_ops: list) -> list:
         total = np.zeros(e_j.shape, dtype=complex)
         for k, e_k in enumerate(e_ops):
             if k != j:
-                total += differentiator_kernel(j - k) * _sin_phase_difference(e_k, e_j)
+                a = e_k @ e_j.conj().T  # sin(phi_k - phi_j) = (a - a^+)/(2i)
+                total += differentiator_kernel(j - k) * ((a - a.conj().T) / 2j)
         grads.append(total)
     return grads
 
@@ -242,12 +253,8 @@ def instantaneous_frequency_operator(modes: int, s: int, dt: float) -> list:
     """Hermitian operators F_j = (1/2 pi dt) sum_k d_{j-k} sin(phi_j - phi_k)."""
     if modes > 3 or s > 4:
         raise ResourceBudgetError("instantaneous-frequency oracle capped at J <= 3, s <= 4")
-    dim = s + 1
-    _check_dim(dim**modes)
-    single = pegg_barnett_unitary(s).matrix
-    embedded = [_embed(single, j, modes, dim) for j in range(modes)]
     return [ModeOperator(-grad / (2.0 * np.pi * dt), hermitian=True)
-            for grad in _phase_gradients(embedded)]
+            for grad in _phase_gradients(_lattice(modes, s))]
 
 
 @dataclass(frozen=True)
@@ -277,48 +284,33 @@ def fluid_velocity_commutator_check(sites: int, bosons: int) -> FluidCommutatorR
         raise ResourceBudgetError("fluid oracle capped at 3 sites, 3 bosons")
     if sites < 1 or bosons < 1:
         raise ValueError("need at least one site and one boson")
-    n_cut = bosons
-    dim = n_cut + 1
-    total_dim = dim**sites
-    _check_dim(total_dim)
-
-    single_e = pegg_barnett_unitary(n_cut).matrix
-    single_n = number_operator(n_cut).matrix
-    e_ops = [_embed(single_e, j, sites, dim) for j in range(sites)]
-    n_ops = [_embed(single_n, j, sites, dim) for j in range(sites)]
+    e_ops = _lattice(sites, bosons)
     velocity = _phase_gradients(e_ops)
-
-    # projector onto states with every site occupation < N
-    keep = np.ones(total_dim, dtype=bool)
-    occ = np.arange(dim)
-    for j in range(sites):
-        site_occ = _embed(np.diag(occ).astype(complex), j, sites, dim).diagonal().real
-        keep &= site_occ < n_cut
-    p_sub = np.diag(keep.astype(float))
+    # occ[j] is site j's occupation n_j on each basis state; p_sub projects
+    # onto the states with every occupation below N
+    occ = np.indices((bosons + 1,) * sites).reshape(sites, -1)
+    p_sub = np.diag(np.all(occ < bosons, axis=0).astype(float))
 
     max_resid = 0.0
     max_bound = 0.0
     max_proj = 0.0
+    diag = 0.0
     for j in range(sites):
+        total = np.zeros_like(velocity[j])  # [v_j, sum_j' n_j']
         for jp in range(sites):
+            comm = velocity[j] * occ[jp] - occ[jp][:, None] * velocity[j]  # [v_j, n_j']
+            total += comm
             if jp == j:
                 continue
-            comm = velocity[j] @ n_ops[jp] - n_ops[jp] @ velocity[j]
             cos = (e_ops[jp] @ e_ops[j].conj().T + e_ops[j] @ e_ops[jp].conj().T) / 2.0
             rhs = -1j * differentiator_kernel(j - jp) * cos
             resid = comm - rhs
             norm = float(np.linalg.norm(resid, 2))
-            bound = abs(differentiator_kernel(j - jp)) * (n_cut + 1.0)
+            bound = abs(differentiator_kernel(j - jp)) * (bosons + 1.0)
             proj = float(np.linalg.norm(p_sub @ resid @ p_sub, 2))
             max_resid = max(max_resid, norm)
             max_bound = max(max_bound, bound)
             max_proj = max(max_proj, proj)
-
-    diag = 0.0
-    for j in range(sites):
-        total = np.zeros((total_dim, total_dim), dtype=complex)
-        for jp in range(sites):
-            total += velocity[j] @ n_ops[jp] - n_ops[jp] @ velocity[j]
         # velocity conserves total number except through the Pegg-Barnett wrap
         wrapless = p_sub @ total @ p_sub
         diag = max(diag, float(np.linalg.norm(wrapless, 2)))

@@ -27,13 +27,8 @@ SQUEEZED_Z = "squeezed_z"
 PHASE_SQUEEZED = "phase_squeezed"
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Constants used only by the photon budget and the sensing maps."""
-
-    h: float = 6.62607015e-34    # J s
-    c: float = 299792458.0       # m/s
-    f0: float = 1.935e14         # carrier, Hz (1550 nm)
+PLANCK = 6.62607015e-34      # h, J s
+CARRIER_FREQUENCY = 1.935e14  # f0, Hz (1550 nm)
 
 
 @dataclass(frozen=True)
@@ -84,13 +79,12 @@ def squeezed_covariance_psds(model: NoiseModel, grid: TimeGrid):
 
 
 def photon_budget(alpha_mag: float, r: float, bandwidth: float,
-                  squeeze_bandwidth: float, message_bandwidth: float,
-                  constants: PhysicalConstants = PhysicalConstants()):
+                  squeeze_bandwidth: float, message_bandwidth: float):
     """(average power P, photons N per message correlation time 1/b).
 
     P = h f0 B |alpha|^2 + h f0 B_s sinh^2 r; N = P / (h f0 b).
     """
-    hf0 = constants.h * constants.f0
+    hf0 = PLANCK * CARRIER_FREQUENCY
     power = hf0 * bandwidth * alpha_mag**2 + hf0 * squeeze_bandwidth * np.sinh(r) ** 2
     n_photon = power / (hf0 * message_bandwidth)
     return power, n_photon

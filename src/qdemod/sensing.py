@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnoise import PhysicalConstants
 from .signals import check_nonnegative, check_positive
 
 MULTIPASS = "multipass"
 FABRY_PEROT = "fabry_perot"
 
+SPEED_OF_LIGHT = 299792458.0  # c, m/s
 NARROWBAND_BETA = 0.1          # Fabry-Perot validity flag
 INTERROGATION_MARGIN = 0.1     # lhs <= margin / b passes
 
@@ -38,7 +38,6 @@ class SensorConfig:
     rms_velocity: float | None = None   # sqrt(<v^2>), m/s
     message_bandwidth: float = 1.0e3    # b, Hz
     cavity_length: float = 0.0          # L_cav, m
-    constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self) -> None:
         if self.kind not in (MULTIPASS, FABRY_PEROT):
@@ -57,10 +56,6 @@ class SensorConfig:
             if getattr(self, name) is not None:
                 check_positive(name, getattr(self, name))
         check_nonnegative("cavity_length", self.cavity_length)
-
-    @property
-    def carrier_frequency(self) -> float:
-        return self.constants.c / self.wavelength
 
     @property
     def effective_passes(self) -> float:
@@ -104,15 +99,15 @@ class VelocityParams:
 
 
 def velocity_fm_params(cfg: SensorConfig) -> VelocityParams:
-    """FM parameters: F = 2 M cos(theta) f0 sqrt(<v^2>) / c, beta = 2F/b.
+    """FM parameters: F = 2 M cos(theta) sqrt(<v^2>) / lambda0, beta = 2F/b.
 
-    The unit message is m(t) = -v(t)/rms: a positive velocity lowers the
-    instantaneous frequency.
+    F is the carrier's Doppler shift 2 M cos(theta) f0 v / c, and f0 / c =
+    1 / lambda0.  The unit message is m(t) = -v(t)/rms: a positive velocity
+    lowers the instantaneous frequency.
     """
     if cfg.rms_velocity is None:
         raise ValueError("rms_velocity required for velocity sensing")
-    f0 = cfg.carrier_frequency
-    dev = cfg.geometry_factor * f0 * cfg.rms_velocity / cfg.constants.c
+    dev = cfg.geometry_factor * cfg.rms_velocity / cfg.wavelength
     beta = 2.0 * dev / cfg.message_bandwidth
     return VelocityParams(float(dev), float(beta), bool(beta < NARROWBAND_BETA))
 
@@ -124,6 +119,6 @@ def interrogation_constraint(cfg: SensorConfig):
     """
     m_eff = cfg.effective_passes
     lhs = 2.0 * (m_eff - 1.0) * cfg.cavity_length / (
-        cfg.constants.c * np.cos(cfg.incidence))
+        SPEED_OF_LIGHT * np.cos(cfg.incidence))
     budget = INTERROGATION_MARGIN / cfg.message_bandwidth
     return float(lhs), bool(lhs <= budget)

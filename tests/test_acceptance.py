@@ -19,8 +19,9 @@ from qdemod.limits import (FM, PM, closed_form_snr, lorentzian_pm_snr,
 from qdemod.pll import sample_quadratures
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                            operating_point)
-from qdemod.sensing import (SensorConfig, fabry_perot_m, interrogation_constraint,
-                            position_pm_params, velocity_fm_params)
+from qdemod.sensing import (SPEED_OF_LIGHT, SensorConfig, fabry_perot_m,
+                            interrogation_constraint, position_pm_params,
+                            velocity_fm_params)
 from qdemod.signals import LORENTZIAN, MessageSpec, ModulationScheme
 from qdemod.wiener import spectral_factorize
 
@@ -289,14 +290,13 @@ def test_criterion_10_sensing_determinism():
     cfg_v = SensorConfig(passes=2, wavelength=lam0, rms_velocity=0.75,
                          message_bandwidth=1e3)
     vel = velocity_fm_params(cfg_v)
-    f0 = cfg_v.carrier_frequency
-    want_dev = 4.0 * f0 * 0.75 / cfg_v.constants.c
+    want_dev = 4.0 * 0.75 / lam0  # 2 M v / lambda0, the Doppler shift f0 v / c
     assert abs(vel.deviation / want_dev - 1.0) < 1e-12
     assert abs(vel.beta - 2.0 * want_dev / 1e3) < 1e-12 * vel.beta
     assert abs(fabry_perot_m(0.81) - 19.0) < 1e-12
     cfg_i = SensorConfig(passes=100, cavity_length=0.3, message_bandwidth=1e3)
     lhs, ok_i = interrogation_constraint(cfg_i)
-    assert abs(lhs - 2 * 99 * 0.3 / cfg_i.constants.c) < 1e-20
+    assert abs(lhs - 2 * 99 * 0.3 / SPEED_OF_LIGHT) < 1e-20
     assert ok_i
     # end-to-end: sensor-derived beta through the limits pipeline is exact
     s2, snr = closed_form_snr(PM, pos.beta, 100.0)

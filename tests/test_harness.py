@@ -248,6 +248,31 @@ def test_cli_fock_tail_rule_uses_alpha_magnitude(tmp_path):
     assert densities[0] == densities[1]
 
 
+@pytest.mark.parametrize("key, value", [("n_max", "-1"), ("points", "-8"),
+                                        ("alpha", "nan"), ("alpha", "inf"),
+                                        ("alpha", "-inf")])
+def test_cli_fock_rejects_bad_input_naming_the_key(key, value, tmp_path, capsys):
+    """A negative n_max or points, or a non-finite alpha, is a config error
+    (exit 2) whose message names the key, and no file is written."""
+    cfg = _write(tmp_path, "fock.cfg", f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert cli_main(["fock", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    """--out naming a regular file exits 2 with a config error, and the file
+    is left as it was."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    cfg = _write(tmp_path, "limits.cfg", "beta = 1\nlambda = 100\n")
+    assert cli_main(["limits", cfg, "--out", str(afile)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+
+
 def test_cli_numerical_failure_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, "fock.cfg", "sites = 4\n")  # over the dense budget
     rc = cli_main(["fock", cfg, "--out", str(tmp_path / "o")])
@@ -344,6 +369,21 @@ def test_cli_sweep_n_photon_column_only_for_budgeted_points(tmp_path):
     assert [(float(r["lambda"]), float(r["r"])) for r in rows][0] == (100.0, 0.0)
     assert np.isnan(float(rows[0]["n_photon"]))
     assert float(rows[1]["n_photon"]) == 10.0 and float(rows[1]["r"]) == 0.5
+
+
+def test_cli_coherent_point_is_sized_at_r_zero(tmp_path):
+    """Coherent light carries no squeezing, so a coherent row at r = 0.5 is
+    the coherent point at the same N = 10, Lambda = 4N = 40: it equals the
+    r = 0 row in every column but run_id and r, the sweep coordinate."""
+    text = ("n_samples = 2048\nband_bins = 63\nbetas = 1.0\nn_photon = 10\n"
+            "rs = 0, 0.5\nvariant = coherent\ntrials = 1\nseed = 5\n")
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", text), "--out", str(out)]) == 0
+    rows = _csv_rows(out)
+    assert float(rows[1]["r"]) == 0.5
+    assert float(rows[1]["lambda"]) == 40.0
+    other = [{k: v for k, v in row.items() if k not in ("run_id", "r")} for row in rows]
+    assert other[0] == other[1]
 
 
 def test_cli_given_lambda_sizes_the_point_in_limits_and_simulate(tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from qdemod.grids import TimeGrid, estimate_psd
 from qdemod.pll import sample_quadratures
-from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
-                           PhysicalConstants, operating_point, photon_budget,
+from qdemod.qnoise import (CARRIER_FREQUENCY, COHERENT, PHASE_SQUEEZED, PLANCK,
+                           SQUEEZED_Z, NoiseModel, operating_point, photon_budget,
                            resolve_lambda, squeezed_covariance_psds)
 from qdemod.signals import LORENTZIAN, MessageSpec, message_psd
 
@@ -138,13 +138,12 @@ def test_photon_budget_consistency_with_lambda(msg, r, alpha):
 
 
 def test_photon_budget():
-    consts = PhysicalConstants()
-    hf0 = consts.h * consts.f0
+    hf0 = PLANCK * CARRIER_FREQUENCY
     p, n = photon_budget(2.0, 0.0, bandwidth=1e6, squeeze_bandwidth=1e3,
-                         message_bandwidth=1e3, constants=consts)
+                         message_bandwidth=1e3)
     assert p == pytest.approx(hf0 * 1e6 * 4.0, rel=1e-12)
     p2, _ = photon_budget(0.0, 1.0, bandwidth=1e6, squeeze_bandwidth=1e3,
-                          message_bandwidth=1e3, constants=consts)
+                          message_bandwidth=1e3)
     assert p2 == pytest.approx(hf0 * 1e3 * np.sinh(1.0) ** 2, rel=1e-12)
 
 

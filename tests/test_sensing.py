@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qdemod.config import SCHEMAS
 from qdemod.limits import PM, closed_form_snr
-from qdemod.qnoise import PhysicalConstants
-from qdemod.sensing import (FABRY_PEROT, MULTIPASS, SensorConfig, fabry_perot_m,
-                            interrogation_constraint, position_pm_params,
+from qdemod.sensing import (FABRY_PEROT, MULTIPASS, SPEED_OF_LIGHT, SensorConfig,
+                            fabry_perot_m, interrogation_constraint, position_pm_params,
                             velocity_fm_params)
 
 
@@ -28,10 +30,8 @@ def test_position_beta_scalings():
 
 
 def test_velocity_unit_case():
-    consts = PhysicalConstants()
     b = 1.0e3
-    f0 = consts.c / 1.55e-6
-    rms_v = b * consts.c / (4.0 * f0)
+    rms_v = b * 1.55e-6 / 4.0  # F = 2 v / lambda0 = b / 2
     cfg = SensorConfig(passes=1, incidence=0.0, wavelength=1.55e-6,
                        rms_velocity=rms_v, message_bandwidth=b)
     vel = velocity_fm_params(cfg)
@@ -68,12 +68,11 @@ def test_interrogation_constraint():
     assert lhs == 0.0 and ok
     cfg2 = SensorConfig(passes=100, cavity_length=0.3, message_bandwidth=1e3)
     lhs2, ok2 = interrogation_constraint(cfg2)
-    assert lhs2 == pytest.approx(2 * 99 * 0.3 / PhysicalConstants().c, rel=1e-12)
+    assert lhs2 == pytest.approx(2 * 99 * 0.3 / SPEED_OF_LIGHT, rel=1e-12)
     assert lhs2 == pytest.approx(1.98e-7, rel=1e-3)
     assert ok2
     # boundary: interrogation time equal to 1/b fails the factor-10 margin
-    c = PhysicalConstants().c
-    long_cavity = c / (2 * 99 * 1e3)  # lhs = 1/b
+    long_cavity = SPEED_OF_LIGHT / (2 * 99 * 1e3)  # lhs = 1/b
     cfg3 = SensorConfig(passes=100, cavity_length=long_cavity, message_bandwidth=1e3)
     lhs3, ok3 = interrogation_constraint(cfg3)
     assert lhs3 == pytest.approx(1e-3, rel=1e-12)
@@ -81,16 +80,15 @@ def test_interrogation_constraint():
 
 
 def test_unit_rescaling_leaves_beta_invariant():
-    """Scaling lambda0 and c together (same light, new units) keeps beta."""
+    """Scaling lambda0 and v_rms together (the same Doppler shift in units of
+    the wavelength) keeps beta."""
     scale = 100.0
-    consts = PhysicalConstants()
-    scaled = PhysicalConstants(h=consts.h, c=consts.c * scale, f0=consts.f0)
     b = 1e3
     cfg = SensorConfig(passes=2, wavelength=1.55e-6, rms_velocity=0.5,
-                       message_bandwidth=b, constants=consts)
+                       message_bandwidth=b)
     cfg2 = SensorConfig(passes=2, wavelength=1.55e-6 * scale,
                         rms_velocity=0.5 * scale,  # lengths rescale together
-                        message_bandwidth=b, constants=scaled)
+                        message_bandwidth=b)
     assert velocity_fm_params(cfg).beta == pytest.approx(
         velocity_fm_params(cfg2).beta, rel=1e-12)
 
@@ -117,3 +115,11 @@ def test_sensor_validation():
         SensorConfig(kind=MULTIPASS, passes=0.5)
     with pytest.raises(ValueError):
         position_pm_params(SensorConfig())
+
+
+def test_sense_schema_keys_are_the_sensor_fields():
+    """cli builds SensorConfig(**cfg) from the sense schema: its keys and
+    defaults are the sensor's fields, so no field is settable only in code."""
+    fields = dataclasses.fields(SensorConfig)
+    assert [k.name for k in SCHEMAS["sense"]] == [f.name for f in fields]
+    assert [k.default for k in SCHEMAS["sense"]] == [f.default for f in fields]
