@@ -26,19 +26,19 @@ from . import __version__
 from . import fock as fock_mod
 from . import limits as limits_mod
 from .config import ConfigError, parse_config, serialize_config
-from .grids import TimeGrid
+from .grids import TimeGrid, check_nonnegative
 from .pll import LoopDivergenceError, PllConfig, run_cell, run_cells
 from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                      operating_point)
 from .results import RunManifest, emit_results, write_table
 from .sensing import (SensorConfig, interrogation_constraint, position_pm_params,
                       velocity_fm_params)
-from .signals import FLAT, LORENTZIAN, MessageSpec, ModulationScheme, check_nonnegative
+from .signals import FLAT, LORENTZIAN, MessageSpec, ModulationScheme
 from .wiener import (FactorizationError, LoopInstabilityError,
-                     NonConvergenceError, design_loop, dump_design)
+                     design_loop, dump_design)
 
 _NUMERICAL_ERRORS = (FactorizationError, LoopInstabilityError,
-                     LoopDivergenceError, NonConvergenceError,
+                     LoopDivergenceError,
                      np.linalg.LinAlgError, FloatingPointError,
                      fock_mod.ResourceBudgetError, fock_mod.TruncationError)
 
@@ -260,23 +260,19 @@ def cli_main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.command)
         os.makedirs(outdir, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    manifest = RunManifest(
-        command=args.command, version=__version__,
-        seed=cfg.get("seed"), config_text=serialize_config(cfg, args.command))
-    manifest.start()
-    try:
+        manifest = RunManifest(
+            command=args.command, version=__version__,
+            seed=cfg.get("seed"), config_text=serialize_config(cfg, args.command))
+        manifest.start()
         _COMMANDS[args.command](cfg, outdir, manifest)
+        manifest.finish()
+        manifest.write(os.path.join(outdir, "manifest.txt"))
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    manifest.finish()
-    manifest.write(os.path.join(outdir, "manifest.txt"))
     return 0
 
 

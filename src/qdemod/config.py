@@ -3,9 +3,10 @@
 Grammar: one `key = value` pair per line; `#` starts a comment; an optional
 `[subcommand]` header may name the schema and must then match the command
 being run.  Values are strings, integers, reals or comma-separated real
-lists.  Unknown keys, duplicate keys, type errors and missing required keys
-are reported with line numbers.  Every default is resolved at parse time so
-the manifest can echo the complete configuration.
+lists of at least one value.  Unknown keys, duplicate keys, type errors,
+empty lists and missing required keys are reported with line numbers.
+Every default is resolved at parse time so the manifest can echo the
+complete configuration.
 """
 
 from __future__ import annotations
@@ -87,18 +88,18 @@ SCHEMAS: dict[str, tuple] = {
 def _convert(raw: str, typ: str, line_no: int, name: str):
     raw = raw.strip()
     try:
-        if typ == "str":
-            return raw
         if typ == "int":
             return int(raw)
         if typ == "float":
             return float(raw)
         if typ == "floatlist":
-            parts = [p for chunk in raw.split(",") for p in chunk.split()]
-            return tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in raw.replace(",", " ").split())
+            if not values:
+                raise ValueError("no values")
+            return values
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: key {name!r} expects {typ}: {exc}") from None
-    raise ConfigError(f"internal: unknown type {typ!r}")
+    return raw  # str
 
 
 def parse_config_text(text: str, command: str) -> dict:

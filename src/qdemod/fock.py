@@ -122,10 +122,12 @@ def phase_grid(points: int) -> np.ndarray:
 
 
 def phase_points(n_max: int, points: int = 0) -> int:
-    """points (0: the fewest allowed) held to the rule points >= 8 (n_max + 1)."""
+    """points (0: the fewest allowed) held to the rule points >= 8 (n_max + 1)
+    and to the dense budget, before anything is allocated."""
     need = 8 * (n_max + 1)
     if points and points < need:
         raise ValueError(f"phase grid too coarse; need points >= 8 (n_max + 1) = {need}")
+    _check_dim(points or need)
     return points or need
 
 
@@ -189,10 +191,6 @@ def povm_resolution_check(n_max: int, points: int) -> float:
     return float(np.max(np.abs(mat - np.eye(n_max + 1))))
 
 
-def number_operator(s: int) -> ModeOperator:
-    return ModeOperator(np.diag(np.arange(s + 1.0)).astype(complex), hermitian=True)
-
-
 def pegg_barnett_unitary(s: int, phi0: float = 0.0) -> ModeOperator:
     """exp(i phi_hat) = sum_{n=1}^{s} |n-1><n| + e^{i (s+1) phi0} |s><0|."""
     if s < 1:
@@ -207,7 +205,7 @@ def pegg_barnett_unitary(s: int, phi0: float = 0.0) -> ModeOperator:
 def pegg_barnett_commutator_residual(s: int, phi0: float = 0.0) -> float:
     """max-norm of [exp(i phi), n] - (1 - (s+1)|s><s|) exp(i phi)."""
     e = pegg_barnett_unitary(s, phi0).matrix
-    n = number_operator(s).matrix
+    n = np.diag(np.arange(s + 1.0)).astype(complex)
     lhs = e @ n - n @ e
     proj = np.zeros_like(e)
     proj[s, s] = 1.0

@@ -8,9 +8,26 @@ algebra diagonalise in the DFT basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_positive(name: str, value: float) -> float:
+    """value if it is finite and > 0, else ValueError: the one rule for the
+    grid bandwidth B, the modulation index beta, the loop SNR Lambda, the
+    photon number N and the sensor's wavelength, bandwidth and rms motion."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def check_nonnegative(name: str, value: float) -> float:
+    """value if it is finite and >= 0, else ValueError: the one rule for the
+    squeeze parameter r and the sensor's cavity length."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -25,8 +42,7 @@ class TimeGrid:
     n_samples: int = 4096
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        check_positive("bandwidth", self.bandwidth)
         if not _is_power_of_two(self.n_samples):
             raise ValueError("n_samples must be a power of two")
 
@@ -58,7 +74,6 @@ class SpectralDensity:
 
     grid: TimeGrid
     values: np.ndarray
-    symmetric: bool = field(default=True)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -67,11 +82,10 @@ class SpectralDensity:
         if np.any(v < 0):
             raise ValueError("spectral density must be nonnegative")
         object.__setattr__(self, "values", v)
-        if self.symmetric:
-            m = self.grid.n_samples
-            idx = np.arange(m)
-            if not np.allclose(v, v[(-idx) % m], rtol=0, atol=1e-12 * max(1.0, v.max())):
-                raise ValueError("density of a real process must be even in f")
+        m = self.grid.n_samples
+        idx = np.arange(m)
+        if not np.allclose(v, v[(-idx) % m], rtol=0, atol=1e-12 * max(1.0, v.max())):
+            raise ValueError("density of a real process must be even in f")
 
     @property
     def variance(self) -> float:
@@ -95,10 +109,9 @@ def differentiate(grid: TimeGrid, x: np.ndarray) -> np.ndarray:
     Multiplies each DFT bin by i 2 pi f; the Nyquist bin, whose sign is
     undefined, is multiplied by 0.
     """
-    x = np.asarray(x)
     w = 2j * np.pi * grid.freqs
     w[grid.n_samples // 2] = 0.0
-    return np.fft.ifft(np.fft.fft(x) * w).real if np.isrealobj(x) else np.fft.ifft(np.fft.fft(x) * w)
+    return np.fft.ifft(np.fft.fft(x) * w).real
 
 
 def color_noise(white: np.ndarray, density: SpectralDensity) -> np.ndarray:
@@ -133,4 +146,4 @@ def estimate_psd(x, grid: TimeGrid, segments: int = 1) -> SpectralDensity:
     p = np.abs(np.fft.fft(segs, axis=1)) ** 2 / seg_len
     values = p.mean(axis=0)
     seg_grid = TimeGrid(grid.bandwidth, seg_len)
-    return SpectralDensity(seg_grid, values, symmetric=False)
+    return SpectralDensity(seg_grid, values)

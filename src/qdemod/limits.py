@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import check_positive
 from .qnoise import resolve_lambda
-from .signals import FM, PM, check_positive
+from .signals import FM, PM
 
 SQL = "sql"
 HEISENBERG = "heisenberg"

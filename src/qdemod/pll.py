@@ -49,9 +49,9 @@ the record at the undelayed MAP estimate's tracking error; the delayed MAP
 filter G exp(-i w d dt) then gives the message estimate.
 
 A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
-trials, the only unit of work; the last group also takes a remainder of
-fewer rows.  Each group draws, tracks, estimates and checks its own trials
-in its own arrays.  run_cells runs a command's cells on one pool of
+trials, the only unit of work; the last group is shorter when 32 does not
+divide the trials.  Each group draws, tracks, estimates and checks its own
+trials in its own arrays.  run_cells runs a command's cells on one pool of
 max_workers() threads (the CPUs the process may use), one cell ahead, with
 results and errors in cell order (_pipeline); run_cell and simulate_batch
 are its one-cell forms.  Every trial draws from its own counter-based
@@ -248,12 +248,9 @@ def max_workers() -> int:
 
 
 def _row_groups(n_t: int) -> list:
-    """Slices of _GROUP rows; the last one also takes a remainder of fewer
-    rows, so under 2 * _GROUP trials run as a single group.  A group's width
-    never changes its rows' bits; the remainder rule only balances the
-    load."""
-    edges = [i * _GROUP for i in range(max(1, n_t // _GROUP))] + [n_t]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    """Slices of _GROUP rows, the last one shorter when _GROUP does not
+    divide n_t.  A group's width never changes its rows' bits."""
+    return [slice(a, min(a + _GROUP, n_t)) for a in range(0, n_t, _GROUP)]
 
 
 def _far_history(taps, kb, fr):
@@ -415,10 +412,11 @@ def _simulate_group(cfg: PllConfig, track, taps, trials: list) -> list:
             f"loop diverged (max |phibar - phi'| = {worst[bad]:.3e})",
             float(worst[bad]), trials[bad])
 
-    # G and the delayed G exp(-i w d dt) are Hermitian: filter with real FFTs
+    # G and the delayed G exp(-i w d dt) are Hermitian: filter with real
+    # FFTs; the phase comes from f dt, as f d dt overflows near the float limit
     half = m // 2 + 1
     gr = design.g.response[:half]
-    gd = gr * np.exp(-2j * np.pi * g.freqs[:half] * d * g.dt)
+    gd = gr * np.exp(-2j * np.pi * np.fft.fftfreq(m)[:half] * d)
     phirec = fr[:, nt:]
     m_hat0 = np.fft.irfft(np.fft.rfft(phirec, axis=1) * gr, n=m, axis=1)
     e_hat = modulate(design.mod, g, m_hat0) - phip

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpectralDensity, TimeGrid
-from .signals import (LORENTZIAN, MessageSpec, check_nonnegative, check_positive,
-                      message_psd)
+from .grids import SpectralDensity, TimeGrid, check_nonnegative, check_positive
+from .signals import LORENTZIAN, MessageSpec, in_band_mask, message_psd
 
 COHERENT = "coherent"
 SQUEEZED_Z = "squeezed_z"
@@ -57,22 +56,15 @@ class NoiseModel:
             if self.squeeze_bandwidth is None or self.squeeze_bandwidth <= 0:
                 raise ValueError("squeezed model needs a positive squeeze bandwidth")
 
-    @property
-    def squeezed(self) -> bool:
-        return self.kind != COHERENT
-
 
 def squeezed_covariance_psds(model: NoiseModel, grid: TimeGrid):
     """(S1, S2): antisqueezed / squeezed quadrature densities on the grid."""
-    if not model.squeezed:
+    if model.kind == COHERENT:
         ones = np.ones(grid.n_samples)
         return (SpectralDensity(grid, ones), SpectralDensity(grid, ones.copy()))
     if model.squeeze_bandwidth > grid.bandwidth:
         raise ValueError("squeeze bandwidth exceeds the grid bandwidth")
-    if model.squeeze_bandwidth == grid.bandwidth:  # B_s = B: Gamma = I
-        gamma = np.ones(grid.n_samples, dtype=bool)
-    else:
-        gamma = np.abs(grid.freqs) < model.squeeze_bandwidth / 2.0
+    gamma = in_band_mask(grid, model.squeeze_bandwidth)
     s1 = np.where(gamma, np.exp(2.0 * model.r), 1.0)
     s2 = np.where(gamma, np.exp(-2.0 * model.r), 1.0)
     return (SpectralDensity(grid, s1), SpectralDensity(grid, s2))

@@ -44,11 +44,8 @@ def write_table(path, header: str, lines) -> None:
 
 def emit_results(rows, path) -> None:
     """Write rows (mappings keyed by CSV_COLUMNS) with the fixed header."""
-    try:
-        write_table(path, ",".join(CSV_COLUMNS),
-                    (",".join(_render(c, row.get(c)) for c in CSV_COLUMNS) for row in rows))
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    write_table(path, ",".join(CSV_COLUMNS),
+                (",".join(_render(c, row.get(c)) for c in CSV_COLUMNS) for row in rows))
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import check_nonnegative, check_positive
+from .grids import check_nonnegative, check_positive
 
 MULTIPASS = "multipass"
 FABRY_PEROT = "fabry_perot"

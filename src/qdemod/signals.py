@@ -21,29 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpectralDensity, TimeGrid
+from .grids import SpectralDensity, TimeGrid, check_positive
 
 FLAT = "flat"
 LORENTZIAN = "lorentzian"
 PM = "pm"
 FM = "fm"
-
-
-def check_positive(name: str, value: float) -> float:
-    """value if it is finite and > 0, else ValueError: the one rule for the
-    modulation index beta, the loop SNR Lambda, the photon number N and the
-    sensor's wavelength, bandwidth and rms motion."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-    return value
-
-
-def check_nonnegative(name: str, value: float) -> float:
-    """value if it is finite and >= 0, else ValueError: the one rule for the
-    squeeze parameter r and the sensor's cavity length."""
-    if not (np.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -69,10 +52,6 @@ class MessageSpec:
                     "flat-band bandwidth must span an odd integer number of "
                     "bins (b = (2n+1) df) so the brick wall is exact"
                 )
-
-    @property
-    def n_band_bins(self) -> int:
-        return int(round(self.bandwidth / self.grid.df))
 
     @classmethod
     def flat(cls, grid: TimeGrid, band_bins: int) -> "MessageSpec":
@@ -108,6 +87,10 @@ class ModulationScheme:
 
 
 def in_band_mask(grid: TimeGrid, bandwidth: float) -> np.ndarray:
+    """The bins with |f| < bandwidth/2; a band as wide as the grid covers
+    every bin, the Nyquist bin too."""
+    if bandwidth >= grid.bandwidth:
+        return np.ones(grid.n_samples, dtype=bool)
     return np.abs(grid.freqs) < bandwidth / 2.0
 
 
@@ -118,21 +101,15 @@ def message_psd(spec: MessageSpec, drop_dc: bool = False) -> SpectralDensity:
     integral cannot carry a mean.
     """
     g = spec.grid
-    m = g.n_samples
     if spec.kind == FLAT:
-        if spec.n_band_bins == m:  # b = B: white
-            mask = np.ones(m, dtype=bool)
-        else:
-            mask = in_band_mask(g, spec.bandwidth)
-        values = np.where(mask, g.bandwidth / spec.bandwidth, 0.0)
+        values = np.where(in_band_mask(g, spec.bandwidth), g.bandwidth / spec.bandwidth, 0.0)
     else:
         b = spec.bandwidth
         f = g.freqs
         values = (g.bandwidth / (2.0 * np.pi)) * b / (f**2 + (b / 2.0) ** 2)
     if drop_dc:
-        values = values.copy()
         values[0] = 0.0
-    values = values * (m / values.sum())
+    values = values * (g.n_samples / values.sum())
     return SpectralDensity(g, values)
 
 

@@ -70,8 +70,8 @@ class FilterKernel:
         object.__setattr__(self, "response", r)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        y = np.fft.ifft(np.fft.fft(np.asarray(x), axis=-1) * self.response, axis=-1)
-        return y.real if np.isrealobj(x) else y
+        """The filtered real sequences, along the last axis."""
+        return np.fft.ifft(np.fft.fft(x, axis=-1) * self.response, axis=-1).real
 
     def causal_taps(self) -> np.ndarray:
         """Real taps restricted to lags [0, M/2)."""
@@ -253,11 +253,6 @@ class LoopDesign:
         return self.two_alpha**2
 
 
-def default_delay(grid: TimeGrid, message_bandwidth: float) -> int:
-    """Post-loop delay: 8 message correlation times, in samples."""
-    return 8 * int(np.ceil(grid.bandwidth / message_bandwidth))
-
-
 def loop_and_postloop(l_prime: FilterKernel, g: FilterKernel, two_alpha: float,
                       delay: int):
     """Loop filter L = L'/(2|a|(1-L')) and delayed post-loop L'' = G e^{-iwd}/L'."""
@@ -271,7 +266,8 @@ def loop_and_postloop(l_prime: FilterKernel, g: FilterKernel, two_alpha: float,
             f"|1 - L'| reaches {margin:.3e}; the closed loop would be unstable")
     l_resp = lp / (two_alpha * (1.0 - lp))
     l_loop = FilterKernel(grid, l_resp)
-    shift = np.exp(-2j * np.pi * grid.freqs * delay * grid.dt)
+    # e^{-iwd} from f dt, each bin's cycles per sample: f d dt overflows near the float limit
+    shift = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_samples) * delay)
     post = np.zeros(grid.n_samples, dtype=complex)
     live = np.abs(g.response) > 0
     post[live] = g.response[live] * shift[live] / lp[live]
@@ -298,8 +294,8 @@ def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
     u = v + s2
     g = optimum_filter(s_m, h, fa2, s2, grid)
     l_prime = closed_loop_filter(u, v, grid)
-    if delay is None:
-        delay = default_delay(grid, message.bandwidth)
+    if delay is None:  # 8 message correlation times
+        delay = 8 * int(np.ceil(grid.bandwidth / message.bandwidth))
     l_loop, l_post = loop_and_postloop(l_prime, g, 2.0 * alpha_mag, delay)
     residual = wiener_hopf_residual(l_prime.response, u, v)
     if residual > 1e-6:

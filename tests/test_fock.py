@@ -9,8 +9,9 @@ from qdemod.fock import (DENSE_BUDGET, ModeOperator,
                          fluid_velocity_commutator_check, herm_defect,
                          instantaneous_frequency_operator,
                          pegg_barnett_commutator_residual, pegg_barnett_unitary,
-                         phase_grid, phase_mean_and_variance, phase_shift,
-                         povm_resolution_check, product_state, unitary_defect)
+                         phase_grid, phase_mean_and_variance, phase_points,
+                         phase_shift, povm_resolution_check, product_state,
+                         unitary_defect)
 
 
 def test_coherent_vacuum():
@@ -201,6 +202,17 @@ def test_mode_operator_flag_checks():
 def test_state_normalised_on_construction():
     st = TruncatedState(np.array([3.0, 4.0], dtype=complex))
     assert abs(np.sum(np.abs(st.amplitudes) ** 2) - 1.0) < 1e-12
+
+
+def test_phase_grid_is_held_to_the_dense_budget():
+    """phase_points checks the grid against DENSE_BUDGET before anything is
+    allocated: at the default grid n_max = 511 is the largest allowed."""
+    assert phase_points(511) == DENSE_BUDGET
+    for n_max, points in ((512, 0), (5, DENSE_BUDGET + 1)):
+        with pytest.raises(ResourceBudgetError):
+            phase_points(n_max, points)
+    with pytest.raises(ResourceBudgetError):
+        povm_resolution_check(1023, 0)
 
 
 def test_dense_budget_guard():

@@ -280,6 +280,30 @@ def test_cli_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys):
+    """An output that cannot be written (here results.csv is a directory)
+    exits 2 with a config error naming it, not a traceback, and no manifest
+    is written."""
+    out = tmp_path / "o"
+    (out / "results.csv").mkdir(parents=True)
+    cfg = _write(tmp_path, "limits.cfg", "beta = 1\nlambda = 100\n")
+    assert cli_main(["limits", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "results.csv" in err
+    assert not (out / "manifest.txt").exists()
+
+
+def test_cli_fock_over_the_dense_budget_writes_nothing(tmp_path, capsys):
+    """n_max = 512 needs a 4104-point phase grid at the default, over the
+    dense budget: a numerical failure (exit 3) before anything is allocated
+    or written."""
+    cfg = _write(tmp_path, "fock.cfg", "n_max = 512\n")
+    out = tmp_path / "o"
+    assert cli_main(["fock", cfg, "--out", str(out)]) == 3
+    assert "dense dimension 4104 exceeds budget" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_sense(tmp_path):
     cfg = _write(tmp_path, "sense.cfg",
                  "kind = fabry_perot\nreflectivity = 0.81\n"
@@ -442,6 +466,63 @@ def test_cli_rejects_a_point_that_is_not_finite_and_positive(command, key, value
     assert not (out / "results.csv").exists()
 
 
+_GRID = "n_samples = 2048\nband_bins = 63\n"
+_BANDWIDTH_BASES = {"design": _GRID + "beta = 1\nlambda = 100\n",
+                    "simulate": _MONTE_CARLO + "beta = 1\nlambda = 100\n",
+                    "sweep": _MONTE_CARLO + "betas = 1\nlambdas = 100\n"}
+
+
+@pytest.mark.parametrize("command", sorted(_BANDWIDTH_BASES))
+@pytest.mark.parametrize("message_kind", ["flat", "lorentzian"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_cli_rejects_a_bandwidth_that_is_not_finite_and_positive(command, message_kind, value,
+                                                                 tmp_path, capsys):
+    """The grid bandwidth B must be finite and positive (TimeGrid): anything
+    else is a config error (exit 2) naming it, and no file is written."""
+    text = _BANDWIDTH_BASES[command] + f"message_kind = {message_kind}\nbandwidth = {value}\n"
+    out = tmp_path / "o"
+    assert cli_main([command, _write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 2
+    assert "config error: bandwidth must be finite and positive" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_cli_huge_bandwidth_gives_the_unit_bandwidth_results(tmp_path):
+    """The loop is the same in samples whatever B.  At B = 1e308, where the
+    delay phase f d dt overflows, a sweep's Monte Carlo columns are finite and
+    within 1e-12 of B = 1's, and design.txt holds no NaN."""
+    rows = []
+    for bandwidth in ("1", "1e308"):
+        text = _GRID + f"trials = 4\nbetas = 1\nlambdas = 100\nbandwidth = {bandwidth}\n"
+        out = tmp_path / f"sweep{bandwidth}"
+        assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", text), "--out", str(out)]) == 0
+        rows.append(_csv_rows(out)[0])
+    for column in ("snr_empirical", "snr_stderr", "sigma0_sq_empirical"):
+        unit, huge = float(rows[0][column]), float(rows[1][column])
+        assert np.isfinite(huge) and huge == pytest.approx(unit, rel=1e-12, abs=0)
+    assert rows[1]["cycle_slips"] == rows[0]["cycle_slips"]
+    text = _GRID + "beta = 1\nlambda = 100\nbandwidth = 1e308\n"
+    out = tmp_path / "design"
+    assert cli_main(["design", _write(tmp_path, "design.cfg", text), "--out", str(out)]) == 0
+    assert "nan" not in (out / "design.txt").read_text()
+
+
+@pytest.mark.parametrize("key", ["betas", "lambdas", "rs"])
+@pytest.mark.parametrize("value", ["", ", ,"])
+def test_empty_list_is_rejected_with_its_line(key, value, tmp_path, capsys):
+    """A sweep list with no values is a config error naming its line, and a
+    sweep given one exits 2 without a results.csv."""
+    lines = {"betas": "1", "lambdas": "100", "rs": "0", key: value}
+    text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+    line_no = list(lines).index(key) + 1
+    with pytest.raises(ConfigError, match=f"line {line_no}: key '{key}'"):
+        parse_config_text(text, "sweep")
+    out = tmp_path / "o"
+    assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", _MONTE_CARLO + text),
+                     "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 _R_BASES = {"limits": "beta = 1\nlambda = 100\nr = {}\n",
             "design": "n_samples = 2048\nband_bins = 63\nbeta = 1\nlambda = 100\nr = {}\n",
             "simulate": _MONTE_CARLO + "beta = 1\nlambda = 100\nr = {}\n",
@@ -507,6 +588,24 @@ def test_config_fixtures_parse_and_the_analytic_ones_run(tmp_path):
             _assert_manifest_lists_every_output_once(tmp_path / path.stem)
             ran.add(path.stem)
     assert ran == {"limits_pm", "fock_checks", "sense_fabry_perot", "design_fm_squeezed"}
+
+
+@pytest.mark.skipif(_tracker.load() is None,
+                    reason="no C compiler: only the numpy loops exist")
+@pytest.mark.parametrize("fixture", ["design_fm_squeezed", "simulate_squeezed_optimum"])
+def test_fixture_bytes_are_the_same_on_both_tracker_paths(fixture, tmp_path, monkeypatch):
+    """A configs/ fixture writes the same bytes in every output but the
+    manifest with the compiled library and with the numpy loops
+    (_tracker.load patched to None).  sweep_pm_sql is left out: the numpy
+    tracker runs it about six times slower."""
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{fixture}.cfg"
+    command = re.search(r"^\[(\w+)\]", path.read_text(), re.M).group(1)
+    numpy_calls, outputs = [], []
+    for out in (tmp_path / "kernel", tmp_path / "numpy"):
+        assert cli_main([command, str(path), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"})
+        monkeypatch.setattr(_tracker, "load", lambda: numpy_calls.append(1))
+    assert numpy_calls and outputs[0] and outputs[0] == outputs[1]
 
 
 def test_cli_sweep_matches_single_trial_aggregate(tmp_path):

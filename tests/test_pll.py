@@ -112,7 +112,7 @@ BATCH_CASES = {
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batch_never_changes_a_trial(case, feedback_delay):
     """A trial alone equals the same trial in batches of 4, 64 and 72 rows
-    (72 rows run as row groups of 32 and 40), bit for bit.  This runs on
+    (72 rows run as row groups of 32, 32 and 8), bit for bit.  This runs on
     the path that loads; the numpy loop gives the kernel's bits
     (test_kernel_matches_numpy_loop), so it holds on both."""
     design = make_design(n_samples=2048, band_bins=63, **BATCH_CASES[case])
@@ -375,7 +375,7 @@ WORKER_CASES = {
     "coherent": (dict(), 64, {}),
     "squeezed_z": (dict(variant=SQUEEZED_Z, beta=1.0, r=0.5,
                         lam=resolve_lambda(0.5, n_photon=10.0)), 64, {}),
-    "trials_72": (dict(), 72, {}),  # row groups of 32 and 40
+    "trials_72": (dict(), 72, {}),  # row groups of 32, 32 and 8
     "force_lock": (dict(), 64, dict(force_lock=True)),
 }
 
@@ -412,7 +412,7 @@ def test_more_workers_than_cpus_under_fast_switching(monkeypatch):
 
 def test_row_groups_do_not_follow_the_worker_count(monkeypatch):
     sizes = [[g.stop - g.start for g in pll._row_groups(n)] for n in (1, 40, 63, 64, 95, 96)]
-    assert sizes == [[1], [40], [63], [32, 32], [32, 63], [32, 32, 32]]
+    assert sizes == [[1], [32, 8], [32, 31], [32, 32], [32, 32, 31], [32, 32, 32]]
     seen, close_loop = [], pll._close_loop
 
     def spy(track, taps, twoa, phibar, *rest):
@@ -421,7 +421,7 @@ def test_row_groups_do_not_follow_the_worker_count(monkeypatch):
     monkeypatch.setattr(pll, "_close_loop", spy)
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=72, seed=29)
     with_one_and_two_workers(monkeypatch, lambda: simulate_batch(cfg))
-    assert sorted(seen) == [32, 32, 40, 40]
+    assert sorted(seen) == [8, 8, 32, 32, 32, 32]
 
 
 def test_worker_threads_keep_the_callers_errstate(monkeypatch):
@@ -481,7 +481,7 @@ def test_first_failing_group_raises(monkeypatch):
 
 
 def pipeline_configs():
-    """Three cells of mixed beta on a short grid, of one, one and two row groups."""
+    """Three cells of mixed beta on a short grid, of two, one and three row groups."""
     return [PllConfig(make_design(beta=beta, n_samples=2048, band_bins=63), trials=trials, seed=29)
             for beta, trials in ((0.5, 40), (1.0, 32), (2.0, 72))]
 
