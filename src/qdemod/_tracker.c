@@ -10,7 +10,7 @@
  *
  * Per sample i and row r, with k = 1 - l0 and c = cbase - (in-block lags):
  *   l0 == 0: u = c (the closure is explicit);
- *   else:    u += dpsi, then Newton on k u + lamp sin u = c, at most
+ *   else:    u += dpsi, then Newton on k u + l0 amp sin u = c, at most
  *            NEWTON_STEPS steps, each clipped to +-1 rad, stopping once the
  *            row's own step is below NEWTON_TOL.
  * Then phip = q - u and rec = r0 + (amp sin u - u).  A NaN step is never
@@ -32,7 +32,7 @@
  * closure state from block to block; rec and phip have exactly n rows of
  * `rows` entries. */
 void track_block(int n, int rows, int nt, double l0,
-                 const double *cbase, const double *lamp, const double *amp,
+                 const double *cbase, const double *amp,
                  const double *dpsi, const double *q, const double *r0,
                  const double *trev, double *u, double *rec, double *phip)
 {
@@ -56,7 +56,7 @@ void track_block(int n, int rows, int nt, double l0,
             if (l0 == 0.0) {
                 ur = c;
             } else {
-                const double li = lamp[o + r];
+                const double li = l0 * amp[o + r];
                 ur = u[r] + dpsi[o + r];
                 for (int it = 0; it < NEWTON_STEPS; it++) {
                     double step = (ur * k + sin(ur) * li - c) / (cos(ur) * li + k);

@@ -51,14 +51,14 @@ class Kernel:
         # microseconds a call in Python, holding the interpreter lock that
         # the other row groups' threads are waiting for.
         self._fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
-                             *[ctypes.c_void_p] * 10]
+                             *[ctypes.c_void_p] * 9]
         self._fn.restype = None
 
-    def __call__(self, l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
+    def __call__(self, l0, trev, cbase, amp, dpsi, q, r0, u, rec, phip):
         n, rows = cbase.shape
         nt = trev.size + 1
-        arrays = (cbase, lamp, amp, dpsi, q, r0, trev, u, rec, phip)
-        if (any(a.shape != (n, rows) for a in (lamp, amp, dpsi, q, r0, rec, phip))
+        arrays = (cbase, amp, dpsi, q, r0, trev, u, rec, phip)
+        if (any(a.shape != (n, rows) for a in (amp, dpsi, q, r0, rec, phip))
                 or u.shape != (rows,) or n > nt
                 or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays)
                 or not all(a.flags.writeable for a in (u, rec, phip))):

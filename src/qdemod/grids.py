@@ -24,7 +24,7 @@ def check_positive(name: str, value: float) -> float:
 
 def check_nonnegative(name: str, value: float) -> float:
     """value if it is finite and >= 0, else ValueError: the one rule for the
-    squeeze parameter r and the sensor's cavity length."""
+    squeeze parameter r, the sensor's cavity length and beta^2 Lambda."""
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return value
@@ -90,6 +90,31 @@ class SpectralDensity:
     @property
     def variance(self) -> float:
         return float(np.mean(self.values))
+
+
+@dataclass(frozen=True)
+class FilterKernel:
+    """Frequency response on the grid bins of a filter with real taps, so
+    Hermitian: apply, by real FFTs, is the package's one filter of real data."""
+
+    grid: TimeGrid
+    response: np.ndarray
+
+    def __post_init__(self) -> None:
+        r = np.asarray(self.response, dtype=complex)
+        if r.shape != (self.grid.n_samples,):
+            raise ValueError("response length must equal grid.n_samples")
+        object.__setattr__(self, "response", r)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The filtered real sequences, along the last axis."""
+        m = self.grid.n_samples
+        return np.fft.irfft(np.fft.rfft(x, axis=-1) * self.response[: m // 2 + 1],
+                            n=m, axis=-1)
+
+    def causal_taps(self) -> np.ndarray:
+        """Real taps restricted to lags [0, M/2)."""
+        return np.fft.ifft(self.response)[: self.grid.n_samples // 2].real.copy()
 
 
 def differentiator_kernel(n):

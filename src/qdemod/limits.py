@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import check_positive
+from .grids import check_nonnegative, check_positive
 from .qnoise import resolve_lambda
 from .signals import FM, PM
 
@@ -41,13 +41,17 @@ def closed_form_snr(kind: str, beta: float, lam: float):
     """(sigma^2, SNR) for a flat-band message; exact closed forms.
 
     PM: sigma^2 = 1/(beta^2 Lambda + 1).
-    FM: sigma^2 = 1 - sqrt(beta^2 Lambda) atan(1/sqrt(beta^2 Lambda)).
+    FM: sigma^2 = 1 - sqrt(x) atan(1/sqrt(x)), x = beta^2 Lambda, which
+    cancels above x = 1e4: there its series y2/3 - y2^2/5 + ..., y2 = 1/x.
     """
-    b2l = beta**2 * lam
+    b2l = check_nonnegative("beta^2 lambda", beta**2 * lam)
     if kind == PM:
         sigma2 = 1.0 / (b2l + 1.0)
     elif kind == FM:
-        if b2l == 0:
+        if b2l > 1e4:
+            y2 = 1.0 / b2l
+            sigma2 = y2 * (1/3 - y2 * (1/5 - y2 * (1/7 - y2 * (1/9 - y2 * (1/11 - y2/13)))))
+        elif b2l == 0:
             sigma2 = 1.0
         else:
             root = np.sqrt(b2l)

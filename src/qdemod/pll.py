@@ -45,8 +45,9 @@ Without a compiler, _track_block runs the same loop in numpy with rows in
 lockstep, operation for operation, so both paths give the same bits.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
-the record at the undelayed MAP estimate's tracking error; the delayed MAP
-filter G exp(-i w d dt) then gives the message estimate.
+the record at the tracking error of the undelayed MAP estimate (design.g);
+the delayed MAP filter design.g_delayed = G exp(-i w d dt) then gives the
+message estimate, both through FilterKernel.apply.
 
 A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
 trials, the only unit of work; the last group is shorter when 32 does not
@@ -88,7 +89,7 @@ from .grids import TimeGrid, color_noise
 from .qnoise import COHERENT, SQUEEZED_Z, NoiseModel, squeezed_covariance_psds
 from .rng import stream
 from .signals import FM, MessageSpec, message_psd, modulate
-from .wiener import LoopDesign, solve_normal_equations
+from .wiener import LoopDesign, normal_equation_taps
 
 _NEWTON_STEPS = 8  # hard cap on Newton steps per sample
 _NEWTON_TOL = 1e-13  # Newton stop threshold on the step (rad)
@@ -171,30 +172,25 @@ def cycle_slip_count(e: np.ndarray) -> int:
 
 
 def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
-    """Causal tracker taps (lag 0 first).
-
-    feedback_delay = 0: the L' taps themselves (filtering solution).
-    feedback_delay = 1: lag-0 tap zero, lags 1..M/2-1 solve the one-step
-    prediction normal equations on the same (U, V).
-    """
+    """Causal tracker taps (lag 0 first): those of L' for feedback_delay = 0,
+    and for 1 the one-step predictor's, which solve the normal equations on
+    the same (U, V) at lags 1 .. M/2-1 (wiener.normal_equation_taps)."""
     if feedback_delay == 0:
         return design.l_prime.causal_taps()
-    ut = np.fft.ifft(design.u).real
-    vt = np.fft.ifft(design.v).real
-    n = design.grid.n_samples // 2 - 1
-    return np.concatenate(([0.0], solve_normal_equations(ut, vt[1: n + 1])))
+    return np.concatenate(([0.0], normal_equation_taps(design.u, design.v, first=1)))
 
 
-def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
+def _track_block(l0, trev, cbase, amp, dpsi, q, r0, u, rec, phip):
     """Inner loop of one history block, all rows in lockstep (numpy form).
 
     The fallback of the compiled _tracker.c and its reference in the tests,
     with the same arguments: (n, rows) per-sample constants, taps trev for
     lags nt-1 .. 1, the closure state u (updated in place) and the block's
-    record and tracker-output rows rec and phip (written).  Its arithmetic
-    is the kernel's, operation for operation, so the bits are too: each row
-    sums its in-block lags from 0.0, oldest first, clips its own Newton step
-    to +-1 rad (a NaN passes) and stops once that step is below _NEWTON_TOL.
+    record and tracker-output rows rec and phip (written).  Newton solves
+    k u + l0 amp sin u = c.  Its arithmetic is the kernel's, l0 amp too,
+    operation for operation, so the bits are too: each row sums its in-block
+    lags from 0.0, oldest first, clips its own Newton step to +-1 rad (a NaN
+    passes) and stops once that step is below _NEWTON_TOL.
     """
     n = cbase.shape[0]
     nt = trev.size + 1
@@ -211,7 +207,7 @@ def _track_block(l0, trev, cbase, lamp, amp, dpsi, q, r0, u, rec, phip):
             u[:] = c  # l0 = 0: the closure is explicit
         else:
             u += dpsi[i]
-            li = lamp[i]
+            li = l0 * amp[i]
             done[:] = False
             for _ in range(_NEWTON_STEPS):
                 np.sin(u, out=s)
@@ -344,7 +340,7 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip):
         q = pb + psi
         r0 = q + zoff
         cbase = (1.0 - l0) * q - l0 * zoff - far.T
-        track(l0, trev, cbase, l0 * amp, amp, dpsi, q, r0, u, rec_blk, phip_blk)
+        track(l0, trev, cbase, amp, dpsi, q, r0, u, rec_blk, phip_blk)
         fr[:, nt + j0: nt + j0 + kb] = rec_blk.T
         phip[:, j0: j0 + kb] = phip_blk.T
 
@@ -412,16 +408,10 @@ def _simulate_group(cfg: PllConfig, track, taps, trials: list) -> list:
             f"loop diverged (max |phibar - phi'| = {worst[bad]:.3e})",
             float(worst[bad]), trials[bad])
 
-    # G and the delayed G exp(-i w d dt) are Hermitian: filter with real
-    # FFTs; the phase comes from f dt, as f d dt overflows near the float limit
-    half = m // 2 + 1
-    gr = design.g.response[:half]
-    gd = gr * np.exp(-2j * np.pi * np.fft.fftfreq(m)[:half] * d)
     phirec = fr[:, nt:]
-    m_hat0 = np.fft.irfft(np.fft.rfft(phirec, axis=1) * gr, n=m, axis=1)
-    e_hat = modulate(design.mod, g, m_hat0) - phip
+    e_hat = modulate(design.mod, g, design.g.apply(phirec)) - phip
     rec = phirec - (np.sin(e_hat) - e_hat)
-    m_hat = np.fft.irfft(np.fft.rfft(rec, axis=1) * gd, n=m, axis=1)
+    m_hat = design.g_delayed.apply(rec)
     lo, hi = 4 * d, m - 2 * d
     # row-major, so each row's mean is a pairwise sum, as a lone row's is
     mses = np.mean((m_hat[:, lo:hi] - msg[:, lo - d: hi - d]) ** 2, axis=1)

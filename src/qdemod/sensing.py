@@ -44,11 +44,15 @@ class SensorConfig:
             raise ValueError(f"unknown sensor kind {self.kind!r}")
         if self.kind == MULTIPASS and not (np.isfinite(self.passes) and self.passes >= 1):
             raise ValueError(f"multipass sensor needs a finite M >= 1, got {self.passes}")
+        if self.kind == MULTIPASS and self.reflectivity is not None:
+            raise ValueError("reflectivity is a Fabry-Perot key; a multipass sensor has none")
         if self.kind == FABRY_PEROT:
             if self.reflectivity is None or not 0.0 <= self.reflectivity < 1.0:
                 raise ValueError("Fabry-Perot needs reflectivity in [0, 1)")
             if self.incidence != 0.0:
                 raise ValueError("Fabry-Perot operates at normal incidence")
+            if self.passes != 1.0:
+                raise ValueError(f"Fabry-Perot takes no passes (R sets M), got {self.passes}")
         if not abs(self.incidence) < np.pi / 2:  # false for NaN too
             raise ValueError(f"incidence must be finite with |theta| < pi/2, "
                              f"got {self.incidence}")

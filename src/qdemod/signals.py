@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpectralDensity, TimeGrid, check_positive
+from .grids import FilterKernel, SpectralDensity, TimeGrid, check_positive
 
 FLAT = "flat"
 LORENTZIAN = "lorentzian"
@@ -103,10 +103,10 @@ def message_psd(spec: MessageSpec, drop_dc: bool = False) -> SpectralDensity:
     g = spec.grid
     if spec.kind == FLAT:
         values = np.where(in_band_mask(g, spec.bandwidth), g.bandwidth / spec.bandwidth, 0.0)
-    else:
-        b = spec.bandwidth
-        f = g.freqs
-        values = (g.bandwidth / (2.0 * np.pi)) * b / (f**2 + (b / 2.0) ** 2)
+    else:  # from b/B and f dt, in cycles per sample: b^2 overflows near the float limit
+        b = spec.bandwidth / g.bandwidth
+        f = np.fft.fftfreq(g.n_samples)
+        values = (1.0 / (2.0 * np.pi)) * b / (f**2 + (b / 2.0) ** 2)
     if drop_dc:
         values[0] = 0.0
     values = values * (g.n_samples / values.sum())
@@ -131,12 +131,11 @@ def phase_response(mod: ModulationScheme, grid: TimeGrid) -> np.ndarray:
 
 
 def modulate(mod: ModulationScheme, grid: TimeGrid, message: np.ndarray) -> np.ndarray:
-    """Mean phase phibar = H . m along the last axis (PM: beta m; FM: via the FFT)."""
+    """Mean phase phibar = H . m along the last axis (PM: beta m; FM: filtered)."""
     message = np.asarray(message, dtype=float)
     if mod.kind == PM:
         return mod.beta * message
-    h = phase_response(mod, grid)[: grid.n_samples // 2 + 1]  # Hermitian: real FFTs
-    return np.fft.irfft(np.fft.rfft(message) * h, n=grid.n_samples)
+    return FilterKernel(grid, phase_response(mod, grid)).apply(message)
 
 
 def carson_bandwidth(beta: float, bandwidth: float,

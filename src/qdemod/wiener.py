@@ -1,14 +1,15 @@
 """MAP/Wiener filter synthesis on the circulant grid.
 
-The optimum filter G, the causal closed-loop filter L' solving the discrete
-Wiener-Hopf equation, the loop filter L and the delayed post-loop filter L''
-are all synthesised per design.  Causal means tap support on lags
-[0, M/2) of the M-point circle.
+The optimum filter G, its delayed form G exp(-i w d dt), the causal
+closed-loop filter L' solving the discrete Wiener-Hopf equation, the loop
+filter L and the delayed post-loop filter L'' are all synthesised per
+design.  Causal means tap support on lags [0, M/2) of the M-point circle.
 
 L' is computed exactly: the causal-constrained normal equations form a
 symmetric positive-definite Toeplitz system (column = autocovariance taps of
 U), solved by Levinson recursion, which drives the causal Wiener-Hopf
 residual to rounding level even for brick-wall spectra.
+normal_equation_taps sets up that system for either feedback delay, and
 solve_normal_equations runs the recursion in the compiled library (levinson
 in _tracker.c) or, without a compiler, in its numpy form _levinson, which
 gives the same bits.  The classical construction L' = (1/X)[V/X*]_+ from the
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tracker
-from .grids import SpectralDensity, TimeGrid
+from .grids import FilterKernel, SpectralDensity, TimeGrid
 from .signals import (FM, MessageSpec, ModulationScheme, carson_bandwidth,
-                      message_psd, phase_response)
+                      message_psd, modulate, phase_response)
 from .qnoise import NoiseModel, squeezed_covariance_psds
 
 
@@ -54,28 +55,6 @@ def anticausal_energy_fraction(response: np.ndarray) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(taps[m // 2:]) ** 2) / total)
-
-
-@dataclass(frozen=True)
-class FilterKernel:
-    """Frequency response on the grid bins."""
-
-    grid: TimeGrid
-    response: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.response, dtype=complex)
-        if r.shape != (self.grid.n_samples,):
-            raise ValueError("response length must equal grid.n_samples")
-        object.__setattr__(self, "response", r)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The filtered real sequences, along the last axis."""
-        return np.fft.ifft(np.fft.fft(x, axis=-1) * self.response, axis=-1).real
-
-    def causal_taps(self) -> np.ndarray:
-        """Real taps restricted to lags [0, M/2)."""
-        return np.fft.ifft(self.response)[: self.grid.n_samples // 2].real.copy()
 
 
 def optimum_filter(s_m: np.ndarray, h: np.ndarray, four_alpha_sq: float,
@@ -192,21 +171,21 @@ def solve_normal_equations(ut: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _levinson(col, rhs) if kernel is None else kernel.levinson(col, rhs)
 
 
-def closed_loop_filter(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKernel:
-    """Causal Wiener filter L' solving sum_{k>=0} L'_k U_{j-k} = V_j, j >= 0.
+def normal_equation_taps(u: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:
+    """Taps x_k, k in [first, M/2), solving sum_k x_k U_{j-k} = V_j for j in
+    [first, M/2), from the spectra U and V: first = 0 gives L' and first = 1
+    the one-step predictor of pll.tracking_taps (its lag-0 tap is zero)."""
+    ut = np.fft.ifft(np.asarray(u, dtype=float)).real
+    vt = np.fft.ifft(np.asarray(v, dtype=float)).real
+    return solve_normal_equations(ut, vt[first: ut.size // 2])
 
-    Solved exactly on the circle by Levinson recursion on the symmetric
-    Toeplitz normal equations restricted to lags [0, M/2).
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+
+def closed_loop_filter(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKernel:
+    """Causal Wiener filter L' solving sum_{k>=0} L'_k U_{j-k} = V_j, j >= 0,
+    exactly on the circle (normal_equation_taps)."""
     m = grid.n_samples
-    ut = np.fft.ifft(u).real
-    vt = np.fft.ifft(v).real
-    half = m // 2
-    taps = solve_normal_equations(ut, vt[:half])
     full = np.zeros(m)
-    full[:half] = taps
+    full[: m // 2] = normal_equation_taps(u, v)
     return FilterKernel(grid, np.fft.fft(full))
 
 
@@ -225,9 +204,9 @@ def causal_part_solution(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> Filter
 
 @dataclass(frozen=True)
 class LoopDesign:
-    """Complete filter quadruple for one operating point.
+    """Complete filter set for one operating point.
 
-    The consistency identities G = L'' L' exp(+i w d dt) and
+    The consistency identities g_delayed = G exp(-i w d dt) = L'' L' and
     L' = 2|a| L / (1 + 2|a| L) hold per bin by construction.
     """
 
@@ -235,6 +214,7 @@ class LoopDesign:
     mod: ModulationScheme
     message: MessageSpec
     g: FilterKernel
+    g_delayed: FilterKernel
     l_prime: FilterKernel
     l_loop: FilterKernel
     l_post: FilterKernel
@@ -255,7 +235,7 @@ class LoopDesign:
 
 def loop_and_postloop(l_prime: FilterKernel, g: FilterKernel, two_alpha: float,
                       delay: int):
-    """Loop filter L = L'/(2|a|(1-L')) and delayed post-loop L'' = G e^{-iwd}/L'."""
+    """Loop filter L = L'/(2|a|(1-L')), delayed G e^{-iwd} and L'' = G e^{-iwd}/L'."""
     if delay < 0:
         raise ValueError("delay must be nonnegative")
     grid = l_prime.grid
@@ -268,16 +248,16 @@ def loop_and_postloop(l_prime: FilterKernel, g: FilterKernel, two_alpha: float,
     l_loop = FilterKernel(grid, l_resp)
     # e^{-iwd} from f dt, each bin's cycles per sample: f d dt overflows near the float limit
     shift = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_samples) * delay)
+    g_delayed = g.response * shift  # G first: a complex product's bits depend on the order
     post = np.zeros(grid.n_samples, dtype=complex)
     live = np.abs(g.response) > 0
-    post[live] = g.response[live] * shift[live] / lp[live]
-    l_post = FilterKernel(grid, post)
-    return l_loop, l_post
+    post[live] = g_delayed[live] / lp[live]
+    return l_loop, FilterKernel(grid, g_delayed), FilterKernel(grid, post)
 
 
 def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
                 noise: NoiseModel, delay: int | None = None) -> LoopDesign:
-    """Synthesise the full {G, L', L, L''} quadruple for one operating point.
+    """Synthesise the full {G, G e^{-iwd}, L', L, L''} set for one operating point.
 
     The design carries noise, the light; its |alpha| must be alpha_mag.
     """
@@ -296,13 +276,13 @@ def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
     l_prime = closed_loop_filter(u, v, grid)
     if delay is None:  # 8 message correlation times
         delay = 8 * int(np.ceil(grid.bandwidth / message.bandwidth))
-    l_loop, l_post = loop_and_postloop(l_prime, g, 2.0 * alpha_mag, delay)
+    l_loop, g_delayed, l_post = loop_and_postloop(l_prime, g, 2.0 * alpha_mag, delay)
     residual = wiener_hopf_residual(l_prime.response, u, v)
     if residual > 1e-6:
         raise FactorizationError(
             f"causal Wiener-Hopf residual {residual:.3e} exceeds 1e-6")
     return LoopDesign(
-        grid=grid, mod=mod, message=message, g=g, l_prime=l_prime,
+        grid=grid, mod=mod, message=message, g=g, g_delayed=g_delayed, l_prime=l_prime,
         l_loop=l_loop, l_post=l_post, delay=delay, two_alpha=2.0 * alpha_mag,
         noise=noise, s2=s2_density, s_m=s_m, h=h, u=u, v=v, wh_residual=residual,
     )
@@ -336,10 +316,7 @@ def nonlinear_map_fixed_point(message: MessageSpec, mod: ModulationScheme,
     s_m = message_psd(message, drop_dc=(mod.kind == FM)).values
     h = phase_response(mod, grid)
     fa2 = two_alpha**2
-    g = optimum_filter(s_m, h, fa2, np.ones(grid.n_samples), grid).response
-
-    def phase_of(m):
-        return np.fft.ifft(np.fft.fft(m) * h).real
+    g = optimum_filter(s_m, h, fa2, np.ones(grid.n_samples), grid)
 
     if init is None:
         # linearised estimate from the record phase (oracle mode has the full
@@ -350,12 +327,12 @@ def nonlinear_map_fixed_point(message: MessageSpec, mod: ModulationScheme,
         mask = np.abs(grid.freqs) <= half
         a_lp = np.fft.ifft(np.fft.fft(a) * mask)
         phi0 = np.unwrap(np.angle(a_lp))
-        init = np.fft.ifft(np.fft.fft(phi0) * g).real
+        init = g.apply(phi0)
     m = np.asarray(init, dtype=float).copy()
     for it in range(1, _MAP_ITERATIONS + 1):
-        phi = phase_of(m)
+        phi = modulate(mod, grid, m)
         p = 2.0 * np.imag(a * np.exp(-1j * phi))
-        target = np.fft.ifft(np.fft.fft(phi + p / two_alpha) * g).real
+        target = g.apply(phi + p / two_alpha)
         new = 0.5 * m + 0.5 * target
         delta = float(np.max(np.abs(new - m)))
         m = new

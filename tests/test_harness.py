@@ -161,6 +161,17 @@ def _assert_manifest_lists_every_output_once(out):
     assert all(Path(p).parent == out for p in listed)
 
 
+@pytest.mark.parametrize("kind", ["pm", "fm"])
+def test_cli_limits_rejects_an_overflowing_beta_squared_lambda(kind, tmp_path, capsys):
+    """beta and lambda are each finite, but beta^2 lambda overflows: a config
+    error (exit 2) naming it, and no results.csv."""
+    cfg = _write(tmp_path, "limits.cfg", f"mod_kind = {kind}\nbeta = 2\nlambda = 1e308\n")
+    out = tmp_path / "out"
+    assert cli_main(["limits", cfg, "--out", str(out)]) == 2
+    assert "config error: beta^2 lambda must be finite" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_cli_limits_end_to_end(tmp_path, capsys):
     cfg = _write(tmp_path, "limits.cfg", "beta = 2.0\nlambda = 100\n")
     out = tmp_path / "out"
@@ -489,7 +500,9 @@ def test_cli_rejects_a_bandwidth_that_is_not_finite_and_positive(command, messag
 def test_cli_huge_bandwidth_gives_the_unit_bandwidth_results(tmp_path):
     """The loop is the same in samples whatever B.  At B = 1e308, where the
     delay phase f d dt overflows, a sweep's Monte Carlo columns are finite and
-    within 1e-12 of B = 1's, and design.txt holds no NaN."""
+    within 1e-12 of B = 1's, and design.txt holds no NaN.  A Lorentzian
+    message, whose width squared overflows from B ~ 1e155 on, writes the
+    same results.csv bytes at B = 1, 1e160 and 1e308."""
     rows = []
     for bandwidth in ("1", "1e308"):
         text = _GRID + f"trials = 4\nbetas = 1\nlambdas = 100\nbandwidth = {bandwidth}\n"
@@ -504,6 +517,15 @@ def test_cli_huge_bandwidth_gives_the_unit_bandwidth_results(tmp_path):
     out = tmp_path / "design"
     assert cli_main(["design", _write(tmp_path, "design.cfg", text), "--out", str(out)]) == 0
     assert "nan" not in (out / "design.txt").read_text()
+    lorentzian = ("n_samples = 2048\nmessage_kind = lorentzian\nlorentz_ratio = 32\n"
+                  "trials = 2\nbetas = 0.2\nlambdas = 100\n")
+    csvs = set()
+    for bandwidth in ("1", "1e160", "1e308"):
+        cfg = _write(tmp_path, "lorentzian.cfg", lorentzian + f"bandwidth = {bandwidth}\n")
+        out = tmp_path / f"lorentzian{bandwidth}"
+        assert cli_main(["sweep", cfg, "--out", str(out)]) == 0
+        csvs.add((out / "results.csv").read_bytes())
+    assert len(csvs) == 1
 
 
 @pytest.mark.parametrize("key", ["betas", "lambdas", "rs"])
@@ -550,17 +572,29 @@ def test_cli_rejects_an_r_that_is_not_finite_and_nonnegative(command, value, tmp
     ("rms_velocity", "inf"), ("rms_velocity", "0"),
     ("cavity_length", "nan"), ("cavity_length", "-0.3"),
     ("incidence", "nan"), ("incidence", "1.6"), ("incidence", "-inf"),
+    ("reflectivity", "7"),
 ])
 def test_cli_sense_rejects_geometry_that_is_not_finite_or_in_range(key, value, tmp_path,
                                                                   capsys):
-    """A non-finite or out-of-range sense value is a config error (exit 2),
-    and no sense_results.csv is written."""
+    """A non-finite or out-of-range sense value, or a key the multipass
+    sensor never reads, is a config error (exit 2), and no sense_results.csv
+    is written."""
     point = {"kind": "multipass", "passes": "2", "rms_position": "1e-10",
              "rms_velocity": "1e-3", key: value}
     cfg = _write(tmp_path, "sense.cfg", "".join(f"{k} = {v}\n" for k, v in point.items()))
     out = tmp_path / "o"
     assert cli_main(["sense", cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (out / "sense_results.csv").exists()
+
+
+def test_cli_fabry_perot_rejects_passes(tmp_path, capsys):
+    """A Fabry-Perot sensor derives M from R, so a given passes is a config
+    error (exit 2) naming the key, and no sense_results.csv is written."""
+    text = "kind = fabry_perot\nreflectivity = 0.81\npasses = 2\nrms_position = 1e-10\n"
+    out = tmp_path / "o"
+    assert cli_main(["sense", _write(tmp_path, "sense.cfg", text), "--out", str(out)]) == 2
+    assert "config error: Fabry-Perot takes no passes" in capsys.readouterr().err
     assert not (out / "sense_results.csv").exists()
 
 

@@ -21,6 +21,23 @@ def test_closed_form_fm_unit_argument():
     assert sigma2 == pytest.approx(1.0 - np.pi / 4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [1e16, 1e300])
+def test_closed_form_fm_keeps_its_digits_at_large_argument(x):
+    """Far above x = beta^2 Lambda = 1e4, sigma^2 is 1/(3x) - 1/(5x^2) to
+    1e-12 relative (the next term is 1/(7x^3)), and the SNR is finite."""
+    sigma2, snr = closed_form_snr(FM, 1.0, x)
+    y2 = 1.0 / x
+    assert sigma2 == pytest.approx(y2 / 3.0 - y2**2 / 5.0, rel=1e-12, abs=0)
+    assert np.isfinite(snr)
+
+
+def test_closed_form_fm_branches_meet_at_1e4():
+    """The closed form at x = 1e4 and the series just above it agree to 1e-11."""
+    below, _ = closed_form_snr(FM, 1.0, 1e4)
+    above, _ = closed_form_snr(FM, 1.0, np.nextafter(1e4, np.inf))
+    assert above == pytest.approx(below, rel=1e-11, abs=0)
+
+
 def test_fm_advantage_approaches_three():
     for b2l in (1e4, 1e6, 1e8):
         _, snr_pm = closed_form_snr(PM, 1.0, b2l)

@@ -242,7 +242,7 @@ def run_block(track, l0, inputs, sel):
     cbase, amp, dpsi, q, r0 = (np.ascontiguousarray(a[:, sel]) for a in per_sample)
     u = np.zeros(len(sel))
     rec, phip = np.empty_like(cbase), np.empty_like(cbase)
-    track(l0, trev, cbase, l0 * amp, amp, dpsi, q, r0, u, rec, phip)
+    track(l0, trev, cbase, amp, dpsi, q, r0, u, rec, phip)
     return rec, phip
 
 
@@ -278,7 +278,7 @@ def test_kernel_rejects_mismatched_arrays():
     trev, cbase, amp, dpsi, q, r0 = block_inputs(0.02)
     u = np.zeros(3)
     rec, phip = np.empty_like(cbase), np.empty_like(cbase)
-    good = dict(trev=trev, cbase=cbase, lamp=0.4 * amp, amp=amp, dpsi=dpsi, q=q,
+    good = dict(trev=trev, cbase=cbase, amp=amp, dpsi=dpsi, q=q,
                 r0=r0, u=u, rec=rec, phip=phip)
     frozen = np.empty_like(cbase)
     frozen.flags.writeable = False
