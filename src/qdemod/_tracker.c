@@ -10,11 +10,16 @@
  *
  * Per sample i and row r, with k = 1 - l0 and c = cbase - (in-block lags):
  *   l0 == 0: u = c (the closure is explicit);
- *   else:    u += dpsi, then Newton on k u + l0 amp sin u = c, at most
- *            NEWTON_STEPS steps, each clipped to +-1 rad, stopping once the
- *            row's own step is below NEWTON_TOL.
+ *   else:    u += dpsi, then Halley on f(u) = k u + l0 amp sin u - c, at
+ *            most CLOSURE_STEPS steps, each clipped to +-1 rad.  With
+ *            ls = l0 amp sin u, lc = l0 amp cos u, f' = lc + k, r = f/f'
+ *            and h = ls/(2f'), the step is r/(1 + r h), or Newton's r where
+ *            1 + r h <= 0 (far from the root, where Halley's step points
+ *            away from it); the row stops once the error predicted after an
+ *            unclipped step, (|lc/(6f')| + h^2) |step|^3, is below
+ *            CLOSURE_TOL.
  * Then phip = q - u and rec = r0 + (amp sin u - u).  A NaN step is never
- * clipped and never stops the iteration.
+ * clipped and never stops the iteration, and a clipped step never stops it.
  *
  * levinson: the symmetric Toeplitz solve of the Wiener-Hopf normal
  * equations, the compiled form of wiener._levinson.
@@ -25,8 +30,8 @@
 #include <math.h>
 #include <stddef.h>
 
-#define NEWTON_STEPS 8
-#define NEWTON_TOL 1e-13
+#define CLOSURE_STEPS 8
+#define CLOSURE_TOL 1e-13
 
 /* trev holds the tracker taps for lags nt-1 .. 1; u carries each row's
  * closure state from block to block; rec and phip have exactly n rows of
@@ -37,7 +42,6 @@ void track_block(int n, int rows, int nt, double l0,
                  const double *trev, double *u, double *rec, double *phip)
 {
     const double k = 1.0 - l0;
-    const double tol2 = NEWTON_TOL * NEWTON_TOL;
     for (int i = 0; i < n; i++) {
         const size_t o = (size_t)i * rows;
         const double *w = trev + (nt - 1 - i);  /* weights of lags i .. 1 */
@@ -58,13 +62,19 @@ void track_block(int n, int rows, int nt, double l0,
             } else {
                 const double li = l0 * amp[o + r];
                 ur = u[r] + dpsi[o + r];
-                for (int it = 0; it < NEWTON_STEPS; it++) {
-                    double step = (ur * k + sin(ur) * li - c) / (cos(ur) * li + k);
-                    const double sq = step * step;
-                    if (sq > 1.0)
+                for (int it = 0; it < CLOSURE_STEPS; it++) {
+                    const double ls = sin(ur) * li, lc = cos(ur) * li;
+                    const double fp = lc + k;
+                    const double rt = (ur * k + ls - c) / fp;
+                    const double h = ls / (2.0 * fp);
+                    const double den = 1.0 + rt * h;
+                    double step = den > 0.0 ? rt / den : rt;
+                    const double a = fabs(step);
+                    const double err = (fabs(lc / (6.0 * fp)) + h * h) * (a * a * a);
+                    if (a > 1.0)
                         step = step > 0.0 ? 1.0 : -1.0;
                     ur -= step;
-                    if (sq < tol2)
+                    if (err < CLOSURE_TOL && a <= 1.0)
                         break;
                 }
             }

@@ -141,14 +141,13 @@ def differentiate(grid: TimeGrid, x: np.ndarray) -> np.ndarray:
 
 def color_noise(white: np.ndarray, density: SpectralDensity) -> np.ndarray:
     """Stationary real Gaussian sequences with the given PSD (circulant
-    exact), coloured from white ones along the last axis.
+    exact), coloured from white ones along the last axis by the filter
+    sqrt(S) through FilterKernel.apply.
 
     Each row is transformed on its own, so a row of a batch comes out bit
     for bit as it does alone.
     """
-    spectrum = np.fft.fft(white, axis=-1)
-    spectrum *= np.sqrt(density.values)
-    return np.fft.ifft(spectrum, axis=-1).real.copy()
+    return FilterKernel(density.grid, np.sqrt(density.values)).apply(white)
 
 
 def estimate_psd(x, grid: TimeGrid, segments: int = 1) -> SpectralDensity:

@@ -2,8 +2,9 @@
 
 Conventions: Lambda = 4 |alpha|^2 S_m(0) / S2(0) is the loop SNR parameter,
 N the photon number per message correlation time 1/b.  Flat-band closed
-forms are exact; the quoted large-argument asymptotics are provided
-separately and are never used in tests.
+forms are exact; the large-argument asymptotes (snr_asymptote) are kept
+apart, and no other function here uses them.  beta and N are squared as
+x * x, which overflows to inf where x**2 raises OverflowError.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def closed_form_snr(kind: str, beta: float, lam: float):
     FM: sigma^2 = 1 - sqrt(x) atan(1/sqrt(x)), x = beta^2 Lambda, which
     cancels above x = 1e4: there its series y2/3 - y2^2/5 + ..., y2 = 1/x.
     """
-    b2l = check_nonnegative("beta^2 lambda", beta**2 * lam)
+    b2l = check_nonnegative("beta^2 lambda", beta * beta * lam)
     if kind == PM:
         sigma2 = 1.0 / (b2l + 1.0)
     elif kind == FM:
@@ -64,9 +65,9 @@ def closed_form_snr(kind: str, beta: float, lam: float):
 def snr_asymptote(kind: str, beta: float, lam: float) -> float:
     """Large beta^2 Lambda asymptotes: beta^2 Lambda (PM), 3 beta^2 Lambda (FM)."""
     if kind == PM:
-        return beta**2 * lam
+        return beta * beta * lam
     if kind == FM:
-        return 3.0 * beta**2 * lam
+        return 3.0 * (beta * beta) * lam
     raise ValueError(f"unknown modulation kind {kind!r}")
 
 
@@ -83,13 +84,13 @@ def quantum_limit_snr(limit: str, n_photon: float, beta: float, kind: str) -> fl
     check_positive("n_photon", n_photon)
     fm_factor = 3.0 if kind == FM else 1.0
     if limit == SQL:
-        return 4.0 * beta**2 * n_photon * fm_factor
+        return 4.0 * (beta * beta) * n_photon * fm_factor
     if limit == HEISENBERG:
-        return 4.0 * beta**2 * n_photon * (n_photon + 1.0) * fm_factor
+        return 4.0 * (beta * beta) * n_photon * (n_photon + 1.0) * fm_factor
     if limit == LOG_BOUND:
         if n_photon <= 1.0:
             raise ValueError("log bound requires N > 1")
-        return 8.0 * beta**2 * n_photon**2 / np.log(n_photon) * fm_factor
+        return 8.0 * (beta * beta) * (n_photon * n_photon) / np.log(n_photon) * fm_factor
     raise ValueError(f"unknown limit kind {limit!r}")
 
 
@@ -103,7 +104,7 @@ def optimal_squeeze(n_photon: float):
 
 def lorentzian_pm_snr(n_photon: float, beta: float) -> float:
     """Coherent PM SNR for a Lorentzian message, B >> b: sqrt(8 b^2 N / pi + 1)."""
-    return float(np.sqrt(8.0 * beta**2 * n_photon / np.pi + 1.0))
+    return float(np.sqrt(8.0 * (beta * beta) * n_photon / np.pi + 1.0))
 
 
 def sigma0(kind: str, beta: float, lam: float) -> float:
@@ -113,7 +114,7 @@ def sigma0(kind: str, beta: float, lam: float) -> float:
     FM: (1/Lambda) [ln(1 + beta^2 Lambda)
                     + 2 beta sqrt(Lambda) atan(1/(beta sqrt(Lambda)))].
     """
-    b2l = beta**2 * lam
+    b2l = beta * beta * lam
     if kind == PM:
         return float(np.log1p(b2l) / lam)
     if kind == FM:

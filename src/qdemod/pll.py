@@ -13,7 +13,7 @@ master seed and the feedback delay.
 
 feedback_delay selects the information set: 0 gives the delay-free loop of
 the continuous theory (LO phase may use the simultaneous sample, closed per
-sample by a Newton solve); 1 restricts the tracker to p' up to the previous
+sample by a Halley solve); 1 restricts the tracker to p' up to the previous
 sample (one-step-ahead prediction).  The delay-free loop is the default: the
 one-sample variant adds a prediction penalty to the tracking error that stays
 finite for strongly squeezed noise no matter how large B/b is, which pushes
@@ -22,11 +22,16 @@ the simulator outside the linear theory the analytic predictions describe.
 The delay-free closure writes the record's dependence on the tracking error e
 in amplitude-phase form, sin e + z(e)/2|a| = A sin(e + psi) + z_off (A, psi
 from the sample's (x0, y0); A = 1, psi = 0, z_off = z'/2|a| for squeezed_z),
-so each sample solves (1 - l0) u + l0 A sin u = c for u = e + psi (explicitly
-when l0 = 0, as with feedback_delay=1).  Newton starts from the previous
-sample's error and stops once each row's own step is below _NEWTON_TOL, after
-at most _NEWTON_STEPS (8) steps, clipping any step beyond +-1 rad; a NaN step
-is never clipped and runs to the cap.
+so each sample solves f(u) = k u + l0 A sin u - c = 0, k = 1 - l0, for
+u = e + psi (explicitly when l0 = 0, as with feedback_delay=1).  Halley's
+method starts from the previous sample's error.  With ls = l0 A sin u,
+lc = l0 A cos u, f' = k + lc, r = f/f' and h = ls/(2f'), its step is
+r/(1 + r h), or Newton's r where 1 + r h <= 0 (far from the root, where
+Halley's step points away from it).  Each row stops once the error its own
+unclipped step predicts, (|lc/(6f')| + h^2) |step|^3, is below _CLOSURE_TOL
+(a cubic stop), after at most _CLOSURE_STEPS (8) steps, clipping any step
+beyond +-1 rad; a NaN or clipped step never stops it.  A step takes one
+sin u and one cos u, and a locked sample takes about two steps.
 
 The tracker history is a uniformly partitioned convolution (Gardner, JAES
 43(3), 1995) over blocks of _BLOCK (128) samples.  The lags that reach
@@ -36,7 +41,7 @@ inverse FFT of the stored spectra times the taps' partition spectra.  Each
 sample then adds only the lags inside its block.  The closure's
 per-sample constants (A, psi, the known part of c, the record offset) are
 formed once per block as well, so a sample costs the in-block lags, the
-Newton steps and the record write.  That per-sample loop is one call per
+Halley steps and the record write.  That per-sample loop is one call per
 block into a small C kernel (_tracker.c through ctypes), built with the
 interpreter's C compiler at -O3 without floating-point contraction on first
 use (a loop design solves its normal equations there too) and cached under
@@ -60,7 +65,7 @@ streams, each with one sampler that returns a row per trial: its message
 from (seed, trial, 0) (sample_message) and its quadrature noise from (seed,
 trial, 1) (sample_quadratures).  Every later step is row-wise: the FFT
 rows, the history's products summed over partitions in a fixed order, the
-in-block lags summed oldest first, the per-row Newton stop and the mse, a
+in-block lags summed oldest first, the per-row closure stop and the mse, a
 pairwise sum over the trial's contiguous row.  So on either path a trial's
 result is bit-identical whatever the other trials, its row group or the
 thread count.
@@ -91,8 +96,8 @@ from .rng import stream
 from .signals import FM, MessageSpec, message_psd, modulate
 from .wiener import LoopDesign, normal_equation_taps
 
-_NEWTON_STEPS = 8  # hard cap on Newton steps per sample
-_NEWTON_TOL = 1e-13  # Newton stop threshold on the step (rad)
+_CLOSURE_STEPS = 8  # hard cap on Halley steps per sample
+_CLOSURE_TOL = 1e-13  # stop threshold on the error predicted after a step (rad)
 _DIVERGENCE_LIMIT = 1e3
 _BLOCK = 128  # samples per tracker history block
 _GROUP = 32  # trials per row group, the unit of work
@@ -186,18 +191,17 @@ def _track_block(l0, trev, cbase, amp, dpsi, q, r0, u, rec, phip):
     The fallback of the compiled _tracker.c and its reference in the tests,
     with the same arguments: (n, rows) per-sample constants, taps trev for
     lags nt-1 .. 1, the closure state u (updated in place) and the block's
-    record and tracker-output rows rec and phip (written).  Newton solves
-    k u + l0 amp sin u = c.  Its arithmetic is the kernel's, l0 amp too,
-    operation for operation, so the bits are too: each row sums its in-block
-    lags from 0.0, oldest first, clips its own Newton step to +-1 rad (a NaN
-    passes) and stops once that step is below _NEWTON_TOL.
+    record and tracker-output rows rec and phip (written).  Halley solves
+    k u + l0 amp sin u = c (module docstring).  Its arithmetic is the
+    kernel's, l0 amp too, operation for operation, so the bits are too: each
+    row sums its in-block lags from 0.0, oldest first, clips its own step to
+    +-1 rad (a NaN passes) and stops on the error that step predicts.
     """
     n = cbase.shape[0]
     nt = trev.size + 1
     k = 1.0 - l0
-    tol2 = _NEWTON_TOL**2
-    c, s, den, step, sq = (np.empty_like(u) for _ in range(5))
-    done = np.empty(u.shape, bool)
+    c, ls, lc, fp, rt, h, den, step, a, err = (np.empty_like(u) for _ in range(10))
+    halley, done = np.empty(u.shape, bool), np.empty(u.shape, bool)
     terms = np.zeros((n + 1, u.size))  # row 0 stays 0.0, where each sum starts
     for i in range(n):
         # an accumulate adds in order, never pairwise or through BLAS
@@ -209,29 +213,38 @@ def _track_block(l0, trev, cbase, amp, dpsi, q, r0, u, rec, phip):
             u += dpsi[i]
             li = l0 * amp[i]
             done[:] = False
-            for _ in range(_NEWTON_STEPS):
-                np.sin(u, out=s)
-                s *= li
-                np.cos(u, out=den)
-                den *= li
-                den += k
-                np.multiply(u, k, out=step)
-                step += s
-                step -= c
-                step /= den
-                np.multiply(step, step, out=sq)
+            for _ in range(_CLOSURE_STEPS):
+                np.sin(u, out=ls)
+                ls *= li
+                np.cos(u, out=lc)
+                lc *= li
+                np.add(lc, k, out=fp)
+                np.multiply(u, k, out=rt)
+                rt += ls
+                rt -= c
+                rt /= fp
+                np.divide(ls, 2.0 * fp, out=h)
+                np.multiply(rt, h, out=den)
+                den += 1.0
+                np.greater(den, 0.0, out=halley)  # else Halley's step points away
+                np.copyto(step, rt)
+                np.divide(rt, den, out=step, where=halley)
+                np.abs(step, out=a)
+                np.abs(lc / (6.0 * fp), out=err)
+                err += h * h
+                err *= a * a * a
                 np.minimum(step, 1.0, out=step)  # both let a NaN through
                 np.maximum(step, -1.0, out=step)
                 step[done] = 0.0  # u - 0.0 is u: a stopped row keeps its bits
                 u -= step
-                done |= sq < tol2
+                done |= (err < _CLOSURE_TOL) & (a <= 1.0)  # never on a NaN
                 if np.count_nonzero(done) == done.size:
                     break
         np.subtract(q[i], u, out=phip[i])
-        np.sin(u, out=s)
-        s *= amp[i]
-        s -= u
-        np.add(r0[i], s, out=rec[i])
+        np.sin(u, out=ls)
+        ls *= amp[i]
+        ls -= u
+        np.add(r0[i], ls, out=rec[i])
 
 
 def max_workers() -> int:

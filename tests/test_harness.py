@@ -163,13 +163,15 @@ def _assert_manifest_lists_every_output_once(out):
 
 @pytest.mark.parametrize("kind", ["pm", "fm"])
 def test_cli_limits_rejects_an_overflowing_beta_squared_lambda(kind, tmp_path, capsys):
-    """beta and lambda are each finite, but beta^2 lambda overflows: a config
-    error (exit 2) naming it, and no results.csv."""
-    cfg = _write(tmp_path, "limits.cfg", f"mod_kind = {kind}\nbeta = 2\nlambda = 1e308\n")
-    out = tmp_path / "out"
-    assert cli_main(["limits", cfg, "--out", str(out)]) == 2
-    assert "config error: beta^2 lambda must be finite" in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
+    """beta and lambda are each finite, but beta^2 lambda overflows, or beta^2
+    itself does (not an OverflowError): a config error (exit 2) naming
+    beta^2 lambda, and no results.csv."""
+    for beta, lam in (("2", "1e308"), ("1e200", "1")):
+        cfg = _write(tmp_path, "limits.cfg", f"mod_kind = {kind}\nbeta = {beta}\nlambda = {lam}\n")
+        out = tmp_path / "out"
+        assert cli_main(["limits", cfg, "--out", str(out)]) == 2
+        assert "config error: beta^2 lambda must be finite" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
 
 def test_cli_limits_end_to_end(tmp_path, capsys):

@@ -62,6 +62,9 @@ def test_quantum_limits():
         800.0 / np.log(10.0))
     assert quantum_limit_snr(LOG_BOUND, 10.0, 1.0, FM) == pytest.approx(
         2400.0 / np.log(10.0))
+    # squares that overflow give inf, not OverflowError
+    assert quantum_limit_snr(LOG_BOUND, 1e200, 1.0, PM) == np.inf
+    assert quantum_limit_snr(SQL, 10.0, 1e200, FM) == np.inf
 
 
 def test_heisenberg_over_sql_ratio():

@@ -224,7 +224,7 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0):
 
 def block_inputs(trev_scale):
     """Per-sample constants of one 40-sample, 3-row tracker block: row 1
-    takes a first Newton step far beyond the +-1 rad clip, row 0 turns NaN."""
+    takes a first closure step far beyond the +-1 rad clip, row 0 turns NaN."""
     rng = np.random.default_rng(7)
     n, rows, nt = 40, 3, 50
     trev = trev_scale * rng.standard_normal(nt - 1)
@@ -272,6 +272,64 @@ def test_kernel_row_matches_numpy_block(l0):
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("l0", [0.2, 0.4, 0.7])
+def test_closure_stops_only_at_a_root(l0, monkeypatch):
+    """Every finite sample whose closure stopped before the cap solves
+    k u + l0 amp sin u = c to 1e-12 max(1, |c|), in the kernel and in the
+    numpy loop.
+
+    Random c with jumps of several rad, a jump of 3e3 that no 8 steps of at
+    most 1 rad can close, and a NaN.  Each call closes one sample, so c is
+    cbase (there are no in-block lags) and u is exact; the sample stopped
+    before the cap when the numpy loop, from the same u with a cap of 9
+    steps, gives the same bits (a ninth step of exactly 0 is a root too; an
+    even cap would miss an iteration caught in a 2-cycle)."""
+    rng = np.random.default_rng(2024)
+    n, rows = 256, 8
+    c = 0.5 * rng.standard_normal((n, rows))
+    c[rng.random((n, rows)) < 0.03] += 3.0
+    c[5, 1] = 3.0e3
+    c[20, 0] = np.nan
+    amp = 1.0 + 0.3 * rng.standard_normal((n, rows))
+    dpsi = 0.1 * rng.standard_normal((n, rows))
+    zero, trev = np.zeros((1, rows)), np.zeros(1)
+
+    def close(track, u, i):
+        rec, phip = np.empty((2, 1, rows))
+        track(l0, trev, c[i: i + 1], amp[i: i + 1], dpsi[i: i + 1], zero, zero, u, rec, phip)
+
+    for track in filter(None, (_tracker.load(), pll._track_block)):
+        u, stopped = np.zeros(rows), 0
+        for i in range(n):
+            longer = u.copy()
+            close(track, u, i)
+            with monkeypatch.context() as patch:
+                patch.setattr(pll, "_CLOSURE_STEPS", pll._CLOSURE_STEPS + 1)
+                close(pll._track_block, longer, i)
+            done = u == longer  # never a NaN
+            residual = np.abs((1.0 - l0) * u + l0 * amp[i] * np.sin(u) - c[i])
+            assert np.all(residual[done] <= 1e-12 * np.maximum(1.0, np.abs(c[i, done])))
+            stopped += np.count_nonzero(done)
+        assert stopped < n * rows - (n - 20)  # the NaN row and the 3e3 jump
+        assert stopped > n * rows // 2  # not vacuous
+
+
+@pytest.mark.parametrize("amp", [1.0, 0.0])
+@pytest.mark.parametrize("c", [3.0e3, -40.0])
+def test_closure_walks_toward_a_far_root(c, amp):
+    """A root far beyond 8 rad: every step, Halley's or, where 1 + r h <= 0
+    reverses it, Newton's, is clipped to 1 rad toward the root, so u moves
+    by exactly 8 rad (Halley's own step would turn back).  At amp = 0 the
+    closure is linear and predicts no error, but a clipped step never stops."""
+    for track in filter(None, (_tracker.load(), pll._track_block)):
+        u = np.array([0.5])
+        zero = np.zeros((1, 1))
+        rec, phip = np.empty((2, 1, 1))
+        track(0.2, np.zeros(1), np.full((1, 1), c), np.full((1, 1), amp), zero, zero,
+              zero, u, rec, phip)
+        assert u[0] == 0.5 + 8.0 * np.sign(c)
+
+
 @needs_kernel
 def test_kernel_rejects_mismatched_arrays():
     """The kernel gets raw pointers, so every array is checked first."""
@@ -291,10 +349,10 @@ def test_kernel_rejects_mismatched_arrays():
     _tracker.load()(0.4, **good)
 
 
-def test_kernel_newton_constants_match():
+def test_kernel_closure_constants_match():
     text = _tracker.SOURCE.read_text()
-    assert f"#define NEWTON_STEPS {pll._NEWTON_STEPS}\n" in text
-    assert f"#define NEWTON_TOL {pll._NEWTON_TOL!r}\n" in text
+    assert f"#define CLOSURE_STEPS {pll._CLOSURE_STEPS}\n" in text
+    assert f"#define CLOSURE_TOL {pll._CLOSURE_TOL!r}\n" in text
 
 
 def test_kernel_flags_keep_the_rounding():
