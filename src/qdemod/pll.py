@@ -56,14 +56,20 @@ message estimate, both through FilterKernel.apply.
 
 A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
 trials, the only unit of work; the last group is shorter when 32 does not
-divide the trials.  Each group draws, tracks, estimates and checks its own
-trials in its own arrays.  run_cells runs a command's cells on one pool of
-max_workers() threads (the CPUs the process may use), one cell ahead, with
-results and errors in cell order (_pipeline); run_cell and simulate_batch
-are its one-cell forms.  Every trial draws from its own counter-based
-streams, each with one sampler that returns a row per trial: its message
-from (seed, trial, 0) (sample_message) and its quadrature noise from (seed,
-trial, 1) (sample_quadratures).  Every later step is row-wise: the FFT
+divide the trials.  Each group draws (_draw), then tracks, estimates and
+checks its own trials in its own arrays.  run_cells runs a command's cells
+on one pool of max_workers() threads (the CPUs the process may use), one
+cell ahead, with results and errors in cell order (_pipeline); run_cell and
+simulate_batch are its one-cell forms.  Every trial draws from its own
+counter-based streams, each with one sampler that returns a row per trial:
+its message from (seed, trial, 0) (sample_message) and its quadrature noise
+from (seed, trial, 1) (sample_quadratures).  Neither stream depends on the
+cell, so a sweep's cells share common random numbers: run_cells keeps one
+_DrawStore in front of the two samplers, and a row group whose draws an
+earlier cell of the same call made reads them, read-only, from there.  The
+store is keyed on what each sampler reads, so only identical draws are
+shared, and it is dropped when run_cells returns or raises; the one-cell
+forms keep none.  Every later step is row-wise: the FFT
 rows, the history's products summed over partitions in a fixed order, the
 in-block lags summed oldest first, the per-row closure stop and the mse, a
 pairwise sum over the trial's contiguous row.  So on either path a trial's
@@ -82,8 +88,9 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -391,9 +398,73 @@ def sample_quadratures(noise: NoiseModel, grid: TimeGrid, seed: int, trials):
     return color_noise(white[:, 0], s1), color_noise(white[:, 1], s2)
 
 
-def _simulate_group(cfg: PllConfig, track, taps, trials: list) -> list:
-    """The TrialResults of one row group, drawn, tracked, estimated and
-    checked in the group's own arrays.
+class _DrawStore:
+    """The draws of one run_cells call, shared by its cells.
+
+    fetch(key, draw) returns the tuple draw() made for key, its arrays
+    read-only, and calls draw only on the first request for key; a request
+    made while another thread draws the same key waits for that draw, so
+    each key is drawn once per call, on any number of workers.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._draws = {}  # key -> Future of the draw's tuple
+
+    def fetch(self, key, draw):
+        with self._lock:
+            future = self._draws.get(key)
+            first = future is None
+            if first:
+                future = self._draws[key] = Future()
+        if first:
+            try:
+                arrays = draw()
+            except BaseException as exc:  # a waiting group raises it too
+                future.set_exception(exc)
+                raise
+            for a in arrays:
+                if a is not None:
+                    a.flags.writeable = False
+            future.set_result(arrays)
+        return future.result()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._draws.clear()
+
+
+def _draw(cfg: PllConfig, trials: list, store: _DrawStore | None):
+    """(msg, x0, y0) of a row group's trials, as sample_message and
+    sample_quadratures return them.
+
+    With a store, each comes from there, keyed on exactly what its sampler
+    reads: the message on its spec, drop_dc, the seed and the trials; the
+    quadratures on the light's kind, r and squeeze bandwidth, the grid, the
+    seed and the trials.  |alpha| is in neither key, since no draw reads it.
+    """
+    design = cfg.design
+    drop_dc = design.mod.kind == FM
+    noise, g = design.noise, design.grid
+
+    def message():
+        return (sample_message(design.message, cfg.seed, trials, drop_dc=drop_dc),)
+
+    def quadratures():
+        return sample_quadratures(noise, g, cfg.seed, trials)
+    if store is None:
+        return (*message(), *quadratures())
+    drawn = (cfg.seed, tuple(trials))
+    (msg,) = store.fetch(("message", design.message, drop_dc) + drawn, message)
+    x0, y0 = store.fetch(("quadratures", noise.kind, noise.r, noise.squeeze_bandwidth, g)
+                         + drawn, quadratures)
+    return msg, x0, y0
+
+
+def _simulate_group(cfg: PllConfig, store, track, taps, trials: list) -> list:
+    """The TrialResults of one row group: drawn (_draw, from store when
+    that is not None), then tracked, estimated and checked in the group's
+    own arrays.
 
     track is the kernel or _track_block, or None for the open loop.
     """
@@ -401,8 +472,7 @@ def _simulate_group(cfg: PllConfig, track, taps, trials: list) -> list:
     g = design.grid
     m, d, twoa = g.n_samples, design.delay, design.two_alpha
     n_t, nt = len(trials), taps.size
-    msg = sample_message(design.message, cfg.seed, trials, drop_dc=design.mod.kind == FM)
-    x0, y0 = sample_quadratures(design.noise, g, cfg.seed, trials)
+    msg, x0, y0 = _draw(cfg, trials, store)
     phibar = modulate(design.mod, g, msg)
 
     fr = np.empty((n_t, nt + m))  # tracker input; the record is fr[:, nt:]
@@ -413,7 +483,9 @@ def _simulate_group(cfg: PllConfig, track, taps, trials: list) -> list:
         phip = np.empty((n_t, m))
         _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip)
     err = phibar - phip
-    del x0, y0, phibar  # now in fr and err: free them before the estimate
+    # now in fr and err: free phibar before the estimate, and the draws too
+    # unless a run_cells store holds them
+    del x0, y0, phibar
     worst = np.max(np.abs(err), axis=1)
     if not np.max(worst) <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
         bad = int(np.argmax(worst))
@@ -440,17 +512,19 @@ def _simulate_group(cfg: PllConfig, track, taps, trials: list) -> list:
     return results
 
 
-def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
+def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
+               store: _DrawStore | None = None):
     """(run, groups) of one cell: its trials as row groups (_row_groups) and
-    run(group), the group's TrialResults (_simulate_group).
+    run(group), the group's TrialResults (_simulate_group), drawn through
+    store when that is not None.
 
     Built on the calling thread, before any worker needs the kernel or the
-    taps; each group draws with its own spectra.
+    taps; each group that draws does so with its own spectra.
     """
     trials = list(range(cfg.trials) if trial_indices is None else trial_indices)
     taps = tracking_taps(cfg.design, cfg.feedback_delay)
     track = None if force_lock else (_tracker.load() or _track_block)
-    run = partial(_simulate_group, cfg, track, taps)
+    run = partial(_simulate_group, cfg, store, track, taps)
     return run, [trials[rows] for rows in _row_groups(len(trials))]
 
 
@@ -529,9 +603,17 @@ def aggregate(trials) -> CellResult:
 
 def run_cells(configs):
     """The CellResult of each PllConfig of configs, in order, the cells
-    pipelined on one worker pool (_pipeline); configs is read one ahead."""
-    for trials in _pipeline(map(_cell_work, configs)):
-        yield aggregate(trials)
+    pipelined on one worker pool (_pipeline); configs is read one ahead.
+
+    The cells share one _DrawStore, so each row group's draws are made once
+    per call and kept until it returns or raises.
+    """
+    store = _DrawStore()
+    try:
+        for trials in _pipeline(_cell_work(cfg, store=store) for cfg in configs):
+            yield aggregate(trials)
+    finally:
+        store.clear()
 
 
 def run_cell(cfg: PllConfig) -> CellResult:

@@ -459,6 +459,7 @@ def test_more_workers_than_cpus_under_fast_switching(monkeypatch):
     monkeypatch.setattr(pll, "max_workers", lambda: 1)
     want = simulate_batch(cfg), list(pll.run_cells(cells))
     monkeypatch.setattr(pll, "max_workers", lambda: 4)
+    opened = count_streams(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -466,6 +467,9 @@ def test_more_workers_than_cpus_under_fast_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+    # the cells' row groups of trials 0-31, 32-39, 32-63 and 64-71 are
+    # drawn once each, however the workers race for them
+    assert len(opened) == 2 * (160 + 32 + 8 + 32 + 8)
 
 
 def test_row_groups_do_not_follow_the_worker_count(monkeypatch):
@@ -544,13 +548,102 @@ def pipeline_configs():
             for beta, trials in ((0.5, 40), (1.0, 32), (2.0, 72))]
 
 
+def shared_draw_configs():
+    """Cells of one run_cells call that share some draws and must not share
+    others.  Each differs from the coherent PM cell (beta 1, seed 29, 63-bin
+    band, 40 trials) in what one key of the draw store reads: beta and |alpha|
+    (read by neither), FM (the message's drop_dc), the light's kind, r and
+    squeeze bandwidth, the seed, the band, the trials and the grid."""
+    def squeezed(variant, r, squeeze_bins=63):
+        grid = TimeGrid(1.0, 2048)
+        msg = MessageSpec.flat(grid, 63)
+        alpha, _ = operating_point(msg, r, resolve_lambda(r, n_photon=10.0))
+        noise = NoiseModel(variant, alpha, r, squeeze_bins * grid.df)
+        return design_loop(msg, ModulationScheme.pm(1.0, msg.bandwidth), alpha, noise)
+    short = dict(n_samples=2048, band_bins=63)
+    cells = [(make_design(beta=beta, lam=lam, **short), 40, 29)
+             for beta, lam in ((0.5, 100.0), (1.0, 100.0), (2.0, 30.0))]
+    cells += [(make_design(beta=1.0, kind="fm", **short), 40, 29),
+              (squeezed(SQUEEZED_Z, 0.5), 40, 29),
+              (squeezed(SQUEEZED_Z, 0.25), 40, 29),
+              (squeezed(PHASE_SQUEEZED, 0.25), 40, 29),
+              (squeezed(SQUEEZED_Z, 0.25, squeeze_bins=127), 40, 29),
+              (make_design(beta=1.0, **short), 40, 30),
+              (make_design(beta=1.0, n_samples=2048, band_bins=61), 40, 29),
+              (make_design(beta=1.0, **short), 72, 29),
+              (make_design(beta=1.0, n_samples=4096, band_bins=63), 32, 29)]
+    return [PllConfig(design, trials=trials, seed=seed) for design, trials, seed in cells]
+
+
 def test_pipelined_cells_equal_lone_cells(monkeypatch):
-    cfgs = pipeline_configs()
+    """Cells run in one call, sharing the draws of their common random
+    numbers, equal the same cells run alone, on any worker count: a cell
+    never takes a draw made for other inputs."""
     monkeypatch.setattr(pll, "max_workers", lambda: 1)
-    lone = [run_cell(cfg) for cfg in cfgs]
-    for n in (1, 2, 3):
-        monkeypatch.setattr(pll, "max_workers", lambda n=n: n)
-        assert list(pll.run_cells(cfgs)) == lone
+    for cfgs in (pipeline_configs(), shared_draw_configs()):
+        lone = [run_cell(cfg) for cfg in cfgs]
+        for n in (1, 2, 3):
+            monkeypatch.setattr(pll, "max_workers", lambda n=n: n)
+            assert list(pll.run_cells(cfgs)) == lone
+
+
+def count_streams(monkeypatch):
+    """The (seed, trial, purpose) of each stream opened, in a list."""
+    opened, real = [], pll.stream
+
+    def stream(seed, trial, purpose):
+        opened.append((seed, trial, purpose))
+        return real(seed, trial, purpose)
+    monkeypatch.setattr(pll, "stream", stream)
+    return opened
+
+
+def test_run_cell_draws_every_trial(monkeypatch):
+    """A lone cell keeps no draw store: each trial opens its two streams,
+    and the group's draws are its own, writeable arrays."""
+    cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=40, seed=3)
+    opened = count_streams(monkeypatch)
+    run_cell(cfg)
+    assert sorted(opened) == [(3, t, purpose) for t in range(40) for purpose in (0, 1)]
+    assert all(a.flags.writeable for a in pll._draw(cfg, [0, 1], None))
+
+
+@pytest.mark.parametrize("variant,r", [(COHERENT, 0.0), (SQUEEZED_Z, 0.5)])
+def test_stored_draws_are_read_only_and_drawn_once(variant, r, monkeypatch):
+    design = make_design(n_samples=2048, band_bins=63, r=r, variant=variant)
+    cfg = PllConfig(design, trials=4, seed=3)
+    store = pll._DrawStore()
+    opened = count_streams(monkeypatch)
+    first = pll._draw(cfg, [0, 1], store)
+    again = pll._draw(cfg, [0, 1], store)
+    assert len(opened) == 4
+    assert all(a is b for a, b in zip(first, again))
+    assert all(not a.flags.writeable for a in first if a is not None)
+    assert all(np.array_equal(a, b) for a, b in zip(first, pll._draw(cfg, [0, 1], None))
+               if a is not None)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0][0, 0] = 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_draws_each_row_group_once(workers, tmp_path, monkeypatch):
+    """The three SWEEP_3 cells share their draws: 64 trials open 128
+    streams, each once, not 384."""
+    monkeypatch.setattr(pll, "max_workers", lambda: workers)
+    opened = count_streams(monkeypatch)
+    assert run_sweep(tmp_path, "sweep")[0] == 0
+    assert sorted(opened) == [(5, t, purpose) for t in range(64) for purpose in (0, 1)]
+
+
+def test_sweeps_of_two_seeds_in_one_process(monkeypatch):
+    """Two sweeps of other seeds, interleaved in one process, each equal
+    their cells run alone: the draw store is per call."""
+    monkeypatch.setattr(pll, "max_workers", lambda: 2)
+    sweeps = [[PllConfig(cfg.design, cfg.trials, seed) for cfg in pipeline_configs()]
+              for seed in (7, 8)]
+    lone = [[run_cell(cfg) for cfg in cfgs] for cfgs in sweeps]
+    together = list(zip(*(pll.run_cells(cfgs) for cfgs in sweeps)))
+    assert [list(cells) for cells in zip(*together)] == lone
 
 
 SWEEP_3 = ("n_samples = 2048\nband_bins = 63\nbetas = 0.5, 1, 2\nlambdas = 100\n"
