@@ -1,9 +1,11 @@
 """Build and load the compiled library (_tracker.c) through ctypes.
 
-The library holds the two loops that numpy runs slowly: track_block, the
-inner loop of one tracker history block (pll._track_block in numpy), and
-levinson, the Toeplitz solve of the Wiener-Hopf normal equations
-(wiener._levinson in numpy).  It is built on the first call to load(), with
+The library holds the two loops that numpy runs slowly: track_block, which
+closes one tracker history block of a row group straight from the group's
+own arrays (pll._track_block in numpy), and levinson, the Toeplitz solve of
+the Wiener-Hopf normal equations (wiener._levinson in numpy).  A Kernel call
+binds a row group once, checking its arrays, and returns the per-block call,
+which passes the kernel only the block's offset and far history.  It is built on the first call to load(), with
 the interpreter's C compiler and flags that keep its rounding equal to the
 numpy loops', and cached in this package's __pycache__ under a hash of the
 source and the flags, so later processes only load it.  Where __pycache__ is
@@ -37,9 +39,29 @@ _loaded = {}  # "kernel": the Kernel or None, once load() has run
 _lock = threading.Lock()  # one build, however many threads call load() at once
 
 
+class _Group(ctypes.Structure):
+    """struct group of _tracker.c: a row group's arrays, bound once."""
+
+    _fields_ = [("n", ctypes.c_int), ("rows", ctypes.c_int), ("nt", ctypes.c_int),
+                ("l0", ctypes.c_double), ("twoa", ctypes.c_double),
+                *[(name, ctypes.c_void_p) for name in ("trev", "phibar", "x0", "y0")],
+                *[(name, ctypes.c_ssize_t) for name in
+                  ("phibar_stride", "x0_stride", "y0_stride", "fr_stride", "phip_stride")],
+                *[(name, ctypes.c_void_p) for name in ("e", "fr", "phip", "work")]]
+
+
+def _row_stride(a: np.ndarray) -> int | None:
+    """a's row stride in float64 entries, or None unless a is a 2-d float64
+    array whose rows are contiguous."""
+    if a.dtype != np.float64 or a.ndim != 2 or a.strides[1] != 8 or a.strides[0] % 8:
+        return None
+    return a.strides[0] // 8
+
+
 class Kernel:
-    """The loaded library: a call runs track_block behind the numpy loop's
-    signature, and levinson(c, b) the normal-equation solve."""
+    """The loaded library: a call binds a row group to track_block behind
+    the numpy loop's signature (pll._track_block), and levinson(c, b) is the
+    normal-equation solve."""
 
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
@@ -47,23 +69,44 @@ class Kernel:
         self._levinson.argtypes = [ctypes.c_int, *[ctypes.c_void_p] * 4]
         self._levinson.restype = ctypes.c_int
         self._fn = lib.track_block
-        # Raw pointers, checked in __call__: numpy's ndpointer spends tens of
-        # microseconds a call in Python, holding the interpreter lock that
-        # the other row groups' threads are waiting for.
-        self._fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
-                             *[ctypes.c_void_p] * 9]
+        self._fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_ssize_t]
         self._fn.restype = None
 
-    def __call__(self, l0, trev, cbase, amp, dpsi, q, r0, u, rec, phip):
-        n, rows = cbase.shape
+    def __call__(self, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
+        """block(j0, far), which closes samples j0 .. j0 + n - 1 of the
+        group (pll._track_block).
+
+        The kernel gets raw pointers, so the group's arrays are checked here,
+        once: dtype, shapes, rows with their own strides and writeable
+        outputs.  A block then checks only its far history and j0.
+        """
+        strides = [_row_stride(a) for a in (phibar, y0, fr, phip)]
+        x0_stride = 0 if x0 is None else _row_stride(x0)
+        if None in strides or x0_stride is None:
+            raise ValueError("tracker group arrays do not match")
+        rows, m = phibar.shape
         nt = trev.size + 1
-        arrays = (cbase, amp, dpsi, q, r0, trev, u, rec, phip)
-        if (any(a.shape != (n, rows) for a in (amp, dpsi, q, r0, rec, phip))
-                or u.shape != (rows,) or n > nt
-                or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays)
-                or not all(a.flags.writeable for a in (u, rec, phip))):
-            raise ValueError("tracker block arrays do not match")
-        self._fn(n, rows, nt, l0, *[a.ctypes.data for a in arrays])
+        if (any(a.shape != (rows, m) for a in (x0, y0, phip) if a is not None)
+                or fr.shape != (rows, nt + m) or e.shape != (rows,) or trev.ndim != 1
+                or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (trev, e))
+                or not all(a.flags.writeable for a in (e, fr, phip))
+                or not 1 <= n <= min(nt, m)):
+            raise ValueError("tracker group arrays do not match")
+        work = np.empty(5 * n * rows)
+        group = _Group(n, rows, nt, l0, twoa, trev.ctypes.data, phibar.ctypes.data,
+                       None if x0 is None else x0.ctypes.data, y0.ctypes.data,
+                       strides[0], x0_stride, strides[1], strides[2], strides[3],
+                       e.ctypes.data, fr.ctypes.data, phip.ctypes.data, work.ctypes.data)
+        fn, address = self._fn, ctypes.addressof(group)
+
+        def block(j0, far):
+            stride = _row_stride(far)
+            if stride is None or far.shape != (rows, n) or not 0 <= j0 <= m - n:
+                raise ValueError("tracker block does not match its group")
+            fn(address, j0, far.ctypes.data, stride)
+        # referenced, so alive, as long as block is
+        block.arrays = (group, trev, phibar, x0, y0, e, fr, phip, work)
+        return block
 
     def levinson(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
         """x with sum_k c[|j - k|] x_k = b_j, for float64 c and b of one size."""

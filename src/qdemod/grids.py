@@ -109,8 +109,9 @@ class FilterKernel:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The filtered real sequences, along the last axis."""
         m = self.grid.n_samples
-        return np.fft.irfft(np.fft.rfft(x, axis=-1) * self.response[: m // 2 + 1],
-                            n=m, axis=-1)
+        spectrum = np.fft.rfft(x, axis=-1)
+        spectrum *= self.response[: m // 2 + 1]
+        return np.fft.irfft(spectrum, n=m, axis=-1)
 
     def causal_taps(self) -> np.ndarray:
         """Real taps restricted to lags [0, M/2)."""

@@ -19,40 +19,50 @@ one-sample variant adds a prediction penalty to the tracking error that stays
 finite for strongly squeezed noise no matter how large B/b is, which pushes
 the simulator outside the linear theory the analytic predictions describe.
 
-The delay-free closure writes the record's dependence on the tracking error e
-in amplitude-phase form, sin e + z(e)/2|a| = A sin(e + psi) + z_off (A, psi
-from the sample's (x0, y0); A = 1, psi = 0, z_off = z'/2|a| for squeezed_z),
-so each sample solves f(u) = k u + l0 A sin u - c = 0, k = 1 - l0, for
-u = e + psi (explicitly when l0 = 0, as with feedback_delay=1).  Halley's
-method starts from the previous sample's error.  With ls = l0 A sin u,
-lc = l0 A cos u, f' = k + lc, r = f/f' and h = ls/(2f'), its step is
-r/(1 + r h), or Newton's r where 1 + r h <= 0 (far from the root, where
-Halley's step points away from it).  Each row stops once the error its own
-unclipped step predicts, (|lc/(6f')| + h^2) |step|^3, is below _CLOSURE_TOL
-(a cubic stop), after at most _CLOSURE_STEPS (8) steps, clipping any step
-beyond +-1 rad; a NaN or clipped step never stops it.  A step takes one
-sin u and one cos u, and a locked sample takes about two steps.
+The delay-free closure works in the tracking error e.  With X = 1 + x0/2|a|
+and Y = y0/2|a| (X = 1, Y = 0 for squeezed_z, whose record noise z'/2|a| is
+an offset), the record's dependence on e is X sin e + Y cos e, so each
+sample solves f(e) = k e + l0 (X sin e + Y cos e) - c = 0, k = 1 - l0
+(explicitly when l0 = 0, as with feedback_delay=1), where c holds phibar,
+the offset and the tracker history.  Halley's method starts from the
+previous sample's error.  With ls = l0 (X sin e + Y cos e),
+lc = l0 (X cos e - Y sin e), f' = k + lc, r = f/f' and h = ls/(2f'), its
+step is r/(1 + r h), or Newton's r where 1 + r h <= 0 (far from the root,
+where Halley's step points away from it).  Each row stops once the error
+its own unclipped step predicts, (|lc/(6f')| + h^2) |step|^3, is below
+_CLOSURE_TOL (a cubic stop), after at most _CLOSURE_STEPS (8) steps,
+clipping any step beyond +-1 rad; a NaN or clipped step never stops it.  A
+step takes one sin e and one cos e, and a locked sample takes about two
+steps.  For squeezed_z the Y terms are left out, which is the same
+arithmetic with Y = 0.
 
 The tracker history is a uniformly partitioned convolution (Gardner, JAES
 43(3), 1995) over blocks of _BLOCK (128) samples.  The lags that reach
 before a block come from an overlap-save FFT delay line (_far_history): the
 spectrum of each written block is stored once, and a block's history is one
 inverse FFT of the stored spectra times the taps' partition spectra.  Each
-sample then adds only the lags inside its block.  The closure's
-per-sample constants (A, psi, the known part of c, the record offset) are
-formed once per block as well, so a sample costs the in-block lags, the
-Halley steps and the record write.  That per-sample loop is one call per
-block into a small C kernel (_tracker.c through ctypes), built with the
-interpreter's C compiler at -O3 without floating-point contraction on first
-use (a loop design solves its normal equations there too) and cached under
-the package's __pycache__.
+sample then adds only the lags inside its block.  So a block costs one
+far-history step and one call into a small C kernel (_tracker.c through
+ctypes), which reads the block straight from the row group's own arrays
+(phibar, x0, y0, each with its row stride), forms X, Y, the record offset
+and c there, closes the loop sample by sample and writes the records into
+fr and the tracker output into phip in place.  The kernel is bound to the
+group once, when its arrays are checked (_tracker.Kernel), and built with
+the interpreter's C compiler at -O3 without floating-point contraction on
+first use (a loop design solves its normal equations there too) and cached
+under the package's __pycache__.
 Without a compiler, _track_block runs the same loop in numpy with rows in
 lockstep, operation for operation, so both paths give the same bits.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
 the delayed MAP filter design.g_delayed = G exp(-i w d dt) then gives the
-message estimate, both through FilterKernel.apply.
+message estimate, both through FilterKernel.apply.  The per-trial
+statistics are taken from the tracking error before the estimate, which
+then works in place in the group's record and phi' arrays, so a group's
+working set peaks in the loop, at about six (rows, m) float arrays: phibar,
+phi', the record with its steady-state lead, and the far history's spectra
+and products.
 
 A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
 trials, the only unit of work; the last group is shorter when 32 does not
@@ -180,7 +190,7 @@ def cycle_slip_count(e: np.ndarray) -> int:
     seq = basins[inside]
     if seq.size == 0:
         return 0
-    return int(np.sum(np.abs(np.diff(seq))))
+    return int(np.sum(np.abs(seq[1:] - seq[:-1])))
 
 
 def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
@@ -192,66 +202,95 @@ def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
     return np.concatenate(([0.0], normal_equation_taps(design.u, design.v, first=1)))
 
 
-def _track_block(l0, trev, cbase, amp, dpsi, q, r0, u, rec, phip):
-    """Inner loop of one history block, all rows in lockstep (numpy form).
+def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
+    """block(j0, far), which closes samples j0 .. j0 + n - 1 of a row group,
+    all rows in lockstep (numpy form).
 
     The fallback of the compiled _tracker.c and its reference in the tests,
-    with the same arguments: (n, rows) per-sample constants, taps trev for
-    lags nt-1 .. 1, the closure state u (updated in place) and the block's
-    record and tracker-output rows rec and phip (written).  Halley solves
-    k u + l0 amp sin u = c (module docstring).  Its arithmetic is the
-    kernel's, l0 amp too, operation for operation, so the bits are too: each
-    row sums its in-block lags from 0.0, oldest first, clips its own step to
-    +-1 rad (a NaN passes) and stops on the error that step predicts.
+    with the same arguments: the group's (rows, m) phibar, x0 (None for
+    squeezed_z) and y0, the taps trev for lags nt-1 .. 1, the tracking
+    error e (one entry per row, carried from call to call, updated in
+    place), and fr and phip, into which a block writes its records (after
+    fr's nt steady-state records) and tracker outputs.  far is the block's
+    far history, (rows, n).  Halley solves k e + l0 (X sin e + Y cos e) = c
+    (module docstring).  Its arithmetic is the kernel's, l0 X and l0 Y too,
+    operation for operation, so the bits are too: each row sums its
+    in-block lags from 0.0, oldest first, clips its own step to +-1 rad (a
+    NaN passes) and stops on the error that step predicts.
     """
-    n = cbase.shape[0]
+    rows = e.size
     nt = trev.size + 1
     k = 1.0 - l0
-    c, ls, lc, fp, rt, h, den, step, a, err = (np.empty_like(u) for _ in range(10))
-    halley, done = np.empty(u.shape, bool), np.empty(u.shape, bool)
-    terms = np.zeros((n + 1, u.size))  # row 0 stays 0.0, where each sum starts
-    for i in range(n):
-        # an accumulate adds in order, never pairwise or through BLAS
-        np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
-        np.subtract(cbase[i], np.add.accumulate(terms[: i + 1], axis=0)[-1], out=c)
-        if l0 == 0.0:
-            u[:] = c  # l0 = 0: the closure is explicit
+    scratch = [np.empty(rows) for _ in range(13)] + [np.empty(rows, bool) for _ in range(2)]
+    terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each sum starts
+    rec, out = np.empty((n, rows)), np.empty((n, rows))
+    ones = np.ones((n, rows))  # squeezed_z's X; its Y = 0 terms are left out
+
+    def block(j0, far):
+        c, s, co, ls, lc, t, fp, rt, h, den, step, a, err, halley, done = scratch
+        cols = slice(j0, j0 + n)
+        pb = phibar[:, cols].T
+        if x0 is None:  # X = 1, Y = 0 and the record offset z = y0/2|a|
+            x, y = ones, None
+            z = y0[:, cols].T / twoa
+            r0 = pb + z
+            cb = k * pb - l0 * z - far.T
         else:
-            u += dpsi[i]
-            li = l0 * amp[i]
-            done[:] = False
-            for _ in range(_CLOSURE_STEPS):
-                np.sin(u, out=ls)
-                ls *= li
-                np.cos(u, out=lc)
-                lc *= li
-                np.add(lc, k, out=fp)
-                np.multiply(u, k, out=rt)
-                rt += ls
-                rt -= c
-                rt /= fp
-                np.divide(ls, 2.0 * fp, out=h)
-                np.multiply(rt, h, out=den)
-                den += 1.0
-                np.greater(den, 0.0, out=halley)  # else Halley's step points away
-                np.copyto(step, rt)
-                np.divide(rt, den, out=step, where=halley)
-                np.abs(step, out=a)
-                np.abs(lc / (6.0 * fp), out=err)
-                err += h * h
-                err *= a * a * a
-                np.minimum(step, 1.0, out=step)  # both let a NaN through
-                np.maximum(step, -1.0, out=step)
-                step[done] = 0.0  # u - 0.0 is u: a stopped row keeps its bits
-                u -= step
-                done |= (err < _CLOSURE_TOL) & (a <= 1.0)  # never on a NaN
-                if np.count_nonzero(done) == done.size:
-                    break
-        np.subtract(q[i], u, out=phip[i])
-        np.sin(u, out=ls)
-        ls *= amp[i]
-        ls -= u
-        np.add(r0[i], ls, out=rec[i])
+            x = x0[:, cols].T / twoa
+            x += 1.0
+            y = y0[:, cols].T / twoa
+            r0 = pb
+            cb = k * pb - far.T
+        for i in range(n):
+            # an accumulate adds in order, never pairwise or through BLAS
+            np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
+            np.subtract(cb[i], np.add.accumulate(terms[: i + 1], axis=0)[-1], out=c)
+            if l0 == 0.0:
+                e[:] = c  # l0 = 0: the closure is explicit
+            else:
+                lx = l0 * x[i]
+                ly = None if y is None else l0 * y[i]
+                done[:] = False
+                for _ in range(_CLOSURE_STEPS):
+                    np.sin(e, out=s)
+                    np.cos(e, out=co)
+                    np.multiply(s, lx, out=ls)
+                    np.multiply(co, lx, out=lc)
+                    if y is not None:
+                        ls += np.multiply(co, ly, out=t)
+                        lc -= np.multiply(s, ly, out=t)
+                    np.add(lc, k, out=fp)
+                    np.multiply(e, k, out=rt)
+                    rt += ls
+                    rt -= c
+                    rt /= fp
+                    np.divide(ls, 2.0 * fp, out=h)
+                    np.multiply(rt, h, out=den)
+                    den += 1.0
+                    np.greater(den, 0.0, out=halley)  # else Halley's step points away
+                    np.copyto(step, rt)
+                    np.divide(rt, den, out=step, where=halley)
+                    np.abs(step, out=a)
+                    np.abs(lc / (6.0 * fp), out=err)
+                    err += h * h
+                    err *= a * a * a
+                    np.minimum(step, 1.0, out=step)  # both let a NaN through
+                    np.maximum(step, -1.0, out=step)
+                    step[done] = 0.0  # e - 0.0 is e: a stopped row keeps its bits
+                    np.subtract(e, step, out=e)
+                    done |= (err < _CLOSURE_TOL) & (a <= 1.0)  # never on a NaN
+                    if np.count_nonzero(done) == done.size:
+                        break
+            np.subtract(pb[i], e, out=out[i])
+            np.sin(e, out=s)
+            s *= x[i]
+            if y is not None:
+                s += np.multiply(np.cos(e, out=co), y[i], out=t)
+            s -= e
+            np.add(r0[i], s, out=rec[i])
+        fr[:, nt + j0: nt + j0 + n] = rec.T
+        phip[:, cols] = out.T
+    return block
 
 
 def max_workers() -> int:
@@ -326,43 +365,17 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip):
     """
     n_t, m = phibar.shape
     nt = taps.size
-    l0 = taps[0]
     trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
     fr[:, :nt] = phibar[:, m - nt:] + y0[:, m - nt:] / twoa
     # Blocked history: _far_history gives the lags that reach before a
-    # block; lags inside the block come from rec_blk, the block's records so
-    # far, one row per sample.  TimeGrid makes m, nt = m/2 and kb powers of
-    # two, so kb divides nt and m: every block is whole, every lag below nt.
-    kb = min(_BLOCK, nt)
-    rec_blk, phip_blk = np.empty((kb, n_t)), np.empty((kb, n_t))
-    # u = e + psi, one entry per row, carries the closure from sample to
+    # block, and track the lags inside it.  TimeGrid makes m, nt = m/2 and
+    # kb powers of two, so kb divides nt and m: every block is whole, every
+    # lag below nt.  The tracking error e carries the closure from sample to
     # sample and block to block; it starts at 0.
-    u = np.zeros(n_t)
-    psi_prev = np.zeros(n_t)
+    kb = min(_BLOCK, nt)
+    block = track(kb, taps[0], trev, twoa, phibar, x0, y0, np.zeros(n_t), fr, phip)
     for j0, far in zip(range(0, m, kb), _far_history(taps, kb, fr)):
-        # Per-sample constants, (kb, rows): sin e + z(e)/2|a| =
-        # amp sin(e + psi) + zoff; for (x0, y0) noise, (amp, psi) is the
-        # polar form of (1 + x0/2|a|, y0/2|a|).
-        pb = np.ascontiguousarray(phibar[:, j0: j0 + kb].T)
-        ys = np.ascontiguousarray(y0[:, j0: j0 + kb].T) / twoa
-        if x0 is None:
-            amp, psi, dpsi, zoff = np.ones_like(pb), 0.0, np.zeros_like(pb), ys
-        else:
-            xs = np.ascontiguousarray(x0[:, j0: j0 + kb].T) / twoa
-            xs += 1.0
-            amp, psi, zoff = np.hypot(xs, ys), np.arctan2(ys, xs), 0.0
-            # the warm start e_{j-1} + psi_j is u_{j-1} + (psi_j - psi_{j-1})
-            dpsi = np.diff(psi, axis=0, prepend=psi_prev[None])
-            psi_prev = psi[-1]
-        # The tracker output is pb - e = q - u with q = pb + psi and the
-        # record is q - u + amp sin u + zoff = r0 - u + amp sin u, so the
-        # closure is k u + l0 amp sin u = cbase - (in-block history).
-        q = pb + psi
-        r0 = q + zoff
-        cbase = (1.0 - l0) * q - l0 * zoff - far.T
-        track(l0, trev, cbase, amp, dpsi, q, r0, u, rec_blk, phip_blk)
-        fr[:, nt + j0: nt + j0 + kb] = rec_blk.T
-        phip[:, j0: j0 + kb] = phip_blk.T
+        block(j0, far)
 
 
 def sample_message(spec: MessageSpec, seed: int, trials, drop_dc: bool = False) -> np.ndarray:
@@ -461,6 +474,13 @@ def _draw(cfg: PllConfig, trials: list, store: _DrawStore | None):
     return msg, x0, y0
 
 
+def _error_statistics(e: np.ndarray) -> tuple:
+    """(sigma0_sq_empirical, cycle_slips) of one trial's windowed tracking
+    error: its mean square about the nearest multiple of 2 pi to its mean."""
+    offset = 2.0 * np.pi * np.round(np.mean(e) / (2.0 * np.pi))
+    return float(np.mean((e - offset) ** 2)), cycle_slip_count(e)
+
+
 def _simulate_group(cfg: PllConfig, store, track, taps, trials: list) -> list:
     """The TrialResults of one row group: drawn (_draw, from store when
     that is not None), then tracked, estimated and checked in the group's
@@ -483,8 +503,8 @@ def _simulate_group(cfg: PllConfig, store, track, taps, trials: list) -> list:
         phip = np.empty((n_t, m))
         _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip)
     err = phibar - phip
-    # now in fr and err: free phibar before the estimate, and the draws too
-    # unless a run_cells store holds them
+    # what the estimate needs of phibar is in err and phip: free it, and the
+    # draws too unless a run_cells store holds them
     del x0, y0, phibar
     worst = np.max(np.abs(err), axis=1)
     if not np.max(worst) <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
@@ -492,24 +512,28 @@ def _simulate_group(cfg: PllConfig, store, track, taps, trials: list) -> list:
         raise LoopDivergenceError(
             f"loop diverged (max |phibar - phi'| = {worst[bad]:.3e})",
             float(worst[bad]), trials[bad])
-
-    phirec = fr[:, nt:]
-    e_hat = modulate(design.mod, g, design.g.apply(phirec)) - phip
-    rec = phirec - (np.sin(e_hat) - e_hat)
-    m_hat = design.g_delayed.apply(rec)
     lo, hi = 4 * d, m - 2 * d
+    errors = [_error_statistics(e_win) for e_win in err[:, lo:hi]]
+    del err
+
+    # e_hat and then its sine term in phip, the record's relinearisation in
+    # place in fr
+    phirec = fr[:, nt:]
+    e_hat = modulate(design.mod, g, design.g.apply(phirec))
+    e_hat -= phip
+    np.sin(e_hat, out=phip)
+    phip -= e_hat
+    del e_hat
+    phirec -= phip
+    del phip
+    m_hat = design.g_delayed.apply(phirec)
+    del fr, phirec
     # row-major, so each row's mean is a pairwise sum, as a lone row's is
     mses = np.mean((m_hat[:, lo:hi] - msg[:, lo - d: hi - d]) ** 2, axis=1)
-
-    results = []
-    for trial, e_win, mse in zip(trials, err[:, lo:hi], mses.tolist()):
-        offset = 2.0 * np.pi * np.round(np.mean(e_win) / (2.0 * np.pi))
-        results.append(TrialResult(
-            seed=cfg.seed, trial=trial, mse=mse,
-            snr_empirical=1.0 / mse if mse != 0 else float("inf"),
-            sigma0_sq_empirical=float(np.mean((e_win - offset) ** 2)),
-            cycle_slips=cycle_slip_count(e_win)))
-    return results
+    return [TrialResult(seed=cfg.seed, trial=trial, mse=mse,
+                        snr_empirical=1.0 / mse if mse != 0 else float("inf"),
+                        sigma0_sq_empirical=sigma0_sq, cycle_slips=slips)
+            for trial, mse, (sigma0_sq, slips) in zip(trials, mses.tolist(), errors)]
 
 
 def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False,

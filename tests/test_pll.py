@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,8 +13,8 @@ from qdemod.limits import closed_form_snr, sigma0
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                            operating_point, resolve_lambda)
 from qdemod import _tracker, pll
-from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate, cycle_slip_count,
-                        run_cell, sample_message, sample_quadratures, simulate_batch,
+from qdemod.pll import (LoopDivergenceError, PllConfig, TrialResult, aggregate,
+                        cycle_slip_count, run_cell, sample_message, sample_quadratures, simulate_batch,
                         tracking_taps)
 from qdemod.signals import MessageSpec, ModulationScheme
 from qdemod.config import ConfigError
@@ -222,81 +223,107 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0):
     assert np.array_equal(alone[0], got[1])
 
 
-def block_inputs(trev_scale):
-    """Per-sample constants of one 40-sample, 3-row tracker block: row 1
-    takes a first closure step far beyond the +-1 rad clip, row 0 turns NaN."""
+# The light of a block's inputs: coherent (x0, y0) rows of their own, the
+# same as strided views (each row of a (rows, 2, m) draw, as coherent light
+# comes from sample_quadratures), and squeezed_z, which has no x0
+BLOCK_LIGHTS = ("coherent", "strided", "squeezed_z")
+
+
+def block_inputs(trev_scale, light="coherent"):
+    """(trev, 2|a|, phibar, x0, y0, far) of one 40-sample, 3-row tracker
+    block: row 1 takes a first closure step far beyond the +-1 rad clip,
+    row 0 turns NaN."""
     rng = np.random.default_rng(7)
     n, rows, nt = 40, 3, 50
     trev = trev_scale * rng.standard_normal(nt - 1)
-    cbase, q, r0 = rng.standard_normal((3, n, rows))
-    amp = 1.0 + 0.1 * rng.standard_normal((n, rows))
-    dpsi = 0.1 * rng.standard_normal((n, rows))
-    cbase[5, 1] = 3.0e3
-    cbase[20, 0] = np.nan
-    return trev, cbase, amp, dpsi, q, r0
+    phibar, far = rng.standard_normal((2, rows, n))
+    quads = 0.2 * rng.standard_normal((rows, 2, n))  # X = 1 + x0/2|a|, Y = y0/2|a|
+    far[1, 5] = -3.0e3
+    far[0, 20] = np.nan
+    x0, y0 = quads[:, 0], quads[:, 1]
+    if light != "strided":
+        x0, y0 = x0.copy(), y0.copy()
+    return trev, 2.0, phibar, None if light == "squeezed_z" else x0, y0, far
+
+
+def take_rows(a, sel):
+    """Rows sel of a, copied into an array with a's row stride."""
+    if a is None:
+        return None
+    out = np.empty((len(sel), a.strides[0] // a.itemsize))[:, : a.shape[1]]
+    out[...] = a[sel]
+    return out
 
 
 def run_block(track, l0, inputs, sel):
-    """(records, tracker outputs) of the rows sel of a block through track."""
-    trev, *per_sample = inputs
-    cbase, amp, dpsi, q, r0 = (np.ascontiguousarray(a[:, sel]) for a in per_sample)
-    u = np.zeros(len(sel))
-    rec, phip = np.empty_like(cbase), np.empty_like(cbase)
-    track(l0, trev, cbase, amp, dpsi, q, r0, u, rec, phip)
-    return rec, phip
+    """(records, tracker outputs) of the rows sel of a block through track,
+    one row per sample."""
+    trev, twoa, *arrays = inputs
+    phibar, x0, y0, far = (take_rows(a, sel) for a in arrays)
+    rows, n = phibar.shape
+    nt = trev.size + 1
+    fr, phip = np.zeros((rows, nt + n)), np.empty((rows, n))
+    track(n, l0, trev, twoa, phibar, x0, y0, np.zeros(rows), fr, phip)(0, far)
+    return fr[:, nt:].T, phip.T
 
 
 @pytest.mark.parametrize("l0", [0.0, 0.4])
 def test_kernel_rows_are_independent(l0):
     """In the kernel and in the numpy loop, the per-row stop rule makes a
     row's closure independent of the others, and a NaN row is never clipped
-    back to finite values."""
-    inputs = block_inputs(0.02)
-    for track in filter(None, (_tracker.load(), pll._track_block)):
-        rec, phip = run_block(track, l0, inputs, [0, 1, 2])
-        assert np.isnan(phip[20:, 0]).all() and np.isnan(rec[20:, 0]).all()
-        assert np.isfinite(phip[:20]).all() and np.isfinite(phip[:, 1:]).all()
-        alone = run_block(track, l0, inputs, [1, 2])
-        assert np.array_equal(rec[:, 1:], alone[0]) and np.array_equal(phip[:, 1:], alone[1])
+    back to finite values; for each light, with x0 and y0 strided or not."""
+    for light in BLOCK_LIGHTS:
+        inputs = block_inputs(0.02, light)
+        for track in filter(None, (_tracker.load(), pll._track_block)):
+            rec, phip = run_block(track, l0, inputs, [0, 1, 2])
+            assert np.isnan(phip[20:, 0]).all() and np.isnan(rec[20:, 0]).all()
+            assert np.isfinite(phip[:20]).all() and np.isfinite(phip[:, 1:]).all()
+            alone = run_block(track, l0, inputs, [1, 2])
+            assert np.array_equal(rec[:, 1:], alone[0]) and np.array_equal(phip[:, 1:], alone[1])
 
 
 @needs_kernel
 @pytest.mark.parametrize("l0", [0.0, 0.4])
 def test_kernel_row_matches_numpy_block(l0):
     """A whole block, with in-block lags, a clipped row and a NaN row, takes
-    the same steps in both loops: lag sums, warm start, clip, stop rule and
-    record write agree bit for bit."""
-    inputs = block_inputs(0.02)
-    got = run_block(_tracker.load(), l0, inputs, [0, 1, 2])
-    want = run_block(pll._track_block, l0, inputs, [0, 1, 2])
-    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+    the same steps in both loops: closure constants, lag sums, warm start,
+    clip, stop rule and record write agree bit for bit, for each light."""
+    for light in BLOCK_LIGHTS:
+        inputs = block_inputs(0.02, light)
+        got = run_block(_tracker.load(), l0, inputs, [0, 1, 2])
+        want = run_block(pll._track_block, l0, inputs, [0, 1, 2])
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("l0", [0.2, 0.4, 0.7])
 def test_closure_stops_only_at_a_root(l0, monkeypatch):
     """Every finite sample whose closure stopped before the cap solves
-    k u + l0 amp sin u = c to 1e-12 max(1, |c|), in the kernel and in the
-    numpy loop.
+    k e + l0 (X sin e + Y cos e) = c to 1e-12 max(1, |c|), in the kernel and
+    in the numpy loop.
 
     Random c with jumps of several rad, a jump of 3e3 that no 8 steps of at
     most 1 rad can close, and a NaN.  Each call closes one sample, so c is
-    cbase (there are no in-block lags) and u is exact; the sample stopped
-    before the cap when the numpy loop, from the same u with a cap of 9
-    steps, gives the same bits (a ninth step of exactly 0 is a root too; an
-    even cap would miss an iteration caught in a 2-cycle)."""
+    k phibar - far = far's negative (phibar is 0 and there are no in-block
+    lags) and e is exact; the sample stopped before the cap when the numpy
+    loop, from the same e with a cap of 9 steps, gives the same bits (a
+    ninth step of exactly 0 is a root too; an even cap would miss an
+    iteration caught in a 2-cycle)."""
     rng = np.random.default_rng(2024)
     n, rows = 256, 8
     c = 0.5 * rng.standard_normal((n, rows))
     c[rng.random((n, rows)) < 0.03] += 3.0
     c[5, 1] = 3.0e3
     c[20, 0] = np.nan
+    # (X, Y) = amp (cos psi, sin psi), psi a random walk, and 2|a| = 1
     amp = 1.0 + 0.3 * rng.standard_normal((n, rows))
-    dpsi = 0.1 * rng.standard_normal((n, rows))
-    zero, trev = np.zeros((1, rows)), np.zeros(1)
+    psi = np.cumsum(0.1 * rng.standard_normal((n, rows)), axis=0)
+    xq, yq = amp * np.cos(psi) - 1.0, amp * np.sin(psi)
+    x, y = xq + 1.0, yq
+    phibar, far, x0, y0 = (np.ascontiguousarray(a.T) for a in (np.zeros((n, rows)), -c, xq, yq))
+    trev, fr, phip = np.zeros(1), np.empty((rows, 2 + n)), np.empty((rows, n))
 
-    def close(track, u, i):
-        rec, phip = np.empty((2, 1, rows))
-        track(l0, trev, c[i: i + 1], amp[i: i + 1], dpsi[i: i + 1], zero, zero, u, rec, phip)
+    def close(track, e, i):
+        track(1, l0, trev, 1.0, phibar, x0, y0, e, fr, phip)(i, far[:, i: i + 1])
 
     for track in filter(None, (_tracker.load(), pll._track_block)):
         u, stopped = np.zeros(rows), 0
@@ -307,7 +334,8 @@ def test_closure_stops_only_at_a_root(l0, monkeypatch):
                 patch.setattr(pll, "_CLOSURE_STEPS", pll._CLOSURE_STEPS + 1)
                 close(pll._track_block, longer, i)
             done = u == longer  # never a NaN
-            residual = np.abs((1.0 - l0) * u + l0 * amp[i] * np.sin(u) - c[i])
+            residual = np.abs((1.0 - l0) * u + l0 * (x[i] * np.sin(u) + y[i] * np.cos(u))
+                              - c[i])
             assert np.all(residual[done] <= 1e-12 * np.maximum(1.0, np.abs(c[i, done])))
             stopped += np.count_nonzero(done)
         assert stopped < n * rows - (n - 20)  # the NaN row and the 3e3 jump
@@ -318,35 +346,85 @@ def test_closure_stops_only_at_a_root(l0, monkeypatch):
 @pytest.mark.parametrize("c", [3.0e3, -40.0])
 def test_closure_walks_toward_a_far_root(c, amp):
     """A root far beyond 8 rad: every step, Halley's or, where 1 + r h <= 0
-    reverses it, Newton's, is clipped to 1 rad toward the root, so u moves
-    by exactly 8 rad (Halley's own step would turn back).  At amp = 0 the
-    closure is linear and predicts no error, but a clipped step never stops."""
+    reverses it, Newton's, is clipped to 1 rad toward the root, so e moves
+    by exactly 8 rad (Halley's own step would turn back).  X is amp and
+    Y = 0; at X = 0 the closure is linear and predicts no error, but a
+    clipped step never stops."""
     for track in filter(None, (_tracker.load(), pll._track_block)):
         u = np.array([0.5])
         zero = np.zeros((1, 1))
-        rec, phip = np.empty((2, 1, 1))
-        track(0.2, np.zeros(1), np.full((1, 1), c), np.full((1, 1), amp), zero, zero,
-              zero, u, rec, phip)
+        fr, phip = np.empty((1, 3)), np.empty((1, 1))
+        track(1, 0.2, np.zeros(1), 1.0, zero, np.full((1, 1), amp - 1.0), zero, u,
+              fr, phip)(0, np.full((1, 1), -c))
         assert u[0] == 0.5 + 8.0 * np.sign(c)
 
 
 @needs_kernel
 def test_kernel_rejects_mismatched_arrays():
-    """The kernel gets raw pointers, so every array is checked first."""
-    trev, cbase, amp, dpsi, q, r0 = block_inputs(0.02)
-    u = np.zeros(3)
-    rec, phip = np.empty_like(cbase), np.empty_like(cbase)
-    good = dict(trev=trev, cbase=cbase, amp=amp, dpsi=dpsi, q=q,
-                r0=r0, u=u, rec=rec, phip=phip)
-    frozen = np.empty_like(cbase)
+    """The kernel gets raw pointers, so every array is checked first: the
+    group's arrays when it is bound, and each block's far history and
+    offset."""
+    trev, twoa, phibar, x0, y0, far = block_inputs(0.02)
+    rows, n = phibar.shape
+    e = np.zeros(rows)
+    fr, phip = np.zeros((rows, trev.size + 1 + n)), np.empty_like(phibar)
+    good = dict(n=n, l0=0.4, trev=trev, twoa=twoa, phibar=phibar, x0=x0, y0=y0, e=e,
+                fr=fr, phip=phip)
+    frozen = np.empty_like(phip)
     frozen.flags.writeable = False
-    for name, bad in (("q", q[:, :2]), ("u", np.zeros(2)), ("trev", trev[:10]),
-                      ("amp", np.asfortranarray(amp)), ("dpsi", dpsi.astype(np.float32)),
-                      ("rec", rec[:, :2]), ("rec", np.empty((cbase.shape[0] + 1, 3))),
-                      ("phip", frozen)):
+    for name, bad in (("phibar", phibar[:2]), ("e", np.zeros(2)), ("trev", trev[:10]),
+                      ("x0", np.asfortranarray(x0)), ("y0", y0.astype(np.float32)),
+                      ("y0", y0[:, ::2]), ("fr", fr[:, :-1]), ("phip", phip[:, :-1]),
+                      ("phip", frozen), ("n", trev.size + 2), ("n", 0)):
         with pytest.raises(ValueError):
-            _tracker.load()(0.4, **{**good, name: bad})
-    _tracker.load()(0.4, **good)
+            _tracker.load()(**{**good, name: bad})
+    block = _tracker.load()(**good)
+    for j0, bad in ((0, far[:2]), (0, far[:, :-1]), (0, np.asfortranarray(far)), (1, far)):
+        with pytest.raises(ValueError):
+            block(j0, bad)
+    block(0, far)
+
+
+# The squeezed_z pinned cell's TrialResults as the amplitude-phase closure
+# wrote them.  X = 1 and Y = 0 make the closure in e the same arithmetic, so
+# the Cartesian form keeps every bit.
+SQUEEZED_Z_TRIALS = [
+    TrialResult(seed=41, trial=0, mse=0.005106582456578313, snr_empirical=195.82568351790687,
+                sigma0_sq_empirical=0.09143480449397115, cycle_slips=0),
+    TrialResult(seed=41, trial=1, mse=0.006154191514309293, snr_empirical=162.49088083704746,
+                sigma0_sq_empirical=0.08575076782887588, cycle_slips=0),
+    TrialResult(seed=41, trial=2, mse=0.008939877658228975, snr_empirical=111.85835402115602,
+                sigma0_sq_empirical=0.08694014669400897, cycle_slips=0)]
+
+
+def test_squeezed_z_cell_keeps_its_bits():
+    setup, extra, _ = PINNED["squeezed_z"]
+    design = make_design(lam=resolve_lambda(0.5, n_photon=10.0), n_samples=2048,
+                         band_bins=63, **setup)
+    assert simulate_batch(PllConfig(design, trials=3, seed=41, **extra)) == SQUEEZED_Z_TRIALS
+
+
+def test_row_group_working_set():
+    """One 32-row group at n = 4096 whose draws sit in a draw store (as in a
+    sweep) peaks, under tracemalloc, at most 6.5 group arrays (rows x m
+    float64) above its start: the record and its steady-state lead (1.5),
+    phibar, phi' and the far history's spectra and products in the loop,
+    fewer after it."""
+    cfg = PllConfig(make_design(beta=2.0, lam=30.0), trials=32, seed=61)
+    trials = list(range(32))
+    store = pll._DrawStore()
+    pll._draw(cfg, trials, store)
+    track = _tracker.load() or pll._track_block
+    taps = tracking_taps(cfg.design, 0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pll._simulate_group(cfg, store, track, taps, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 6.5 * 32 * cfg.design.grid.n_samples * 8
 
 
 def test_kernel_closure_constants_match():
@@ -794,15 +872,16 @@ def test_pipeline_cancels_queued_groups_on_error(monkeypatch):
 def test_non_finite_error_is_divergence(monkeypatch):
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=1, seed=3)
     scale_quadrature_noise(monkeypatch, float("nan"))
-    kernel, blocks = _tracker.load(), []
+    kernel, groups = _tracker.load(), []
     if kernel is not None:  # the closed loop runs through the compiled kernel
 
         def counted(*args):
-            blocks.append(kernel(*args))
+            groups.append(kernel(*args))
+            return groups[-1]
         monkeypatch.setattr(_tracker, "load", lambda: counted)
     with pytest.raises(LoopDivergenceError):
         simulate_batch(cfg, [0])
-    assert bool(blocks) == (kernel is not None)
+    assert bool(groups) == (kernel is not None)
     no_kernel(monkeypatch)
     with pytest.raises(LoopDivergenceError):
         simulate_batch(cfg, [0])
