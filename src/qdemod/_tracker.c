@@ -2,14 +2,14 @@
  * The two compiled loops of qdemod, built and loaded by qdemod._tracker.
  *
  * track_block: one tracker history block of a row group, closed sample by
- * sample; the compiled form of pll._track_block.  It reads the block
- * straight from the group's own (rows, m) arrays, each with its row stride:
- * the mean phase phibar, the quadratures x0 (NULL for squeezed_z) and y0,
- * and the far history, the lags that reach before the block (qdemod.pll
- * forms it by FFT).  It copies each row's tile into (n, rows) work buffers,
- * forms the closure constants there, adds the lags inside the block, closes
- * the loop in the tracking error e and writes the block's records into fr
- * and tracker outputs into phip.
+ * sample with all rows in lockstep; the compiled form of pll._track_block.
+ * It reads the block straight from the group's own (rows, m) arrays, each
+ * with its row stride: the mean phase phibar, the quadratures x0 (NULL for
+ * squeezed_z) and y0, and the far history, the lags that reach before the
+ * block (qdemod.pll forms it by FFT).  It copies each row's tile into
+ * (n, rows) work buffers, forms the closure constants there, adds the lags
+ * inside the block, closes the loop in the tracking error e and writes the
+ * block's records into fr and tracker outputs into phip.
  *
  * The record is phibar - e + X sin e + Y cos e + z, with X = 1 + x0/2|a|,
  * Y = y0/2|a| and z = 0, or, for squeezed_z, X = 1, Y = 0 and z = y0/2|a|.
@@ -24,17 +24,20 @@
  *            1 + r h <= 0 (far from the root, where Halley's step points
  *            away from it); the row stops once the error predicted after an
  *            unclipped step, (|lc/(6f')| + h^2) |step|^3, is below
- *            CLOSURE_TOL.
+ *            CLOSURE_TOL.  Each step runs over all rows of the group, and a
+ *            row that has stopped takes a zero step, so it keeps its bits.
  * Then phip = phibar - e and rec = (phibar + z) + ((X sin e + Y cos e) - e).
- * For squeezed_z the Y terms are left out, as is the cos that only they
- * read.  A NaN step is never clipped and never stops the iteration, and a
- * clipped step never stops it.
+ * A NaN step is never clipped and never stops the iteration, and a clipped
+ * step never stops it.  sin and
+ * cos are the package's own (sin_cos), not libm's, so the closure's row
+ * loop has no call in it and vectorises across the rows.
  *
  * levinson: the symmetric Toeplitz solve of the Wiener-Hopf normal
  * equations, the compiled form of wiener._levinson.
  *
  * Both follow their numpy forms operation for operation, so build them
- * without floating-point contraction.
+ * without floating-point contraction.  Vectorising keeps each element's
+ * operations and their order, so every ISA clone gives the same bits.
  */
 #include <math.h>
 #include <stddef.h>
@@ -42,11 +45,122 @@
 #define CLOSURE_STEPS 8
 #define CLOSURE_TOL 1e-13
 
+/* track_block is built for each ISA below and the loader picks the best one
+ * the CPU runs (ifunc).  Every clone makes the same IEEE operations in the
+ * same order, since nothing is contracted or reassociated, so they give the
+ * same bits.  Without the attribute (another compiler or target) the plain
+ * kernel is built. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define ISA_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef ISA_CLONES
+#define ISA_CLONES
+#define NO_ISA_CLONES
+#endif
+
+/* The clone of track_block this CPU runs, in the resolver's order. */
+const char *kernel_isa(void)
+{
+#ifndef NO_ISA_CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
+
+/* sin x and cos x by FreeBSD msun's method for |x| < 2^20 pi/2: Cody &
+ * Waite's reduction by pi/2 in three parts, msun's medium case with its
+ * second round always taken (fn PIO2_1 and fn PIO2_2 are exact for
+ * |fn| < 2^20), gives y0 + y1; then msun's __kernel_sin, with its tail y1,
+ * and __kernel_cos on [-pi/4, pi/4].  fn is rounded to nearest
+ * by the 0x1.8p52 shift, and the quadrant m4 = fn - 4 round(fn/4), in
+ * -2 .. 2, is picked by double comparisons and selects.  Within 1 ulp of
+ * glibc's for |x| <= 1e6; +-0 keeps its sign and NaN or +-inf give NaN.
+ * pll._sincos makes the same operations in numpy. */
+#define SHIFT 6755399441055744.0  /* 0x1.8p52 */
+#define INVPIO2 0.6366197723675814
+#define PIO2_1 1.5707963267341256
+#define PIO2_2 6.077100506303966e-11
+#define PIO2_2T 2.0222662487959506e-21
+#define S1 -0.16666666666666632
+#define S2 0.00833333333332249
+#define S3 -0.0001984126982985795
+#define S4 2.7557313707070068e-06
+#define S5 -2.5050760253406863e-08
+#define S6 1.58969099521155e-10
+#define C1 0.0416666666666666
+#define C2 -0.001388888888887411
+#define C3 2.480158728947673e-05
+#define C4 -2.7557314351390663e-07
+#define C5 2.087572321298175e-09
+#define C6 -1.1359647557788195e-11
+
+static inline void sin_cos(double x, double *sn, double *cs)
+{
+    const double fn = (x * INVPIO2 + SHIFT) - SHIFT;
+    const double t = x - fn * PIO2_1, u = fn * PIO2_2, r = t - u;
+    const double w = fn * PIO2_2T - ((t - r) - u);
+    const double y0 = r - w, y1 = (r - y0) - w;
+    const double z = y0 * y0, zz = z * z;
+    const double rs = (S2 + z * (S3 + z * S4)) + z * zz * (S5 + z * S6);
+    const double v = z * y0;
+    const double s = y0 - ((z * (0.5 * y1 - v * rs) - y1) - v * S1);
+    const double rc = z * (C1 + z * (C2 + z * C3)) + zz * zz * (C4 + z * (C5 + z * C6));
+    const double hz = 0.5 * z, wc = 1.0 - hz;
+    const double c = wc + (((1.0 - wc) - hz) + (z * rc - y0 * y1));
+    const double m4 = fn - 4.0 * ((fn * 0.25 + SHIFT) - SHIFT);
+    const int odd = fabs(m4) == 1.0;
+    const double so = odd ? c : s, co = odd ? s : c;
+    *sn = fabs(m4 - 0.5) > 1.0 ? -so : so;  /* m4 = -2, -1 or 2 */
+    *cs = fabs(m4 + 0.5) > 1.0 ? -co : co;  /* m4 = -2, 1 or 2 */
+}
+
+/* One Halley step of every row that has not stopped (stop[r] == 0), at the
+ * sample whose X, Y and c are x, y and c; a stopped row takes a zero step,
+ * so it keeps its bits.  Branch-free, so the row loop vectorises: both
+ * candidate steps are formed before one is selected. */
+static inline void halley_step(int rows, double l0, double k, const double *restrict x,
+                               const double *restrict y, const double *restrict c,
+                               double *restrict e, double *restrict stop)
+{
+    for (int r = 0; r < rows; r++) {
+        const double er = e[r], lx = l0 * x[r], ly = l0 * y[r];
+        double s, co;
+        sin_cos(er, &s, &co);
+        const double ls = s * lx + co * ly, lc = co * lx - s * ly;
+        const double fp = lc + k;
+        const double rt = (er * k + ls - c[r]) / fp;
+        const double h = ls / (2.0 * fp);
+        const double den = 1.0 + rt * h;
+        const double halley = rt / den;
+        const double step = den > 0.0 ? halley : rt;
+        const double a = fabs(step);
+        const double err = (fabs(lc / (6.0 * fp)) + h * h) * (a * a * a);
+        const double clipped = a > 1.0 ? (step > 0.0 ? 1.0 : -1.0) : step;
+        const int stopped = stop[r] != 0.0;
+        e[r] = er - (stopped ? 0.0 : clipped);
+        stop[r] = stopped | ((err < CLOSURE_TOL) & (a <= 1.0)) ? 1.0 : 0.0;
+    }
+}
+
+static inline int all_stopped(int rows, const double *stop)
+{
+    for (int r = 0; r < rows; r++)
+        if (stop[r] == 0.0)
+            return 0;
+    return 1;
+}
+
 /* A row group, bound once (qdemod._tracker.Kernel.__call__ checks every
  * array).  Row r of an array a starts at a + r * a_stride; each row is
  * contiguous.  trev holds the tracker taps for lags nt-1 .. 1, e each row's
  * tracking error, carried from sample to sample and block to block, and
- * work 5 n rows doubles.  fr holds nt steady-state records before the
+ * work (6 n + 3) rows doubles.  fr holds nt steady-state records before the
  * loop's record, so sample j's record is fr[nt + j]. */
 struct group {
     int n, rows, nt;
@@ -57,32 +171,37 @@ struct group {
 };
 
 /* Samples j0 .. j0 + n - 1; far (rows of n entries) is their far history. */
+ISA_CLONES
 void track_block(const struct group *g, int j0, const double *far, ptrdiff_t far_stride)
 {
     const int n = g->n, rows = g->rows, nt = g->nt;
     const double l0 = g->l0, twoa = g->twoa, k = 1.0 - l0;
     const size_t tile = (size_t)n * rows;
-    double *X = g->work, *Y = X + tile, *r0 = Y + tile, *cb = r0 + tile, *rec = cb + tile;
+    double *restrict X = g->work, *restrict Y = X + tile, *restrict pb = Y + tile;
+    double *restrict r0 = pb + tile, *restrict cb = r0 + tile, *restrict rec = cb + tile;
+    double *restrict c = rec + tile, *restrict e = c + rows, *restrict stop = e + rows;
     for (int r = 0; r < rows; r++) {
-        const double *pb = g->phibar + r * g->phibar_stride + j0;
+        const double *p = g->phibar + r * g->phibar_stride + j0;
         const double *y0 = g->y0 + r * g->y0_stride + j0;
         const double *x0 = g->x0 ? g->x0 + r * g->x0_stride + j0 : NULL;
         const double *fa = far + r * far_stride;
         for (int i = 0; i < n; i++) {
             const size_t o = (size_t)i * rows + r;
+            pb[o] = p[i];
             if (x0) {
                 X[o] = x0[i] / twoa + 1.0;
                 Y[o] = y0[i] / twoa;
-                r0[o] = pb[i];
-                cb[o] = k * pb[i] - fa[i];
+                r0[o] = p[i];
+                cb[o] = k * p[i] - fa[i];
             } else {
                 const double z = y0[i] / twoa;
                 X[o] = 1.0;
                 Y[o] = 0.0;
-                r0[o] = pb[i] + z;
-                cb[o] = k * pb[i] - l0 * z - fa[i];
+                r0[o] = p[i] + z;
+                cb[o] = k * p[i] - l0 * z - fa[i];
             }
         }
+        e[r] = g->e[r];
     }
     for (int i = 0; i < n; i++) {
         const size_t o = (size_t)i * rows;
@@ -96,39 +215,31 @@ void track_block(const struct group *g, int j0, const double *far, ptrdiff_t far
             for (int r = 0; r < rows; r++)
                 lag[r] += wj * rj[r];
         }
-        for (int r = 0; r < rows; r++) {
-            const double c = cb[o + r] - lag[r], x = X[o + r], y = Y[o + r];
-            double er;
-            if (l0 == 0.0) {
-                er = c;
-            } else {
-                const double lx = l0 * x, ly = l0 * y;
-                er = g->e[r];
-                for (int it = 0; it < CLOSURE_STEPS; it++) {
-                    const double s = sin(er), co = cos(er);
-                    const double ls = g->x0 ? s * lx + co * ly : s * lx;
-                    const double lc = g->x0 ? co * lx - s * ly : co * lx;
-                    const double fp = lc + k;
-                    const double rt = (er * k + ls - c) / fp;
-                    const double h = ls / (2.0 * fp);
-                    const double den = 1.0 + rt * h;
-                    double step = den > 0.0 ? rt / den : rt;
-                    const double a = fabs(step);
-                    const double err = (fabs(lc / (6.0 * fp)) + h * h) * (a * a * a);
-                    if (a > 1.0)
-                        step = step > 0.0 ? 1.0 : -1.0;
-                    er -= step;
-                    if (err < CLOSURE_TOL && a <= 1.0)
-                        break;
-                }
-            }
-            g->e[r] = er;
-            const double rr = r0[o + r]
-                + ((g->x0 ? sin(er) * x + cos(er) * y : sin(er) * x) - er);
-            rec[o + r] = rr;
-            g->fr[r * g->fr_stride + nt + j0 + i] = rr;
-            g->phip[r * g->phip_stride + j0 + i] = g->phibar[r * g->phibar_stride + j0 + i] - er;
+        for (int r = 0; r < rows; r++)
+            c[r] = cb[o + r] - lag[r];
+        if (l0 == 0.0) {
+            for (int r = 0; r < rows; r++)
+                e[r] = c[r];
+        } else {
+            for (int r = 0; r < rows; r++)
+                stop[r] = 0.0;
+            for (int it = 0; it < CLOSURE_STEPS && !all_stopped(rows, stop); it++)
+                halley_step(rows, l0, k, X + o, Y + o, c, e, stop);
         }
+        for (int r = 0; r < rows; r++) {
+            double s, co;
+            sin_cos(e[r], &s, &co);
+            rec[o + r] = r0[o + r] + ((s * X[o + r] + co * Y[o + r]) - e[r]);
+            pb[o + r] -= e[r];  /* the tracker output */
+        }
+    }
+    for (int r = 0; r < rows; r++) {
+        double *f = g->fr + r * g->fr_stride + nt + j0, *out = g->phip + r * g->phip_stride + j0;
+        for (int i = 0; i < n; i++) {
+            f[i] = rec[(size_t)i * rows + r];
+            out[i] = pb[(size_t)i * rows + r];
+        }
+        g->e[r] = e[r];
     }
 }
 

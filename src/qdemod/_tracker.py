@@ -5,13 +5,18 @@ closes one tracker history block of a row group straight from the group's
 own arrays (pll._track_block in numpy), and levinson, the Toeplitz solve of
 the Wiener-Hopf normal equations (wiener._levinson in numpy).  A Kernel call
 binds a row group once, checking its arrays, and returns the per-block call,
-which passes the kernel only the block's offset and far history.  It is built on the first call to load(), with
-the interpreter's C compiler and flags that keep its rounding equal to the
-numpy loops', and cached in this package's __pycache__ under a hash of the
-source and the flags, so later processes only load it.  Where __pycache__ is
-not writable it is built into a private temporary directory for this process
-alone.  load() returns None when there is no compiler or the build fails;
-pll and wiener then run their numpy loops instead.
+which passes the kernel only the block's offset and far history.
+track_block is built as ISA clones (avx512f, avx2 and the baseline, on
+x86-64 with glibc), and the loader runs the best one the CPU has; they give
+the same bits, since nothing is contracted or reassociated.  Kernel.isa
+names the clone this process runs.  The library is built on the first call
+to load(), with the interpreter's C compiler and flags that keep its
+rounding equal to the numpy loops', and cached in this package's
+__pycache__ under a hash of the source and the flags, so later processes
+only load it.  Where __pycache__ is not writable it is built into a private
+temporary directory for this process alone.  load() returns None when there
+is no compiler or the build fails; pll and wiener then run their numpy
+loops instead.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_tracker.c")
 # No -ffast-math or -march=native, and no fused multiply-adds: the kernel
 # must round like the numpy loops and rebuild to the same results anywhere.
-# -O3 vectorises the in-block lag loop across rows, which never reorders a
-# row's sum.
+# -O3 vectorises the in-block lag and record loops across rows, and in the
+# avx512f clone the closure's step too; that never reorders or contracts a
+# row's operations, so every clone gives the same bits.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 _loaded = {}  # "kernel": the Kernel or None, once load() has run
@@ -65,6 +71,9 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
+        lib.kernel_isa.argtypes = []
+        lib.kernel_isa.restype = ctypes.c_char_p
+        self.isa = lib.kernel_isa().decode()  # the clone of track_block this CPU runs
         self._levinson = lib.levinson
         self._levinson.argtypes = [ctypes.c_int, *[ctypes.c_void_p] * 4]
         self._levinson.restype = ctypes.c_int
@@ -92,7 +101,7 @@ class Kernel:
                 or not all(a.flags.writeable for a in (e, fr, phip))
                 or not 1 <= n <= min(nt, m)):
             raise ValueError("tracker group arrays do not match")
-        work = np.empty(5 * n * rows)
+        work = np.empty((6 * n + 3) * rows)
         group = _Group(n, rows, nt, l0, twoa, trev.ctypes.data, phibar.ctypes.data,
                        None if x0 is None else x0.ctypes.data, y0.ctypes.data,
                        strides[0], x0_stride, strides[1], strides[2], strides[3],
@@ -167,8 +176,8 @@ def load() -> Kernel | None:
 
 def describe() -> str:
     """The path this process's closed loop and solves have taken (the
-    library's hash, numpy, or not run), for the run manifest."""
+    library's hash and clone, numpy, or not run), for the run manifest."""
     if "kernel" not in _loaded:
         return "not run"
     kernel = _loaded["kernel"]
-    return "numpy" if kernel is None else f"c kernel {kernel.digest}"
+    return "numpy" if kernel is None else f"c kernel {kernel.digest} ({kernel.isa})"

@@ -33,8 +33,12 @@ its own unclipped step predicts, (|lc/(6f')| + h^2) |step|^3, is below
 _CLOSURE_TOL (a cubic stop), after at most _CLOSURE_STEPS (8) steps,
 clipping any step beyond +-1 rad; a NaN or clipped step never stops it.  A
 step takes one sin e and one cos e, and a locked sample takes about two
-steps.  For squeezed_z the Y terms are left out, which is the same
-arithmetic with Y = 0.
+steps.  squeezed_z runs the same arithmetic with X = 1 and Y = 0.  The
+step runs over all rows of a group in lockstep, a stopped row taking a
+zero step, and sin and cos are the package's own (_sincos, msun's kernels
+after a Cody-Waite reduction, within 1 ulp of libm for |e| <= 1e6, far
+beyond _DIVERGENCE_LIMIT), so the compiled step has no call in it and
+vectorises across the rows.
 
 The tracker history is a uniformly partitioned convolution (Gardner, JAES
 43(3), 1995) over blocks of _BLOCK (128) samples.  The lags that reach
@@ -50,7 +54,9 @@ fr and the tracker output into phip in place.  The kernel is bound to the
 group once, when its arrays are checked (_tracker.Kernel), and built with
 the interpreter's C compiler at -O3 without floating-point contraction on
 first use (a loop design solves its normal equations there too) and cached
-under the package's __pycache__.
+under the package's __pycache__.  track_block is built as ISA clones
+(avx512f, avx2 and the baseline) and the best one the CPU has runs; each
+makes the same operations on each row, so all give the same bits.
 Without a compiler, _track_block runs the same loop in numpy with rows in
 lockstep, operation for operation, so both paths give the same bits.
 
@@ -60,9 +66,9 @@ the delayed MAP filter design.g_delayed = G exp(-i w d dt) then gives the
 message estimate, both through FilterKernel.apply.  The per-trial
 statistics are taken from the tracking error before the estimate, which
 then works in place in the group's record and phi' arrays, so a group's
-working set peaks in the loop, at about six (rows, m) float arrays: phibar,
-phi', the record with its steady-state lead, and the far history's spectra
-and products.
+working set peaks in the loop, at about five (rows, m) float arrays:
+phibar, phi', the record with its steady-state lead, and the far history's
+stored spectra.
 
 A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
 trials, the only unit of work; the last group is shorter when 32 does not
@@ -202,6 +208,123 @@ def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
     return np.concatenate(([0.0], normal_equation_taps(design.u, design.v, first=1)))
 
 
+# The constants of _tracker.c's sin_cos, FreeBSD msun's: the reduction by
+# pi/2 in three parts (_PIO2_1 and _PIO2_2 have 33 bits, so their products
+# with fn are exact for |fn| < 2^20) and the coefficients of __kernel_sin
+# and __kernel_cos.  0-d arrays, which a ufunc takes faster than floats.
+_SHIFT = np.array(6755399441055744.0)  # 0x1.8p52: (x + _SHIFT) - _SHIFT rounds x to nearest
+_INVPIO2 = np.array(0.6366197723675814)
+_PIO2_1 = np.array(1.5707963267341256)
+_PIO2_2 = np.array(6.077100506303966e-11)
+_PIO2_2T = np.array(2.0222662487959506e-21)
+_S1, _S2, _S3, _S4, _S5, _S6 = map(np.array, (
+    -0.16666666666666632, 0.00833333333332249, -0.0001984126982985795,
+    2.7557313707070068e-06, -2.5050760253406863e-08, 1.58969099521155e-10))
+_C1, _C2, _C3, _C4, _C5, _C6 = map(np.array, (
+    0.0416666666666666, -0.001388888888887411, 2.480158728947673e-05,
+    -2.7557314351390663e-07, 2.087572321298175e-09, -1.1359647557788195e-11))
+
+
+def _sincos(x, work=None):
+    """(sin x, cos x) for a 1-d float array x, as the kernel's sin_cos makes
+    them: the same IEEE operations in the same order, so the same bits.
+
+    Cody & Waite's reduction by pi/2 in three parts (msun's medium case,
+    its second round always taken), fn rounded to nearest by the 0x1.8p52
+    shift and y0 + y1 the reduced argument; msun's __kernel_sin (with its
+    tail y1) and __kernel_cos; then the quadrant m4 = fn - 4 round(fn/4),
+    in -2 .. 2, swaps the two where it is odd and sets their signs.  Within
+    1 ulp of np.sin and np.cos for |x| <= 1e6; +-0 keeps its sign and NaN or
+    +-inf give NaN.  work holds the work arrays (_sincos_work), the results
+    in its first two rows.
+    """
+    buf, mask = _sincos_work(x.size) if work is None else work
+    s, c, fn, r, y0, y1, z, zz, a, b = buf
+    np.multiply(x, _INVPIO2, out=fn)
+    fn += _SHIFT
+    fn -= _SHIFT
+    np.multiply(fn, _PIO2_1, out=a)
+    np.subtract(x, a, out=a)  # t
+    np.multiply(fn, _PIO2_2, out=b)  # u
+    np.subtract(a, b, out=r)
+    a -= r
+    a -= b
+    np.multiply(fn, _PIO2_2T, out=b)
+    b -= a  # w
+    np.subtract(r, b, out=y0)
+    np.subtract(r, y0, out=y1)
+    y1 -= b
+    np.multiply(y0, y0, out=z)
+    np.multiply(z, z, out=zz)
+    # __kernel_sin: y0 - ((z (y1/2 - v rs) - y1) - v S1), v = z y0 and
+    # rs = (S2 + z (S3 + z S4)) + z zz (S5 + z S6)
+    np.multiply(z, _S4, out=s)
+    s += _S3
+    s *= z
+    s += _S2
+    np.multiply(z, _S6, out=a)
+    a += _S5
+    np.multiply(z, zz, out=b)
+    a *= b
+    s += a  # rs
+    np.multiply(z, y0, out=b)  # v
+    s *= b
+    np.multiply(y1, 0.5, out=a)
+    a -= s
+    a *= z
+    a -= y1
+    np.multiply(b, _S1, out=s)
+    a -= s
+    np.subtract(y0, a, out=s)
+    # __kernel_cos: wc + (((1 - wc) - hz) + (z rc - y0 y1)), hz = z/2,
+    # wc = 1 - hz and rc = z (C1 + z (C2 + z C3)) + zz zz (C4 + z (C5 + z C6))
+    np.multiply(z, _C3, out=c)
+    c += _C2
+    c *= z
+    c += _C1
+    c *= z
+    np.multiply(z, _C6, out=a)
+    a += _C5
+    a *= z
+    a += _C4
+    zz *= zz
+    a *= zz
+    c += a  # rc
+    c *= z
+    np.multiply(y0, y1, out=a)
+    c -= a
+    z *= 0.5  # hz
+    np.subtract(1.0, z, out=a)  # wc
+    np.subtract(1.0, a, out=b)
+    b -= z
+    b += c
+    np.add(a, b, out=c)
+    # the quadrant m4 in fn's place: an odd one swaps the two, then sin is
+    # negated where |m4 - 1/2| > 1 (m4 = -2, -1, 2) and cos where
+    # |m4 + 1/2| > 1 (m4 = -2, 1, 2)
+    np.multiply(fn, 0.25, out=a)
+    a += _SHIFT
+    a -= _SHIFT
+    a *= 4.0
+    fn -= a
+    np.abs(fn, out=a)
+    np.equal(a, 1.0, out=mask)
+    np.copyto(a, s)
+    np.copyto(s, c, where=mask)
+    np.copyto(c, a, where=mask)
+    for out, side in ((s, -0.5), (c, 0.5)):
+        np.add(fn, side, out=a)
+        np.abs(a, out=a)
+        np.greater(a, 1.0, out=mask)
+        np.negative(out, out=out, where=mask)
+    return s, c
+
+
+def _sincos_work(size):
+    """Work arrays of _sincos for arguments of the given size."""
+    return np.empty((10, size)), np.empty(size, bool)
+
+
 def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
     """block(j0, far), which closes samples j0 .. j0 + n - 1 of a row group,
     all rows in lockstep (numpy form).
@@ -213,25 +336,27 @@ def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
     place), and fr and phip, into which a block writes its records (after
     fr's nt steady-state records) and tracker outputs.  far is the block's
     far history, (rows, n).  Halley solves k e + l0 (X sin e + Y cos e) = c
-    (module docstring).  Its arithmetic is the kernel's, l0 X and l0 Y too,
-    operation for operation, so the bits are too: each row sums its
-    in-block lags from 0.0, oldest first, clips its own step to +-1 rad (a
-    NaN passes) and stops on the error that step predicts.
+    (module docstring).  Its arithmetic is the kernel's, l0 X and l0 Y and
+    sin and cos (_sincos) too, operation for operation, so the bits are too:
+    each row sums its in-block lags from 0.0, oldest first, clips its own
+    step to +-1 rad (a NaN passes) and stops on the error that step
+    predicts, after which its steps are zero.
     """
     rows = e.size
     nt = trev.size + 1
     k = 1.0 - l0
-    scratch = [np.empty(rows) for _ in range(13)] + [np.empty(rows, bool) for _ in range(2)]
+    scratch = [np.empty(rows) for _ in range(11)] + [np.empty(rows, bool) for _ in range(2)]
+    work = _sincos_work(rows)
     terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each sum starts
     rec, out = np.empty((n, rows)), np.empty((n, rows))
-    ones = np.ones((n, rows))  # squeezed_z's X; its Y = 0 terms are left out
+    ones, zeros = np.ones((n, rows)), np.zeros((n, rows))  # squeezed_z's X and Y
 
     def block(j0, far):
-        c, s, co, ls, lc, t, fp, rt, h, den, step, a, err, halley, done = scratch
+        c, ls, lc, t, fp, rt, h, den, step, a, err, halley, done = scratch
         cols = slice(j0, j0 + n)
         pb = phibar[:, cols].T
         if x0 is None:  # X = 1, Y = 0 and the record offset z = y0/2|a|
-            x, y = ones, None
+            x, y = ones, zeros
             z = y0[:, cols].T / twoa
             r0 = pb + z
             cb = k * pb - l0 * z - far.T
@@ -248,17 +373,14 @@ def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
             if l0 == 0.0:
                 e[:] = c  # l0 = 0: the closure is explicit
             else:
-                lx = l0 * x[i]
-                ly = None if y is None else l0 * y[i]
+                lx, ly = l0 * x[i], l0 * y[i]
                 done[:] = False
                 for _ in range(_CLOSURE_STEPS):
-                    np.sin(e, out=s)
-                    np.cos(e, out=co)
+                    s, co = _sincos(e, work)
                     np.multiply(s, lx, out=ls)
+                    ls += np.multiply(co, ly, out=t)
                     np.multiply(co, lx, out=lc)
-                    if y is not None:
-                        ls += np.multiply(co, ly, out=t)
-                        lc -= np.multiply(s, ly, out=t)
+                    lc -= np.multiply(s, ly, out=t)
                     np.add(lc, k, out=fp)
                     np.multiply(e, k, out=rt)
                     rt += ls
@@ -282,10 +404,9 @@ def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
                     if np.count_nonzero(done) == done.size:
                         break
             np.subtract(pb[i], e, out=out[i])
-            np.sin(e, out=s)
+            s, co = _sincos(e, work)
             s *= x[i]
-            if y is not None:
-                s += np.multiply(np.cos(e, out=co), y[i], out=t)
+            s += np.multiply(co, y[i], out=t)
             s -= e
             np.add(r0[i], s, out=rec[i])
         fr[:, nt + j0: nt + j0 + n] = rec.T
@@ -325,8 +446,9 @@ def _far_history(taps, kb, fr):
     = Z_k + (-1)^f Z_{k+1}; the zero half of Z_b keeps the block itself
     out.  Collected by Z, the sum is sum_p Z_{b-p} G_p with G_p = H_p +
     (-1)^f H_{p+1}, so a block costs one forward FFT, one product and one
-    inverse FFT.  Every step is row-wise, and the products are summed
-    oldest block first, so a row's history never depends on the other rows.
+    inverse FFT.  Every step is row-wise, and the products are summed into
+    one accumulator oldest block first, so a row's history never depends on
+    the other rows.
     """
     rows, nt = fr.shape[0], taps.size
     parts = nt // kb
@@ -345,14 +467,14 @@ def _far_history(taps, kb, fr):
     zs = np.empty((parts, rows, kb + 1), complex)
     for k in range(1, parts):
         zs[k] = spectrum(k)
-    prod = np.empty_like(zs)
-    acc = np.empty((rows, kb + 1), complex)
+    acc, term = np.empty((2, rows, kb + 1), complex)
     for b in range(parts, fr.shape[1] // kb):
         s = b % parts
         zs[s] = spectrum(b)
-        np.multiply(zs[s + 1:], g_old_first[: parts - 1 - s], out=prod[: parts - 1 - s])
-        np.multiply(zs[: s + 1], g_old_first[parts - 1 - s:], out=prod[parts - 1 - s:])
-        np.add.reduce(prod, axis=0, out=acc)
+        # sum_p Z_{b-p} G_p, oldest block first: zs[s + 1], ..., zs[s]
+        np.multiply(zs[(s + 1) % parts], g_old_first[0], out=acc)
+        for p in range(1, parts):
+            acc += np.multiply(zs[(s + 1 + p) % parts], g_old_first[p], out=term)
         yield np.fft.irfft(acc, n=2 * kb, axis=1)[:, kb:]
 
 

@@ -54,8 +54,8 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _environment() -> dict:
     """Interpreter, library, BLAS and platform versions, the CPU count, the
     worker threads of a command's pool (the process's CPUs), the
-    path the compiled library's loops took (c kernel <hash>, numpy or not run)
-    and the BLAS thread settings."""
+    path the compiled library's loops took (c kernel <hash> (<clone>), numpy
+    or not run) and the BLAS thread settings."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 only prints its build configuration

@@ -195,7 +195,8 @@ def test_cli_limits_end_to_end(tmp_path, capsys):
     assert f"workers = {cpus}\n" in manifest
     assert f"OPENBLAS_NUM_THREADS = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}\n" in manifest
     # limits runs no closed loop; an earlier simulation in this process may have
-    assert re.search(r"^tracker = (not run|numpy|c kernel [0-9a-f]{16})$", manifest, re.M)
+    assert re.search(r"^tracker = (not run|numpy|c kernel [0-9a-f]{16} \((avx512f|avx2|default)\))$",
+                     manifest, re.M)
 
 
 def test_python_m_qdemod(tmp_path):
@@ -225,7 +226,7 @@ def test_python_m_qdemod_simulate_builds_tracker(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert len((out / "results.csv").read_text().splitlines()) == 4
     kernel = _tracker.load()
-    tracker = "numpy" if kernel is None else f"c kernel {kernel.digest}"
+    tracker = "numpy" if kernel is None else f"c kernel {kernel.digest} ({kernel.isa})"
     assert f"tracker = {tracker}\n" in (out / "manifest.txt").read_text()
     built = list((pkg / "qdemod" / "__pycache__").glob("_tracker-*.so"))
     assert len(built) == (kernel is not None)
@@ -633,7 +634,7 @@ def test_fixture_bytes_are_the_same_on_both_tracker_paths(fixture, tmp_path, mon
     """A configs/ fixture writes the same bytes in every output but the
     manifest with the compiled library and with the numpy loops
     (_tracker.load patched to None).  sweep_pm_sql is left out: the numpy
-    tracker runs it about six times slower."""
+    tracker runs it about 45 times slower."""
     path = Path(__file__).resolve().parents[1] / "configs" / f"{fixture}.cfg"
     command = re.search(r"^\[(\w+)\]", path.read_text(), re.M).group(1)
     numpy_calls, outputs = [], []

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -229,12 +230,12 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0):
 BLOCK_LIGHTS = ("coherent", "strided", "squeezed_z")
 
 
-def block_inputs(trev_scale, light="coherent"):
-    """(trev, 2|a|, phibar, x0, y0, far) of one 40-sample, 3-row tracker
-    block: row 1 takes a first closure step far beyond the +-1 rad clip,
+def block_inputs(trev_scale, light="coherent", rows=3):
+    """(trev, 2|a|, phibar, x0, y0, far) of one 40-sample tracker block of
+    rows rows: row 1 takes a first closure step far beyond the +-1 rad clip,
     row 0 turns NaN."""
     rng = np.random.default_rng(7)
-    n, rows, nt = 40, 3, 50
+    n, nt = 40, 50
     trev = trev_scale * rng.standard_normal(nt - 1)
     phibar, far = rng.standard_normal((2, rows, n))
     quads = 0.2 * rng.standard_normal((rows, 2, n))  # X = 1 + x0/2|a|, Y = y0/2|a|
@@ -385,10 +386,17 @@ def test_kernel_rejects_mismatched_arrays():
     block(0, far)
 
 
-# The squeezed_z pinned cell's TrialResults as the amplitude-phase closure
-# wrote them.  X = 1 and Y = 0 make the closure in e the same arithmetic, so
-# the Cartesian form keeps every bit.
+# The squeezed_z pinned cell's TrialResults with the package's own sincos,
+# and as the closure wrote them with libm's sin and cos: those differ by at
+# most an ulp, and the results only at rounding level.
 SQUEEZED_Z_TRIALS = [
+    TrialResult(seed=41, trial=0, mse=0.005106582456578319, snr_empirical=195.82568351790664,
+                sigma0_sq_empirical=0.09143480449397115, cycle_slips=0),
+    TrialResult(seed=41, trial=1, mse=0.00615419151430929, snr_empirical=162.49088083704754,
+                sigma0_sq_empirical=0.08575076782887588, cycle_slips=0),
+    TrialResult(seed=41, trial=2, mse=0.008939877658228975, snr_empirical=111.85835402115602,
+                sigma0_sq_empirical=0.08694014669400897, cycle_slips=0)]
+SQUEEZED_Z_TRIALS_LIBM = [
     TrialResult(seed=41, trial=0, mse=0.005106582456578313, snr_empirical=195.82568351790687,
                 sigma0_sq_empirical=0.09143480449397115, cycle_slips=0),
     TrialResult(seed=41, trial=1, mse=0.006154191514309293, snr_empirical=162.49088083704746,
@@ -401,15 +409,20 @@ def test_squeezed_z_cell_keeps_its_bits():
     setup, extra, _ = PINNED["squeezed_z"]
     design = make_design(lam=resolve_lambda(0.5, n_photon=10.0), n_samples=2048,
                          band_bins=63, **setup)
-    assert simulate_batch(PllConfig(design, trials=3, seed=41, **extra)) == SQUEEZED_Z_TRIALS
+    got = simulate_batch(PllConfig(design, trials=3, seed=41, **extra))
+    assert got == SQUEEZED_Z_TRIALS
+    for trial, libm in zip(got, SQUEEZED_Z_TRIALS_LIBM):
+        assert trial.mse == pytest.approx(libm.mse, rel=1e-12)
+        assert trial.sigma0_sq_empirical == pytest.approx(libm.sigma0_sq_empirical, rel=1e-12)
+        assert trial.cycle_slips == libm.cycle_slips
 
 
 def test_row_group_working_set():
     """One 32-row group at n = 4096 whose draws sit in a draw store (as in a
-    sweep) peaks, under tracemalloc, at most 6.5 group arrays (rows x m
+    sweep) peaks, under tracemalloc, at most 5.5 group arrays (rows x m
     float64) above its start: the record and its steady-state lead (1.5),
-    phibar, phi' and the far history's spectra and products in the loop,
-    fewer after it."""
+    phibar, phi' and the far history's stored spectra in the loop, fewer
+    after it."""
     cfg = PllConfig(make_design(beta=2.0, lam=30.0), trials=32, seed=61)
     trials = list(range(32))
     store = pll._DrawStore()
@@ -424,20 +437,90 @@ def test_row_group_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 6.5 * 32 * cfg.design.grid.n_samples * 8
+    assert peak - start <= 5.5 * 32 * cfg.design.grid.n_samples * 8
+
+
+SINCOS_CONSTANTS = ("SHIFT", "INVPIO2", "PIO2_1", "PIO2_2", "PIO2_2T",
+                    *(f"S{i}" for i in range(1, 7)), *(f"C{i}" for i in range(1, 7)))
 
 
 def test_kernel_closure_constants_match():
+    """The closure's and the sincos' constants are the twin's, verbatim."""
     text = _tracker.SOURCE.read_text()
     assert f"#define CLOSURE_STEPS {pll._CLOSURE_STEPS}\n" in text
     assert f"#define CLOSURE_TOL {pll._CLOSURE_TOL!r}\n" in text
+    for name in SINCOS_CONSTANTS:
+        value = float(getattr(pll, f"_{name}"))
+        assert re.search(rf"^#define {name} {re.escape(repr(value))}\s", text, re.M), name
+
+
+# the one line that builds track_block as ISA clones
+CLONES_LINE = '#define ISA_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))\n'
 
 
 def test_kernel_flags_keep_the_rounding():
-    """The bit-identity the tests rest on needs an unfused, strict build."""
+    """The bit-identity the tests rest on needs an unfused, strict build,
+    and clones that only widen the vectors: no arch= and no fma."""
     flags = _tracker.FLAGS
     assert "-ffp-contract=off" in flags
     assert not {"-ffast-math", "-Ofast", "-march=native", "-mfma"} & set(flags)
+    text = _tracker.SOURCE.read_text()
+    assert text.count("target_clones(") == text.count(CLONES_LINE) == 1
+    clones = re.search(r"target_clones\(([^)]*)\)", text).group(1)
+    assert not re.search(r"arch=|fma", clones)
+
+
+def test_sincos_is_within_an_ulp_of_numpy():
+    """pll._sincos, the kernel's sin_cos in numpy, is within 1 ulp of np.sin
+    and np.cos on 1e6 normal draws at each scale."""
+    rng = np.random.default_rng(2025)
+    for scale in (0.3, 3.0, 300.0, 1e5):
+        for _ in range(4):
+            x = scale * rng.standard_normal(250_000)
+            for got, want in zip(pll._sincos(x), (np.sin(x), np.cos(x))):
+                assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), scale
+
+
+def test_sincos_keeps_signed_zeros_and_has_no_finite_value_at_infinity():
+    """sin(+-0) = +-0 with its sign, cos(+-0) = 1, and NaN and +-inf give NaN."""
+    x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        s, c = pll._sincos(x)
+    assert np.array_equal(np.signbit(s[:2]), [False, True]) and np.all(s[:2] == 0.0)
+    assert np.all(c[:2] == 1.0)
+    assert np.isnan(s[2:]).all() and np.isnan(c[2:]).all()
+
+
+@needs_kernel
+def test_kernel_names_its_clone():
+    kernel = _tracker.load()
+    assert kernel.isa in ("avx512f", "avx2", "default")
+    assert _tracker.describe() == f"c kernel {kernel.digest} ({kernel.isa})"
+
+
+@needs_kernel
+def test_isa_clones_give_the_plain_kernels_bits(tmp_path, monkeypatch):
+    """The loaded library (the clone this CPU runs), the same source built
+    without clones and the numpy loop write the same records and tracker
+    outputs for 37-row blocks of each light, at l0 = 0 and 0.4: vector
+    bodies, their remainder rows, a clipped row and a NaN row alike."""
+    source = tmp_path / "_tracker.c"
+    text = _tracker.SOURCE.read_text()
+    assert CLONES_LINE in text
+    source.write_text(text.replace(CLONES_LINE, "#define ISA_CLONES\n"))
+    monkeypatch.setattr(_tracker, "SOURCE", source)
+    plain = _tracker._build()
+    assert plain is not None and plain.digest != _tracker.load().digest
+    rows = list(range(37))
+    for l0 in (0.0, 0.4):
+        for light in BLOCK_LIGHTS:
+            inputs = block_inputs(0.02, light, rows=37)
+            want = run_block(_tracker.load(), l0, inputs, rows)
+            assert np.isnan(want[1][20:, 0]).all() and np.isfinite(want[1][:, 1:]).all()
+            for track in (plain, pll._track_block):
+                got = run_block(track, l0, inputs, rows)
+                assert all(np.array_equal(a, b, equal_nan=True)
+                           for a, b in zip(got, want)), (l0, light)
 
 
 def test_tracker_build_cache_and_failure(tmp_path, monkeypatch):
