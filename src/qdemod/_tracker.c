@@ -37,7 +37,8 @@
  *
  * Both follow their numpy forms operation for operation, so build them
  * without floating-point contraction.  Vectorising keeps each element's
- * operations and their order, so every ISA clone gives the same bits.
+ * operations and their order, so both builds of track_block give the same
+ * bits.
  */
 #include <math.h>
 #include <stddef.h>
@@ -45,30 +46,30 @@
 #define CLOSURE_STEPS 8
 #define CLOSURE_TOL 1e-13
 
-/* track_block is built for each ISA below and the loader picks the best one
- * the CPU runs (ifunc).  Every clone makes the same IEEE operations in the
- * same order, since nothing is contracted or reassociated, so they give the
- * same bits.  Without the attribute (another compiler or target) the plain
- * kernel is built. */
+/* track_block is built twice, for ISA_CLONE and for the baseline, and the
+ * loader runs the ISA_CLONE build where the CPU has it (ifunc).  Both make
+ * the same IEEE operations in the same order, since nothing is contracted or
+ * reassociated, so they give the same bits.  Without the attribute (another
+ * compiler or target) ISA_CLONE stays undefined and the plain kernel is
+ * built. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define ISA_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define ISA_CLONE "avx512f"
 #endif
 #endif
-#ifndef ISA_CLONES
+#ifdef ISA_CLONE
+#define ISA_CLONES __attribute__((target_clones(ISA_CLONE, "default")))
+#else
 #define ISA_CLONES
-#define NO_ISA_CLONES
 #endif
 
-/* The clone of track_block this CPU runs, in the resolver's order. */
+/* The clone of track_block this CPU runs: the resolver's own test. */
 const char *kernel_isa(void)
 {
-#ifndef NO_ISA_CLONES
+#ifdef ISA_CLONE
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f"))
-        return "avx512f";
-    if (__builtin_cpu_supports("avx2"))
-        return "avx2";
+    if (__builtin_cpu_supports(ISA_CLONE))
+        return ISA_CLONE;
 #endif
     return "default";
 }

@@ -6,9 +6,9 @@ own arrays (pll._track_block in numpy), and levinson, the Toeplitz solve of
 the Wiener-Hopf normal equations (wiener._levinson in numpy).  A Kernel call
 binds a row group once, checking its arrays, and returns the per-block call,
 which passes the kernel only the block's offset and far history.
-track_block is built as ISA clones (avx512f, avx2 and the baseline, on
-x86-64 with glibc), and the loader runs the best one the CPU has; they give
-the same bits, since nothing is contracted or reassociated.  Kernel.isa
+track_block is built twice on x86-64 with glibc, for avx512f and for the
+baseline, and the loader runs the avx512f build where the CPU has it; both
+give the same bits, since nothing is contracted or reassociated.  Kernel.isa
 names the clone this process runs.  The library is built on the first call
 to load(), with the interpreter's C compiler and flags that keep its
 rounding equal to the numpy loops', and cached in this package's
@@ -38,7 +38,7 @@ SOURCE = Path(__file__).with_name("_tracker.c")
 # must round like the numpy loops and rebuild to the same results anywhere.
 # -O3 vectorises the in-block lag and record loops across rows, and in the
 # avx512f clone the closure's step too; that never reorders or contracts a
-# row's operations, so every clone gives the same bits.
+# row's operations, so both clones give the same bits.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 _loaded = {}  # "kernel": the Kernel or None, once load() has run

@@ -54,11 +54,13 @@ fr and the tracker output into phip in place.  The kernel is bound to the
 group once, when its arrays are checked (_tracker.Kernel), and built with
 the interpreter's C compiler at -O3 without floating-point contraction on
 first use (a loop design solves its normal equations there too) and cached
-under the package's __pycache__.  track_block is built as ISA clones
-(avx512f, avx2 and the baseline) and the best one the CPU has runs; each
-makes the same operations on each row, so all give the same bits.
+under the package's __pycache__.  track_block is built twice, for avx512f
+and the baseline, and the CPU runs the first where it has AVX-512; both
+make the same operations on each row, so both give the same bits.
 Without a compiler, _track_block runs the same loop in numpy with rows in
-lockstep, operation for operation, so both paths give the same bits.
+lockstep, operation for operation, so both paths give the same bits, at
+about 30 times the kernel's time: each numpy sincos is about 70 small
+array operations.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
@@ -223,6 +225,9 @@ _S1, _S2, _S3, _S4, _S5, _S6 = map(np.array, (
 _C1, _C2, _C3, _C4, _C5, _C6 = map(np.array, (
     0.0416666666666666, -0.001388888888887411, 2.480158728947673e-05,
     -2.7557314351390663e-07, 2.087572321298175e-09, -1.1359647557788195e-11))
+_ZERO, _HALF, _ONE, _MINUS_ONE, _TWO, _QUARTER, _FOUR, _SIX = map(
+    np.array, (0.0, 0.5, 1.0, -1.0, 2.0, 0.25, 4.0, 6.0))
+_SIDES = np.array([[-0.5], [0.5]])  # sin's and cos's sign tests, m4 - 1/2 and m4 + 1/2
 
 
 def _sincos(x, work=None):
@@ -234,12 +239,15 @@ def _sincos(x, work=None):
     shift and y0 + y1 the reduced argument; msun's __kernel_sin (with its
     tail y1) and __kernel_cos; then the quadrant m4 = fn - 4 round(fn/4),
     in -2 .. 2, swaps the two where it is odd and sets their signs.  Within
-    1 ulp of np.sin and np.cos for |x| <= 1e6; +-0 keeps its sign and NaN or
-    +-inf give NaN.  work holds the work arrays (_sincos_work), the results
-    in its first two rows.
+    1 ulp of the C library's sin and cos for |x| <= 1e6; +-0 keeps its sign
+    and NaN or +-inf give NaN.  work holds the work arrays (_sincos_work);
+    the result is its (2, x.size) array of sin x and cos x.  The quadrant's
+    swap and signs act on that array's two rows at once: each numpy call
+    costs about as much at 32 elements as at 64.
     """
-    buf, mask = _sincos_work(x.size) if work is None else work
-    s, c, fn, r, y0, y1, z, zz, a, b = buf
+    buf, sc, side, odd, neg = _sincos_work(x.size) if work is None else work
+    s, c = sc
+    fn, r, y0, y1, z, zz, a, b = buf
     np.multiply(x, _INVPIO2, out=fn)
     fn += _SHIFT
     fn -= _SHIFT
@@ -269,7 +277,7 @@ def _sincos(x, work=None):
     s += a  # rs
     np.multiply(z, y0, out=b)  # v
     s *= b
-    np.multiply(y1, 0.5, out=a)
+    np.multiply(y1, _HALF, out=a)
     a -= s
     a *= z
     a -= y1
@@ -293,36 +301,35 @@ def _sincos(x, work=None):
     c *= z
     np.multiply(y0, y1, out=a)
     c -= a
-    z *= 0.5  # hz
-    np.subtract(1.0, z, out=a)  # wc
-    np.subtract(1.0, a, out=b)
+    z *= _HALF  # hz
+    np.subtract(_ONE, z, out=a)  # wc
+    np.subtract(_ONE, a, out=b)
     b -= z
     b += c
     np.add(a, b, out=c)
     # the quadrant m4 in fn's place: an odd one swaps the two, then sin is
     # negated where |m4 - 1/2| > 1 (m4 = -2, -1, 2) and cos where
     # |m4 + 1/2| > 1 (m4 = -2, 1, 2)
-    np.multiply(fn, 0.25, out=a)
+    np.multiply(fn, _QUARTER, out=a)
     a += _SHIFT
     a -= _SHIFT
-    a *= 4.0
+    a *= _FOUR
     fn -= a
     np.abs(fn, out=a)
-    np.equal(a, 1.0, out=mask)
-    np.copyto(a, s)
-    np.copyto(s, c, where=mask)
-    np.copyto(c, a, where=mask)
-    for out, side in ((s, -0.5), (c, 0.5)):
-        np.add(fn, side, out=a)
-        np.abs(a, out=a)
-        np.greater(a, 1.0, out=mask)
-        np.negative(out, out=out, where=mask)
-    return s, c
+    np.equal(a, _ONE, out=odd)
+    np.copyto(side, sc)
+    np.copyto(sc, side[::-1], where=odd)
+    np.add(fn, _SIDES, out=side)
+    np.abs(side, out=side)
+    np.greater(side, _ONE, out=neg)
+    np.negative(sc, out=sc, where=neg)
+    return sc
 
 
 def _sincos_work(size):
     """Work arrays of _sincos for arguments of the given size."""
-    return np.empty((10, size)), np.empty(size, bool)
+    return (np.empty((8, size)), np.empty((2, size)), np.empty((2, size)),
+            np.empty(size, bool), np.empty((2, size), bool))
 
 
 def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
@@ -340,19 +347,22 @@ def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
     sin and cos (_sincos) too, operation for operation, so the bits are too:
     each row sums its in-block lags from 0.0, oldest first, clips its own
     step to +-1 rad (a NaN passes) and stops on the error that step
-    predicts, after which its steps are zero.
+    predicts, after which its steps are zero.  A sample's first step starts
+    from the last record's e, so it reads the sin e and cos e that record
+    made (one _sincos call per value of e, where the kernel makes them again).
     """
     rows = e.size
     nt = trev.size + 1
-    k = 1.0 - l0
-    scratch = [np.empty(rows) for _ in range(11)] + [np.empty(rows, bool) for _ in range(2)]
+    k = np.array(1.0 - l0)
+    scratch = [np.empty(rows) for _ in range(11)] + [np.empty(rows, bool) for _ in range(3)]
     work = _sincos_work(rows)
+    s, co = work[1]  # where _sincos leaves sin e and cos e
     terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each sum starts
     rec, out = np.empty((n, rows)), np.empty((n, rows))
     ones, zeros = np.ones((n, rows)), np.zeros((n, rows))  # squeezed_z's X and Y
 
     def block(j0, far):
-        c, ls, lc, t, fp, rt, h, den, step, a, err, halley, done = scratch
+        c, ls, lc, t, fp, rt, h, den, step, a, err, halley, done, small = scratch
         cols = slice(j0, j0 + n)
         pb = phibar[:, cols].T
         if x0 is None:  # X = 1, Y = 0 and the record offset z = y0/2|a|
@@ -366,6 +376,9 @@ def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
             y = y0[:, cols].T / twoa
             r0 = pb
             cb = k * pb - far.T
+        if l0 != 0.0:
+            lxs, lys = l0 * x, l0 * y
+            _sincos(e, work)  # each sample's first step reads sin e and cos e
         for i in range(n):
             # an accumulate adds in order, never pairwise or through BLAS
             np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
@@ -373,10 +386,11 @@ def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
             if l0 == 0.0:
                 e[:] = c  # l0 = 0: the closure is explicit
             else:
-                lx, ly = l0 * x[i], l0 * y[i]
+                lx, ly = lxs[i], lys[i]
                 done[:] = False
-                for _ in range(_CLOSURE_STEPS):
-                    s, co = _sincos(e, work)
+                for step_index in range(_CLOSURE_STEPS):
+                    if step_index:  # the first step's e is the last record's
+                        _sincos(e, work)
                     np.multiply(s, lx, out=ls)
                     ls += np.multiply(co, ly, out=t)
                     np.multiply(co, lx, out=lc)
@@ -386,29 +400,35 @@ def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
                     rt += ls
                     rt -= c
                     rt /= fp
-                    np.divide(ls, 2.0 * fp, out=h)
+                    np.divide(ls, np.multiply(fp, _TWO, out=h), out=h)
                     np.multiply(rt, h, out=den)
-                    den += 1.0
-                    np.greater(den, 0.0, out=halley)  # else Halley's step points away
+                    den += _ONE
+                    np.greater(den, _ZERO, out=halley)  # else Halley's step points away
                     np.copyto(step, rt)
                     np.divide(rt, den, out=step, where=halley)
                     np.abs(step, out=a)
-                    np.abs(lc / (6.0 * fp), out=err)
-                    err += h * h
-                    err *= a * a * a
-                    np.minimum(step, 1.0, out=step)  # both let a NaN through
-                    np.maximum(step, -1.0, out=step)
-                    step[done] = 0.0  # e - 0.0 is e: a stopped row keeps its bits
+                    np.divide(lc, np.multiply(fp, _SIX, out=err), out=err)
+                    np.abs(err, out=err)
+                    err += np.multiply(h, h, out=t)
+                    np.multiply(a, a, out=t)
+                    t *= a
+                    err *= t
+                    np.minimum(step, _ONE, out=step)  # both let a NaN through
+                    np.maximum(step, _MINUS_ONE, out=step)
+                    np.copyto(step, _ZERO, where=done)  # e - 0.0 is e: a stopped row keeps its bits
                     np.subtract(e, step, out=e)
-                    done |= (err < _CLOSURE_TOL) & (a <= 1.0)  # never on a NaN
+                    np.less(err, _CLOSURE_TOL, out=small)
+                    np.less_equal(a, _ONE, out=halley)
+                    small &= halley
+                    done |= small  # never on a NaN
                     if np.count_nonzero(done) == done.size:
                         break
             np.subtract(pb[i], e, out=out[i])
-            s, co = _sincos(e, work)
-            s *= x[i]
-            s += np.multiply(co, y[i], out=t)
-            s -= e
-            np.add(r0[i], s, out=rec[i])
+            _sincos(e, work)
+            np.multiply(s, x[i], out=a)
+            a += np.multiply(co, y[i], out=t)
+            a -= e
+            np.add(r0[i], a, out=rec[i])
         fr[:, nt + j0: nt + j0 + n] = rec.T
         phip[:, cols] = out.T
     return block

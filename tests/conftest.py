@@ -1,6 +1,10 @@
 """Helpers shared by the test modules."""
 
+import re
+
 import pytest
+
+from qdemod import _tracker
 
 
 def dump_design_by_rows(design, path):
@@ -24,3 +28,11 @@ def dump_design_by_rows(design, path):
 def design_dump_oracle():
     """dump_design_by_rows, for modules that compare design.txt bytes."""
     return dump_design_by_rows
+
+
+@pytest.fixture
+def kernel_clones():
+    """The names a loaded kernel may give for its clone of track_block:
+    _tracker.c's ISA_CLONE, when its source names one, and the baseline."""
+    isa = re.findall(r'^#define ISA_CLONE "([^"]*)"$', _tracker.SOURCE.read_text(), re.M)
+    return (*isa, "default")
