@@ -1,5 +1,5 @@
 /*
- * The two compiled loops of qdemod, built and loaded by qdemod._tracker.
+ * The compiled loops of qdemod, built and loaded by qdemod._tracker.
  *
  * track_block: one tracker history block of a row group, closed sample by
  * sample with all rows in lockstep; the compiled form of pll._track_block.
@@ -32,13 +32,21 @@
  * cos are the package's own (sin_cos), not libm's, so the closure's row
  * loop has no call in it and vectorises across the rows.
  *
+ * far_mac: one far-history step, the sum over partitions of the stored
+ * block spectra times the taps' partition spectra (pll._far_mac in numpy).
+ * spectrum_product: a spectrum times a filter response, in place
+ * (grids._spectrum_product in numpy).  Both keep the spectra as split real
+ * and imaginary planes and round each of a complex product's four real
+ * products on its own, so their bits do not depend on whether the CPU, or
+ * numpy's build for it, has fused multiply-adds.
+ *
  * levinson: the symmetric Toeplitz solve of the Wiener-Hopf normal
  * equations, the compiled form of wiener._levinson.
  *
- * Both follow their numpy forms operation for operation, so build them
+ * All follow their numpy forms operation for operation, so build them
  * without floating-point contraction.  Vectorising keeps each element's
- * operations and their order, so both builds of track_block give the same
- * bits.
+ * operations and their order, so both builds of a cloned function give the
+ * same bits.
  */
 #include <math.h>
 #include <stddef.h>
@@ -46,12 +54,12 @@
 #define CLOSURE_STEPS 8
 #define CLOSURE_TOL 1e-13
 
-/* track_block is built twice, for ISA_CLONE and for the baseline, and the
- * loader runs the ISA_CLONE build where the CPU has it (ifunc).  Both make
- * the same IEEE operations in the same order, since nothing is contracted or
- * reassociated, so they give the same bits.  Without the attribute (another
- * compiler or target) ISA_CLONE stays undefined and the plain kernel is
- * built. */
+/* track_block, far_mac and spectrum_product are built twice, for ISA_CLONE
+ * and for the baseline, and the loader runs the ISA_CLONE builds where the
+ * CPU has it (ifunc).  Both make the same IEEE operations in the same order,
+ * since nothing is contracted or reassociated, so they give the same bits.
+ * Without the attribute (another compiler or target) ISA_CLONE stays
+ * undefined and the plain functions are built. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define ISA_CLONE "avx512f"
@@ -63,7 +71,7 @@
 #define ISA_CLONES
 #endif
 
-/* The clone of track_block this CPU runs: the resolver's own test. */
+/* The clone this CPU runs: the resolver's own test. */
 const char *kernel_isa(void)
 {
 #ifdef ISA_CLONE
@@ -241,6 +249,91 @@ void track_block(const struct group *g, int j0, const double *far, ptrdiff_t far
             out[i] = pb[(size_t)i * rows + r];
         }
         g->e[r] = e[r];
+    }
+}
+
+/* The complex products of far_mac and spectrum_product run on planes of
+ * CHUNK bins: each product is re = ar br - ai bi and im = ar bi + ai br,
+ * every product rounded on its own, as numpy multiplies complex arrays
+ * without fused multiply-adds.  The interleaved (re, im) arrays numpy's FFTs
+ * read and write are only copied to and from the planes: gcc 12's avx512f
+ * build of an interleaved complex loop fuses (vfmaddsub) even under
+ * -ffp-contract=off, and the planar loops of both clones do not. */
+#define CHUNK 64
+
+/* One far-history step of a row group (pll._far_history): z (rows x bins,
+ * interleaved complex) is the spectrum of the newest block.  It is copied
+ * into slot s of ring, the (parts, 2, rows, bins) planes (re, im) of the
+ * stored spectra.  Unless out is NULL, out (rows x bins, interleaved
+ * complex) then gets sum_p ring[(s + 1 + p) % parts] g[p], p = 0 .. parts - 1,
+ * oldest block first, with g the (parts, 2, bins) planes of the partition
+ * spectra in that order.  Each row's sum starts from its first product. */
+ISA_CLONES
+void far_mac(int rows, int bins, int parts, int s, const double *z, double *ring,
+             const double *g, double *out)
+{
+    const size_t plane = (size_t)rows * bins;
+    for (int r = 0; r < rows; r++) {
+        const size_t row = (size_t)r * bins;
+        double *zr = ring + 2 * plane * s + row, *zi = zr + plane;
+        for (int k = 0; k < bins; k++) {
+            zr[k] = z[2 * (row + k)];
+            zi[k] = z[2 * (row + k) + 1];
+        }
+        if (!out)
+            continue;
+        for (int k0 = 0; k0 < bins; k0 += CHUNK) {
+            const int n = bins - k0 < CHUNK ? bins - k0 : CHUNK;
+            double ar[CHUNK], ai[CHUNK];
+            for (int p = 0; p < parts; p++) {
+                const double *xr = ring + 2 * plane * ((s + 1 + p) % parts) + row + k0;
+                const double *xi = xr + plane, *gr = g + (size_t)2 * bins * p + k0;
+                const double *gi = gr + bins;
+                if (p == 0) {
+                    for (int k = 0; k < n; k++) {
+                        ar[k] = xr[k] * gr[k] - xi[k] * gi[k];
+                        ai[k] = xr[k] * gi[k] + xi[k] * gr[k];
+                    }
+                } else {
+                    for (int k = 0; k < n; k++) {
+                        ar[k] += xr[k] * gr[k] - xi[k] * gi[k];
+                        ai[k] += xr[k] * gi[k] + xi[k] * gr[k];
+                    }
+                }
+            }
+            double *o = out + 2 * (row + k0);
+            for (int k = 0; k < n; k++) {
+                o[2 * k] = ar[k];
+                o[2 * k + 1] = ai[k];
+            }
+        }
+    }
+}
+
+/* spectrum (rows x bins, interleaved complex) times h, the (2, bins) planes
+ * (re, im) of a response, in place (grids.FilterKernel.apply). */
+ISA_CLONES
+void spectrum_product(ptrdiff_t rows, int bins, double *spectrum, const double *h)
+{
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        for (int k0 = 0; k0 < bins; k0 += CHUNK) {
+            const int n = bins - k0 < CHUNK ? bins - k0 : CHUNK;
+            double *x = spectrum + 2 * ((size_t)r * bins + k0);
+            const double *hr = h + k0, *hi = h + bins + k0;
+            double xr[CHUNK], xi[CHUNK], yr[CHUNK], yi[CHUNK];
+            for (int k = 0; k < n; k++) {
+                xr[k] = x[2 * k];
+                xi[k] = x[2 * k + 1];
+            }
+            for (int k = 0; k < n; k++) {
+                yr[k] = xr[k] * hr[k] - xi[k] * hi[k];
+                yi[k] = xr[k] * hi[k] + xi[k] * hr[k];
+            }
+            for (int k = 0; k < n; k++) {
+                x[2 * k] = yr[k];
+                x[2 * k + 1] = yi[k];
+            }
+        }
     }
 }
 

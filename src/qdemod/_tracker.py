@@ -1,22 +1,29 @@
 """Build and load the compiled library (_tracker.c) through ctypes.
 
-The library holds the two loops that numpy runs slowly: track_block, which
+The library holds the loops that numpy runs slowly: track_block, which
 closes one tracker history block of a row group straight from the group's
-own arrays (pll._track_block in numpy), and levinson, the Toeplitz solve of
-the Wiener-Hopf normal equations (wiener._levinson in numpy).  A Kernel call
-binds a row group once, checking its arrays, and returns the per-block call,
-which passes the kernel only the block's offset and far history.
-track_block is built twice on x86-64 with glibc, for avx512f and for the
-baseline, and the loader runs the avx512f build where the CPU has it; both
-give the same bits, since nothing is contracted or reassociated.  Kernel.isa
-names the clone this process runs.  The library is built on the first call
-to load(), with the interpreter's C compiler and flags that keep its
-rounding equal to the numpy loops', and cached in this package's
-__pycache__ under a hash of the source and the flags, so later processes
-only load it.  Where __pycache__ is not writable it is built into a private
-temporary directory for this process alone.  load() returns None when there
-is no compiler or the build fails; pll and wiener then run their numpy
-loops instead.
+own arrays (pll._track_block in numpy); far_mac, a far-history step's
+multiply-add over the stored block spectra (pll._far_mac); spectrum_product,
+a filter's product with a spectrum in place (grids._spectrum_product); and
+levinson, the Toeplitz solve of the Wiener-Hopf normal equations
+(wiener._levinson in numpy).  A Kernel call binds a row group once,
+checking its arrays, and returns the per-block call, which passes the
+kernel only the block's offset and far history; Kernel.far_mac binds a
+group's far history the same way.  far_mac and spectrum_product work on
+split real and imaginary planes and round each real product of a complex
+product on its own, so, unlike numpy's complex multiply, they give the
+same bits on every CPU.  Each ctypes call releases the interpreter lock.
+track_block, far_mac and spectrum_product are built twice on x86-64 with
+glibc, for avx512f and for the baseline, and the loader runs the avx512f
+builds where the CPU has it; both give the same bits, since nothing is
+contracted or reassociated.  Kernel.isa names the clone this process runs.
+The library is built on the first call to load(), with the interpreter's C
+compiler and flags that keep its rounding equal to the numpy loops', and
+cached in this package's __pycache__ under a hash of the source and the
+flags, so later processes only load it.  Where __pycache__ is not writable
+it is built into a private temporary directory for this process alone.
+load() returns None when there is no compiler or the build fails; pll,
+grids and wiener then run their numpy loops instead.
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ SOURCE = Path(__file__).with_name("_tracker.c")
 # No -ffast-math or -march=native, and no fused multiply-adds: the kernel
 # must round like the numpy loops and rebuild to the same results anywhere.
 # -O3 vectorises the in-block lag and record loops across rows, and in the
-# avx512f clone the closure's step too; that never reorders or contracts a
-# row's operations, so both clones give the same bits.
+# avx512f clone the closure's step too, and the planar products across bins;
+# that never reorders or contracts an element's operations, so both clones
+# give the same bits.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 _loaded = {}  # "kernel": the Kernel or None, once load() has run
@@ -64,22 +72,36 @@ def _row_stride(a: np.ndarray) -> int | None:
     return a.strides[0] // 8
 
 
+def _contiguous(a: np.ndarray, dtype, shape: tuple, writeable: bool = False) -> bool:
+    """Whether a is a C-contiguous array of the dtype and shape (and
+    writeable, if asked)."""
+    return (a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+            and (a.flags.writeable or not writeable))
+
+
 class Kernel:
     """The loaded library: a call binds a row group to track_block behind
-    the numpy loop's signature (pll._track_block), and levinson(c, b) is the
-    normal-equation solve."""
+    the numpy loop's signature (pll._track_block), far_mac and
+    spectrum_product stand in for pll._far_mac and grids._spectrum_product,
+    and levinson(c, b) is the normal-equation solve."""
 
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
         lib.kernel_isa.argtypes = []
         lib.kernel_isa.restype = ctypes.c_char_p
-        self.isa = lib.kernel_isa().decode()  # the clone of track_block this CPU runs
+        self.isa = lib.kernel_isa().decode()  # the clone this CPU runs
         self._levinson = lib.levinson
         self._levinson.argtypes = [ctypes.c_int, *[ctypes.c_void_p] * 4]
         self._levinson.restype = ctypes.c_int
         self._fn = lib.track_block
         self._fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_ssize_t]
         self._fn.restype = None
+        self._far_mac = lib.far_mac
+        self._far_mac.argtypes = [*[ctypes.c_int] * 4, *[ctypes.c_void_p] * 4]
+        self._far_mac.restype = None
+        self._spectrum_product = lib.spectrum_product
+        self._spectrum_product.argtypes = [ctypes.c_ssize_t, ctypes.c_int, *[ctypes.c_void_p] * 2]
+        self._spectrum_product.restype = None
 
     def __call__(self, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
         """block(j0, far), which closes samples j0 .. j0 + n - 1 of the
@@ -116,6 +138,44 @@ class Kernel:
         # referenced, so alive, as long as block is
         block.arrays = (group, trev, phibar, x0, y0, e, fr, phip, work)
         return block
+
+    def far_mac(self, g, out):
+        """mac(s, z, total=True), the far-history steps of a row group
+        (pll._far_mac): z, a block's spectrum, goes into slot s of the
+        group's ring of stored spectra, kept here as (parts, 2, rows, bins)
+        planes; unless total is False, out then gets the sum over the
+        partitions, oldest block first.
+
+        Checked once, like a group: g holds the (parts, 2, bins) planes of
+        the partition spectra and out is (rows, bins) complex; a step then
+        checks only z and s.
+        """
+        if g.ndim != 3 or out.ndim != 2:
+            raise ValueError("far history arrays do not match")
+        parts, (rows, bins) = g.shape[0], out.shape
+        if not (parts and _contiguous(g, np.float64, (parts, 2, bins))
+                and _contiguous(out, np.complex128, (rows, bins), writeable=True)):
+            raise ValueError("far history arrays do not match")
+        ring = np.empty((parts, 2, rows, bins))
+        fn, pointers = self._far_mac, (ring.ctypes.data, g.ctypes.data)
+
+        def mac(s, z, total=True):
+            if not _contiguous(z, np.complex128, (rows, bins)) or not 0 <= s < parts:
+                raise ValueError("far history step does not match its group")
+            fn(rows, bins, parts, s, z.ctypes.data, *pointers, out.ctypes.data if total else None)
+        mac.arrays = (ring, g, out)  # referenced, so alive, as long as mac is
+        return mac
+
+    def spectrum_product(self, spectrum: np.ndarray, h: np.ndarray) -> None:
+        """spectrum *= the response whose (2, bins) planes are h, in place,
+        along the last axis (grids._spectrum_product)."""
+        bins = spectrum.shape[-1] if spectrum.ndim else 0
+        if not (_contiguous(spectrum, np.complex128, spectrum.shape, writeable=True)
+                and _contiguous(h, np.float64, (2, bins))):
+            raise ValueError("spectrum and response planes do not match")
+        if spectrum.size:
+            self._spectrum_product(spectrum.size // bins, bins, spectrum.ctypes.data,
+                                   h.ctypes.data)
 
     def levinson(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
         """x with sum_k c[|j - k|] x_k = b_j, for float64 c and b of one size."""

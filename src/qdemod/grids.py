@@ -9,8 +9,11 @@ algebra diagonalise in the DFT basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from . import _tracker
 
 
 def check_positive(name: str, value: float) -> float:
@@ -106,16 +109,45 @@ class FilterKernel:
             raise ValueError("response length must equal grid.n_samples")
         object.__setattr__(self, "response", r)
 
+    @cached_property
+    def _planes(self) -> np.ndarray:
+        """The (2, bins) real and imaginary planes of the response on the
+        real FFT's bins, formed on the first apply."""
+        half = self.response[: self.grid.n_samples // 2 + 1]
+        return np.stack([half.real, half.imag])
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The filtered real sequences, along the last axis."""
+        """The filtered real sequences, along the last axis.
+
+        The spectrum is multiplied by the response in place, each product's
+        real products rounded on their own (the compiled library's
+        spectrum_product, or _spectrum_product without it), so the bits do
+        not depend on the CPU's fused multiply-adds."""
         m = self.grid.n_samples
         spectrum = np.fft.rfft(x, axis=-1)
-        spectrum *= self.response[: m // 2 + 1]
+        kernel = _tracker.load()
+        if kernel is None:
+            _spectrum_product(spectrum, self._planes)
+        else:
+            kernel.spectrum_product(spectrum, self._planes)
         return np.fft.irfft(spectrum, n=m, axis=-1)
 
     def causal_taps(self) -> np.ndarray:
         """Real taps restricted to lags [0, M/2)."""
         return np.fft.ifft(self.response)[: self.grid.n_samples // 2].real.copy()
+
+
+def _spectrum_product(spectrum: np.ndarray, h: np.ndarray) -> None:
+    """spectrum *= the response whose (2, bins) planes are h, in place along
+    the last axis, as (sr hr - si hi, sr hi + si hr) with each real product
+    rounded on its own: the numpy form of the library's spectrum_product."""
+    hr, hi = h
+    sr, si = spectrum.real, spectrum.imag
+    cross = sr * hi
+    sr *= hr
+    sr -= si * hi
+    si *= hr
+    si += cross
 
 
 def differentiator_kernel(n):

@@ -46,21 +46,30 @@ before a block come from an overlap-save FFT delay line (_far_history): the
 spectrum of each written block is stored once, and a block's history is one
 inverse FFT of the stored spectra times the taps' partition spectra.  Each
 sample then adds only the lags inside its block.  So a block costs one
-far-history step and one call into a small C kernel (_tracker.c through
-ctypes), which reads the block straight from the row group's own arrays
+far-history step, whose multiply-add over the partitions is one call of the
+kernel's far_mac, and one call into the kernel's track_block (_tracker.c
+through ctypes, which releases the interpreter lock for each call).
+track_block reads the block straight from the row group's own arrays
 (phibar, x0, y0, each with its row stride), forms X, Y, the record offset
 and c there, closes the loop sample by sample and writes the records into
 fr and the tracker output into phip in place.  The kernel is bound to the
 group once, when its arrays are checked (_tracker.Kernel), and built with
 the interpreter's C compiler at -O3 without floating-point contraction on
 first use (a loop design solves its normal equations there too) and cached
-under the package's __pycache__.  track_block is built twice, for avx512f
-and the baseline, and the CPU runs the first where it has AVX-512; both
-make the same operations on each row, so both give the same bits.
-Without a compiler, _track_block runs the same loop in numpy with rows in
-lockstep, operation for operation, so both paths give the same bits, at
-about 30 times the kernel's time: each numpy sincos is about 70 small
-array operations.
+under the package's __pycache__.  track_block, far_mac and the spectrum
+product of grids.FilterKernel.apply are built twice, for avx512f and the
+baseline, and the CPU runs the first where it has AVX-512; both make the
+same operations on each element, so both give the same bits.  far_mac and
+the spectrum product keep the spectra as split real and imaginary planes
+and round each real product of a complex product on its own, so their bits
+are the same whether or not the CPU (or numpy's build for it) fuses
+multiply-adds: gcc fuses an interleaved complex loop in the avx512f clone
+even without contraction, a planar one it does not.  Without a compiler,
+_track_block runs the same loop in numpy with rows in lockstep, operation
+for operation, and _far_mac and grids._spectrum_product the same products
+(_far_mac up to the sign of an exactly zero sum), so both paths give the
+same bits, at about 30 times the kernel's time: each numpy sincos is about
+70 small array operations.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
@@ -449,7 +458,7 @@ def _row_groups(n_t: int) -> list:
     return [slice(a, min(a + _GROUP, n_t)) for a in range(0, n_t, _GROUP)]
 
 
-def _far_history(taps, kb, fr):
+def _far_history(taps, kb, fr, kernel):
     """Each loop block's history from the records before it, (rows, kb).
 
     fr holds nt = taps.size steady-state records, then the loop's record,
@@ -465,17 +474,21 @@ def _far_history(taps, kb, fr):
     irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p) with W_k = rfft([x_{k-1}, x_k])
     = Z_k + (-1)^f Z_{k+1}; the zero half of Z_b keeps the block itself
     out.  Collected by Z, the sum is sum_p Z_{b-p} G_p with G_p = H_p +
-    (-1)^f H_{p+1}, so a block costs one forward FFT, one product and one
-    inverse FFT.  Every step is row-wise, and the products are summed into
-    one accumulator oldest block first, so a row's history never depends on
-    the other rows.
+    (-1)^f H_{p+1}, so a block costs one forward FFT, one multiply-add over
+    the partitions and one inverse FFT.  The multiply-add, which keeps the
+    ring of stored spectra, is the kernel's far_mac, or _far_mac without one
+    (kernel None): every step is row-wise, each complex product's real
+    products are rounded on their own and the products are summed oldest
+    block first, so a row's history depends neither on the other rows nor on
+    the CPU's fused multiply-adds.
     """
     rows, nt = fr.shape[0], taps.size
-    parts = nt // kb
+    parts, bins = nt // kb, kb + 1
     h = np.zeros((parts + 1, 2 * kb))
     h[:parts, :kb] = taps.reshape(parts, kb)
     hs = np.fft.rfft(h, axis=1)
-    g_old_first = (hs[:-1] + (-1.0) ** np.arange(kb + 1) * hs[1:])[::-1, None]
+    g_old_first = (hs[:-1] + (-1.0) ** np.arange(bins) * hs[1:])[::-1]  # exact: times +-1
+    g = np.stack([g_old_first.real, g_old_first.imag], axis=1)  # (parts, 2, bins)
 
     half = np.zeros((rows, 2 * kb))  # [x_{k-1}, 0]
 
@@ -483,19 +496,45 @@ def _far_history(taps, kb, fr):
         half[:, :kb] = fr[:, (k - 1) * kb: k * kb]
         return np.fft.rfft(half, axis=1)
 
-    # zs[k % parts] holds Z_k for the parts blocks up to the current one
-    zs = np.empty((parts, rows, kb + 1), complex)
+    out = np.empty((rows, bins), complex)
+    mac = (_far_mac if kernel is None else kernel.far_mac)(g, out)
     for k in range(1, parts):
-        zs[k] = spectrum(k)
-    acc, term = np.empty((2, rows, kb + 1), complex)
+        mac(k, spectrum(k), total=False)  # slot k % parts holds Z_k
     for b in range(parts, fr.shape[1] // kb):
-        s = b % parts
-        zs[s] = spectrum(b)
-        # sum_p Z_{b-p} G_p, oldest block first: zs[s + 1], ..., zs[s]
-        np.multiply(zs[(s + 1) % parts], g_old_first[0], out=acc)
-        for p in range(1, parts):
-            acc += np.multiply(zs[(s + 1 + p) % parts], g_old_first[p], out=term)
-        yield np.fft.irfft(acc, n=2 * kb, axis=1)[:, kb:]
+        mac(b % parts, spectrum(b))  # sum_p Z_{b-p} G_p into out
+        yield np.fft.irfft(out, n=2 * kb, axis=1)[:, kb:]
+
+
+def _far_mac(g, out):
+    """mac(s, z, total=True), the numpy form of the kernel's far_mac.
+
+    z, a block's spectrum, goes into slot s of a ring of stored spectra;
+    unless total is False, out, (rows, bins) complex, then gets
+    sum_p ring[(s + 1 + p) % parts] G_p, oldest block first, with g the
+    (parts, 2, bins) planes of the G_p.  Each product is the kernel's
+    (ar br - ai bi, ar bi + ai br), every real product rounded on its own,
+    formed as z (br + 0i) + z (0 + bi i): in each of those two complex
+    products one real product of each part is an exact zero, so they round
+    alike whether or not numpy fuses a multiply and an add, and for finite
+    spectra every value is the kernel's; only an exactly zero part of out
+    may carry the other sign.  (Planar real arrays keep that sign too, at
+    about 1.5 times the time.)
+    """
+    parts = g.shape[0]
+    ring = np.empty((parts, *out.shape), complex)
+    g_re, g_im = np.zeros((2, parts, 1, g.shape[2]), complex)
+    g_re.real, g_im.imag = g[:, 0, None], g[:, 1, None]
+    term, part = np.empty((2, *out.shape), complex)
+
+    def mac(s, z, total=True):
+        ring[s] = z
+        for p in range(parts if total else 0):
+            np.multiply(ring[(s + 1 + p) % parts], g_re[p], out=term)
+            np.multiply(ring[(s + 1 + p) % parts], g_im[p], out=part)
+            np.add(term, part, out=out if p == 0 else term)
+            if p:
+                np.add(out, term, out=out)
+    return mac
 
 
 def _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip):
@@ -516,7 +555,8 @@ def _close_loop(track, taps, twoa, phibar, x0, y0, fr, phip):
     # sample and block to block; it starts at 0.
     kb = min(_BLOCK, nt)
     block = track(kb, taps[0], trev, twoa, phibar, x0, y0, np.zeros(n_t), fr, phip)
-    for j0, far in zip(range(0, m, kb), _far_history(taps, kb, fr)):
+    kernel = track if isinstance(track, _tracker.Kernel) else None
+    for j0, far in zip(range(0, m, kb), _far_history(taps, kb, fr, kernel)):
         block(j0, far)
 
 

@@ -233,6 +233,46 @@ def test_python_m_qdemod_simulate_builds_tracker(tmp_path):
     assert len(built) == (kernel is not None)
 
 
+# Small simulate runs of the three lights' arithmetic: coherent PM, squeezed_z
+# (its noise coloured by a filter) and FM (its phase filtered from the message)
+SIMD_CONFIGS = {
+    "coherent_pm": "beta = 1.0\nlambda = 100\n",
+    "squeezed_z": "beta = 1.0\nn_photon = 10\nr = 0.5\nvariant = squeezed_z\n",
+    "coherent_fm": "mod_kind = fm\nbeta = 1.0\nlambda = 100\n",
+}
+
+
+def test_results_do_not_depend_on_numpy_simd_level(tmp_path):
+    """simulate writes the same results.csv bytes whether numpy dispatches
+    to every SIMD extension it has for this CPU or to none of them
+    (NPY_DISABLE_CPU_FEATURES), for each light: every complex product on
+    the way rounds its real products on their own, fused or not.  Where
+    numpy dispatches nothing beyond its baseline, both runs are one run."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    for name, text in SIMD_CONFIGS.items():
+        _write(tmp_path, f"{name}.cfg", "n_samples = 2048\nband_bins = 63\ntrials = 4\n"
+               "seed = 5\n" + text)
+    code = ("import sys\nfrom qdemod.cli import cli_main\n"
+            f"for name in {sorted(SIMD_CONFIGS)!r}:\n"
+            "    assert cli_main(['simulate', f'{sys.argv[1]}/{name}.cfg',"
+            " '--out', f'{sys.argv[2]}/{name}']) == 0\n")
+    env = {k: v for k, v in os.environ.items() if k not in ("QDEMOD_OUT", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for disabled in ("", " ".join(dispatched)):
+        out = tmp_path / f"out{len(written)}"
+        run_env = {**env, "NPY_DISABLE_CPU_FEATURES": disabled} if disabled else env
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(out)],
+                              env=run_env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written.append({name: (out / name / "results.csv").read_bytes() for name in SIMD_CONFIGS})
+    assert written[0] == written[1]
+
+
 def test_cli_missing_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.cfg", "lambda = 100\n")
     rc = cli_main(["limits", cfg, "--out", str(tmp_path / "o")])

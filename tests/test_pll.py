@@ -1,5 +1,7 @@
 import math
 import re
+import shutil
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -8,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qdemod.grids import TimeGrid
+from qdemod.grids import TimeGrid, _spectrum_product
 from qdemod.limits import FM as LFM
 from qdemod.limits import PM as LPM
 from qdemod.limits import closed_form_snr, sigma0
@@ -208,12 +210,13 @@ HISTORY_SHAPES = [(256, 512, 128, 1.0), (32, 64, 32, 1.0), (128, 256, 128, 1.0),
 def test_far_history_is_the_direct_convolution(nt, m, kb, lag0):
     """Each block's history is the convolution of the taps with the records
     before the block, to rounding level on the scale of the sum; a row's
-    history is the same bits alone and inside a batch."""
+    history is the same bits alone and inside a batch, and with the
+    kernel's far_mac and with numpy's."""
     rng = np.random.default_rng(nt + m)
     taps = rng.standard_normal(nt)
     taps[0] *= lag0
     fr = rng.standard_normal((3, nt + m))
-    got = np.concatenate(list(pll._far_history(taps, kb, fr)), axis=1)
+    got = np.concatenate(list(pll._far_history(taps, kb, fr, None)), axis=1)
     assert got.shape == (3, m)
     for row in range(3):
         for j0 in range(0, m, kb):
@@ -221,8 +224,11 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0):
             want = np.convolve(taps, before)[nt + j0: nt + j0 + kb]
             scale = np.convolve(np.abs(taps), np.abs(before))[nt + j0: nt + j0 + kb].max()
             assert np.abs(got[row, j0: j0 + kb] - want).max() <= 1e-14 * scale
-    alone = np.concatenate(list(pll._far_history(taps, kb, fr[1:2].copy())), axis=1)
-    assert np.array_equal(alone[0], got[1])
+    for kernel in {_tracker.load(), None}:
+        alone = np.concatenate(list(pll._far_history(taps, kb, fr[1:2].copy(), kernel)), axis=1)
+        assert np.array_equal(alone[0], got[1])
+        assert np.array_equal(np.concatenate(list(pll._far_history(taps, kb, fr, kernel)), axis=1),
+                              got)
 
 
 # The light of a block's inputs: coherent (x0, y0) rows of their own, the
@@ -361,6 +367,102 @@ def test_closure_walks_toward_a_far_root(c, amp):
         assert u[0] == 0.5 + 8.0 * np.sign(c)
 
 
+def same_bits(got, want):
+    """Equal values with equal signs, zeros included; NaN where want has one."""
+    nan = np.isnan(want)
+    return bool(np.array_equal(got, want, equal_nan=True)
+                and np.array_equal(np.signbit(got) | nan, np.signbit(want) | nan))
+
+
+def spectra_with_zeros(rng, shape):
+    """Random complex spectra with a NaN, a +0 and a -0 part and a 0 entry."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = z.reshape(-1, shape[-1])
+    flat[0, 5] = complex(np.nan, 1.0)
+    flat[-1, 9] = complex(-0.0, 2.0)
+    flat[0, 11] = complex(3.0, 0.0)
+    flat[-1, 13] = complex(-0.0, 0.0)
+    return z
+
+
+def rounded_sum(spectra, g, s):
+    """sum_p spectra[(s + 1 + p) % parts] (g[p, 0] + i g[p, 1]), oldest first,
+    each product as (ar br - ai bi, ar bi + ai br) on real arrays."""
+    parts = len(spectra)
+    for p in range(parts):
+        z = spectra[(s + 1 + p) % parts]
+        re, im = z.real * g[p, 0] - z.imag * g[p, 1], z.real * g[p, 1] + z.imag * g[p, 0]
+        total = (re, im) if p == 0 else (total[0] + re, total[1] + im)
+    return total
+
+
+@pytest.mark.parametrize("parts", [1, 16])
+@pytest.mark.parametrize("rows", [1, 7, 37])
+def test_far_mac_rounds_each_product_alone(parts, rows):
+    """The kernel's far_mac gives the separately rounded sum bit for bit, at
+    ring offsets 0, 1 and parts - 1: vector bodies and remainders (129 bins,
+    1, 7 and 37 rows), a NaN and signed zeros in the spectra and in G.  The
+    numpy form gives the same values: only an exactly zero sum may have
+    another sign there."""
+    rng = np.random.default_rng(parts * 100 + rows)
+    bins = 129
+    spectra = spectra_with_zeros(rng, (parts, rows, bins))
+    g = rng.standard_normal((parts, 2, bins))
+    g[0, 0, 9], g[-1, 1, 13] = -0.0, 0.0
+    kernel = _tracker.load()
+    for s in sorted({0, 1 % parts, parts - 1}):
+        want = rounded_sum(spectra, g, s)
+        for far_mac in filter(None, (kernel and kernel.far_mac, pll._far_mac)):
+            out = np.empty((rows, bins), complex)
+            mac = far_mac(g, out)
+            for q in range(parts):
+                if q != s:
+                    mac(q, spectra[q], total=False)
+            mac(s, spectra[s])
+            if far_mac is pll._far_mac:
+                assert all(np.array_equal(a, b, equal_nan=True)
+                           for a, b in zip((out.real, out.imag), want))
+            else:
+                assert same_bits(out.real, want[0]) and same_bits(out.imag, want[1]), s
+
+
+@pytest.mark.parametrize("rows", [1, 7, 37])
+def test_spectrum_product_rounds_each_product_alone(rows):
+    """The kernel's spectrum_product and its numpy form multiply a spectrum
+    by a response in place as (sr hr - si hi, sr hi + si hr), bit for bit,
+    with a NaN and signed zeros in both."""
+    rng = np.random.default_rng(rows)
+    spectrum = spectra_with_zeros(rng, (rows, 129))
+    h = rng.standard_normal((2, 129))
+    h[0, 9], h[1, 11] = -0.0, 0.0
+    sr, si = spectrum.real, spectrum.imag
+    want = (sr * h[0] - si * h[1], sr * h[1] + si * h[0])
+    kernel = _tracker.load()
+    for product in filter(None, (kernel and kernel.spectrum_product, _spectrum_product)):
+        got = spectrum.copy()
+        product(got, h)
+        assert same_bits(got.real, want[0]) and same_bits(got.imag, want[1])
+
+
+@needs_kernel
+def test_library_has_no_fused_multiply_adds(tmp_path):
+    """Nothing in the built library, either clone, fuses a multiply and an
+    add: objdump -d finds no vfmadd, vfmsub, vfnmadd, vfnmsub, vfmaddsub or
+    vfmsubadd (gcc 12's avx512f clone emits vfmaddsub on an interleaved
+    complex loop even under -ffp-contract=off)."""
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("no objdump")
+    kernel = _tracker.load()
+    path = _tracker.SOURCE.parent / "__pycache__" / f"_tracker-{kernel.digest}.so"
+    if not path.is_file():  # loaded from a private directory, since removed
+        path = _tracker._compile(tmp_path, path.name)
+    text = subprocess.run([objdump, "-d", str(path)], capture_output=True, text=True,
+                          check=True, timeout=120).stdout
+    assert all(f"<{name}" in text for name in ("track_block", "far_mac", "spectrum_product"))
+    assert not re.findall(r"\bvfn?m(?:add|sub)\w*", text)
+
+
 @needs_kernel
 def test_kernel_rejects_mismatched_arrays():
     """The kernel gets raw pointers, so every array is checked first: the
@@ -385,17 +487,34 @@ def test_kernel_rejects_mismatched_arrays():
         with pytest.raises(ValueError):
             block(j0, bad)
     block(0, far)
+    kernel, g, out = _tracker.load(), np.zeros((4, 2, 5)), np.empty((3, 5), complex)
+    for bad_g, bad_out in ((g[:, :1], out), (g.astype(np.float32), out), (g[..., ::2], out[:, :3]),
+                           (g, out[:, :4]), (g, out.real.copy()), (g[:0], out)):
+        with pytest.raises(ValueError):
+            kernel.far_mac(bad_g, bad_out)
+    mac = kernel.far_mac(g, out)
+    for s, z in ((0, out[:2]), (0, out.T.copy().T), (4, out), (-1, out), (0, out.real.copy())):
+        with pytest.raises(ValueError):
+            mac(s, z)
+    mac(3, out.copy())
+    h = np.zeros((2, 5))
+    for spectrum, planes in ((out, h[:, :4]), (out.T, np.zeros((2, 3))), (out, h.T.copy()),
+                             (out.astype(np.complex64), h)):
+        with pytest.raises(ValueError):
+            kernel.spectrum_product(spectrum, planes)
+    kernel.spectrum_product(out, h)
 
 
-# The squeezed_z pinned cell's TrialResults with the package's own sincos,
-# and as the closure wrote them with libm's sin and cos: those differ by at
-# most an ulp, and the results only at rounding level.
+# The squeezed_z pinned cell's TrialResults with the package's own sincos and
+# separately rounded complex products, and as the closure wrote them with
+# libm's sin and cos: those differ by at most an ulp, and the results only at
+# rounding level.
 SQUEEZED_Z_TRIALS = [
-    TrialResult(seed=41, trial=0, mse=0.005106582456578319, snr_empirical=195.82568351790664,
-                sigma0_sq_empirical=0.09143480449397115, cycle_slips=0),
-    TrialResult(seed=41, trial=1, mse=0.00615419151430929, snr_empirical=162.49088083704754,
+    TrialResult(seed=41, trial=0, mse=0.005106582456578314, snr_empirical=195.82568351790678,
+                sigma0_sq_empirical=0.09143480449397112, cycle_slips=0),
+    TrialResult(seed=41, trial=1, mse=0.006154191514309288, snr_empirical=162.4908808370476,
                 sigma0_sq_empirical=0.08575076782887588, cycle_slips=0),
-    TrialResult(seed=41, trial=2, mse=0.008939877658228975, snr_empirical=111.85835402115602,
+    TrialResult(seed=41, trial=2, mse=0.008939877658228974, snr_empirical=111.85835402115605,
                 sigma0_sq_empirical=0.08694014669400897, cycle_slips=0)]
 SQUEEZED_Z_TRIALS_LIBM = [
     TrialResult(seed=41, trial=0, mse=0.005106582456578313, snr_empirical=195.82568351790687,
@@ -418,12 +537,10 @@ def test_squeezed_z_cell_keeps_its_bits():
         assert trial.cycle_slips == libm.cycle_slips
 
 
-def test_row_group_working_set():
-    """One 32-row group at n = 4096 whose draws sit in a draw store (as in a
-    sweep) peaks, under tracemalloc, at most 5.5 group arrays (rows x m
-    float64) above its start: the record and its steady-state lead (1.5),
-    phibar, phi' and the far history's stored spectra in the loop, fewer
-    after it."""
+def group_peak_arrays():
+    """The tracemalloc peak of one 32-row group at n = 4096 whose draws sit
+    in a draw store (as in a sweep), above its start, in group arrays (rows
+    x m float64), on the path that loads."""
     cfg = PllConfig(make_design(beta=2.0, lam=30.0), trials=32, seed=61)
     trials = list(range(32))
     store = pll._DrawStore()
@@ -438,7 +555,20 @@ def test_row_group_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 5.5 * 32 * cfg.design.grid.n_samples * 8
+    return (peak - start) / (32 * cfg.design.grid.n_samples * 8)
+
+
+def test_row_group_working_set():
+    """A group peaks at most 5.5 group arrays above its start: the record and
+    its steady-state lead (1.5), phibar, phi' and the far history's stored
+    spectra in the loop, fewer after it."""
+    assert group_peak_arrays() <= 5.5
+
+
+def test_row_group_working_set_without_the_library(monkeypatch):
+    """The numpy path keeps the same bound."""
+    no_kernel(monkeypatch)
+    assert group_peak_arrays() <= 5.5
 
 
 SINCOS_CONSTANTS = ("SHIFT", "INVPIO2", "PIO2_1", "PIO2_2", "PIO2_2T",
@@ -959,11 +1089,12 @@ def test_non_finite_error_is_divergence(monkeypatch):
     scale_quadrature_noise(monkeypatch, float("nan"))
     kernel, groups = _tracker.load(), []
     if kernel is not None:  # the closed loop runs through the compiled kernel
+        bind = _tracker.Kernel.__call__
 
-        def counted(*args):
-            groups.append(kernel(*args))
+        def counted(self, *args):
+            groups.append(bind(self, *args))
             return groups[-1]
-        monkeypatch.setattr(_tracker, "load", lambda: counted)
+        monkeypatch.setattr(_tracker.Kernel, "__call__", counted)
     with pytest.raises(LoopDivergenceError):
         simulate_batch(cfg, [0])
     assert bool(groups) == (kernel is not None)
