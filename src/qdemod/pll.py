@@ -66,10 +66,8 @@ are the same whether or not the CPU (or numpy's build for it) fuses
 multiply-adds: gcc fuses an interleaved complex loop in the avx512f clone
 even without contraction, a planar one it does not.  Without a compiler,
 _track_block runs the same loop in numpy with rows in lockstep, operation
-for operation, and _far_mac and grids._spectrum_product the same products
-(_far_mac up to the sign of an exactly zero sum), so both paths give the
-same bits, at about 30 times the kernel's time: each numpy sincos is about
-70 small array operations.
+for operation, and _far_mac and grids._spectrum_product the same products,
+so both paths give the same bits, at about 40 times the kernel's time.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
@@ -236,210 +234,107 @@ _C1, _C2, _C3, _C4, _C5, _C6 = map(np.array, (
     -2.7557314351390663e-07, 2.087572321298175e-09, -1.1359647557788195e-11))
 _ZERO, _HALF, _ONE, _MINUS_ONE, _TWO, _QUARTER, _FOUR, _SIX = map(
     np.array, (0.0, 0.5, 1.0, -1.0, 2.0, 0.25, 4.0, 6.0))
-_SIDES = np.array([[-0.5], [0.5]])  # sin's and cos's sign tests, m4 - 1/2 and m4 + 1/2
 
 
-def _sincos(x, work=None):
-    """(sin x, cos x) for a 1-d float array x, as the kernel's sin_cos makes
-    them: the same IEEE operations in the same order, so the same bits.
-
-    Cody & Waite's reduction by pi/2 in three parts (msun's medium case,
-    its second round always taken), fn rounded to nearest by the 0x1.8p52
-    shift and y0 + y1 the reduced argument; msun's __kernel_sin (with its
-    tail y1) and __kernel_cos; then the quadrant m4 = fn - 4 round(fn/4),
-    in -2 .. 2, swaps the two where it is odd and sets their signs.  Within
-    1 ulp of the C library's sin and cos for |x| <= 1e6; +-0 keeps its sign
-    and NaN or +-inf give NaN.  work holds the work arrays (_sincos_work);
-    the result is its (2, x.size) array of sin x and cos x.  The quadrant's
-    swap and signs act on that array's two rows at once: each numpy call
-    costs about as much at 32 elements as at 64.
-    """
-    buf, sc, side, odd, neg = _sincos_work(x.size) if work is None else work
-    s, c = sc
-    fn, r, y0, y1, z, zz, a, b = buf
-    np.multiply(x, _INVPIO2, out=fn)
-    fn += _SHIFT
-    fn -= _SHIFT
-    np.multiply(fn, _PIO2_1, out=a)
-    np.subtract(x, a, out=a)  # t
-    np.multiply(fn, _PIO2_2, out=b)  # u
-    np.subtract(a, b, out=r)
-    a -= r
-    a -= b
-    np.multiply(fn, _PIO2_2T, out=b)
-    b -= a  # w
-    np.subtract(r, b, out=y0)
-    np.subtract(r, y0, out=y1)
-    y1 -= b
-    np.multiply(y0, y0, out=z)
-    np.multiply(z, z, out=zz)
-    # __kernel_sin: y0 - ((z (y1/2 - v rs) - y1) - v S1), v = z y0 and
-    # rs = (S2 + z (S3 + z S4)) + z zz (S5 + z S6)
-    np.multiply(z, _S4, out=s)
-    s += _S3
-    s *= z
-    s += _S2
-    np.multiply(z, _S6, out=a)
-    a += _S5
-    np.multiply(z, zz, out=b)
-    a *= b
-    s += a  # rs
-    np.multiply(z, y0, out=b)  # v
-    s *= b
-    np.multiply(y1, _HALF, out=a)
-    a -= s
-    a *= z
-    a -= y1
-    np.multiply(b, _S1, out=s)
-    a -= s
-    np.subtract(y0, a, out=s)
-    # __kernel_cos: wc + (((1 - wc) - hz) + (z rc - y0 y1)), hz = z/2,
-    # wc = 1 - hz and rc = z (C1 + z (C2 + z C3)) + zz zz (C4 + z (C5 + z C6))
-    np.multiply(z, _C3, out=c)
-    c += _C2
-    c *= z
-    c += _C1
-    c *= z
-    np.multiply(z, _C6, out=a)
-    a += _C5
-    a *= z
-    a += _C4
-    zz *= zz
-    a *= zz
-    c += a  # rc
-    c *= z
-    np.multiply(y0, y1, out=a)
-    c -= a
-    z *= _HALF  # hz
-    np.subtract(_ONE, z, out=a)  # wc
-    np.subtract(_ONE, a, out=b)
-    b -= z
-    b += c
-    np.add(a, b, out=c)
-    # the quadrant m4 in fn's place: an odd one swaps the two, then sin is
-    # negated where |m4 - 1/2| > 1 (m4 = -2, -1, 2) and cos where
-    # |m4 + 1/2| > 1 (m4 = -2, 1, 2)
-    np.multiply(fn, _QUARTER, out=a)
-    a += _SHIFT
-    a -= _SHIFT
-    a *= _FOUR
-    fn -= a
-    np.abs(fn, out=a)
-    np.equal(a, _ONE, out=odd)
-    np.copyto(side, sc)
-    np.copyto(sc, side[::-1], where=odd)
-    np.add(fn, _SIDES, out=side)
-    np.abs(side, out=side)
-    np.greater(side, _ONE, out=neg)
-    np.negative(sc, out=sc, where=neg)
-    return sc
+def _sincos(x):
+    """(sin x, cos x) of a float array, the numpy form of _tracker.c's
+    sin_cos: its IEEE operations in its order, so its bits."""
+    fn = (x * _INVPIO2 + _SHIFT) - _SHIFT
+    t, u = x - fn * _PIO2_1, fn * _PIO2_2
+    r = t - u
+    w = fn * _PIO2_2T - ((t - r) - u)
+    y0 = r - w
+    y1 = (r - y0) - w
+    z = y0 * y0
+    zz = z * z
+    rs = (_S2 + z * (_S3 + z * _S4)) + z * zz * (_S5 + z * _S6)
+    v = z * y0
+    s = y0 - ((z * (_HALF * y1 - v * rs) - y1) - v * _S1)
+    rc = z * (_C1 + z * (_C2 + z * _C3)) + zz * zz * (_C4 + z * (_C5 + z * _C6))
+    hz = _HALF * z
+    wc = _ONE - hz
+    c = wc + (((_ONE - wc) - hz) + (z * rc - y0 * y1))
+    m4 = fn - _FOUR * ((fn * _QUARTER + _SHIFT) - _SHIFT)
+    # the quadrant m4, in -2 .. 2, swaps the two where odd and sets their
+    # signs as the kernel's tests |m4 -+ 1/2| > 1 do; a NaN m4 passes none
+    mm = m4 * m4
+    odd = mm == _ONE
+    s, c = np.where(odd, c, s), np.where(odd, s, c)
+    np.negative(s, out=s, where=mm > m4)  # m4 = -2, -1 or 2
+    np.negative(c, out=c, where=mm > -m4)  # m4 = -2, 1 or 2
+    return s, c
 
 
-def _sincos_work(size):
-    """Work arrays of _sincos for arguments of the given size."""
-    return (np.empty((8, size)), np.empty((2, size)), np.empty((2, size)),
-            np.empty(size, bool), np.empty((2, size), bool))
+def _halley_step(k, lx, ly, c, e, stop, sin_cos):
+    """(e, stop) after one step of _tracker.c's halley_step, all rows at
+    once, with sin_cos = _sincos(e)."""
+    s, co = sin_cos
+    ls, lc = s * lx + co * ly, co * lx - s * ly
+    fp = lc + k
+    rt = (e * k + ls - c) / fp
+    h = ls / (_TWO * fp)
+    den = _ONE + rt * h
+    step = np.divide(rt, den, out=rt, where=den > _ZERO)  # else Newton's r, no quotient made
+    a = np.abs(step)
+    err = (np.abs(lc / (_SIX * fp)) + h * h) * (a * a * a)
+    clipped = np.maximum(np.minimum(step, _ONE), _MINUS_ONE)  # both let a NaN through
+    return e - np.where(stop, _ZERO, clipped), stop | ((err < _CLOSURE_TOL) & (a <= _ONE))
 
 
 def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
-    """block(j0, far), which closes samples j0 .. j0 + n - 1 of a row group,
-    all rows in lockstep (numpy form).
+    """block(j0, far), which closes samples j0 .. j0 + n - 1 of a row group:
+    the numpy form of _tracker.c's track_block, all rows in lockstep, with
+    its operations, so its bits.
 
-    The fallback of the compiled _tracker.c and its reference in the tests,
-    with the same arguments: the group's (rows, m) phibar, x0 (None for
-    squeezed_z) and y0, the taps trev for lags nt-1 .. 1, the tracking
-    error e (one entry per row, carried from call to call, updated in
-    place), and fr and phip, into which a block writes its records (after
-    fr's nt steady-state records) and tracker outputs.  far is the block's
-    far history, (rows, n).  Halley solves k e + l0 (X sin e + Y cos e) = c
-    (module docstring).  Its arithmetic is the kernel's, l0 X and l0 Y and
-    sin and cos (_sincos) too, operation for operation, so the bits are too:
-    each row sums its in-block lags from 0.0, oldest first, clips its own
-    step to +-1 rad (a NaN passes) and stops on the error that step
-    predicts, after which its steps are zero.  A sample's first step starts
-    from the last record's e, so it reads the sin e and cos e that record
-    made (one _sincos call per value of e, where the kernel makes them again).
+    The group's (rows, m) phibar, x0 (None for squeezed_z) and y0, the taps
+    trev for lags nt-1 .. 1 and each row's tracking error e, carried from
+    block to block; a block writes its records into fr, after the nt
+    steady-state records, and its tracker outputs into phip.  far is the
+    block's far history, (rows, n).  A sample's first Halley step reads the
+    sin e and cos e that the last record made at the same e, where the
+    kernel makes them again.
     """
     rows = e.size
     nt = trev.size + 1
     k = np.array(1.0 - l0)
-    scratch = [np.empty(rows) for _ in range(11)] + [np.empty(rows, bool) for _ in range(3)]
-    work = _sincos_work(rows)
-    s, co = work[1]  # where _sincos leaves sin e and cos e
-    terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each sum starts
-    rec, out = np.empty((n, rows)), np.empty((n, rows))
-    ones, zeros = np.ones((n, rows)), np.zeros((n, rows))  # squeezed_z's X and Y
+    terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each lag sum starts
 
     def block(j0, far):
-        c, ls, lc, t, fp, rt, h, den, step, a, err, halley, done, small = scratch
         cols = slice(j0, j0 + n)
         pb = phibar[:, cols].T
         if x0 is None:  # X = 1, Y = 0 and the record offset z = y0/2|a|
-            x, y = ones, zeros
+            x, y = np.ones((n, rows)), np.zeros((n, rows))
             z = y0[:, cols].T / twoa
             r0 = pb + z
             cb = k * pb - l0 * z - far.T
         else:
-            x = x0[:, cols].T / twoa
-            x += 1.0
+            x = x0[:, cols].T / twoa + 1.0
             y = y0[:, cols].T / twoa
             r0 = pb
             cb = k * pb - far.T
-        if l0 != 0.0:
-            lxs, lys = l0 * x, l0 * y
-            _sincos(e, work)  # each sample's first step reads sin e and cos e
+        lxs, lys = l0 * x, l0 * y
+        rec = np.empty((n, rows))
+        u = e.copy()
+        sin_cos = _sincos(u)
         for i in range(n):
             # an accumulate adds in order, never pairwise or through BLAS
             np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
-            np.subtract(cb[i], np.add.accumulate(terms[: i + 1], axis=0)[-1], out=c)
+            c = cb[i] - np.add.accumulate(terms[: i + 1], axis=0)[-1]
             if l0 == 0.0:
-                e[:] = c  # l0 = 0: the closure is explicit
+                u = c  # the closure is explicit
             else:
-                lx, ly = lxs[i], lys[i]
-                done[:] = False
+                stop = np.zeros(rows, bool)
                 for step_index in range(_CLOSURE_STEPS):
-                    if step_index:  # the first step's e is the last record's
-                        _sincos(e, work)
-                    np.multiply(s, lx, out=ls)
-                    ls += np.multiply(co, ly, out=t)
-                    np.multiply(co, lx, out=lc)
-                    lc -= np.multiply(s, ly, out=t)
-                    np.add(lc, k, out=fp)
-                    np.multiply(e, k, out=rt)
-                    rt += ls
-                    rt -= c
-                    rt /= fp
-                    np.divide(ls, np.multiply(fp, _TWO, out=h), out=h)
-                    np.multiply(rt, h, out=den)
-                    den += _ONE
-                    np.greater(den, _ZERO, out=halley)  # else Halley's step points away
-                    np.copyto(step, rt)
-                    np.divide(rt, den, out=step, where=halley)
-                    np.abs(step, out=a)
-                    np.divide(lc, np.multiply(fp, _SIX, out=err), out=err)
-                    np.abs(err, out=err)
-                    err += np.multiply(h, h, out=t)
-                    np.multiply(a, a, out=t)
-                    t *= a
-                    err *= t
-                    np.minimum(step, _ONE, out=step)  # both let a NaN through
-                    np.maximum(step, _MINUS_ONE, out=step)
-                    np.copyto(step, _ZERO, where=done)  # e - 0.0 is e: a stopped row keeps its bits
-                    np.subtract(e, step, out=e)
-                    np.less(err, _CLOSURE_TOL, out=small)
-                    np.less_equal(a, _ONE, out=halley)
-                    small &= halley
-                    done |= small  # never on a NaN
-                    if np.count_nonzero(done) == done.size:
+                    if step_index:
+                        sin_cos = _sincos(u)
+                    u, stop = _halley_step(k, lxs[i], lys[i], c, u, stop, sin_cos)
+                    if np.count_nonzero(stop) == rows:
                         break
-            np.subtract(pb[i], e, out=out[i])
-            _sincos(e, work)
-            np.multiply(s, x[i], out=a)
-            a += np.multiply(co, y[i], out=t)
-            a -= e
-            np.add(r0[i], a, out=rec[i])
+            phip[:, j0 + i] = pb[i] - u
+            s, co = sin_cos = _sincos(u)
+            rec[i] = r0[i] + ((s * x[i] + co * y[i]) - u)
         fr[:, nt + j0: nt + j0 + n] = rec.T
-        phip[:, cols] = out.T
+        e[:] = u
     return block
 
 
@@ -506,34 +401,24 @@ def _far_history(taps, kb, fr, kernel):
 
 
 def _far_mac(g, out):
-    """mac(s, z, total=True), the numpy form of the kernel's far_mac.
-
-    z, a block's spectrum, goes into slot s of a ring of stored spectra;
-    unless total is False, out, (rows, bins) complex, then gets
-    sum_p ring[(s + 1 + p) % parts] G_p, oldest block first, with g the
-    (parts, 2, bins) planes of the G_p.  Each product is the kernel's
-    (ar br - ai bi, ar bi + ai br), every real product rounded on its own,
-    formed as z (br + 0i) + z (0 + bi i): in each of those two complex
-    products one real product of each part is an exact zero, so they round
-    alike whether or not numpy fuses a multiply and an add, and for finite
-    spectra every value is the kernel's; only an exactly zero part of out
-    may carry the other sign.  (Planar real arrays keep that sign too, at
-    about 1.5 times the time.)
-    """
+    """mac(s, z, total=True), the numpy form of _tracker.c's far_mac, with
+    its ring of stored spectra as real and imaginary planes."""
     parts = g.shape[0]
-    ring = np.empty((parts, *out.shape), complex)
-    g_re, g_im = np.zeros((2, parts, 1, g.shape[2]), complex)
-    g_re.real, g_im.imag = g[:, 0, None], g[:, 1, None]
-    term, part = np.empty((2, *out.shape), complex)
+    ring = np.empty((parts, 2, *out.shape))
 
     def mac(s, z, total=True):
-        ring[s] = z
-        for p in range(parts if total else 0):
-            np.multiply(ring[(s + 1 + p) % parts], g_re[p], out=term)
-            np.multiply(ring[(s + 1 + p) % parts], g_im[p], out=part)
-            np.add(term, part, out=out if p == 0 else term)
-            if p:
-                np.add(out, term, out=out)
+        ring[s, 0], ring[s, 1] = z.real, z.imag
+        if not total:
+            return
+        for p in range(parts):
+            (xr, xi), (gr, gi) = ring[(s + 1 + p) % parts], g[p]
+            re, im = xr * gr - xi * gi, xr * gi + xi * gr
+            if p == 0:
+                ar, ai = re, im
+            else:
+                ar += re
+                ai += im
+        out.real, out.imag = ar, ai
     return mac
 
 

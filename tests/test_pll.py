@@ -399,11 +399,10 @@ def rounded_sum(spectra, g, s):
 @pytest.mark.parametrize("parts", [1, 16])
 @pytest.mark.parametrize("rows", [1, 7, 37])
 def test_far_mac_rounds_each_product_alone(parts, rows):
-    """The kernel's far_mac gives the separately rounded sum bit for bit, at
-    ring offsets 0, 1 and parts - 1: vector bodies and remainders (129 bins,
-    1, 7 and 37 rows), a NaN and signed zeros in the spectra and in G.  The
-    numpy form gives the same values: only an exactly zero sum may have
-    another sign there."""
+    """The kernel's far_mac and its numpy form give the separately rounded
+    sum bit for bit, signs included, at ring offsets 0, 1 and parts - 1:
+    vector bodies and remainders (129 bins, 1, 7 and 37 rows), a NaN and
+    signed zeros in the spectra and in G."""
     rng = np.random.default_rng(parts * 100 + rows)
     bins = 129
     spectra = spectra_with_zeros(rng, (parts, rows, bins))
@@ -419,11 +418,7 @@ def test_far_mac_rounds_each_product_alone(parts, rows):
                 if q != s:
                     mac(q, spectra[q], total=False)
             mac(s, spectra[s])
-            if far_mac is pll._far_mac:
-                assert all(np.array_equal(a, b, equal_nan=True)
-                           for a, b in zip((out.real, out.imag), want))
-            else:
-                assert same_bits(out.real, want[0]) and same_bits(out.imag, want[1]), s
+            assert same_bits(out.real, want[0]) and same_bits(out.imag, want[1]), s
 
 
 @pytest.mark.parametrize("rows", [1, 7, 37])

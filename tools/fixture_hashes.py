@@ -8,8 +8,9 @@ Each fixture runs through qdemod.cli_main twice: once with the compiled
 library and once with qdemod._tracker.load patched to return None, so the
 closed loop and the normal-equation solves take the numpy loops.  For every
 output but manifest.txt (which records times) it prints one line,
-`fixture file sha256[:8]`, the hash of the compiled path's bytes.  It exits
-1 if a fixture fails or the two paths write different bytes, else 0.
+`fixture file sha256[:8]`, the hash of the compiled path's bytes, and to
+stderr each fixture's wall time on each path.  It exits 1 if a fixture
+fails or the two paths write different bytes, else 0.
 
 --keep DIR saves each fixture's compiled-path outputs as DIR/fixture/file.
 --against DIR compares them with outputs kept earlier, from another tree:
@@ -36,6 +37,7 @@ import re
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from qdemod import _tracker
@@ -108,7 +110,9 @@ def main(argv=None) -> int:
         for path in sorted(CONFIGS.glob("*.cfg")):
             outdir = Path(tmp) / path.stem / "compiled"
             try:
+                start = time.perf_counter()
                 compiled = run_fixture(path, outdir)
+                middle = time.perf_counter()
                 _tracker.load = lambda: None
                 numpy = run_fixture(path, Path(tmp) / path.stem / "numpy")
             except RuntimeError as exc:
@@ -116,6 +120,9 @@ def main(argv=None) -> int:
                 return 1
             finally:
                 _tracker.load = load
+            end = time.perf_counter()
+            print(f"{path.stem}: compiled {middle - start:.2f} s, numpy {end - middle:.2f} s",
+                  file=sys.stderr)
             for name, digest in compiled.items():
                 print(f"{path.stem} {name} {digest[:8]}")
             if compiled != numpy:
