@@ -5,18 +5,19 @@
  * compiled form of pll._close_group.  Per block of n samples it makes the
  * far history, the lags that reach before the block, by a uniformly
  * partitioned overlap-save convolution (qdemod.pll's docstring): a forward
- * real FFT of the last block's records into a ring of stored spectra
- * (real_fft), their multiply-add with the taps' partition spectra
- * (far_mac) and an inverse real FFT; track_block then closes the block.
+ * real FFT of the last block's records into a ring of stored spectra, their
+ * multiply-add with the taps' partition spectra (far_mac) and an inverse
+ * real FFT; track_block then closes the block.  far_mac and track_block
+ * are its inlined steps.
  *
- * track_block: one tracker history block of a row group, closed sample by
- * sample with all rows in lockstep; the compiled form of pll._track_block.
- * It reads the block straight from the group's own (rows, m) arrays, each
- * with its row stride: the mean phase phibar, the quadratures x0 (NULL for
- * squeezed_z) and y0, and the far history.  It copies each row's tile into
- * (n, rows) work buffers, forms the closure constants there, adds the lags
- * inside the block, closes the loop in the tracking error e and writes the
- * block's records into fr and tracker outputs into phip.
+ * track_block closes one block sample by sample, all rows in lockstep
+ * (pll._track_block).  It reads the block straight from the group's own
+ * (rows, m) arrays, each with its row stride: the mean phase phibar and the
+ * quadratures x0 (NULL for squeezed_z) and y0; its far history is the
+ * inverse FFT's (n, rows) tile.  It copies each row's tile into (n, rows)
+ * work buffers, forms the closure constants there, adds the lags inside the
+ * block, closes the loop in the tracking error e and writes the block's
+ * records into fr and tracker outputs into phip.
  *
  * The record is phibar - e + X sin e + Y cos e + z, with X = 1 + x0/2|a|,
  * Y = y0/2|a| and z = 0, or, for squeezed_z, X = 1, Y = 0 and z = y0/2|a|.
@@ -35,17 +36,15 @@
  *            row that has stopped takes a zero step, so it keeps its bits.
  * Then phip = phibar - e and rec = (phibar + z) + ((X sin e + Y cos e) - e).
  * A NaN step is never clipped and never stops the iteration, and a clipped
- * step never stops it.  sin and
- * cos are the package's own (sin_cos), not libm's, so the closure's row
- * loop has no call in it and vectorises across the rows.
+ * step never stops it.  sin and cos are the package's own (sin_cos), not
+ * libm's, so the closure's row loop has no call in it and vectorises.
  *
  * real_fft: the far history's radix-2 real FFT, either way (pll._real_fft).
- * far_mac: one far-history sum over the partitions (pll._far_mac).
  * spectrum_product: a spectrum times a filter response, in place
- * (grids._spectrum_product).  All three keep spectra as split real and
- * imaginary planes and round each of a complex product's four real products
- * on its own, so their bits depend neither on whether the CPU has fused
- * multiply-adds nor on numpy's build.
+ * (grids._spectrum_product).  They and far_mac keep spectra as split real
+ * and imaginary planes and round each of a complex product's four real
+ * products on its own, so their bits depend neither on whether the CPU has
+ * fused multiply-adds nor on numpy's build.
  *
  * levinson: the symmetric Toeplitz solve of the Wiener-Hopf normal
  * equations, the compiled form of wiener._levinson.
@@ -61,8 +60,8 @@
 #define CLOSURE_STEPS 8
 #define CLOSURE_TOL 1e-13
 
-/* close_group, track_block, real_fft, far_mac and spectrum_product are built
- * twice, for ISA_CLONE and for the baseline, and the loader runs the ISA_CLONE builds where the
+/* close_group, real_fft and spectrum_product are built twice, for ISA_CLONE
+ * and for the baseline, and the loader runs the ISA_CLONE builds where the
  * CPU has it (ifunc).  Both make the same IEEE operations in the same order,
  * since nothing is contracted or reassociated, so they give the same bits.
  * Without the attribute (another compiler or target) ISA_CLONE stays
@@ -77,8 +76,8 @@
 #else
 #define ISA_CLONES
 #endif
-/* A helper of the cloned functions, always inlined, so each clone runs its
- * own build of it. */
+/* A helper of the cloned functions (track_block and far_mac among them),
+ * always inlined, so each clone runs its own build of it. */
 #ifdef __GNUC__
 #define INLINED static inline __attribute__((always_inline))
 #else
@@ -197,11 +196,8 @@ struct group {
 };
 
 /* Samples j0 .. j0 + n - 1; their far history, the lags that reach before
- * the block, is far[r * row_stride + i * sample_stride] for row r and
- * sample j0 + i. */
-ISA_CLONES
-void track_block(const struct group *g, int j0, const double *far, ptrdiff_t row_stride,
-                 ptrdiff_t sample_stride)
+ * the block, is far[i * rows + r] for row r and sample j0 + i. */
+INLINED void track_block(const struct group *g, int j0, const double *far)
 {
     const int n = g->n, rows = g->rows, nt = g->nt;
     const double l0 = g->l0, twoa = g->twoa, k = 1.0 - l0;
@@ -213,10 +209,9 @@ void track_block(const struct group *g, int j0, const double *far, ptrdiff_t row
         const double *p = g->phibar + r * g->phibar_stride + j0;
         const double *y0 = g->y0 + r * g->y0_stride + j0;
         const double *x0 = g->x0 ? g->x0 + r * g->x0_stride + j0 : NULL;
-        const double *fa = far + r * row_stride;
         for (int i = 0; i < n; i++) {
             const size_t o = (size_t)i * rows + r;
-            const double f = fa[i * sample_stride];
+            const double f = far[o];
             pb[o] = p[i];
             if (x0) {
                 X[o] = x0[i] / twoa + 1.0;
@@ -447,8 +442,8 @@ INLINED void mac_bin(int rows, int first, double wr, double wi, const double *re
     }
 }
 
-ISA_CLONES
-void far_mac(int n, int rows, int parts, int s, const double *ring, const double *g, double *acc)
+INLINED void far_mac(int n, int rows, int parts, int s, const double *ring, const double *g,
+                     double *acc)
 {
     const size_t el = 2 * (size_t)rows, slot = (size_t)(n + 1) * el;
     for (int k0 = 0; k0 <= n; k0 += MAC_BINS) {
@@ -491,7 +486,7 @@ void close_group(const struct group *g)
             continue;
         far_mac(n, rows, parts, k % parts, ring, g->spectra, acc);
         unsplit(n, rows, acc, a, tw);
-        track_block(g, (k - parts) * n, fft(n, rows, 1, a, b, a, tw) + tile / 2, 1, rows);
+        track_block(g, (k - parts) * n, fft(n, rows, 1, a, b, a, tw) + tile / 2);
     }
 }
 

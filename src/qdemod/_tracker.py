@@ -1,18 +1,19 @@
 """Build and load the compiled library (_tracker.c) through ctypes.
 
 The library holds the loops that numpy runs slowly: close_group, which
-closes a row group's whole loop in one call, the far history's real FFTs
-and multiply-add (far_mac) and each block's closure (track_block) included
-(pll._close_group in numpy); spectrum_product, a filter's product with a
-spectrum in place (grids._spectrum_product); and levinson, the Toeplitz
-solve of the Wiener-Hopf normal equations (wiener._levinson).  Kernel
-checks a group's arrays before the call, since the library gets raw
-pointers.  The spectra are split real and imaginary planes, and each real
-product of a complex product is rounded on its own, so the bits are the
-same on every CPU.  Each ctypes call releases the interpreter lock.  The
-cloned functions are built on x86-64 with glibc for avx512f and for the
-baseline, and the loader runs the avx512f builds where the CPU has it; both
-give the same bits, since nothing is contracted or reassociated.
+closes a row group's whole loop in one call, the far history's real FFTs and
+multiply-add and each block's closure included (pll._close_group in numpy);
+real_fft, the far history's FFT (pll._real_fft), which makes the taps'
+partition spectra; spectrum_product, a filter's product with a spectrum in
+place (grids._spectrum_product); and levinson, the Toeplitz solve of the
+Wiener-Hopf normal equations (wiener._levinson).  It exports nothing else
+but kernel_isa.  Kernel checks a group's arrays before the call, since the
+library gets raw pointers.  The spectra are split real and imaginary planes,
+and each real product of a complex product is rounded on its own, so the
+bits are the same on every CPU.  Each ctypes call releases the interpreter
+lock.  The cloned functions are built on x86-64 with glibc for avx512f and
+for the baseline, and the loader runs the avx512f builds where the CPU has
+it; both give the same bits, since nothing is contracted or reassociated.
 Kernel.isa names the clone this process runs.  The library is built on the
 first call to load(), with the interpreter's C compiler and flags that keep
 its rounding equal to the numpy loops', and cached in this package's
@@ -85,9 +86,7 @@ def _aligned(size: int) -> np.ndarray:
 
 class Kernel:
     """The loaded library behind the numpy forms' signatures: close_group
-    (pll._close_group), real_fft, spectrum_product and levinson(c, b); a call
-    binds a row group to track_block alone (pll._track_block), and far_mac
-    gives close_group's last step to the checks."""
+    (pll._close_group), real_fft, spectrum_product and levinson(c, b)."""
 
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
@@ -96,21 +95,20 @@ class Kernel:
         self.isa = lib.kernel_isa().decode()  # the clone this CPU runs
         signatures = {
             "levinson": ([ctypes.c_int, *[ctypes.c_void_p] * 4], ctypes.c_int),
-            "track_block": ([ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p,
-                             ctypes.c_ssize_t, ctypes.c_ssize_t], None),
             "close_group": ([ctypes.c_void_p], None),
             "real_fft": ([*[ctypes.c_int] * 3, *[ctypes.c_void_p] * 3], None),
-            "far_mac": ([*[ctypes.c_int] * 4, *[ctypes.c_void_p] * 3], None),
             "spectrum_product": ([ctypes.c_ssize_t, ctypes.c_int, *[ctypes.c_void_p] * 2], None)}
         for name, (argtypes, restype) in signatures.items():
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
             setattr(self, f"_{name}", fn)
 
-    def _group(self, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
-        """(the row group's _Group, its far history unset, the arrays it
-        points into), once its arrays are checked: dtype, shapes, rows with
-        their own strides and writeable outputs."""
+    def close_group(self, spectra, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
+        """Close a row group's whole loop in one call (pll._close_group), in
+        blocks of n samples, n a power of two that divides nt and m, with
+        spectra the taps' (nt/n, 2, n + 1) partition spectra.  Every array is
+        checked first: dtype, shapes, rows with their own strides and
+        writeable outputs."""
         strides = [_row_stride(a) for a in (phibar, y0, fr, phip)]
         x0_stride = 0 if x0 is None else _row_stride(x0)
         if None in strides or x0_stride is None:
@@ -121,42 +119,18 @@ class Kernel:
                 or fr.shape != (rows, nt + m) or e.shape != (rows,) or trev.ndim != 1
                 or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (trev, e))
                 or not all(a.flags.writeable for a in (e, fr, phip))
-                or not 1 <= n <= min(nt, m)):
+                or not 1 <= n <= min(nt, m) or n & (n - 1) or nt % n or m % n
+                or not _contiguous(spectra, np.float64, (nt // n, 2, n + 1))):
             raise ValueError("tracker group arrays do not match")
+        parts = nt // n
         work = _aligned((6 * n + 3) * rows)
-        group = _Group(n, rows, nt, m, 0, l0, twoa, trev.ctypes.data, phibar.ctypes.data,
-                       None if x0 is None else x0.ctypes.data, y0.ctypes.data, None,
-                       strides[0], x0_stride, strides[1], strides[2], strides[3],
-                       e.ctypes.data, fr.ctypes.data, phip.ctypes.data, work.ctypes.data, None)
-        return group, (trev, phibar, x0, y0, e, fr, phip, work)
-
-    def __call__(self, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
-        """block(j0, far), which closes samples j0 .. j0 + n - 1 of the
-        group given their (rows, n) far history (pll._track_block)."""
-        group, arrays = self._group(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip)
-        rows, m = phibar.shape
-        fn, address = self._track_block, ctypes.addressof(group)
-
-        def block(j0, far):
-            stride = _row_stride(far)
-            if stride is None or far.shape != (rows, n) or not 0 <= j0 <= m - n:
-                raise ValueError("tracker block does not match its group")
-            fn(address, j0, far.ctypes.data, stride, 1)
-        block.arrays = (group, *arrays)  # referenced, so alive, as long as block is
-        return block
-
-    def close_group(self, spectra, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
-        """Close a row group's whole loop in one call (pll._close_group), in
-        blocks of n samples, n a power of two that divides nt and m, with
-        spectra the taps' (nt/n, 2, n + 1) partition spectra."""
-        group, arrays = self._group(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip)
-        rows, nt, m, parts = group.rows, group.nt, group.m, group.nt // n
-        if (n & (n - 1) or nt % n or m % n
-                or not _contiguous(spectra, np.float64, (parts, 2, n + 1))):
-            raise ValueError("far history arrays do not match")
         hist = _aligned(((parts + 1) * (n + 1) * 2 + 6 * n) * rows + 2 * n)
-        group.parts, group.spectra, group.hist = parts, spectra.ctypes.data, hist.ctypes.data
-        self._close_group(ctypes.byref(group))  # arrays and hist alive until it returns
+        group = _Group(n, rows, nt, m, parts, l0, twoa, trev.ctypes.data, phibar.ctypes.data,
+                       None if x0 is None else x0.ctypes.data, y0.ctypes.data,
+                       spectra.ctypes.data, strides[0], x0_stride, strides[1], strides[2],
+                       strides[3], e.ctypes.data, fr.ctypes.data, phip.ctypes.data,
+                       work.ctypes.data, hist.ctypes.data)
+        self._close_group(ctypes.byref(group))  # the arrays stay alive until it returns
 
     def real_fft(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
         """The spectra, (n + 1, 2, rows) planes, of the real rows of a,
@@ -170,18 +144,6 @@ class Kernel:
         out, work = np.empty(shapes[not inverse]), _aligned(4 * n * rows + 2 * n)
         self._real_fft(n, rows, inverse, a.ctypes.data, out.ctypes.data, work.ctypes.data)
         return out
-
-    def far_mac(self, ring: np.ndarray, g: np.ndarray, s: int) -> np.ndarray:
-        """The far history's sum over the (parts, bins, 2, rows) stored
-        spectra ring, slot s the newest, times g's (parts, 2, bins) planes,
-        oldest block first: (bins, 2, rows) planes (pll._far_mac)."""
-        parts, bins, _, rows = ring.shape if ring.ndim == 4 else (0, 0, 0, 0)
-        if not (parts and _contiguous(ring, np.float64, (parts, bins, 2, rows))
-                and _contiguous(g, np.float64, (parts, 2, bins)) and 0 <= s < parts):
-            raise ValueError("far history arrays do not match")
-        acc = np.empty((bins, 2, rows))
-        self._far_mac(bins - 1, rows, parts, s, ring.ctypes.data, g.ctypes.data, acc.ctypes.data)
-        return acc
 
     def spectrum_product(self, spectrum: np.ndarray, h: np.ndarray) -> None:
         """spectrum *= the response whose (2, bins) planes are h, in place,

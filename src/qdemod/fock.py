@@ -109,14 +109,6 @@ def coherent_coeffs(alpha: complex, n_max: int) -> TruncatedState:
     return TruncatedState(mag * np.exp(1j * n * np.angle(alpha)))
 
 
-def product_state(*modes: TruncatedState) -> TruncatedState:
-    """Tensor product of single-mode states."""
-    c = modes[0].amplitudes
-    for st in modes[1:]:
-        c = np.tensordot(c, st.amplitudes, axes=0)
-    return TruncatedState(c)
-
-
 def phase_grid(points: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(points) / points
 
@@ -153,27 +145,6 @@ def canonical_phase_density(state: TruncatedState, points: int) -> np.ndarray:
 def density_weight(points: int, modes: int) -> float:
     """Quadrature weight per phase-grid node."""
     return (2.0 * np.pi / points) ** modes
-
-
-def phase_mean_and_variance(density: np.ndarray, points: int):
-    """Circular-window mean and variance of a single-mode density around 0."""
-    phi = phase_grid(points)
-    phi = np.where(phi > np.pi, phi - 2.0 * np.pi, phi)  # wrap to (-pi, pi]
-    w = density_weight(points, 1)
-    mean = float(np.sum(phi * density) * w)
-    var = float(np.sum((phi - mean) ** 2 * density) * w)
-    return mean, var
-
-
-def phase_shift(state: TruncatedState, theta: float) -> TruncatedState:
-    """Apply exp(i theta n) per mode: translates the canonical density by theta."""
-    c = state.amplitudes
-    for axis in range(state.modes):
-        n = np.arange(c.shape[axis])
-        shape = [1] * state.modes
-        shape[axis] = c.shape[axis]
-        c = c * np.exp(1j * theta * n).reshape(shape)
-    return TruncatedState(c)
 
 
 def povm_resolution_check(n_max: int, points: int) -> float:

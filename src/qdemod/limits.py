@@ -2,9 +2,8 @@
 
 Conventions: Lambda = 4 |alpha|^2 S_m(0) / S2(0) is the loop SNR parameter,
 N the photon number per message correlation time 1/b.  Flat-band closed
-forms are exact; the large-argument asymptotes (snr_asymptote) are kept
-apart, and no other function here uses them.  beta and N are squared as
-x * x, which overflows to inf where x**2 raises OverflowError.
+forms are exact.  beta and N are squared as x * x, which overflows to inf
+where x**2 raises OverflowError.
 """
 
 from __future__ import annotations
@@ -62,15 +61,6 @@ def closed_form_snr(kind: str, beta: float, lam: float):
     return float(sigma2), float(1.0 / sigma2)
 
 
-def snr_asymptote(kind: str, beta: float, lam: float) -> float:
-    """Large beta^2 Lambda asymptotes: beta^2 Lambda (PM), 3 beta^2 Lambda (FM)."""
-    if kind == PM:
-        return beta * beta * lam
-    if kind == FM:
-        return 3.0 * (beta * beta) * lam
-    raise ValueError(f"unknown modulation kind {kind!r}")
-
-
 def quantum_limit_snr(limit: str, n_photon: float, beta: float, kind: str) -> float:
     """SQL / Heisenberg SNRs and the log-corrected upper bound.
 
@@ -96,15 +86,8 @@ def quantum_limit_snr(limit: str, n_photon: float, beta: float, kind: str) -> fl
 
 def optimal_squeeze(n_photon: float):
     """(exp(2r), r) maximising the squeezed SNR at a fixed photon budget."""
-    if n_photon < 0:
-        raise ValueError("photon number must be nonnegative")
-    e2r = 2.0 * n_photon + 1.0
+    e2r = 2.0 * check_nonnegative("n_photon", n_photon) + 1.0
     return float(e2r), float(0.5 * np.log(e2r))
-
-
-def lorentzian_pm_snr(n_photon: float, beta: float) -> float:
-    """Coherent PM SNR for a Lorentzian message, B >> b: sqrt(8 b^2 N / pi + 1)."""
-    return float(np.sqrt(8.0 * (beta * beta) * n_photon / np.pi + 1.0))
 
 
 def sigma0(kind: str, beta: float, lam: float) -> float:

@@ -52,17 +52,18 @@ per cell).  Each sample then adds only the lags inside its block.  The
 library's close_group (_tracker.c, through ctypes) runs a row group's whole
 loop in one call, which releases the interpreter lock for all of it: per
 block a forward FFT, the multiply-add over the partitions (far_mac), the
-inverse FFT and track_block, which reads the block straight from the
-group's own arrays (phibar, x0, y0, each with its row stride), closes it
-sample by sample and writes the records into fr and the tracker output
-into phip.  The FFTs are the library's own, radix 2 on split real and
-imaginary planes with the rows innermost, within about 1e-15 of numpy's;
-they and far_mac round each real product on its own, so no bit depends on
-numpy's FFT build or on whether the CPU fuses multiply-adds (gcc fuses an
-interleaved complex loop in the avx512f clone even without contraction, a
-planar one it does not).  The library is built on first use (_tracker)
-for avx512f and the baseline, which give the same bits.  Without a
-compiler, _close_group makes the same operations in numpy, rows in
+inverse FFT and the closure of the block (track_block), all inlined steps of
+close_group: the closure reads the block straight from the group's own
+arrays (phibar, x0, y0, each with its row stride) and the inverse FFT's
+tile, closes it sample by sample and writes the records into fr and the
+tracker output into phip.  The FFTs are the library's own, radix 2 on split
+real and imaginary planes with the rows innermost, within about 1e-15 of
+numpy's; they and far_mac round each real product on its own, so no bit
+depends on numpy's FFT build or on whether the CPU fuses multiply-adds (gcc
+fuses an interleaved complex loop in the avx512f clone even without
+contraction, a planar one it does not).  The library is built on first use
+(_tracker) for avx512f and the baseline, which give the same bits.  Without
+a compiler, _close_group makes the same operations in numpy, rows in
 lockstep, so both paths give the same bits, at about 55 times the time.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
@@ -277,61 +278,56 @@ def _halley_step(k, lx, ly, c, e, stop, sin_cos):
     return e - np.where(stop, _ZERO, clipped), stop | ((err < _CLOSURE_TOL) & (a <= _ONE))
 
 
-def _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
-    """block(j0, far), which closes samples j0 .. j0 + n - 1 of a row group:
-    the numpy form of _tracker.c's track_block, all rows in lockstep, with
-    its operations, so its bits.
+def _track_block(j0, far, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
+    """Close samples j0 .. j0 + n - 1 of a row group, given their far history
+    far, the inverse FFT's (n, rows) tile: the numpy form of _tracker.c's
+    track_block, all rows in lockstep, with its operations, so its bits.
 
     The group's (rows, m) phibar, x0 (None for squeezed_z) and y0, the taps
     trev for lags nt-1 .. 1 and each row's tracking error e, carried from
     block to block; a block writes its records into fr, after the nt
-    steady-state records, and its tracker outputs into phip.  far is the
-    block's far history, (rows, n).  A sample's first Halley step reads the
-    sin e and cos e that the last record made at the same e, where the
-    kernel makes them again.
+    steady-state records, and its tracker outputs into phip.  A sample's
+    first Halley step reads the sin e and cos e that the last record made at
+    the same e, where the kernel makes them again.
     """
-    rows = e.size
-    nt = trev.size + 1
+    (n, rows), nt = far.shape, trev.size + 1
     k = np.array(1.0 - l0)
     terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each lag sum starts
-
-    def block(j0, far):
-        cols = slice(j0, j0 + n)
-        pb = phibar[:, cols].T
-        if x0 is None:  # X = 1, Y = 0 and the record offset z = y0/2|a|
-            x, y = np.ones((n, rows)), np.zeros((n, rows))
-            z = y0[:, cols].T / twoa
-            r0 = pb + z
-            cb = k * pb - l0 * z - far.T
+    cols = slice(j0, j0 + n)
+    pb = phibar[:, cols].T
+    if x0 is None:  # X = 1, Y = 0 and the record offset z = y0/2|a|
+        x, y = np.ones((n, rows)), np.zeros((n, rows))
+        z = y0[:, cols].T / twoa
+        r0 = pb + z
+        cb = k * pb - l0 * z - far
+    else:
+        x = x0[:, cols].T / twoa + 1.0
+        y = y0[:, cols].T / twoa
+        r0 = pb
+        cb = k * pb - far
+    lxs, lys = l0 * x, l0 * y
+    rec = np.empty((n, rows))
+    u = e.copy()
+    sin_cos = _sincos(u)
+    for i in range(n):
+        # an accumulate adds in order, never pairwise or through BLAS
+        np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
+        c = cb[i] - np.add.accumulate(terms[: i + 1], axis=0)[-1]
+        if l0 == 0.0:
+            u = c  # the closure is explicit
         else:
-            x = x0[:, cols].T / twoa + 1.0
-            y = y0[:, cols].T / twoa
-            r0 = pb
-            cb = k * pb - far.T
-        lxs, lys = l0 * x, l0 * y
-        rec = np.empty((n, rows))
-        u = e.copy()
-        sin_cos = _sincos(u)
-        for i in range(n):
-            # an accumulate adds in order, never pairwise or through BLAS
-            np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
-            c = cb[i] - np.add.accumulate(terms[: i + 1], axis=0)[-1]
-            if l0 == 0.0:
-                u = c  # the closure is explicit
-            else:
-                stop = np.zeros(rows, bool)
-                for step_index in range(_CLOSURE_STEPS):
-                    if step_index:
-                        sin_cos = _sincos(u)
-                    u, stop = _halley_step(k, lxs[i], lys[i], c, u, stop, sin_cos)
-                    if np.count_nonzero(stop) == rows:
-                        break
-            phip[:, j0 + i] = pb[i] - u
-            s, co = sin_cos = _sincos(u)
-            rec[i] = r0[i] + ((s * x[i] + co * y[i]) - u)
-        fr[:, nt + j0: nt + j0 + n] = rec.T
-        e[:] = u
-    return block
+            stop = np.zeros(rows, bool)
+            for step_index in range(_CLOSURE_STEPS):
+                if step_index:
+                    sin_cos = _sincos(u)
+                u, stop = _halley_step(k, lxs[i], lys[i], c, u, stop, sin_cos)
+                if np.count_nonzero(stop) == rows:
+                    break
+        phip[:, j0 + i] = pb[i] - u
+        s, co = sin_cos = _sincos(u)
+        rec[i] = r0[i] + ((s * x[i] + co * y[i]) - u)
+    fr[:, nt + j0: nt + j0 + n] = rec.T
+    e[:] = u
 
 
 def max_workers() -> int:
@@ -416,14 +412,14 @@ def _close_group(spectra, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
     numpy, step for step (its far history by _real_fft and _far_mac,
     each block by _track_block), so its bits."""
     parts, rows = len(spectra), e.size
-    block = _track_block(n, l0, trev, twoa, phibar, x0, y0, e, fr, phip)
     ring = np.empty((parts, n + 1, 2, rows))
     x = np.zeros((2 * n, rows))  # [block, n zeros]
     for k in range(1, fr.shape[1] // n):
         x[:n] = fr[:, (k - 1) * n: k * n].T
         ring[k % parts] = _real_fft(x)
         if k >= parts:
-            block((k - parts) * n, _real_fft(_far_mac(ring, spectra, k % parts), True)[n:].T)
+            far = _real_fft(_far_mac(ring, spectra, k % parts), True)[n:]
+            _track_block((k - parts) * n, far, l0, trev, twoa, phibar, x0, y0, e, fr, phip)
 
 
 def _partition_spectra(taps, real_fft):

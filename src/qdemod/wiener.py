@@ -12,11 +12,10 @@ residual to rounding level even for brick-wall spectra.
 normal_equation_taps sets up that system for either feedback delay, and
 solve_normal_equations runs the recursion in the compiled library (levinson
 in _tracker.c) or, without a compiler, in its numpy form _levinson, which
-gives the same bits.  The classical construction L' = (1/X)[V/X*]_+ from the
-cepstral factor X is also provided; on discontinuous (brick-wall) spectra its
-circular Gibbs wrap-around leaves residuals around 1e-2 and it is kept as a
-cross-check for smooth spectra only.
-A design measures no causality; anticausal_energy_fraction does on demand.
+gives the same bits.  spectral_factorize gives the cepstral factor X of the
+classical construction L' = (1/X)[V/X*]_+, which the tests keep as a
+cross-check for smooth spectra only: on discontinuous (brick-wall) spectra
+its circular Gibbs wrap-around leaves residuals around 1e-2.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ import numpy as np
 
 from . import _tracker
 from .grids import FilterKernel, SpectralDensity, TimeGrid
-from .signals import (FM, MessageSpec, ModulationScheme, carson_bandwidth,
-                      message_psd, modulate, phase_response)
+from .signals import FM, MessageSpec, ModulationScheme, message_psd, phase_response
 from .qnoise import NoiseModel, squeezed_covariance_psds
 
 
@@ -38,23 +36,6 @@ class FactorizationError(ValueError):
 
 class LoopInstabilityError(ValueError):
     pass
-
-
-class NonConvergenceError(RuntimeError):
-    def __init__(self, message: str, last_iterate: np.ndarray, iterations: int):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.iterations = iterations
-
-
-def anticausal_energy_fraction(response: np.ndarray) -> float:
-    """Energy fraction of the taps at negative lags (circle indices >= M/2)."""
-    taps = np.fft.ifft(np.asarray(response))
-    m = taps.size
-    total = float(np.sum(np.abs(taps) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(taps[m // 2:]) ** 2) / total)
 
 
 def optimum_filter(s_m: np.ndarray, h: np.ndarray, four_alpha_sq: float,
@@ -189,19 +170,6 @@ def closed_loop_filter(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKe
     return FilterKernel(grid, np.fft.fft(full))
 
 
-def causal_part_solution(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKernel:
-    """Textbook L' = (1/X) [V/X*]_+ via the cepstral factor.
-
-    Zeroes the anticausal taps of V/X* in the sample domain.  Accurate for
-    smooth spectra; Gibbs-limited for brick walls (see module docstring).
-    """
-    x = spectral_factorize(u, grid).response
-    w = np.fft.ifft(np.asarray(v) / np.conj(x))
-    w[grid.n_samples // 2:] = 0.0
-    response = np.fft.fft(w) / x
-    return FilterKernel(grid, response)
-
-
 @dataclass(frozen=True)
 class LoopDesign:
     """Complete filter set for one operating point.
@@ -286,59 +254,6 @@ def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
         l_loop=l_loop, l_post=l_post, delay=delay, two_alpha=2.0 * alpha_mag,
         noise=noise, s2=s2_density, s_m=s_m, h=h, u=u, v=v, wh_residual=residual,
     )
-
-
-def linearized_map_estimate(design: LoopDesign, phi: np.ndarray) -> np.ndarray:
-    """m_hat = G . phi for an effective phase record phi = phibar + z'/2|a|."""
-    return design.g.apply(np.asarray(phi, dtype=float))
-
-
-_MAP_ITERATIONS = 10000  # cap of nonlinear_map_fixed_point
-
-
-def nonlinear_map_fixed_point(message: MessageSpec, mod: ModulationScheme,
-                              two_alpha: float, a: np.ndarray,
-                              init: np.ndarray | None = None):
-    """Damped fixed-point solve of the exact MAP equation m = 2|a| K_m H^T p(m).
-
-    p(m) = -i (a e^{-i phi} - a* e^{i phi}), phi = H m.  The iteration is run
-    in the preconditioned form m <- m/2 + G (H m + p(m)/2|a|)/2, which has
-    the same fixed points as the raw equation but contracts even when
-    beta^2 Lambda >> 1 (the raw Picard map has spectral radius ~ beta^2 Lambda
-    and diverges).  Needs the full complex field record a (oracle mode).
-
-    Returns (estimate, iterations) once an iteration moves no sample by
-    1e-9 or more.  Raises NonConvergenceError carrying the last iterate
-    after _MAP_ITERATIONS iterations.
-    """
-    grid = message.grid
-    a = np.asarray(a, dtype=complex)
-    s_m = message_psd(message, drop_dc=(mod.kind == FM)).values
-    h = phase_response(mod, grid)
-    fa2 = two_alpha**2
-    g = optimum_filter(s_m, h, fa2, np.ones(grid.n_samples), grid)
-
-    if init is None:
-        # linearised estimate from the record phase (oracle mode has the full
-        # complex field); low-pass to the Carson band first so the per-sample
-        # angle noise cannot derail the unwrap
-        half = min(carson_bandwidth(mod.beta, message.bandwidth),
-                   0.499 * grid.bandwidth)
-        mask = np.abs(grid.freqs) <= half
-        a_lp = np.fft.ifft(np.fft.fft(a) * mask)
-        phi0 = np.unwrap(np.angle(a_lp))
-        init = g.apply(phi0)
-    m = np.asarray(init, dtype=float).copy()
-    for it in range(1, _MAP_ITERATIONS + 1):
-        phi = modulate(mod, grid, m)
-        p = 2.0 * np.imag(a * np.exp(-1j * phi))
-        target = g.apply(phi + p / two_alpha)
-        new = 0.5 * m + 0.5 * target
-        delta = float(np.max(np.abs(new - m)))
-        m = new
-        if delta < 1e-9:
-            return m, it
-    raise NonConvergenceError("MAP fixed point did not converge", m, _MAP_ITERATIONS)
 
 
 _DUMP_ROW = "%d %.9e" + " %.17e" * 8 + "\n"

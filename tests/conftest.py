@@ -32,7 +32,7 @@ def design_dump_oracle():
 
 @pytest.fixture
 def kernel_clones():
-    """The names a loaded kernel may give for its clone of track_block:
+    """The names a loaded kernel may give for its clone of close_group:
     _tracker.c's ISA_CLONE, when its source names one, and the baseline."""
     isa = re.findall(r'^#define ISA_CLONE "([^"]*)"$', _tracker.SOURCE.read_text(), re.M)
     return (*isa, "default")

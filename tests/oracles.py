@@ -1,9 +1,17 @@
 """Oracles that only the tests use: the FM message's band-limited
-derivative and the averaged-periodogram PSD estimate."""
+derivative and the averaged-periodogram PSD estimate; the Wiener side's
+textbook causal-part L', anticausal energy, linearised and exact
+(fixed-point) MAP estimates; the Fock side's product states, phase shifts
+and phase moments; and the limits' large-argument SNR asymptotes and the
+Lorentzian PM SNR."""
 
 import numpy as np
 
-from qdemod.grids import SpectralDensity, TimeGrid
+from qdemod.fock import TruncatedState, density_weight, phase_grid
+from qdemod.grids import FilterKernel, SpectralDensity, TimeGrid
+from qdemod.signals import (FM, PM, MessageSpec, ModulationScheme, carson_bandwidth,
+                            message_psd, modulate, phase_response)
+from qdemod.wiener import LoopDesign, optimum_filter, spectral_factorize
 
 
 def differentiate(grid: TimeGrid, x: np.ndarray) -> np.ndarray:
@@ -38,3 +46,128 @@ def estimate_psd(x, grid: TimeGrid, segments: int = 1) -> SpectralDensity:
     values = p.mean(axis=0)
     seg_grid = TimeGrid(grid.bandwidth, seg_len)
     return SpectralDensity(seg_grid, values)
+
+
+class NonConvergenceError(RuntimeError):
+    def __init__(self, message: str, last_iterate: np.ndarray, iterations: int):
+        super().__init__(message)
+        self.last_iterate = last_iterate
+        self.iterations = iterations
+
+
+def anticausal_energy_fraction(response: np.ndarray) -> float:
+    """Energy fraction of the taps at negative lags (circle indices >= M/2)."""
+    taps = np.fft.ifft(np.asarray(response))
+    m = taps.size
+    total = float(np.sum(np.abs(taps) ** 2))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(np.abs(taps[m // 2:]) ** 2) / total)
+
+
+def causal_part_solution(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKernel:
+    """Textbook L' = (1/X) [V/X*]_+ via the cepstral factor.
+
+    Zeroes the anticausal taps of V/X* in the sample domain.  Accurate for
+    smooth spectra; Gibbs-limited for brick walls (see module docstring).
+    """
+    x = spectral_factorize(u, grid).response
+    w = np.fft.ifft(np.asarray(v) / np.conj(x))
+    w[grid.n_samples // 2:] = 0.0
+    response = np.fft.fft(w) / x
+    return FilterKernel(grid, response)
+
+
+def linearized_map_estimate(design: LoopDesign, phi: np.ndarray) -> np.ndarray:
+    """m_hat = G . phi for an effective phase record phi = phibar + z'/2|a|."""
+    return design.g.apply(np.asarray(phi, dtype=float))
+
+
+_MAP_ITERATIONS = 10000  # cap of nonlinear_map_fixed_point
+
+def nonlinear_map_fixed_point(message: MessageSpec, mod: ModulationScheme,
+                              two_alpha: float, a: np.ndarray,
+                              init: np.ndarray | None = None):
+    """Damped fixed-point solve of the exact MAP equation m = 2|a| K_m H^T p(m).
+
+    p(m) = -i (a e^{-i phi} - a* e^{i phi}), phi = H m.  The iteration is run
+    in the preconditioned form m <- m/2 + G (H m + p(m)/2|a|)/2, which has
+    the same fixed points as the raw equation but contracts even when
+    beta^2 Lambda >> 1 (the raw Picard map has spectral radius ~ beta^2 Lambda
+    and diverges).  Needs the full complex field record a (oracle mode).
+
+    Returns (estimate, iterations) once an iteration moves no sample by
+    1e-9 or more.  Raises NonConvergenceError carrying the last iterate
+    after _MAP_ITERATIONS iterations.
+    """
+    grid = message.grid
+    a = np.asarray(a, dtype=complex)
+    s_m = message_psd(message, drop_dc=(mod.kind == FM)).values
+    h = phase_response(mod, grid)
+    fa2 = two_alpha**2
+    g = optimum_filter(s_m, h, fa2, np.ones(grid.n_samples), grid)
+
+    if init is None:
+        # linearised estimate from the record phase (oracle mode has the full
+        # complex field); low-pass to the Carson band first so the per-sample
+        # angle noise cannot derail the unwrap
+        half = min(carson_bandwidth(mod.beta, message.bandwidth),
+                   0.499 * grid.bandwidth)
+        mask = np.abs(grid.freqs) <= half
+        a_lp = np.fft.ifft(np.fft.fft(a) * mask)
+        phi0 = np.unwrap(np.angle(a_lp))
+        init = g.apply(phi0)
+    m = np.asarray(init, dtype=float).copy()
+    for it in range(1, _MAP_ITERATIONS + 1):
+        phi = modulate(mod, grid, m)
+        p = 2.0 * np.imag(a * np.exp(-1j * phi))
+        target = g.apply(phi + p / two_alpha)
+        new = 0.5 * m + 0.5 * target
+        delta = float(np.max(np.abs(new - m)))
+        m = new
+        if delta < 1e-9:
+            return m, it
+    raise NonConvergenceError("MAP fixed point did not converge", m, _MAP_ITERATIONS)
+
+
+def product_state(*modes: TruncatedState) -> TruncatedState:
+    """Tensor product of single-mode states."""
+    c = modes[0].amplitudes
+    for st in modes[1:]:
+        c = np.tensordot(c, st.amplitudes, axes=0)
+    return TruncatedState(c)
+
+
+def phase_mean_and_variance(density: np.ndarray, points: int):
+    """Circular-window mean and variance of a single-mode density around 0."""
+    phi = phase_grid(points)
+    phi = np.where(phi > np.pi, phi - 2.0 * np.pi, phi)  # wrap to (-pi, pi]
+    w = density_weight(points, 1)
+    mean = float(np.sum(phi * density) * w)
+    var = float(np.sum((phi - mean) ** 2 * density) * w)
+    return mean, var
+
+
+def phase_shift(state: TruncatedState, theta: float) -> TruncatedState:
+    """Apply exp(i theta n) per mode: translates the canonical density by theta."""
+    c = state.amplitudes
+    for axis in range(state.modes):
+        n = np.arange(c.shape[axis])
+        shape = [1] * state.modes
+        shape[axis] = c.shape[axis]
+        c = c * np.exp(1j * theta * n).reshape(shape)
+    return TruncatedState(c)
+
+
+def snr_asymptote(kind: str, beta: float, lam: float) -> float:
+    """Large beta^2 Lambda asymptotes: beta^2 Lambda (PM), 3 beta^2 Lambda (FM)."""
+    if kind == PM:
+        return beta * beta * lam
+    if kind == FM:
+        return 3.0 * (beta * beta) * lam
+    raise ValueError(f"unknown modulation kind {kind!r}")
+
+
+def lorentzian_pm_snr(n_photon: float, beta: float) -> float:
+    """Coherent PM SNR for a Lorentzian message, B >> b: sqrt(8 b^2 N / pi + 1)."""
+    return float(np.sqrt(8.0 * (beta * beta) * n_photon / np.pi + 1.0))

@@ -11,11 +11,11 @@ decisions ledger for the Fisher-information argument).
 import numpy as np
 import pytest
 
+from oracles import lorentzian_pm_snr, phase_shift
 import qdemod as q
 from qdemod import fock
 from qdemod.grids import TimeGrid
-from qdemod.limits import (FM, PM, closed_form_snr, lorentzian_pm_snr,
-                           optimal_squeeze, sigma0)
+from qdemod.limits import FM, PM, closed_form_snr, optimal_squeeze, sigma0
 from qdemod.pll import sample_quadratures
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                            operating_point)
@@ -257,7 +257,7 @@ def test_criterion_8_fock_oracle_exactness():
     norm = abs(np.sum(dens) * fock.density_weight(points, 1) - 1.0)
     shift_bins = 41
     theta = 2.0 * np.pi * shift_bins / points
-    shifted = fock.canonical_phase_density(fock.phase_shift(st, theta), points)
+    shifted = fock.canonical_phase_density(phase_shift(st, theta), points)
     cov = np.max(np.abs(shifted - np.roll(dens, shift_bins)))
     detail = (f"POVM residual {povm:.1e} (<1e-10), PB unitarity {pb_u:.1e} and "
               f"commutator {pb_c:.1e} (<1e-12), density norm {norm:.1e} (<1e-10), "

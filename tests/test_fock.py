@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import phase_mean_and_variance, phase_shift, product_state
 from qdemod.fock import (DENSE_BUDGET, ModeOperator,
                          ResourceBudgetError, TruncatedState, TruncationError,
                          canonical_phase_density, coherent_coeffs, density_weight,
                          fluid_velocity_commutator_check, herm_defect,
                          instantaneous_frequency_operator,
                          pegg_barnett_commutator_residual, pegg_barnett_unitary,
-                         phase_grid, phase_mean_and_variance, phase_points,
-                         phase_shift, povm_resolution_check, product_state,
+                         phase_grid, phase_points, povm_resolution_check,
                          unitary_defect)
 
 

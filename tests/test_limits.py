@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import lorentzian_pm_snr, snr_asymptote
 from qdemod.grids import TimeGrid
 from qdemod.limits import (FM, HEISENBERG, LOG_BOUND, PM, SQL, LimitQuery,
-                           closed_form_snr, irreducible_error, lorentzian_pm_snr,
-                           optimal_squeeze, quantum_limit_snr, sigma0, sigma0_grid,
-                           snr_asymptote, threshold_check)
+                           closed_form_snr, irreducible_error, optimal_squeeze,
+                           quantum_limit_snr, sigma0, sigma0_grid, threshold_check)
 from qdemod.signals import LORENTZIAN, MessageSpec, ModulationScheme, message_psd, phase_response
 
 
@@ -84,6 +84,9 @@ def test_optimal_squeeze():
     assert e2r == pytest.approx(21.0)
     assert np.exp(2 * r) == pytest.approx(21.0)
     assert optimal_squeeze(0.0) == (1.0, 0.0)
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError):
+            optimal_squeeze(bad)
     # plugging the optimum into the budgeted Lambda hits the Heisenberg SNR
     n = 10.0
     lam = 4.0 * (n - np.sinh(r) ** 2) * e2r

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import (anticausal_energy_fraction, causal_part_solution,
+                     linearized_map_estimate, nonlinear_map_fixed_point)
 from qdemod import _tracker, wiener
 from qdemod.cli import cli_main
 from qdemod.grids import TimeGrid
@@ -18,10 +20,8 @@ from qdemod.rng import stream
 from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme,
                             message_psd, modulate)
 from qdemod.wiener import (FactorizationError, FilterKernel, LoopInstabilityError,
-                           anticausal_energy_fraction, causal_part_solution,
                            closed_loop_filter, design_loop, dump_design,
-                           linearized_map_estimate, loop_and_postloop,
-                           nonlinear_map_fixed_point, optimum_filter,
+                           loop_and_postloop, optimum_filter,
                            solve_normal_equations, spectral_factorize,
                            wiener_hopf_residual)
 
