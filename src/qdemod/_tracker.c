@@ -8,16 +8,18 @@
  * real FFT of the last block's records into a ring of stored spectra, their
  * multiply-add with the taps' partition spectra (far_mac) and an inverse
  * real FFT; track_block then closes the block.  far_mac and track_block
- * are its inlined steps.
+ * are its inlined steps.  A loop block's records are left in the forward
+ * FFT's input tile, so only the steady-state blocks are gathered from fr.
  *
  * track_block closes one block sample by sample, all rows in lockstep
- * (pll._track_block).  It reads the block straight from the group's own
- * (rows, m) arrays, each with its row stride: the mean phase phibar and the
- * quadratures x0 (NULL for squeezed_z) and y0; its far history is the
- * inverse FFT's (n, rows) tile.  It copies each row's tile into (n, rows)
- * work buffers, forms the closure constants there, adds the lags inside the
- * block, closes the loop in the tracking error e and writes the block's
- * records into fr and tracker outputs into phip.
+ * (pll._track_block).  It moves the block of the group's own (rows, m)
+ * arrays, each with its row stride (the mean phase phibar and the
+ * quadratures x0, NULL for squeezed_z, and y0), into (n, rows) tiles by
+ * 8 x 8 blocked transposes, and forms the closure constants there in
+ * contiguous passes; its far history is the inverse FFT's (n, rows) tile.
+ * It adds the lags inside the block, closes the loop in the tracking error
+ * e, writes the records into the tile the next forward FFT reads, and moves
+ * them into fr, and the tracker outputs into phip, by the same transposes.
  *
  * The record is phibar - e + X sin e + Y cos e + z, with X = 1 + x0/2|a|,
  * Y = y0/2|a| and z = 0, or, for squeezed_z, X = 1, Y = 0 and z = y0/2|a|.
@@ -32,8 +34,11 @@
  *            1 + r h <= 0 (far from the root, where Halley's step points
  *            away from it); the row stops once the error predicted after an
  *            unclipped step, (|lc/(6f')| + h^2) |step|^3, is below
- *            CLOSURE_TOL.  Each step runs over all rows of the group, and a
- *            row that has stopped takes a zero step, so it keeps its bits.
+ *            CLOSURE_TOL.  The first LOCKSTEP_STEPS steps run over all
+ *            rows of the group, later ones over each vector of 8 rows
+ *            that has a row still stepping; a row that has stopped takes
+ *            a zero step, so it keeps its bits however many its group or
+ *            vector takes.
  * Then phip = phibar - e and rec = (phibar + z) + ((X sin e + Y cos e) - e).
  * A NaN step is never clipped and never stops the iteration, and a clipped
  * step never stops it.  sin and cos are the package's own (sin_cos), not
@@ -182,7 +187,7 @@ static inline int all_stopped(int rows, const double *stop)
  * Row r of an array a starts at a + r * a_stride; each row is contiguous.
  * phibar, x0 and y0 have m samples a row, trev holds the tracker taps for
  * lags nt-1 .. 1, e each row's tracking error, carried from sample to sample
- * and block to block, and work (6 n + 3) rows doubles.  fr holds nt
+ * and block to block, and work (5 n + 3) rows doubles.  fr holds nt
  * steady-state records before the loop's record, so sample j's record is
  * fr[nt + j].  close_group also reads spectra, the (parts, 2, n + 1) planes
  * of the taps' partition spectra, and keeps the far history in hist,
@@ -195,39 +200,75 @@ struct group {
     double *e, *fr, *phip, *work, *hist;
 };
 
+/* dst[a * da + b] = src[a + b * sb] for a < na and b < nb, by blocks of 8
+ * by 8, so each block's 8 lines of dst are written whole while its 8 lines
+ * of src are in the L1 cache, not one entry at a time down a 256-byte
+ * stride.  It moves a block of samples between the group's rows, each with
+ * its row stride, and an (n, rows) tile, either way. */
+#define TB 8
+
+INLINED void transpose(int na, int nb, const double *restrict src, ptrdiff_t sb,
+                       double *restrict dst, ptrdiff_t da)
+{
+    for (int a0 = 0; a0 < na; a0 += TB) {
+        for (int b0 = 0; b0 < nb; b0 += TB) {
+            const double *s = src + a0 + b0 * sb;
+            double *d = dst + a0 * da + b0;
+            const int aw = na - a0 < TB ? na - a0 : TB, bw = nb - b0 < TB ? nb - b0 : TB;
+            if (aw == TB && bw == TB) {
+                for (int a = 0; a < TB; a++)
+                    for (int b = 0; b < TB; b++)
+                        d[a * da + b] = s[a + b * sb];
+            } else {
+                for (int a = 0; a < aw; a++)
+                    for (int b = 0; b < bw; b++)
+                        d[a * da + b] = s[a + b * sb];
+            }
+        }
+    }
+}
+
+/* The Halley steps every row of a sample takes in lockstep; after them each
+ * vector of VECTOR_ROWS rows (an AVX-512 register of doubles) steps on its
+ * own, so a row that has not stopped takes only its own vector through its
+ * further steps. */
+#define LOCKSTEP_STEPS 2
+#define VECTOR_ROWS 8
+
 /* Samples j0 .. j0 + n - 1; their far history, the lags that reach before
- * the block, is far[i * rows + r] for row r and sample j0 + i. */
-INLINED void track_block(const struct group *g, int j0, const double *far)
+ * the block, is far[i * rows + r] for row r and sample j0 + i, and rec, an
+ * (n, rows) tile, gets their records (the next block's forward FFT reads
+ * them there). */
+INLINED void track_block(const struct group *g, int j0, const double *restrict far,
+                         double *restrict rec)
 {
     const int n = g->n, rows = g->rows, nt = g->nt;
     const double l0 = g->l0, twoa = g->twoa, k = 1.0 - l0;
     const size_t tile = (size_t)n * rows;
     double *restrict X = g->work, *restrict Y = X + tile, *restrict pb = Y + tile;
-    double *restrict r0 = pb + tile, *restrict cb = r0 + tile, *restrict rec = cb + tile;
-    double *restrict c = rec + tile, *restrict e = c + rows, *restrict stop = e + rows;
-    for (int r = 0; r < rows; r++) {
-        const double *p = g->phibar + r * g->phibar_stride + j0;
-        const double *y0 = g->y0 + r * g->y0_stride + j0;
-        const double *x0 = g->x0 ? g->x0 + r * g->x0_stride + j0 : NULL;
-        for (int i = 0; i < n; i++) {
-            const size_t o = (size_t)i * rows + r;
-            const double f = far[o];
-            pb[o] = p[i];
-            if (x0) {
-                X[o] = x0[i] / twoa + 1.0;
-                Y[o] = y0[i] / twoa;
-                r0[o] = p[i];
-                cb[o] = k * p[i] - f;
-            } else {
-                const double z = y0[i] / twoa;
-                X[o] = 1.0;
-                Y[o] = 0.0;
-                r0[o] = p[i] + z;
-                cb[o] = k * p[i] - l0 * z - f;
-            }
+    double *restrict r0 = pb + tile, *restrict cb = r0 + tile;
+    double *restrict c = cb + tile, *restrict e = c + rows, *restrict stop = e + rows;
+    transpose(n, rows, g->phibar + j0, g->phibar_stride, pb, rows);
+    transpose(n, rows, g->y0 + j0, g->y0_stride, Y, rows);
+    if (g->x0) {
+        transpose(n, rows, g->x0 + j0, g->x0_stride, X, rows);
+        for (size_t o = 0; o < tile; o++) {
+            X[o] = X[o] / twoa + 1.0;
+            Y[o] = Y[o] / twoa;
+            r0[o] = pb[o];
+            cb[o] = k * pb[o] - far[o];
         }
-        e[r] = g->e[r];
+    } else {
+        for (size_t o = 0; o < tile; o++) {
+            const double z = Y[o] / twoa;
+            X[o] = 1.0;
+            Y[o] = 0.0;
+            r0[o] = pb[o] + z;
+            cb[o] = k * pb[o] - l0 * z - far[o];
+        }
     }
+    for (int r = 0; r < rows; r++)
+        e[r] = g->e[r];
     for (int i = 0; i < n; i++) {
         const size_t o = (size_t)i * rows;
         const double *w = g->trev + (nt - 1 - i);  /* weights of lags i .. 1 */
@@ -248,8 +289,14 @@ INLINED void track_block(const struct group *g, int j0, const double *far)
         } else {
             for (int r = 0; r < rows; r++)
                 stop[r] = 0.0;
-            for (int it = 0; it < CLOSURE_STEPS && !all_stopped(rows, stop); it++)
+            int it = 0;
+            for (; it < LOCKSTEP_STEPS && !all_stopped(rows, stop); it++)
                 halley_step(rows, l0, k, X + o, Y + o, c, e, stop);
+            for (int v = 0; v < rows; v += VECTOR_ROWS) {
+                const int vw = rows - v < VECTOR_ROWS ? rows - v : VECTOR_ROWS;
+                for (int jt = it; jt < CLOSURE_STEPS && !all_stopped(vw, stop + v); jt++)
+                    halley_step(vw, l0, k, X + o + v, Y + o + v, c + v, e + v, stop + v);
+            }
         }
         for (int r = 0; r < rows; r++) {
             double s, co;
@@ -258,14 +305,10 @@ INLINED void track_block(const struct group *g, int j0, const double *far)
             pb[o + r] -= e[r];  /* the tracker output */
         }
     }
-    for (int r = 0; r < rows; r++) {
-        double *f = g->fr + r * g->fr_stride + nt + j0, *out = g->phip + r * g->phip_stride + j0;
-        for (int i = 0; i < n; i++) {
-            f[i] = rec[(size_t)i * rows + r];
-            out[i] = pb[(size_t)i * rows + r];
-        }
+    transpose(rows, n, rec, rows, g->fr + nt + j0, g->fr_stride);
+    transpose(rows, n, pb, rows, g->phip + j0, g->phip_stride);
+    for (int r = 0; r < rows; r++)
         g->e[r] = e[r];
-    }
 }
 
 /* The far history's FFTs, radix 2 over n = 2^t complex points.  A complex
@@ -463,8 +506,10 @@ INLINED void far_mac(int n, int rows, int parts, int s, const double *ring, cons
  * k - 1, the real FFT of [block, n zeros], goes into slot k % parts of the
  * ring.  From k = parts on, block k is a loop block: its far history is the
  * last n samples of the inverse FFT of far_mac's sum, and track_block
- * closes it, writing its records into fr before the next spectrum is made.
- * g->spectra carries the inverse FFT's 1/2n. */
+ * closes it, writing its records into fr and into x, the first half of the
+ * next forward FFT's input; blocks 0 .. parts - 1, the steady-state
+ * records, are moved into x from fr.  g->spectra carries the inverse FFT's
+ * 1/2n. */
 ISA_CLONES
 void close_group(const struct group *g)
 {
@@ -476,17 +521,14 @@ void close_group(const struct group *g)
     for (size_t i = tile / 2; i < tile; i++)
         x[i] = 0.0;
     for (int k = 1; k < (g->nt + g->m) / n; k++) {
-        for (int r = 0; r < rows; r++) {
-            const double *f = g->fr + r * g->fr_stride + (size_t)(k - 1) * n;
-            for (int i = 0; i < n; i++)
-                x[(size_t)i * rows + r] = f[i];
-        }
+        if (k <= parts)  /* a steady-state block; a loop block's records are in x */
+            transpose(n, rows, g->fr + (size_t)(k - 1) * n, g->fr_stride, x, rows);
         split(n, rows, fft(n, rows, 0, x, a, b, tw), ring + (size_t)(k % parts) * slot, tw);
         if (k < parts)
             continue;
         far_mac(n, rows, parts, k % parts, ring, g->spectra, acc);
         unsplit(n, rows, acc, a, tw);
-        track_block(g, (k - parts) * n, fft(n, rows, 1, a, b, a, tw) + tile / 2);
+        track_block(g, (k - parts) * n, fft(n, rows, 1, a, b, a, tw) + tile / 2, x);
     }
 }
 

@@ -63,8 +63,10 @@ class _Group(ctypes.Structure):
 
 def _row_stride(a: np.ndarray) -> int | None:
     """a's row stride in float64 entries, or None unless a is a 2-d float64
-    array whose rows are contiguous."""
-    if a.dtype != np.float64 or a.ndim != 2 or a.strides[1] != 8 or a.strides[0] % 8:
+    array whose rows are contiguous (any stride on a sample axis of length
+    1, to which numpy may give a 0 stride)."""
+    if (a.dtype != np.float64 or a.ndim != 2 or a.strides[0] % 8
+            or (a.shape[1] != 1 and a.strides[1] != 8)):
         return None
     return a.strides[0] // 8
 
@@ -123,7 +125,7 @@ class Kernel:
                 or not _contiguous(spectra, np.float64, (nt // n, 2, n + 1))):
             raise ValueError("tracker group arrays do not match")
         parts = nt // n
-        work = _aligned((6 * n + 3) * rows)
+        work = _aligned((5 * n + 3) * rows)
         hist = _aligned(((parts + 1) * (n + 1) * 2 + 6 * n) * rows + 2 * n)
         group = _Group(n, rows, nt, m, parts, l0, twoa, trev.ctypes.data, phibar.ctypes.data,
                        None if x0 is None else x0.ctypes.data, y0.ctypes.data,

@@ -34,11 +34,12 @@ _CLOSURE_TOL (a cubic stop), after at most _CLOSURE_STEPS (8) steps,
 clipping any step beyond +-1 rad; a NaN or clipped step never stops it.  A
 step takes one sin e and one cos e, and a locked sample takes about two
 steps.  squeezed_z runs the same arithmetic with X = 1 and Y = 0.  The
-step runs over all rows of a group in lockstep, a stopped row taking a
-zero step, and sin and cos are the package's own (_sincos, msun's kernels
-after a Cody-Waite reduction, within 1 ulp of libm for |e| <= 1e6, far
-beyond _DIVERGENCE_LIMIT), so the compiled step has no call in it and
-vectorises across the rows.
+step runs over all rows of a group in lockstep (in the library its first
+two, later ones over each vector of 8 rows that has a row still stepping),
+a stopped row taking a zero step, and sin and cos are the package's own
+(_sincos, msun's kernels after a Cody-Waite reduction, within 1 ulp of libm
+for |e| <= 1e6, far beyond _DIVERGENCE_LIMIT), so the compiled step has no
+call in it and vectorises across the rows.
 
 The tracker history is a uniformly partitioned overlap-save convolution
 (Gardner, JAES 43(3), 1995) over blocks of kb = _BLOCK (128) samples.  Let
@@ -53,25 +54,32 @@ library's close_group (_tracker.c, through ctypes) runs a row group's whole
 loop in one call, which releases the interpreter lock for all of it: per
 block a forward FFT, the multiply-add over the partitions (far_mac), the
 inverse FFT and the closure of the block (track_block), all inlined steps of
-close_group: the closure reads the block straight from the group's own
-arrays (phibar, x0, y0, each with its row stride) and the inverse FFT's
-tile, closes it sample by sample and writes the records into fr and the
-tracker output into phip.  The FFTs are the library's own, radix 2 on split
-real and imaginary planes with the rows innermost, within about 1e-15 of
-numpy's; they and far_mac round each real product on its own, so no bit
-depends on numpy's FFT build or on whether the CPU fuses multiply-adds (gcc
-fuses an interleaved complex loop in the avx512f clone even without
-contraction, a planar one it does not).  The library is built on first use
-(_tracker) for avx512f and the baseline, which give the same bits.  Without
-a compiler, _close_group makes the same operations in numpy, rows in
-lockstep, so both paths give the same bits, at about 55 times the time.
+close_group: the closure moves the block of the group's own arrays (phibar,
+x0, y0, each with its row stride) into (n, rows) tiles by 8 x 8 blocked
+transposes, closes it sample by sample beside the inverse FFT's tile and
+leaves the records in the tile the next forward FFT reads, moving them into
+fr, and the tracker output into phip, by the same transposes.  The FFTs are
+the library's own, radix 2 on split real and imaginary planes with the rows
+innermost, within about 1e-15 of numpy's; they and far_mac round each real
+product on its own, so no bit depends on numpy's FFT build or on whether
+the CPU fuses multiply-adds (gcc fuses an interleaved complex loop in the
+avx512f clone even without contraction, a planar one it does not).  The
+library is built on first use (_tracker) for avx512f and the baseline, which
+give the same bits.  Without a compiler, _close_group makes the same
+operations in numpy, rows in lockstep, so both paths give the same bits, at
+about 55 times the time.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
 the delayed MAP filter design.g_delayed = G exp(-i w d dt) then gives the
 message estimate, both through FilterKernel.apply.  The per-trial
-statistics are taken from the tracking error before the estimate, which
-then works in place in the group's record and phi' arrays, so a group's
+statistics come before the estimate, from the tracking error made in place
+in the group's phibar (_group_statistics): each row's largest |e|, for the
+divergence check; its mean square about the nearest multiple of 2 pi to its
+mean, in place over the window, each mean a pairwise sum over the row; and
+its cycle slips, counted only on rows whose |e| reaches pi/2, since a row
+inside +-pi/2 never leaves basin 0.  The estimate then works in place in the
+group's record and phi' arrays, and the mse in the estimate's, so a group's
 working set peaks in the loop, at about five (rows, m) float arrays:
 phibar, phi', the record with its steady-state lead, and the far history's
 stored spectra.
@@ -548,11 +556,19 @@ def _draw(cfg: PllConfig, trials: list, store: _DrawStore | None):
     return msg, x0, y0
 
 
-def _error_statistics(e: np.ndarray) -> tuple:
-    """(sigma0_sq_empirical, cycle_slips) of one trial's windowed tracking
-    error: its mean square about the nearest multiple of 2 pi to its mean."""
-    offset = 2.0 * np.pi * np.round(np.mean(e) / (2.0 * np.pi))
-    return float(np.mean((e - offset) ** 2)), cycle_slip_count(e)
+def _group_statistics(err: np.ndarray, worst: np.ndarray) -> tuple:
+    """(sigma0_sq_empirical, cycle_slips) of each row of a group's windowed
+    tracking error err, whose rows reach at most worst in magnitude: its mean
+    square about the nearest multiple of 2 pi to its mean and its slips
+    (cycle_slip_count, counted only on rows whose worst reaches pi/2, since a
+    row inside +-pi/2 never leaves basin 0).  Works in place in err.  Each
+    row's means are pairwise sums over its contiguous row, as a lone row's
+    are, so a trial's statistics do not depend on its group."""
+    offsets = 2.0 * np.pi * np.round(np.mean(err, axis=1) / (2.0 * np.pi))
+    slips = [cycle_slip_count(e) if w >= np.pi / 2.0 else 0 for e, w in zip(err, worst)]
+    err -= offsets[:, None]
+    np.square(err, out=err)
+    return np.mean(err, axis=1).tolist(), slips
 
 
 def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -> list:
@@ -577,18 +593,19 @@ def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -
     else:
         phip = np.empty((n_t, m))
         _close_loop(close, taps, spectra, twoa, phibar, x0, y0, fr, phip)
-    err = phibar - phip
-    # what the estimate needs of phibar is in err and phip: free it, and the
-    # draws too unless a run_cells store holds them
+    # the tracking error, in phibar's own memory unless force_lock made phip
+    # that array; the estimate needs of phibar only what is in err and phip,
+    # and the draws are freed too unless a run_cells store holds them
+    err = np.subtract(phibar, phip, out=None if phip is phibar else phibar)
     del x0, y0, phibar
-    worst = np.max(np.abs(err), axis=1)
+    worst = np.maximum(np.max(err, axis=1), -np.min(err, axis=1))
     if not np.max(worst) <= _DIVERGENCE_LIMIT:  # also catches a non-finite error
         bad = int(np.argmax(worst))
         raise LoopDivergenceError(
             f"loop diverged (max |phibar - phi'| = {worst[bad]:.3e})",
             float(worst[bad]), trials[bad])
     lo, hi = 4 * d, m - 2 * d
-    errors = [_error_statistics(e_win) for e_win in err[:, lo:hi]]
+    sigma0_sqs, slips = _group_statistics(err[:, lo:hi], worst)
     del err
 
     # e_hat and then its sine term in phip, the record's relinearisation in
@@ -603,12 +620,16 @@ def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -
     del phip
     m_hat = design.g_delayed.apply(phirec)
     del fr, phirec
-    # row-major, so each row's mean is a pairwise sum, as a lone row's is
-    mses = np.mean((m_hat[:, lo:hi] - msg[:, lo - d: hi - d]) ** 2, axis=1)
+    # the squared error in place; each row's mean is a pairwise sum over its
+    # contiguous row, as a lone row's is
+    sq = m_hat[:, lo:hi]
+    sq -= msg[:, lo - d: hi - d]
+    np.square(sq, out=sq)
+    mses = np.mean(sq, axis=1)
     return [TrialResult(seed=cfg.seed, trial=trial, mse=mse,
                         snr_empirical=1.0 / mse if mse != 0 else float("inf"),
-                        sigma0_sq_empirical=sigma0_sq, cycle_slips=slips)
-            for trial, mse, (sigma0_sq, slips) in zip(trials, mses.tolist(), errors)]
+                        sigma0_sq_empirical=sigma0_sq, cycle_slips=n_slips)
+            for trial, mse, sigma0_sq, n_slips in zip(trials, mses.tolist(), sigma0_sqs, slips)]
 
 
 def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False,

@@ -2,13 +2,14 @@
 derivative and the averaged-periodogram PSD estimate; the Wiener side's
 textbook causal-part L', anticausal energy, linearised and exact
 (fixed-point) MAP estimates; the Fock side's product states, phase shifts
-and phase moments; and the limits' large-argument SNR asymptotes and the
-Lorentzian PM SNR."""
+and phase moments; the limits' large-argument SNR asymptotes and the
+Lorentzian PM SNR; and the Monte Carlo's per-trial error statistics."""
 
 import numpy as np
 
 from qdemod.fock import TruncatedState, density_weight, phase_grid
 from qdemod.grids import FilterKernel, SpectralDensity, TimeGrid
+from qdemod.pll import cycle_slip_count
 from qdemod.signals import (FM, PM, MessageSpec, ModulationScheme, carson_bandwidth,
                             message_psd, modulate, phase_response)
 from qdemod.wiener import LoopDesign, optimum_filter, spectral_factorize
@@ -171,3 +172,11 @@ def snr_asymptote(kind: str, beta: float, lam: float) -> float:
 def lorentzian_pm_snr(n_photon: float, beta: float) -> float:
     """Coherent PM SNR for a Lorentzian message, B >> b: sqrt(8 b^2 N / pi + 1)."""
     return float(np.sqrt(8.0 * (beta * beta) * n_photon / np.pi + 1.0))
+
+
+def error_statistics(e: np.ndarray) -> tuple:
+    """(sigma0_sq_empirical, cycle_slips) of one trial's windowed tracking
+    error: its mean square about the nearest multiple of 2 pi to its mean,
+    and its cycle_slip_count."""
+    offset = 2.0 * np.pi * np.round(np.mean(e) / (2.0 * np.pi))
+    return float(np.mean((e - offset) ** 2)), cycle_slip_count(e)

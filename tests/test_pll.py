@@ -1,3 +1,4 @@
+import ctypes
 import math
 import re
 import shutil
@@ -10,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import linearized_map_estimate
+from oracles import error_statistics, linearized_map_estimate
 from qdemod.grids import TimeGrid, _spectrum_product
 from qdemod.limits import FM as LFM
 from qdemod.limits import PM as LPM
@@ -82,6 +83,38 @@ def test_cycle_slip_count_basics():
     # boundary jitter is debounced
     jitter = np.pi + 0.3 * np.sin(40 * np.pi * t)
     assert cycle_slip_count(jitter) == 0
+
+
+def test_group_statistics_are_each_trials_own(monkeypatch):
+    """A group's post-loop statistics, taken in place over all its windowed
+    rows at once, are each trial's error_statistics, the same floats and
+    slip counts row by row: in a locked cell (beta = 1, Lambda = 100), at
+    beta = 2 and Lambda = 30, and in the criterion-4 collapse cell (beta = 8,
+    Lambda = 4); and in a group of rows that stay inside pi/2, pass it
+    without slipping (about 0 and about 2 pi) or slip."""
+    real, seen = pll._group_statistics, []
+
+    def spy(err, worst):
+        seen.append((err.copy(), worst.copy()))
+        return real(err, worst)
+    monkeypatch.setattr(pll, "_group_statistics", spy)
+    for beta, lam, trials in ((1.0, 100.0, 8), (2.0, 30.0, 32), (8.0, 4.0, 12)):
+        seen.clear()
+        got = simulate_batch(PllConfig(make_design(beta, lam), trials=trials, seed=17))
+        ((err, worst),) = seen
+        assert ([(t.sigma0_sq_empirical, t.cycle_slips) for t in got]
+                == [error_statistics(e) for e in err]), (beta, lam)
+        if beta == 1.0:
+            assert worst.max() < np.pi / 2.0  # no row counts its slips
+        if beta == 8.0:
+            assert all(t.cycle_slips > 0 for t in got)
+    t = np.linspace(0.0, 1.0, 2048)
+    wave = np.sin(6.0 * np.pi * t)
+    err = np.stack([0.3 * wave, 2.0 * wave, 2.0 * np.pi + 2.0 * wave, 4.0 * np.pi * t,
+                    -2.0 * np.pi * t + 0.1 * wave])
+    want = [error_statistics(e) for e in err]
+    assert [slips for _, slips in want] == [0, 0, 0, 2, 1]
+    assert real(err, np.max(np.abs(err), axis=1)) == tuple(map(list, zip(*want)))
 
 
 def assert_trial_deterministic(cfg):
@@ -291,15 +324,19 @@ def test_kernel_rows_are_independent(l0):
             assert all(np.array_equal(a, b[1:]) for a, b in zip(alone, (fr, phip, e)))
 
 
-def close_sample(close, l0, phibar, x0, y0, e):
-    """Close one sample of each row as a one-sample group through close
-    (close_group or its numpy form), from and into each row's error e: no
-    lags but lag 0, zero partition spectra and a zero lead, so e solves
-    k e + l0 (X sin e + Y cos e) = k phibar, k = 1 - l0, with 2|a| = 1."""
+def close_sample(close, l0, phibar, x0, y0, e, column=lambda a: a.reshape(a.size, 1)):
+    """(fr, phip) after closing one sample of each row as a one-sample group
+    through close (close_group or its numpy form), from and into each row's
+    error e: no lags but lag 0, zero partition spectra and a zero lead, so e
+    solves k e + l0 (X sin e + Y cos e) = k phibar, k = 1 - l0, with
+    2|a| = 1.  x0 None is squeezed_z light; column makes the (rows, 1)
+    arrays phibar, x0, y0 and phip of the rows."""
     rows = e.size
-    phibar, x0, y0 = (a.reshape(rows, 1) for a in (phibar, x0, y0))
-    close(spectra=np.zeros((2, 2, 2)), n=1, l0=l0, trev=np.zeros(1), twoa=1.0, phibar=phibar,
-          x0=x0, y0=y0, e=e, fr=np.zeros((rows, 3)), phip=np.empty((rows, 1)))
+    fr, phip = np.zeros((rows, 3)), column(np.empty(rows))
+    close(spectra=np.zeros((2, 2, 2)), n=1, l0=l0, trev=np.zeros(1), twoa=1.0,
+          phibar=column(phibar), x0=None if x0 is None else column(x0), y0=column(y0), e=e,
+          fr=fr, phip=phip)
+    return fr, phip
 
 
 @pytest.mark.parametrize("l0", [0.2, 0.4, 0.7])
@@ -367,6 +404,115 @@ def same_bits(got, want):
                 and np.array_equal(np.signbit(got) | nan, np.signbit(want) | nan))
 
 
+@needs_kernel
+def test_one_sample_group_takes_any_stride_on_its_sample_axis():
+    """A (rows, 1) array made by a[:, None], to whose sample axis numpy gives
+    a 0 stride, binds as a.reshape(rows, 1) does and gives its bits, for both
+    lights."""
+    rng = np.random.default_rng(8)
+    phibar, x0, y0, e0 = 0.5 * rng.standard_normal((4, 7))
+    kernel = _tracker.load()
+    for light_x0 in (x0, None):
+        outs = []
+        for column in (lambda a: a[:, None], lambda a: a.reshape(a.size, 1)):
+            e = e0.copy()
+            outs.append((*close_sample(kernel.close_group, 0.4, phibar, light_x0, y0, e, column),
+                         e))
+        assert outs[0][1].strides[1] == 0
+        assert all(same_bits(a, b) for a, b in zip(*outs))
+
+
+@needs_kernel
+@pytest.mark.parametrize("rows", [1, 7, 9, 33])
+def test_tiles_keep_the_numpy_loops_bits_at_their_edges(rows):
+    """close_group moves a block into and out of its (n, rows) tiles by
+    8 x 8 blocks and takes Halley steps after the second one per 8-row
+    vector: a group of rows that fill no whole 8-row block, or leave one
+    over, gives the numpy loop's bits, signs of zeros included.  The rows
+    are taken as strided views of a 40-row group's (group_rows: the
+    clipped row 1 first, then the NaN row 0), for both lights at l0 = 0 and
+    0.4, in blocks of 128 samples; and as one-sample groups (n = 1, fewer
+    samples than a tile block) of rows draws (close_sample)."""
+    kernel = _tracker.load()
+    sel = [1, 0, *range(2, 40)][:rows]
+    for l0 in (0.0, 0.4):
+        for light in ("strided", "squeezed_z"):
+            args = group_rows(group_args(light, rows=40, l0=l0), sel)
+            want = close_outputs(pll._close_group, args)
+            got = close_outputs(kernel.close_group, args)
+            assert all(same_bits(a, b) for a, b in zip(got, want)), (l0, light)
+    rng = np.random.default_rng(rows)
+    phibar, x0, y0, e0 = rng.standard_normal((4, rows))
+    phibar[0] = 3.0e3  # clipped steps
+    for l0 in (0.0, 0.4):
+        for light_x0 in (0.3 * x0, None):
+            outs = []
+            for close in (kernel.close_group, pll._close_group):
+                e = e0.copy()
+                outs.append((*close_sample(close, l0, phibar, light_x0, 0.3 * y0, e), e))
+            assert all(same_bits(a, b) for a, b in zip(*outs)), (l0, light_x0 is None)
+
+
+@pytest.fixture(scope="module")
+def far_mac_harness(tmp_path_factory):
+    """The library's far_mac, built into a library of its own from a source
+    that includes _tracker.c and exports a wrapper, far_mac_of, cloned as
+    close_group is: far_mac is an inlined step of close_group, and the
+    package's library exports nothing for it.  Skipped without a C
+    compiler."""
+    directory = tmp_path_factory.mktemp("far_mac_harness")
+    source = directory / "far_mac_harness.c"
+    source.write_text(f'#include "{_tracker.SOURCE}"\n\n'
+                      "ISA_CLONES\nvoid far_mac_of(int n, int rows, int parts, int s, "
+                      "const double *ring, const double *g, double *acc)\n"
+                      "{\n    far_mac(n, rows, parts, s, ring, g, acc);\n}\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_tracker, "SOURCE", source)
+        try:
+            path = _tracker._compile(directory, "far_mac_harness.so")
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("no C compiler")
+    fn = ctypes.CDLL(str(path)).far_mac_of
+    fn.argtypes, fn.restype = [*[ctypes.c_int] * 4, *[ctypes.c_void_p] * 3], None
+
+    def far_mac(ring, g, s):
+        parts, bins, _, rows = ring.shape
+        acc = np.empty((bins, 2, rows))
+        fn(bins - 1, rows, parts, s, ring.ctypes.data, g.ctypes.data, acc.ctypes.data)
+        return acc
+    return far_mac
+
+
+@pytest.mark.parametrize("parts", [1, 16])
+@pytest.mark.parametrize("rows", [1, 7, 37])
+def test_library_far_mac_keeps_the_signs_of_zeros(parts, rows, far_mac_harness):
+    """The library's far_mac (far_mac_harness) gives pll._far_mac's bits,
+    the signs of zero sums included, at ring offsets 0, 1 and parts - 1.
+    Row 0 of the ring is -0 real and +0 imaginary throughout, and G has +0
+    imaginary parts on even bins, so there each product's real part is -0
+    where G's real part is positive and +0 where it is negative: every
+    fourth bin, where it is positive in all partitions, sums to -0.
+    Elsewhere a fifth of the ring and of G are zeros of either sign, and
+    there is a NaN."""
+    rng = np.random.default_rng(parts * 1000 + rows)
+    bins = 129
+
+    def with_zeros(shape):
+        a = rng.standard_normal(shape)
+        return np.where(rng.random(shape) < 0.2, np.copysign(0.0, rng.standard_normal(shape)), a)
+    ring = with_zeros((parts, bins, 2, rows))
+    ring[:, :, 0, 0], ring[:, :, 1, 0] = -0.0, 0.0
+    ring[-1, 3, 0, -1] = np.nan
+    g = with_zeros((parts, 2, bins))
+    g[:, 1, ::2] = 0.0
+    g[:, 0, ::4] = 0.5 + np.abs(g[:, 0, ::4])
+    for s in sorted({0, 1 % parts, parts - 1}):
+        want = pll._far_mac(ring, g, s)
+        zeros = want[want == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert same_bits(far_mac_harness(ring, g, s), want), s
+
+
 def spectra_with_zeros(rng, shape):
     """Random complex spectra with a NaN, a +0 and a -0 part and a 0 entry."""
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -396,8 +542,8 @@ def test_far_mac_rounds_each_product_alone(parts, rows):
     separately rounded sum bit for bit, signs included, at ring offsets 0, 1
     and parts - 1: 129 bins, 1, 7 and 37 rows, a NaN and signed zeros in the
     spectra and in G.  The ring holds the spectra as close_group stores
-    them, (parts, bins, 2, rows) planes.  close_group's own sum is held to
-    these bits through test_isa_clones_give_the_plain_kernels_bits."""
+    them, (parts, bins, 2, rows) planes.  The library's own sum is held to
+    _far_mac's bits by test_library_far_mac_keeps_the_signs_of_zeros."""
     rng = np.random.default_rng(parts * 100 + rows)
     bins = 129
     spectra = spectra_with_zeros(rng, (parts, rows, bins))
