@@ -15,8 +15,8 @@ from .qnoise import (NoiseModel, operating_point, photon_budget,
                      squeezed_covariance_psds)
 from .wiener import (FilterKernel, LoopDesign, closed_loop_filter, design_loop,
                      loop_and_postloop, optimum_filter, spectral_factorize)
-from .pll import (CellResult, PllConfig, TrialResult, cycle_slip_count, run_cell,
-                  sample_message, sample_quadratures)
+from .pll import (CellResult, PllConfig, cycle_slip_count, run_cell, sample_message,
+                  sample_quadratures)
 from . import limits
 from . import fock
 from . import sensing
@@ -30,7 +30,7 @@ __all__ = [
     "photon_budget", "operating_point",
     "FilterKernel", "LoopDesign", "optimum_filter", "spectral_factorize",
     "closed_loop_filter", "loop_and_postloop", "design_loop",
-    "PllConfig", "TrialResult", "CellResult", "run_cell",
+    "PllConfig", "CellResult", "run_cell",
     "cycle_slip_count", "sample_message", "sample_quadratures",
     "limits", "fock", "sensing", "cli_main",
 ]

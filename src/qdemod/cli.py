@@ -127,10 +127,10 @@ def _cmd_simulate(cfg: dict, outdir: str, manifest: RunManifest) -> None:
                                     cfg["lambda"], cfg["n_photon"])
     cell = run_cell(pll_cfg)
     row = _cell_row(row, cell)
-    trial_rows = [dict(row, run_id=f"trial-{t.trial}", snr_empirical=t.snr_empirical,
-                       snr_stderr=float("nan"), sigma0_sq_empirical=t.sigma0_sq_empirical,
-                       cycle_slips=t.cycle_slips)
-                  for t in cell.trials]  # per-trial diagnostics under the same schema
+    trial_rows = [dict(row, run_id=f"trial-{trial}", snr_stderr=float("nan"),
+                       snr_empirical=1.0 / mse if mse != 0 else float("inf"),
+                       sigma0_sq_empirical=sigma0_sq, cycle_slips=slips)
+                  for trial, mse, sigma0_sq, slips in cell.trials.tolist()]  # same schema
     emit_results([row] + trial_rows, _output(outdir, "results.csv", manifest))
     print(f"simulate: snr = {cell.snr_empirical:.4g} "
           f"(analytic {row['snr_analytic']:.4g}), slips = {cell.total_slips}")
@@ -138,8 +138,8 @@ def _cmd_simulate(cfg: dict, outdir: str, manifest: RunManifest) -> None:
 
 def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> None:
     lambdas = cfg["lambdas"]
-    if lambdas is None and cfg["n_photon"] is None:
-        raise ConfigError("sweep needs lambdas or n_photon")
+    if cfg["n_photon"] is None and (lambdas is None or any(r != 0.0 for r in cfg["rs"])):
+        raise ConfigError("sweep needs n_photon, or lambdas when every r is 0")
     points = []
     for beta in cfg["betas"]:
         for r in cfg["rs"]:

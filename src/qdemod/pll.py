@@ -82,7 +82,8 @@ inside +-pi/2 never leaves basin 0.  The estimate then works in place in the
 group's record and phi' arrays, and the mse in the estimate's, so a group's
 working set peaks in the loop, at about five (rows, m) float arrays:
 phibar, phi', the record with its steady-state lead, and the far history's
-stored spectra.
+stored spectra.  A group returns its per-trial table (_TRIAL_COLUMNS), built
+from its own arrays; a cell's is its groups' tables in group order.
 
 A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
 trials, the only unit of work; the last group is shorter when 32 does not
@@ -168,26 +169,22 @@ class PllConfig:
             raise ValueError("grid too short for the warm-up and edge exclusions")
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    seed: int
-    trial: int
-    mse: float
-    snr_empirical: float
-    sigma0_sq_empirical: float
-    cycle_slips: int
+# A per-trial table: an np.recarray, one row per trial run (t.mse) and a column per field
+_TRIAL_COLUMNS = np.dtype([("trial", np.int64), ("mse", np.float64),
+                           ("sigma0_sq_empirical", np.float64), ("cycle_slips", np.int64)])
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregate over the trials of one configuration.
+    """Aggregate over one configuration's per-trial table, trials.
 
-    snr_empirical averages the mse over in-lock (slip-free) trials, falling
-    back to all trials when every one slipped; the threshold-collapse
-    criterion is then measured on the slipped population itself.
+    snr_empirical averages the mse over in-lock (slip-free) trials, or over
+    all when fewer than two are slip-free (no snr_stderr from one trial);
+    the threshold-collapse criterion is then measured on the slipped
+    population itself.
     """
 
-    trials: tuple
+    trials: np.recarray
     snr_empirical: float
     snr_stderr: float
     mse: float
@@ -568,13 +565,13 @@ def _group_statistics(err: np.ndarray, worst: np.ndarray) -> tuple:
     slips = [cycle_slip_count(e) if w >= np.pi / 2.0 else 0 for e, w in zip(err, worst)]
     err -= offsets[:, None]
     np.square(err, out=err)
-    return np.mean(err, axis=1).tolist(), slips
+    return np.mean(err, axis=1), np.array(slips, dtype=np.int64)
 
 
-def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -> list:
-    """The TrialResults of one row group: drawn (_draw, from store when
-    that is not None), then tracked, estimated and checked in the group's
-    own arrays.
+def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -> np.recarray:
+    """The per-trial table (_TRIAL_COLUMNS) of one row group: drawn (_draw,
+    from store when that is not None), then tracked, estimated and checked in
+    the group's own arrays.
 
     close is the library's close_group or _close_group, or None for the
     open loop; spectra are the taps' partition spectra.
@@ -625,17 +622,14 @@ def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -
     sq = m_hat[:, lo:hi]
     sq -= msg[:, lo - d: hi - d]
     np.square(sq, out=sq)
-    mses = np.mean(sq, axis=1)
-    return [TrialResult(seed=cfg.seed, trial=trial, mse=mse,
-                        snr_empirical=1.0 / mse if mse != 0 else float("inf"),
-                        sigma0_sq_empirical=sigma0_sq, cycle_slips=n_slips)
-            for trial, mse, sigma0_sq, n_slips in zip(trials, mses.tolist(), sigma0_sqs, slips)]
+    return np.rec.fromarrays([trials, np.mean(sq, axis=1), sigma0_sqs, slips],
+                             dtype=_TRIAL_COLUMNS)
 
 
 def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
                store: _DrawStore | None = None):
     """(run, groups) of one cell: its trials as row groups (_row_groups) and
-    run(group), the group's TrialResults (_simulate_group), drawn through
+    run(group), the group's per-trial table (_simulate_group), drawn through
     store when that is not None.
 
     Built on the calling thread, before any worker needs the kernel, the
@@ -653,8 +647,8 @@ def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
 
 
 def _pipeline(cells):
-    """Each cell's TrialResults, in cell order, for an iterable of (run,
-    groups) cells (_cell_work).
+    """Each cell's per-trial table, its groups' tables in group order, in
+    cell order, for an iterable of (run, groups) cells (_cell_work).
 
     The row groups of all cells run on one pool of max_workers() threads.
     The calling thread takes cell i + 1 from cells (building its design,
@@ -667,7 +661,7 @@ def _pipeline(cells):
     cancelled.
     """
     def collect(futures):
-        return [result for future in futures for result in future.result()]
+        return np.concatenate([future.result() for future in futures]).view(np.recarray)
     cells = iter(cells)
     pool = ThreadPoolExecutor(max_workers())
     queued = deque()  # the futures of each taken cell not yet collected
@@ -692,8 +686,8 @@ def _pipeline(cells):
 
 
 def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False):
-    """Run the given trials (all cfg.trials by default); returns a list of
-    TrialResult in their order.
+    """Run the given trials (all cfg.trials by default); returns their
+    per-trial table (_TRIAL_COLUMNS), one row per trial in their order.
 
     The one-cell form of run_cells: the trials run as row groups on up to
     max_workers() threads, and results do not depend on the number of
@@ -705,20 +699,20 @@ def simulate_batch(cfg: PllConfig, trial_indices=None, force_lock: bool = False)
     return results
 
 
-def aggregate(trials) -> CellResult:
-    mses = np.array([t.mse for t in trials])
-    slips = np.array([t.cycle_slips for t in trials])
+def aggregate(trials: np.recarray) -> CellResult:
+    """The CellResult of a per-trial table (_TRIAL_COLUMNS), read by column."""
+    slips = trials.cycle_slips
     locked = slips == 0
-    used = mses[locked] if locked.any() else mses
+    used = trials.mse[locked] if np.count_nonzero(locked) > 1 else trials.mse
     mse = float(np.mean(used))
     stderr = float(np.std(used) / np.sqrt(used.size)) if used.size > 1 else 0.0
     snr = 1.0 / mse
     return CellResult(
-        trials=tuple(trials),
+        trials=trials,
         snr_empirical=snr,
         snr_stderr=snr * (stderr / mse) if mse > 0 else 0.0,
         mse=mse,
-        sigma0_sq_empirical=float(np.mean([t.sigma0_sq_empirical for t in trials])),
+        sigma0_sq_empirical=float(np.mean(trials.sigma0_sq_empirical)),
         locked_fraction=float(np.mean(locked)),
         total_slips=int(slips.sum()),
         seeds_with_slips=int((slips > 0).sum()),

@@ -436,6 +436,19 @@ def test_cli_sweep_small(tmp_path):
     assert len(lines) == 2  # one cell
 
 
+def test_cli_sweep_without_n_photon_for_a_nonzero_r_runs_no_cell(tmp_path, monkeypatch, capsys):
+    """lambdas size only the r = 0 points, so a nonzero r without n_photon is
+    a config error (exit 2) before any design is built or any cell runs."""
+    started = []
+    monkeypatch.setattr(cli, "design_loop", lambda *args, **kwargs: started.append("design"))
+    monkeypatch.setattr(pll, "_simulate_group", lambda *args: started.append("group"))
+    text = "betas = 0.5, 1\nlambdas = 30, 100\nrs = 0, 0.5\nvariant = squeezed_z\n"
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", text), "--out", str(out)]) == 2
+    assert "config error: sweep needs n_photon" in capsys.readouterr().err
+    assert started == [] and not (out / "results.csv").exists()
+
+
 def test_cli_sweep_n_photon_column_only_for_budgeted_points(tmp_path):
     """Lambda sizes the r = 0 point and N the squeezed one; only the latter
     carries N in the n_photon column."""

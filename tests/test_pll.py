@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qdemod.limits import closed_form_snr, sigma0
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                            operating_point, resolve_lambda)
 from qdemod import _tracker, pll
-from qdemod.pll import (LoopDivergenceError, PllConfig, TrialResult, aggregate,
+from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate,
                         cycle_slip_count, run_cell, sample_message, sample_quadratures, simulate_batch,
                         tracking_taps)
 from qdemod.signals import MessageSpec, ModulationScheme
@@ -114,7 +115,8 @@ def test_group_statistics_are_each_trials_own(monkeypatch):
                     -2.0 * np.pi * t + 0.1 * wave])
     want = [error_statistics(e) for e in err]
     assert [slips for _, slips in want] == [0, 0, 0, 2, 1]
-    assert real(err, np.max(np.abs(err), axis=1)) == tuple(map(list, zip(*want)))
+    got = real(err, np.max(np.abs(err), axis=1))
+    assert tuple(column.tolist() for column in got) == tuple(map(list, zip(*want)))
 
 
 def assert_trial_deterministic(cfg):
@@ -754,24 +756,21 @@ def test_kernel_rejects_mismatched_arrays():
     kernel.real_fft(planes, inverse=True)
 
 
-# The squeezed_z pinned cell's TrialResults with the package's own sincos,
-# separately rounded complex products and the far history's own FFTs, and as
-# the closure wrote them with libm's sin and cos and numpy's FFTs: the
-# results differ only at rounding level.
-SQUEEZED_Z_TRIALS = [
-    TrialResult(seed=41, trial=0, mse=0.00510658245657831, snr_empirical=195.82568351790695,
-                sigma0_sq_empirical=0.09143480449397115, cycle_slips=0),
-    TrialResult(seed=41, trial=1, mse=0.006154191514309288, snr_empirical=162.4908808370476,
-                sigma0_sq_empirical=0.08575076782887586, cycle_slips=0),
-    TrialResult(seed=41, trial=2, mse=0.008939877658228968, snr_empirical=111.8583540211561,
-                sigma0_sq_empirical=0.08694014669400899, cycle_slips=0)]
-SQUEEZED_Z_TRIALS_LIBM = [
-    TrialResult(seed=41, trial=0, mse=0.005106582456578313, snr_empirical=195.82568351790687,
-                sigma0_sq_empirical=0.09143480449397115, cycle_slips=0),
-    TrialResult(seed=41, trial=1, mse=0.006154191514309293, snr_empirical=162.49088083704746,
-                sigma0_sq_empirical=0.08575076782887588, cycle_slips=0),
-    TrialResult(seed=41, trial=2, mse=0.008939877658228975, snr_empirical=111.85835402115602,
-                sigma0_sq_empirical=0.08694014669400897, cycle_slips=0)]
+def trial_table(rows):
+    """A per-trial table of (trial, mse, sigma0_sq_empirical, cycle_slips) rows."""
+    return np.rec.array(rows, dtype=pll._TRIAL_COLUMNS)
+
+
+# The squeezed_z pinned cell's per-trial table (seed 41) with the package's
+# own sincos, separately rounded complex products and the far history's own
+# FFTs, and as the closure wrote it with libm's sin and cos and numpy's FFTs:
+# the results differ only at rounding level.
+SQUEEZED_Z_TRIALS = trial_table([(0, 0.00510658245657831, 0.09143480449397115, 0),
+                                 (1, 0.006154191514309288, 0.08575076782887586, 0),
+                                 (2, 0.008939877658228968, 0.08694014669400899, 0)])
+SQUEEZED_Z_TRIALS_LIBM = trial_table([(0, 0.005106582456578313, 0.09143480449397115, 0),
+                                      (1, 0.006154191514309293, 0.08575076782887588, 0),
+                                      (2, 0.008939877658228975, 0.08694014669400897, 0)])
 
 
 def test_squeezed_z_cell_keeps_its_bits():
@@ -779,7 +778,7 @@ def test_squeezed_z_cell_keeps_its_bits():
     design = make_design(lam=resolve_lambda(0.5, n_photon=10.0), n_samples=2048,
                          band_bins=63, **setup)
     got = simulate_batch(PllConfig(design, trials=3, seed=41, **extra))
-    assert got == SQUEEZED_Z_TRIALS
+    assert got.dtype == SQUEEZED_Z_TRIALS.dtype and got.tobytes() == SQUEEZED_Z_TRIALS.tobytes()
     for trial, libm in zip(got, SQUEEZED_Z_TRIALS_LIBM):
         assert trial.mse == pytest.approx(libm.mse, rel=1e-12)
         assert trial.sigma0_sq_empirical == pytest.approx(libm.sigma0_sq_empirical, rel=1e-12)
@@ -960,6 +959,12 @@ def test_max_workers_ignores_the_blas_threads(monkeypatch):
     assert pll.max_workers() == 3
 
 
+def cell_values(cell):
+    """A CellResult as values that == compares: its table's bytes, then its
+    other fields."""
+    return (cell.trials.tobytes(), *astuple(cell)[1:])
+
+
 def with_one_and_two_workers(monkeypatch, run):
     """run() with a batch's threads capped at one, then at two."""
     out = []
@@ -984,9 +989,9 @@ def test_worker_count_never_changes_results(case, monkeypatch):
     design = make_design(n_samples=2048, band_bins=63, **setup)
     cfg = PllConfig(design, trials=trials, seed=29)
     one, two = with_one_and_two_workers(monkeypatch, lambda: simulate_batch(cfg, **extra))
-    assert one == two
+    assert one.tobytes() == two.tobytes()
     if not extra:
-        one, two = with_one_and_two_workers(monkeypatch, lambda: run_cell(cfg))
+        one, two = with_one_and_two_workers(monkeypatch, lambda: cell_values(run_cell(cfg)))
         assert one == two
 
 
@@ -997,13 +1002,13 @@ def test_more_workers_than_cpus_under_fast_switching(monkeypatch):
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=160, seed=31)
     cells = pipeline_configs()
     monkeypatch.setattr(pll, "max_workers", lambda: 1)
-    want = simulate_batch(cfg), list(pll.run_cells(cells))
+    want = simulate_batch(cfg).tobytes(), [cell_values(c) for c in pll.run_cells(cells)]
     monkeypatch.setattr(pll, "max_workers", lambda: 4)
     opened = count_streams(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = simulate_batch(cfg), list(pll.run_cells(cells))
+        got = simulate_batch(cfg).tobytes(), [cell_values(c) for c in pll.run_cells(cells)]
     finally:
         sys.setswitchinterval(interval)
     assert got == want
@@ -1137,10 +1142,10 @@ def test_pipelined_cells_equal_lone_cells(monkeypatch):
     never takes a draw made for other inputs."""
     monkeypatch.setattr(pll, "max_workers", lambda: 1)
     for cfgs in (pipeline_configs(), shared_draw_configs()):
-        lone = [run_cell(cfg) for cfg in cfgs]
+        lone = [cell_values(run_cell(cfg)) for cfg in cfgs]
         for n in (1, 2, 3):
             monkeypatch.setattr(pll, "max_workers", lambda n=n: n)
-            assert list(pll.run_cells(cfgs)) == lone
+            assert [cell_values(cell) for cell in pll.run_cells(cfgs)] == lone
 
 
 def count_streams(monkeypatch):
@@ -1197,9 +1202,9 @@ def test_sweeps_of_two_seeds_in_one_process(monkeypatch):
     monkeypatch.setattr(pll, "max_workers", lambda: 2)
     sweeps = [[PllConfig(cfg.design, cfg.trials, seed) for cfg in pipeline_configs()]
               for seed in (7, 8)]
-    lone = [[run_cell(cfg) for cfg in cfgs] for cfgs in sweeps]
+    lone = [[cell_values(run_cell(cfg)) for cfg in cfgs] for cfgs in sweeps]
     together = list(zip(*(pll.run_cells(cfgs) for cfgs in sweeps)))
-    assert [list(cells) for cells in zip(*together)] == lone
+    assert [[cell_values(cell) for cell in cells] for cells in zip(*together)] == lone
 
 
 SWEEP_3 = ("n_samples = 2048\nband_bins = 63\nbetas = 0.5, 1, 2\nlambdas = 100\n"
@@ -1347,7 +1352,20 @@ def test_pipeline_cancels_queued_groups_on_error(monkeypatch):
     assert release.is_set() and taken == [0, 1] and len(started) <= 2
 
 
-def test_non_finite_error_is_divergence(monkeypatch):
+def simulate_csv_snrs(cell, tmp_path, monkeypatch):
+    """The per-trial snr_empirical column of the results.csv that simulate
+    writes when its run_cell returns cell."""
+    from qdemod import cli
+    monkeypatch.setattr(cli, "run_cell", lambda cfg: cell)
+    config, out = tmp_path / "simulate.cfg", tmp_path / "simulate"
+    config.write_text("n_samples = 2048\nband_bins = 63\nbeta = 1\nlambda = 100\n")
+    assert cli.cli_main(["simulate", str(config), "--out", str(out)]) == 0
+    header, _, *rows = (out / "results.csv").read_text().splitlines()
+    column = header.split(",").index("snr_empirical")
+    return [float(row.split(",")[column]) for row in rows]
+
+
+def test_non_finite_error_is_divergence(monkeypatch, tmp_path):
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=1, seed=3)
     scale_quadrature_noise(monkeypatch, float("nan"))
     kernel, groups = _tracker.load(), []
@@ -1365,16 +1383,18 @@ def test_non_finite_error_is_divergence(monkeypatch):
     with pytest.raises(LoopDivergenceError):
         simulate_batch(cfg, [0])
     # open loop never diverges, but a NaN mse must not read as infinite SNR
-    res = simulate_batch(cfg, [0], force_lock=True)[0]
-    assert np.isnan(res.mse) and np.isnan(res.snr_empirical)
+    res = simulate_batch(cfg, [0], force_lock=True)
+    assert np.isnan(res[0].mse) and np.isnan(simulate_csv_snrs(aggregate(res), tmp_path,
+                                                               monkeypatch)[0])
 
 
-def test_snr_matches_linear_theory():
+def test_snr_matches_linear_theory(tmp_path, monkeypatch):
     cfg = PllConfig(make_design(beta=2.0, lam=100.0), trials=48, seed=5)
     cell = run_cell(cfg)
     assert cell.total_slips == 0
     assert abs(cell.snr_empirical / 401.0 - 1.0) < 0.10
-    assert cell.trials[0].snr_empirical == pytest.approx(1.0 / cell.trials[0].mse)
+    snrs = simulate_csv_snrs(cell, tmp_path, monkeypatch)
+    assert snrs[0] == pytest.approx(1.0 / cell.trials[0].mse)
 
 
 def test_sigma0_empirical_matches_analytic():
@@ -1384,12 +1404,13 @@ def test_sigma0_empirical_matches_analytic():
         assert abs(cell.sigma0_sq_empirical / pred - 1.0) < 0.15
 
 
-def test_noiseless_limit_tracks_perfectly(monkeypatch):
+def test_noiseless_limit_tracks_perfectly(monkeypatch, tmp_path):
     cfg = PllConfig(make_design(beta=1.0, lam=300.0), trials=2, seed=3)
     scale_quadrature_noise(monkeypatch, 0.0)
     out = simulate_batch(cfg, [0, 1])
-    for res in out:
-        assert res.snr_empirical > 1e3
+    snrs = simulate_csv_snrs(aggregate(out), tmp_path, monkeypatch)
+    for res, snr in zip(out, snrs, strict=True):
+        assert snr > 1e3
         assert res.cycle_slips == 0
 
 
@@ -1520,11 +1541,26 @@ def test_grid_too_short_for_the_exclusions(setup):
 
 
 def test_aggregate_in_lock_policy():
-    base = simulate_batch(PllConfig(make_design(), trials=1, seed=2), [0])[0]
-    slipped = type(base)(seed=2, trial=1, mse=100.0, snr_empirical=0.01,
-                         sigma0_sq_empirical=10.0, cycle_slips=3)
-    cell = aggregate([base, slipped])
+    """The SNR averages the slip-free trials' mse when at least two trials
+    are slip-free, and every trial's otherwise."""
+    base = simulate_batch(PllConfig(make_design(), trials=2, seed=2))
+    assert not base.cycle_slips.any()
+    slipped = [(2, 100.0, 10.0, 3), (3, 50.0, 10.0, 1)]
+    cell = aggregate(trial_table(base.tolist() + slipped))
     assert cell.locked_fraction == 0.5
-    assert cell.snr_empirical == pytest.approx(1.0 / base.mse)
-    only_slipped = aggregate([slipped])
+    assert cell.snr_empirical == pytest.approx(1.0 / np.mean(base.mse))
+    only_slipped = aggregate(trial_table(slipped[:1]))
     assert only_slipped.snr_empirical == pytest.approx(0.01)
+    one_locked = aggregate(trial_table(base.tolist()[:1] + slipped))
+    assert one_locked.snr_empirical == pytest.approx(3.0 / (base.mse[0] + 150.0))
+    assert one_locked.snr_stderr > 0.0
+
+
+def test_one_slip_free_trial_is_not_the_cells_snr():
+    """PM at beta = 2, Lambda = 6, seed 6161: one of 128 trials is
+    slip-free, so the cell's SNR is every trial's, with a positive standard
+    error, not that one trial's with an error bar of 0."""
+    cell = run_cell(PllConfig(make_design(beta=2.0, lam=6.0), trials=128, seed=6161))
+    assert np.count_nonzero(cell.trials.cycle_slips == 0) == 1
+    assert cell.snr_empirical == 1.0 / np.mean(cell.trials.mse)
+    assert cell.snr_stderr > 0.0

@@ -20,8 +20,11 @@ statistics and the estimate).
 
 Per light and tree it prints the median and the quartiles of both over the
 rounds, and the sha256 (first 16 hex digits) of fr, phip and e as
-close_group left them.  It exits 1 when the two trees' hashes or
-TrialResults differ, and 2 when a tree has no compiled library.  The script
+close_group left them.  It exits 1 when the two trees' hashes or per-trial
+results differ, compared by column (trial, mse, sigma0_sq_empirical and
+cycle_slips, read off each row, so a tree whose group returns a list of
+objects with those attributes compares too), and 2 when a tree has no
+compiled library.  The script
 relies on pll._cell_work returning a partial of pll._simulate_group whose
 arguments end with (close, taps, spectra), as both trees' do; it edits
 nothing in either tree except the build cache the package keeps itself.
@@ -40,6 +43,7 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+COLUMNS = ("trial", "mse", "sigma0_sq_empirical", "cycle_slips")
 LIGHTS = {
     "pm": "beta = 1.0\nlambda = 100\n",
     "squeezed_z": "beta = 1.0\nn_photon = 10\nr = 1.5222612188617113\nvariant = squeezed_z\n",
@@ -126,8 +130,8 @@ def main(argv=None) -> int:
             print(f"{light:10s} {side:6s} close_group {quartiles(s.close_ms)}  "
                   f"post-loop {quartiles(s.post_ms)}  "
                   f"fr {s.hashes[0]} phip {s.hashes[1]} e {s.hashes[2]}")
-        # TrialResult is each tree's own class: compare the fields
-        fields = {side: [tuple(vars(t).values()) for t in r] for side, r in results.items()}
+        fields = {side: [tuple(getattr(t, c) for c in COLUMNS) for t in r]
+                  for side, r in results.items()}
         if sides["parent"].hashes != sides["change"].hashes or fields["parent"] != fields["change"]:
             print(f"{light}: the trees' outputs differ")
             same = False
