@@ -2,18 +2,19 @@
  * The compiled loops of qdemod, built and loaded by qdemod._tracker.
  *
  * close_group: the closed loop of a whole row group in one call, the
- * compiled form of pll._close_group.  Per block of n samples it makes the
- * far history, the lags that reach before the block, by a uniformly
- * partitioned overlap-save convolution (qdemod.pll's docstring): a forward
- * real FFT of the last block's records into a ring of stored spectra, their
- * multiply-add with the taps' partition spectra (far_mac) and an inverse
- * real FFT; track_block then closes the block.  far_mac and track_block
- * are its inlined steps.  A loop block's records are left in the forward
- * FFT's input tile, so only the steady-state blocks are gathered from fr.
+ * compiled form of _numpy_kernel.close_group.  Per block of n samples it
+ * makes the far history, the lags that reach before the block, by a
+ * uniformly partitioned overlap-save convolution (qdemod.pll's docstring):
+ * a forward real FFT of the last block's records into a ring of stored
+ * spectra, their multiply-add with the taps' partition spectra (far_mac)
+ * and an inverse real FFT; track_block then closes the block.  far_mac and
+ * track_block are its inlined steps.  A loop block's records are left in the
+ * forward FFT's input tile, so only the steady-state blocks are gathered
+ * from fr.
  *
  * track_block closes one block sample by sample, all rows in lockstep
- * (pll._track_block).  It moves the block of the group's own (rows, m)
- * arrays, each with its row stride (the mean phase phibar and the
+ * (_numpy_kernel._track_block).  It moves the block of the group's own
+ * (rows, m) arrays, each with its row stride (the mean phase phibar and the
  * quadratures x0, NULL for squeezed_z, and y0), into (n, rows) tiles by
  * 8 x 8 blocked transposes, and forms the closure constants there in
  * contiguous passes; its far history is the inverse FFT's (n, rows) tile.
@@ -44,20 +45,19 @@
  * step never stops it.  sin and cos are the package's own (sin_cos), not
  * libm's, so the closure's row loop has no call in it and vectorises.
  *
- * real_fft: the far history's radix-2 real FFT, either way (pll._real_fft).
- * spectrum_product: a spectrum times a filter response, in place
- * (grids._spectrum_product).  They and far_mac keep spectra as split real
- * and imaginary planes and round each of a complex product's four real
- * products on its own, so their bits depend neither on whether the CPU has
- * fused multiply-adds nor on numpy's build.
+ * real_fft: the far history's radix-2 real FFT, either way.
+ * spectrum_product: a spectrum times a filter response, in place.  They and
+ * far_mac keep spectra as split real and imaginary planes and round each of
+ * a complex product's four real products on its own, so their bits depend
+ * neither on whether the CPU has fused multiply-adds nor on numpy's build.
  *
  * levinson: the symmetric Toeplitz solve of the Wiener-Hopf normal
- * equations, the compiled form of wiener._levinson.
+ * equations.
  *
- * All follow their numpy forms operation for operation, so build them
- * without floating-point contraction.  Vectorising keeps each element's
- * operations and their order, so both builds of a cloned function give the
- * same bits.
+ * All follow their numpy forms, qdemod._numpy_kernel's entries of the same
+ * names, operation for operation, so build them without floating-point
+ * contraction.  Vectorising keeps each element's operations and their order,
+ * so both builds of a cloned function give the same bits.
  */
 #include <math.h>
 #include <stddef.h>
@@ -108,7 +108,7 @@ const char *kernel_isa(void)
  * by the 0x1.8p52 shift, and the quadrant m4 = fn - 4 round(fn/4), in
  * -2 .. 2, is picked by double comparisons and selects.  Within 1 ulp of
  * glibc's for |x| <= 1e6; +-0 keeps its sign and NaN or +-inf give NaN.
- * pll._sincos makes the same operations in numpy. */
+ * _numpy_kernel._sincos makes the same operations in numpy. */
 #define SHIFT 6755399441055744.0  /* 0x1.8p52 */
 #define INVPIO2 0.6366197723675814
 #define PIO2_1 1.5707963267341256
@@ -318,8 +318,8 @@ INLINED void track_block(const struct group *g, int j0, const double *restrict f
  * real product on its own.  A real sequence of length 2n, (2n, rows), is
  * then the same memory as its complex form z_j = x_2j + i x_2j+1.  tw holds
  * the twiddles W^k = exp(-i pi k/n), k < n, as (2, n) planes (cos, -sin),
- * sin_cos of k (pi/n) (pll._twiddles).  pll._fft and pll._real_fft make
- * the same operations in numpy. */
+ * sin_cos of k (pi/n) (_numpy_kernel._twiddles).  _numpy_kernel._fft and
+ * real_fft make the same operations in numpy. */
 #define PI 3.141592653589793
 
 static void twiddles(int n, double *tw)
@@ -440,9 +440,9 @@ INLINED void unsplit(int n, int rows, const double *x, double *z, const double *
     }
 }
 
-/* The real FFT of length 2n of each of rows rows (pll._real_fft): x,
- * (2n, rows), to its spectrum, (n + 1, 2, rows); or, inverse, a spectrum to
- * 2n times its inverse transform.  work holds 4 n rows + 2 n doubles. */
+/* The real FFT of length 2n of each of rows rows (_numpy_kernel.real_fft):
+ * x, (2n, rows), to its spectrum, (n + 1, 2, rows); or, inverse, a spectrum
+ * to 2n times its inverse transform.  work holds 4 n rows + 2 n doubles. */
 ISA_CLONES
 void real_fft(int n, int rows, int inverse, const double *in, double *out, double *work)
 {
@@ -459,13 +459,13 @@ void real_fft(int n, int rows, int inverse, const double *in, double *out, doubl
         out[i] = x[i];
 }
 
-/* One far-history sum of a row group (pll._far_mac): acc, (n + 1, 2, rows),
- * gets sum_p ring[(s + 1 + p) % parts] g[p], p = 0 .. parts - 1, oldest block
- * first, ring holding the (parts, n + 1, 2, rows) stored spectra and g the
- * (parts, 2, n + 1) planes of the partition spectra in that order.  Each
- * product is re = xr gr - xi gi and im = xr gi + xi gr, and each row's sum
- * starts from its first product.  The sums run MAC_BINS bins at a time, so
- * they stay in the L1 cache while the partitions stream past. */
+/* One far-history sum of a group (_numpy_kernel._far_mac): acc, (n + 1, 2,
+ * rows), gets sum_p ring[(s + 1 + p) % parts] g[p], p = 0 .. parts - 1,
+ * oldest block first, ring holding the (parts, n + 1, 2, rows) stored
+ * spectra and g the (parts, 2, n + 1) planes of the partition spectra in
+ * that order.  Each product is re = xr gr - xi gi and im = xr gi + xi gr,
+ * and each row's sum starts from its first product.  The sums run MAC_BINS
+ * bins at a time, so they stay in L1 while the partitions stream past. */
 #define MAC_BINS 16
 
 /* a = x w, or a += x w, for each row, x and a as real and imaginary rows */
@@ -501,8 +501,8 @@ INLINED void far_mac(int n, int rows, int parts, int s, const double *ring, cons
     }
 }
 
-/* The closed loop of a whole row group (pll._close_group), block k of fr
- * being fr[k n .. k n + n).  Per block k from 1, the spectrum of block
+/* The closed loop of a whole row group (_numpy_kernel.close_group), block k
+ * of fr being fr[k n .. k n + n).  Per block k from 1, the spectrum of block
  * k - 1, the real FFT of [block, n zeros], goes into slot k % parts of the
  * ring.  From k = parts on, block k is a loop block: its far history is the
  * last n samples of the inverse FFT of far_mac's sum, and track_block

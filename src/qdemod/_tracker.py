@@ -2,26 +2,25 @@
 
 The library holds the loops that numpy runs slowly: close_group, which
 closes a row group's whole loop in one call, the far history's real FFTs and
-multiply-add and each block's closure included (pll._close_group in numpy);
-real_fft, the far history's FFT (pll._real_fft), which makes the taps'
-partition spectra; spectrum_product, a filter's product with a spectrum in
-place (grids._spectrum_product); and levinson, the Toeplitz solve of the
-Wiener-Hopf normal equations (wiener._levinson).  It exports nothing else
-but kernel_isa.  Kernel checks a group's arrays before the call, since the
-library gets raw pointers.  The spectra are split real and imaginary planes,
-and each real product of a complex product is rounded on its own, so the
-bits are the same on every CPU.  Each ctypes call releases the interpreter
-lock.  The cloned functions are built on x86-64 with glibc for avx512f and
-for the baseline, and the loader runs the avx512f builds where the CPU has
-it; both give the same bits, since nothing is contracted or reassociated.
-Kernel.isa names the clone this process runs.  The library is built on the
-first call to load(), with the interpreter's C compiler and flags that keep
-its rounding equal to the numpy loops', and cached in this package's
-__pycache__ under a hash of the source and the flags, so later processes
-only load it.  Where __pycache__ is not writable it is built into a private
-temporary directory for this process alone.  load() returns None when there
-is no compiler or the build fails; pll, grids and wiener then run their
-numpy loops instead.
+multiply-add and each block's closure included; real_fft, the far history's
+FFT, which makes the taps' partition spectra; spectrum_product, a filter's
+product with a spectrum in place; and levinson, the Toeplitz solve of the
+Wiener-Hopf normal equations.  It exports nothing else but kernel_isa.
+Kernel checks a group's arrays before the call, since the library gets raw
+pointers.  The spectra are split real and imaginary planes, and each real
+product of a complex product is rounded on its own, so the bits are the
+same on every CPU.  Each ctypes call releases the interpreter lock.  The
+cloned functions are built on x86-64 with glibc for avx512f and for the
+baseline, and the loader runs the avx512f builds where the CPU has it; both
+give the same bits, since nothing is contracted or reassociated.  Kernel.isa
+names the clone this process runs.  The library is built on the first call
+to load(), with the interpreter's C compiler and flags that keep its
+rounding equal to the numpy forms', and cached in this package's __pycache__
+under a hash of the source and the flags, so later processes only load it.
+Where __pycache__ is not writable it is built into a private temporary
+directory for this process alone.  Where there is no compiler or the build
+fails, load() returns _numpy_kernel, the numpy forms of the four entries,
+which give the same bits: pll, grids and wiener call whichever it returns.
 """
 
 from __future__ import annotations
@@ -38,15 +37,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _numpy_kernel
+
 SOURCE = Path(__file__).with_name("_tracker.c")
 # No -ffast-math or -march=native, and no fused multiply-adds: the kernel
-# must round like the numpy loops and rebuild to the same results anywhere.
+# must round like the numpy forms and rebuild to the same results anywhere.
 # -O3 vectorises the loops across rows (in the avx512f clone the closure's
 # step too) and the filter products across bins; that never reorders or
 # contracts an element's operations, so both clones give the same bits.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
-_loaded = {}  # "kernel": the Kernel or None, once load() has run
+_loaded = {}  # "kernel": the Kernel or _numpy_kernel, once load() has run
 _lock = threading.Lock()  # one build, however many threads call load() at once
 
 
@@ -87,8 +88,8 @@ def _aligned(size: int) -> np.ndarray:
 
 
 class Kernel:
-    """The loaded library behind the numpy forms' signatures: close_group
-    (pll._close_group), real_fft, spectrum_product and levinson(c, b)."""
+    """The loaded library: close_group, real_fft, spectrum_product and
+    levinson, with the parameters of their numpy forms (_numpy_kernel)."""
 
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
@@ -106,11 +107,10 @@ class Kernel:
             setattr(self, f"_{name}", fn)
 
     def close_group(self, spectra, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
-        """Close a row group's whole loop in one call (pll._close_group), in
-        blocks of n samples, n a power of two that divides nt and m, with
-        spectra the taps' (nt/n, 2, n + 1) partition spectra.  Every array is
-        checked first: dtype, shapes, rows with their own strides and
-        writeable outputs."""
+        """Close a row group's whole loop in one call, in blocks of n samples,
+        n a power of two that divides nt and m, with spectra the taps'
+        (nt/n, 2, n + 1) partition spectra.  Every array is checked first:
+        dtype, shapes, rows with their own strides and writeable outputs."""
         strides = [_row_stride(a) for a in (phibar, y0, fr, phip)]
         x0_stride = 0 if x0 is None else _row_stride(x0)
         if None in strides or x0_stride is None:
@@ -137,7 +137,7 @@ class Kernel:
     def real_fft(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
         """The spectra, (n + 1, 2, rows) planes, of the real rows of a,
         (2n, rows), n a power of two, or, inverse, 2n times the inverse
-        transform, (2n, rows), of spectra a (pll._real_fft)."""
+        transform, (2n, rows), of spectra a."""
         n = (a.shape[0] - 1 if inverse else a.shape[0] // 2) if a.ndim == 2 + inverse else 0
         rows = a.shape[-1] if a.ndim else 0
         shapes = [(2 * n, rows), (n + 1, 2, rows)]
@@ -149,7 +149,7 @@ class Kernel:
 
     def spectrum_product(self, spectrum: np.ndarray, h: np.ndarray) -> None:
         """spectrum *= the response whose (2, bins) planes are h, in place,
-        along the last axis (grids._spectrum_product)."""
+        along the last axis."""
         bins = spectrum.shape[-1] if spectrum.ndim else 0
         if not (_contiguous(spectrum, np.complex128, spectrum.shape, writeable=True)
                 and _contiguous(h, np.float64, (2, bins))):
@@ -207,11 +207,12 @@ def _build() -> Kernel | None:
         shutil.rmtree(private, ignore_errors=True)  # a loaded library stays mapped
 
 
-def load() -> Kernel | None:
-    """The compiled library, built on first use; None if it cannot be."""
+def load():
+    """The compiled library, built on first use, or _numpy_kernel if it
+    cannot be built."""
     with _lock:
         if "kernel" not in _loaded:
-            _loaded["kernel"] = _build()
+            _loaded["kernel"] = _build() or _numpy_kernel
     return _loaded["kernel"]
 
 
@@ -221,4 +222,4 @@ def describe() -> str:
     if "kernel" not in _loaded:
         return "not run"
     kernel = _loaded["kernel"]
-    return "numpy" if kernel is None else f"c kernel {kernel.digest} ({kernel.isa})"
+    return "numpy" if kernel is _numpy_kernel else f"c kernel {kernel.digest} ({kernel.isa})"

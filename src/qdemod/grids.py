@@ -120,34 +120,15 @@ class FilterKernel:
         """The filtered real sequences, along the last axis.
 
         The spectrum is multiplied by the response in place, each product's
-        real products rounded on their own (the compiled library's
-        spectrum_product, or _spectrum_product without it), so the bits do
-        not depend on the CPU's fused multiply-adds."""
-        m = self.grid.n_samples
+        real products rounded on their own (the kernel's spectrum_product),
+        so the bits do not depend on the CPU's fused multiply-adds."""
         spectrum = np.fft.rfft(x, axis=-1)
-        kernel = _tracker.load()
-        if kernel is None:
-            _spectrum_product(spectrum, self._planes)
-        else:
-            kernel.spectrum_product(spectrum, self._planes)
-        return np.fft.irfft(spectrum, n=m, axis=-1)
+        _tracker.load().spectrum_product(spectrum, self._planes)
+        return np.fft.irfft(spectrum, n=self.grid.n_samples, axis=-1)
 
     def causal_taps(self) -> np.ndarray:
         """Real taps restricted to lags [0, M/2)."""
         return np.fft.ifft(self.response)[: self.grid.n_samples // 2].real.copy()
-
-
-def _spectrum_product(spectrum: np.ndarray, h: np.ndarray) -> None:
-    """spectrum *= the response whose (2, bins) planes are h, in place along
-    the last axis, as (sr hr - si hi, sr hi + si hr) with each real product
-    rounded on its own: the numpy form of the library's spectrum_product."""
-    hr, hi = h
-    sr, si = spectrum.real, spectrum.imag
-    cross = sr * hi
-    sr *= hr
-    sr -= si * hi
-    si *= hr
-    si += cross
 
 
 def differentiator_kernel(n):

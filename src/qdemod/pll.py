@@ -30,16 +30,16 @@ lc = l0 (X cos e - Y sin e), f' = k + lc, r = f/f' and h = ls/(2f'), its
 step is r/(1 + r h), or Newton's r where 1 + r h <= 0 (far from the root,
 where Halley's step points away from it).  Each row stops once the error
 its own unclipped step predicts, (|lc/(6f')| + h^2) |step|^3, is below
-_CLOSURE_TOL (a cubic stop), after at most _CLOSURE_STEPS (8) steps,
-clipping any step beyond +-1 rad; a NaN or clipped step never stops it.  A
-step takes one sin e and one cos e, and a locked sample takes about two
-steps.  squeezed_z runs the same arithmetic with X = 1 and Y = 0.  The
-step runs over all rows of a group in lockstep (in the library its first
-two, later ones over each vector of 8 rows that has a row still stepping),
-a stopped row taking a zero step, and sin and cos are the package's own
-(_sincos, msun's kernels after a Cody-Waite reduction, within 1 ulp of libm
-for |e| <= 1e6, far beyond _DIVERGENCE_LIMIT), so the compiled step has no
-call in it and vectorises across the rows.
+1e-13 rad (a cubic stop), after at most 8 steps, clipping any step beyond
++-1 rad; a NaN or clipped step never stops it.  A step takes one sin e and
+one cos e, and a locked sample takes about two steps.  squeezed_z runs the
+same arithmetic with X = 1 and Y = 0.  The step runs over all rows of a
+group in lockstep (in the library its first two, later ones over each
+vector of 8 rows that has a row still stepping), a stopped row taking a
+zero step, and sin and cos are the package's own (_numpy_kernel._sincos,
+msun's kernels after a Cody-Waite reduction, within 1 ulp of libm for
+|e| <= 1e6, far beyond _DIVERGENCE_LIMIT), so the compiled step has no call
+in it and vectorises across the rows.
 
 The tracker history is a uniformly partitioned overlap-save convolution
 (Gardner, JAES 43(3), 1995) over blocks of kb = _BLOCK (128) samples.  Let
@@ -50,24 +50,14 @@ last kb samples of irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p), W_k =
 rfft([x_{k-1}, x_k]) = Z_k + (-1)^f Z_{k+1}; collected by Z, the sum is
 sum_p Z_{b-p} G_p with G_p = H_p + (-1)^f H_{p+1} (_partition_spectra, once
 per cell).  Each sample then adds only the lags inside its block.  The
-library's close_group (_tracker.c, through ctypes) runs a row group's whole
-loop in one call, which releases the interpreter lock for all of it: per
-block a forward FFT, the multiply-add over the partitions (far_mac), the
-inverse FFT and the closure of the block (track_block), all inlined steps of
-close_group: the closure moves the block of the group's own arrays (phibar,
-x0, y0, each with its row stride) into (n, rows) tiles by 8 x 8 blocked
-transposes, closes it sample by sample beside the inverse FFT's tile and
-leaves the records in the tile the next forward FFT reads, moving them into
-fr, and the tracker output into phip, by the same transposes.  The FFTs are
-the library's own, radix 2 on split real and imaginary planes with the rows
-innermost, within about 1e-15 of numpy's; they and far_mac round each real
-product on its own, so no bit depends on numpy's FFT build or on whether
-the CPU fuses multiply-adds (gcc fuses an interleaved complex loop in the
-avx512f clone even without contraction, a planar one it does not).  The
-library is built on first use (_tracker) for avx512f and the baseline, which
-give the same bits.  Without a compiler, _close_group makes the same
-operations in numpy, rows in lockstep, so both paths give the same bits, at
-about 55 times the time.
+kernel's close_group (_tracker.load(): the library, _tracker.c through
+ctypes, or its numpy form in _numpy_kernel, with the same bits) runs a row
+group's whole loop in one call, which in the library releases the
+interpreter lock for all of it: per block a forward FFT, the multiply-add
+over the partitions, the inverse FFT and the closure of the block.  The
+FFTs are the kernel's own, within about 1e-15 of numpy's, and they and the
+multiply-add round each real product on its own, so no bit depends on
+numpy's FFT build or on whether the CPU fuses multiply-adds.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
@@ -123,7 +113,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -134,8 +124,6 @@ from .rng import stream
 from .signals import FM, MessageSpec, message_psd, modulate
 from .wiener import LoopDesign, normal_equation_taps
 
-_CLOSURE_STEPS = 8  # hard cap on Halley steps per sample
-_CLOSURE_TOL = 1e-13  # stop threshold on the error predicted after a step (rad)
 _DIVERGENCE_LIMIT = 1e3
 _BLOCK = 128  # samples per tracker history block
 _GROUP = 32  # trials per row group, the unit of work
@@ -219,122 +207,6 @@ def tracking_taps(design: LoopDesign, feedback_delay: int) -> np.ndarray:
     return np.concatenate(([0.0], normal_equation_taps(design.u, design.v, first=1)))
 
 
-# The constants of _tracker.c's sin_cos, FreeBSD msun's: the reduction by
-# pi/2 in three parts (_PIO2_1 and _PIO2_2 have 33 bits, so their products
-# with fn are exact for |fn| < 2^20) and the coefficients of __kernel_sin
-# and __kernel_cos.  0-d arrays, which a ufunc takes faster than floats.
-_SHIFT = np.array(6755399441055744.0)  # 0x1.8p52: (x + _SHIFT) - _SHIFT rounds x to nearest
-_INVPIO2 = np.array(0.6366197723675814)
-_PIO2_1 = np.array(1.5707963267341256)
-_PIO2_2 = np.array(6.077100506303966e-11)
-_PIO2_2T = np.array(2.0222662487959506e-21)
-_S1, _S2, _S3, _S4, _S5, _S6 = map(np.array, (
-    -0.16666666666666632, 0.00833333333332249, -0.0001984126982985795,
-    2.7557313707070068e-06, -2.5050760253406863e-08, 1.58969099521155e-10))
-_C1, _C2, _C3, _C4, _C5, _C6 = map(np.array, (
-    0.0416666666666666, -0.001388888888887411, 2.480158728947673e-05,
-    -2.7557314351390663e-07, 2.087572321298175e-09, -1.1359647557788195e-11))
-_ZERO, _HALF, _ONE, _MINUS_ONE, _TWO, _QUARTER, _FOUR, _SIX = map(
-    np.array, (0.0, 0.5, 1.0, -1.0, 2.0, 0.25, 4.0, 6.0))
-
-
-def _sincos(x):
-    """(sin x, cos x) of a float array, the numpy form of _tracker.c's
-    sin_cos: its IEEE operations in its order, so its bits."""
-    fn = (x * _INVPIO2 + _SHIFT) - _SHIFT
-    t, u = x - fn * _PIO2_1, fn * _PIO2_2
-    r = t - u
-    w = fn * _PIO2_2T - ((t - r) - u)
-    y0 = r - w
-    y1 = (r - y0) - w
-    z = y0 * y0
-    zz = z * z
-    rs = (_S2 + z * (_S3 + z * _S4)) + z * zz * (_S5 + z * _S6)
-    v = z * y0
-    s = y0 - ((z * (_HALF * y1 - v * rs) - y1) - v * _S1)
-    rc = z * (_C1 + z * (_C2 + z * _C3)) + zz * zz * (_C4 + z * (_C5 + z * _C6))
-    hz = _HALF * z
-    wc = _ONE - hz
-    c = wc + (((_ONE - wc) - hz) + (z * rc - y0 * y1))
-    m4 = fn - _FOUR * ((fn * _QUARTER + _SHIFT) - _SHIFT)
-    # the quadrant m4, in -2 .. 2, swaps the two where odd and sets their
-    # signs as the kernel's tests |m4 -+ 1/2| > 1 do; a NaN m4 passes none
-    mm = m4 * m4
-    odd = mm == _ONE
-    s, c = np.where(odd, c, s), np.where(odd, s, c)
-    np.negative(s, out=s, where=mm > m4)  # m4 = -2, -1 or 2
-    np.negative(c, out=c, where=mm > -m4)  # m4 = -2, 1 or 2
-    return s, c
-
-
-def _halley_step(k, lx, ly, c, e, stop, sin_cos):
-    """(e, stop) after one step of _tracker.c's halley_step, all rows at
-    once, with sin_cos = _sincos(e)."""
-    s, co = sin_cos
-    ls, lc = s * lx + co * ly, co * lx - s * ly
-    fp = lc + k
-    rt = (e * k + ls - c) / fp
-    h = ls / (_TWO * fp)
-    den = _ONE + rt * h
-    step = np.divide(rt, den, out=rt, where=den > _ZERO)  # else Newton's r, no quotient made
-    a = np.abs(step)
-    err = (np.abs(lc / (_SIX * fp)) + h * h) * (a * a * a)
-    clipped = np.maximum(np.minimum(step, _ONE), _MINUS_ONE)  # both let a NaN through
-    return e - np.where(stop, _ZERO, clipped), stop | ((err < _CLOSURE_TOL) & (a <= _ONE))
-
-
-def _track_block(j0, far, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
-    """Close samples j0 .. j0 + n - 1 of a row group, given their far history
-    far, the inverse FFT's (n, rows) tile: the numpy form of _tracker.c's
-    track_block, all rows in lockstep, with its operations, so its bits.
-
-    The group's (rows, m) phibar, x0 (None for squeezed_z) and y0, the taps
-    trev for lags nt-1 .. 1 and each row's tracking error e, carried from
-    block to block; a block writes its records into fr, after the nt
-    steady-state records, and its tracker outputs into phip.  A sample's
-    first Halley step reads the sin e and cos e that the last record made at
-    the same e, where the kernel makes them again.
-    """
-    (n, rows), nt = far.shape, trev.size + 1
-    k = np.array(1.0 - l0)
-    terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each lag sum starts
-    cols = slice(j0, j0 + n)
-    pb = phibar[:, cols].T
-    if x0 is None:  # X = 1, Y = 0 and the record offset z = y0/2|a|
-        x, y = np.ones((n, rows)), np.zeros((n, rows))
-        z = y0[:, cols].T / twoa
-        r0 = pb + z
-        cb = k * pb - l0 * z - far
-    else:
-        x = x0[:, cols].T / twoa + 1.0
-        y = y0[:, cols].T / twoa
-        r0 = pb
-        cb = k * pb - far
-    lxs, lys = l0 * x, l0 * y
-    rec = np.empty((n, rows))
-    u = e.copy()
-    sin_cos = _sincos(u)
-    for i in range(n):
-        # an accumulate adds in order, never pairwise or through BLAS
-        np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
-        c = cb[i] - np.add.accumulate(terms[: i + 1], axis=0)[-1]
-        if l0 == 0.0:
-            u = c  # the closure is explicit
-        else:
-            stop = np.zeros(rows, bool)
-            for step_index in range(_CLOSURE_STEPS):
-                if step_index:
-                    sin_cos = _sincos(u)
-                u, stop = _halley_step(k, lxs[i], lys[i], c, u, stop, sin_cos)
-                if np.count_nonzero(stop) == rows:
-                    break
-        phip[:, j0 + i] = pb[i] - u
-        s, co = sin_cos = _sincos(u)
-        rec[i] = r0[i] + ((s * x[i] + co * y[i]) - u)
-    fr[:, nt + j0: nt + j0 + n] = rec.T
-    e[:] = u
-
-
 def max_workers() -> int:
     """The worker threads of a command's pool (_pipeline): the CPUs this
     process may use.  The pool threads make no BLAS calls."""
@@ -350,88 +222,11 @@ def _row_groups(n_t: int) -> list:
     return [slice(a, min(a + _GROUP, n_t)) for a in range(0, n_t, _GROUP)]
 
 
-@cache
-def _twiddles(n):
-    """_tracker.c's twiddles: W^k = exp(-i pi k/n), k < n, as (2, n) planes
-    (cos, -sin), from _sincos."""
-    s, c = _sincos(np.arange(n) * (np.pi / n))
-    tw = np.stack([c, -s])
-    tw.flags.writeable = False
-    return tw
-
-
-def _fft(z, inverse=False):
-    """_tracker.c's fft of z, (n, 2, rows) planes: each row's DFT, or its
-    unnormalised inverse on the swapped planes, by its Stockham stages."""
-    n, _, rows = z.shape
-    z = z[:, ::-1] if inverse else z
-    for s in (1 << t for t in range(n.bit_length() - 1)):
-        half = n // (2 * s)
-        (ur, ui), (vr, vi) = z.reshape(2, half, s, 2, rows).transpose(0, 3, 1, 2, 4)
-        wr, wi = _twiddles(n)[:, : n: 2 * s, None, None]
-        dr, di = ur - vr, ui - vi
-        z = np.stack([np.stack([ur + vr, ui + vi], 2),
-                      np.stack([dr * wr - di * wi, dr * wi + di * wr], 2)], 1).reshape(n, 2, rows)
-    return z[:, ::-1] if inverse else z
-
-
-def _real_fft(a, inverse=False):
-    """_tracker.c's real_fft: the (n + 1, 2, rows) spectra of the real rows
-    of a, (2n, rows), by fft and split, or, inverse, 2n times the inverse
-    real FFT, (2n, rows), of the spectra a by unsplit and fft."""
-    n, rows = (a.shape[0] - 1 if inverse else a.shape[0] // 2), a.shape[-1]
-    z = a if inverse else _fft(a.reshape(n, 2, rows))
-    h, pairs = n // 2, n - 1 - n // 2  # the k <= n/2, and the k < n/2
-    (ar, ai), (cr, ci) = z[1: h + 1].transpose(1, 0, 2), z[n - 1: n - h - 1: -1].transpose(1, 0, 2)
-    wr, wi = _twiddles(n)[:, 1: h + 1, None]
-    out = np.zeros((n if inverse else n + 1, 2, rows))
-    if inverse:  # unsplit
-        er, ei, dr, di = ar + cr, ai - ci, ar - cr, ai + ci
-        odr, odi = dr * wr + di * wi, di * wr - dr * wi
-        head, tail = (er - odi, ei + odr), (er + odi, odr - ei)
-        out[0] = a[0, 0] + a[n, 0], a[0, 0] - a[n, 0]
-    else:  # split
-        er, ei, odr, odi = (ar + cr) * 0.5, (ai - ci) * 0.5, (ai + ci) * 0.5, (cr - ar) * 0.5
-        tr, ti = odr * wr - odi * wi, odr * wi + odi * wr
-        head, tail = (er + tr, ei + ti), (er - tr, ti - ei)
-        out[0, 0], out[n, 0] = z[0, 0] + z[0, 1], z[0, 0] - z[0, 1]
-    out[1: h + 1, 0], out[1: h + 1, 1] = head
-    out[n - 1: h: -1, 0], out[n - 1: h: -1, 1] = tail[0][:pairs], tail[1][:pairs]
-    return _fft(out, inverse=True).reshape(2 * n, rows) if inverse else out
-
-
-def _far_mac(ring, g, s):
-    """_tracker.c's far_mac: the sum over the stored spectra ring, (parts,
-    bins, 2, rows), slot s the newest, times g's (parts, 2, bins) planes,
-    oldest block first, as (bins, 2, rows) planes."""
-    parts = len(g)
-    for p in range(parts):
-        (xr, xi), (gr, gi) = ring[(s + 1 + p) % parts].transpose(1, 0, 2), g[p, :, :, None]
-        re, im = xr * gr - xi * gi, xr * gi + xi * gr
-        ar, ai = (re, im) if p == 0 else (ar + re, ai + im)
-    return np.stack([ar, ai], axis=1)
-
-
-def _close_group(spectra, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
-    """The closed loop of a whole row group: _tracker.c's close_group in
-    numpy, step for step (its far history by _real_fft and _far_mac,
-    each block by _track_block), so its bits."""
-    parts, rows = len(spectra), e.size
-    ring = np.empty((parts, n + 1, 2, rows))
-    x = np.zeros((2 * n, rows))  # [block, n zeros]
-    for k in range(1, fr.shape[1] // n):
-        x[:n] = fr[:, (k - 1) * n: k * n].T
-        ring[k % parts] = _real_fft(x)
-        if k >= parts:
-            far = _real_fft(_far_mac(ring, spectra, k % parts), True)[n:]
-            _track_block((k - parts) * n, far, l0, trev, twoa, phibar, x0, y0, e, fr, phip)
-
-
 def _partition_spectra(taps, real_fft):
     """The far history's G_p (module docstring), oldest block first, as
     (parts, 2, kb + 1) planes over blocks of kb = min(_BLOCK, nt) samples,
-    made by real_fft (the library's or _real_fft) and divided by 2 kb, the
-    inverse FFT's factor (exactly: a power of two)."""
+    made by real_fft (the kernel's) and divided by 2 kb, the inverse FFT's
+    factor (exactly: a power of two)."""
     nt = taps.size
     kb = min(_BLOCK, nt)
     parts = nt // kb
@@ -445,11 +240,10 @@ def _partition_spectra(taps, real_fft):
 def _close_loop(close, taps, spectra, twoa, phibar, x0, y0, fr, phip):
     """Closed loop of one row group, given its arrays (x0 None for
     squeezed_z, whose y0 is the S2-coloured record z'), by close (the
-    library's close_group or _close_group) and the taps' partition spectra:
-    writes fr, the tracker input (nt steady-state records, then the loop's
-    record), and phip, the tracker output.  TimeGrid makes m, nt = m/2 and
-    kb powers of two, so kb divides nt and m.  The tracking error e starts
-    at 0."""
+    kernel's close_group) and the taps' partition spectra: writes fr, the
+    tracker input (nt steady-state records, then the loop's record), and
+    phip, the tracker output.  TimeGrid makes m, nt = m/2 and kb powers of
+    two, so kb divides nt and m.  The tracking error e starts at 0."""
     (n_t, m), nt = phibar.shape, taps.size
     trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
     fr[:, :nt] = phibar[:, m - nt:] + y0[:, m - nt:] / twoa
@@ -573,7 +367,7 @@ def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -
     from store when that is not None), then tracked, estimated and checked in
     the group's own arrays.
 
-    close is the library's close_group or _close_group, or None for the
+    close is the kernel's close_group (_tracker.load()), or None for the
     open loop; spectra are the taps' partition spectra.
     """
     design = cfg.design
@@ -639,10 +433,9 @@ def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
     trials = list(range(cfg.trials) if trial_indices is None else trial_indices)
     taps = tracking_taps(cfg.design, cfg.feedback_delay)
     kernel = _tracker.load()
-    fft, close = ((_real_fft, _close_group) if kernel is None
-                  else (kernel.real_fft, kernel.close_group))
-    spectra = None if force_lock else _partition_spectra(taps, fft)
-    run = partial(_simulate_group, cfg, store, None if force_lock else close, taps, spectra)
+    spectra = None if force_lock else _partition_spectra(taps, kernel.real_fft)
+    close = None if force_lock else kernel.close_group
+    run = partial(_simulate_group, cfg, store, close, taps, spectra)
     return run, [trials[rows] for rows in _row_groups(len(trials))]
 
 

@@ -10,9 +10,8 @@ symmetric positive-definite Toeplitz system (column = autocovariance taps of
 U), solved by Levinson recursion, which drives the causal Wiener-Hopf
 residual to rounding level even for brick-wall spectra.
 normal_equation_taps sets up that system for either feedback delay, and
-solve_normal_equations runs the recursion in the compiled library (levinson
-in _tracker.c) or, without a compiler, in its numpy form _levinson, which
-gives the same bits.  spectral_factorize gives the cepstral factor X of the
+solve_normal_equations runs the recursion in the kernel (_tracker.load()'s
+levinson).  spectral_factorize gives the cepstral factor X of the
 classical construction L' = (1/X)[V/X*]_+, which the tests keep as a
 cross-check for smooth spectra only: on discontinuous (brick-wall) spectra
 its circular Gibbs wrap-around leaves residuals around 1e-2.
@@ -93,48 +92,6 @@ def wiener_hopf_residual(l_response: np.ndarray, u: np.ndarray, v: np.ndarray) -
     return float(np.max(np.abs(r[: m // 2])) / scale)
 
 
-def _sum_in_order(start: float, products: np.ndarray, terms: np.ndarray) -> float:
-    """start + products[0] + products[1] + ..., added in that order (terms
-    is scratch space of more than products.size entries)."""
-    k = products.size
-    terms[0] = start
-    terms[1: k + 1] = products
-    return np.add.accumulate(terms[: k + 1])[k]
-
-
-def _levinson(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with sum_k c[|j - k|] x_k = b_j: levinson of _tracker.c in numpy.
-
-    The library's fallback and its reference in the tests, with its
-    arithmetic operation for operation: each sum adds its products to its
-    constant term in order (an accumulate, never pairwise), and the updates
-    of x and g are whole-array, entry by entry as in the C loops.
-    """
-    n = b.size
-    x, g = np.zeros(n), np.zeros(n)
-    if c[0] == 0.0:
-        raise np.linalg.LinAlgError("Singular principal minor")
-    x[0] = b[0] / c[0]
-    if n > 1:
-        g[0] = c[1] / c[0]
-    terms = np.empty(n)
-    for m in range(1, n):
-        lags = c[m:0:-1]  # c[m - j] for j = 0 .. m-1
-        back = g[m - 1::-1]
-        den = _sum_in_order(-c[0], lags * back, terms)
-        if den == 0.0:
-            raise np.linalg.LinAlgError("Singular principal minor")
-        xm = _sum_in_order(-b[m], lags * x[:m], terms) / den
-        x[m] = xm
-        x[:m] -= xm * back
-        if m == n - 1:
-            break
-        gm = _sum_in_order(-c[m + 1], lags * g[:m], terms) / den
-        g[m] = gm
-        g[:m] = g[:m] - gm * g[:m][::-1]
-    return x
-
-
 def solve_normal_equations(ut: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x with sum_k ut[|j - k|] x_k = rhs_j, j, k in [0, rhs.size), by
     Levinson recursion: the package's one causal Toeplitz solve.
@@ -148,8 +105,7 @@ def solve_normal_equations(ut: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("need a nonempty rhs and at least rhs.size taps of ut")
     if not (np.isfinite(col).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    kernel = _tracker.load()
-    return _levinson(col, rhs) if kernel is None else kernel.levinson(col, rhs)
+    return _tracker.load().levinson(col, rhs)
 
 
 def normal_equation_taps(u: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:
@@ -209,7 +165,7 @@ def loop_and_postloop(l_prime: FilterKernel, g: FilterKernel, two_alpha: float,
     grid = l_prime.grid
     lp = l_prime.response
     margin = np.min(np.abs(1.0 - lp))
-    if margin < 1e-6:
+    if not margin >= 1e-6:  # also catches a NaN L'
         raise LoopInstabilityError(
             f"|1 - L'| reaches {margin:.3e}; the closed loop would be unstable")
     l_resp = lp / (two_alpha * (1.0 - lp))
@@ -246,7 +202,7 @@ def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
         delay = 8 * int(np.ceil(grid.bandwidth / message.bandwidth))
     l_loop, g_delayed, l_post = loop_and_postloop(l_prime, g, 2.0 * alpha_mag, delay)
     residual = wiener_hopf_residual(l_prime.response, u, v)
-    if residual > 1e-6:
+    if not residual <= 1e-6:  # also catches a NaN residual
         raise FactorizationError(
             f"causal Wiener-Hopf residual {residual:.3e} exceeds 1e-6")
     return LoopDesign(

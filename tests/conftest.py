@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from qdemod import _tracker
+from qdemod import _numpy_kernel, _tracker
 
 
 def dump_design_by_rows(design, path):
@@ -36,3 +36,13 @@ def kernel_clones():
     _tracker.c's ISA_CLONE, when its source names one, and the baseline."""
     isa = re.findall(r'^#define ISA_CLONE "([^"]*)"$', _tracker.SOURCE.read_text(), re.M)
     return (*isa, "default")
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """_numpy_kernel, made what _tracker.load() returns for the rest of the
+    test, so the package takes the library's numpy forms and a run's
+    manifest says tracker = numpy.  A test that compares the two paths asks
+    for it (request.getfixturevalue) after its library run."""
+    monkeypatch.setattr(_tracker, "_loaded", {"kernel": _numpy_kernel})
+    return _numpy_kernel

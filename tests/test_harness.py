@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdemod import _tracker, cli, pll
+from qdemod import _numpy_kernel, _tracker, cli, pll
 from qdemod.cli import cli_main
 from qdemod.config import (SCHEMAS, ConfigError, parse_config_text,
                            serialize_config)
@@ -227,10 +227,10 @@ def test_python_m_qdemod_simulate_builds_tracker(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert len((out / "results.csv").read_text().splitlines()) == 4
     kernel = _tracker.load()
-    tracker = "numpy" if kernel is None else f"c kernel {kernel.digest} ({kernel.isa})"
+    tracker = "numpy" if kernel is _numpy_kernel else f"c kernel {kernel.digest} ({kernel.isa})"
     assert f"tracker = {tracker}\n" in (out / "manifest.txt").read_text()
     built = list((pkg / "qdemod" / "__pycache__").glob("_tracker-*.so"))
-    assert len(built) == (kernel is not None)
+    assert len(built) == (kernel is not _numpy_kernel)
 
 
 # Small simulate runs of the three lights' arithmetic: coherent PM, squeezed_z
@@ -415,6 +415,23 @@ def test_cli_design_dump(tmp_path, monkeypatch, design_dump_oracle):
         design_dump_oracle(designs[-1], tmp_path / f"{name}_oracle.txt")
         assert (out / "design.txt").read_bytes() == (tmp_path / f"{name}_oracle.txt").read_bytes()
     assert designs[-1].grid.n_samples == 16384 and designs[-1].mod.kind == "fm"
+
+
+def test_cli_nan_loop_design_exits_3(tmp_path, capsys):
+    """At Lambda = 1e300 the Levinson taps overflow and L' is NaN in every
+    bin: design exits 3 and writes no design.txt, and a sweep that reaches
+    that point exits 3 with the design's message, before any loop runs."""
+    cfg = _write(tmp_path, "design.cfg", "beta = 1\nlambda = 1e300\n")
+    out = tmp_path / "design"
+    assert cli_main(["design", cfg, "--out", str(out)]) == 3
+    assert "|1 - L'| reaches nan" in capsys.readouterr().err
+    assert not (out / "design.txt").exists()
+    cfg = _write(tmp_path, "sweep.cfg", "n_samples = 2048\nband_bins = 63\ntrials = 2\n"
+                 "betas = 1\nlambdas = 100, 1e300\n")
+    assert cli_main(["sweep", cfg, "--out", str(tmp_path / "sweep")]) == 3
+    err = capsys.readouterr().err
+    assert "|1 - L'| reaches nan" in err and "loop diverged" not in err
+    assert not (tmp_path / "sweep" / "results.csv").exists()
 
 
 def test_cli_env_output_override(tmp_path, monkeypatch):
@@ -645,6 +662,20 @@ def test_cli_sense_rejects_geometry_that_is_not_finite_or_in_range(key, value, t
     assert not (out / "sense_results.csv").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("kind = multipass\npasses = 1e308\nrms_position = 1\n", "position_beta"),
+    ("rms_velocity = 1e300\nmessage_bandwidth = 1e-300\n", "velocity_beta"),
+], ids=["passes", "bandwidth"])
+def test_cli_sense_rejects_a_map_that_is_not_finite(text, key, tmp_path, capsys):
+    """Keys in range whose map overflows (2 M cos(theta) at M = 1e308, or
+    2F/b at b = 1e-300) are a config error (exit 2) naming the mapped key,
+    and no sense_results.csv is written."""
+    out = tmp_path / "o"
+    assert cli_main(["sense", _write(tmp_path, "sense.cfg", text), "--out", str(out)]) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not (out / "sense_results.csv").exists()
+
+
 def test_cli_fabry_perot_rejects_passes(tmp_path, capsys):
     """A Fabry-Perot sensor derives M from R, so a given passes is a config
     error (exit 2) naming the key, and no sense_results.csv is written."""
@@ -681,22 +712,26 @@ def test_config_fixtures_parse_and_the_analytic_ones_run(tmp_path):
     assert ran == {"limits_pm", "fock_checks", "sense_fabry_perot", "design_fm_squeezed"}
 
 
-@pytest.mark.skipif(_tracker.load() is None,
+@pytest.mark.skipif(_tracker.load() is _numpy_kernel,
                     reason="no C compiler: only the numpy loops exist")
 @pytest.mark.parametrize("fixture", ["design_fm_squeezed", "simulate_squeezed_optimum"])
-def test_fixture_bytes_are_the_same_on_both_tracker_paths(fixture, tmp_path, monkeypatch):
+def test_fixture_bytes_are_the_same_on_both_tracker_paths(fixture, tmp_path, request):
     """A configs/ fixture writes the same bytes in every output but the
     manifest with the compiled library and with the numpy loops
-    (_tracker.load patched to None).  sweep_pm_sql is left out: it takes
-    about 80 s on the numpy tracker against 1 s on the library."""
+    (_numpy_kernel, the no_kernel fixture), as the manifests record.
+    sweep_pm_sql is left out: it takes about 80 s on the numpy tracker
+    against 1 s on the library."""
     path = Path(__file__).resolve().parents[1] / "configs" / f"{fixture}.cfg"
     command = re.search(r"^\[(\w+)\]", path.read_text(), re.M).group(1)
-    numpy_calls, outputs = [], []
+    trackers, outputs = [], []
     for out in (tmp_path / "kernel", tmp_path / "numpy"):
         assert cli_main([command, str(path), "--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"})
-        monkeypatch.setattr(_tracker, "load", lambda: numpy_calls.append(1))
-    assert numpy_calls and outputs[0] and outputs[0] == outputs[1]
+        trackers.append(re.search(r"^tracker = (.*)$", (out / "manifest.txt").read_text(),
+                                  re.M).group(1))
+        request.getfixturevalue("no_kernel")
+    assert trackers[0] != "numpy" and trackers[1] == "numpy"
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_cli_sweep_matches_single_trial_aggregate(tmp_path):

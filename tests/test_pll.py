@@ -1,4 +1,5 @@
 import ctypes
+import inspect
 import math
 import re
 import shutil
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 
 from oracles import error_statistics, linearized_map_estimate
-from qdemod.grids import TimeGrid, _spectrum_product
+from qdemod.grids import TimeGrid
 from qdemod.limits import FM as LFM
 from qdemod.limits import PM as LPM
 from qdemod.limits import closed_form_snr, sigma0
 from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                            operating_point, resolve_lambda)
-from qdemod import _tracker, pll
+from qdemod import _numpy_kernel, _tracker, pll
 from qdemod.pll import (LoopDivergenceError, PllConfig, aggregate,
                         cycle_slip_count, run_cell, sample_message, sample_quadratures, simulate_batch,
                         tracking_taps)
@@ -65,13 +66,13 @@ def scale_quadrature_noise(monkeypatch, scale):
     monkeypatch.setattr(pll, "stream", fake)
 
 
-def no_kernel(monkeypatch):
-    """Make the closed loop run the numpy block loop."""
-    monkeypatch.setattr(_tracker, "load", lambda: None)
-
-
-needs_kernel = pytest.mark.skipif(_tracker.load() is None,
+needs_kernel = pytest.mark.skipif(_tracker.load() is _numpy_kernel,
                                   reason="no C compiler: only the numpy loop exists")
+
+
+def both_kernels():
+    """The library, where it builds, and _numpy_kernel, each once."""
+    return dict.fromkeys((_tracker.load(), _numpy_kernel))
 
 
 def test_cycle_slip_count_basics():
@@ -228,9 +229,9 @@ def test_pinned_trial_results(case):
 
 @needs_kernel
 @pytest.mark.parametrize("case", sorted(PINNED))
-def test_kernel_matches_numpy_loop(case, monkeypatch):
+def test_kernel_matches_numpy_loop(case, request):
     kernel = pinned_results(case)
-    no_kernel(monkeypatch)
+    request.getfixturevalue("no_kernel")
     assert pinned_results(case) == kernel
 
 
@@ -242,21 +243,20 @@ HISTORY_SHAPES = [(256, 512, 128, 1.0), (32, 64, 32, 1.0), (128, 256, 128, 1.0),
                   (512, 1024, 128, 0.0)]
 
 
-def close_far_history(close, taps, lead, m):
-    """(phip, fr) of a group of len(lead) rows closed over m samples by close
-    (the library's close_group or pll._close_group) from the steady-state
+def close_far_history(kernel, taps, lead, m):
+    """(phip, fr) of a group of len(lead) rows closed over m samples by a
+    kernel's close_group (the library or _numpy_kernel) from the steady-state
     records lead, with no in-block lags (trev 0), l0 = 0, phibar = 0 and
     X = Y = 0 (x0 = -2|a|, y0 = 0).  Then e = -far, so each sample's tracker
     output phibar - e and record 0 + ((0 sin e + 0 cos e) - e) are its far
     history, exactly."""
     rows, nt = lead.shape
-    fft = pll._real_fft if close is pll._close_group else _tracker.load().real_fft
-    spectra = pll._partition_spectra(taps, fft)
+    spectra = pll._partition_spectra(taps, kernel.real_fft)
     zero = np.zeros((rows, m))
     fr, phip = np.empty((rows, nt + m)), np.empty((rows, m))
     fr[:, :nt] = lead
-    close(spectra, spectra.shape[2] - 1, 0.0, np.zeros(nt - 1), 2.0, zero,
-          np.full((rows, m), -2.0), zero, np.zeros(rows), fr, phip)
+    kernel.close_group(spectra, spectra.shape[2] - 1, 0.0, np.zeros(nt - 1), 2.0, zero,
+                       np.full((rows, m), -2.0), zero, np.zeros(rows), fr, phip)
     return phip, fr
 
 
@@ -272,19 +272,19 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0):
     taps = rng.standard_normal(nt)
     taps[0] *= lag0
     lead = rng.standard_normal((3, nt + m))[:, :nt]
-    got, fr = close_far_history(pll._close_group, taps, lead, m)
-    assert got.shape == (3, m) and pll._partition_spectra(taps, pll._real_fft).shape[2] == kb + 1
+    got, fr = close_far_history(_numpy_kernel, taps, lead, m)
+    assert got.shape == (3, m)
+    assert pll._partition_spectra(taps, _numpy_kernel.real_fft).shape[2] == kb + 1
     for row in range(3):
         for j0 in range(0, m, kb):
             before = np.where(np.arange(nt + m) < nt + j0, fr[row], 0.0)
             want = np.convolve(taps, before)[nt + j0: nt + j0 + kb]
             scale = np.convolve(np.abs(taps), np.abs(before))[nt + j0: nt + j0 + kb].max()
             assert np.abs(got[row, j0: j0 + kb] - want).max() <= 1e-14 * scale
-    kernel = _tracker.load()
-    for close in filter(None, (kernel and kernel.close_group, pll._close_group)):
-        alone = close_far_history(close, taps, lead[1:2].copy(), m)[0]
+    for kernel in both_kernels():
+        alone = close_far_history(kernel, taps, lead[1:2].copy(), m)[0]
         assert np.array_equal(alone[0], got[1])
-        assert np.array_equal(close_far_history(close, taps, lead, m)[0], got)
+        assert np.array_equal(close_far_history(kernel, taps, lead, m)[0], got)
 
 
 # The light of a group's inputs: coherent (x0, y0) rows of their own, the
@@ -314,11 +314,10 @@ def test_kernel_rows_are_independent(l0):
     """In the kernel and in the numpy loop, the per-row stop rule makes a
     row's closure independent of the others, and a NaN row is never clipped
     back to finite values; for each light, with x0 and y0 strided or not."""
-    kernel = _tracker.load()
     for light in GROUP_LIGHTS:
         args = group_args(light, l0=l0)
         nt = args["trev"].size + 1
-        for close in filter(None, (kernel and kernel.close_group, pll._close_group)):
+        for close in (kernel.close_group for kernel in both_kernels()):
             fr, phip, e = close_outputs(close, args)
             assert np.isnan(phip[0, 200:]).all() and np.isnan(fr[0, nt + 200:]).all()
             assert np.isfinite(phip[0, :200]).all() and np.isfinite(phip[1:]).all()
@@ -365,15 +364,14 @@ def test_closure_stops_only_at_a_root(l0, monkeypatch):
     xq, yq = amp * np.cos(psi) - 1.0, amp * np.sin(psi)
     x, y = xq + 1.0, yq
     phibar = c / (1.0 - l0)
-    kernel = _tracker.load()
-    for close in filter(None, (kernel and kernel.close_group, pll._close_group)):
+    for close in (kernel.close_group for kernel in both_kernels()):
         u, stopped = np.zeros(rows), 0
         for i in range(n):
             longer = u.copy()
             close_sample(close, l0, phibar[i], xq[i], yq[i], u)
             with monkeypatch.context() as patch:
-                patch.setattr(pll, "_CLOSURE_STEPS", pll._CLOSURE_STEPS + 1)
-                close_sample(pll._close_group, l0, phibar[i], xq[i], yq[i], longer)
+                patch.setattr(_numpy_kernel, "_CLOSURE_STEPS", _numpy_kernel._CLOSURE_STEPS + 1)
+                close_sample(_numpy_kernel.close_group, l0, phibar[i], xq[i], yq[i], longer)
             done = u == longer  # never a NaN
             ci = (1.0 - l0) * phibar[i]
             residual = np.abs((1.0 - l0) * u + l0 * (x[i] * np.sin(u) + y[i] * np.cos(u)) - ci)
@@ -391,8 +389,7 @@ def test_closure_walks_toward_a_far_root(c, amp):
     by exactly 8 rad (Halley's own step would turn back).  X is amp and
     Y = 0; at X = 0 the closure is linear and predicts no error, but a
     clipped step never stops."""
-    kernel = _tracker.load()
-    for close in filter(None, (kernel and kernel.close_group, pll._close_group)):
+    for close in (kernel.close_group for kernel in both_kernels()):
         u = np.array([0.5])
         close_sample(close, 0.2, np.array([c / (1.0 - 0.2)]), np.array([amp - 1.0]),
                      np.zeros(1), u)
@@ -440,7 +437,7 @@ def test_tiles_keep_the_numpy_loops_bits_at_their_edges(rows):
     for l0 in (0.0, 0.4):
         for light in ("strided", "squeezed_z"):
             args = group_rows(group_args(light, rows=40, l0=l0), sel)
-            want = close_outputs(pll._close_group, args)
+            want = close_outputs(_numpy_kernel.close_group, args)
             got = close_outputs(kernel.close_group, args)
             assert all(same_bits(a, b) for a, b in zip(got, want)), (l0, light)
     rng = np.random.default_rng(rows)
@@ -449,7 +446,7 @@ def test_tiles_keep_the_numpy_loops_bits_at_their_edges(rows):
     for l0 in (0.0, 0.4):
         for light_x0 in (0.3 * x0, None):
             outs = []
-            for close in (kernel.close_group, pll._close_group):
+            for close in (kernel.close_group, _numpy_kernel.close_group):
                 e = e0.copy()
                 outs.append((*close_sample(close, l0, phibar, light_x0, 0.3 * y0, e), e))
             assert all(same_bits(a, b) for a, b in zip(*outs)), (l0, light_x0 is None)
@@ -488,14 +485,14 @@ def far_mac_harness(tmp_path_factory):
 @pytest.mark.parametrize("parts", [1, 16])
 @pytest.mark.parametrize("rows", [1, 7, 37])
 def test_library_far_mac_keeps_the_signs_of_zeros(parts, rows, far_mac_harness):
-    """The library's far_mac (far_mac_harness) gives pll._far_mac's bits,
-    the signs of zero sums included, at ring offsets 0, 1 and parts - 1.
-    Row 0 of the ring is -0 real and +0 imaginary throughout, and G has +0
-    imaginary parts on even bins, so there each product's real part is -0
-    where G's real part is positive and +0 where it is negative: every
-    fourth bin, where it is positive in all partitions, sums to -0.
-    Elsewhere a fifth of the ring and of G are zeros of either sign, and
-    there is a NaN."""
+    """The library's far_mac (far_mac_harness) gives
+    _numpy_kernel._far_mac's bits, the signs of zero sums included, at ring
+    offsets 0, 1 and parts - 1.  Row 0 of the ring is -0 real and +0
+    imaginary throughout, and G has +0 imaginary parts on even bins, so
+    there each product's real part is -0 where G's real part is positive
+    and +0 where it is negative: every fourth bin, where it is positive in
+    all partitions, sums to -0.  Elsewhere a fifth of the ring and of G are
+    zeros of either sign, and there is a NaN."""
     rng = np.random.default_rng(parts * 1000 + rows)
     bins = 129
 
@@ -509,7 +506,7 @@ def test_library_far_mac_keeps_the_signs_of_zeros(parts, rows, far_mac_harness):
     g[:, 1, ::2] = 0.0
     g[:, 0, ::4] = 0.5 + np.abs(g[:, 0, ::4])
     for s in sorted({0, 1 % parts, parts - 1}):
-        want = pll._far_mac(ring, g, s)
+        want = _numpy_kernel._far_mac(ring, g, s)
         zeros = want[want == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         assert same_bits(far_mac_harness(ring, g, s), want), s
@@ -554,7 +551,7 @@ def test_far_mac_rounds_each_product_alone(parts, rows):
     g = rng.standard_normal((parts, 2, bins))
     g[0, 0, 9], g[-1, 1, 13] = -0.0, 0.0
     for s in sorted({0, 1 % parts, parts - 1}):
-        want, out = rounded_sum(spectra, g, s), pll._far_mac(ring, g, s)
+        want, out = rounded_sum(spectra, g, s), _numpy_kernel._far_mac(ring, g, s)
         assert same_bits(out[:, 0].T, want[0]) and same_bits(out[:, 1].T, want[1]), s
 
 
@@ -569,8 +566,7 @@ def test_spectrum_product_rounds_each_product_alone(rows):
     h[0, 9], h[1, 11] = -0.0, 0.0
     sr, si = spectrum.real, spectrum.imag
     want = (sr * h[0] - si * h[1], sr * h[1] + si * h[0])
-    kernel = _tracker.load()
-    for product in filter(None, (kernel and kernel.spectrum_product, _spectrum_product)):
+    for product in (kernel.spectrum_product for kernel in both_kernels()):
         got = spectrum.copy()
         product(got, h)
         assert same_bits(got.real, want[0]) and same_bits(got.imag, want[1])
@@ -605,7 +601,7 @@ def test_real_fft_paths_agree_bit_for_bit(n2, rows):
     _, x, _, planes = fft_inputs(np.random.default_rng(n2 + rows), n2, rows)
     with np.errstate(invalid="ignore"):
         for inverse, a in ((False, x), (True, planes)):
-            assert same_bits(kernel.real_fft(a, inverse), pll._real_fft(a, inverse))
+            assert same_bits(kernel.real_fft(a, inverse), _numpy_kernel.real_fft(a, inverse))
 
 
 @pytest.mark.parametrize("n2", [64, 256])
@@ -622,8 +618,7 @@ def test_real_fft_is_numpys_to_rounding(n2, rows):
 
     def norm(a):  # of each row
         return np.sqrt(np.sum(a.reshape(-1, rows) ** 2, axis=0))
-    kernel = _tracker.load()
-    for fft in filter(None, (kernel and kernel.real_fft, pll._real_fft)):
+    for fft in (kernel.real_fft for kernel in both_kernels()):
         for got, want in ((fft(x), planes), (fft(planes, True), inverse)):
             assert np.all(norm(got - want) <= bound * norm(want))
 
@@ -632,8 +627,7 @@ def test_real_fft_rows_are_independent():
     """A row's transform, both ways and on both paths, is the same bits
     alone as inside a 37-row group."""
     x, _, planes, _ = fft_inputs(np.random.default_rng(5), 256, 37)
-    kernel = _tracker.load()
-    for fft in filter(None, (kernel and kernel.real_fft, pll._real_fft)):
+    for fft in (kernel.real_fft for kernel in both_kernels()):
         for inverse, a in ((False, x), (True, planes)):
             whole = fft(a, inverse)
             for row in (0, 17, 36):
@@ -697,7 +691,7 @@ def group_args(light="coherent", rows=3, l0=0.4):
         x0, y0 = x0.copy(), y0.copy()
     fr = np.empty((rows, nt + m))
     fr[:, :nt] = rng.standard_normal((rows, nt))
-    spectra = pll._partition_spectra(taps, pll._real_fft)
+    spectra = pll._partition_spectra(taps, _numpy_kernel.real_fft)
     spectra[0, 0, 9], spectra[-1, 1, 13] = 0.0, -0.0  # no NaN: every row reads G
     return dict(spectra=spectra, n=128, l0=l0,
                 trev=np.ascontiguousarray(taps[:0:-1]), twoa=2.0, phibar=phibar,
@@ -812,9 +806,8 @@ def test_row_group_working_set():
     assert group_peak_arrays() <= 5.5
 
 
-def test_row_group_working_set_without_the_library(monkeypatch):
+def test_row_group_working_set_without_the_library(no_kernel):
     """The numpy path keeps the same bound."""
-    no_kernel(monkeypatch)
     assert group_peak_arrays() <= 5.5
 
 
@@ -825,10 +818,10 @@ SINCOS_CONSTANTS = ("SHIFT", "INVPIO2", "PIO2_1", "PIO2_2", "PIO2_2T",
 def test_kernel_closure_constants_match():
     """The closure's and the sincos' constants are the twin's, verbatim."""
     text = _tracker.SOURCE.read_text()
-    assert f"#define CLOSURE_STEPS {pll._CLOSURE_STEPS}\n" in text
-    assert f"#define CLOSURE_TOL {pll._CLOSURE_TOL!r}\n" in text
+    assert f"#define CLOSURE_STEPS {_numpy_kernel._CLOSURE_STEPS}\n" in text
+    assert f"#define CLOSURE_TOL {_numpy_kernel._CLOSURE_TOL!r}\n" in text
     for name in SINCOS_CONSTANTS:
-        value = float(getattr(pll, f"_{name}"))
+        value = float(getattr(_numpy_kernel, f"_{name}"))
         assert re.search(rf"^#define {name} {re.escape(repr(value))}\s", text, re.M), name
 
 
@@ -850,13 +843,13 @@ def test_kernel_flags_keep_the_rounding():
 
 
 def test_sincos_is_within_an_ulp_of_libm():
-    """pll._sincos, the kernel's sin_cos in numpy, is within 1 ulp of the C
-    library's sin and cos (math.sin and math.cos) on 1e5 normal draws at
-    each scale and 1e5 uniform draws in +-1e6."""
+    """_numpy_kernel._sincos, the kernel's sin_cos in numpy, is within 1 ulp
+    of the C library's sin and cos (math.sin and math.cos) on 1e5 normal
+    draws at each scale and 1e5 uniform draws in +-1e6."""
     rng = np.random.default_rng(2025)
     draws = [scale * rng.standard_normal(100_000) for scale in (0.3, 3.0, 300.0, 1e5)]
     for x in (*draws, rng.uniform(-1e6, 1e6, 100_000)):
-        for got, libm in zip(pll._sincos(x), (math.sin, math.cos)):
+        for got, libm in zip(_numpy_kernel._sincos(x), (math.sin, math.cos)):
             want = np.fromiter(map(libm, x.tolist()), float, x.size)
             assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), libm
 
@@ -865,7 +858,7 @@ def test_sincos_keeps_signed_zeros_and_has_no_finite_value_at_infinity():
     """sin(+-0) = +-0 with its sign, cos(+-0) = 1, and NaN and +-inf give NaN."""
     x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
     with np.errstate(invalid="ignore"):
-        s, c = pll._sincos(x)
+        s, c = _numpy_kernel._sincos(x)
     assert np.array_equal(np.signbit(s[:2]), [False, True]) and np.all(s[:2] == 0.0)
     assert np.all(c[:2] == 1.0)
     assert np.isnan(s[2:]).all() and np.isnan(c[2:]).all()
@@ -896,7 +889,7 @@ def test_isa_clones_give_the_plain_kernels_bits(tmp_path, monkeypatch):
             args = group_args(light, rows=37, l0=l0)
             want = close_outputs(_tracker.load().close_group, args)
             assert np.isnan(want[1][0, 200:]).all() and np.isfinite(want[1][1:]).all()
-            for close in (plain.close_group, pll._close_group):
+            for close in (plain.close_group, _numpy_kernel.close_group):
                 got = close_outputs(close, args)
                 assert all(same_bits(a, b) for a, b in zip(got, want)), (l0, light)
 
@@ -917,6 +910,31 @@ def test_tracker_build_cache_and_failure(tmp_path, monkeypatch):
     source.write_text("this is not C\n")
     assert _tracker._build() is None
     assert len(list((tmp_path / "__pycache__").iterdir())) == 1  # no debris
+
+
+def test_both_kernels_keep_one_contract(tmp_path, monkeypatch):
+    """_tracker.Kernel and _numpy_kernel expose the same four entries with
+    the same parameters, and after a failed build (the broken source of
+    test_tracker_build_cache_and_failure) load() returns _numpy_kernel,
+    which a simulate manifest names."""
+    def entries(owner, skip):  # {public function: its parameters but the first skip}
+        return {name: list(inspect.signature(fn).parameters)[skip:]
+                for name, fn in vars(owner).items()
+                if inspect.isfunction(fn) and fn.__module__.startswith("qdemod.")
+                and not name.startswith("_")}
+    assert entries(_tracker.Kernel, 1) == entries(_numpy_kernel, 0)  # the methods' self
+    assert set(entries(_numpy_kernel, 0)) == {"close_group", "real_fft", "spectrum_product",
+                                           "levinson"}
+    source = tmp_path / "_tracker.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(_tracker, "SOURCE", source)
+    monkeypatch.setattr(_tracker, "_loaded", {})
+    assert _tracker.load() is _numpy_kernel
+    from qdemod.cli import cli_main
+    config, out = tmp_path / "simulate.cfg", tmp_path / "simulate"
+    config.write_text("n_samples = 2048\nband_bins = 63\nbeta = 1\nlambda = 100\ntrials = 2\n")
+    assert cli_main(["simulate", str(config), "--out", str(out)]) == 0
+    assert "tracker = numpy\n" in (out / "manifest.txt").read_text()
 
 
 @needs_kernel
@@ -1365,11 +1383,11 @@ def simulate_csv_snrs(cell, tmp_path, monkeypatch):
     return [float(row.split(",")[column]) for row in rows]
 
 
-def test_non_finite_error_is_divergence(monkeypatch, tmp_path):
+def test_non_finite_error_is_divergence(monkeypatch, tmp_path, request):
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=1, seed=3)
     scale_quadrature_noise(monkeypatch, float("nan"))
     kernel, groups = _tracker.load(), []
-    if kernel is not None:  # the closed loop runs through the compiled kernel
+    if kernel is not _numpy_kernel:  # the closed loop runs through the compiled kernel
         close = _tracker.Kernel.close_group
 
         def counted(self, *args):
@@ -1378,8 +1396,8 @@ def test_non_finite_error_is_divergence(monkeypatch, tmp_path):
         monkeypatch.setattr(_tracker.Kernel, "close_group", counted)
     with pytest.raises(LoopDivergenceError):
         simulate_batch(cfg, [0])
-    assert bool(groups) == (kernel is not None)
-    no_kernel(monkeypatch)
+    assert bool(groups) == (kernel is not _numpy_kernel)
+    request.getfixturevalue("no_kernel")
     with pytest.raises(LoopDivergenceError):
         simulate_batch(cfg, [0])
     # open loop never diverges, but a NaN mse must not read as infinite SNR

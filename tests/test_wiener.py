@@ -9,7 +9,7 @@ import pytest
 
 from oracles import (anticausal_energy_fraction, causal_part_solution,
                      linearized_map_estimate, nonlinear_map_fixed_point)
-from qdemod import _tracker, wiener
+from qdemod import _numpy_kernel, _tracker, wiener
 from qdemod.cli import cli_main
 from qdemod.grids import TimeGrid
 from qdemod.limits import irreducible_error
@@ -344,16 +344,10 @@ def test_dump_design_bytes_special_values(tmp_path, pm_design, design_dump_oracl
     assert_dump_matches_oracle(design, design_dump_oracle, tmp_path)
 
 
-def no_kernel(monkeypatch):
-    """Make the solve (and the closed loop) run the numpy loops."""
-    monkeypatch.setattr(_tracker, "load", lambda: None)
-
-
 def solvers():
     """The solve's paths: the numpy twin and, where it builds, the compiled
     levinson."""
-    kernel = _tracker.load()
-    return [wiener._levinson] + ([] if kernel is None else [kernel.levinson])
+    return [kernel.levinson for kernel in dict.fromkeys((_numpy_kernel, _tracker.load()))]
 
 
 def normal_systems(kind, r):
@@ -415,33 +409,33 @@ def test_singular_leading_minor_raises_linalg_error(c):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("which", ["ut", "rhs"])
-def test_non_finite_normal_equations_raise_value_error(monkeypatch, which, bad):
+def test_non_finite_normal_equations_raise_value_error(request, which, bad):
     """Non-finite input is refused before either path runs."""
     ut, rhs = np.array([2.0, 0.5, 0.1, 9.0]), np.array([1.0, 2.0, 3.0])
     {"ut": ut, "rhs": rhs}[which][1] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_normal_equations(ut, rhs)
-    no_kernel(monkeypatch)
+    request.getfixturevalue("no_kernel")
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_normal_equations(ut, rhs)
 
 
-def test_solve_uses_only_the_taps_it_needs(monkeypatch):
+def test_solve_uses_only_the_taps_it_needs(request):
     """Taps of ut beyond rhs.size are not part of the system."""
     ut, rhs = np.array([2.0, 0.5, 0.1, np.nan]), np.array([1.0, 2.0, 3.0])
     got = solve_normal_equations(ut, rhs)
-    no_kernel(monkeypatch)
+    request.getfixturevalue("no_kernel")
     assert np.array_equal(solve_normal_equations(ut, rhs), got)
     assert np.allclose(np.array([[2.0, 0.5, 0.1], [0.5, 2.0, 0.5], [0.1, 0.5, 2.0]]) @ got,
                        rhs, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("compiled", [True, False])
-def test_cli_singular_design_exits_3(tmp_path, monkeypatch, capsys, compiled):
+def test_cli_singular_design_exits_3(tmp_path, monkeypatch, capsys, request, compiled):
     """A singular normal-equation system is a numerical failure (exit 3) on
     both paths."""
     if not compiled:
-        no_kernel(monkeypatch)
+        request.getfixturevalue("no_kernel")
     solve = wiener.solve_normal_equations
     monkeypatch.setattr(wiener, "solve_normal_equations",
                         lambda ut, rhs: solve(np.zeros_like(ut), rhs))

@@ -5,12 +5,13 @@ Usage, from the repository root:
     PYTHONPATH=src python tools/fixture_hashes.py [--keep DIR] [--against DIR]
 
 Each fixture runs through qdemod.cli_main twice: once with the compiled
-library and once with qdemod._tracker.load patched to return None, so the
-closed loop and the normal-equation solves take the numpy loops.  For every
-output but manifest.txt (which records times) it prints one line,
-`fixture file sha256[:8]`, the hash of the compiled path's bytes, and to
-stderr each fixture's wall time on each path.  It exits 1 if a fixture
-fails or the two paths write different bytes, else 0.
+library and once with qdemod._tracker.load patched to return
+qdemod._numpy_kernel (None in a tree from before it), so the closed loop,
+the filter products and the normal-equation solves take the library's
+numpy forms.  For every output but manifest.txt (which records times) it
+prints one line, `fixture file sha256[:8]`, the hash of the compiled path's
+bytes, and to stderr each fixture's wall time on each path.  It exits 1 if
+a fixture fails or the two paths write different bytes, else 0.
 
 --keep DIR saves each fixture's compiled-path outputs as DIR/fixture/file.
 --against DIR compares them with outputs kept earlier, from another tree:
@@ -42,6 +43,11 @@ from pathlib import Path
 
 from qdemod import _tracker
 from qdemod.cli import cli_main
+
+try:
+    from qdemod import _numpy_kernel as NUMPY  # what load() returns without a compiler
+except ImportError:  # a tree from before _numpy_kernel, whose load() returned None
+    NUMPY = None
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -102,7 +108,7 @@ def main(argv=None) -> int:
     p.add_argument("--keep", type=Path, help="save each fixture's outputs under this directory")
     p.add_argument("--against", type=Path, help="compare with outputs saved by --keep")
     args = p.parse_args(argv)
-    if _tracker.load() is None:
+    if _tracker.load() is NUMPY:
         print("note: no compiled library; both paths run the numpy loops", file=sys.stderr)
     load = _tracker.load
     same = True
@@ -113,7 +119,7 @@ def main(argv=None) -> int:
                 start = time.perf_counter()
                 compiled = run_fixture(path, outdir)
                 middle = time.perf_counter()
-                _tracker.load = lambda: None
+                _tracker.load = lambda: NUMPY
                 numpy = run_fixture(path, Path(tmp) / path.stem / "numpy")
             except RuntimeError as exc:
                 print(exc, file=sys.stderr)

@@ -67,7 +67,8 @@ class Side:
         pll = importlib.import_module(f"{package}.pll")
         cli = importlib.import_module(f"{package}.cli")
         config = importlib.import_module(f"{package}.config")
-        if importlib.import_module(f"{package}._tracker").load() is None:
+        tracker = importlib.import_module(f"{package}._tracker")
+        if not isinstance(tracker.load(), tracker.Kernel):  # None or the numpy forms
             raise RuntimeError(f"{package}: no compiled library")
         text = f"[simulate]\n{LIGHTS[light]}trials = 32\nseed = {seed}\n"
         cfg = config.parse_config_text(text, "simulate")
