@@ -27,7 +27,7 @@ def check_positive(name: str, value: float) -> float:
 
 def check_nonnegative(name: str, value: float) -> float:
     """value if it is finite and >= 0, else ValueError: the one rule for the
-    squeeze parameter r, the sensor's cavity length and beta^2 Lambda."""
+    squeeze parameter r, the sensor's cavity length and maps, and beta^2 Lambda."""
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return value

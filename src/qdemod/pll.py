@@ -30,16 +30,16 @@ lc = l0 (X cos e - Y sin e), f' = k + lc, r = f/f' and h = ls/(2f'), its
 step is r/(1 + r h), or Newton's r where 1 + r h <= 0 (far from the root,
 where Halley's step points away from it).  Each row stops once the error
 its own unclipped step predicts, (|lc/(6f')| + h^2) |step|^3, is below
-1e-13 rad (a cubic stop), after at most 8 steps, clipping any step beyond
-+-1 rad; a NaN or clipped step never stops it.  A step takes one sin e and
-one cos e, and a locked sample takes about two steps.  squeezed_z runs the
-same arithmetic with X = 1 and Y = 0.  The step runs over all rows of a
-group in lockstep (in the library its first two, later ones over each
-vector of 8 rows that has a row still stepping), a stopped row taking a
-zero step, and sin and cos are the package's own (_numpy_kernel._sincos,
-msun's kernels after a Cody-Waite reduction, within 1 ulp of libm for
-|e| <= 1e6, far beyond _DIVERGENCE_LIMIT), so the compiled step has no call
-in it and vectorises across the rows.
+_numpy_kernel._CLOSURE_TOL (a cubic stop), after at most _CLOSURE_STEPS
+steps, clipping any step beyond +-1 rad; a NaN or clipped step never stops
+it.  A step takes one sin e and one cos e, and a locked sample takes about
+two steps.  squeezed_z runs the same arithmetic with X = 1 and Y = 0.  The
+step runs over all rows of a group in lockstep (in the library its first
+two, later ones over each vector of 8 rows that has a row still stepping),
+a stopped row taking a zero step, and sin and cos are the package's own
+(_numpy_kernel._sincos, msun's kernels after a Cody-Waite reduction, within
+1 ulp of libm for |e| <= 1e6, far beyond _DIVERGENCE_LIMIT), so the
+compiled step has no call in it and vectorises across the rows.
 
 The tracker history is a uniformly partitioned overlap-save convolution
 (Gardner, JAES 43(3), 1995) over blocks of kb = _BLOCK (128) samples.  Let

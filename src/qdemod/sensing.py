@@ -6,7 +6,8 @@ angle theta, so target motion x(t) modulates the output phase by
 effective M = (1 + sqrt(R)) / (1 - sqrt(R)) at resonance, valid only for
 narrowband modulation.  Inequality constraints from the paper-level "<<"
 statements are operationalised with factor-10 margins and both sides are
-reported so callers can re-judge.
+reported so callers can re-judge.  A map that overflows (M = 1e308, say)
+raises ValueError naming the mapped value.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class SensorConfig:
     @property
     def geometry_factor(self) -> float:
         """2 M cos(theta): phase per unit 2 pi x / lambda0."""
-        return 2.0 * self.effective_passes * np.cos(self.incidence)
+        return float(2.0 * self.effective_passes * np.cos(self.incidence))
 
 
 def fabry_perot_m(reflectivity: float) -> float:
@@ -91,7 +92,8 @@ def position_pm_params(cfg: SensorConfig) -> PositionParams:
     """PM index beta = 2 M cos(theta) * 2 pi sqrt(<x^2>) / lambda0; m = x/rms."""
     if cfg.rms_position is None:
         raise ValueError("rms_position required for position sensing")
-    beta = cfg.geometry_factor * 2.0 * np.pi * cfg.rms_position / cfg.wavelength
+    beta = check_nonnegative("position_beta", cfg.geometry_factor * 2.0 * np.pi
+                             * cfg.rms_position / cfg.wavelength)
     return PositionParams(float(beta), bool(beta < NARROWBAND_BETA))
 
 
@@ -112,7 +114,7 @@ def velocity_fm_params(cfg: SensorConfig) -> VelocityParams:
     if cfg.rms_velocity is None:
         raise ValueError("rms_velocity required for velocity sensing")
     dev = cfg.geometry_factor * cfg.rms_velocity / cfg.wavelength
-    beta = 2.0 * dev / cfg.message_bandwidth
+    beta = check_nonnegative("velocity_beta", 2.0 * dev / cfg.message_bandwidth)
     return VelocityParams(float(dev), float(beta), bool(beta < NARROWBAND_BETA))
 
 
@@ -122,7 +124,7 @@ def interrogation_constraint(cfg: SensorConfig):
     lhs = 2 (M - 1) L_cav / (c cos(theta)); passes when lhs <= 0.1 / b.
     """
     m_eff = cfg.effective_passes
-    lhs = 2.0 * (m_eff - 1.0) * cfg.cavity_length / (
-        SPEED_OF_LIGHT * np.cos(cfg.incidence))
+    lhs = check_nonnegative("interrogation_lhs_s", 2.0 * (m_eff - 1.0) * cfg.cavity_length / (
+        SPEED_OF_LIGHT * np.cos(cfg.incidence)))
     budget = INTERROGATION_MARGIN / cfg.message_bandwidth
     return float(lhs), bool(lhs <= budget)

@@ -38,6 +38,11 @@ def kernel_clones():
     return (*isa, "default")
 
 
+def both_kernels():
+    """The library, where it builds, and _numpy_kernel, each once."""
+    return dict.fromkeys((_tracker.load(), _numpy_kernel))
+
+
 @pytest.fixture
 def no_kernel(monkeypatch):
     """_numpy_kernel, made what _tracker.load() returns for the rest of the

@@ -13,6 +13,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from conftest import both_kernels
 from oracles import error_statistics, linearized_map_estimate
 from qdemod.grids import TimeGrid
 from qdemod.limits import FM as LFM
@@ -68,11 +69,6 @@ def scale_quadrature_noise(monkeypatch, scale):
 
 needs_kernel = pytest.mark.skipif(_tracker.load() is _numpy_kernel,
                                   reason="no C compiler: only the numpy loop exists")
-
-
-def both_kernels():
-    """The library, where it builds, and _numpy_kernel, each once."""
-    return dict.fromkeys((_tracker.load(), _numpy_kernel))
 
 
 def test_cycle_slip_count_basics():

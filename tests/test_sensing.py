@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ def test_interrogation_constraint():
     lhs3, ok3 = interrogation_constraint(cfg3)
     assert lhs3 == pytest.approx(1e-3, rel=1e-12)
     assert not ok3
+
+
+@pytest.mark.parametrize("fields, mapping, key", [
+    ({"passes": 1e308, "rms_position": 1.0}, position_pm_params, "position_beta"),
+    ({"rms_velocity": 1e300, "message_bandwidth": 1e-300}, velocity_fm_params, "velocity_beta"),
+    ({"passes": 1e308, "cavity_length": 0.0}, interrogation_constraint, "interrogation_lhs_s"),
+], ids=["position", "velocity", "interrogation"])
+def test_a_map_that_overflows_raises(fields, mapping, key):
+    """Fields in range whose map is not finite (2 M cos(theta) at M = 1e308,
+    2F/b at b = 1e-300, inf times L_cav = 0) raise ValueError naming the
+    mapped value, for every caller and with no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            mapping(SensorConfig(**fields))
 
 
 def test_unit_rescaling_leaves_beta_invariant():

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import both_kernels
 from oracles import (anticausal_energy_fraction, causal_part_solution,
                      linearized_map_estimate, nonlinear_map_fixed_point)
-from qdemod import _numpy_kernel, _tracker, wiener
+from qdemod import wiener
 from qdemod.cli import cli_main
 from qdemod.grids import TimeGrid
 from qdemod.limits import irreducible_error
@@ -344,12 +345,6 @@ def test_dump_design_bytes_special_values(tmp_path, pm_design, design_dump_oracl
     assert_dump_matches_oracle(design, design_dump_oracle, tmp_path)
 
 
-def solvers():
-    """The solve's paths: the numpy twin and, where it builds, the compiled
-    levinson."""
-    return [kernel.levinson for kernel in dict.fromkeys((_numpy_kernel, _tracker.load()))]
-
-
 def normal_systems(kind, r):
     """A design at n = 4096 and the (column, rhs) of its two normal-equation
     systems: L' and the one-step prediction of pll.tracking_taps(design, 1)."""
@@ -376,7 +371,7 @@ def test_levinson_paths_equal_solve_toeplitz(kind, r):
     linalg = pytest.importorskip("scipy.linalg")
     design, systems = normal_systems(kind, r)
     want = [linalg.solve_toeplitz((c, c), b) for c, b in systems]
-    for solve in solvers():
+    for solve in (kernel.levinson for kernel in both_kernels()):
         for (c, b), x in zip(systems, want):
             assert np.array_equal(solve(c, b), x)
     taps = np.zeros(design.grid.n_samples)
@@ -392,7 +387,7 @@ def test_levinson_shortest_systems(c, b):
     linalg = pytest.importorskip("scipy.linalg")
     c, b = np.array(c), np.array(b)
     want = linalg.solve_toeplitz((c, c), b)
-    for solve in solvers():
+    for solve in (kernel.levinson for kernel in both_kernels()):
         assert np.array_equal(solve(c, b), want)
 
 
@@ -402,7 +397,7 @@ def test_singular_leading_minor_raises_linalg_error(c):
     and, with c[1] = 0, the 3x3 leading minors singular), raises
     LinAlgError on every path, as scipy's recursion does."""
     c = np.array(c)
-    for solve in solvers():
+    for solve in (kernel.levinson for kernel in both_kernels()):
         with pytest.raises(np.linalg.LinAlgError):
             solve(c, np.ones(c.size))
 
