@@ -9,12 +9,10 @@ and exact small-Fock-space oracles for canonical phase.
 __version__ = "0.1.0"
 
 from .grids import SpectralDensity, TimeGrid, differentiator_kernel
-from .signals import (MessageSpec, ModulationScheme, carson_bandwidth,
-                      message_psd, modulate, phase_response)
-from .qnoise import (NoiseModel, operating_point, photon_budget,
-                     squeezed_covariance_psds)
+from .signals import MessageSpec, ModulationScheme, message_psd, modulate, phase_response
+from .qnoise import NoiseModel, operating_point, squeezed_covariance_psds
 from .wiener import (FilterKernel, LoopDesign, closed_loop_filter, design_loop,
-                     loop_and_postloop, optimum_filter, spectral_factorize)
+                     loop_and_postloop, optimum_filter)
 from .pll import (CellResult, PllConfig, cycle_slip_count, run_cell, sample_message,
                   sample_quadratures)
 from . import limits
@@ -25,10 +23,9 @@ from .cli import cli_main
 __all__ = [
     "TimeGrid", "SpectralDensity", "differentiator_kernel",
     "MessageSpec", "ModulationScheme", "message_psd",
-    "phase_response", "modulate", "carson_bandwidth",
-    "NoiseModel", "squeezed_covariance_psds",
-    "photon_budget", "operating_point",
-    "FilterKernel", "LoopDesign", "optimum_filter", "spectral_factorize",
+    "phase_response", "modulate",
+    "NoiseModel", "squeezed_covariance_psds", "operating_point",
+    "FilterKernel", "LoopDesign", "optimum_filter",
     "closed_loop_filter", "loop_and_postloop", "design_loop",
     "PllConfig", "CellResult", "run_cell",
     "cycle_slip_count", "sample_message", "sample_quadratures",

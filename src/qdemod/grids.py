@@ -58,10 +58,6 @@ class TimeGrid:
         return self.bandwidth / self.n_samples
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.dt
-
-    @property
     def freqs(self) -> np.ndarray:
         """Bin frequencies in Hz, numpy fft ordering (DC first)."""
         return np.fft.fftfreq(self.n_samples, self.dt)
@@ -89,10 +85,6 @@ class SpectralDensity:
         idx = np.arange(m)
         if not np.allclose(v, v[(-idx) % m], rtol=0, atol=1e-12 * max(1.0, v.max())):
             raise ValueError("density of a real process must be even in f")
-
-    @property
-    def variance(self) -> float:
-        return float(np.mean(self.values))
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,6 @@ SQUEEZED_Z = "squeezed_z"
 PHASE_SQUEEZED = "phase_squeezed"
 
 
-PLANCK = 6.62607015e-34      # h, J s
-CARRIER_FREQUENCY = 1.935e14  # f0, Hz (1550 nm)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Coherent or squeezed Gaussian quadrature statistics.
@@ -70,18 +66,6 @@ def squeezed_covariance_psds(model: NoiseModel, grid: TimeGrid):
     return (SpectralDensity(grid, s1), SpectralDensity(grid, s2))
 
 
-def photon_budget(alpha_mag: float, r: float, bandwidth: float,
-                  squeeze_bandwidth: float, message_bandwidth: float):
-    """(average power P, photons N per message correlation time 1/b).
-
-    P = h f0 B |alpha|^2 + h f0 B_s sinh^2 r; N = P / (h f0 b).
-    """
-    hf0 = PLANCK * CARRIER_FREQUENCY
-    power = hf0 * bandwidth * alpha_mag**2 + hf0 * squeeze_bandwidth * np.sinh(r) ** 2
-    n_photon = power / (hf0 * message_bandwidth)
-    return power, n_photon
-
-
 def _alpha_photons(r: float, n_photon: float) -> float:
     """N - sinh^2 r, the photons of a budget N per 1/b left for |alpha| once
     squeezing over B_s = b has taken its share: the one budget rule."""
@@ -96,10 +80,11 @@ def resolve_lambda(r: float = 0.0, lam: float | None = None,
                    n_photon: float | None = None) -> float:
     """Lambda as given, else the flat-message budget 4 (N - sinh^2 r) exp(2r).
 
-    The budgeted form inverts photon_budget for a flat message with the
-    squeeze bandwidth equal to the message bandwidth (B_s = b).  r must be
-    finite and nonnegative (check_nonnegative); the given Lambda, or else N,
-    finite and positive (check_positive).
+    The budgeted form inverts the photon budget N = (B |alpha|^2 + B_s
+    sinh^2 r) / b for a flat message with the squeeze bandwidth equal to
+    the message bandwidth (B_s = b).  r must be finite and nonnegative
+    (check_nonnegative); the given Lambda, or else N, finite and positive
+    (check_positive).
     """
     check_nonnegative("r", r)
     if lam is not None:

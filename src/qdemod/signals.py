@@ -137,14 +137,3 @@ def modulate(mod: ModulationScheme, grid: TimeGrid, message: np.ndarray) -> np.n
         return mod.beta * message
     return FilterKernel(grid, phase_response(mod, grid)).apply(message)
 
-
-def carson_bandwidth(beta: float, bandwidth: float,
-                     squeeze_bandwidth: float | None = None) -> float:
-    """Occupied optical bandwidth (beta + 1) b, plus B_s when squeezed.
-
-    beta may be 0, so the unmodulated limit is representable.
-    """
-    if beta < 0:
-        raise ValueError("modulation index must be nonnegative")
-    base = (beta + 1.0) * bandwidth
-    return base if squeeze_bandwidth is None else squeeze_bandwidth + base

@@ -11,10 +11,7 @@ U), solved by Levinson recursion, which drives the causal Wiener-Hopf
 residual to rounding level even for brick-wall spectra.
 normal_equation_taps sets up that system for either feedback delay, and
 solve_normal_equations runs the recursion in the kernel (_tracker.load()'s
-levinson).  spectral_factorize gives the cepstral factor X of the
-classical construction L' = (1/X)[V/X*]_+, which the tests keep as a
-cross-check for smooth spectra only: on discontinuous (brick-wall) spectra
-its circular Gibbs wrap-around leaves residuals around 1e-2.
+levinson).
 """
 
 from __future__ import annotations
@@ -57,31 +54,6 @@ def optimum_filter(s_m: np.ndarray, h: np.ndarray, four_alpha_sq: float,
     return FilterKernel(grid, g)
 
 
-def spectral_factorize(u: np.ndarray, grid: TimeGrid) -> FilterKernel:
-    """Minimum-phase spectral factor X with |X(f)|^2 = U(f) exactly on bins.
-
-    Real-cepstrum construction: fold the cepstrum of log sqrt(U) onto
-    nonnegative lags and exponentiate.  Bins below the floor 1e-12 max(U)
-    are clamped to it so brick-wall zeros stay finite; bins above it are
-    untouched, keeping |X|^2 = U exact wherever U is alive (an additive
-    floor would corrupt the small bins of wide-dynamic-range FM spectra).
-    """
-    u = np.asarray(u, dtype=float)
-    m = grid.n_samples
-    if u.shape != (m,):
-        raise ValueError("U length must equal grid.n_samples")
-    if np.all(u <= 0):
-        raise FactorizationError("spectrum not positive after flooring")
-    floored = np.maximum(u, 1e-12 * float(np.max(u)))
-    ceps = np.fft.ifft(0.5 * np.log(floored))
-    folded = np.zeros(m, dtype=complex)
-    folded[0] = ceps[0]
-    folded[1: m // 2] = 2.0 * ceps[1: m // 2]
-    folded[m // 2] = ceps[m // 2]
-    x = np.exp(np.fft.fft(folded))
-    return FilterKernel(grid, x)
-
-
 def wiener_hopf_residual(l_response: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """max over causal lags of |(L * U - V) taps|, relative to max |V taps|."""
     r = np.fft.ifft(np.asarray(l_response) * np.asarray(u) - np.asarray(v))
@@ -96,8 +68,8 @@ def solve_normal_equations(ut: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x with sum_k ut[|j - k|] x_k = rhs_j, j, k in [0, rhs.size), by
     Levinson recursion: the package's one causal Toeplitz solve.
 
-    Raises ValueError on non-finite input and np.linalg.LinAlgError on a
-    singular leading minor.
+    Raises ValueError on non-finite input, np.linalg.LinAlgError on a
+    singular leading minor and FactorizationError on taps that overflow.
     """
     rhs = np.asarray(rhs, dtype=float)
     col = np.asarray(ut, dtype=float)[: rhs.size]
@@ -105,7 +77,12 @@ def solve_normal_equations(ut: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("need a nonempty rhs and at least rhs.size taps of ut")
     if not (np.isfinite(col).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    return _tracker.load().levinson(col, rhs)
+    with np.errstate(all="ignore"):  # the numpy kernel's overflow is the error below
+        x = _tracker.load().levinson(col, rhs)
+    if not np.isfinite(x).all():
+        raise FactorizationError("the Levinson solve of the causal normal equations "
+                                 "gave non-finite taps")
+    return x
 
 
 def normal_equation_taps(u: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:

@@ -1,18 +1,28 @@
 """Oracles that only the tests use: the FM message's band-limited
-derivative and the averaged-periodogram PSD estimate; the Wiener side's
-textbook causal-part L', anticausal energy, linearised and exact
+derivative, the averaged-periodogram PSD estimate and the Carson bandwidth;
+the photon budget at its carrier; the Wiener side's cepstral spectral
+factor, textbook causal-part L', anticausal energy, linearised and exact
 (fixed-point) MAP estimates; the Fock side's product states, phase shifts
 and phase moments; the limits' large-argument SNR asymptotes and the
-Lorentzian PM SNR; and the Monte Carlo's per-trial error statistics."""
+Lorentzian PM SNR; and the Monte Carlo's per-trial error statistics.
+
+spectral_factorize gives the cepstral factor X of the classical
+construction L' = (1/X)[V/X*]_+ (causal_part_solution), kept as a
+cross-check of the library's Levinson solve for smooth spectra only: on
+discontinuous (brick-wall) spectra its circular Gibbs wrap-around leaves
+residuals around 1e-2."""
 
 import numpy as np
 
 from qdemod.fock import TruncatedState, density_weight, phase_grid
 from qdemod.grids import FilterKernel, SpectralDensity, TimeGrid
 from qdemod.pll import cycle_slip_count
-from qdemod.signals import (FM, PM, MessageSpec, ModulationScheme, carson_bandwidth,
-                            message_psd, modulate, phase_response)
-from qdemod.wiener import LoopDesign, optimum_filter, spectral_factorize
+from qdemod.signals import (FM, PM, MessageSpec, ModulationScheme, message_psd,
+                            modulate, phase_response)
+from qdemod.wiener import FactorizationError, LoopDesign, optimum_filter
+
+PLANCK = 6.62607015e-34      # h, J s
+CARRIER_FREQUENCY = 1.935e14  # f0, Hz (1550 nm)
 
 
 def differentiate(grid: TimeGrid, x: np.ndarray) -> np.ndarray:
@@ -49,6 +59,30 @@ def estimate_psd(x, grid: TimeGrid, segments: int = 1) -> SpectralDensity:
     return SpectralDensity(seg_grid, values)
 
 
+def carson_bandwidth(beta: float, bandwidth: float,
+                     squeeze_bandwidth: float | None = None) -> float:
+    """Occupied optical bandwidth (beta + 1) b, plus B_s when squeezed.
+
+    beta may be 0, so the unmodulated limit is representable.
+    """
+    if beta < 0:
+        raise ValueError("modulation index must be nonnegative")
+    base = (beta + 1.0) * bandwidth
+    return base if squeeze_bandwidth is None else squeeze_bandwidth + base
+
+
+def photon_budget(alpha_mag: float, r: float, bandwidth: float,
+                  squeeze_bandwidth: float, message_bandwidth: float):
+    """(average power P, photons N per message correlation time 1/b).
+
+    P = h f0 B |alpha|^2 + h f0 B_s sinh^2 r; N = P / (h f0 b).
+    """
+    hf0 = PLANCK * CARRIER_FREQUENCY
+    power = hf0 * bandwidth * alpha_mag**2 + hf0 * squeeze_bandwidth * np.sinh(r) ** 2
+    n_photon = power / (hf0 * message_bandwidth)
+    return power, n_photon
+
+
 class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, last_iterate: np.ndarray, iterations: int):
         super().__init__(message)
@@ -64,6 +98,31 @@ def anticausal_energy_fraction(response: np.ndarray) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(taps[m // 2:]) ** 2) / total)
+
+
+def spectral_factorize(u: np.ndarray, grid: TimeGrid) -> FilterKernel:
+    """Minimum-phase spectral factor X with |X(f)|^2 = U(f) exactly on bins.
+
+    Real-cepstrum construction: fold the cepstrum of log sqrt(U) onto
+    nonnegative lags and exponentiate.  Bins below the floor 1e-12 max(U)
+    are clamped to it so brick-wall zeros stay finite; bins above it are
+    untouched, keeping |X|^2 = U exact wherever U is alive (an additive
+    floor would corrupt the small bins of wide-dynamic-range FM spectra).
+    """
+    u = np.asarray(u, dtype=float)
+    m = grid.n_samples
+    if u.shape != (m,):
+        raise ValueError("U length must equal grid.n_samples")
+    if np.all(u <= 0):
+        raise FactorizationError("spectrum not positive after flooring")
+    floored = np.maximum(u, 1e-12 * float(np.max(u)))
+    ceps = np.fft.ifft(0.5 * np.log(floored))
+    folded = np.zeros(m, dtype=complex)
+    folded[0] = ceps[0]
+    folded[1: m // 2] = 2.0 * ceps[1: m // 2]
+    folded[m // 2] = ceps[m // 2]
+    x = np.exp(np.fft.fft(folded))
+    return FilterKernel(grid, x)
 
 
 def causal_part_solution(u: np.ndarray, v: np.ndarray, grid: TimeGrid) -> FilterKernel:

@@ -5,13 +5,13 @@ Tolerances are fixed here and nowhere else.  Two cells of criterion 1 sit at
 an operating point where the homodyne detector's gain suppression makes the
 stated tolerance unattainable for any estimator fed by the loop record; they
 are exercised at the stated tolerance in a test expected to fail (see the
-decisions ledger for the Fisher-information argument).
+README's attainable-SNR formula; predicting that floor is ROADMAP item 1(b)).
 """
 
 import numpy as np
 import pytest
 
-from oracles import lorentzian_pm_snr, phase_shift
+from oracles import lorentzian_pm_snr, phase_shift, spectral_factorize
 import qdemod as q
 from qdemod import fock
 from qdemod.grids import TimeGrid
@@ -23,7 +23,6 @@ from qdemod.sensing import (SPEED_OF_LIGHT, SensorConfig, fabry_perot_m,
                             interrogation_constraint, position_pm_params,
                             velocity_fm_params)
 from qdemod.signals import LORENTZIAN, MessageSpec, ModulationScheme
-from qdemod.wiener import spectral_factorize
 
 GRID = TimeGrid(1.0, 4096)
 MESSAGE = MessageSpec.flat(GRID, 127)
@@ -92,7 +91,8 @@ def test_criterion_1_pm_snr_at_sql():
 @pytest.mark.xfail(reason="detector-gain suppression floor: at sigma0^2 = 0.114 "
                    "(0.16) the attainable SNR sits ~12% (~18%) below the linear "
                    "prediction for any homodyne-record estimator; see the "
-                   "decisions ledger", strict=False)
+                   "README's attainable-SNR formula and ROADMAP item 1(b)",
+                   strict=False)
 def test_criterion_1_threshold_floor_cells():
     failures = []
     for beta, lam in C1_THRESHOLD_CELLS:

@@ -20,9 +20,9 @@ def test_differentiator_antisymmetry():
 def test_differentiate_tone():
     g = TimeGrid(1.0, 256)
     f = 11 * g.df
-    x = np.cos(2 * np.pi * f * g.times)
+    x = np.cos(2 * np.pi * f * np.arange(g.n_samples) * g.dt)
     dx = differentiate(g, x)
-    want = -2 * np.pi * f * np.sin(2 * np.pi * f * g.times)
+    want = -2 * np.pi * f * np.sin(2 * np.pi * f * np.arange(g.n_samples) * g.dt)
     assert np.max(np.abs(dx - want)) < 1e-9
 
 
@@ -93,7 +93,7 @@ def test_parseval_identity():
     g = TimeGrid(1.0, 1024)
     x = stream(9).standard_normal(1024) * 3.0 + 1.7
     dens = estimate_psd(x, g, segments=1)
-    assert abs(dens.variance - np.var(x)) < 1e-12 * np.var(x)
+    assert abs(np.mean(dens.values) - np.var(x)) < 1e-12 * np.var(x)
 
 
 def test_estimate_psd_segment_guard():

@@ -418,19 +418,20 @@ def test_cli_design_dump(tmp_path, monkeypatch, design_dump_oracle):
 
 
 def test_cli_nan_loop_design_exits_3(tmp_path, capsys):
-    """At Lambda = 1e300 the Levinson taps overflow and L' is NaN in every
-    bin: design exits 3 and writes no design.txt, and a sweep that reaches
+    """At Lambda = 1e300 the Levinson taps overflow: design exits 3 naming
+    the Levinson solve and writes no design.txt, and a sweep that reaches
     that point exits 3 with the design's message, before any loop runs."""
     cfg = _write(tmp_path, "design.cfg", "beta = 1\nlambda = 1e300\n")
     out = tmp_path / "design"
     assert cli_main(["design", cfg, "--out", str(out)]) == 3
-    assert "|1 - L'| reaches nan" in capsys.readouterr().err
+    assert "Levinson solve of the causal normal equations gave non-finite taps" in (
+        capsys.readouterr().err)
     assert not (out / "design.txt").exists()
     cfg = _write(tmp_path, "sweep.cfg", "n_samples = 2048\nband_bins = 63\ntrials = 2\n"
                  "betas = 1\nlambdas = 100, 1e300\n")
     assert cli_main(["sweep", cfg, "--out", str(tmp_path / "sweep")]) == 3
     err = capsys.readouterr().err
-    assert "|1 - L'| reaches nan" in err and "loop diverged" not in err
+    assert "Levinson solve" in err and "loop diverged" not in err
     assert not (tmp_path / "sweep" / "results.csv").exists()
 
 

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import estimate_psd
+from oracles import CARRIER_FREQUENCY, PLANCK, estimate_psd, photon_budget
 from qdemod.grids import TimeGrid
 from qdemod.pll import sample_quadratures
-from qdemod.qnoise import (CARRIER_FREQUENCY, COHERENT, PHASE_SQUEEZED, PLANCK,
-                           SQUEEZED_Z, NoiseModel, operating_point, photon_budget,
-                           resolve_lambda, squeezed_covariance_psds)
+from qdemod.qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
+                           operating_point, resolve_lambda, squeezed_covariance_psds)
 from qdemod.signals import LORENTZIAN, MessageSpec, message_psd
 
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import differentiate, estimate_psd
+from oracles import carson_bandwidth, differentiate, estimate_psd
 from qdemod.grids import TimeGrid
 from qdemod.pll import sample_message
-from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme,
-                            carson_bandwidth, message_psd,
+from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme, message_psd,
                             modulate, phase_response)
 
 

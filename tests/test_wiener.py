@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from conftest import both_kernels
 from oracles import (anticausal_energy_fraction, causal_part_solution,
-                     linearized_map_estimate, nonlinear_map_fixed_point)
+                     linearized_map_estimate, nonlinear_map_fixed_point,
+                     spectral_factorize)
 from qdemod import wiener
 from qdemod.cli import cli_main
 from qdemod.grids import TimeGrid
@@ -23,8 +25,7 @@ from qdemod.signals import (LORENTZIAN, MessageSpec, ModulationScheme,
 from qdemod.wiener import (FactorizationError, FilterKernel, LoopInstabilityError,
                            closed_loop_filter, design_loop, dump_design,
                            loop_and_postloop, optimum_filter,
-                           solve_normal_equations, spectral_factorize,
-                           wiener_hopf_residual)
+                           solve_normal_equations, wiener_hopf_residual)
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +414,18 @@ def test_non_finite_normal_equations_raise_value_error(request, which, bad):
     request.getfixturevalue("no_kernel")
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_normal_equations(ut, rhs)
+
+
+def test_overflowing_solve_raises_factorization_error(request):
+    """Taps that overflow (x = 1e300 / 1e-300) raise FactorizationError
+    naming the Levinson solve on both paths, and warn of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FactorizationError, match="Levinson solve"):
+            solve_normal_equations([1e-300, 0.0], [1e300])
+        request.getfixturevalue("no_kernel")
+        with pytest.raises(FactorizationError, match="Levinson solve"):
+            solve_normal_equations([1e-300, 0.0], [1e300])
 
 
 def test_solve_uses_only_the_taps_it_needs(request):
