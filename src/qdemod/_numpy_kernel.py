@@ -1,12 +1,12 @@
 """The numpy forms of the compiled library's entries (_tracker.c).
 
-close_group, real_fft, spectrum_product and levinson take the parameters of
-_tracker.Kernel's methods and make the library's IEEE operations in its
-order, a row group's rows in lockstep, so they give its bits on every CPU.
-_tracker.load() returns this module where the library cannot be built.  The
-closed loop then takes about 55 times the library's time, and the solve
-15-20 times: numpy builds each sin and cos pair from about 70 small array
-operations, and each FFT from its butterflies.
+close_group, spectrum_product and levinson, the library's three entries,
+take the parameters of _tracker.Kernel's methods and make the library's IEEE
+operations in its order, a row group's rows in lockstep, so they give its
+bits on every CPU.  _tracker.load() returns this module where the library
+cannot be built.  The closed loop then takes about 55 times the library's
+time, and the solve 15-20 times: numpy builds each sin and cos pair from
+about 70 small array operations, and each FFT from its butterflies.
 """
 
 from __future__ import annotations
@@ -83,19 +83,19 @@ def _halley_step(k, lx, ly, c, e, stop, sin_cos):
     return e - np.where(stop, _ZERO, clipped), stop | ((err < _CLOSURE_TOL) & (a <= _ONE))
 
 
-def _track_block(j0, far, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
+def _track_block(j0, far, taps, twoa, phibar, x0, y0, e, fr, phip):
     """Close samples j0 .. j0 + n - 1 of a row group, given their far history
     far, the inverse FFT's (n, rows) tile: the numpy form of _tracker.c's
     track_block, all rows in lockstep, with its operations, so its bits.
 
-    The group's (rows, m) phibar, x0 (None for squeezed_z) and y0, the taps
-    trev for lags nt-1 .. 1 and each row's tracking error e, carried from
+    The group's (rows, m) phibar, x0 (None for squeezed_z) and y0, the
+    cell's taps, lag 0 first, and each row's tracking error e, carried from
     block to block; a block writes its records into fr, after the nt
     steady-state records, and its tracker outputs into phip.  A sample's
     first Halley step reads the sin e and cos e that the last record made at
     the same e, where the kernel makes them again.
     """
-    (n, rows), nt = far.shape, trev.size + 1
+    (n, rows), nt, l0 = far.shape, taps.size, taps[0]
     k = np.array(1.0 - l0)
     terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each lag sum starts
     cols = slice(j0, j0 + n)
@@ -116,7 +116,7 @@ def _track_block(j0, far, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
     sin_cos = _sincos(u)
     for i in range(n):
         # an accumulate adds in order, never pairwise or through BLAS
-        np.multiply(trev[nt - 1 - i:, None], rec[:i], out=terms[1: i + 1])
+        np.multiply(taps[i:0:-1, None], rec[:i], out=terms[1: i + 1])  # lags i .. 1
         c = cb[i] - np.add.accumulate(terms[: i + 1], axis=0)[-1]
         if l0 == 0.0:
             u = c  # the closure is explicit
@@ -160,10 +160,11 @@ def _fft(z, inverse=False):
     return z[:, ::-1] if inverse else z
 
 
-def real_fft(a, inverse=False):
-    """_tracker.c's real_fft: the (n + 1, 2, rows) spectra of the real rows
-    of a, (2n, rows), by fft and split, or, inverse, 2n times the inverse
-    real FFT, (2n, rows), of the spectra a by unsplit and fft."""
+def _real_fft(a, inverse=False):
+    """The far history's real FFT in _tracker.c: the (n + 1, 2, rows)
+    spectra of the real rows of a, (2n, rows), by fft and split, or,
+    inverse, 2n times the inverse real FFT, (2n, rows), of the spectra a by
+    unsplit and fft."""
     n, rows = (a.shape[0] - 1 if inverse else a.shape[0] // 2), a.shape[-1]
     z = a if inverse else _fft(a.reshape(n, 2, rows))
     h, pairs = n // 2, n - 1 - n // 2  # the k <= n/2, and the k < n/2
@@ -197,19 +198,33 @@ def _far_mac(ring, g, s):
     return np.stack([ar, ai], axis=1)
 
 
-def close_group(spectra, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
+def _partition_spectra(taps, n):
+    """_tracker.c's partition_spectra: the taps' G_p, oldest block first, as
+    (parts, 2, n + 1) planes divided by 2n, by _real_fft of the taps'
+    partitions and a zero one."""
+    parts = taps.size // n
+    h = np.zeros((2 * n, parts + 1))
+    h[:n, :parts] = taps.reshape(parts, n).T
+    hs = _real_fft(h)
+    g = (hs[:, :, :-1] + (-1.0) ** np.arange(n + 1)[:, None, None] * hs[:, :, 1:]) / (2 * n)
+    return g[:, :, ::-1].transpose(2, 1, 0)
+
+
+def close_group(taps, n, twoa, phibar, x0, y0, e, fr, phip):
     """The closed loop of a whole row group: _tracker.c's close_group in
-    numpy, step for step (its far history by real_fft and _far_mac,
-    each block by _track_block), so its bits."""
-    parts, rows = len(spectra), e.size
+    numpy, step for step (the partition spectra by _partition_spectra, the
+    far history by _real_fft and _far_mac, each block by _track_block), so
+    its bits."""
+    parts, rows = taps.size // n, e.size
+    spectra = _partition_spectra(taps, n)
     ring = np.empty((parts, n + 1, 2, rows))
     x = np.zeros((2 * n, rows))  # [block, n zeros]
     for k in range(1, fr.shape[1] // n):
         x[:n] = fr[:, (k - 1) * n: k * n].T
-        ring[k % parts] = real_fft(x)
+        ring[k % parts] = _real_fft(x)
         if k >= parts:
-            far = real_fft(_far_mac(ring, spectra, k % parts), True)[n:]
-            _track_block((k - parts) * n, far, l0, trev, twoa, phibar, x0, y0, e, fr, phip)
+            far = _real_fft(_far_mac(ring, spectra, k % parts), True)[n:]
+            _track_block((k - parts) * n, far, taps, twoa, phibar, x0, y0, e, fr, phip)
 
 
 def spectrum_product(spectrum: np.ndarray, h: np.ndarray) -> None:

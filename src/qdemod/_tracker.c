@@ -2,15 +2,25 @@
  * The compiled loops of qdemod, built and loaded by qdemod._tracker.
  *
  * close_group: the closed loop of a whole row group in one call, the
- * compiled form of _numpy_kernel.close_group.  Per block of n samples it
- * makes the far history, the lags that reach before the block, by a
- * uniformly partitioned overlap-save convolution (qdemod.pll's docstring):
- * a forward real FFT of the last block's records into a ring of stored
- * spectra, their multiply-add with the taps' partition spectra (far_mac)
- * and an inverse real FFT; track_block then closes the block.  far_mac and
- * track_block are its inlined steps.  A loop block's records are left in the
- * forward FFT's input tile, so only the steady-state blocks are gathered
- * from fr.
+ * compiled form of _numpy_kernel.close_group.  Of the cell's nt causal
+ * tracker taps t_l, lag 0 first, t_0 = l0 closes the loop in each sample,
+ * and a sample's tracker history is sum_{l>=1} t_l times the record l
+ * samples before it.  Per block of n samples close_group makes the
+ * far history, the lags that reach before the block, by a uniformly
+ * partitioned overlap-save convolution (Gardner, JAES 43(3), 1995).  Let
+ * x_k be block k of fr, H_p the spectrum of the taps for lags
+ * p n .. p n + n - 1 (zero padded to 2n) and Z_k = rfft([x_{k-1}, 0]),
+ * stored once per block.  Loop block b's far history is the last n samples
+ * of irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p), W_k = rfft([x_{k-1}, x_k]) =
+ * Z_k + (-1)^f Z_{k+1} at bin f; collected by Z, the sum is
+ * sum_p Z_{b-p} G_p with G_p = H_p + (-1)^f H_{p+1}, the taps' partition
+ * spectra (partition_spectra, once per group).  Per block that is a forward
+ * real FFT of the last block's records into a ring of stored spectra,
+ * their multiply-add with the G_p (far_mac) and an inverse real FFT;
+ * track_block then adds the lags inside the block and closes it.  far_mac
+ * and track_block are its inlined steps.  A loop block's records are left
+ * in the forward FFT's input tile, so only the steady-state blocks are
+ * gathered from fr.
  *
  * track_block closes one block sample by sample, all rows in lockstep
  * (_numpy_kernel._track_block).  It moves the block of the group's own
@@ -45,11 +55,11 @@
  * step never stops it.  sin and cos are the package's own (sin_cos), not
  * libm's, so the closure's row loop has no call in it and vectorises.
  *
- * real_fft: the far history's radix-2 real FFT, either way.
- * spectrum_product: a spectrum times a filter response, in place.  They and
- * far_mac keep spectra as split real and imaginary planes and round each of
- * a complex product's four real products on its own, so their bits depend
- * neither on whether the CPU has fused multiply-adds nor on numpy's build.
+ * spectrum_product: a spectrum times a filter response, in place.  It, the
+ * far history's FFTs and far_mac keep spectra as split real and imaginary
+ * planes and round each of a complex product's four real products on its
+ * own, so their bits depend neither on whether the CPU has fused
+ * multiply-adds nor on numpy's build.
  *
  * levinson: the symmetric Toeplitz solve of the Wiener-Hopf normal
  * equations.
@@ -65,7 +75,7 @@
 #define CLOSURE_STEPS 8
 #define CLOSURE_TOL 1e-13
 
-/* close_group, real_fft and spectrum_product are built twice, for ISA_CLONE
+/* close_group and spectrum_product are built twice, for ISA_CLONE
  * and for the baseline, and the loader runs the ISA_CLONE builds where the
  * CPU has it (ifunc).  Both make the same IEEE operations in the same order,
  * since nothing is contracted or reassociated, so they give the same bits.
@@ -185,17 +195,17 @@ static inline int all_stopped(int rows, const double *stop)
 
 /* A row group, bound once (qdemod._tracker.Kernel checks every array).
  * Row r of an array a starts at a + r * a_stride; each row is contiguous.
- * phibar, x0 and y0 have m samples a row, trev holds the tracker taps for
- * lags nt-1 .. 1, e each row's tracking error, carried from sample to sample
- * and block to block, and work (5 n + 3) rows doubles.  fr holds nt
+ * phibar, x0 and y0 have m samples a row, taps the nt tracker taps, lag 0
+ * first, e each row's tracking error, carried from sample to sample and
+ * block to block, and work the larger of (5 n + 3) rows and
+ * partition_spectra's (parts + 1) (6 n + 2) doubles.  fr holds nt
  * steady-state records before the loop's record, so sample j's record is
- * fr[nt + j].  close_group also reads spectra, the (parts, 2, n + 1) planes
- * of the taps' partition spectra, and keeps the far history in hist,
- * ((parts + 1) (n + 1) 2 + 6 n) rows + 2 n doubles. */
+ * fr[nt + j].  close_group keeps the far history in hist,
+ * ((parts + 1) (n + 1) 2 + 6 n) rows + 2 n + 2 parts (n + 1) doubles. */
 struct group {
     int n, rows, nt, m, parts;
-    double l0, twoa;
-    const double *trev, *phibar, *x0, *y0, *spectra;
+    double twoa;
+    const double *taps, *phibar, *x0, *y0;
     ptrdiff_t phibar_stride, x0_stride, y0_stride, fr_stride, phip_stride;
     double *e, *fr, *phip, *work, *hist;
 };
@@ -242,8 +252,8 @@ INLINED void transpose(int na, int nb, const double *restrict src, ptrdiff_t sb,
 INLINED void track_block(const struct group *g, int j0, const double *restrict far,
                          double *restrict rec)
 {
-    const int n = g->n, rows = g->rows, nt = g->nt;
-    const double l0 = g->l0, twoa = g->twoa, k = 1.0 - l0;
+    const int n = g->n, rows = g->rows;
+    const double *taps = g->taps, l0 = taps[0], twoa = g->twoa, k = 1.0 - l0;
     const size_t tile = (size_t)n * rows;
     double *restrict X = g->work, *restrict Y = X + tile, *restrict pb = Y + tile;
     double *restrict r0 = pb + tile, *restrict cb = r0 + tile;
@@ -271,12 +281,11 @@ INLINED void track_block(const struct group *g, int j0, const double *restrict f
         e[r] = g->e[r];
     for (int i = 0; i < n; i++) {
         const size_t o = (size_t)i * rows;
-        const double *w = g->trev + (nt - 1 - i);  /* weights of lags i .. 1 */
         double *lag = rec + o;  /* sample i's record slot holds its lag sum */
         for (int r = 0; r < rows; r++)
             lag[r] = 0.0;
-        for (int j = 0; j < i; j++) {
-            const double wj = w[j];
+        for (int j = 0; j < i; j++) {  /* lags i .. 1 */
+            const double wj = taps[i - j];
             const double *rj = rec + (size_t)j * rows;
             for (int r = 0; r < rows; r++)
                 lag[r] += wj * rj[r];
@@ -305,7 +314,7 @@ INLINED void track_block(const struct group *g, int j0, const double *restrict f
             pb[o + r] -= e[r];  /* the tracker output */
         }
     }
-    transpose(rows, n, rec, rows, g->fr + nt + j0, g->fr_stride);
+    transpose(rows, n, rec, rows, g->fr + g->nt + j0, g->fr_stride);
     transpose(rows, n, pb, rows, g->phip + j0, g->phip_stride);
     for (int r = 0; r < rows; r++)
         g->e[r] = e[r];
@@ -319,7 +328,7 @@ INLINED void track_block(const struct group *g, int j0, const double *restrict f
  * then the same memory as its complex form z_j = x_2j + i x_2j+1.  tw holds
  * the twiddles W^k = exp(-i pi k/n), k < n, as (2, n) planes (cos, -sin),
  * sin_cos of k (pi/n) (_numpy_kernel._twiddles).  _numpy_kernel._fft and
- * real_fft make the same operations in numpy. */
+ * _real_fft make the same operations in numpy. */
 #define PI 3.141592653589793
 
 static void twiddles(int n, double *tw)
@@ -440,25 +449,6 @@ INLINED void unsplit(int n, int rows, const double *x, double *z, const double *
     }
 }
 
-/* The real FFT of length 2n of each of rows rows (_numpy_kernel.real_fft):
- * x, (2n, rows), to its spectrum, (n + 1, 2, rows); or, inverse, a spectrum
- * to 2n times its inverse transform.  work holds 4 n rows + 2 n doubles. */
-ISA_CLONES
-void real_fft(int n, int rows, int inverse, const double *in, double *out, double *work)
-{
-    const size_t tile = 2 * (size_t)n * rows;
-    double *a = work, *b = a + tile, *tw = b + tile;
-    twiddles(n, tw);
-    if (!inverse) {
-        split(n, rows, fft(n, rows, 0, in, a, b, tw), out, tw);
-        return;
-    }
-    unsplit(n, rows, in, a, tw);
-    const double *x = fft(n, rows, 1, a, b, a, tw);
-    for (size_t i = 0; i < tile; i++)
-        out[i] = x[i];
-}
-
 /* One far-history sum of a group (_numpy_kernel._far_mac): acc, (n + 1, 2,
  * rows), gets sum_p ring[(s + 1 + p) % parts] g[p], p = 0 .. parts - 1,
  * oldest block first, ring holding the (parts, n + 1, 2, rows) stored
@@ -501,6 +491,35 @@ INLINED void far_mac(int n, int rows, int parts, int s, const double *ring, cons
     }
 }
 
+/* The taps' partition spectra G_p = H_p + (-1)^f H_(p+1) (the header),
+ * divided by 2n, the inverse FFT's factor (exactly: a power of two), into
+ * g as (parts, 2, n + 1) planes, G_(parts-1) first: oldest block first, as
+ * far_mac reads them (_numpy_kernel._partition_spectra).  The taps'
+ * partitions and a zero one, parts + 1 rows of the FFT, each zero padded
+ * to 2n, go through fft, which reads h only in its first stage and so may
+ * reuse it, and split; h holds (parts + 1) (6 n + 2) doubles. */
+static void partition_spectra(int n, int parts, const double *taps, double *g, double *h,
+                              const double *tw)
+{
+    const int cols = parts + 1;
+    const size_t tile = 2 * (size_t)n * cols;
+    double *a = h + tile, *hs = a + tile;
+    for (int i = 0; i < 2 * n; i++)
+        for (int p = 0; p < cols; p++)
+            h[(size_t)i * cols + p] = i < n && p < parts ? taps[(size_t)p * n + i] : 0.0;
+    split(n, cols, fft(n, cols, 0, h, a, h, tw), hs, tw);
+    for (int q = 0; q < parts; q++) {
+        const int p = parts - 1 - q;
+        for (int c = 0; c < 2; c++) {
+            double *out = g + ((size_t)2 * q + c) * (n + 1);
+            for (int f = 0; f <= n; f++) {
+                const double *x = hs + ((size_t)2 * f + c) * cols + p;
+                out[f] = (f % 2 ? x[0] - x[1] : x[0] + x[1]) / (2.0 * n);
+            }
+        }
+    }
+}
+
 /* The closed loop of a whole row group (_numpy_kernel.close_group), block k
  * of fr being fr[k n .. k n + n).  Per block k from 1, the spectrum of block
  * k - 1, the real FFT of [block, n zeros], goes into slot k % parts of the
@@ -508,16 +527,16 @@ INLINED void far_mac(int n, int rows, int parts, int s, const double *ring, cons
  * last n samples of the inverse FFT of far_mac's sum, and track_block
  * closes it, writing its records into fr and into x, the first half of the
  * next forward FFT's input; blocks 0 .. parts - 1, the steady-state
- * records, are moved into x from fr.  g->spectra carries the inverse FFT's
- * 1/2n. */
+ * records, are moved into x from fr. */
 ISA_CLONES
 void close_group(const struct group *g)
 {
     const int n = g->n, rows = g->rows, parts = g->parts;
     const size_t el = 2 * (size_t)rows, slot = (size_t)(n + 1) * el, tile = 2 * (size_t)n * rows;
     double *ring = g->hist, *acc = ring + parts * slot, *x = acc + slot;
-    double *a = x + tile, *b = a + tile, *tw = b + tile;
+    double *a = x + tile, *b = a + tile, *tw = b + tile, *spectra = tw + 2 * n;
     twiddles(n, tw);
+    partition_spectra(n, parts, g->taps, spectra, g->work, tw);  /* before track_block's use */
     for (size_t i = tile / 2; i < tile; i++)
         x[i] = 0.0;
     for (int k = 1; k < (g->nt + g->m) / n; k++) {
@@ -526,7 +545,7 @@ void close_group(const struct group *g)
         split(n, rows, fft(n, rows, 0, x, a, b, tw), ring + (size_t)(k % parts) * slot, tw);
         if (k < parts)
             continue;
-        far_mac(n, rows, parts, k % parts, ring, g->spectra, acc);
+        far_mac(n, rows, parts, k % parts, ring, spectra, acc);
         unsplit(n, rows, acc, a, tw);
         track_block(g, (k - parts) * n, fft(n, rows, 1, a, b, a, tw) + tile / 2, x);
     }

@@ -1,11 +1,11 @@
 """Build and load the compiled library (_tracker.c) through ctypes.
 
-The library holds the loops that numpy runs slowly: close_group, which
-closes a row group's whole loop in one call, the far history's real FFTs and
-multiply-add and each block's closure included; real_fft, the far history's
-FFT, which makes the taps' partition spectra; spectrum_product, a filter's
-product with a spectrum in place; and levinson, the Toeplitz solve of the
-Wiener-Hopf normal equations.  It exports nothing else but kernel_isa.
+The library holds the loops that numpy runs slowly, in three entries:
+close_group, which closes a row group's whole loop in one call from the
+cell's causal taps, the taps' partition spectra, the far history's real FFTs
+and multiply-add and each block's closure included; spectrum_product, a
+filter's product with a spectrum in place; and levinson, the Toeplitz solve
+of the Wiener-Hopf normal equations.  It exports nothing else but kernel_isa.
 Kernel checks a group's arrays before the call, since the library gets raw
 pointers.  The spectra are split real and imaginary planes, and each real
 product of a complex product is rounded on its own, so the bits are the
@@ -19,7 +19,7 @@ rounding equal to the numpy forms', and cached in this package's __pycache__
 under a hash of the source and the flags, so later processes only load it.
 Where __pycache__ is not writable it is built into a private temporary
 directory for this process alone.  Where there is no compiler or the build
-fails, load() returns _numpy_kernel, the numpy forms of the four entries,
+fails, load() returns _numpy_kernel, the numpy forms of the three entries,
 which give the same bits: pll, grids and wiener call whichever it returns.
 """
 
@@ -55,8 +55,8 @@ class _Group(ctypes.Structure):
     """struct group of _tracker.c: a row group's arrays, bound once."""
 
     _fields_ = [*[(name, ctypes.c_int) for name in ("n", "rows", "nt", "m", "parts")],
-                ("l0", ctypes.c_double), ("twoa", ctypes.c_double),
-                *[(name, ctypes.c_void_p) for name in ("trev", "phibar", "x0", "y0", "spectra")],
+                ("twoa", ctypes.c_double),
+                *[(name, ctypes.c_void_p) for name in ("taps", "phibar", "x0", "y0")],
                 *[(name, ctypes.c_ssize_t) for name in
                   ("phibar_stride", "x0_stride", "y0_stride", "fr_stride", "phip_stride")],
                 *[(name, ctypes.c_void_p) for name in ("e", "fr", "phip", "work", "hist")]]
@@ -88,8 +88,8 @@ def _aligned(size: int) -> np.ndarray:
 
 
 class Kernel:
-    """The loaded library: close_group, real_fft, spectrum_product and
-    levinson, with the parameters of their numpy forms (_numpy_kernel)."""
+    """The loaded library: close_group, spectrum_product and levinson, with
+    the parameters of their numpy forms (_numpy_kernel)."""
 
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
@@ -99,53 +99,37 @@ class Kernel:
         signatures = {
             "levinson": ([ctypes.c_int, *[ctypes.c_void_p] * 4], ctypes.c_int),
             "close_group": ([ctypes.c_void_p], None),
-            "real_fft": ([*[ctypes.c_int] * 3, *[ctypes.c_void_p] * 3], None),
             "spectrum_product": ([ctypes.c_ssize_t, ctypes.c_int, *[ctypes.c_void_p] * 2], None)}
         for name, (argtypes, restype) in signatures.items():
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
             setattr(self, f"_{name}", fn)
 
-    def close_group(self, spectra, n, l0, trev, twoa, phibar, x0, y0, e, fr, phip):
+    def close_group(self, taps, n, twoa, phibar, x0, y0, e, fr, phip):
         """Close a row group's whole loop in one call, in blocks of n samples,
-        n a power of two that divides nt and m, with spectra the taps'
-        (nt/n, 2, n + 1) partition spectra.  Every array is checked first:
-        dtype, shapes, rows with their own strides and writeable outputs."""
+        n a power of two that divides nt = taps.size and m, from the cell's
+        causal taps, lag 0 first.  Every array is checked first: dtype,
+        shapes, rows with their own strides and writeable outputs."""
         strides = [_row_stride(a) for a in (phibar, y0, fr, phip)]
         x0_stride = 0 if x0 is None else _row_stride(x0)
         if None in strides or x0_stride is None:
             raise ValueError("tracker group arrays do not match")
         rows, m = phibar.shape
-        nt = trev.size + 1
+        nt = taps.size
         if (any(a.shape != (rows, m) for a in (x0, y0, phip) if a is not None)
-                or fr.shape != (rows, nt + m) or e.shape != (rows,) or trev.ndim != 1
-                or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (trev, e))
+                or fr.shape != (rows, nt + m) or e.shape != (rows,) or taps.ndim != 1
+                or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (taps, e))
                 or not all(a.flags.writeable for a in (e, fr, phip))
-                or not 1 <= n <= min(nt, m) or n & (n - 1) or nt % n or m % n
-                or not _contiguous(spectra, np.float64, (nt // n, 2, n + 1))):
+                or not 1 <= n <= min(nt, m) or n & (n - 1) or nt % n or m % n):
             raise ValueError("tracker group arrays do not match")
         parts = nt // n
-        work = _aligned((5 * n + 3) * rows)
-        hist = _aligned(((parts + 1) * (n + 1) * 2 + 6 * n) * rows + 2 * n)
-        group = _Group(n, rows, nt, m, parts, l0, twoa, trev.ctypes.data, phibar.ctypes.data,
-                       None if x0 is None else x0.ctypes.data, y0.ctypes.data,
-                       spectra.ctypes.data, strides[0], x0_stride, strides[1], strides[2],
-                       strides[3], e.ctypes.data, fr.ctypes.data, phip.ctypes.data,
-                       work.ctypes.data, hist.ctypes.data)
+        work = _aligned(max((5 * n + 3) * rows, (parts + 1) * (6 * n + 2)))
+        hist = _aligned(((parts + 1) * (n + 1) * 2 + 6 * n) * rows + 2 * n + 2 * parts * (n + 1))
+        group = _Group(n, rows, nt, m, parts, twoa, taps.ctypes.data, phibar.ctypes.data,
+                       None if x0 is None else x0.ctypes.data, y0.ctypes.data, strides[0],
+                       x0_stride, strides[1], strides[2], strides[3], e.ctypes.data,
+                       fr.ctypes.data, phip.ctypes.data, work.ctypes.data, hist.ctypes.data)
         self._close_group(ctypes.byref(group))  # the arrays stay alive until it returns
-
-    def real_fft(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """The spectra, (n + 1, 2, rows) planes, of the real rows of a,
-        (2n, rows), n a power of two, or, inverse, 2n times the inverse
-        transform, (2n, rows), of spectra a."""
-        n = (a.shape[0] - 1 if inverse else a.shape[0] // 2) if a.ndim == 2 + inverse else 0
-        rows = a.shape[-1] if a.ndim else 0
-        shapes = [(2 * n, rows), (n + 1, 2, rows)]
-        if not (n > 0 and not n & (n - 1) and _contiguous(a, np.float64, shapes[inverse])):
-            raise ValueError("real FFT input does not match")
-        out, work = np.empty(shapes[not inverse]), _aligned(4 * n * rows + 2 * n)
-        self._real_fft(n, rows, inverse, a.ctypes.data, out.ctypes.data, work.ctypes.data)
-        return out
 
     def spectrum_product(self, spectrum: np.ndarray, h: np.ndarray) -> None:
         """spectrum *= the response whose (2, bins) planes are h, in place,

@@ -59,8 +59,7 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
         r = 0.0  # no squeezing: sized at r = 0, the given r only a sweep coordinate
     alpha, lam = operating_point(message, r, lam, n_photon)
     noise = NoiseModel(variant, alpha, r, message.bandwidth)
-    design = design_loop(message, mod, alpha, noise,
-                         delay=None if cfg["delay"] < 0 else cfg["delay"])
+    design = design_loop(message, mod, alpha, noise, delay=cfg["delay"])
     return design, lam
 
 

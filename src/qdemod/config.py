@@ -44,7 +44,7 @@ _POINT = (
     Key("n_photon", "float", None),
     Key("r", "float", 0.0),
 )
-_DELAY = Key("delay", "int", -1)
+_DELAY = Key("delay", "int", None)
 _MONTE_CARLO = (
     Key("variant", "str", "coherent"),
     Key("trials", "int", 64),

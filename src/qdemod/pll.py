@@ -41,23 +41,17 @@ a stopped row taking a zero step, and sin and cos are the package's own
 1 ulp of libm for |e| <= 1e6, far beyond _DIVERGENCE_LIMIT), so the
 compiled step has no call in it and vectorises across the rows.
 
-The tracker history is a uniformly partitioned overlap-save convolution
-(Gardner, JAES 43(3), 1995) over blocks of kb = _BLOCK (128) samples.  Let
-x_k be block k of the tracker input fr, H_p the spectrum of the taps for
-lags p kb .. p kb + kb - 1 and Z_k = rfft([x_{k-1}, 0]), stored once per
-block.  Loop block b's far history, the lags that reach before it, is the
-last kb samples of irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p), W_k =
-rfft([x_{k-1}, x_k]) = Z_k + (-1)^f Z_{k+1}; collected by Z, the sum is
-sum_p Z_{b-p} G_p with G_p = H_p + (-1)^f H_{p+1} (_partition_spectra, once
-per cell).  Each sample then adds only the lags inside its block.  The
-kernel's close_group (_tracker.load(): the library, _tracker.c through
-ctypes, or its numpy form in _numpy_kernel, with the same bits) runs a row
-group's whole loop in one call, which in the library releases the
-interpreter lock for all of it: per block a forward FFT, the multiply-add
-over the partitions, the inverse FFT and the closure of the block.  The
-FFTs are the kernel's own, within about 1e-15 of numpy's, and they and the
-multiply-add round each real product on its own, so no bit depends on
-numpy's FFT build or on whether the CPU fuses multiply-adds.
+A row group hands the kernel's close_group (_tracker.load(): the library,
+_tracker.c through ctypes, or its numpy form in _numpy_kernel, with the
+same bits) the cell's causal taps, the block length kb = min(_BLOCK, nt)
+(128 samples) and its arrays, and close_group runs the group's whole loop
+in one call, which in the library releases the interpreter lock for all of
+it.  The tracker history is a uniformly partitioned overlap-save
+convolution, derived in _tracker.c's header: per block a forward FFT, the
+multiply-add over the partitions, the inverse FFT and the closure of the
+block.  The FFTs are the kernel's own, within about 1e-15 of numpy's, and
+they and the multiply-add round each real product on its own, so no bit
+depends on numpy's FFT build or on whether the CPU fuses multiply-adds.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
@@ -148,8 +142,8 @@ class PllConfig:
     def __post_init__(self) -> None:
         if self.feedback_delay not in (0, 1):
             raise ValueError("feedback_delay must be 0 or 1 samples")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        if self.trials < 2:  # a standard error needs two
+            raise ValueError("need at least two trials")
         if self.design.grid.bandwidth / self.design.message.bandwidth < 32:
             raise ValueError("oversampling guard: require B/b >= 32")
         m = self.design.grid.n_samples
@@ -222,33 +216,16 @@ def _row_groups(n_t: int) -> list:
     return [slice(a, min(a + _GROUP, n_t)) for a in range(0, n_t, _GROUP)]
 
 
-def _partition_spectra(taps, real_fft):
-    """The far history's G_p (module docstring), oldest block first, as
-    (parts, 2, kb + 1) planes over blocks of kb = min(_BLOCK, nt) samples,
-    made by real_fft (the kernel's) and divided by 2 kb, the inverse FFT's
-    factor (exactly: a power of two)."""
-    nt = taps.size
-    kb = min(_BLOCK, nt)
-    parts = nt // kb
-    h = np.zeros((2 * kb, parts + 1))
-    h[:kb, :parts] = taps.reshape(parts, kb).T
-    hs = real_fft(h)
-    g = (hs[:, :, :-1] + (-1.0) ** np.arange(kb + 1)[:, None, None] * hs[:, :, 1:]) / (2 * kb)
-    return np.ascontiguousarray(g[:, :, ::-1].transpose(2, 1, 0))
-
-
-def _close_loop(close, taps, spectra, twoa, phibar, x0, y0, fr, phip):
+def _close_loop(close, taps, twoa, phibar, x0, y0, fr, phip):
     """Closed loop of one row group, given its arrays (x0 None for
     squeezed_z, whose y0 is the S2-coloured record z'), by close (the
-    kernel's close_group) and the taps' partition spectra: writes fr, the
-    tracker input (nt steady-state records, then the loop's record), and
-    phip, the tracker output.  TimeGrid makes m, nt = m/2 and kb powers of
-    two, so kb divides nt and m.  The tracking error e starts at 0."""
+    kernel's close_group) in blocks of kb samples: writes fr, the tracker
+    input (nt steady-state records, then the loop's record), and phip, the
+    tracker output.  TimeGrid makes m, nt = m/2 and kb powers of two, so kb
+    divides nt and m.  The tracking error e starts at 0."""
     (n_t, m), nt = phibar.shape, taps.size
-    trev = np.ascontiguousarray(taps[::-1][: nt - 1])  # weights for lags nt-1 .. 1
     fr[:, :nt] = phibar[:, m - nt:] + y0[:, m - nt:] / twoa
-    close(spectra, spectra.shape[2] - 1, taps[0], trev, twoa, phibar, x0, y0, np.zeros(n_t),
-          fr, phip)
+    close(taps, min(_BLOCK, nt), twoa, phibar, x0, y0, np.zeros(n_t), fr, phip)
 
 
 def sample_message(spec: MessageSpec, seed: int, trials, drop_dc: bool = False) -> np.ndarray:
@@ -362,13 +339,13 @@ def _group_statistics(err: np.ndarray, worst: np.ndarray) -> tuple:
     return np.mean(err, axis=1), np.array(slips, dtype=np.int64)
 
 
-def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -> np.recarray:
+def _simulate_group(cfg: PllConfig, store, close, taps, trials: list) -> np.recarray:
     """The per-trial table (_TRIAL_COLUMNS) of one row group: drawn (_draw,
     from store when that is not None), then tracked, estimated and checked in
     the group's own arrays.
 
     close is the kernel's close_group (_tracker.load()), or None for the
-    open loop; spectra are the taps' partition spectra.
+    open loop.
     """
     design = cfg.design
     g = design.grid
@@ -383,7 +360,7 @@ def _simulate_group(cfg: PllConfig, store, close, taps, spectra, trials: list) -
         fr[:, nt:] = phibar + y0 / twoa
     else:
         phip = np.empty((n_t, m))
-        _close_loop(close, taps, spectra, twoa, phibar, x0, y0, fr, phip)
+        _close_loop(close, taps, twoa, phibar, x0, y0, fr, phip)
     # the tracking error, in phibar's own memory unless force_lock made phip
     # that array; the estimate needs of phibar only what is in err and phip,
     # and the draws are freed too unless a run_cells store holds them
@@ -426,16 +403,13 @@ def _cell_work(cfg: PllConfig, trial_indices=None, force_lock: bool = False,
     run(group), the group's per-trial table (_simulate_group), drawn through
     store when that is not None.
 
-    Built on the calling thread, before any worker needs the kernel, the
-    taps or their partition spectra; each group that draws does so with its
-    own spectra.
+    Built on the calling thread, before any worker needs the kernel or the
+    taps.
     """
     trials = list(range(cfg.trials) if trial_indices is None else trial_indices)
     taps = tracking_taps(cfg.design, cfg.feedback_delay)
-    kernel = _tracker.load()
-    spectra = None if force_lock else _partition_spectra(taps, kernel.real_fft)
-    close = None if force_lock else kernel.close_group
-    run = partial(_simulate_group, cfg, store, close, taps, spectra)
+    close = None if force_lock else _tracker.load().close_group
+    run = partial(_simulate_group, cfg, store, close, taps)
     return run, [trials[rows] for rows in _row_groups(len(trials))]
 
 

@@ -72,7 +72,7 @@ def test_config_round_trip():
 
 _LOOP_DEFAULTS = ("n_samples = 4096\nbandwidth = 1.0\nmessage_kind = flat\n"
                   "band_bins = 127\nlorentz_ratio = 256.0\nmod_kind = pm\n")
-_MONTE_CARLO_DEFAULTS = ("delay = -1\nvariant = coherent\ntrials = 64\n"
+_MONTE_CARLO_DEFAULTS = ("variant = coherent\ntrials = 64\n"
                          "seed = 12345\nfeedback_delay = 0\n")
 
 
@@ -397,6 +397,27 @@ def test_cli_grid_too_short_exits_2(line, tmp_path, capsys):
     assert not (tmp_path / "o" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("delay = -5", "delay must be nonnegative"),
+    ("seed = -1", "seed must be in [0, 2**64), got -1"),
+    ("seed = 18446744073709551616", "seed must be in [0, 2**64)"),
+    ("trials = 1", "need at least two trials")],
+    ids=["negative_delay", "negative_seed", "seed_2_to_the_64", "one_trial"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_rejects_a_bad_monte_carlo_setting(command, line, message, tmp_path, capsys):
+    """A negative delay, a seed outside [0, 2^64) and a single trial are
+    config errors (exit 2) naming themselves, and no results.csv is
+    written: a negative delay is not the default delay, a seed is not
+    reduced to 64 bits (where -1 gave 2^64 - 1's draws), and no cell's
+    standard error rests on one trial."""
+    point = "beta = 1\nlambda = 100\n" if command == "simulate" else "betas = 1\nlambdas = 100\n"
+    cfg = _write(tmp_path, "bad.cfg", f"n_samples = 2048\nband_bins = 63\n{point}{line}\n")
+    out = tmp_path / "o"
+    assert cli_main([command, cfg, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_cli_design_dump(tmp_path, monkeypatch, design_dump_oracle):
     """design.txt holds the oracle writer's bytes for the CLI's own design,
     for an inline config and for the configs/ fixture."""
@@ -471,7 +492,7 @@ def test_cli_sweep_n_photon_column_only_for_budgeted_points(tmp_path):
     """Lambda sizes the r = 0 point and N the squeezed one; only the latter
     carries N in the n_photon column."""
     text = ("n_samples = 2048\nband_bins = 63\nbetas = 1.0\nlambdas = 100\n"
-            "n_photon = 10\nrs = 0, 0.5\ntrials = 1\nseed = 5\n")
+            "n_photon = 10\nrs = 0, 0.5\ntrials = 2\nseed = 5\n")
     out = tmp_path / "sw"
     assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", text), "--out", str(out)]) == 0
     _assert_manifest_lists_every_output_once(out)
@@ -486,7 +507,7 @@ def test_cli_coherent_point_is_sized_at_r_zero(tmp_path):
     the coherent point at the same N = 10, Lambda = 4N = 40: it equals the
     r = 0 row in every column but run_id and r, the sweep coordinate."""
     text = ("n_samples = 2048\nband_bins = 63\nbetas = 1.0\nn_photon = 10\n"
-            "rs = 0, 0.5\nvariant = coherent\ntrials = 1\nseed = 5\n")
+            "rs = 0, 0.5\nvariant = coherent\ntrials = 2\nseed = 5\n")
     out = tmp_path / "sw"
     assert cli_main(["sweep", _write(tmp_path, "sweep.cfg", text), "--out", str(out)]) == 0
     rows = _csv_rows(out)
@@ -500,7 +521,7 @@ def test_cli_given_lambda_sizes_the_point_in_limits_and_simulate(tmp_path):
     """With both lambda and n_photon set, lambda sizes the point and the
     n_photon column reads NaN, in limits as in simulate."""
     point = "mod_kind = pm\nbeta = 1.0\nlambda = 100\nn_photon = 10\n"
-    runs = {"limits": "", "simulate": "n_samples = 2048\nband_bins = 63\ntrials = 1\n"}
+    runs = {"limits": "", "simulate": "n_samples = 2048\nband_bins = 63\ntrials = 2\n"}
     for command, extra in runs.items():
         out = tmp_path / command
         cfg = _write(tmp_path, f"{command}.cfg", point + extra)
@@ -518,12 +539,12 @@ def test_cli_pass_threshold_follows_the_light(variant, passes, tmp_path):
     meets the 1/4 rule with feedback, but phase-squeezed light without
     feedback is held to exp(4r) sigma0^2 = 0.34."""
     text = (f"beta = 1.0\nlambda = 100\nr = 0.5\nvariant = {variant}\n"
-            "trials = 1\nseed = 5\n")
+            "trials = 2\nseed = 5\n")
     out = tmp_path / "o"
     assert cli_main(["simulate", _write(tmp_path, "sim.cfg", text), "--out", str(out)]) == 0
     rows = _csv_rows(out)
     assert float(rows[0]["sigma0_sq"]) == pytest.approx(np.log(101.0) / 100.0, rel=1e-12)
-    assert [row["pass_threshold"] for row in rows] == [passes, passes]
+    assert [row["pass_threshold"] for row in rows] == [passes, passes, passes]
 
 
 # A point per quantity that a case sets to a bad value; a given lambda sizes
@@ -532,7 +553,7 @@ _POINT = {"lambda": "beta = 1\nlambda = {}\n", "n_photon": "beta = 1\nn_photon =
           "beta": "beta = {}\nlambda = 100\n"}
 _SWEEP_POINT = {"lambda": "betas = 1\nlambdas = {}\n", "n_photon": "betas = 1\nn_photon = {}\n",
                 "beta": "betas = {}\nlambdas = 100\n"}
-_MONTE_CARLO = "n_samples = 2048\nband_bins = 63\ntrials = 1\n"
+_MONTE_CARLO = "n_samples = 2048\nband_bins = 63\ntrials = 2\n"
 _BAD_POINT_BASES = {"limits": ("", _POINT), "simulate": (_MONTE_CARLO, _POINT),
                     "sweep": (_MONTE_CARLO, _SWEEP_POINT)}
 
@@ -548,7 +569,7 @@ def test_cli_rejects_a_point_that_is_not_finite_and_positive(command, key, value
     cfg = _write(tmp_path, "bad.cfg", common + points[key].format(value))
     out = tmp_path / "o"
     assert cli_main([command, cfg, "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert f"config error: {key} must be finite and positive" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 
 
@@ -732,7 +753,7 @@ def test_fixture_bytes_are_the_same_on_both_tracker_paths(fixture, tmp_path, req
         outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"})
         if len(outputs) == 1:
             request.getfixturevalue("no_kernel")
-            for name in ("close_group", "real_fft", "spectrum_product", "levinson"):
+            for name in ("close_group", "spectrum_product", "levinson"):
                 def counted(*args, _entry=getattr(_numpy_kernel, name), **kwargs):
                     numpy_calls.append(1)
                     return _entry(*args, **kwargs)
@@ -788,7 +809,7 @@ def test_benchmark_direct_calls_run(tmp_path, monkeypatch):
     out = workloads._design_outputs(op.name, design)
     assert out.failure is None
     assert out.numbers["design_pm_sq_4096.wh_residual"][0] <= workloads.WH_RESIDUAL_TOL
-    (trial,) = pll.simulate_batch(pll.PllConfig(design, 1, 5), [0], force_lock=True)
+    (trial,) = pll.simulate_batch(pll.PllConfig(design, 2, 5), [0], force_lock=True)
     assert trial.trial == 0 and np.isfinite(trial.mse)
 
 

@@ -24,10 +24,10 @@ close_group left them.  It exits 1 when the two trees' hashes or per-trial
 results differ, compared by column (trial, mse, sigma0_sq_empirical and
 cycle_slips, read off each row, so a tree whose group returns a list of
 objects with those attributes compares too), and 2 when a tree has no
-compiled library.  The script
-relies on pll._cell_work returning a partial of pll._simulate_group whose
-arguments end with (close, taps, spectra), as both trees' do; it edits
-nothing in either tree except the build cache the package keeps itself.
+compiled library.  The script relies on pll._cell_work returning a partial
+of pll._simulate_group with the library's close_group, a bound method, among
+its arguments, whatever that close_group's parameters; it edits nothing in
+either tree except the build cache the package keeps itself.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class Side:
         cli = importlib.import_module(f"{package}.cli")
         config = importlib.import_module(f"{package}.config")
         tracker = importlib.import_module(f"{package}._tracker")
-        if not isinstance(tracker.load(), tracker.Kernel):  # None or the numpy forms
+        kernel = tracker.load()
+        if not isinstance(kernel, tracker.Kernel):  # None or the numpy forms
             raise RuntimeError(f"{package}: no compiled library")
         text = f"[simulate]\n{LIGHTS[light]}trials = 32\nseed = {seed}\n"
         cfg = config.parse_config_text(text, "simulate")
@@ -78,8 +79,8 @@ class Side:
         store = pll._DrawStore()
         pll._draw(pll_cfg, self.trials, store)
         run, _ = pll._cell_work(pll_cfg, store=store)
-        *head, close, taps, spectra = run.args
-        self.run = partial(run.func, *head, self.timed(close), taps, spectra)
+        self.run = partial(run.func, *[self.timed(a) if getattr(a, "__self__", None) is kernel
+                                       and a.__name__ == "close_group" else a for a in run.args])
         self.close_ms, self.post_ms, self.hashes = [], [], None
 
     def timed(self, close):
