@@ -83,19 +83,19 @@ def _halley_step(k, lx, ly, c, e, stop, sin_cos):
     return e - np.where(stop, _ZERO, clipped), stop | ((err < _CLOSURE_TOL) & (a <= _ONE))
 
 
-def _track_block(j0, far, taps, twoa, phibar, x0, y0, e, fr, phip):
+def _track_block(j0, far, taps, twoa, phibar, x0, y0, e, rec, phip):
     """Close samples j0 .. j0 + n - 1 of a row group, given their far history
     far, the inverse FFT's (n, rows) tile: the numpy form of _tracker.c's
     track_block, all rows in lockstep, with its operations, so its bits.
 
     The group's (rows, m) phibar, x0 (None for squeezed_z) and y0, the
     cell's taps, lag 0 first, and each row's tracking error e, carried from
-    block to block; a block writes its records into fr, after the nt
-    steady-state records, and its tracker outputs into phip.  A sample's
-    first Halley step reads the sin e and cos e that the last record made at
-    the same e, where the kernel makes them again.
+    block to block; a block writes its records into rec and its tracker
+    outputs into phip.  A sample's first Halley step reads the sin e and
+    cos e that the last record made at the same e, where the kernel makes
+    them again.
     """
-    (n, rows), nt, l0 = far.shape, taps.size, taps[0]
+    (n, rows), l0 = far.shape, taps[0]
     k = np.array(1.0 - l0)
     terms = np.zeros((n + 1, rows))  # row 0 stays 0.0, where each lag sum starts
     cols = slice(j0, j0 + n)
@@ -111,12 +111,12 @@ def _track_block(j0, far, taps, twoa, phibar, x0, y0, e, fr, phip):
         r0 = pb
         cb = k * pb - far
     lxs, lys = l0 * x, l0 * y
-    rec = np.empty((n, rows))
+    tile = np.empty((n, rows))
     u = e.copy()
     sin_cos = _sincos(u)
     for i in range(n):
         # an accumulate adds in order, never pairwise or through BLAS
-        np.multiply(taps[i:0:-1, None], rec[:i], out=terms[1: i + 1])  # lags i .. 1
+        np.multiply(taps[i:0:-1, None], tile[:i], out=terms[1: i + 1])  # lags i .. 1
         c = cb[i] - np.add.accumulate(terms[: i + 1], axis=0)[-1]
         if l0 == 0.0:
             u = c  # the closure is explicit
@@ -130,8 +130,8 @@ def _track_block(j0, far, taps, twoa, phibar, x0, y0, e, fr, phip):
                     break
         phip[:, j0 + i] = pb[i] - u
         s, co = sin_cos = _sincos(u)
-        rec[i] = r0[i] + ((s * x[i] + co * y[i]) - u)
-    fr[:, nt + j0: nt + j0 + n] = rec.T
+        tile[i] = r0[i] + ((s * x[i] + co * y[i]) - u)
+    rec[:, cols] = tile.T
     e[:] = u
 
 
@@ -210,21 +210,25 @@ def _partition_spectra(taps, n):
     return g[:, :, ::-1].transpose(2, 1, 0)
 
 
-def close_group(taps, n, twoa, phibar, x0, y0, e, fr, phip):
+def close_group(taps, n, twoa, phibar, x0, y0, e, rec, phip):
     """The closed loop of a whole row group: _tracker.c's close_group in
-    numpy, step for step (the partition spectra by _partition_spectra, the
-    far history by _real_fft and _far_mac, each block by _track_block), so
-    its bits."""
-    parts, rows = taps.size // n, e.size
-    spectra = _partition_spectra(taps, n)
+    numpy, step for step (the steady-state lead from phibar's and y0's last
+    nt samples, the partition spectra by _partition_spectra, the far history
+    by _real_fft and _far_mac, each block by _track_block), so its bits."""
+    (rows, m), nt = phibar.shape, taps.size
+    parts, spectra = nt // n, _partition_spectra(taps, n)
     ring = np.empty((parts, n + 1, 2, rows))
     x = np.zeros((2 * n, rows))  # [block, n zeros]
-    for k in range(1, fr.shape[1] // n):
-        x[:n] = fr[:, (k - 1) * n: k * n].T
+    for k in range(1, parts + m // n):
+        j = (k - 1 - parts) * n  # block k - 1 starts at sample j of the record
+        if j < 0:  # a steady-state block: the record at zero tracking error
+            x[:n] = (phibar[:, m + j: m + j + n] + y0[:, m + j: m + j + n] / twoa).T
+        else:
+            x[:n] = rec[:, j: j + n].T
         ring[k % parts] = _real_fft(x)
         if k >= parts:
             far = _real_fft(_far_mac(ring, spectra, k % parts), True)[n:]
-            _track_block((k - parts) * n, far, taps, twoa, phibar, x0, y0, e, fr, phip)
+            _track_block((k - parts) * n, far, taps, twoa, phibar, x0, y0, e, rec, phip)
 
 
 def spectrum_product(spectrum: np.ndarray, h: np.ndarray) -> None:

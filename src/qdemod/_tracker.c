@@ -8,10 +8,11 @@
  * samples before it.  Per block of n samples close_group makes the
  * far history, the lags that reach before the block, by a uniformly
  * partitioned overlap-save convolution (Gardner, JAES 43(3), 1995).  Let
- * x_k be block k of fr, H_p the spectrum of the taps for lags
- * p n .. p n + n - 1 (zero padded to 2n) and Z_k = rfft([x_{k-1}, 0]),
- * stored once per block.  Loop block b's far history is the last n samples
- * of irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p), W_k = rfft([x_{k-1}, x_k]) =
+ * x_k be block k of the records, the nt steady-state records and then the
+ * loop's, H_p the spectrum of the taps for lags p n .. p n + n - 1 (zero
+ * padded to 2n) and Z_k = rfft([x_{k-1}, 0]), stored once per block.  Loop
+ * block b's far history is the last n samples of
+ * irfft(Z_b H_0 + sum_{p>=1} W_{b-p} H_p), W_k = rfft([x_{k-1}, x_k]) =
  * Z_k + (-1)^f Z_{k+1} at bin f; collected by Z, the sum is
  * sum_p Z_{b-p} G_p with G_p = H_p + (-1)^f H_{p+1}, the taps' partition
  * spectra (partition_spectra, once per group).  Per block that is a forward
@@ -19,18 +20,19 @@
  * their multiply-add with the G_p (far_mac) and an inverse real FFT;
  * track_block then adds the lags inside the block and closes it.  far_mac
  * and track_block are its inlined steps.  A loop block's records are left
- * in the forward FFT's input tile, so only the steady-state blocks are
- * gathered from fr.
+ * in the forward FFT's input tile; a steady-state block, the record at zero
+ * tracking error, is formed there as phibar + y0/2|a| from the last nt
+ * samples of phibar and y0.
  *
  * track_block closes one block sample by sample, all rows in lockstep
  * (_numpy_kernel._track_block).  It moves the block of the group's own
- * (rows, m) arrays, each with its row stride (the mean phase phibar and the
- * quadratures x0, NULL for squeezed_z, and y0), into (n, rows) tiles by
- * 8 x 8 blocked transposes, and forms the closure constants there in
- * contiguous passes; its far history is the inverse FFT's (n, rows) tile.
- * It adds the lags inside the block, closes the loop in the tracking error
- * e, writes the records into the tile the next forward FFT reads, and moves
- * them into fr, and the tracker outputs into phip, by the same transposes.
+ * (rows, m) arrays (the mean phase phibar and the quadratures x0, NULL for
+ * squeezed_z, and y0) into (n, rows) tiles by 8 x 8 blocked transposes, and
+ * forms the closure constants there in contiguous passes; its far history
+ * is the inverse FFT's (n, rows) tile.  It adds the lags inside the block,
+ * closes the loop in the tracking error e, writes the records into the tile
+ * the next forward FFT reads, and moves them into rec, and the tracker
+ * outputs into phip, by the same transposes.
  *
  * The record is phibar - e + X sin e + Y cos e + z, with X = 1 + x0/2|a|,
  * Y = y0/2|a| and z = 0, or, for squeezed_z, X = 1, Y = 0 and z = y0/2|a|.
@@ -194,27 +196,24 @@ static inline int all_stopped(int rows, const double *stop)
 }
 
 /* A row group, bound once (qdemod._tracker.Kernel checks every array).
- * Row r of an array a starts at a + r * a_stride; each row is contiguous.
- * phibar, x0 and y0 have m samples a row, taps the nt tracker taps, lag 0
- * first, e each row's tracking error, carried from sample to sample and
- * block to block, and work the larger of (5 n + 3) rows and
- * partition_spectra's (parts + 1) (6 n + 2) doubles.  fr holds nt
- * steady-state records before the loop's record, so sample j's record is
- * fr[nt + j].  close_group keeps the far history in hist,
- * ((parts + 1) (n + 1) 2 + 6 n) rows + 2 n + 2 parts (n + 1) doubles. */
+ * phibar, x0, y0, rec and phip are C-contiguous (rows, m) arrays, rec the
+ * loop's record; taps holds the nt <= m tracker taps, lag 0 first, e each
+ * row's tracking error, carried from sample to sample and block to block,
+ * and work the larger of (5 n + 3) rows and partition_spectra's
+ * (parts + 1) (6 n + 2) doubles.  close_group keeps the far history in
+ * hist, ((parts + 1) (n + 1) 2 + 6 n) rows + 2 n + 2 parts (n + 1) doubles. */
 struct group {
     int n, rows, nt, m, parts;
     double twoa;
     const double *taps, *phibar, *x0, *y0;
-    ptrdiff_t phibar_stride, x0_stride, y0_stride, fr_stride, phip_stride;
-    double *e, *fr, *phip, *work, *hist;
+    double *e, *rec, *phip, *work, *hist;
 };
 
 /* dst[a * da + b] = src[a + b * sb] for a < na and b < nb, by blocks of 8
  * by 8, so each block's 8 lines of dst are written whole while its 8 lines
  * of src are in the L1 cache, not one entry at a time down a 256-byte
- * stride.  It moves a block of samples between the group's rows, each with
- * its row stride, and an (n, rows) tile, either way. */
+ * stride.  It moves a block of samples between the group's rows and an
+ * (n, rows) tile, either way. */
 #define TB 8
 
 INLINED void transpose(int na, int nb, const double *restrict src, ptrdiff_t sb,
@@ -258,10 +257,10 @@ INLINED void track_block(const struct group *g, int j0, const double *restrict f
     double *restrict X = g->work, *restrict Y = X + tile, *restrict pb = Y + tile;
     double *restrict r0 = pb + tile, *restrict cb = r0 + tile;
     double *restrict c = cb + tile, *restrict e = c + rows, *restrict stop = e + rows;
-    transpose(n, rows, g->phibar + j0, g->phibar_stride, pb, rows);
-    transpose(n, rows, g->y0 + j0, g->y0_stride, Y, rows);
+    transpose(n, rows, g->phibar + j0, g->m, pb, rows);
+    transpose(n, rows, g->y0 + j0, g->m, Y, rows);
     if (g->x0) {
-        transpose(n, rows, g->x0 + j0, g->x0_stride, X, rows);
+        transpose(n, rows, g->x0 + j0, g->m, X, rows);
         for (size_t o = 0; o < tile; o++) {
             X[o] = X[o] / twoa + 1.0;
             Y[o] = Y[o] / twoa;
@@ -314,8 +313,8 @@ INLINED void track_block(const struct group *g, int j0, const double *restrict f
             pb[o + r] -= e[r];  /* the tracker output */
         }
     }
-    transpose(rows, n, rec, rows, g->fr + g->nt + j0, g->fr_stride);
-    transpose(rows, n, pb, rows, g->phip + j0, g->phip_stride);
+    transpose(rows, n, rec, rows, g->rec + j0, g->m);
+    transpose(rows, n, pb, rows, g->phip + j0, g->m);
     for (int r = 0; r < rows; r++)
         g->e[r] = e[r];
 }
@@ -521,17 +520,20 @@ static void partition_spectra(int n, int parts, const double *taps, double *g, d
 }
 
 /* The closed loop of a whole row group (_numpy_kernel.close_group), block k
- * of fr being fr[k n .. k n + n).  Per block k from 1, the spectrum of block
- * k - 1, the real FFT of [block, n zeros], goes into slot k % parts of the
- * ring.  From k = parts on, block k is a loop block: its far history is the
- * last n samples of the inverse FFT of far_mac's sum, and track_block
- * closes it, writing its records into fr and into x, the first half of the
- * next forward FFT's input; blocks 0 .. parts - 1, the steady-state
- * records, are moved into x from fr. */
+ * being samples k n .. k n + n - 1 of the nt steady-state records followed
+ * by the loop's.  Per block k from 1, the spectrum of block k - 1, the real
+ * FFT of [block, n zeros], goes into slot k % parts of the ring.  From
+ * k = parts on, block k is a loop block: its far history is the last n
+ * samples of the inverse FFT of far_mac's sum, and track_block closes it,
+ * writing its records into rec and into x, the first half of the next
+ * forward FFT's input.  Blocks 0 .. parts - 1, the steady-state records,
+ * are formed in x as phibar + y0/2|a| from the last nt samples of phibar
+ * and y0, y0's block passing through a, which is free there. */
 ISA_CLONES
 void close_group(const struct group *g)
 {
     const int n = g->n, rows = g->rows, parts = g->parts;
+    const double twoa = g->twoa;  /* read once: the stores into x could alias *g */
     const size_t el = 2 * (size_t)rows, slot = (size_t)(n + 1) * el, tile = 2 * (size_t)n * rows;
     double *ring = g->hist, *acc = ring + parts * slot, *x = acc + slot;
     double *a = x + tile, *b = a + tile, *tw = b + tile, *spectra = tw + 2 * n;
@@ -540,8 +542,13 @@ void close_group(const struct group *g)
     for (size_t i = tile / 2; i < tile; i++)
         x[i] = 0.0;
     for (int k = 1; k < (g->nt + g->m) / n; k++) {
-        if (k <= parts)  /* a steady-state block; a loop block's records are in x */
-            transpose(n, rows, g->fr + (size_t)(k - 1) * n, g->fr_stride, x, rows);
+        if (k <= parts) {  /* a steady-state block; a loop block's records are in x */
+            const size_t j = (size_t)(g->m - g->nt) + (size_t)(k - 1) * n;
+            transpose(n, rows, g->phibar + j, g->m, x, rows);
+            transpose(n, rows, g->y0 + j, g->m, a, rows);
+            for (size_t i = 0; i < tile / 2; i++)
+                x[i] += a[i] / twoa;
+        }
         split(n, rows, fft(n, rows, 0, x, a, b, tw), ring + (size_t)(k % parts) * slot, tw);
         if (k < parts)
             continue;

@@ -2,25 +2,27 @@
 
 The library holds the loops that numpy runs slowly, in three entries:
 close_group, which closes a row group's whole loop in one call from the
-cell's causal taps, the taps' partition spectra, the far history's real FFTs
-and multiply-add and each block's closure included; spectrum_product, a
-filter's product with a spectrum in place; and levinson, the Toeplitz solve
-of the Wiener-Hopf normal equations.  It exports nothing else but kernel_isa.
-Kernel checks a group's arrays before the call, since the library gets raw
-pointers.  The spectra are split real and imaginary planes, and each real
-product of a complex product is rounded on its own, so the bits are the
-same on every CPU.  Each ctypes call releases the interpreter lock.  The
-cloned functions are built on x86-64 with glibc for avx512f and for the
-baseline, and the loader runs the avx512f builds where the CPU has it; both
-give the same bits, since nothing is contracted or reassociated.  Kernel.isa
-names the clone this process runs.  The library is built on the first call
-to load(), with the interpreter's C compiler and flags that keep its
-rounding equal to the numpy forms', and cached in this package's __pycache__
-under a hash of the source and the flags, so later processes only load it.
-Where __pycache__ is not writable it is built into a private temporary
-directory for this process alone.  Where there is no compiler or the build
-fails, load() returns _numpy_kernel, the numpy forms of the three entries,
-which give the same bits: pll, grids and wiener call whichever it returns.
+cell's causal taps and the group's (rows, m) arrays, the steady-state lead,
+the taps' partition spectra, the far history's real FFTs and multiply-add and
+each block's closure included; spectrum_product, a filter's product with a
+spectrum in place; and levinson, the Toeplitz solve of the Wiener-Hopf normal
+equations.  It exports nothing else but kernel_isa.  Kernel checks that a
+group's arrays are C-contiguous float64 blocks of the group's shape before
+the call, since the library gets raw pointers, one per array.  The spectra
+are split real and imaginary planes, and each real product of a complex
+product is rounded on its own, so the bits are the same on every CPU.  Each
+ctypes call releases the interpreter lock.  The cloned functions are built
+on x86-64 with glibc for avx512f and for the baseline, and the loader runs
+the avx512f builds where the CPU has it; both give the same bits, since
+nothing is contracted or reassociated.  Kernel.isa names the clone this
+process runs.  The library is built on the first call to load(), with the
+interpreter's C compiler and flags that keep its rounding equal to the numpy
+forms', and cached in this package's __pycache__ under a hash of the source
+and the flags, so later processes only load it.  Where __pycache__ is not
+writable it is built into a private temporary directory for this process
+alone.  Where there is no compiler or the build fails, load() returns
+_numpy_kernel, the numpy forms of the three entries, which give the same
+bits: pll, grids and wiener call whichever it returns.
 """
 
 from __future__ import annotations
@@ -56,20 +58,8 @@ class _Group(ctypes.Structure):
 
     _fields_ = [*[(name, ctypes.c_int) for name in ("n", "rows", "nt", "m", "parts")],
                 ("twoa", ctypes.c_double),
-                *[(name, ctypes.c_void_p) for name in ("taps", "phibar", "x0", "y0")],
-                *[(name, ctypes.c_ssize_t) for name in
-                  ("phibar_stride", "x0_stride", "y0_stride", "fr_stride", "phip_stride")],
-                *[(name, ctypes.c_void_p) for name in ("e", "fr", "phip", "work", "hist")]]
-
-
-def _row_stride(a: np.ndarray) -> int | None:
-    """a's row stride in float64 entries, or None unless a is a 2-d float64
-    array whose rows are contiguous (any stride on a sample axis of length
-    1, to which numpy may give a 0 stride)."""
-    if (a.dtype != np.float64 or a.ndim != 2 or a.strides[0] % 8
-            or (a.shape[1] != 1 and a.strides[1] != 8)):
-        return None
-    return a.strides[0] // 8
+                *[(name, ctypes.c_void_p) for name in
+                  ("taps", "phibar", "x0", "y0", "e", "rec", "phip", "work", "hist")]]
 
 
 def _contiguous(a: np.ndarray, dtype, shape: tuple, writeable: bool = False) -> bool:
@@ -105,30 +95,25 @@ class Kernel:
             fn.argtypes, fn.restype = argtypes, restype
             setattr(self, f"_{name}", fn)
 
-    def close_group(self, taps, n, twoa, phibar, x0, y0, e, fr, phip):
+    def close_group(self, taps, n, twoa, phibar, x0, y0, e, rec, phip):
         """Close a row group's whole loop in one call, in blocks of n samples,
-        n a power of two that divides nt = taps.size and m, from the cell's
-        causal taps, lag 0 first.  Every array is checked first: dtype,
-        shapes, rows with their own strides and writeable outputs."""
-        strides = [_row_stride(a) for a in (phibar, y0, fr, phip)]
-        x0_stride = 0 if x0 is None else _row_stride(x0)
-        if None in strides or x0_stride is None:
+        n a power of two that divides nt = taps.size <= m and m, from the
+        cell's causal taps, lag 0 first.  Every array is checked first: dtype,
+        shape, C order and writeable outputs."""
+        shape, nt = phibar.shape, taps.size
+        arrays = [(a, False) for a in (phibar, x0, y0) if a is not None]
+        arrays += [(rec, True), (phip, True)]
+        if (len(shape) != 2 or not all(_contiguous(a, np.float64, shape, w) for a, w in arrays)
+                or not _contiguous(e, np.float64, shape[:1], writeable=True)
+                or not _contiguous(taps, np.float64, (nt,))
+                or not 1 <= n <= nt <= shape[1] or n & (n - 1) or nt % n or shape[1] % n):
             raise ValueError("tracker group arrays do not match")
-        rows, m = phibar.shape
-        nt = taps.size
-        if (any(a.shape != (rows, m) for a in (x0, y0, phip) if a is not None)
-                or fr.shape != (rows, nt + m) or e.shape != (rows,) or taps.ndim != 1
-                or any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (taps, e))
-                or not all(a.flags.writeable for a in (e, fr, phip))
-                or not 1 <= n <= min(nt, m) or n & (n - 1) or nt % n or m % n):
-            raise ValueError("tracker group arrays do not match")
-        parts = nt // n
+        (rows, m), parts = shape, nt // n
         work = _aligned(max((5 * n + 3) * rows, (parts + 1) * (6 * n + 2)))
         hist = _aligned(((parts + 1) * (n + 1) * 2 + 6 * n) * rows + 2 * n + 2 * parts * (n + 1))
-        group = _Group(n, rows, nt, m, parts, twoa, taps.ctypes.data, phibar.ctypes.data,
-                       None if x0 is None else x0.ctypes.data, y0.ctypes.data, strides[0],
-                       x0_stride, strides[1], strides[2], strides[3], e.ctypes.data,
-                       fr.ctypes.data, phip.ctypes.data, work.ctypes.data, hist.ctypes.data)
+        pointers = [None if a is None else a.ctypes.data
+                    for a in (taps, phibar, x0, y0, e, rec, phip, work, hist)]
+        group = _Group(n, rows, nt, m, parts, twoa, *pointers)
         self._close_group(ctypes.byref(group))  # the arrays stay alive until it returns
 
     def spectrum_product(self, spectrum: np.ndarray, h: np.ndarray) -> None:

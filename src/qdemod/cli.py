@@ -9,9 +9,7 @@ Subcommands (each takes one config file and an output directory):
   fock      Fock-space oracle checks and a canonical phase density
   sense     sensor-parameter mapping
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
-QDEMOD_OUT environment variable overrides the output directory (and nothing
-else).
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -255,17 +253,16 @@ def cli_main(argv=None) -> int:
     parser.add_argument("config", help="path to the key = value config file")
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
-    outdir = os.environ.get("QDEMOD_OUT", args.out)
     try:
         cfg = parse_config(args.config, args.command)
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         manifest = RunManifest(
             command=args.command, version=__version__,
             seed=cfg.get("seed"), config_text=serialize_config(cfg, args.command))
         manifest.start()
-        _COMMANDS[args.command](cfg, outdir, manifest)
+        _COMMANDS[args.command](cfg, args.out, manifest)
         manifest.finish()
-        manifest.write(os.path.join(outdir, "manifest.txt"))
+        manifest.write(os.path.join(args.out, "manifest.txt"))
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

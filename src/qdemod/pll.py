@@ -44,14 +44,15 @@ compiled step has no call in it and vectorises across the rows.
 A row group hands the kernel's close_group (_tracker.load(): the library,
 _tracker.c through ctypes, or its numpy form in _numpy_kernel, with the
 same bits) the cell's causal taps, the block length kb = min(_BLOCK, nt)
-(128 samples) and its arrays, and close_group runs the group's whole loop
-in one call, which in the library releases the interpreter lock for all of
-it.  The tracker history is a uniformly partitioned overlap-save
-convolution, derived in _tracker.c's header: per block a forward FFT, the
-multiply-add over the partitions, the inverse FFT and the closure of the
-block.  The FFTs are the kernel's own, within about 1e-15 of numpy's, and
-they and the multiply-add round each real product on its own, so no bit
-depends on numpy's FFT build or on whether the CPU fuses multiply-adds.
+(128 samples) and its arrays, each a C-contiguous (rows, m) block, and
+close_group runs the group's whole loop in one call, which in the library
+releases the interpreter lock for all of it.  The tracker history is a
+uniformly partitioned overlap-save convolution, derived in _tracker.c's
+header: per block a forward FFT, the multiply-add over the partitions, the
+inverse FFT and the closure of the block.  The FFTs are the kernel's own,
+within about 1e-15 of numpy's, and they and the multiply-add round each real
+product on its own, so no bit depends on numpy's FFT build or on whether the
+CPU fuses multiply-adds.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
@@ -64,10 +65,10 @@ mean, in place over the window, each mean a pairwise sum over the row; and
 its cycle slips, counted only on rows whose |e| reaches pi/2, since a row
 inside +-pi/2 never leaves basin 0.  The estimate then works in place in the
 group's record and phi' arrays, and the mse in the estimate's, so a group's
-working set peaks in the loop, at about five (rows, m) float arrays:
-phibar, phi', the record with its steady-state lead, and the far history's
-stored spectra.  A group returns its per-trial table (_TRIAL_COLUMNS), built
-from its own arrays; a cell's is its groups' tables in group order.
+working set peaks in the loop, at about four and a half (rows, m) float
+arrays: phibar, phi', the record, the far history's stored spectra and the
+kernel's work space.  A group returns its per-trial table (_TRIAL_COLUMNS),
+built from its own arrays; a cell's is its groups' tables in group order.
 
 A cell's trials are vectorised in lockstep in row groups of _GROUP (32)
 trials, the only unit of work; the last group is shorter when 32 does not
@@ -91,12 +92,13 @@ pairwise sum over the trial's contiguous row.  So on either path a trial's
 result is bit-identical whatever the other trials, its row group or the
 thread count.
 
-Each trial starts in lock (tracker history seeded with the steady-state
-record): acquisition transients are out of scope, and a cold start at
-beta >~ pi/2 slips with O(10%) probability, which would contaminate the
-stationary statistics the predictions describe.  The first 4d samples are
-discarded as warm-up and the trailing 2d samples are excluded from
-statistics.
+Each trial starts in lock: close_group seeds the tracker history with the
+steady-state record, the record at zero tracking error, phibar + y0/2|a|
+over the last nt samples.  Acquisition transients are out of scope, and a
+cold start at beta >~ pi/2 slips with O(10%) probability, which would
+contaminate the stationary statistics the predictions describe.  The first
+4d samples are discarded as warm-up and the trailing 2d samples are excluded
+from statistics.
 """
 
 from __future__ import annotations
@@ -216,18 +218,6 @@ def _row_groups(n_t: int) -> list:
     return [slice(a, min(a + _GROUP, n_t)) for a in range(0, n_t, _GROUP)]
 
 
-def _close_loop(close, taps, twoa, phibar, x0, y0, fr, phip):
-    """Closed loop of one row group, given its arrays (x0 None for
-    squeezed_z, whose y0 is the S2-coloured record z'), by close (the
-    kernel's close_group) in blocks of kb samples: writes fr, the tracker
-    input (nt steady-state records, then the loop's record), and phip, the
-    tracker output.  TimeGrid makes m, nt = m/2 and kb powers of two, so kb
-    divides nt and m.  The tracking error e starts at 0."""
-    (n_t, m), nt = phibar.shape, taps.size
-    fr[:, :nt] = phibar[:, m - nt:] + y0[:, m - nt:] / twoa
-    close(taps, min(_BLOCK, nt), twoa, phibar, x0, y0, np.zeros(n_t), fr, phip)
-
-
 def sample_message(spec: MessageSpec, seed: int, trials, drop_dc: bool = False) -> np.ndarray:
     """The messages of the given trials, (len(trials), m): each row is its
     trial's stream (seed, trial, 0) coloured to message_psd(spec, drop_dc),
@@ -246,19 +236,20 @@ def sample_quadratures(noise: NoiseModel, grid: TimeGrid, seed: int, trials):
     Coherent light: white (x0, y0), one (2, m) draw.  phase_squeezed: the
     same draw coloured to the antisqueezed S1 and the squeezed S2.
     squeezed_z: x0 is None, since the loop never reads it, and y0 is the
-    first m draws coloured to S2, the record noise z'.
+    first m draws coloured to S2, the record noise z'.  Each is a
+    C-contiguous array: the draws are laid out as (quads, rows, m) planes.
     """
     m = grid.n_samples
     quads = 1 if noise.kind == SQUEEZED_Z else 2
-    white = np.empty((len(trials), quads, m))
+    white = np.empty((quads, len(trials), m))
     for row, trial in enumerate(trials):
-        white[row] = stream(seed, trial, 1).standard_normal((quads, m))
+        white[:, row] = stream(seed, trial, 1).standard_normal((quads, m))
     if noise.kind == COHERENT:
-        return white[:, 0], white[:, 1]
+        return white[0], white[1]
     s1, s2 = squeezed_covariance_psds(noise, grid)
     if noise.kind == SQUEEZED_Z:
-        return None, color_noise(white[:, 0], s2)
-    return color_noise(white[:, 0], s1), color_noise(white[:, 1], s2)
+        return None, color_noise(white[0], s2)
+    return color_noise(white[0], s1), color_noise(white[1], s2)
 
 
 class _DrawStore:
@@ -350,17 +341,18 @@ def _simulate_group(cfg: PllConfig, store, close, taps, trials: list) -> np.reca
     design = cfg.design
     g = design.grid
     m, d, twoa = g.n_samples, design.delay, design.two_alpha
-    n_t, nt = len(trials), taps.size
+    n_t = len(trials)
     msg, x0, y0 = _draw(cfg, trials, store)
     phibar = modulate(design.mod, g, msg)
 
-    fr = np.empty((n_t, nt + m))  # tracker input; the record is fr[:, nt:]
     if close is None:
         phip = phibar  # e = 0: the record is the phase-insensitive quadrature
-        fr[:, nt:] = phibar + y0 / twoa
+        rec = phibar + y0 / twoa
     else:
-        phip = np.empty((n_t, m))
-        _close_loop(close, taps, twoa, phibar, x0, y0, fr, phip)
+        # in blocks of kb samples; TimeGrid makes m, nt = m/2 and kb powers of
+        # two, so kb divides nt and m.  The tracking error e starts at 0.
+        phip, rec = np.empty((n_t, m)), np.empty((n_t, m))
+        close(taps, min(_BLOCK, taps.size), twoa, phibar, x0, y0, np.zeros(n_t), rec, phip)
     # the tracking error, in phibar's own memory unless force_lock made phip
     # that array; the estimate needs of phibar only what is in err and phip,
     # and the draws are freed too unless a run_cells store holds them
@@ -377,17 +369,16 @@ def _simulate_group(cfg: PllConfig, store, close, taps, trials: list) -> np.reca
     del err
 
     # e_hat and then its sine term in phip, the record's relinearisation in
-    # place in fr
-    phirec = fr[:, nt:]
-    e_hat = modulate(design.mod, g, design.g.apply(phirec))
+    # place in rec
+    e_hat = modulate(design.mod, g, design.g.apply(rec))
     e_hat -= phip
     np.sin(e_hat, out=phip)
     phip -= e_hat
     del e_hat
-    phirec -= phip
+    rec -= phip
     del phip
-    m_hat = design.g_delayed.apply(phirec)
-    del fr, phirec
+    m_hat = design.g_delayed.apply(rec)
+    del rec
     # the squared error in place; each row's mean is a pairwise sum over its
     # contiguous row, as a lone row's is
     sq = m_hat[:, lo:hi]

@@ -10,23 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream identified by (master_seed, path).
 
-    master_seed is an integer in [0, 2^64), the Philox key; one outside is
-    rejected, not reduced, so no two seeds give one stream.  path entries are
-    arbitrary nonnegative integers (cell index, trial index, draw purpose,
-    ...); at most three are supported.
+    master_seed is an integer in [0, 2^64), the Philox key.  path holds at
+    most three integers in [0, 2^63) (trial index, draw purpose, ...), the
+    range of the per-trial table's int64 trial column.  A value outside is
+    rejected, not reduced, so no two seeds or paths give one stream.
     """
-    if not 0 <= master_seed <= _MASK64:
+    if not 0 <= master_seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {master_seed}")
     if len(path) > 3:
         raise ValueError("stream path supports at most three levels")
     counter = [0, 0, 0, 0]
     for i, p in enumerate(path):
-        counter[i + 1] = int(p) & _MASK64
+        if not 0 <= p < 1 << 63:
+            raise ValueError(f"stream path entry must be in [0, 2**63), got {p}")
+        counter[i + 1] = int(p)
     bitgen = np.random.Philox(key=int(master_seed), counter=counter)
     return np.random.Generator(bitgen)

@@ -67,7 +67,7 @@ def test_color_noise_rows_alone_or_batched():
     batch = color_noise(white, density)
     assert batch.shape == white.shape and batch.flags.c_contiguous
     assert np.array_equal(batch, [color_noise(row, density) for row in white])
-    pairs = np.stack([white, white], axis=1)  # rows of a strided view, as pll colours them
+    pairs = np.stack([white, white], axis=1)  # rows of a strided view colour as rows alone
     assert np.array_equal(color_noise(pairs[:, 1], density), batch)
 
 

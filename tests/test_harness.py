@@ -204,8 +204,7 @@ def test_python_m_qdemod(tmp_path):
     cfg = _write(tmp_path, "limits.cfg", "beta = 2.0\nlambda = 100\n")
     out = tmp_path / "out"
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "QDEMOD_OUT"}
-    env["PYTHONPATH"] = src
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-m", "qdemod", "limits", cfg, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -220,8 +219,7 @@ def test_python_m_qdemod_simulate_builds_tracker(tmp_path):
     cfg = _write(tmp_path, "sim.cfg", "n_samples = 2048\nband_bins = 63\nbeta = 1.0\n"
                  "lambda = 100\ntrials = 2\nseed = 5\n")
     out = tmp_path / "out"
-    env = {k: v for k, v in os.environ.items() if k != "QDEMOD_OUT"}
-    env["PYTHONPATH"] = str(pkg)
+    env = {**os.environ, "PYTHONPATH": str(pkg)}
     proc = subprocess.run([sys.executable, "-m", "qdemod", "simulate", cfg, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -260,7 +258,7 @@ def test_results_do_not_depend_on_numpy_simd_level(tmp_path):
             f"for name in {sorted(SIMD_CONFIGS)!r}:\n"
             "    assert cli_main(['simulate', f'{sys.argv[1]}/{name}.cfg',"
             " '--out', f'{sys.argv[2]}/{name}']) == 0\n")
-    env = {k: v for k, v in os.environ.items() if k not in ("QDEMOD_OUT", "NPY_DISABLE_CPU_FEATURES")}
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     written = []
     for disabled in ("", " ".join(dispatched)):
@@ -456,13 +454,15 @@ def test_cli_nan_loop_design_exits_3(tmp_path, capsys):
     assert not (tmp_path / "sweep" / "results.csv").exists()
 
 
-def test_cli_env_output_override(tmp_path, monkeypatch):
+def test_cli_out_is_the_one_output_directory(tmp_path, monkeypatch):
+    """--out names the output directory; no QDEMOD_OUT environment variable
+    redirects it."""
     cfg = _write(tmp_path, "limits.cfg", "beta = 1.0\nlambda = 30\n")
     env_out = tmp_path / "env_out"
     monkeypatch.setenv("QDEMOD_OUT", str(env_out))
-    assert cli_main(["limits", cfg, "--out", str(tmp_path / "ignored")]) == 0
-    assert (env_out / "results.csv").exists()
-    assert not (tmp_path / "ignored").exists()
+    assert cli_main(["limits", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "results.csv").exists()
+    assert not env_out.exists()
 
 
 def test_cli_sweep_small(tmp_path):

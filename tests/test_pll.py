@@ -126,6 +126,18 @@ def assert_trial_deterministic(cfg):
     assert simulate_batch(cfg, [0, 1, 2, 3])[2] == a
 
 
+@pytest.mark.parametrize("trial", [-1, 2**63, 2**64 - 1])
+def test_a_trial_index_outside_the_trial_column_is_rejected(trial):
+    """A trial index is a stream path entry, which rng.stream takes in
+    [0, 2^63), the range of the int64 trial column, and rejects, rather than
+    reduces, outside it, so no two indices draw one trial (-1 and 2^64 - 1
+    would) and the column stores each index as given: the largest runs."""
+    cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=2, seed=3)
+    with pytest.raises(ValueError, match=rf"path entry must be in \[0, 2\*\*63\), got {trial}$"):
+        simulate_batch(cfg, [trial])
+    assert simulate_batch(cfg, [2**63 - 1]).trial.tolist() == [2**63 - 1]
+
+
 def test_trial_results_deterministic():
     assert_trial_deterministic(PllConfig(make_design(), trials=4, seed=11))
 
@@ -241,17 +253,19 @@ HISTORY_SHAPES = [(256, 512, 128, 1.0), (32, 64, 32, 1.0), (128, 256, 128, 1.0),
 
 
 def close_from_lead(kernel, taps, kb, lead, m):
-    """(phip, fr) of a group of len(lead) rows closed over m samples in
+    """(phip, rec) of a group of len(lead) rows closed over m samples in
     blocks of kb by a kernel's close_group (the library or _numpy_kernel)
-    from the steady-state records lead, with phibar = 0 and X = Y = 0
-    (x0 = -2|a|, y0 = 0), so each record and tracker output is -e."""
+    from the steady-state records lead, set as phibar's last nt samples with
+    y0 = 0 (phibar + y0/2|a| is then lead itself), phibar = 0 before them
+    and X = Y = 0 (x0 = -2|a|), so each record and tracker output is
+    phibar - e."""
     rows, nt = lead.shape
-    zero = np.zeros((rows, m))
-    fr, phip = np.empty((rows, nt + m)), np.empty((rows, m))
-    fr[:, :nt] = lead
-    kernel.close_group(taps, kb, 2.0, zero, np.full((rows, m), -2.0), zero, np.zeros(rows), fr,
-                       phip)
-    return phip, fr
+    phibar, zero = np.zeros((rows, m)), np.zeros((rows, m))
+    phibar[:, m - nt:] = lead
+    rec, phip = np.empty((rows, m)), np.empty((rows, m))
+    kernel.close_group(taps, kb, 2.0, phibar, np.full((rows, m), -2.0), zero, np.zeros(rows),
+                       rec, phip)
+    return phip, rec
 
 
 @pytest.mark.parametrize("nt,m,kb,lag0", HISTORY_SHAPES)
@@ -276,12 +290,12 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0, monkeypatch):
         track_block(j0, far, *args)
     monkeypatch.setattr(_numpy_kernel, "_track_block", spy)
     got = close_from_lead(_numpy_kernel, taps, kb, lead, m)
-    fr = got[1]
+    records = np.concatenate([lead, got[1]], axis=1)  # the lead, then the loop's records
     assert [j0 for j0, _ in fars] == list(range(0, m, kb))
     for j0, far in fars:
         assert far.shape == (kb, 3)
         for row in range(3):
-            before = np.where(np.arange(nt + m) < nt + j0, fr[row], 0.0)
+            before = np.where(np.arange(nt + m) < nt + j0, records[row], 0.0)
             want = np.convolve(taps, before)[nt + j0: nt + j0 + kb]
             scale = np.convolve(np.abs(taps), np.abs(before))[nt + j0: nt + j0 + kb].max()
             assert np.abs(far[:, row] - want).max() <= 1e-14 * scale
@@ -292,56 +306,46 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0, monkeypatch):
                                                         got))
 
 
-# The light of a group's inputs: coherent (x0, y0) rows of their own, the
-# same as strided views (each row of a (rows, 2, m) draw, as coherent light
-# comes from sample_quadratures), and squeezed_z, which has no x0
-GROUP_LIGHTS = ("coherent", "strided", "squeezed_z")
-
-
-def take_rows(a, sel):
-    """Rows sel of a, copied into an array with a's row stride."""
-    if a is None:
-        return None
-    out = np.empty((len(sel), a.strides[0] // a.itemsize))[:, : a.shape[1]]
-    out[...] = a[sel]
-    return out
+# The light of a group's inputs: coherent (x0, y0), and squeezed_z, which
+# has no x0
+GROUP_LIGHTS = ("coherent", "squeezed_z")
 
 
 def group_rows(args, sel):
     """close_group's arguments (group_args) for the rows sel of the group
-    alone, each array keeping its row stride."""
-    rows = {name: take_rows(args[name], sel) for name in ("phibar", "x0", "y0", "fr", "phip")}
-    return {**args, **rows, "e": args["e"][sel]}
+    alone."""
+    rows = {name: None if args[name] is None else args[name][sel]
+            for name in ("phibar", "x0", "y0", "rec", "phip", "e")}
+    return {**args, **rows}
 
 
 @pytest.mark.parametrize("l0", [0.0, 0.4])
 def test_kernel_rows_are_independent(l0):
     """In the kernel and in the numpy loop, the per-row stop rule makes a
     row's closure independent of the others, and a NaN row is never clipped
-    back to finite values; for each light, with x0 and y0 strided or not."""
+    back to finite values; for each light."""
     for light in GROUP_LIGHTS:
         args = group_args(light, l0=l0)
-        nt = args["taps"].size
         for close in (kernel.close_group for kernel in both_kernels()):
-            fr, phip, e = close_outputs(close, args)
-            assert np.isnan(phip[0, 200:]).all() and np.isnan(fr[0, nt + 200:]).all()
+            rec, phip, e = close_outputs(close, args)
+            assert np.isnan(phip[0, 200:]).all() and np.isnan(rec[0, 200:]).all()
             assert np.isfinite(phip[0, :200]).all() and np.isfinite(phip[1:]).all()
             alone = close_outputs(close, group_rows(args, [1, 2]))
-            assert all(np.array_equal(a, b[1:]) for a, b in zip(alone, (fr, phip, e)))
+            assert all(np.array_equal(a, b[1:]) for a, b in zip(alone, (rec, phip, e)))
 
 
 def close_sample(close, l0, phibar, x0, y0, e, column=lambda a: a.reshape(a.size, 1)):
-    """(fr, phip) after closing one sample of each row as a one-sample group
+    """(rec, phip) after closing one sample of each row as a one-sample group
     through close (close_group or its numpy form), from and into each row's
-    error e: taps (l0, 0) in blocks of one sample and a zero lead, so the
-    history is 0 and e solves k e + l0 (X sin e + Y cos e) = k phibar,
+    error e: the one tap l0 in blocks of one sample, so there is no lag to
+    make a history and e solves k e + l0 (X sin e + Y cos e) = k phibar,
     k = 1 - l0, with 2|a| = 1.  x0 None is squeezed_z light; column makes
-    the (rows, 1) arrays phibar, x0, y0 and phip of the rows."""
+    the (rows, 1) arrays phibar, x0, y0, rec and phip of the rows."""
     rows = e.size
-    fr, phip = np.zeros((rows, 3)), column(np.empty(rows))
-    close(taps=np.array([l0, 0.0]), n=1, twoa=1.0, phibar=column(phibar),
-          x0=None if x0 is None else column(x0), y0=column(y0), e=e, fr=fr, phip=phip)
-    return fr, phip
+    rec, phip = column(np.empty(rows)), column(np.empty(rows))
+    close(taps=np.array([l0]), n=1, twoa=1.0, phibar=column(phibar),
+          x0=None if x0 is None else column(x0), y0=column(y0), e=e, rec=rec, phip=phip)
+    return rec, phip
 
 
 @pytest.mark.parametrize("l0", [0.2, 0.4, 0.7])
@@ -432,14 +436,14 @@ def test_tiles_keep_the_numpy_loops_bits_at_their_edges(rows):
     8 x 8 blocks and takes Halley steps after the second one per 8-row
     vector: a group of rows that fill no whole 8-row block, or leave one
     over, gives the numpy loop's bits, signs of zeros included.  The rows
-    are taken as strided views of a 40-row group's (group_rows: the
-    clipped row 1 first, then the NaN row 0), for both lights at l0 = 0 and
-    0.4, in blocks of 128 samples; and as one-sample groups (n = 1, fewer
-    samples than a tile block) of rows draws (close_sample)."""
+    are taken from a 40-row group (group_rows: the clipped row 1 first,
+    then the NaN row 0), for both lights at l0 = 0 and 0.4, in blocks of
+    128 samples; and as one-sample groups (n = 1, fewer samples than a
+    tile block) of rows draws (close_sample)."""
     kernel = _tracker.load()
     sel = [1, 0, *range(2, 40)][:rows]
     for l0 in (0.0, 0.4):
-        for light in ("strided", "squeezed_z"):
+        for light in GROUP_LIGHTS:
             args = group_rows(group_args(light, rows=40, l0=l0), sel)
             want = close_outputs(_numpy_kernel.close_group, args)
             got = close_outputs(kernel.close_group, args)
@@ -726,40 +730,39 @@ def test_library_exports_only_what_kernel_binds(tmp_path):
 def group_args(light="coherent", rows=3, l0=0.4):
     """close_group's arguments for a row group of rows rows with nt = 256
     small random taps after the lag-0 tap l0 (so the loop stays bounded),
-    blocks of 128 samples and m = 384: row 1 takes a first closure step far
-    beyond the +-1 rad clip, row 0 turns NaN at sample 200."""
+    blocks of 128 samples and m = 640: row 1 takes a first closure step far
+    beyond the +-1 rad clip, row 0 turns NaN at sample 200, before the
+    steady-state lead, phibar's and y0's last nt samples, which stays
+    finite."""
     rng = np.random.default_rng(11)
-    nt, m = 256, 384
+    nt, m = 256, 640
     taps = 0.02 * rng.standard_normal(nt)
     taps[0] = l0
     phibar = rng.standard_normal((rows, m))
     phibar[1, 5] += 3.0e3
     phibar[0, 200] = np.nan
-    quads = 0.2 * rng.standard_normal((rows, 2, m))
-    x0, y0 = quads[:, 0], quads[:, 1]
-    if light != "strided":
-        x0, y0 = x0.copy(), y0.copy()
-    fr = np.empty((rows, nt + m))
-    fr[:, :nt] = rng.standard_normal((rows, nt))
+    x0, y0 = 0.2 * rng.standard_normal((2, rows, m))
     return dict(taps=taps, n=128, twoa=2.0, phibar=phibar,
-                x0=None if light == "squeezed_z" else x0, y0=y0, e=np.zeros(rows), fr=fr,
-                phip=np.empty((rows, m)))
+                x0=None if light == "squeezed_z" else x0, y0=y0, e=np.zeros(rows),
+                rec=np.empty((rows, m)), phip=np.empty((rows, m)))
 
 
 def close_outputs(close, args):
-    """(fr, phip, e) after close (close_group or its numpy form) ran on a
+    """(rec, phip, e) after close (close_group or its numpy form) ran on a
     copy of args' outputs."""
-    args = {**args, **{name: args[name].copy() for name in ("e", "fr", "phip")}}
+    args = {**args, **{name: args[name].copy() for name in ("e", "rec", "phip")}}
     close(**args)
-    return args["fr"], args["phip"], args["e"]
+    return args["rec"], args["phip"], args["e"]
 
 
 @needs_kernel
 def test_kernel_rejects_mismatched_arrays():
     """The kernel gets raw pointers, so every array is checked first: a
-    group's arrays, rows and outputs, its taps and its block length, the
-    far history's FFT length (a power of two that divides nt and m); and the
-    arrays of spectrum_product."""
+    group's arrays, each a C-contiguous (rows, m) block (a row-strided x0,
+    as a view of a (rows, 2, m) draw, and a (rows, nt + m) record are
+    rejected), its outputs, its taps (no more than m) and its block length,
+    the far history's FFT length (a power of two that divides nt and m);
+    and the arrays of spectrum_product."""
     kernel, out = _tracker.load(), np.zeros((3, 5), complex)
     h = np.zeros((2, 5))
     for spectrum, planes in ((out, h[:, :4]), (out.T, np.zeros((2, 3))), (out, h.T.copy()),
@@ -769,19 +772,20 @@ def test_kernel_rejects_mismatched_arrays():
     kernel.spectrum_product(out, h)
     args = group_args()
     rows, m = args["phibar"].shape
-    frozen_fr, frozen_phip, frozen_e = (args[name].copy() for name in ("fr", "phip", "e"))
-    frozen_fr.flags.writeable = frozen_phip.flags.writeable = frozen_e.flags.writeable = False
+    frozen_rec, frozen_phip, frozen_e = (args[name].copy() for name in ("rec", "phip", "e"))
+    frozen_rec.flags.writeable = frozen_phip.flags.writeable = frozen_e.flags.writeable = False
     taps, x0, y0 = (args[name] for name in ("taps", "x0", "y0"))
     strided = np.zeros(2 * taps.size)[::2]
     strided[...] = taps
+    quads = np.stack([x0, y0], axis=1)  # (rows, 2, m)
     for bad in (dict(phibar=args["phibar"][:2]), dict(e=np.zeros(2)), dict(taps=taps[:10]),
                 dict(x0=np.asfortranarray(x0)), dict(y0=y0.astype(np.float32)),
-                dict(y0=y0[:, ::2]), dict(fr=args["fr"][:, :-1]), dict(n=taps.size + 1),
-                dict(n=0), dict(n=96), dict(n=256), dict(n=512),
-                dict(taps=taps[:192], fr=np.zeros((rows, 192 + m))),
+                dict(y0=y0[:, ::2]), dict(rec=args["rec"][:, :-1]), dict(n=taps.size + 1),
+                dict(n=0), dict(n=96), dict(n=256), dict(n=512), dict(taps=taps[:192]),
                 dict(taps=taps[None]), dict(taps=taps.astype(np.float32)), dict(taps=strided),
-                dict(taps=np.zeros(0), fr=np.zeros((rows, m))),
-                dict(fr=frozen_fr), dict(phip=frozen_phip), dict(e=frozen_e),
+                dict(taps=np.zeros(0)), dict(taps=np.resize(taps, 2 * m)),
+                dict(x0=quads[:, 0]), dict(rec=np.zeros((rows, taps.size + m))),
+                dict(rec=frozen_rec), dict(phip=frozen_phip), dict(e=frozen_e),
                 dict(phip=args["phip"][:, :-1])):
         with pytest.raises(ValueError):
             kernel.close_group(**{**args, **bad})
@@ -841,15 +845,15 @@ def group_peak_arrays():
 
 
 def test_row_group_working_set():
-    """A group peaks at most 5.5 group arrays above its start: the record and
-    its steady-state lead (1.5), phibar, phi' and the far history's stored
-    spectra in the loop, fewer after it."""
-    assert group_peak_arrays() <= 5.5
+    """A group peaks at most 5.0 group arrays above its start: the record,
+    phibar, phi' and the far history's stored spectra in the loop, with the
+    kernel's work space, fewer after it."""
+    assert group_peak_arrays() <= 5.0
 
 
 def test_row_group_working_set_without_the_library(no_kernel):
     """The numpy path keeps the same bound."""
-    assert group_peak_arrays() <= 5.5
+    assert group_peak_arrays() <= 5.0
 
 
 SINCOS_CONSTANTS = ("SHIFT", "INVPIO2", "PIO2_1", "PIO2_2", "PIO2_2T",
@@ -1078,12 +1082,14 @@ def test_more_workers_than_cpus_under_fast_switching(monkeypatch):
 def test_row_groups_do_not_follow_the_worker_count(monkeypatch):
     sizes = [[g.stop - g.start for g in pll._row_groups(n)] for n in (1, 40, 63, 64, 95, 96)]
     assert sizes == [[1], [32, 8], [32, 31], [32, 32], [32, 32, 31], [32, 32, 32]]
-    seen, close_loop = [], pll._close_loop
+    seen, kernel = [], _tracker.load()
+    close = kernel.close_group
 
-    def spy(close, taps, twoa, phibar, *rest):
+    def spy(taps, n, twoa, phibar, *rest):
         seen.append(phibar.shape[0])
-        close_loop(close, taps, twoa, phibar, *rest)
-    monkeypatch.setattr(pll, "_close_loop", spy)
+        close(taps, n, twoa, phibar, *rest)
+    # the library's instance attribute or the numpy module's, gone again after the test
+    monkeypatch.setitem(vars(kernel), "close_group", spy)
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=72, seed=29)
     with_one_and_two_workers(monkeypatch, lambda: simulate_batch(cfg))
     assert sorted(seen) == [8, 8, 32, 32, 32, 32]

@@ -19,15 +19,18 @@ post-loop milliseconds run from its return to the group's end (the per-trial
 statistics and the estimate).
 
 Per light and tree it prints the median and the quartiles of both over the
-rounds, and the sha256 (first 16 hex digits) of fr, phip and e as
-close_group left them.  It exits 1 when the two trees' hashes or per-trial
-results differ, compared by column (trial, mse, sigma0_sq_empirical and
-cycle_slips, read off each row, so a tree whose group returns a list of
-objects with those attributes compares too), and 2 when a tree has no
-compiled library.  The script relies on pll._cell_work returning a partial
-of pll._simulate_group with the library's close_group, a bound method, among
-its arguments, whatever that close_group's parameters; it edits nothing in
-either tree except the build cache the package keeps itself.
+rounds, and the sha256 (first 16 hex digits) of the record, phip and e as
+close_group left them.  The record is the last m samples (phip's width) of
+close_group's record argument: all of a (rows, m) rec, or what follows the
+nt steady-state records in a tree whose (rows, nt + m) fr holds them too.
+It exits 1 when the two trees' hashes or per-trial results differ, compared
+by column (trial, mse, sigma0_sq_empirical and cycle_slips, read off each
+row, so a tree whose group returns a list of objects with those attributes
+compares too), and 2 when a tree has no compiled library.  The script relies
+on pll._cell_work returning a partial of pll._simulate_group with the
+library's close_group, a bound method, among its arguments, whatever that
+close_group's parameters; it edits nothing in either tree except the build
+cache the package keeps itself.
 """
 
 from __future__ import annotations
@@ -88,8 +91,9 @@ class Side:
             t0 = time.perf_counter()
             close(*args)
             self.close_ms.append(1e3 * (time.perf_counter() - t0))
-            *_, e, fr, phip = args
-            self.hashes = [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (fr, phip, e)]
+            *_, e, rec, phip = args
+            self.hashes = [hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                           for a in (rec[:, -phip.shape[1]:], phip, e)]
             self.closed = time.perf_counter()  # the post-loop time leaves the hashing out
         return call
 
@@ -131,7 +135,7 @@ def main(argv=None) -> int:
         for side, s in sides.items():
             print(f"{light:10s} {side:6s} close_group {quartiles(s.close_ms)}  "
                   f"post-loop {quartiles(s.post_ms)}  "
-                  f"fr {s.hashes[0]} phip {s.hashes[1]} e {s.hashes[2]}")
+                  f"rec {s.hashes[0]} phip {s.hashes[1]} e {s.hashes[2]}")
         fields = {side: [tuple(getattr(t, c) for c in COLUMNS) for t in r]
                   for side, r in results.items()}
         if sides["parent"].hashes != sides["change"].hashes or fields["parent"] != fields["change"]:
