@@ -15,6 +15,7 @@ from functools import cache
 
 import numpy as np
 
+_BLOCK = 128  # samples per block of the tracker history, or all nt taps when fewer
 _CLOSURE_STEPS = 8  # hard cap on Halley steps per sample
 _CLOSURE_TOL = 1e-13  # stop threshold on the error predicted after a step (rad)
 
@@ -210,13 +211,16 @@ def _partition_spectra(taps, n):
     return g[:, :, ::-1].transpose(2, 1, 0)
 
 
-def close_group(taps, n, twoa, phibar, x0, y0, e, rec, phip):
+def close_group(taps, twoa, phibar, x0, y0, rec, phip):
     """The closed loop of a whole row group: _tracker.c's close_group in
-    numpy, step for step (the steady-state lead from phibar's and y0's last
-    nt samples, the partition spectra by _partition_spectra, the far history
-    by _real_fft and _far_mac, each block by _track_block), so its bits."""
+    numpy, step for step (blocks of min(_BLOCK, nt) samples, every row
+    starting in lock at e = 0, the steady-state lead from phibar's and y0's
+    last nt samples, the partition spectra by _partition_spectra, the far
+    history by _real_fft and _far_mac, each block by _track_block), so its
+    bits."""
     (rows, m), nt = phibar.shape, taps.size
-    parts, spectra = nt // n, _partition_spectra(taps, n)
+    n = min(_BLOCK, nt)
+    parts, spectra, e = nt // n, _partition_spectra(taps, n), np.zeros(rows)
     ring = np.empty((parts, n + 1, 2, rows))
     x = np.zeros((2 * n, rows))  # [block, n zeros]
     for k in range(1, parts + m // n):

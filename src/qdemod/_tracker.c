@@ -195,18 +195,18 @@ static inline int all_stopped(int rows, const double *stop)
     return 1;
 }
 
-/* A row group, bound once (qdemod._tracker.Kernel checks every array).
+/* A row group, bound once (qdemod._tracker.Kernel checks every array and
+ * picks the block length n, a power of two that divides nt and m).
  * phibar, x0, y0, rec and phip are C-contiguous (rows, m) arrays, rec the
- * loop's record; taps holds the nt <= m tracker taps, lag 0 first, e each
- * row's tracking error, carried from sample to sample and block to block,
- * and work the larger of (5 n + 3) rows and partition_spectra's
- * (parts + 1) (6 n + 2) doubles.  close_group keeps the far history in
- * hist, ((parts + 1) (n + 1) 2 + 6 n) rows + 2 n + 2 parts (n + 1) doubles. */
+ * loop's record; taps holds the nt <= m tracker taps, lag 0 first, and work
+ * the larger of (5 n + 3) rows and partition_spectra's (parts + 1) (6 n + 2)
+ * doubles.  close_group keeps the far history in hist,
+ * ((parts + 1) (n + 1) 2 + 6 n) rows + 2 n + 2 parts (n + 1) doubles. */
 struct group {
     int n, rows, nt, m, parts;
     double twoa;
     const double *taps, *phibar, *x0, *y0;
-    double *e, *rec, *phip, *work, *hist;
+    double *rec, *phip, *work, *hist;
 };
 
 /* dst[a * da + b] = src[a + b * sb] for a < na and b < nb, by blocks of 8
@@ -247,7 +247,8 @@ INLINED void transpose(int na, int nb, const double *restrict src, ptrdiff_t sb,
 /* Samples j0 .. j0 + n - 1; their far history, the lags that reach before
  * the block, is far[i * rows + r] for row r and sample j0 + i, and rec, an
  * (n, rows) tile, gets their records (the next block's forward FFT reads
- * them there). */
+ * them there).  Each row's tracking error e stays in work from block to
+ * block, after five tiles and c; close_group zeroes it before the first. */
 INLINED void track_block(const struct group *g, int j0, const double *restrict far,
                          double *restrict rec)
 {
@@ -276,8 +277,6 @@ INLINED void track_block(const struct group *g, int j0, const double *restrict f
             cb[o] = k * pb[o] - l0 * z - far[o];
         }
     }
-    for (int r = 0; r < rows; r++)
-        e[r] = g->e[r];
     for (int i = 0; i < n; i++) {
         const size_t o = (size_t)i * rows;
         double *lag = rec + o;  /* sample i's record slot holds its lag sum */
@@ -315,8 +314,6 @@ INLINED void track_block(const struct group *g, int j0, const double *restrict f
     }
     transpose(rows, n, rec, rows, g->rec + j0, g->m);
     transpose(rows, n, pb, rows, g->phip + j0, g->m);
-    for (int r = 0; r < rows; r++)
-        g->e[r] = e[r];
 }
 
 /* The far history's FFTs, radix 2 over n = 2^t complex points.  A complex
@@ -539,6 +536,8 @@ void close_group(const struct group *g)
     double *a = x + tile, *b = a + tile, *tw = b + tile, *spectra = tw + 2 * n;
     twiddles(n, tw);
     partition_spectra(n, parts, g->taps, spectra, g->work, tw);  /* before track_block's use */
+    for (int r = 0; r < rows; r++)  /* track_block's e: every row starts in lock */
+        g->work[(size_t)(5 * n + 1) * rows + r] = 0.0;
     for (size_t i = tile / 2; i < tile; i++)
         x[i] = 0.0;
     for (int k = 1; k < (g->nt + g->m) / n; k++) {

@@ -59,7 +59,7 @@ class _Group(ctypes.Structure):
     _fields_ = [*[(name, ctypes.c_int) for name in ("n", "rows", "nt", "m", "parts")],
                 ("twoa", ctypes.c_double),
                 *[(name, ctypes.c_void_p) for name in
-                  ("taps", "phibar", "x0", "y0", "e", "rec", "phip", "work", "hist")]]
+                  ("taps", "phibar", "x0", "y0", "rec", "phip", "work", "hist")]]
 
 
 def _contiguous(a: np.ndarray, dtype, shape: tuple, writeable: bool = False) -> bool:
@@ -95,24 +95,25 @@ class Kernel:
             fn.argtypes, fn.restype = argtypes, restype
             setattr(self, f"_{name}", fn)
 
-    def close_group(self, taps, n, twoa, phibar, x0, y0, e, rec, phip):
-        """Close a row group's whole loop in one call, in blocks of n samples,
-        n a power of two that divides nt = taps.size <= m and m, from the
-        cell's causal taps, lag 0 first.  Every array is checked first: dtype,
-        shape, C order and writeable outputs."""
+    def close_group(self, taps, twoa, phibar, x0, y0, rec, phip):
+        """Close a row group's whole loop in one call, every row starting in
+        lock, from the cell's causal taps, lag 0 first, in blocks of
+        n = min(_numpy_kernel._BLOCK, nt) samples, nt = taps.size <= m; n must
+        be a power of two that divides nt and m.  Every array is checked
+        first: dtype, shape, C order and writeable outputs."""
         shape, nt = phibar.shape, taps.size
+        n = min(_numpy_kernel._BLOCK, nt)
         arrays = [(a, False) for a in (phibar, x0, y0) if a is not None]
         arrays += [(rec, True), (phip, True)]
         if (len(shape) != 2 or not all(_contiguous(a, np.float64, shape, w) for a, w in arrays)
-                or not _contiguous(e, np.float64, shape[:1], writeable=True)
                 or not _contiguous(taps, np.float64, (nt,))
-                or not 1 <= n <= nt <= shape[1] or n & (n - 1) or nt % n or shape[1] % n):
+                or not 1 <= nt <= shape[1] or n & (n - 1) or nt % n or shape[1] % n):
             raise ValueError("tracker group arrays do not match")
         (rows, m), parts = shape, nt // n
         work = _aligned(max((5 * n + 3) * rows, (parts + 1) * (6 * n + 2)))
         hist = _aligned(((parts + 1) * (n + 1) * 2 + 6 * n) * rows + 2 * n + 2 * parts * (n + 1))
         pointers = [None if a is None else a.ctypes.data
-                    for a in (taps, phibar, x0, y0, e, rec, phip, work, hist)]
+                    for a in (taps, phibar, x0, y0, rec, phip, work, hist)]
         group = _Group(n, rows, nt, m, parts, twoa, *pointers)
         self._close_group(ctypes.byref(group))  # the arrays stay alive until it returns
 

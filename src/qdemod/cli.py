@@ -24,7 +24,7 @@ from . import __version__
 from . import fock as fock_mod
 from . import limits as limits_mod
 from .config import ConfigError, parse_config, serialize_config
-from .grids import TimeGrid, check_nonnegative
+from .grids import TimeGrid, check_nonnegative, check_positive
 from .pll import LoopDivergenceError, PllConfig, run_cell, run_cells
 from .qnoise import (COHERENT, PHASE_SQUEEZED, SQUEEZED_Z, NoiseModel,
                      operating_point)
@@ -48,7 +48,8 @@ def _build_setup(cfg: dict, beta: float, r: float, variant: str,
     if cfg["message_kind"] == FLAT:
         message = MessageSpec.flat(grid, cfg["band_bins"])
     elif cfg["message_kind"] == LORENTZIAN:
-        message = MessageSpec(grid, LORENTZIAN, grid.bandwidth / cfg["lorentz_ratio"])
+        ratio = check_positive("lorentz_ratio", cfg["lorentz_ratio"])
+        message = MessageSpec(grid, LORENTZIAN, grid.bandwidth / ratio)
     else:
         raise ConfigError(f"unknown message_kind {cfg['message_kind']!r}")
     mod = ModulationScheme(cfg["mod_kind"], beta, message.bandwidth)

@@ -88,7 +88,8 @@ def tail_cutoff(alpha: complex) -> float:
     a non-finite alpha has none (ValueError)."""
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    return abs(alpha) ** 2 + 10.0 * abs(alpha) + 20.0
+    a = abs(alpha)
+    return a * a + 10.0 * a + 20.0  # a ** 2 raises OverflowError from a ~ 1.4e154 on
 
 
 def coherent_coeffs(alpha: complex, n_max: int) -> TruncatedState:
@@ -166,6 +167,7 @@ def pegg_barnett_unitary(s: int, phi0: float = 0.0) -> ModeOperator:
     """exp(i phi_hat) = sum_{n=1}^{s} |n-1><n| + e^{i (s+1) phi0} |s><0|."""
     if s < 1:
         raise ValueError("need s >= 1")
+    _check_dim(s + 1)  # before the (s + 1)^2 matrix is allocated
     u = np.zeros((s + 1, s + 1), dtype=complex)
     for n in range(1, s + 1):
         u[n - 1, n] = 1.0

@@ -19,7 +19,8 @@ from . import _tracker
 def check_positive(name: str, value: float) -> float:
     """value if it is finite and > 0, else ValueError: the one rule for the
     grid bandwidth B, the modulation index beta, the loop SNR Lambda, the
-    photon number N and the sensor's wavelength, bandwidth and rms motion."""
+    photon number N, the Lorentzian message's lorentz_ratio B/b and the
+    sensor's wavelength, bandwidth and rms motion."""
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return value

@@ -19,40 +19,17 @@ one-sample variant adds a prediction penalty to the tracking error that stays
 finite for strongly squeezed noise no matter how large B/b is, which pushes
 the simulator outside the linear theory the analytic predictions describe.
 
-The delay-free closure works in the tracking error e.  With X = 1 + x0/2|a|
-and Y = y0/2|a| (X = 1, Y = 0 for squeezed_z, whose record noise z'/2|a| is
-an offset), the record's dependence on e is X sin e + Y cos e, so each
-sample solves f(e) = k e + l0 (X sin e + Y cos e) - c = 0, k = 1 - l0
-(explicitly when l0 = 0, as with feedback_delay=1), where c holds phibar,
-the offset and the tracker history.  Halley's method starts from the
-previous sample's error.  With ls = l0 (X sin e + Y cos e),
-lc = l0 (X cos e - Y sin e), f' = k + lc, r = f/f' and h = ls/(2f'), its
-step is r/(1 + r h), or Newton's r where 1 + r h <= 0 (far from the root,
-where Halley's step points away from it).  Each row stops once the error
-its own unclipped step predicts, (|lc/(6f')| + h^2) |step|^3, is below
-_numpy_kernel._CLOSURE_TOL (a cubic stop), after at most _CLOSURE_STEPS
-steps, clipping any step beyond +-1 rad; a NaN or clipped step never stops
-it.  A step takes one sin e and one cos e, and a locked sample takes about
-two steps.  squeezed_z runs the same arithmetic with X = 1 and Y = 0.  The
-step runs over all rows of a group in lockstep (in the library its first
-two, later ones over each vector of 8 rows that has a row still stepping),
-a stopped row taking a zero step, and sin and cos are the package's own
-(_numpy_kernel._sincos, msun's kernels after a Cody-Waite reduction, within
-1 ulp of libm for |e| <= 1e6, far beyond _DIVERGENCE_LIMIT), so the
-compiled step has no call in it and vectorises across the rows.
-
-A row group hands the kernel's close_group (_tracker.load(): the library,
-_tracker.c through ctypes, or its numpy form in _numpy_kernel, with the
-same bits) the cell's causal taps, the block length kb = min(_BLOCK, nt)
-(128 samples) and its arrays, each a C-contiguous (rows, m) block, and
-close_group runs the group's whole loop in one call, which in the library
-releases the interpreter lock for all of it.  The tracker history is a
-uniformly partitioned overlap-save convolution, derived in _tracker.c's
-header: per block a forward FFT, the multiply-add over the partitions, the
-inverse FFT and the closure of the block.  The FFTs are the kernel's own,
-within about 1e-15 of numpy's, and they and the multiply-add round each real
-product on its own, so no bit depends on numpy's FFT build or on whether the
-CPU fuses multiply-adds.
+A row group's closed loop is one call of the kernel's close_group
+(_tracker.load(): the library, _tracker.c through ctypes, or its numpy form
+in _numpy_kernel, with the same bits), from the cell's causal taps
+(tracking_taps) and the group's arrays, each a C-contiguous (rows, m) block;
+in the library the call releases the interpreter lock for all of it.
+_tracker.c's header derives what the kernel does: the delay-free closure of
+each sample by Halley steps in the tracking error e, with the package's own
+sin and cos (within 1 ulp of libm for |e| <= 1e6, far beyond
+_DIVERGENCE_LIMIT), and the tracker history, an overlap-save convolution by
+the kernel's own FFTs, which round each real product on its own, so no bit
+depends on numpy's FFT build or on whether the CPU fuses multiply-adds.
 
 After the loop, one relinearisation pass takes the sine nonlinearity out of
 the record at the tracking error of the undelayed MAP estimate (design.g);
@@ -92,13 +69,13 @@ pairwise sum over the trial's contiguous row.  So on either path a trial's
 result is bit-identical whatever the other trials, its row group or the
 thread count.
 
-Each trial starts in lock: close_group seeds the tracker history with the
-steady-state record, the record at zero tracking error, phibar + y0/2|a|
-over the last nt samples.  Acquisition transients are out of scope, and a
-cold start at beta >~ pi/2 slips with O(10%) probability, which would
-contaminate the stationary statistics the predictions describe.  The first
-4d samples are discarded as warm-up and the trailing 2d samples are excluded
-from statistics.
+Each trial starts in lock: close_group starts every row at zero tracking
+error and seeds the tracker history with the steady-state record, the record
+at that error, phibar + y0/2|a| over the last nt samples.  Acquisition
+transients are out of scope, and a cold start at beta >~ pi/2 slips with
+O(10%) probability, which would contaminate the stationary statistics the
+predictions describe.  The first 4d samples are discarded as warm-up and the
+trailing 2d samples are excluded from statistics.
 """
 
 from __future__ import annotations
@@ -121,7 +98,6 @@ from .signals import FM, MessageSpec, message_psd, modulate
 from .wiener import LoopDesign, normal_equation_taps
 
 _DIVERGENCE_LIMIT = 1e3
-_BLOCK = 128  # samples per tracker history block
 _GROUP = 32  # trials per row group, the unit of work
 
 
@@ -348,11 +324,9 @@ def _simulate_group(cfg: PllConfig, store, close, taps, trials: list) -> np.reca
     if close is None:
         phip = phibar  # e = 0: the record is the phase-insensitive quadrature
         rec = phibar + y0 / twoa
-    else:
-        # in blocks of kb samples; TimeGrid makes m, nt = m/2 and kb powers of
-        # two, so kb divides nt and m.  The tracking error e starts at 0.
+    else:  # TimeGrid makes m and nt = m/2 powers of two, as the kernel's blocks need
         phip, rec = np.empty((n_t, m)), np.empty((n_t, m))
-        close(taps, min(_BLOCK, taps.size), twoa, phibar, x0, y0, np.zeros(n_t), rec, phip)
+        close(taps, twoa, phibar, x0, y0, rec, phip)
     # the tracking error, in phibar's own memory unless force_lock made phip
     # that array; the estimate needs of phibar only what is in err and phip,
     # and the draws are freed too unless a run_cells store holds them

@@ -70,7 +70,8 @@ def _alpha_photons(r: float, n_photon: float) -> float:
     """N - sinh^2 r, the photons of a budget N per 1/b left for |alpha| once
     squeezing over B_s = b has taken its share: the one budget rule."""
     check_positive("n_photon", n_photon)
-    sh2 = float(np.sinh(r) ** 2)
+    with np.errstate(over="ignore"):  # an infinite sinh^2 r is the error below
+        sh2 = float(np.sinh(r) ** 2)
     if sh2 >= n_photon:
         raise ValueError("photon budget too small for the requested squeezing")
     return n_photon - sh2

@@ -171,8 +171,13 @@ def design_loop(message: MessageSpec, mod: ModulationScheme, alpha_mag: float,
     _, s2_density = squeezed_covariance_psds(noise, grid)
     s2 = s2_density.values
     fa2 = 4.0 * alpha_mag**2
-    v = fa2 * s_m * np.abs(h) ** 2
-    u = v + s2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+        v = fa2 * s_m * np.abs(h) ** 2
+        u = v + s2
+        total = np.sum(u)  # the sum of U over bins, which the inverse FFTs add up
+    if not np.isfinite(total):
+        raise ValueError("beta^2 lambda is too large: U = 4|alpha|^2 S_m |H|^2 + S2 "
+                         "or its sum over bins overflows")
     g = optimum_filter(s_m, h, fa2, s2, grid)
     l_prime = closed_loop_filter(u, v, grid)
     if delay is None:  # 8 message correlation times

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ def test_pegg_barnett_unitarity():
         u = pegg_barnett_unitary(s, phi0)
         assert unitary_defect(u.matrix) < 1e-12
         assert u.unitary
+
+
+def test_pegg_barnett_budget_is_checked_before_the_matrix():
+    """s = 5000 is over the dense budget: ResourceBudgetError before the
+    (s + 1)^2 complex matrix, 400 MB, is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            pegg_barnett_unitary(5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_pegg_barnett_commutator():

@@ -290,15 +290,16 @@ def test_cli_fock_checks(tmp_path, capsys):
 
 
 def test_cli_fock_tail_rule_uses_alpha_magnitude(tmp_path):
-    """n_max = 5 is below the tail rule for |alpha| = 3 whatever its sign, so
-    both signs fall back to the vacuum density."""
+    """n_max = 5 is below the tail rule for |alpha| = 3 whatever its sign, and
+    for |alpha| = 1e200, whose square overflows a float, so all three fall
+    back to the vacuum density."""
     densities = []
-    for alpha in ("3.0", "-3.0"):
+    for alpha in ("3.0", "-3.0", "1e200"):
         cfg = _write(tmp_path, f"fock{alpha}.cfg", f"n_max = 5\nalpha = {alpha}\n")
         out = tmp_path / f"fock_out{alpha}"
         assert cli_main(["fock", cfg, "--out", str(out)]) == 0
         densities.append((out / "phase_density.csv").read_bytes())
-    assert densities[0] == densities[1]
+    assert densities[0] == densities[1] == densities[2]
 
 
 @pytest.mark.parametrize("key, value", [("n_max", "-1"), ("points", "-8"),
@@ -347,14 +348,16 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys):
 
 
 def test_cli_fock_over_the_dense_budget_writes_nothing(tmp_path, capsys):
-    """n_max = 512 needs a 4104-point phase grid at the default, over the
-    dense budget: a numerical failure (exit 3) before anything is allocated
-    or written."""
-    cfg = _write(tmp_path, "fock.cfg", "n_max = 512\n")
-    out = tmp_path / "o"
-    assert cli_main(["fock", cfg, "--out", str(out)]) == 3
-    assert "dense dimension 4104 exceeds budget" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    """n_max = 512 needs a 4104-point phase grid at the default, and
+    pb_s = 100000 a 100001-point Pegg-Barnett matrix, over the dense budget:
+    a numerical failure (exit 3) before anything is allocated or written."""
+    for line, dim in (("n_max = 512", 4104), ("pb_s = 100000", 100001)):
+        cfg = _write(tmp_path, "fock.cfg", f"{line}\n")
+        out = tmp_path / f"o{dim}"
+        assert cli_main(["fock", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure: dense dimension {dim} exceeds budget 4096"]
+        assert list(out.iterdir()) == []
 
 
 def test_cli_sense(tmp_path):
@@ -590,6 +593,42 @@ def test_cli_rejects_a_bandwidth_that_is_not_finite_and_positive(command, messag
     out = tmp_path / "o"
     assert cli_main([command, _write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 2
     assert "config error: bandwidth must be finite and positive" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(_BANDWIDTH_BASES))
+def test_cli_rejects_a_lorentzian_ratio_of_zero(command, tmp_path, capsys):
+    """lorentz_ratio = B/b = 0 is a config error (exit 2) naming the key, not
+    a ZeroDivisionError, and no file is written."""
+    text = _BANDWIDTH_BASES[command] + "message_kind = lorentzian\nlorentz_ratio = 0\n"
+    out = tmp_path / "o"
+    assert cli_main([command, _write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 2
+    assert "config error: lorentz_ratio must be finite and positive" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("design", _GRID + "beta = 1\nlambda = 1e308\n", "beta^2 lambda is too large"),
+    ("design", _GRID + "beta = 1e200\nlambda = 100\n", "beta^2 lambda is too large"),
+    ("simulate", _MONTE_CARLO + "beta = 1\nn_photon = 1e308\n", "beta^2 lambda is too large"),
+    ("sweep", _MONTE_CARLO + "betas = 1e200\nlambdas = 100\n", "beta^2 lambda is too large"),
+    ("limits", "beta = 1\nn_photon = 10\nr = 400\n", "photon budget too small"),
+    ("simulate", _MONTE_CARLO + "beta = 1\nn_photon = 10\nr = 800\nvariant = squeezed_z\n",
+     "photon budget too small"),
+    ("sweep", _MONTE_CARLO + "betas = 1\nn_photon = 10\nrs = 400\nvariant = squeezed_z\n",
+     "photon budget too small"),
+], ids=["design-lambda", "design-beta", "simulate-n_photon", "sweep-beta", "limits-r",
+        "simulate-r", "sweep-r"])
+def test_cli_overflowing_point_is_one_config_error_line(command, text, message, tmp_path,
+                                                        capsys):
+    """Finite keys whose spectrum U = 4|alpha|^2 S_m |H|^2 + S2 (or its sum
+    over bins) overflows, or whose sinh^2 r does, exit 2 with one config
+    error line and no numpy warning (the suite turns warnings into errors),
+    and no file is written."""
+    out = tmp_path / "o"
+    assert cli_main([command, _write(tmp_path, "big.cfg", text), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {message}")
     assert list(out.iterdir()) == []
 
 

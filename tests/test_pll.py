@@ -245,26 +245,25 @@ def test_kernel_matches_numpy_loop(case, request):
 
 
 # (nt, m, kb, lag-0 tap), the shapes a power-of-two grid gives: nt = m/2
-# taps and kb = min(_BLOCK, nt).  Several partitions; nt < _BLOCK (kb = nt,
-# one partition, a small grid); nt = _BLOCK; and the one-sample-delay taps,
-# whose lag-0 tap is zero
-HISTORY_SHAPES = [(256, 512, 128, 1.0), (32, 64, 32, 1.0), (128, 256, 128, 1.0),
-                  (512, 1024, 128, 0.0)]
+# taps and the kernel's block length kb = min(_numpy_kernel._BLOCK, nt).
+# Several partitions; nt < _BLOCK (kb = nt, one partition, a small grid);
+# nt = _BLOCK; and the one-sample-delay taps, whose lag-0 tap is zero
+HISTORY_SHAPES = [(nt, m, min(_numpy_kernel._BLOCK, nt), lag0) for nt, m, lag0 in
+                  ((256, 512, 1.0), (32, 64, 1.0), (128, 256, 1.0), (512, 1024, 0.0))]
 
 
-def close_from_lead(kernel, taps, kb, lead, m):
-    """(phip, rec) of a group of len(lead) rows closed over m samples in
-    blocks of kb by a kernel's close_group (the library or _numpy_kernel)
-    from the steady-state records lead, set as phibar's last nt samples with
-    y0 = 0 (phibar + y0/2|a| is then lead itself), phibar = 0 before them
-    and X = Y = 0 (x0 = -2|a|), so each record and tracker output is
+def close_from_lead(kernel, taps, lead, m):
+    """(phip, rec) of a group of len(lead) rows closed over m samples by a
+    kernel's close_group (the library or _numpy_kernel) from the
+    steady-state records lead, set as phibar's last nt samples with y0 = 0
+    (phibar + y0/2|a| is then lead itself), phibar = 0 before them and
+    X = Y = 0 (x0 = -2|a|), so each record and tracker output is
     phibar - e."""
     rows, nt = lead.shape
     phibar, zero = np.zeros((rows, m)), np.zeros((rows, m))
     phibar[:, m - nt:] = lead
     rec, phip = np.empty((rows, m)), np.empty((rows, m))
-    kernel.close_group(taps, kb, 2.0, phibar, np.full((rows, m), -2.0), zero, np.zeros(rows),
-                       rec, phip)
+    kernel.close_group(taps, 2.0, phibar, np.full((rows, m), -2.0), zero, rec, phip)
     return phip, rec
 
 
@@ -289,7 +288,7 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0, monkeypatch):
         fars.append((j0, far.copy()))
         track_block(j0, far, *args)
     monkeypatch.setattr(_numpy_kernel, "_track_block", spy)
-    got = close_from_lead(_numpy_kernel, taps, kb, lead, m)
+    got = close_from_lead(_numpy_kernel, taps, lead, m)
     records = np.concatenate([lead, got[1]], axis=1)  # the lead, then the loop's records
     assert [j0 for j0, _ in fars] == list(range(0, m, kb))
     for j0, far in fars:
@@ -300,9 +299,9 @@ def test_far_history_is_the_direct_convolution(nt, m, kb, lag0, monkeypatch):
             scale = np.convolve(np.abs(taps), np.abs(before))[nt + j0: nt + j0 + kb].max()
             assert np.abs(far[:, row] - want).max() <= 1e-14 * scale
     for kernel in both_kernels():
-        alone = close_from_lead(kernel, taps, kb, lead[1:2].copy(), m)
+        alone = close_from_lead(kernel, taps, lead[1:2].copy(), m)
         assert all(np.array_equal(a[0], b[1]) for a, b in zip(alone, got))
-        assert all(np.array_equal(a, b) for a, b in zip(close_from_lead(kernel, taps, kb, lead, m),
+        assert all(np.array_equal(a, b) for a, b in zip(close_from_lead(kernel, taps, lead, m),
                                                         got))
 
 
@@ -315,7 +314,7 @@ def group_rows(args, sel):
     """close_group's arguments (group_args) for the rows sel of the group
     alone."""
     rows = {name: None if args[name] is None else args[name][sel]
-            for name in ("phibar", "x0", "y0", "rec", "phip", "e")}
+            for name in ("phibar", "x0", "y0", "rec", "phip")}
     return {**args, **rows}
 
 
@@ -327,24 +326,25 @@ def test_kernel_rows_are_independent(l0):
     for light in GROUP_LIGHTS:
         args = group_args(light, l0=l0)
         for close in (kernel.close_group for kernel in both_kernels()):
-            rec, phip, e = close_outputs(close, args)
+            rec, phip = close_outputs(close, args)
             assert np.isnan(phip[0, 200:]).all() and np.isnan(rec[0, 200:]).all()
             assert np.isfinite(phip[0, :200]).all() and np.isfinite(phip[1:]).all()
             alone = close_outputs(close, group_rows(args, [1, 2]))
-            assert all(np.array_equal(a, b[1:]) for a, b in zip(alone, (rec, phip, e)))
+            assert all(np.array_equal(a, b[1:]) for a, b in zip(alone, (rec, phip)))
 
 
-def close_sample(close, l0, phibar, x0, y0, e, column=lambda a: a.reshape(a.size, 1)):
+def close_sample(close, l0, phibar, x0, y0, column=lambda a: a.reshape(a.size, 1)):
     """(rec, phip) after closing one sample of each row as a one-sample group
-    through close (close_group or its numpy form), from and into each row's
-    error e: the one tap l0 in blocks of one sample, so there is no lag to
-    make a history and e solves k e + l0 (X sin e + Y cos e) = k phibar,
-    k = 1 - l0, with 2|a| = 1.  x0 None is squeezed_z light; column makes
-    the (rows, 1) arrays phibar, x0, y0, rec and phip of the rows."""
-    rows = e.size
+    through close (close_group or its numpy form), each row starting in lock
+    at e = 0: the one tap l0, so a block of one sample and no lag to make a
+    history, and e solves k e + l0 (X sin e + Y cos e) = k phibar,
+    k = 1 - l0, with 2|a| = 1; phip is phibar - e.  x0 None is squeezed_z
+    light; column makes the (rows, 1) arrays phibar, x0, y0, rec and phip
+    of the rows."""
+    rows = phibar.size
     rec, phip = column(np.empty(rows)), column(np.empty(rows))
-    close(taps=np.array([l0]), n=1, twoa=1.0, phibar=column(phibar),
-          x0=None if x0 is None else column(x0), y0=column(y0), e=e, rec=rec, phip=phip)
+    close(taps=np.array([l0]), twoa=1.0, phibar=column(phibar),
+          x0=None if x0 is None else column(x0), y0=column(y0), rec=rec, phip=phip)
     return rec, phip
 
 
@@ -355,11 +355,12 @@ def test_closure_stops_only_at_a_root(l0, monkeypatch):
     in the numpy loop.
 
     Random c with jumps of several rad, a jump of 3e3 that no 8 steps of at
-    most 1 rad can close, and a NaN.  Each sample is closed alone
-    (close_sample), with phibar = c/k, so c is k phibar and e is exact; the
-    sample stopped before the cap when the numpy loop, from the same e with
-    a cap of 9 steps, gives the same bits (a ninth step of exactly 0 is a
-    root too; an even cap would miss an iteration caught in a 2-cycle)."""
+    most 1 rad can close, and a NaN.  Each sample is closed alone from
+    e = 0 (close_sample), with phibar = c/k, so c is k phibar, and e is read
+    as phibar - phip, exact to the rounding of phibar; the sample stopped
+    before the cap when the numpy loop with a cap of 9 steps gives the same
+    bits (a ninth step of exactly 0 is a root too; an even cap would miss an
+    iteration caught in a 2-cycle)."""
     rng = np.random.default_rng(2024)
     n, rows = 256, 8
     c = 0.5 * rng.standard_normal((n, rows))
@@ -373,20 +374,18 @@ def test_closure_stops_only_at_a_root(l0, monkeypatch):
     x, y = xq + 1.0, yq
     phibar = c / (1.0 - l0)
     for close in (kernel.close_group for kernel in both_kernels()):
-        u, stopped = np.zeros(rows), 0
+        done = np.zeros((n, rows), bool)
         for i in range(n):
-            longer = u.copy()
-            close_sample(close, l0, phibar[i], xq[i], yq[i], u)
+            got = close_sample(close, l0, phibar[i], xq[i], yq[i])
             with monkeypatch.context() as patch:
                 patch.setattr(_numpy_kernel, "_CLOSURE_STEPS", _numpy_kernel._CLOSURE_STEPS + 1)
-                close_sample(_numpy_kernel.close_group, l0, phibar[i], xq[i], yq[i], longer)
-            done = u == longer  # never a NaN
-            ci = (1.0 - l0) * phibar[i]
+                longer = close_sample(_numpy_kernel.close_group, l0, phibar[i], xq[i], yq[i])
+            done[i] = np.all([np.equal(a, b)[:, 0] for a, b in zip(got, longer)], axis=0)
+            u, ci = phibar[i] - got[1][:, 0], (1.0 - l0) * phibar[i]
             residual = np.abs((1.0 - l0) * u + l0 * (x[i] * np.sin(u) + y[i] * np.cos(u)) - ci)
-            assert np.all(residual[done] <= 1e-12 * np.maximum(1.0, np.abs(ci[done])))
-            stopped += np.count_nonzero(done)
-        assert stopped < n * rows - (n - 20)  # the NaN row and the 3e3 jump
-        assert stopped > n * rows // 2  # not vacuous
+            assert np.all(residual[done[i]] <= 1e-12 * np.maximum(1.0, np.abs(ci[done[i]])))
+        assert not done[20, 0] and not done[5, 1]  # the NaN and the 3e3 jump
+        assert np.count_nonzero(done) > n * rows // 2  # not vacuous
 
 
 @pytest.mark.parametrize("amp", [1.0, 0.0])
@@ -394,14 +393,14 @@ def test_closure_stops_only_at_a_root(l0, monkeypatch):
 def test_closure_walks_toward_a_far_root(c, amp):
     """A root far beyond 8 rad: every step, Halley's or, where 1 + r h <= 0
     reverses it, Newton's, is clipped to 1 rad toward the root, so e moves
-    by exactly 8 rad (Halley's own step would turn back).  X is amp and
-    Y = 0; at X = 0 the closure is linear and predicts no error, but a
+    by exactly 8 rad from e = 0 (Halley's own step would turn back), and
+    e = phibar - phip is exact, phibar and phip sharing a binade.  X is amp
+    and Y = 0; at X = 0 the closure is linear and predicts no error, but a
     clipped step never stops."""
+    phibar = np.array([c / (1.0 - 0.2)])
     for close in (kernel.close_group for kernel in both_kernels()):
-        u = np.array([0.5])
-        close_sample(close, 0.2, np.array([c / (1.0 - 0.2)]), np.array([amp - 1.0]),
-                     np.zeros(1), u)
-        assert u[0] == 0.5 + 8.0 * np.sign(c)
+        _, phip = close_sample(close, 0.2, phibar, np.array([amp - 1.0]), np.zeros(1))
+        assert phibar[0] - phip[0, 0] == 8.0 * np.sign(c)
 
 
 def same_bits(got, want):
@@ -417,14 +416,11 @@ def test_one_sample_group_takes_any_stride_on_its_sample_axis():
     a 0 stride, binds as a.reshape(rows, 1) does and gives its bits, for both
     lights."""
     rng = np.random.default_rng(8)
-    phibar, x0, y0, e0 = 0.5 * rng.standard_normal((4, 7))
+    phibar, x0, y0 = 0.5 * rng.standard_normal((3, 7))
     kernel = _tracker.load()
     for light_x0 in (x0, None):
-        outs = []
-        for column in (lambda a: a[:, None], lambda a: a.reshape(a.size, 1)):
-            e = e0.copy()
-            outs.append((*close_sample(kernel.close_group, 0.4, phibar, light_x0, y0, e, column),
-                         e))
+        outs = [close_sample(kernel.close_group, 0.4, phibar, light_x0, y0, column)
+                for column in (lambda a: a[:, None], lambda a: a.reshape(a.size, 1))]
         assert outs[0][1].strides[1] == 0
         assert all(same_bits(a, b) for a, b in zip(*outs))
 
@@ -438,8 +434,8 @@ def test_tiles_keep_the_numpy_loops_bits_at_their_edges(rows):
     over, gives the numpy loop's bits, signs of zeros included.  The rows
     are taken from a 40-row group (group_rows: the clipped row 1 first,
     then the NaN row 0), for both lights at l0 = 0 and 0.4, in blocks of
-    128 samples; and as one-sample groups (n = 1, fewer samples than a
-    tile block) of rows draws (close_sample)."""
+    128 samples; and as one-sample groups (one tap, so blocks of one
+    sample, fewer than a tile block) of rows draws (close_sample)."""
     kernel = _tracker.load()
     sel = [1, 0, *range(2, 40)][:rows]
     for l0 in (0.0, 0.4):
@@ -449,14 +445,12 @@ def test_tiles_keep_the_numpy_loops_bits_at_their_edges(rows):
             got = close_outputs(kernel.close_group, args)
             assert all(same_bits(a, b) for a, b in zip(got, want)), (l0, light)
     rng = np.random.default_rng(rows)
-    phibar, x0, y0, e0 = rng.standard_normal((4, rows))
+    phibar, x0, y0 = rng.standard_normal((3, rows))
     phibar[0] = 3.0e3  # clipped steps
     for l0 in (0.0, 0.4):
         for light_x0 in (0.3 * x0, None):
-            outs = []
-            for close in (kernel.close_group, _numpy_kernel.close_group):
-                e = e0.copy()
-                outs.append((*close_sample(close, l0, phibar, light_x0, 0.3 * y0, e), e))
+            outs = [close_sample(close, l0, phibar, light_x0, 0.3 * y0)
+                    for close in (kernel.close_group, _numpy_kernel.close_group)]
             assert all(same_bits(a, b) for a, b in zip(*outs)), (l0, light_x0 is None)
 
 
@@ -730,7 +724,7 @@ def test_library_exports_only_what_kernel_binds(tmp_path):
 def group_args(light="coherent", rows=3, l0=0.4):
     """close_group's arguments for a row group of rows rows with nt = 256
     small random taps after the lag-0 tap l0 (so the loop stays bounded),
-    blocks of 128 samples and m = 640: row 1 takes a first closure step far
+    so blocks of 128 samples, and m = 640: row 1 takes a first closure step far
     beyond the +-1 rad clip, row 0 turns NaN at sample 200, before the
     steady-state lead, phibar's and y0's last nt samples, which stays
     finite."""
@@ -742,17 +736,16 @@ def group_args(light="coherent", rows=3, l0=0.4):
     phibar[1, 5] += 3.0e3
     phibar[0, 200] = np.nan
     x0, y0 = 0.2 * rng.standard_normal((2, rows, m))
-    return dict(taps=taps, n=128, twoa=2.0, phibar=phibar,
-                x0=None if light == "squeezed_z" else x0, y0=y0, e=np.zeros(rows),
-                rec=np.empty((rows, m)), phip=np.empty((rows, m)))
+    return dict(taps=taps, twoa=2.0, phibar=phibar, x0=None if light == "squeezed_z" else x0,
+                y0=y0, rec=np.empty((rows, m)), phip=np.empty((rows, m)))
 
 
 def close_outputs(close, args):
-    """(rec, phip, e) after close (close_group or its numpy form) ran on a
-    copy of args' outputs."""
-    args = {**args, **{name: args[name].copy() for name in ("e", "rec", "phip")}}
+    """(rec, phip) after close (close_group or its numpy form) ran on a copy
+    of args' outputs."""
+    args = {**args, **{name: args[name].copy() for name in ("rec", "phip")}}
     close(**args)
-    return args["rec"], args["phip"], args["e"]
+    return args["rec"], args["phip"]
 
 
 @needs_kernel
@@ -760,9 +753,10 @@ def test_kernel_rejects_mismatched_arrays():
     """The kernel gets raw pointers, so every array is checked first: a
     group's arrays, each a C-contiguous (rows, m) block (a row-strided x0,
     as a view of a (rows, 2, m) draw, and a (rows, nt + m) record are
-    rejected), its outputs, its taps (no more than m) and its block length,
-    the far history's FFT length (a power of two that divides nt and m);
-    and the arrays of spectrum_product."""
+    rejected), its outputs and its taps: no more than m, and nt such that
+    the kernel's block length min(_BLOCK, nt), the far history's FFT length,
+    is a power of two that divides nt and m (nt = 10 and 192 are rejected,
+    and so is m = 320 for nt = 256); and the arrays of spectrum_product."""
     kernel, out = _tracker.load(), np.zeros((3, 5), complex)
     h = np.zeros((2, 5))
     for spectrum, planes in ((out, h[:, :4]), (out.T, np.zeros((2, 3))), (out, h.T.copy()),
@@ -772,27 +766,24 @@ def test_kernel_rejects_mismatched_arrays():
     kernel.spectrum_product(out, h)
     args = group_args()
     rows, m = args["phibar"].shape
-    frozen_rec, frozen_phip, frozen_e = (args[name].copy() for name in ("rec", "phip", "e"))
-    frozen_rec.flags.writeable = frozen_phip.flags.writeable = frozen_e.flags.writeable = False
+    frozen_rec, frozen_phip = (args[name].copy() for name in ("rec", "phip"))
+    frozen_rec.flags.writeable = frozen_phip.flags.writeable = False
     taps, x0, y0 = (args[name] for name in ("taps", "x0", "y0"))
     strided = np.zeros(2 * taps.size)[::2]
     strided[...] = taps
     quads = np.stack([x0, y0], axis=1)  # (rows, 2, m)
-    for bad in (dict(phibar=args["phibar"][:2]), dict(e=np.zeros(2)), dict(taps=taps[:10]),
+    short = {name: args[name][:, :320].copy() for name in ("phibar", "x0", "y0", "rec", "phip")}
+    for bad in (dict(phibar=args["phibar"][:2]), dict(taps=taps[:10]),
                 dict(x0=np.asfortranarray(x0)), dict(y0=y0.astype(np.float32)),
-                dict(y0=y0[:, ::2]), dict(rec=args["rec"][:, :-1]), dict(n=taps.size + 1),
-                dict(n=0), dict(n=96), dict(n=256), dict(n=512), dict(taps=taps[:192]),
-                dict(taps=taps[None]), dict(taps=taps.astype(np.float32)), dict(taps=strided),
-                dict(taps=np.zeros(0)), dict(taps=np.resize(taps, 2 * m)),
+                dict(y0=y0[:, ::2]), dict(rec=args["rec"][:, :-1]), dict(taps=taps[:192]),
+                short, dict(taps=taps[None]), dict(taps=taps.astype(np.float32)),
+                dict(taps=strided), dict(taps=np.zeros(0)), dict(taps=np.resize(taps, 2 * m)),
                 dict(x0=quads[:, 0]), dict(rec=np.zeros((rows, taps.size + m))),
-                dict(rec=frozen_rec), dict(phip=frozen_phip), dict(e=frozen_e),
-                dict(phip=args["phip"][:, :-1])):
+                dict(rec=frozen_rec), dict(phip=frozen_phip), dict(phip=args["phip"][:, :-1])):
         with pytest.raises(ValueError):
             kernel.close_group(**{**args, **bad})
-    for n in (128, 64, 1):  # any power of two that divides nt and m: the numpy form's bits
-        good = {**args, "n": n}
-        assert all(same_bits(a, b) for a, b in zip(close_outputs(kernel.close_group, good),
-                                                   close_outputs(_numpy_kernel.close_group, good)))
+    assert all(same_bits(a, b) for a, b in zip(close_outputs(kernel.close_group, args),
+                                               close_outputs(_numpy_kernel.close_group, args)))
 
 
 def trial_table(rows):
@@ -919,8 +910,8 @@ def test_kernel_names_its_clone(kernel_clones):
 @needs_kernel
 def test_isa_clones_give_the_plain_kernels_bits(tmp_path, monkeypatch):
     """The loaded library (the clone this CPU runs), the same source built
-    without clones and the numpy loop write the same records, tracker
-    outputs and errors, signs of zeros included, for a whole 37-row group of
+    without clones and the numpy loop write the same records and tracker
+    outputs, signs of zeros included, for a whole 37-row group of
     each light at l0 = 0 and 0.4, far history and its signed zeros included:
     vector bodies, their remainder rows, a clipped row and a NaN row alike."""
     source = tmp_path / "_tracker.c"
@@ -1085,9 +1076,9 @@ def test_row_groups_do_not_follow_the_worker_count(monkeypatch):
     seen, kernel = [], _tracker.load()
     close = kernel.close_group
 
-    def spy(taps, n, twoa, phibar, *rest):
+    def spy(taps, twoa, phibar, *rest):
         seen.append(phibar.shape[0])
-        close(taps, n, twoa, phibar, *rest)
+        close(taps, twoa, phibar, *rest)
     # the library's instance attribute or the numpy module's, gone again after the test
     monkeypatch.setitem(vars(kernel), "close_group", spy)
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=72, seed=29)
@@ -1101,9 +1092,9 @@ def test_a_row_group_closes_its_loop_in_one_library_call(monkeypatch):
     far history included, is one close_group call: three for 72 trials."""
     rows, close = [], _tracker.Kernel.close_group
 
-    def counted(self, taps, n, twoa, phibar, *rest):
+    def counted(self, taps, twoa, phibar, *rest):
         rows.append(phibar.shape[0])
-        return close(self, taps, n, twoa, phibar, *rest)
+        return close(self, taps, twoa, phibar, *rest)
     monkeypatch.setattr(_tracker.Kernel, "close_group", counted)
     monkeypatch.setattr(_tracker.Kernel, "__call__", None)  # no per-block binding
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=72, seed=29)

@@ -19,8 +19,10 @@ post-loop milliseconds run from its return to the group's end (the per-trial
 statistics and the estimate).
 
 Per light and tree it prints the median and the quartiles of both over the
-rounds, and the sha256 (first 16 hex digits) of the record, phip and e as
-close_group left them.  The record is the last m samples (phip's width) of
+rounds, and the sha256 (first 16 hex digits) of the record and phip as
+close_group left them.  The tracking error e is not hashed: the kernel keeps
+it to itself, and an older close_group that takes it as an argument only
+leaves there the last sample's e, which phip = phibar - e carries.  The record is the last m samples (phip's width) of
 close_group's record argument: all of a (rows, m) rec, or what follows the
 nt steady-state records in a tree whose (rows, nt + m) fr holds them too.
 It exits 1 when the two trees' hashes or per-trial results differ, compared
@@ -91,9 +93,9 @@ class Side:
             t0 = time.perf_counter()
             close(*args)
             self.close_ms.append(1e3 * (time.perf_counter() - t0))
-            *_, e, rec, phip = args
+            *_, rec, phip = args
             self.hashes = [hashlib.sha256(a.tobytes()).hexdigest()[:16]
-                           for a in (rec[:, -phip.shape[1]:], phip, e)]
+                           for a in (rec[:, -phip.shape[1]:], phip)]
             self.closed = time.perf_counter()  # the post-loop time leaves the hashing out
         return call
 
@@ -135,7 +137,7 @@ def main(argv=None) -> int:
         for side, s in sides.items():
             print(f"{light:10s} {side:6s} close_group {quartiles(s.close_ms)}  "
                   f"post-loop {quartiles(s.post_ms)}  "
-                  f"rec {s.hashes[0]} phip {s.hashes[1]} e {s.hashes[2]}")
+                  f"rec {s.hashes[0]} phip {s.hashes[1]}")
         fields = {side: [tuple(getattr(t, c) for c in COLUMNS) for t in r]
                   for side, r in results.items()}
         if sides["parent"].hashes != sides["change"].hashes or fields["parent"] != fields["change"]:
