@@ -22,9 +22,10 @@ Per light and tree it prints the median and the quartiles of both over the
 rounds, and the sha256 (first 16 hex digits) of the record and phip as
 close_group left them.  The tracking error e is not hashed: the kernel keeps
 it to itself, and an older close_group that takes it as an argument only
-leaves there the last sample's e, which phip = phibar - e carries.  The record is the last m samples (phip's width) of
-close_group's record argument: all of a (rows, m) rec, or what follows the
-nt steady-state records in a tree whose (rows, nt + m) fr holds them too.
+leaves there the last sample's e, which phip = phibar - e carries.  The
+record is the last m samples (phip's width) of close_group's record
+argument: all of a (rows, m) rec, or what follows the nt steady-state
+records in a tree whose (rows, nt + m) fr holds them too.
 It exits 1 when the two trees' hashes or per-trial results differ, compared
 by column (trial, mse, sigma0_sq_empirical and cycle_slips, read off each
 row, so a tree whose group returns a list of objects with those attributes
