@@ -1,9 +1,10 @@
 """The numpy forms of the compiled library's entries (_tracker.c).
 
-close_group, spectrum_product and levinson, the library's three entries,
-take the parameters of _tracker.Kernel's methods and make the library's IEEE
-operations in its order, a row group's rows in lockstep, so they give its
-bits on every CPU.  _tracker.load() returns this module where the library
+close_group, spectrum_product and levinson, three of the library's four
+entries, take the parameters of _tracker.Kernel's methods and make the
+library's IEEE operations in its order, a row group's rows in lockstep, so
+they give its bits on every CPU; normals, the fourth, is numpy's Generator
+itself, whose draws the library makes bit for bit.  _tracker.load() returns this module where the library
 cannot be built.  The closed loop then takes about 55 times the library's
 time, and the solve 15-20 times: numpy builds each sin and cos pair from
 about 70 small array operations, and each FFT from its butterflies.
@@ -14,6 +15,8 @@ from __future__ import annotations
 from functools import cache
 
 import numpy as np
+
+from . import rng
 
 _BLOCK = 128  # samples per block of the tracker history, or all nt taps when fewer
 _CLOSURE_STEPS = 8  # hard cap on Halley steps per sample
@@ -233,6 +236,16 @@ def close_group(taps, twoa, phibar, x0, y0, rec, phip):
         if k >= parts:
             far = _real_fft(_far_mac(ring, spectra, k % parts), True)[n:]
             _track_block((k - parts) * n, far, taps, twoa, phibar, x0, y0, e, rec, phip)
+
+
+def normals(seed, trials, purpose, quads, m):
+    """The (quads, len(trials), m) planes of standard normal draws whose row
+    row is rng.stream(seed, trials[row], purpose)'s first quads m, plane by
+    plane: numpy's Generator, the bit oracle of the library's normals."""
+    white = np.empty((quads, len(trials), m))
+    for row, trial in enumerate(trials):
+        white[:, row] = rng.stream(seed, trial, purpose).standard_normal((quads, m))
+    return white
 
 
 def spectrum_product(spectrum: np.ndarray, h: np.ndarray) -> None:

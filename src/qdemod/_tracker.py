@@ -1,28 +1,31 @@
 """Build and load the compiled library (_tracker.c) through ctypes.
 
-The library holds the loops that numpy runs slowly, in three entries:
+The library holds the loops that numpy runs slowly, in four entries:
 close_group, which closes a row group's whole loop in one call from the
 cell's causal taps and the group's (rows, m) arrays, the steady-state lead,
 the taps' partition spectra, the far history's real FFTs and multiply-add and
-each block's closure included; spectrum_product, a filter's product with a
-spectrum in place; and levinson, the Toeplitz solve of the Wiener-Hopf normal
-equations.  It exports nothing else but kernel_isa.  Kernel checks that a
-group's arrays are C-contiguous float64 blocks of the group's shape before
-the call, since the library gets raw pointers, one per array.  The spectra
-are split real and imaginary planes, and each real product of a complex
-product is rounded on its own, so the bits are the same on every CPU.  Each
-ctypes call releases the interpreter lock.  The cloned functions are built
-on x86-64 with glibc for avx512f and for the baseline, and the loader runs
-the avx512f builds where the CPU has it; both give the same bits, since
-nothing is contracted or reassociated.  Kernel.isa names the clone this
-process runs.  The library is built on the first call to load(), with the
-interpreter's C compiler and flags that keep its rounding equal to the numpy
-forms', and cached in this package's __pycache__ under a hash of the source
-and the flags, so later processes only load it.  Where __pycache__ is not
-writable it is built into a private temporary directory for this process
-alone.  Where there is no compiler or the build fails, load() returns
-_numpy_kernel, the numpy forms of the three entries, which give the same
-bits: pll, grids and wiener call whichever it returns.
+each block's closure included; normals, a row group's white Gaussian draws,
+numpy's Philox streams and ziggurat bit for bit; spectrum_product, a filter's
+product with a spectrum in place; and levinson, the Toeplitz solve of the
+Wiener-Hopf normal equations.  It exports nothing else but kernel_isa.
+Kernel checks that a group's arrays are C-contiguous float64 blocks of the
+group's shape before the call, since the library gets raw pointers, one per
+array, and normals checks its streams' seed and trials with rng's checks.
+The spectra are split real and imaginary planes, and each real product of a
+complex product is rounded on its own, so the bits are the same on every
+CPU.  Each ctypes call releases the interpreter lock.  The cloned functions
+are built on x86-64 with glibc for avx512f and for the baseline, and the
+loader runs the avx512f builds where the CPU has it, as normals runs its
+avx512f path; both give the same bits, since nothing is contracted or
+reassociated.  Kernel.isa names the clone this process runs.  The library is
+built on the first call to load(), with the interpreter's C compiler and
+flags that keep its rounding equal to the numpy forms', and cached in this
+package's __pycache__ under a hash of the source and the flags, so later
+processes only load it.  Where __pycache__ is not writable it is built into
+a private temporary directory for this process alone.  Where there is no
+compiler or the build fails, load() returns _numpy_kernel, the numpy forms of
+the four entries, which give the same bits: pll, grids and wiener call
+whichever it returns.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _numpy_kernel
+from . import _numpy_kernel, rng
 
 SOURCE = Path(__file__).with_name("_tracker.c")
 # No -ffast-math or -march=native, and no fused multiply-adds: the kernel
@@ -78,8 +81,8 @@ def _aligned(size: int) -> np.ndarray:
 
 
 class Kernel:
-    """The loaded library: close_group, spectrum_product and levinson, with
-    the parameters of their numpy forms (_numpy_kernel)."""
+    """The loaded library: close_group, normals, spectrum_product and
+    levinson, with the parameters of their numpy forms (_numpy_kernel)."""
 
     def __init__(self, lib: ctypes.CDLL, digest: str):
         self.digest = digest
@@ -89,6 +92,8 @@ class Kernel:
         signatures = {
             "levinson": ([ctypes.c_int, *[ctypes.c_void_p] * 4], ctypes.c_int),
             "close_group": ([ctypes.c_void_p], None),
+            "normals": ([ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int, ctypes.c_void_p,
+                         ctypes.c_int, ctypes.c_int, ctypes.c_void_p], None),
             "spectrum_product": ([ctypes.c_ssize_t, ctypes.c_int, *[ctypes.c_void_p] * 2], None)}
         for name, (argtypes, restype) in signatures.items():
             fn = getattr(lib, name)
@@ -116,6 +121,20 @@ class Kernel:
                     for a in (taps, phibar, x0, y0, rec, phip, work, hist)]
         group = _Group(n, rows, nt, m, parts, twoa, *pointers)
         self._close_group(ctypes.byref(group))  # the arrays stay alive until it returns
+
+    def normals(self, seed, trials, purpose, quads, m):
+        """The C-contiguous (quads, len(trials), m) planes of standard normal
+        draws whose row row is rng.stream(seed, trials[row], purpose)'s
+        first quads m, plane by plane.  Every stream is checked first, by
+        rng.counter."""
+        for trial in trials:
+            rng.counter(seed, trial, purpose)
+        out = np.empty((quads, len(trials), m))
+        if out.size:
+            index = np.array(trials, dtype=np.uint64)
+            self._normals(seed, purpose, index.size, index.ctypes.data, quads, m,
+                          out.ctypes.data)
+        return out
 
     def spectrum_product(self, spectrum: np.ndarray, h: np.ndarray) -> None:
         """spectrum *= the response whose (2, bins) planes are h, in place,

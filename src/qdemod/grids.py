@@ -38,6 +38,9 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+_MAX_SAMPLES = 1 << 20  # the largest grid: a (32, m) row group's array is then 256 MiB
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling grid: M_f points spaced 1/B starting at t = 0."""
@@ -49,6 +52,9 @@ class TimeGrid:
         check_positive("bandwidth", self.bandwidth)
         if not _is_power_of_two(self.n_samples):
             raise ValueError("n_samples must be a power of two")
+        if self.n_samples > _MAX_SAMPLES:
+            raise ValueError(f"n_samples must be at most 2**20 = {_MAX_SAMPLES}, "
+                             f"got {self.n_samples}")
 
     @property
     def dt(self) -> float:
@@ -86,6 +92,11 @@ class SpectralDensity:
         idx = np.arange(m)
         if not np.allclose(v, v[(-idx) % m], rtol=0, atol=1e-12 * max(1.0, v.max())):
             raise ValueError("density of a real process must be even in f")
+
+    @cached_property
+    def _colouring(self) -> "FilterKernel":
+        """color_noise's filter sqrt(S), made on its first use."""
+        return FilterKernel(self.grid, np.sqrt(self.values))
 
 
 @dataclass(frozen=True)
@@ -138,9 +149,10 @@ def differentiator_kernel(n):
 def color_noise(white: np.ndarray, density: SpectralDensity) -> np.ndarray:
     """Stationary real Gaussian sequences with the given PSD (circulant
     exact), coloured from white ones along the last axis by the filter
-    sqrt(S) through FilterKernel.apply.
+    sqrt(S) through FilterKernel.apply; the filter and its planes are made
+    once per density.
 
     Each row is transformed on its own, so a row of a batch comes out bit
     for bit as it does alone.
     """
-    return FilterKernel(density.grid, np.sqrt(density.values)).apply(white)
+    return density._colouring.apply(white)

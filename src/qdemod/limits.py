@@ -136,7 +136,8 @@ def threshold_check(sigma0_sq: float, r: float = 0.0):
     order-of-magnitude estimate, so the squeezed check is approximate).
     pass = LHS <= 1/4 by the standard operational rule.
     """
-    lhs = sigma0_sq * float(np.exp(4.0 * r))
+    with np.errstate(over="ignore"):  # an infinite exp(4r) fails the rule
+        lhs = sigma0_sq * float(np.exp(4.0 * r))
     return float(lhs), bool(lhs <= 0.25)
 
 

@@ -56,13 +56,17 @@ cell ahead, with results and errors in cell order (_pipeline); run_cell and
 simulate_batch are its one-cell forms.  Every trial draws from its own
 counter-based streams, each with one sampler that returns a row per trial:
 its message from (seed, trial, 0) (sample_message) and its quadrature noise
-from (seed, trial, 1) (sample_quadratures).  Neither stream depends on the
-cell, so a sweep's cells share common random numbers: run_cells keeps one
-_DrawStore in front of the two samplers, and a row group whose draws an
-earlier cell of the same call made reads them, read-only, from there.  The
-store is keyed on what each sampler reads, so only identical draws are
-shared, and it is dropped when run_cells returns or raises; the one-cell
-forms keep none.  Every later step is row-wise: the FFT
+from (seed, trial, 1) (sample_quadratures).  A sampler takes a group's white
+draws in one call of the kernel's normals (numpy's Generator on rng.stream,
+or the library's bit-for-bit form of it, outside the interpreter lock) and
+colours them (color_noise) to densities made once per message or light and
+kept in a small cache (_message_density, _quadrature_densities).  Neither
+stream depends on the cell, so a sweep's cells share common random numbers:
+run_cells keeps one _DrawStore in front of the two samplers, and a row group
+whose draws an earlier cell of the same call made reads them, read-only,
+from there.  The store is keyed on what each sampler reads, so only
+identical draws are shared, and it is dropped when run_cells returns or
+raises; the one-cell forms keep none.  Every later step is row-wise: the FFT
 rows, the history's products summed over partitions in a fixed order, the
 in-block lags summed oldest first, the per-row closure stop and the mse, a
 pairwise sum over the trial's contiguous row.  So on either path a trial's
@@ -86,19 +90,25 @@ import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import _tracker
 from .grids import TimeGrid, color_noise
 from .qnoise import COHERENT, SQUEEZED_Z, NoiseModel, squeezed_covariance_psds
-from .rng import stream
+from .rng import stream  # noqa: F401 (unused: see below)
 from .signals import FM, MessageSpec, message_psd, modulate
 from .wiener import LoopDesign, normal_equation_taps
 
+# perfbench/tracing.py times the draws by wrapping stream, message_psd,
+# squeezed_covariance_psds and color_noise where pll looks them up, so
+# stream stays bound here, though the kernel's normals now opens the
+# streams, until the wraps move (ROADMAP item 2a).
+
 _DIVERGENCE_LIMIT = 1e3
 _GROUP = 32  # trials per row group, the unit of work
+_DENSITIES = 8  # densities each sampler keeps, for the messages or lights of a sweep
 
 
 class LoopDivergenceError(RuntimeError):
@@ -194,15 +204,38 @@ def _row_groups(n_t: int) -> list:
     return [slice(a, min(a + _GROUP, n_t)) for a in range(0, n_t, _GROUP)]
 
 
+def _made_once(make):
+    """make, its results kept in a small cache (the last _DENSITIES keys),
+    each made once however many workers ask for it at once."""
+    cached, lock = lru_cache(maxsize=_DENSITIES)(make), threading.Lock()
+
+    def get(*key):
+        with lock:
+            return cached(*key)
+    get.cache_clear = cached.cache_clear
+    return get
+
+
+@_made_once
+def _message_density(spec: MessageSpec, drop_dc: bool):
+    """message_psd(spec, drop_dc), made once for every group that colours
+    with it (color_noise makes its filter once per density)."""
+    return message_psd(spec, drop_dc=drop_dc)
+
+
+@_made_once
+def _quadrature_densities(kind: str, r: float, squeeze_bandwidth, grid: TimeGrid) -> tuple:
+    """A squeezed light's (S1, S2) (squeezed_covariance_psds), made once for
+    every group that colours with them; |alpha| is not read."""
+    return squeezed_covariance_psds(NoiseModel(kind, 0.0, r, squeeze_bandwidth), grid)
+
+
 def sample_message(spec: MessageSpec, seed: int, trials, drop_dc: bool = False) -> np.ndarray:
     """The messages of the given trials, (len(trials), m): each row is its
     trial's stream (seed, trial, 0) coloured to message_psd(spec, drop_dc),
     a zero-mean unit-variance Gaussian sequence."""
-    m = spec.grid.n_samples
-    white = np.empty((len(trials), m))
-    for row, trial in enumerate(trials):
-        white[row] = stream(seed, trial, 0).standard_normal(m)
-    return color_noise(white, message_psd(spec, drop_dc=drop_dc))
+    (white,) = _tracker.load().normals(seed, trials, 0, 1, spec.grid.n_samples)
+    return color_noise(white, _message_density(spec, drop_dc))
 
 
 def sample_quadratures(noise: NoiseModel, grid: TimeGrid, seed: int, trials):
@@ -215,14 +248,11 @@ def sample_quadratures(noise: NoiseModel, grid: TimeGrid, seed: int, trials):
     first m draws coloured to S2, the record noise z'.  Each is a
     C-contiguous array: the draws are laid out as (quads, rows, m) planes.
     """
-    m = grid.n_samples
     quads = 1 if noise.kind == SQUEEZED_Z else 2
-    white = np.empty((quads, len(trials), m))
-    for row, trial in enumerate(trials):
-        white[:, row] = stream(seed, trial, 1).standard_normal((quads, m))
+    white = _tracker.load().normals(seed, trials, 1, quads, grid.n_samples)
     if noise.kind == COHERENT:
         return white[0], white[1]
-    s1, s2 = squeezed_covariance_psds(noise, grid)
+    s1, s2 = _quadrature_densities(noise.kind, noise.r, noise.squeeze_bandwidth, grid)
     if noise.kind == SQUEEZED_Z:
         return None, color_noise(white[0], s2)
     return color_noise(white[0], s1), color_noise(white[1], s2)

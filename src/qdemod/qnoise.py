@@ -53,6 +53,16 @@ class NoiseModel:
                 raise ValueError("squeezed model needs a positive squeeze bandwidth")
 
 
+def _squeeze_gain(r: float) -> float:
+    """exp(2r), the antisqueezed density's level: the one place it is
+    formed.  Where it overflows, r is a ValueError that names it."""
+    with np.errstate(over="ignore"):  # the error below, not a warning
+        gain = float(np.exp(2.0 * r))
+    if not np.isfinite(gain):
+        raise ValueError(f"r is too large: exp(2r) overflows at r = {r}")
+    return gain
+
+
 def squeezed_covariance_psds(model: NoiseModel, grid: TimeGrid):
     """(S1, S2): antisqueezed / squeezed quadrature densities on the grid."""
     if model.kind == COHERENT:
@@ -60,8 +70,9 @@ def squeezed_covariance_psds(model: NoiseModel, grid: TimeGrid):
         return (SpectralDensity(grid, ones), SpectralDensity(grid, ones.copy()))
     if model.squeeze_bandwidth > grid.bandwidth:
         raise ValueError("squeeze bandwidth exceeds the grid bandwidth")
+    gain = _squeeze_gain(model.r)
     gamma = in_band_mask(grid, model.squeeze_bandwidth)
-    s1 = np.where(gamma, np.exp(2.0 * model.r), 1.0)
+    s1 = np.where(gamma, gain, 1.0)
     s2 = np.where(gamma, np.exp(-2.0 * model.r), 1.0)
     return (SpectralDensity(grid, s1), SpectralDensity(grid, s2))
 
@@ -92,7 +103,7 @@ def resolve_lambda(r: float = 0.0, lam: float | None = None,
         return check_positive("lambda", lam)
     if n_photon is None:
         raise ValueError("need lambda or n_photon")
-    return 4.0 * _alpha_photons(r, n_photon) * float(np.exp(2.0 * r))
+    return 4.0 * _alpha_photons(r, n_photon) * _squeeze_gain(r)
 
 
 def operating_point(message: MessageSpec, r: float = 0.0, lam: float | None = None,

@@ -17,6 +17,7 @@ remaining level is renormalised to keep unit variance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class MessageSpec:
                     "flat-band bandwidth must span an odd integer number of "
                     "bins (b = (2n+1) df) so the brick wall is exact"
                 )
+        # message_psd divides by the square of the half width b/2B, in
+        # cycles per sample, which must stay a normal float
+        elif (self.bandwidth / self.grid.bandwidth / 2.0) ** 2 < sys.float_info.min:
+            raise ValueError(f"lorentz_ratio B/b = {self.grid.bandwidth / self.bandwidth:g} "
+                             "is too large: the message's half width squared underflows")
 
     @classmethod
     def flat(cls, grid: TimeGrid, band_bins: int) -> "MessageSpec":

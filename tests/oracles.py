@@ -4,7 +4,8 @@ the photon budget at its carrier; the Wiener side's cepstral spectral
 factor, textbook causal-part L', anticausal energy, linearised and exact
 (fixed-point) MAP estimates; the Fock side's product states, phase shifts
 and phase moments; the limits' large-argument SNR asymptotes and the
-Lorentzian PM SNR; and the Monte Carlo's per-trial error statistics.
+Lorentzian PM SNR; the Monte Carlo's per-trial error statistics; and a
+replay of numpy's ziggurat that counts its slow branches.
 
 spectral_factorize gives the cepstral factor X of the classical
 construction L' = (1/X)[V/X*]_+ (causal_part_solution), kept as a
@@ -12,8 +13,12 @@ cross-check of the library's Levinson solve for smooth spectra only: on
 discontinuous (brick-wall) spectra its circular Gibbs wrap-around leaves
 residuals around 1e-2."""
 
+import math
+import re
+
 import numpy as np
 
+from qdemod import _tracker, rng
 from qdemod.fock import TruncatedState, density_weight, phase_grid
 from qdemod.grids import FilterKernel, SpectralDensity, TimeGrid
 from qdemod.pll import cycle_slip_count
@@ -239,3 +244,64 @@ def error_statistics(e: np.ndarray) -> tuple:
     and its cycle_slip_count."""
     offset = 2.0 * np.pi * np.round(np.mean(e) / (2.0 * np.pi))
     return float(np.mean((e - offset) ** 2)), cycle_slip_count(e)
+
+
+def _ziggurat_constants() -> tuple:
+    """(wi, fi, ki, r, 1/r): numpy's ziggurat tables and constants as
+    _tracker.c embeds them."""
+    text = _tracker.SOURCE.read_text()
+
+    def table(name, parse):
+        body = re.search(rf"\b{name}\[256\] = \{{(.*?)\}};", text, re.S).group(1)
+        return np.array([parse(entry.strip()) for entry in body.split(",")])
+
+    def constant(name):
+        return float(re.search(rf"^#define {name} (\S+)$", text, re.M).group(1))
+    ki = table("zig_ki", lambda entry: int(entry, 16)).astype(np.uint64)
+    return (table("zig_wi", float.fromhex), table("zig_fi", float.fromhex), ki,
+            constant("ZIG_R"), constant("ZIG_INV_R"))
+
+
+def replay_normals(seed: int, trial: int, purpose: int, n: int) -> tuple:
+    """(draws, tails, wedges): the first n standard normal draws of
+    rng.stream(seed, trial, purpose), replayed from its raw Philox draws by
+    numpy's ziggurat on _tracker.c's tables, and how many draws took the
+    tail branch (layer 0) and the wedge branch.  The first test runs on all
+    raw draws at once; only the draws that fail it step in Python."""
+    wi, fi, ki, r_edge, inv_r = _ziggurat_constants()
+    bitgen = np.random.Philox(key=seed, counter=rng.counter(seed, trial, purpose))
+    raw = bitgen.random_raw(n + n // 4 + 64)
+    layer = (raw & np.uint64(0xFF)).astype(np.intp)
+    rabs = (raw >> np.uint64(9)) & np.uint64(0xFFFFFFFFFFFFF)
+    x = rabs.astype(float) * wi[layer]
+    x = np.where((raw >> np.uint64(8)) & np.uint64(1), -x, x)
+    failed = np.append(np.flatnonzero(rabs >= ki[layer]), raw.size)
+
+    def uniform(i):
+        return float(raw[i] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    out, p, k, tails, wedges = np.empty(n), 0, 0, 0, 0
+    while k < n:
+        take = min(int(failed[np.searchsorted(failed, p)]) - p, n - k)
+        out[k: k + take] = x[p: p + take]
+        k, p = k + take, p + take
+        if k == n:
+            break
+        q, p = p, p + 1  # the draw that failed the first test
+        if layer[q] == 0:
+            tails += 1
+            while True:
+                xx = -inv_r * math.log1p(-uniform(p))
+                yy = -math.log1p(-uniform(p + 1))
+                p += 2
+                if yy + yy > xx * xx:
+                    out[k] = -(r_edge + xx) if int(rabs[q]) >> 8 & 1 else r_edge + xx
+                    k += 1
+                    break
+        else:
+            wedges += 1
+            i, xq = layer[q], float(x[q])
+            if (fi[i - 1] - fi[i]) * uniform(p) + fi[i] < math.exp(-0.5 * xq * xq):
+                out[k] = xq
+                k += 1
+            p += 1
+    return out, tails, wedges

@@ -663,6 +663,65 @@ def test_cli_huge_bandwidth_gives_the_unit_bandwidth_results(tmp_path):
     assert len(csvs) == 1
 
 
+@pytest.mark.parametrize("command, text", [
+    ("design", _GRID + "beta = 1\nlambda = 100\nr = 400\n"),
+    ("simulate", _MONTE_CARLO + "beta = 1\nlambda = 100\nr = 400\nvariant = squeezed_z\n"),
+    ("simulate", _MONTE_CARLO + "beta = 1\nlambda = 100\nr = 400\nvariant = phase_squeezed\n"),
+    ("sweep", _MONTE_CARLO + "betas = 1\nn_photon = 1.7e308\nrs = 355\nvariant = squeezed_z\n"),
+    ("limits", "beta = 1\nn_photon = 1.7e308\nr = 355\n"),
+], ids=["design", "simulate-squeezed_z", "simulate-phase_squeezed", "sweep", "limits"])
+def test_an_overflowing_exp_2r_is_one_config_error_naming_r(command, text, tmp_path, capsys):
+    """A finite r whose exp(2r) overflows (r = 400 at a given Lambda, or
+    r = 355 within a photon budget of 1.7e308, whose sinh^2 r is still
+    finite) exits 2 with one config error line that names r, no numpy
+    warning (the suite turns warnings into errors) and no file written."""
+    out = tmp_path / "o"
+    assert cli_main([command, _write(tmp_path, "big.cfg", text), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: r is too large: exp(2r) overflows at r = ")
+    assert list(out.iterdir()) == []
+
+
+def test_limits_takes_an_overflowing_exp_4r_as_a_failed_threshold(tmp_path, capsys):
+    """limits at r = 200, where exp(4r) overflows but exp(2r) does not,
+    applies the threshold rule without a warning: exit 0, the table of
+    lambda = 100, and pass_threshold false."""
+    out = tmp_path / "o"
+    text = "beta = 1\nlambda = 100\nr = 200\n"
+    assert cli_main(["limits", _write(tmp_path, "limits.cfg", text), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = _csv_rows(out)
+    assert row["pass_threshold"] == "false" and float(row["snr_analytic"]) == 101.0
+
+
+@pytest.mark.parametrize("command", sorted(_BANDWIDTH_BASES))
+@pytest.mark.parametrize("ratio", ["1e154", "1e300"])
+def test_cli_rejects_a_lorentzian_ratio_whose_width_underflows(command, ratio, tmp_path,
+                                                               capsys):
+    """A lorentz_ratio B/b so large that the message's half width squared,
+    (b/2B)^2, is no normal float is one config error line naming the key
+    (exit 2), with no numpy warning and no file written."""
+    text = _BANDWIDTH_BASES[command] + f"message_kind = lorentzian\nlorentz_ratio = {ratio}\n"
+    out = tmp_path / "o"
+    assert cli_main([command, _write(tmp_path, "bad.cfg", text), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: lorentz_ratio B/b = {float(ratio):g} is too large")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(_BANDWIDTH_BASES))
+@pytest.mark.parametrize("n_samples", [2**21, 2**40])
+def test_cli_rejects_a_grid_above_two_to_the_twenty(command, n_samples, tmp_path, capsys):
+    """n_samples above 2^20 is a config error naming the key (exit 2)
+    before any array of that length exists, and no file is written."""
+    text = _BANDWIDTH_BASES[command].replace("n_samples = 2048", f"n_samples = {n_samples}")
+    out = tmp_path / "o"
+    assert cli_main([command, _write(tmp_path, "big.cfg", text), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"config error: n_samples must be at most 2**20 = 1048576, got {n_samples}"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["betas", "lambdas", "rs"])
 @pytest.mark.parametrize("value", ["", ", ,"])
 def test_empty_list_is_rejected_with_its_line(key, value, tmp_path, capsys):

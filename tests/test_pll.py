@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import both_kernels
-from oracles import error_statistics, linearized_map_estimate
+from oracles import error_statistics, linearized_map_estimate, replay_normals
 from qdemod.grids import TimeGrid
 from qdemod.limits import FM as LFM
 from qdemod.limits import PM as LPM
@@ -44,14 +44,25 @@ def make_design(beta=2.0, lam=100.0, kind="pm", n_samples=4096, band_bins=127,
     return design_loop(msg, mod, alpha, noise, delay=delay)
 
 
-class _ScaledStream:
-    """A stream whose white draws are multiplied by scale."""
+def wrap_normals(monkeypatch, wrap):
+    """Make wrap(normals) the normals of both kernels, the library's instance
+    attribute and the numpy module's, gone again after the test: the
+    samplers' one source of white draws on either path."""
+    for kernel in both_kernels():
+        monkeypatch.setitem(vars(kernel), "normals", wrap(kernel.normals))
 
-    def __init__(self, rng, scale):
-        self.rng, self.scale = rng, scale
 
-    def standard_normal(self, size):
-        return self.rng.standard_normal(size) * self.scale
+def _scaled_normals(scale, purpose, first_trial=0, when=lambda: True):
+    """A wrap for wrap_normals: the draws of the streams (seed, trial,
+    purpose) with trial >= first_trial, multiplied by scale while when()."""
+    def wrap(normals):
+        def scaled(seed, trials, p, quads, m):
+            white = normals(seed, trials, p, quads, m)
+            if p == purpose and when():
+                white[:, np.array(trials) >= first_trial] *= scale
+            return white
+        return scaled
+    return wrap
 
 
 def scale_quadrature_noise(monkeypatch, scale):
@@ -60,12 +71,7 @@ def scale_quadrature_noise(monkeypatch, scale):
     For coherent light these are the white (x0, y0) themselves, so scale 0
     is the noiseless limit and NaN poisons the record.
     """
-    real = pll.stream
-
-    def fake(seed, trial, purpose):
-        rng = real(seed, trial, purpose)
-        return _ScaledStream(rng, scale) if purpose == 1 else rng
-    monkeypatch.setattr(pll, "stream", fake)
+    wrap_normals(monkeypatch, _scaled_normals(scale, 1))
 
 
 needs_kernel = pytest.mark.skipif(_tracker.load() is _numpy_kernel,
@@ -717,7 +723,7 @@ def test_library_exports_only_what_kernel_binds(tmp_path):
     defined = set(re.findall(r"\s\.text\s.*\s(\S+)$", objdump("-T", tmp_path), re.M))
     bound = {name[1:] for name, value in vars(_tracker.load()).items()
              if hasattr(value, "argtypes")}
-    assert bound == {"close_group", "spectrum_product", "levinson"}
+    assert bound == {"close_group", "normals", "spectrum_product", "levinson"}
     assert {name for name in defined if not name.endswith(".resolver")} == bound | {"kernel_isa"}
 
 
@@ -930,6 +936,96 @@ def test_isa_clones_give_the_plain_kernels_bits(tmp_path, monkeypatch):
                 assert all(same_bits(a, b) for a, b in zip(got, want)), (l0, light)
 
 
+NORMALS_SEEDS = (0, 12345, 2**64 - 1)
+
+
+def normals_cases():
+    """(trials, purpose, quads, m) of the normals parity checks: the first
+    and last trial index, both purposes, one plane and two, and m = 1, a
+    length 8 does not divide and 4096."""
+    return [([0, 2**63 - 1, 5], purpose, quads, m)
+            for purpose in (0, 1) for quads in (1, 2) for m in (1, 13, 4096)]
+
+
+@needs_kernel
+@pytest.mark.parametrize("seed", NORMALS_SEEDS)
+def test_library_normals_are_numpys_draws(seed):
+    """The library's normals give _numpy_kernel's planes, numpy's Generator
+    on each stream, bit for bit, C-contiguous; over 64 rows of 4096, and a
+    replay of numpy's ziggurat on the library's tables shows the rows took
+    its tail and wedge branches, so the slow draws are checked too."""
+    kernel = _tracker.load()
+    for trials, purpose, quads, m in normals_cases():
+        got = kernel.normals(seed, trials, purpose, quads, m)
+        assert got.flags.c_contiguous and got.shape == (quads, len(trials), m)
+        assert got.tobytes() == _numpy_kernel.normals(seed, trials, purpose, quads, m).tobytes()
+    want = _numpy_kernel.normals(seed, range(64), 1, 1, 4096)
+    assert kernel.normals(seed, list(range(64)), 1, 1, 4096).tobytes() == want.tobytes()
+    tails = wedges = 0
+    for trial in range(16):
+        replayed, took_tail, took_wedge = replay_normals(seed, trial, 1, 4096)
+        assert replayed.tobytes() == want[0, trial].tobytes()
+        tails, wedges = tails + took_tail, wedges + took_wedge
+    assert tails > 0 and wedges > 0, (tails, wedges)
+
+
+@needs_kernel
+def test_isa_clones_give_numpys_normals(tmp_path, monkeypatch):
+    """The source built without clones, whose normals take the scalar path
+    only, gives numpy's draws too, as the loaded library (on this CPU its
+    avx512f path, where the CPU has it) does in
+    test_library_normals_are_numpys_draws, for every seed and case."""
+    source = tmp_path / "_tracker.c"
+    source.write_text(_tracker.SOURCE.read_text().replace(ISA_LINE, ""))
+    monkeypatch.setattr(_tracker, "SOURCE", source)
+    plain = _tracker._build()
+    assert plain is not None and plain.isa == "default"
+    for seed in NORMALS_SEEDS:
+        for trials, purpose, quads, m in normals_cases() + [(list(range(64)), 1, 1, 4096)]:
+            want = _numpy_kernel.normals(seed, trials, purpose, quads, m).tobytes()
+            assert plain.normals(seed, trials, purpose, quads, m).tobytes() == want
+
+
+@pytest.mark.parametrize("seed, trial, message", [
+    (-1, 0, r"seed must be in \[0, 2\*\*64\), got -1$"),
+    (2**64, 0, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616$"),
+    (3, -1, r"path entry must be in \[0, 2\*\*63\), got -1$"),
+    (3, 2**63, r"path entry must be in \[0, 2\*\*63\), got 9223372036854775808$")])
+def test_normals_reject_a_stream_outside_rngs_ranges(seed, trial, message):
+    """Both kernels' normals check every stream with rng's checks and
+    messages, a bad trial after a good one too."""
+    for kernel in both_kernels():
+        with pytest.raises(ValueError, match=message):
+            kernel.normals(seed, [0, trial], 1, 2, 8)
+
+
+def test_samplers_make_each_density_once(monkeypatch):
+    """A cell's row groups colour their draws to densities made once per
+    message and light (pll's small cache), not once per group: three groups
+    of a phase-squeezed cell, then a second cell of the same light at
+    another |alpha|, make one message_psd and one squeezed_covariance_psds,
+    on four workers switching threads every microsecond."""
+    calls = []
+    for name in ("message_psd", "squeezed_covariance_psds"):
+        def counted(*args, real=getattr(pll, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pll, name, counted)
+    monkeypatch.setattr(pll, "max_workers", lambda: 4)
+    pll._message_density.cache_clear()
+    pll._quadrature_densities.cache_clear()
+    designs = [make_design(lam=lam, n_samples=2048, band_bins=63, r=0.5, variant=PHASE_SQUEEZED)
+               for lam in (100.0, 300.0)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for design in designs:
+            simulate_batch(PllConfig(design, trials=72, seed=3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == ["message_psd", "squeezed_covariance_psds"]
+
+
 def test_tracker_build_cache_and_failure(tmp_path, monkeypatch):
     """A build is cached next to its source; a failed build yields None."""
     source = tmp_path / "_tracker.c"
@@ -949,7 +1045,7 @@ def test_tracker_build_cache_and_failure(tmp_path, monkeypatch):
 
 
 def test_both_kernels_keep_one_contract(tmp_path, monkeypatch):
-    """_tracker.Kernel and _numpy_kernel expose the same three entries with
+    """_tracker.Kernel and _numpy_kernel expose the same four entries with
     the same parameters, and after a failed build (the broken source of
     test_tracker_build_cache_and_failure) load() returns _numpy_kernel,
     which a simulate manifest names."""
@@ -959,7 +1055,8 @@ def test_both_kernels_keep_one_contract(tmp_path, monkeypatch):
                 if inspect.isfunction(fn) and fn.__module__.startswith("qdemod.")
                 and not name.startswith("_")}
     assert entries(_tracker.Kernel, 1) == entries(_numpy_kernel, 0)  # the methods' self
-    assert set(entries(_numpy_kernel, 0)) == {"close_group", "spectrum_product", "levinson"}
+    assert set(entries(_numpy_kernel, 0)) == {"close_group", "normals", "spectrum_product",
+                                              "levinson"}
     source = tmp_path / "_tracker.c"
     source.write_text("this is not C\n")
     monkeypatch.setattr(_tracker, "SOURCE", source)
@@ -1107,12 +1204,7 @@ def test_worker_threads_keep_the_callers_errstate(monkeypatch):
     colours them is invalid, and the caller's np.errstate, copied to the
     pool threads, makes that the same error on any worker count."""
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=64, seed=3)
-    real = pll.stream
-
-    def fake(seed, trial, purpose):
-        rng = real(seed, trial, purpose)
-        return _ScaledStream(rng, float("inf")) if purpose == 0 and trial >= 32 else rng
-    monkeypatch.setattr(pll, "stream", fake)
+    wrap_normals(monkeypatch, _scaled_normals(float("inf"), 0, first_trial=32))
 
     def run():
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError) as err:
@@ -1127,12 +1219,7 @@ def test_divergence_names_a_trial_of_the_failing_group(monkeypatch):
     second row group diverges, and it reports one of its own trials, with
     the same message on any worker count."""
     cfg = PllConfig(make_design(n_samples=2048, band_bins=63), trials=64, seed=3)
-    real = pll.stream
-
-    def fake(seed, trial, purpose):
-        rng = real(seed, trial, purpose)
-        return _ScaledStream(rng, float("nan")) if purpose == 1 and trial >= 32 else rng
-    monkeypatch.setattr(pll, "stream", fake)
+    wrap_normals(monkeypatch, _scaled_normals(float("nan"), 1, first_trial=32))
 
     def run():
         with pytest.raises(LoopDivergenceError) as err:
@@ -1204,13 +1291,15 @@ def test_pipelined_cells_equal_lone_cells(monkeypatch):
 
 
 def count_streams(monkeypatch):
-    """The (seed, trial, purpose) of each stream opened, in a list."""
-    opened, real = [], pll.stream
+    """The (seed, trial, purpose) of each stream drawn, in a list."""
+    opened = []
 
-    def stream(seed, trial, purpose):
-        opened.append((seed, trial, purpose))
-        return real(seed, trial, purpose)
-    monkeypatch.setattr(pll, "stream", stream)
+    def wrap(normals):
+        def counted(seed, trials, purpose, quads, m):
+            opened.extend((seed, trial, purpose) for trial in trials)
+            return normals(seed, trials, purpose, quads, m)
+        return counted
+    wrap_normals(monkeypatch, wrap)
     return opened
 
 
@@ -1271,7 +1360,7 @@ class SweepSpy:
 
     events gets ("design", k) as cell k's design starts and ("collected", k)
     as its trials are aggregated; groups counts the row groups run per cell.
-    nan_cells draw NaN quadrature noise (the _ScaledStream pattern), so they
+    nan_cells draw NaN quadrature noise (the _scaled_normals pattern), so they
     diverge in the closed loop; failing_groups raise the given error from
     their row groups and failing_designs from their designs, at once.
     """
@@ -1280,7 +1369,7 @@ class SweepSpy:
         import qdemod.cli as cli
         self.events, self.designs, self.groups = [], [], {}
         self.local = threading.local()
-        real_design, real_group, real_stream = cli.design_loop, pll._simulate_group, pll.stream
+        real_design, real_group = cli.design_loop, pll._simulate_group
         real_aggregate = pll.aggregate
         failing_groups, failing_designs = failing_groups or {}, failing_designs or {}
 
@@ -1301,17 +1390,13 @@ class SweepSpy:
             self.local.nan = k in nan_cells
             return real_group(cfg, *args)
 
-        def stream(seed, trial, purpose):
-            rng = real_stream(seed, trial, purpose)
-            return _ScaledStream(rng, float("nan")) if purpose == 1 and self.local.nan else rng
-
         def aggregate(trials):
             cell = real_aggregate(trials)
             self.events.append(("collected", sum(event[0] == "collected" for event in self.events)))
             return cell
         monkeypatch.setattr(cli, "design_loop", design_loop)
         monkeypatch.setattr(pll, "_simulate_group", simulate_group)
-        monkeypatch.setattr(pll, "stream", stream)
+        wrap_normals(monkeypatch, _scaled_normals(float("nan"), 1, when=lambda: self.local.nan))
         monkeypatch.setattr(pll, "aggregate", aggregate)
 
 

@@ -11,16 +11,19 @@ compiled library.  There is one 32-row group, trials 0 .. 31 at n = 4096,
 per light: coherent PM at beta = 1 and Lambda = 100, a cell of the
 `sweep_pm` grid, and squeezed_z at beta = 1 and the optimal squeezing for
 N = 10, the `squeezed_cell` point.  Each tree draws the group once into a
-draw store of its own, so no timed pass draws.  Then every round runs the
-group through each tree's pll._simulate_group on this thread, the tree that
+draw store of its own, so no pass of the loop draws.  Then every round
+draws the group through each tree's pll._draw with no store, timed on its
+own (the draw milliseconds: the white draws and their colouring), and runs
+it through each tree's pll._simulate_group on this thread, the tree that
 goes first alternating from round to round, with the library's close_group
 wrapped by a timer: the close_group milliseconds are that call's, and the
 post-loop milliseconds run from its return to the group's end (the per-trial
 statistics and the estimate).
 
-Per light and tree it prints the median and the quartiles of both over the
-rounds, and the sha256 (first 16 hex digits) of the record and phip as
-close_group left them.  The tracking error e is not hashed: the kernel keeps
+Per light and tree it prints the median and the quartiles of the three over
+the rounds, the sha256 (first 16 hex digits) of the draws (the message and
+the quadratures, x0 where the light has it), and the sha256 of the record
+and phip as close_group left them.  The tracking error e is not hashed: the kernel keeps
 it to itself, and an older close_group that takes it as an argument only
 leaves there the last sample's e, which phip = phibar - e carries.  The
 record is the last m samples (phip's width) of close_group's record
@@ -87,7 +90,9 @@ class Side:
         run, _ = pll._cell_work(pll_cfg, store=store)
         self.run = partial(run.func, *[self.timed(a) if getattr(a, "__self__", None) is kernel
                                        and a.__name__ == "close_group" else a for a in run.args])
-        self.close_ms, self.post_ms, self.hashes = [], [], None
+        self.draw = partial(pll._draw, pll_cfg, self.trials, None)
+        self.draw_ms, self.close_ms, self.post_ms, self.hashes = [], [], [], None
+        self.draw_hash = None
 
     def timed(self, close):
         def call(*args):
@@ -101,6 +106,12 @@ class Side:
         return call
 
     def round(self):
+        t0 = time.perf_counter()
+        draws = self.draw()
+        self.draw_ms.append(1e3 * (time.perf_counter() - t0))
+        self.draw_hash = hashlib.sha256(b"".join(a.tobytes() for a in draws
+                                                 if a is not None)).hexdigest()[:16]
+        del draws
         results = self.run(self.trials)
         self.post_ms.append(1e3 * (time.perf_counter() - self.closed))
         return results
@@ -136,12 +147,13 @@ def main(argv=None) -> int:
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 results[side] = sides[side].round()
         for side, s in sides.items():
-            print(f"{light:10s} {side:6s} close_group {quartiles(s.close_ms)}  "
-                  f"post-loop {quartiles(s.post_ms)}  "
-                  f"rec {s.hashes[0]} phip {s.hashes[1]}")
+            print(f"{light:10s} {side:6s} draw {quartiles(s.draw_ms)}  "
+                  f"close_group {quartiles(s.close_ms)}  post-loop {quartiles(s.post_ms)}  "
+                  f"draws {s.draw_hash} rec {s.hashes[0]} phip {s.hashes[1]}")
         fields = {side: [tuple(getattr(t, c) for c in COLUMNS) for t in r]
                   for side, r in results.items()}
-        if sides["parent"].hashes != sides["change"].hashes or fields["parent"] != fields["change"]:
+        if (sides["parent"].hashes != sides["change"].hashes or fields["parent"] != fields["change"]
+                or sides["parent"].draw_hash != sides["change"].draw_hash):
             print(f"{light}: the trees' outputs differ")
             same = False
     print(f"{args.rounds} alternating rounds per light, seed {args.seed}; "
